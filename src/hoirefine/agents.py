@@ -5,23 +5,25 @@ remaining frames.
 Agents only score candidate relations whose base confidence reaches a small
 floor; scoring every relation of every pair is exactly the call-volume
 explosion keyframe sampling exists to avoid.
+
+Every agent asks its provider through one loop, ``_score_batches``, with one
+failure policy, which the stage-2 debate shares: an AuthError is fatal and
+propagates to the caller; any other ProviderError is logged and leaves only
+the failed batch's slots unscored.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .ingest import triplet_to_text
 from .model import (
     CS,
-    DEBATE,
     SPATIAL,
     TEMPORAL,
     AgentScoreTable,
-    PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
     pair_key,
@@ -36,9 +38,6 @@ from .prompt import (
 from .provider import AuthError, CompletionRequest, Provider, ProviderError, cached_complete
 
 log = logging.getLogger(__name__)
-
-DEFAULT_CANDIDATE_FLOOR = 0.05
-DEFAULT_BATCH_SIZE = 16
 
 
 class TrackingUnavailableError(RuntimeError):
@@ -96,20 +95,53 @@ def detect_transitions(pred_set: VideoPredictionSet) -> list[Transition]:
     return transitions
 
 
-def _candidates(pair: PairPrediction, floor: float) -> list[int]:
-    return [r for r, s in enumerate(pair.scores) if s >= floor]
+def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: float):
+    """Yield (frame_index, pair_key, relation_index, pair) for every candidate
+    relation (base score >= floor) of every keyframe pair, in frame order."""
+    for frame in pred_set.frames:
+        if frame.frame_index not in keyframes:
+            continue
+        for i, pair in enumerate(frame.pairs):
+            pk = pair_key(pair, i)
+            for r, s in enumerate(pair.scores):
+                if s >= floor:
+                    yield frame.frame_index, pk, r, pair
 
 
-def _batches(items: list, size: int):
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
+def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
+                   render, parse, cache_dir: Optional[str]) -> dict:
+    """Ask ``provider`` about ``items`` in order, ``batch_size`` per prompt.
+
+    ``render(batch)`` builds the prompt bundle and ``parse(raw, n)`` returns
+    one value or None per item. Returns {item: value} for the items whose
+    answer parsed. An AuthError propagates; any other ProviderError drops
+    only its own batch.
+    """
+    values = {}
+    for start in range(0, len(items), batch_size):
+        batch = items[start:start + batch_size]
+        req = CompletionRequest(provider_id=provider.id, prompt=render(batch).render())
+        try:
+            raw = cached_complete(provider, req, cache_dir).text
+        except AuthError:
+            raise
+        except ProviderError as exc:
+            log.warning("%s: %s batch failed: %s", provider.id, what, exc)
+            continue
+        for item, value in zip(batch, parse(raw, len(batch))):
+            if value is not None:
+                values[item] = value
+    return values
 
 
-def _call(provider: Provider, prompt: str, cache_dir: Optional[str]) -> str:
-    req = CompletionRequest(provider_id=provider.id, prompt=prompt)
-    if cache_dir:
-        return cached_complete(provider, req, cache_dir).text
-    return provider.complete(req).text
+def _scatter(values: dict, wanted: dict, kind: str) -> AgentScoreTable:
+    """Put each item's value on every (frame, pair_key, relation) slot that
+    wanted it."""
+    table = AgentScoreTable()
+    for item, value in values.items():
+        for frame_index, pk, r in wanted[item]:
+            table.set(frame_index, pk, r, kind, value)
+    return table
 
 
 def run_common_sense(
@@ -117,46 +149,21 @@ def run_common_sense(
     pred_set: VideoPredictionSet,
     keyframes: set[int],
     vocab: RelationVocabulary,
-    floor: float = DEFAULT_CANDIDATE_FLOOR,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    floor: float,
+    batch_size: int,
     cache_dir: Optional[str] = None,
 ) -> AgentScoreTable:
     """Rationality scores for every candidate (keyframe, pair, relation).
 
     Scores are keyed by triplet text, so each distinct text costs one test
-    slot regardless of how many keyframes it appears in. A failed batch
-    leaves its entries absent; other batches are unaffected.
+    slot regardless of how many keyframes it appears in.
     """
-    table = AgentScoreTable()
-    # triplet text -> list of (frame, pair_key, relation) slots wanting it
     wanted: dict[str, list[tuple]] = {}
-    for frame in pred_set.frames:
-        if frame.frame_index not in keyframes:
-            continue
-        for i, pair in enumerate(frame.pairs):
-            pk = pair_key(pair, i)
-            for r in _candidates(pair, floor):
-                text = triplet_to_text(pair, r, vocab)
-                wanted.setdefault(text, []).append((frame.frame_index, pk, r))
-
-    texts = sorted(wanted)
-    scores: dict[str, float] = {}
-    for batch in _batches(texts, batch_size):
-        bundle = render_common_sense(batch)
-        try:
-            raw = _call(provider, bundle.render(), cache_dir)
-        except AuthError:
-            raise
-        except ProviderError as exc:
-            log.warning("%s: common-sense batch failed: %s", provider.id, exc)
-            continue
-        for text, value in zip(batch, parse_score_output(raw, len(batch))):
-            if value is not None:
-                scores[text] = value
-    for text, value in scores.items():
-        for frame_index, pk, r in wanted[text]:
-            table.set(frame_index, pk, r, CS, value)
-    return table
+    for frame_index, pk, r, pair in keyframe_slots(pred_set, keyframes, floor):
+        wanted.setdefault(triplet_to_text(pair, r, vocab), []).append((frame_index, pk, r))
+    scores = _score_batches(provider, "common-sense", sorted(wanted), batch_size,
+                            render_common_sense, parse_score_output, cache_dir)
+    return _scatter(scores, wanted, CS)
 
 
 def classify_spatial_awareness(
@@ -165,25 +172,11 @@ def classify_spatial_awareness(
     cache_dir: Optional[str] = None,
 ) -> dict[str, bool]:
     """Stage-1 spatial query: one yes/no per relation name, memoized by the
-    response cache. A parse failure downgrades to not-spatial-aware."""
-    aware: dict[str, bool] = {}
-    for name in relation_names:
-        bundle = render_spatial("awareness", [name])
-        try:
-            raw = _call(provider, bundle.render(), cache_dir)
-        except AuthError:
-            raise
-        except ProviderError as exc:
-            log.warning("%s: awareness query for %r failed: %s", provider.id, name, exc)
-            aware[name] = False
-            continue
-        verdict = parse_binary_output(raw)
-        if verdict is None:
-            log.warning("%s: unparseable awareness answer for %r; treating as not spatial-aware",
-                        provider.id, name)
-            verdict = False
-        aware[name] = verdict
-    return aware
+    response cache. A failed or unparseable answer means not spatial-aware."""
+    verdicts = _score_batches(provider, "awareness", relation_names, 1,
+                              lambda batch: render_spatial("awareness", batch),
+                              lambda raw, _n: [parse_binary_output(raw)], cache_dir)
+    return {name: verdicts.get(name, False) for name in relation_names}
 
 
 def run_spatial(
@@ -191,58 +184,30 @@ def run_spatial(
     pred_set: VideoPredictionSet,
     keyframes: set[int],
     vocab: RelationVocabulary,
-    floor: float = DEFAULT_CANDIDATE_FLOOR,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    floor: float,
+    batch_size: int,
     cache_dir: Optional[str] = None,
 ) -> AgentScoreTable:
     """Two-stage spatial reasoning: classify each relation name once, then
     score only spatial-aware candidates with that frame's boxes."""
-    table = AgentScoreTable()
-    names_in_play = sorted(
-        {vocab.names[r]
-         for frame in pred_set.frames if frame.frame_index in keyframes
-         for pair in frame.pairs
-         for r in _candidates(pair, floor)}
-    )
-    if not names_in_play:
-        return table
-    aware = classify_spatial_awareness(provider, names_in_play, cache_dir)
+    slots = list(keyframe_slots(pred_set, keyframes, floor))
+    aware = classify_spatial_awareness(
+        provider, sorted({vocab.names[r] for _, _, r, _ in slots}), cache_dir)
 
     # (text, boxes) -> slots; identical geometry costs one test slot
     wanted: dict[tuple, list[tuple]] = {}
-    for frame in pred_set.frames:
-        if frame.frame_index not in keyframes:
-            continue
-        for i, pair in enumerate(frame.pairs):
-            pk = pair_key(pair, i)
-            for r in _candidates(pair, floor):
-                if not aware.get(vocab.names[r], False):
-                    continue
-                text = triplet_to_text(pair, r, vocab)
-                item = (
-                    text,
-                    tuple(pair.human_box.as_int_list()),
-                    tuple(pair.object_box.as_int_list()),
-                )
-                wanted.setdefault(item, []).append((frame.frame_index, pk, r))
-
-    items = sorted(wanted)
-    for batch in _batches(items, batch_size):
-        payload = [(t, list(hb), list(ob)) for t, hb, ob in batch]
-        bundle = render_spatial("scoring", payload)
-        try:
-            raw = _call(provider, bundle.render(), cache_dir)
-        except AuthError:
-            raise
-        except ProviderError as exc:
-            log.warning("%s: spatial batch failed: %s", provider.id, exc)
-            continue
-        for item, value in zip(batch, parse_score_output(raw, len(batch))):
-            if value is None:
-                continue
-            for frame_index, pk, r in wanted[item]:
-                table.set(frame_index, pk, r, SPATIAL, value)
-    return table
+    for frame_index, pk, r, pair in slots:
+        if aware[vocab.names[r]]:
+            item = (
+                triplet_to_text(pair, r, vocab),
+                tuple(pair.human_box.as_int_list()),
+                tuple(pair.object_box.as_int_list()),
+            )
+            wanted.setdefault(item, []).append((frame_index, pk, r))
+    scores = _score_batches(provider, "spatial", sorted(wanted), batch_size,
+                            lambda batch: render_spatial("scoring", batch),
+                            parse_score_output, cache_dir)
+    return _scatter(scores, wanted, SPATIAL)
 
 
 def run_temporal(
@@ -250,43 +215,26 @@ def run_temporal(
     pred_set: VideoPredictionSet,
     transitions: list[Transition],
     vocab: RelationVocabulary,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    batch_size: int,
     cache_dir: Optional[str] = None,
 ) -> AgentScoreTable:
     """Score each transition's change; the score attaches to the new relation
-    at the later frame (the old relation is untouched)."""
-    table = AgentScoreTable()
-    if not transitions:
-        return table
-    pair_lookup = {}
-    for frame in pred_set.frames:
-        for pair in frame.pairs:
-            if pair.pair_id is not None:
-                pair_lookup[(frame.frame_index, pair.pair_id)] = pair
-
-    items = []
+    at the later frame (the old relation is untouched). Each transition is
+    its own test slot, even when two pairs show the same change."""
+    pair_lookup = {(frame.frame_index, pair.pair_id): pair
+                   for frame, pair in pred_set.iter_pairs() if pair.pair_id is not None}
+    texts, wanted = {}, {}
     for tr in transitions:
         pair = pair_lookup[(tr.frame_index, tr.pair_id)]
-        old_text = triplet_to_text(pair, tr.old_relation, vocab)
-        new_text = triplet_to_text(pair, tr.new_relation, vocab)
-        items.append((tr, old_text, new_text))
-
-    for batch in _batches(items, batch_size):
-        pairs_text = [(old, new) for _, old, new in batch]
-        labels = [(tr.frame_index - 1, tr.frame_index) for tr, _, _ in batch]
-        bundle = render_temporal(pairs_text, labels)
-        try:
-            raw = _call(provider, bundle.render(), cache_dir)
-        except AuthError:
-            raise
-        except ProviderError as exc:
-            log.warning("%s: temporal batch failed: %s", provider.id, exc)
-            continue
-        for (tr, _, _), value in zip(batch, parse_score_output(raw, len(batch))):
-            if value is not None:
-                table.set(tr.frame_index, ("id",) + tuple(tr.pair_id), tr.new_relation,
-                          TEMPORAL, value)
-    return table
+        texts[tr] = (triplet_to_text(pair, tr.old_relation, vocab),
+                     triplet_to_text(pair, tr.new_relation, vocab))
+        wanted[tr] = [(tr.frame_index, ("id",) + tuple(tr.pair_id), tr.new_relation)]
+    scores = _score_batches(
+        provider, "temporal", transitions, batch_size,
+        lambda batch: render_temporal([texts[tr] for tr in batch],
+                                      [(tr.frame_index - 1, tr.frame_index) for tr in batch]),
+        parse_score_output, cache_dir)
+    return _scatter(scores, wanted, TEMPORAL)
 
 
 def propagate_scores(

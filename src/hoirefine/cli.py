@@ -20,35 +20,29 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .evaluation import (
     AblationRow,
     DEFAULT_KS,
-    NoGroundTruthError,
     format_ablation_table,
+    positives_per_frame,
     recall_at_k_dataset,
     write_ablation_report,
 )
-from .ingest import IngestError, load_ground_truth, load_predictions, load_vocabulary, write_predictions
+from .ingest import load_ground_truth, load_predictions, load_vocabulary, write_predictions
 from .model import pair_key
-from .pipeline import ALL_COMPONENTS, fuse_table, refine
-from .provider import AuthError, ProviderError
+from .pipeline import fuse_table, refine
+from .provider import ProviderError
 from . import embedloss
 
 log = logging.getLogger("hoirefine")
 
 
-def _positives_per_frame(pred_set, threshold: float) -> dict[int, list]:
-    frames = {}
-    for frame in pred_set.frames:
-        positives = []
-        for i, pair in enumerate(frame.pairs):
-            pk = pair_key(pair, i)
-            for r, s in enumerate(pair.scores):
-                if s > threshold:
-                    positives.append((pk, r, s))
-        frames[frame.frame_index] = positives
-    return frames
+def _ks(args) -> list[int]:
+    ks = args.k or list(DEFAULT_KS)
+    if min(ks) < 1:
+        raise ValueError("every --k must be >= 1")
+    return ks
 
 
 def _gt_per_frame(gt_set) -> dict[int, frozenset]:
@@ -75,7 +69,7 @@ def cmd_refine(args) -> int:
         config = _apply_overrides(load_config(args.config), args)
         vocab = load_vocabulary(args.vocab)
         pred_set = load_predictions(args.predictions, vocab)
-    except (ConfigError, IngestError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     transcript_dir = None
@@ -86,7 +80,7 @@ def cmd_refine(args) -> int:
     try:
         outcome = refine(pred_set, config, cache_dir=args.cache_dir,
                          transcript_dir=transcript_dir)
-    except (AuthError, ProviderError) as exc:
+    except ProviderError as exc:
         print(f"error: provider exhausted: {exc}", file=sys.stderr)
         return 2
     write_predictions(pred_set, outcome.fused, args.out)
@@ -96,14 +90,18 @@ def cmd_refine(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ks = args.k or list(DEFAULT_KS)
     try:
+        ks = _ks(args)
         vocab = load_vocabulary(args.vocab)
         pred_set = load_predictions(args.refined, vocab)
         gt = load_ground_truth(args.gt, pred_set)
-        positives = _positives_per_frame(pred_set, args.threshold)
+        scores = {(frame.frame_index, pair_key(pair, i), r): s
+                  for frame in pred_set.frames
+                  for i, pair in enumerate(frame.pairs)
+                  for r, s in enumerate(pair.scores)}
+        positives = positives_per_frame(scores, args.threshold)
         recalls = recall_at_k_dataset(positives, _gt_per_frame(gt), ks)
-    except (IngestError, NoGroundTruthError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     width = max(len(f"R@{k}") for k in ks)
@@ -120,13 +118,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    ks = args.k or list(DEFAULT_KS)
     try:
+        ks = _ks(args)
         config = _apply_overrides(load_config(args.config), args)
         vocab = load_vocabulary(args.vocab)
         pred_set = load_predictions(args.predictions, vocab)
         gt = load_ground_truth(args.gt, pred_set)
-    except (ConfigError, IngestError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     gt_frames = _gt_per_frame(gt)
@@ -136,26 +134,13 @@ def cmd_ablate(args) -> int:
     try:
         outcome = refine(pred_set, config, cache_dir=args.cache_dir,
                          transcript_dir=None)
-    except (AuthError, ProviderError) as exc:
+    except ProviderError as exc:
         print(f"error: provider exhausted: {exc}", file=sys.stderr)
         return 2
 
     def row_for(label: str, toggles: dict) -> AblationRow:
         fused = fuse_table(pred_set, outcome.table, config.weights, toggles)
-        per_frame = {}
-        for frame in pred_set.frames:
-            positives = []
-            for i, pair in enumerate(frame.pairs):
-                pk = pair_key(pair, i)
-                for r in range(vocab.n):
-                    s = fused[(frame.frame_index, pk, r)]
-                    if s > threshold:
-                        positives.append((pk, r, s))
-            per_frame[frame.frame_index] = positives
-        try:
-            recalls = recall_at_k_dataset(per_frame, gt_frames, ks)
-        except NoGroundTruthError as exc:
-            raise IngestError(str(exc)) from None
+        recalls = recall_at_k_dataset(positives_per_frame(fused, threshold), gt_frames, ks)
         return AblationRow(label=label, toggles=toggles, recalls=recalls)
 
     components = ("cs", "spatial", "temporal", "debate")
@@ -214,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, default=None)
     p.add_argument("--debate-mode", choices=("disagreement", "always", "off"), default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("eval", help="Recall@K of a prediction file")

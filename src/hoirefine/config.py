@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .model import FusionWeights
 from .provider import ProviderSpec
@@ -45,12 +45,6 @@ class RefinementConfig:
             raise ConfigError(f"judge_provider {self.judge_provider!r} is not configured")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-
-    def judge_spec(self) -> ProviderSpec:
-        for spec in self.providers:
-            if spec.id == self.judge_provider:
-                return spec
-        raise ConfigError(f"judge provider {self.judge_provider!r} missing")
 
 
 def load_config(path: str) -> RefinementConfig:

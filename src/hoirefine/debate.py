@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .prompt import parse_score_output, render_debate_turn
-from .provider import CompletionRequest, Provider, ProviderError, cached_complete
+from .provider import AuthError, CompletionRequest, Provider, ProviderError, cached_complete
 
 log = logging.getLogger(__name__)
 
@@ -78,13 +78,6 @@ def render_debate_question(
     )
 
 
-def _ask(provider: Provider, prompt: str, cache_dir: Optional[str]) -> str:
-    req = CompletionRequest(provider_id=provider.id, prompt=prompt)
-    if cache_dir:
-        return cached_complete(provider, req, cache_dir).text
-    return provider.complete(req).text
-
-
 def run_debate(
     question: str,
     debaters: list[Provider],
@@ -94,16 +87,20 @@ def run_debate(
     """Run one full debate and judge it.
 
     A debater failure inserts an empty entry and the debate continues; a
-    judge failure yields a transcript with judge_score=None.
+    judge failure yields a transcript with judge_score=None. An AuthError
+    from any participant is fatal and propagates.
     """
     if not debaters:
         raise ValueError("need at least one debater")
     entries: list[tuple[str, str]] = [(QUESTION_SPEAKER, question)]
 
     def turn(provider: Provider, history: list[tuple[str, str]]) -> str:
-        prompt = render_debate_turn("debater", question, history)
+        req = CompletionRequest(provider_id=provider.id,
+                                prompt=render_debate_turn("debater", question, history))
         try:
-            return _ask(provider, prompt, cache_dir)
+            return cached_complete(provider, req, cache_dir).text
+        except AuthError:
+            raise
         except ProviderError as exc:
             log.warning("debater %s failed: %s", provider.id, exc)
             return ""
@@ -116,14 +113,18 @@ def run_debate(
                 continue
             entries.append((d_j.id, turn(d_j, entries[1:])))
 
-    judge_prompt = render_debate_turn("judge", question, entries[1:])
+    judge_req = CompletionRequest(provider_id=judge.id,
+                                  prompt=render_debate_turn("judge", question, entries[1:]))
     try:
-        judge_answer = _ask(judge, judge_prompt, cache_dir)
-        judge_score = parse_score_output(judge_answer, 1).values[0]
+        judge_answer = cached_complete(judge, judge_req, cache_dir).text
+    except AuthError:
+        raise
     except ProviderError as exc:
         log.warning("judge %s failed: %s", judge.id, exc)
         judge_answer = ""
         judge_score = None
+    else:
+        judge_score = parse_score_output(judge_answer, 1)[0]
     return DebateTranscript(
         question=question,
         entries=tuple(entries),

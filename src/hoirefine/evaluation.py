@@ -13,11 +13,25 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .fusion import threshold_select
+
 DEFAULT_KS = (10, 20, 50)
 
 
 class NoGroundTruthError(ValueError):
     pass
+
+
+def positives_per_frame(scores: dict, threshold: float) -> dict[int, list[tuple]]:
+    """Per frame, the (pair_key, relation_index, score) positives competing
+    for the top-K slots; frames without positives are absent. ``scores``
+    maps (frame_index, pair_key, relation_index) to a score; selection is
+    ``fusion.threshold_select``."""
+    frames: dict[int, list[tuple]] = {}
+    for key in threshold_select(scores, threshold):
+        frame_index, pk, r = key
+        frames.setdefault(frame_index, []).append((pk, r, scores[key]))
+    return frames
 
 
 def recall_at_k_frame(

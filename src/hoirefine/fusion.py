@@ -44,7 +44,8 @@ def threshold_select(fused: dict, threshold: float) -> set:
     """Semi-constraint positives: every (pair, relation) whose fused score is
     strictly above the threshold. Multiple relations per pair are allowed.
 
-    ``fused`` maps (pair_key, relation_index) -> fused score.
+    ``fused`` maps a slot key, such as (frame_index, pair_key,
+    relation_index), to its fused score.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0,1)")

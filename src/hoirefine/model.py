@@ -7,7 +7,7 @@ concurrent pipeline stages. Structural checks live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 # (human_id, object_id); stable across frames when the upstream detector tracks
@@ -56,11 +56,6 @@ class RelationVocabulary:
             raise UnknownRelationError(name) from None
 
 
-def lookup_relation(vocab: RelationVocabulary, name: str) -> int:
-    """Index of ``name`` in the vocabulary; UnknownRelationError if absent."""
-    return vocab.index_of(name)
-
-
 @dataclass(frozen=True)
 class BoundingBox:
     x1: float
@@ -103,12 +98,6 @@ class VideoPredictionSet:
 
     def frame_indices(self) -> list[int]:
         return [f.frame_index for f in self.frames]
-
-    def frame(self, frame_index: int) -> FramePrediction:
-        for f in self.frames:
-            if f.frame_index == frame_index:
-                return f
-        raise KeyError(frame_index)
 
     def iter_pairs(self) -> Iterator[tuple[FramePrediction, PairPrediction]]:
         for frame in self.frames:

@@ -16,6 +16,7 @@ from typing import Optional
 from .agents import (
     Transition,
     detect_transitions,
+    keyframe_slots,
     propagate_scores,
     run_common_sense,
     run_spatial,
@@ -103,18 +104,6 @@ def aggregate_provider_tables(tables: dict[str, AgentScoreTable]) -> AgentScoreT
     return out
 
 
-def _keyframe_candidate_slots(pred_set: VideoPredictionSet, keyframes: set[int],
-                              floor: float):
-    for frame in pred_set.frames:
-        if frame.frame_index not in keyframes:
-            continue
-        for i, pair in enumerate(frame.pairs):
-            pk = pair_key(pair, i)
-            for r, s in enumerate(pair.scores):
-                if s >= floor:
-                    yield frame.frame_index, pk, r, pair
-
-
 def run_stage_one(
     pred_set: VideoPredictionSet,
     config: RefinementConfig,
@@ -172,8 +161,8 @@ def run_stage_two(
     vocab = pred_set.vocabulary
     per_provider_fused: dict[tuple, list[float]] = {}
     slot_pairs = {}
-    for frame_index, pk, r, pair in _keyframe_candidate_slots(
-            pred_set, keyframes, config.candidate_floor):
+    for frame_index, pk, r, pair in keyframe_slots(pred_set, keyframes,
+                                                   config.candidate_floor):
         scores = []
         for provider in providers:
             table = per_provider[provider.id]
@@ -242,7 +231,7 @@ def fuse_table(
 
 
 def _coverage(pred_set, table, keyframes, floor) -> dict[str, float]:
-    slots = list(_keyframe_candidate_slots(pred_set, keyframes, floor))
+    slots = list(keyframe_slots(pred_set, keyframes, floor))
     if not slots:
         return {}
     coverage = {}

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 log = logging.getLogger(__name__)
 
@@ -117,16 +117,6 @@ class PromptBundle:
         return "\n".join(parts)
 
 
-@dataclass
-class ParsedScores:
-    """Per-test-slot scores: a float in [0,1] or None on parse failure."""
-
-    values: list[Optional[float]]
-
-    def __iter__(self):
-        return iter(self.values)
-
-
 def render_common_sense(tests: list[str]) -> PromptBundle:
     if not tests:
         raise ValueError("tests must be non-empty")
@@ -225,8 +215,9 @@ def _clamp(value: float) -> Optional[float]:
     return PARSE_FAILURE
 
 
-def parse_score_output(raw: str, n_tests: int) -> ParsedScores:
-    """Extract the k-th numeric value after the k-th 'Output:' token.
+def parse_score_output(raw: str, n_tests: int) -> list[Optional[float]]:
+    """Extract the k-th numeric value after the k-th 'Output:' token: one
+    float in [0,1] per test slot, or None where it does not parse.
 
     Surrounding chain-of-thought prose is tolerated; missing slots become
     failure markers rather than errors.
@@ -240,7 +231,7 @@ def parse_score_output(raw: str, n_tests: int) -> ParsedScores:
             values.append(_clamp(float(found[k])))
         else:
             values.append(PARSE_FAILURE)
-    return ParsedScores(values)
+    return values
 
 
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)

@@ -170,9 +170,6 @@ class Provider:
     def id(self) -> str:
         return self.spec.id
 
-    def set_rules(self, rules: list[MockRule]):
-        self._rules = rules
-
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         """One completion, with exponential backoff on transient HTTP failures
         (base 1s, factor 2, jitter +/-20%) and at most ``max_concurrency``
@@ -194,7 +191,7 @@ class Provider:
         if self._transport is not None:
             return self._retrying(lambda: self._transport(self.spec, req))
         if self.spec.kind == "mock":
-            return mock_complete(self._rules or [], req).text
+            return match_rules(self._rules or [], req.prompt)
         return self._retrying(lambda: _http_complete(self.spec, req))
 
     def _retrying(self, fn: Callable[[], str]) -> str:
@@ -248,12 +245,6 @@ def _http_complete(spec: ProviderSpec, req: CompletionRequest) -> str:
         raise MalformedResponseError(f"{spec.id}: unexpected response body") from exc
 
 
-def mock_complete(rules: list[MockRule], req: CompletionRequest) -> CompletionResponse:
-    """Deterministic offline completion: output depends only on the rule
-    table and the prompt."""
-    return CompletionResponse(text=match_rules(rules, req.prompt), cached=False)
-
-
 def cache_key(spec: ProviderSpec, req: CompletionRequest) -> str:
     payload = json.dumps(
         [spec.id, spec.model_name, req.prompt, req.temperature, req.max_tokens],
@@ -262,12 +253,16 @@ def cache_key(spec: ProviderSpec, req: CompletionRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def cached_complete(provider: Provider, req: CompletionRequest, cache_dir: str) -> CompletionResponse:
+def cached_complete(provider: Provider, req: CompletionRequest,
+                    cache_dir: Optional[str] = None) -> CompletionResponse:
     """Content-addressed caching wrapper around ``Provider.complete``.
 
     A hit returns the stored text without a remote call; corrupted entries
-    are treated as misses with a warning.
+    are treated as misses with a warning. Without a cache directory this is
+    a plain ``Provider.complete``.
     """
+    if not cache_dir:
+        return provider.complete(req)
     key = cache_key(provider.spec, req)
     path = os.path.join(cache_dir, key)
     try:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hoirefine.agents import (
@@ -11,6 +13,7 @@ from hoirefine.agents import (
     run_temporal,
     select_keyframes,
 )
+from hoirefine.ingest import triplet_to_text
 from hoirefine.model import (
     CS,
     SPATIAL,
@@ -20,11 +23,20 @@ from hoirefine.model import (
     RelationVocabulary,
     VideoPredictionSet,
 )
-from hoirefine.provider import AuthError, MockRule, Provider, ProviderSpec, ProviderTimeout
+from hoirefine.provider import (
+    AuthError,
+    MockRule,
+    Provider,
+    ProviderSpec,
+    ProviderTimeout,
+    match_rules,
+)
+from hoirefine.prompt import SPATIAL_AWARENESS_INSTRUCTION, SPATIAL_SCORING_INSTRUCTION
 
 from test_model import make_pair
 
 VOCAB = RelationVocabulary(("hold", "ride", "sit on"))
+FLOOR = 0.05
 
 
 def make_video(frames):
@@ -35,12 +47,23 @@ def frame(idx, pairs):
     return FramePrediction(idx, 640, 480, tuple(pairs))
 
 
-def provider(rules=None, transport=None):
+def answer_every_test(*scores):
+    """Transport answering the k-th test line of a prompt with scores[k];
+    records every prompt it is asked."""
+    prompts = []
+
+    def transport(_spec, req):
+        prompts.append(req.prompt)
+        n = sum(line.endswith("Output:") for line in req.prompt.splitlines())
+        return "\n".join(f"Output: {scores[k % len(scores)]}" for k in range(n))
+    return transport, prompts
+
+
+def provider(rules=(), transport=None):
     spec = ProviderSpec(id="m", kind="mock", max_retries=0, backoff_base=0.001)
-    p = Provider(spec, transport=transport)
-    if rules is not None:
-        p.set_rules(rules)
-    return p
+    if transport is None:
+        transport = lambda _spec, req: match_rules(rules, req.prompt)
+    return Provider(spec, transport=transport)
 
 
 class TestKeyframes:
@@ -99,7 +122,7 @@ class TestCommonSense:
     def test_scores_land_on_candidates(self):
         video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
         table = run_common_sense(provider(self.rules()), video, {0}, VOCAB,
-                                 batch_size=1)
+                                 FLOOR, batch_size=1)
         assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
         assert table.get(0, ("id", 0, 1), 1, CS) == 0.1
         # below the candidate floor, never queried
@@ -109,7 +132,7 @@ class TestCommonSense:
         pairs = [make_pair(f, scores=(0.5, 0.5, 0.02)) for f in range(4)]
         video = make_video([frame(f, [pairs[f]]) for f in range(4)])
         p = provider(self.rules())
-        table = run_common_sense(p, video, {0, 1, 2, 3}, VOCAB, batch_size=1)
+        table = run_common_sense(p, video, {0, 1, 2, 3}, VOCAB, FLOOR, batch_size=1)
         assert p.call_count == 2  # 2 distinct triplet texts across 4 keyframes
         for f in range(4):
             assert table.get(f, ("id", 0, 1), 0, CS) == 0.9
@@ -122,7 +145,7 @@ class TestCommonSense:
 
         video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
         table = run_common_sense(provider(transport=transport), video, {0},
-                                 VOCAB, batch_size=1)
+                                 VOCAB, FLOOR, batch_size=1)
         assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
         assert table.get(0, ("id", 0, 1), 1, CS) is None
 
@@ -133,7 +156,7 @@ class TestCommonSense:
         video = make_video([frame(0, [make_pair(0)])])
         with pytest.raises(AuthError):
             run_common_sense(provider(transport=transport), video, {0}, VOCAB,
-                             batch_size=1)
+                             FLOOR, batch_size=1)
 
 
 class TestSpatial:
@@ -157,10 +180,53 @@ class TestSpatial:
     def test_only_aware_relations_scored(self):
         video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.5))])])
         table = run_spatial(provider(self.rules()), video, {0}, VOCAB,
-                            batch_size=1)
+                            FLOOR, batch_size=1)
         assert table.get(0, ("id", 0, 1), 1, SPATIAL) == 0.2
         assert table.get(0, ("id", 0, 1), 0, SPATIAL) is None
         assert table.get(0, ("id", 0, 1), 2, SPATIAL) is None
+
+    def test_failed_batch_isolated(self):
+        def transport(spec, req):
+            if "<person,ride,chair> person box" in req.prompt:
+                raise ProviderTimeout("flaky")
+            return match_rules([MockRule("relation", "hold", "yes"),
+                                MockRule("relation", "ride", "yes")], req.prompt)
+
+        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
+        table = run_spatial(provider(transport=transport), video, {0}, VOCAB,
+                            FLOOR, batch_size=1)
+        assert table.get(0, ("id", 0, 1), 0, SPATIAL) == 0.5
+        assert table.get(0, ("id", 0, 1), 1, SPATIAL) is None
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_call_volume(self, fixture_predictions, fixture_vocab, batch_size):
+        # one awareness call per relation name in play, then the distinct
+        # aware (text, boxes) items, batched
+        aware_names = ("hold", "ride", "next to")
+        rules = [MockRule("relation", name, "yes") for name in aware_names]
+        prompts = []
+
+        def transport(_spec, req):
+            prompts.append(req.prompt)
+            return match_rules(rules, req.prompt)
+
+        pred_set, vocab = fixture_predictions, fixture_vocab
+        keyframes = select_keyframes(pred_set.frame_indices(), 4)
+        candidates = [(pair, r) for frame in pred_set.frames if frame.frame_index in keyframes
+                      for pair in frame.pairs
+                      for r, s in enumerate(pair.scores) if s >= FLOOR]
+        names = {vocab.names[r] for _, r in candidates}
+        items = {(triplet_to_text(pair, r, vocab), tuple(pair.human_box.as_int_list()),
+                  tuple(pair.object_box.as_int_list()))
+                 for pair, r in candidates if vocab.names[r] in aware_names}
+        assert len(items) > batch_size
+
+        run_spatial(provider(transport=transport), pred_set, keyframes, vocab,
+                    FLOOR, batch_size=batch_size)
+        asked = [p.split("\n", 1)[0] for p in prompts]
+        assert asked.count(SPATIAL_AWARENESS_INSTRUCTION) == len(names)
+        assert asked.count(SPATIAL_SCORING_INSTRUCTION) == math.ceil(len(items) / batch_size)
+        assert len(asked) == len(names) + math.ceil(len(items) / batch_size)
 
 
 class TestTemporal:
@@ -176,10 +242,61 @@ class TestTemporal:
         assert table.get(1, ("id", 0, 1), 0, TEMPORAL) is None
         assert table.get(0, ("id", 0, 1), 0, TEMPORAL) is None
 
+    def test_same_change_on_two_pairs_is_asked_twice(self):
+        # two chairs in one frame both flip hold -> ride: the triplet texts
+        # coincide, yet each transition keeps its own test slot
+        video = make_video([
+            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=(0, 1)),
+                      make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=(0, 2))]),
+            frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=(0, 1)),
+                      make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=(0, 2))]),
+        ])
+        transport, prompts = answer_every_test(0.7, 0.4)
+        table = run_temporal(provider(transport=transport), video, detect_transitions(video),
+                             VOCAB, batch_size=2)
+        assert len(prompts) == 1
+        assert prompts[0].count("frame 0: <person,hold,chair> frame 1: <person,ride,chair>") == 2
+        assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
+        assert table.get(1, ("id", 0, 2), 1, TEMPORAL) == 0.4
+
+    def test_failed_batch_isolated(self):
+        video = make_video([
+            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=(0, 1)),
+                      make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=(0, 2))]),
+            frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=(0, 1)),
+                      make_pair(1, scores=(0.1, 0.0, 0.9), pair_id=(0, 2))]),
+        ])
+
+        def transport(spec, req):
+            if "<person,sit on,chair>" in req.prompt:
+                raise ProviderTimeout("flaky")
+            return "Output: 0.7"
+
+        table = run_temporal(provider(transport=transport), video, detect_transitions(video),
+                             VOCAB, batch_size=1)
+        assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
+        assert table.get(1, ("id", 0, 2), 2, TEMPORAL) is None
+
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_call_volume(self, batch_size):
+        # four pairs flip hold <-> ride on every frame: 12 transitions
+        flips = ((0.9, 0.1, 0.0), (0.1, 0.9, 0.0))
+        video = make_video([
+            frame(f, [make_pair(f, scores=flips[f % 2], pair_id=(0, k)) for k in range(4)])
+            for f in range(4)
+        ])
+        transitions = detect_transitions(video)
+        assert len(transitions) == 12
+        transport, prompts = answer_every_test(0.5)
+        table = run_temporal(provider(transport=transport), video, transitions, VOCAB,
+                             batch_size=batch_size)
+        assert len(prompts) == math.ceil(len(transitions) / batch_size)
+        assert len(table) == len(transitions)
+
     def test_no_transitions_no_calls(self):
         video = make_video([frame(0, [make_pair(0)])])
         p = provider([])
-        table = run_temporal(p, video, [], VOCAB)
+        table = run_temporal(p, video, [], VOCAB, batch_size=1)
         assert p.call_count == 0
         assert list(table.items()) == []
 

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from hoirefine import pipeline
 from hoirefine.cli import main
+from hoirefine.prompt import DEBATER_PREAMBLE
+from hoirefine.provider import AuthError, Provider, load_rule_table, match_rules
 
 from conftest import fixture_path
 
@@ -80,6 +83,49 @@ class TestRefine:
             "--out", str(tmp_path / "o.jsonl"),
         ])
         assert code == 2
+
+    def test_auth_failure_in_debate_exits_two(self, tmp_path, monkeypatch, capsys):
+        def rejecting_provider(spec):
+            rules = load_rule_table(spec.rules_path)
+
+            def transport(_spec, req):
+                if req.prompt.startswith(DEBATER_PREAMBLE):
+                    raise AuthError("bad key")
+                return match_rules(rules, req.prompt)
+            return Provider(spec, transport=transport)
+
+        monkeypatch.setattr(pipeline, "Provider", rejecting_provider)
+        code, out = run_refine(tmp_path, "refined.jsonl")
+        assert code == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+
+INPUT_FILES = {
+    "refine": ["--config", fixture_path("config.json"),
+               "--predictions", fixture_path("predictions.jsonl")],
+    "eval": ["--refined", fixture_path("predictions.jsonl"), "--gt", fixture_path("gt.jsonl")],
+    "ablate": ["--config", fixture_path("config.json"),
+               "--predictions", fixture_path("predictions.jsonl"),
+               "--gt", fixture_path("gt.jsonl")],
+}
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("refine", ["--threshold", "1.5"]),
+    ("ablate", ["--threshold", "1.5"]),
+    ("eval", ["--threshold", "1.5"]),
+    ("eval", ["--k", "0"]),
+    ("ablate", ["--k", "10", "0"]),
+])
+def test_out_of_range_flag_exits_one(tmp_path, capsys, command, bad):
+    argv = [command, *INPUT_FILES[command], "--vocab", fixture_path("vocab.txt"), *bad]
+    if command == "refine":
+        argv += ["--out", str(tmp_path / "o.jsonl")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "R@" not in captured.out
 
 
 class TestEval:

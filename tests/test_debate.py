@@ -10,7 +10,20 @@ from hoirefine.debate import (
     select_debate_candidates,
     transcript_filename,
 )
-from hoirefine.provider import MockRule, Provider, ProviderSpec, ProviderTimeout
+from hoirefine.config import load_config
+from hoirefine.ingest import load_predictions, load_vocabulary
+from hoirefine.pipeline import refine
+from hoirefine.prompt import DEBATER_PREAMBLE
+from hoirefine.provider import (
+    AuthError,
+    Provider,
+    ProviderSpec,
+    ProviderTimeout,
+    load_rule_table,
+    match_rules,
+)
+
+from conftest import fixture_path
 
 
 def scripted(pid, reply=None, transport=None):
@@ -92,6 +105,41 @@ class TestFailureHandling:
         transcript = run_debate("q", [scripted("a")], scripted("judge", transport=broken))
         assert transcript.judge_score is None
         assert transcript.judge_answer == ""
+
+    def test_debater_auth_error_is_fatal(self):
+        def rejected(_spec, _req):
+            raise AuthError("bad key")
+
+        with pytest.raises(AuthError):
+            run_debate("q", [scripted("a"), scripted("b", transport=rejected)],
+                       judge_provider())
+
+    def test_judge_auth_error_is_fatal(self):
+        def rejected(_spec, _req):
+            raise AuthError("bad key")
+
+        with pytest.raises(AuthError):
+            run_debate("q", [scripted("a")], scripted("judge", transport=rejected))
+
+    def test_debate_auth_error_fails_the_whole_refine(self):
+        # stage 1 succeeds; only debater turns are rejected
+        config = load_config(fixture_path("config.json"))
+        pred_set = load_predictions(fixture_path("predictions.jsonl"),
+                                    load_vocabulary(fixture_path("vocab.txt")))
+
+        def transport_for(spec):
+            rules = load_rule_table(spec.rules_path)
+
+            def transport(_spec, req):
+                if req.prompt.startswith(DEBATER_PREAMBLE):
+                    raise AuthError("bad key")
+                return match_rules(rules, req.prompt)
+            return transport
+
+        providers = [Provider(spec, transport=transport_for(spec))
+                     for spec in config.providers]
+        with pytest.raises(AuthError):
+            refine(pred_set, config, providers=providers)
 
     def test_unparseable_judge_answer(self):
         transcript = run_debate("q", [scripted("a")], scripted("judge", reply="it depends"))

@@ -7,10 +7,12 @@ from hoirefine.evaluation import (
     AblationRow,
     NoGroundTruthError,
     format_ablation_table,
+    positives_per_frame,
     recall_at_k_dataset,
     recall_at_k_frame,
     write_ablation_report,
 )
+from hoirefine.model import pair_key
 
 
 def oracle_recall(positives, gt, k):
@@ -114,6 +116,26 @@ class TestDatasetRecall:
     def test_all_frames_without_gt_rejected(self):
         with pytest.raises(NoGroundTruthError):
             recall_at_k_dataset({}, {0: frozenset()}, ks=(10,))
+
+
+class TestPositives:
+    @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.85])
+    def test_matches_loop_oracle(self, fixture_predictions, threshold):
+        scores, oracle = {}, {}
+        for frame in fixture_predictions.frames:
+            for i, pair in enumerate(frame.pairs):
+                pk = pair_key(pair, i)
+                for r, s in enumerate(pair.scores):
+                    scores[(frame.frame_index, pk, r)] = s
+                    if s > threshold:
+                        oracle.setdefault(frame.frame_index, []).append((pk, r, s))
+        got = positives_per_frame(scores, threshold)
+        assert {fi: sorted(v) for fi, v in got.items()} == \
+            {fi: sorted(v) for fi, v in oracle.items()}
+
+    def test_threshold_domain(self):
+        with pytest.raises(ValueError):
+            positives_per_frame({(0, ("id", 0, 1), 0): 0.5}, 1.5)
 
 
 class TestAblationReport:

@@ -9,7 +9,6 @@ from hoirefine.model import (
     RelationVocabulary,
     UnknownRelationError,
     VideoPredictionSet,
-    lookup_relation,
     validate_prediction_set,
 )
 
@@ -37,13 +36,13 @@ def make_set(frames):
 class TestVocabulary:
     def test_lookup_positions(self):
         vocab = RelationVocabulary(("a", "b", "c", "d", "ride"))
-        assert lookup_relation(vocab, "ride") == 4
-        assert lookup_relation(vocab, "a") == 0
+        assert vocab.index_of("ride") == 4
+        assert vocab.index_of("a") == 0
 
     def test_unknown_relation(self):
         vocab = RelationVocabulary(("a", "b"))
         with pytest.raises(UnknownRelationError) as exc:
-            lookup_relation(vocab, "zzz")
+            vocab.index_of("zzz")
         assert "zzz" in str(exc.value)
 
     def test_rejects_duplicates_and_empties(self):
@@ -58,7 +57,7 @@ class TestVocabulary:
     def test_bijection(self, names):
         vocab = RelationVocabulary(tuple(names))
         for i, name in enumerate(names):
-            assert lookup_relation(vocab, name) == i
+            assert vocab.index_of(name) == i
 
 
 class TestValidation:

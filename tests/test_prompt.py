@@ -110,35 +110,35 @@ class TestDebateTurns:
 
 class TestScoreParsing:
     def test_single_value(self):
-        assert pr.parse_score_output("Output: 0.7", 1).values == [0.7]
+        assert pr.parse_score_output("Output: 0.7", 1) == [0.7]
 
     def test_prose_tolerated(self):
         raw = "Thinking it over, riding seems fine.\nOutput: 0.9 is my answer"
-        assert pr.parse_score_output(raw, 1).values == [0.9]
+        assert pr.parse_score_output(raw, 1) == [0.9]
 
     def test_batched_slots(self):
         raw = "Output: 0.1\nOutput: 0.2\nOutput: 0.3"
-        assert pr.parse_score_output(raw, 3).values == [0.1, 0.2, 0.3]
+        assert pr.parse_score_output(raw, 3) == [0.1, 0.2, 0.3]
 
     def test_missing_slot_marked(self):
-        assert pr.parse_score_output("Output: 0.4", 2).values == [0.4, None]
+        assert pr.parse_score_output("Output: 0.4", 2) == [0.4, None]
 
     def test_no_number(self):
-        assert pr.parse_score_output("I refuse to answer.", 1).values == [None]
+        assert pr.parse_score_output("I refuse to answer.", 1) == [None]
 
     def test_clamp_near_bounds(self):
-        assert pr.parse_score_output("Output: 1.04", 1).values == [1.0]
-        assert pr.parse_score_output("Output: -0.05", 1).values == [0.0]
+        assert pr.parse_score_output("Output: 1.04", 1) == [1.0]
+        assert pr.parse_score_output("Output: -0.05", 1) == [0.0]
 
     def test_far_out_of_range_fails(self):
-        assert pr.parse_score_output("Output: 7", 1).values == [None]
-        assert pr.parse_score_output("Output: -2.5", 1).values == [None]
+        assert pr.parse_score_output("Output: 7", 1) == [None]
+        assert pr.parse_score_output("Output: -2.5", 1) == [None]
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
                     min_size=1, max_size=16))
     def test_round_trip_self_consistency(self, scores):
         raw = "\n".join(f"Output: {s:.6f}" for s in scores)
-        parsed = pr.parse_score_output(raw, len(scores)).values
+        parsed = pr.parse_score_output(raw, len(scores))
         assert len(parsed) == len(scores)
         for got, want in zip(parsed, scores):
             assert got is not None and math.isclose(got, want, abs_tol=5e-7)

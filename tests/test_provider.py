@@ -15,7 +15,6 @@ from hoirefine.provider import (
     cached_complete,
     load_rule_table,
     match_rules,
-    mock_complete,
 )
 
 
@@ -23,31 +22,30 @@ def req(prompt="Input:<person,sit on,chair> Output:", **kw):
     return CompletionRequest(provider_id="p", prompt=prompt, **kw)
 
 
-def mock_provider(rules=None):
-    provider = Provider(ProviderSpec(id="p", kind="mock"))
-    provider.set_rules(rules or [])
-    return provider
+def mock_provider(rules=()):
+    return Provider(ProviderSpec(id="p", kind="mock"),
+                    transport=lambda _spec, r: match_rules(rules, r.prompt))
 
 
 class TestMockRules:
     def test_exact_triplet_rule(self):
         rules = [MockRule("triplet", "<person,sit on,chair>", "Output: 1.0")]
-        assert mock_complete(rules, req()).text == "Output: 1.0"
+        assert match_rules(rules, req().prompt) == "Output: 1.0"
 
     def test_default_without_match(self):
-        assert mock_complete([], req()).text == "Output: 0.5"
+        assert match_rules([], req().prompt) == "Output: 0.5"
 
     def test_earlier_rule_wins(self):
         rules = [
             MockRule("triplet", "<person,sit on,chair>", "Output: 0.9"),
             MockRule("triplet", "<person,sit on,chair>", "Output: 0.1"),
         ]
-        assert mock_complete(rules, req()).text == "Output: 0.9"
+        assert match_rules(rules, req().prompt) == "Output: 0.9"
 
     def test_hug_table_example(self):
         rules = [MockRule("triplet", "<person,hug,table>", "Output: 0.1")]
         prompt = "score these\nInput:<person,hug,table> Output:"
-        assert mock_complete(rules, req(prompt)).text == "Output: 0.1"
+        assert match_rules(rules, req(prompt).prompt) == "Output: 0.1"
 
     def test_demonstrations_do_not_trigger_triplet_rules(self):
         # answered demo lines are not test instances
@@ -55,7 +53,7 @@ class TestMockRules:
                  MockRule("triplet", "<person,hug,person>", "Output: 0.8")]
         prompt = ("Input:<person,ride,bicycle> Output: 1.0\n"
                   "Input:<person,hug,person> Output:")
-        assert mock_complete(rules, req(prompt)).text == "Output: 0.8"
+        assert match_rules(rules, req(prompt).prompt) == "Output: 0.8"
 
     def test_relation_rule_requires_quotes(self):
         rules = [MockRule("relation", "ride", "yes")]

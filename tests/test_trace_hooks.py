@@ -1,0 +1,66 @@
+"""The benchmark's per-layer trace (``perfbench/layertrace.py``) replaces
+functions of the package by name, where the pipeline, the agents and the
+debate look them up. These tests fail when a rename or an import-time binding
+would make that trace miss a layer."""
+
+import os
+import sys
+
+import pytest
+
+from hoirefine.pipeline import refine
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+
+
+@pytest.fixture
+def layertrace():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import layertrace
+    finally:
+        sys.path.remove(PERFBENCH)
+    return layertrace
+
+
+@pytest.fixture
+def installed(layertrace):
+    tracer = layertrace.Tracer()
+    try:
+        layertrace.install(tracer)
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+def test_uninstall_restores_every_patched_name(layertrace):
+    tracer = layertrace.Tracer()
+    layertrace.install(tracer)
+    patched = list(tracer._patches)
+    try:
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is not original, f"{owner.__name__}.{attr}"
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def test_traced_refine_reaches_every_agent_and_the_debate(installed, fixture_predictions,
+                                                          fixture_config):
+    refine(fixture_predictions, fixture_config)
+    spans = installed.spans
+    names = {s[1] for s in spans}
+    for layer in ("agents.run_common_sense", "agents.run_spatial", "agents.run_temporal",
+                  "debate.run_debate", "prompt.render", "prompt.parse"):
+        assert layer in names
+    # every provider request of stage 1 and stage 2 went through the wrapped
+    # cached_complete, with or without a cache directory
+    asks = [s for s in spans if s[1] == "provider.cached_complete"]
+    for caller in ("agents.run_common_sense", "agents.run_spatial", "agents.run_temporal",
+                   "debate.run_debate"):
+        assert any(installed.has_ancestor(s, caller) for s in asks), caller
+    assert len(asks) == sum(s[1] == "provider.complete" for s in spans)
+    assert installed.counts["agents.batches"] > 0
+    assert installed.counts["prompt.asked"] > 0
