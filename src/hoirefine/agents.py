@@ -15,12 +15,14 @@ the failed batch's slots unscored.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from .ingest import triplet_to_text
 from .model import (
     CS,
+    SCORE_KINDS,
     SPATIAL,
     TEMPORAL,
     AgentScoreTable,
@@ -241,71 +243,58 @@ def propagate_scores(
     table: AgentScoreTable,
     pred_set: VideoPredictionSet,
     keyframes: set[int],
-    vocab: Optional[RelationVocabulary] = None,
 ) -> AgentScoreTable:
     """Copy keyframe scores to non-keyframes.
 
-    For each score kind, a non-keyframe (pair, relation) slot takes the value
-    from the nearest keyframe that has one; on a distance tie the earlier
-    keyframe wins. Directly recorded non-keyframe values (temporal scores land
-    wherever the transition happened) are kept. When a pair has no id, only
-    common-sense scores propagate, matched by triplet text.
+    Every table entry is kept, so directly recorded non-keyframe values
+    (temporal scores land wherever the transition happened) win. An empty
+    non-keyframe slot takes the value of the nearest keyframe holding its
+    source key; on a distance tie the earlier keyframe wins. A tracked
+    pair's source key is (pair_key, relation, kind). An untracked pair has
+    only common-sense sources, keyed (triplet_text, CS); every keyframe
+    pair's common-sense score is indexed that way, and when two pairs share
+    a text in one keyframe the later pair's score is the source.
     """
-    out = AgentScoreTable()
-    for (frame_index, pk, r), kinds in table.items():
-        for kind, value in kinds.items():
-            out.set(frame_index, pk, r, kind, value)
+    vocab = pred_set.vocabulary
+    out = AgentScoreTable().merge(table)
 
-    # keyframe sources: (pair_key, relation, kind) -> {keyframe: value}
-    by_slot: dict[tuple, dict[int, float]] = {}
-    # text-keyed common-sense sources for untracked pairs
-    by_text: dict[str, dict[int, float]] = {}
-    for (frame_index, pk, r), kinds in table.items():
-        if frame_index not in keyframes:
-            continue
-        for kind, value in kinds.items():
-            by_slot.setdefault((pk, r, kind), {})[frame_index] = value
-    if vocab is not None:
-        for frame in pred_set.frames:
-            if frame.frame_index not in keyframes:
-                continue
-            for i, pair in enumerate(frame.pairs):
-                pk = pair_key(pair, i)
-                for r in range(vocab.n):
-                    value = table.get(frame.frame_index, pk, r, CS)
-                    if value is not None:
-                        text = triplet_to_text(pair, r, vocab)
-                        by_text.setdefault(text, {})[frame.frame_index] = value
-
-    def nearest(sources: dict[int, float], frame_index: int) -> Optional[float]:
-        best = None
-        for kf, value in sources.items():
-            d = abs(kf - frame_index)
-            if best is None or d < best[0] or (d == best[0] and kf < best[1]):
-                best = (d, kf, value)
-        return best[2] if best else None
-
+    # source key -> (keyframes, values), parallel and in frame order
+    sources: dict[tuple, tuple[list[int], list[float]]] = {}
     for frame in pred_set.frames:
-        if frame.frame_index in keyframes:
+        if frame.frame_index not in keyframes:
             continue
         for i, pair in enumerate(frame.pairs):
             pk = pair_key(pair, i)
-            if pair.pair_id is not None:
-                for (src_pk, r, kind), sources in by_slot.items():
-                    if src_pk != pk:
+            for r in range(vocab.n):
+                for kind, value in table.kinds_at(frame.frame_index, pk, r).items():
+                    keys = [(pk, r, kind)]
+                    if kind == CS:
+                        keys.append((triplet_to_text(pair, r, vocab), CS))
+                    for key in keys:
+                        kfs, values = sources.setdefault(key, ([], []))
+                        if kfs and kfs[-1] == frame.frame_index:
+                            values[-1] = value
+                        else:
+                            kfs.append(frame.frame_index)
+                            values.append(value)
+
+    for frame in pred_set.frames:
+        f = frame.frame_index
+        if f in keyframes:
+            continue
+        for i, pair in enumerate(frame.pairs):
+            pk = pair_key(pair, i)
+            for r in range(vocab.n):
+                if pair.pair_id is not None:
+                    keys = [((pk, r, kind), kind) for kind in SCORE_KINDS]
+                else:
+                    keys = [((triplet_to_text(pair, r, vocab), CS), CS)]
+                for key, kind in keys:
+                    if key not in sources or out.get(f, pk, r, kind) is not None:
                         continue
-                    if out.get(frame.frame_index, pk, r, kind) is None:
-                        value = nearest(sources, frame.frame_index)
-                        if value is not None:
-                            out.set(frame.frame_index, pk, r, kind, value)
-            elif vocab is not None:
-                for r in range(vocab.n):
-                    if out.get(frame.frame_index, pk, r, CS) is not None:
-                        continue
-                    text = triplet_to_text(pair, r, vocab)
-                    sources = by_text.get(text)
-                    if sources:
-                        value = nearest(sources, frame.frame_index)
-                        if value is not None:
-                            out.set(frame.frame_index, pk, r, CS, value)
+                    kfs, values = sources[key]
+                    j = bisect_left(kfs, f)  # f is not a keyframe: kfs[j - 1] < f < kfs[j]
+                    if j == len(kfs) or (j > 0 and f - kfs[j - 1] <= kfs[j] - f):
+                        j -= 1
+                    out.set(f, pk, r, kind, values[j])
     return out

@@ -24,6 +24,7 @@ from .config import load_config
 from .evaluation import (
     AblationRow,
     DEFAULT_KS,
+    NoGroundTruthError,
     format_ablation_table,
     positives_per_frame,
     recall_at_k_dataset,
@@ -124,6 +125,8 @@ def cmd_ablate(args) -> int:
         vocab = load_vocabulary(args.vocab)
         pred_set = load_predictions(args.predictions, vocab)
         gt = load_ground_truth(args.gt, pred_set)
+        if not gt.frames:
+            raise NoGroundTruthError(f"{args.gt}: no ground-truth records")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,12 +71,13 @@ def _parse_box(raw, path, lineno) -> BoundingBox:
 def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet:
     """Load a line-delimited prediction file.
 
-    Raises ParseError with a line/field location on malformed input and
-    ValidationError (carrying the first violation) if the parsed set breaks
-    a structural invariant.
+    Raises ParseError with a line/field location on malformed input or on
+    the first record whose ``video_id`` differs from an earlier record's,
+    and ValidationError (carrying the first violation) if the parsed set
+    breaks a structural invariant.
     """
     frames: dict[int, dict] = {}
-    video_id = ""
+    video_id: Optional[str] = None
     score_scale = "base"
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -91,7 +92,11 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
                           "human_box", "object_box", "scores"):
                 if field not in rec:
                     raise ParseError(path, lineno, f"missing field {field!r}")
-            video_id = rec.get("video_id", video_id)
+            vid = rec.get("video_id", video_id)
+            if video_id is not None and vid != video_id:
+                raise ParseError(path, lineno, f"video_id {vid!r} differs from earlier "
+                                               f"{video_id!r}; one video per file")
+            video_id = vid
             if rec.get("score_scale") == "fused":
                 score_scale = "fused"
             fi = rec["frame_index"]
@@ -129,7 +134,8 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
         for fi in sorted(frames)
     )
     pred_set = VideoPredictionSet(
-        video_id=video_id, vocabulary=vocab, frames=frame_objs, score_scale=score_scale
+        video_id="" if video_id is None else video_id, vocabulary=vocab,
+        frames=frame_objs, score_scale=score_scale,
     )
     violations = validate_prediction_set(pred_set)
     if violations:

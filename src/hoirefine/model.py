@@ -193,8 +193,13 @@ def validate_prediction_set(pred_set: VideoPredictionSet) -> list[str]:
         last_index = frame.frame_index
         if frame.frame_index < 0:
             violations.append(f"{where}: negative frame index")
+        seen_ids = set()
         for i, pair in enumerate(frame.pairs):
             pwhere = f"{where} pair {pair.pair_id if pair.pair_id is not None else i}"
+            if pair.pair_id is not None:
+                if pair.pair_id in seen_ids:
+                    violations.append(f"{pwhere}: duplicate pair_id")
+                seen_ids.add(pair.pair_id)
             if pair.frame_index != frame.frame_index:
                 violations.append(f"{pwhere}: pair frame_index mismatch")
             if len(pair.scores) != n:

@@ -9,6 +9,7 @@ failing. The debate judge's score is shared, not per-provider.
 from __future__ import annotations
 
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,7 +49,6 @@ from .provider import Provider
 log = logging.getLogger(__name__)
 
 ALL_COMPONENTS = {"cs": True, "spatial": True, "temporal": True, "debate": True}
-_KIND_BY_COMPONENT = {"cs": CS, "spatial": SPATIAL, "temporal": TEMPORAL, "debate": DEBATE}
 
 
 @dataclass
@@ -84,23 +84,17 @@ class RefinementOutcome:
     stats: RunStats
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
-
-
 def aggregate_provider_tables(tables: dict[str, AgentScoreTable]) -> AgentScoreTable:
     """Per-slot arithmetic mean of cs/spatial/temporal over the providers
-    that scored the slot."""
-    merged: dict[tuple, dict[str, list[float]]] = {}
+    that scored the slot, summed in provider order."""
+    merged: dict[tuple, list[float]] = {}
     for table in tables.values():
-        for key, kinds in table.items():
-            slot = merged.setdefault(key, {})
+        for slot, kinds in table.items():
             for kind, value in kinds.items():
-                slot.setdefault(kind, []).append(value)
+                merged.setdefault(slot + (kind,), []).append(value)
     out = AgentScoreTable()
-    for (frame_index, pk, r), kinds in merged.items():
-        for kind, values in kinds.items():
-            out.set(frame_index, pk, r, kind, _mean(values))
+    for (frame_index, pk, r, kind), values in merged.items():
+        out.set(frame_index, pk, r, kind, sum(values) / len(values))
     return out
 
 
@@ -110,38 +104,32 @@ def run_stage_one(
     providers: list[Provider],
     keyframes: set[int],
     cache_dir: Optional[str],
-    toggles: dict,
 ) -> dict[str, AgentScoreTable]:
-    """Raw per-provider keyframe score tables for the enabled agents."""
+    """Raw per-provider keyframe score tables of the three stage-1 agents."""
     vocab = pred_set.vocabulary
     transitions: list[Transition] = []
-    if toggles.get("temporal", True):
-        try:
-            transitions = [
-                tr for tr in detect_transitions(pred_set)
-                # keyframe-adjacent changes only; others are covered by propagation
-                if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
-            ]
-        except TrackingUnavailableError:
-            log.info("no pair tracking; temporal agent disabled")
+    try:
+        transitions = [
+            tr for tr in detect_transitions(pred_set)
+            # keyframe-adjacent changes only; others are covered by propagation
+            if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
+        ]
+    except TrackingUnavailableError:
+        log.info("no pair tracking; temporal agent disabled")
 
     tables: dict[str, AgentScoreTable] = {}
     for provider in providers:
-        table = AgentScoreTable()
-        if toggles.get("cs", True):
-            table.merge(run_common_sense(
-                provider, pred_set, keyframes, vocab,
-                floor=config.candidate_floor, batch_size=config.batch_size,
-                cache_dir=cache_dir))
-        if toggles.get("spatial", True):
-            table.merge(run_spatial(
-                provider, pred_set, keyframes, vocab,
-                floor=config.candidate_floor, batch_size=config.batch_size,
-                cache_dir=cache_dir))
-        if toggles.get("temporal", True) and transitions:
-            table.merge(run_temporal(
-                provider, pred_set, transitions, vocab,
-                batch_size=config.batch_size, cache_dir=cache_dir))
+        table = run_common_sense(
+            provider, pred_set, keyframes, vocab,
+            floor=config.candidate_floor, batch_size=config.batch_size,
+            cache_dir=cache_dir)
+        table.merge(run_spatial(
+            provider, pred_set, keyframes, vocab,
+            floor=config.candidate_floor, batch_size=config.batch_size,
+            cache_dir=cache_dir))
+        table.merge(run_temporal(
+            provider, pred_set, transitions, vocab,
+            batch_size=config.batch_size, cache_dir=cache_dir))
         tables[provider.id] = table
     return tables
 
@@ -181,7 +169,14 @@ def run_stage_two(
     if not candidates:
         return AgentScoreTable()
 
+    failed = threading.Event()
+
     def debate_slot(slot):
+        # once a debate has raised, queued debates must not start: the error
+        # is on its way to the caller, and Executor.map cancels too late to
+        # stop workers whose debates fail fast
+        if failed.is_set():
+            return slot, None
         frame_index, pk, r = slot
         pair = slot_pairs[slot]
         question = render_debate_question(
@@ -190,7 +185,11 @@ def run_stage_two(
             pair.object_box.as_int_list(),
             {providers[i].id: per_provider_fused[slot][i] for i in range(len(providers))},
         )
-        transcript = run_debate(question, providers, judge, cache_dir=cache_dir)
+        try:
+            transcript = run_debate(question, providers, judge, cache_dir=cache_dir)
+        except Exception:
+            failed.set()
+            raise
         if transcript_dir:
             persist_transcript(transcript, transcript_dir)
         return slot, transcript.judge_score
@@ -249,13 +248,11 @@ def refine(
     config: RefinementConfig,
     cache_dir: Optional[str] = None,
     transcript_dir: Optional[str] = None,
-    toggles: Optional[dict] = None,
     providers: Optional[list[Provider]] = None,
 ) -> RefinementOutcome:
-    """Full pipeline over one prediction set. ``toggles`` switches individual
-    components off (for ablations); reusing ``providers`` across calls keeps
-    their call counters cumulative."""
-    toggles = dict(ALL_COMPONENTS) if toggles is None else dict(toggles)
+    """Full pipeline over one prediction set; reusing ``providers`` across
+    calls keeps their call counters cumulative. Ablations re-fuse
+    ``outcome.table`` with ``fuse_table``."""
     if providers is None:
         providers = [Provider(spec) for spec in config.providers]
     judge = next(p for p in providers if p.id == config.judge_provider)
@@ -263,20 +260,19 @@ def refine(
     keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval) \
         if pred_set.frames else set()
 
-    per_provider = run_stage_one(pred_set, config, providers, keyframes,
-                                 cache_dir, toggles)
+    per_provider = run_stage_one(pred_set, config, providers, keyframes, cache_dir)
     table = aggregate_provider_tables(per_provider)
 
     debates = 0
-    if toggles.get("debate", True) and config.debate_mode != "off":
+    if config.debate_mode != "off":
         debate_table = run_stage_two(
             pred_set, config, providers, judge, per_provider, keyframes,
             cache_dir, transcript_dir)
         debates = len(debate_table)
         table.merge(debate_table)
 
-    table = propagate_scores(table, pred_set, keyframes, pred_set.vocabulary)
-    fused = fuse_table(pred_set, table, config.weights, toggles)
+    table = propagate_scores(table, pred_set, keyframes)
+    fused = fuse_table(pred_set, table, config.weights)
 
     stats = RunStats(
         provider_calls={p.id: p.call_count for p in providers},

@@ -161,10 +161,10 @@ class Provider:
         self.cache_hits = 0
         self.in_flight = 0
         self.max_in_flight = 0
-        self._transport = transport
-        self._rules: Optional[list[MockRule]] = None
-        if spec.kind == "mock" and spec.rules_path:
-            self._rules = load_rule_table(spec.rules_path)
+        if transport is None and spec.kind == "mock":
+            rules = load_rule_table(spec.rules_path) if spec.rules_path else []
+            transport = lambda _s, req: match_rules(rules, req.prompt)
+        self._transport = transport or _http_complete
 
     @property
     def id(self) -> str:
@@ -181,18 +181,11 @@ class Provider:
                 self.in_flight += 1
                 self.max_in_flight = max(self.max_in_flight, self.in_flight)
             try:
-                text = self._dispatch(req)
+                text = self._retrying(lambda: self._transport(self.spec, req))
             finally:
                 with self._lock:
                     self.in_flight -= 1
         return CompletionResponse(text=text, cached=False, latency=time.monotonic() - start)
-
-    def _dispatch(self, req: CompletionRequest) -> str:
-        if self._transport is not None:
-            return self._retrying(lambda: self._transport(self.spec, req))
-        if self.spec.kind == "mock":
-            return match_rules(self._rules or [], req.prompt)
-        return self._retrying(lambda: _http_complete(self.spec, req))
 
     def _retrying(self, fn: Callable[[], str]) -> str:
         attempts = self.spec.max_retries + 1

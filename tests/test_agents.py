@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoirefine.agents import (
     Transition,
@@ -16,12 +17,14 @@ from hoirefine.agents import (
 from hoirefine.ingest import triplet_to_text
 from hoirefine.model import (
     CS,
+    SCORE_KINDS,
     SPATIAL,
     TEMPORAL,
     AgentScoreTable,
     FramePrediction,
     RelationVocabulary,
     VideoPredictionSet,
+    pair_key,
 )
 from hoirefine.provider import (
     AuthError,
@@ -309,7 +312,7 @@ class TestPropagation:
         table = AgentScoreTable()
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        out = propagate_scores(table, self.tracked_video(), {0, 4}, VOCAB)
+        out = propagate_scores(table, self.tracked_video(), {0, 4})
         assert out.get(1, ("id", 0, 1), 0, CS) == 0.2
         assert out.get(3, ("id", 0, 1), 0, CS) == 0.8
 
@@ -317,21 +320,21 @@ class TestPropagation:
         table = AgentScoreTable()
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        out = propagate_scores(table, self.tracked_video(), {0, 4}, VOCAB)
+        out = propagate_scores(table, self.tracked_video(), {0, 4})
         assert out.get(2, ("id", 0, 1), 0, CS) == 0.2
 
     def test_skips_keyframes_missing_value(self):
         # keyframe 2 never got a score, so frame 3 reaches back to keyframe 0
         table = AgentScoreTable()
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
-        out = propagate_scores(table, self.tracked_video(), {0, 2, 4}, VOCAB)
+        out = propagate_scores(table, self.tracked_video(), {0, 2, 4})
         assert out.get(3, ("id", 0, 1), 0, CS) == 0.2
 
     def test_direct_non_keyframe_entries_kept(self):
         table = AgentScoreTable()
         table.set(0, ("id", 0, 1), 0, TEMPORAL, 0.3)
         table.set(1, ("id", 0, 1), 0, TEMPORAL, 0.9)
-        out = propagate_scores(table, self.tracked_video(), {0, 4}, VOCAB)
+        out = propagate_scores(table, self.tracked_video(), {0, 4})
         assert out.get(1, ("id", 0, 1), 0, TEMPORAL) == 0.9
 
     def test_untracked_pairs_propagate_by_text(self):
@@ -341,7 +344,7 @@ class TestPropagation:
         ])
         table = AgentScoreTable()
         table.set(0, ("idx", 0), 2, CS, 0.6)
-        out = propagate_scores(table, video, {0}, VOCAB)
+        out = propagate_scores(table, video, {0})
         assert out.get(1, ("idx", 0), 2, CS) == 0.6
 
     def test_untracked_pairs_only_cs_propagates(self):
@@ -351,5 +354,79 @@ class TestPropagation:
         ])
         table = AgentScoreTable()
         table.set(0, ("idx", 0), 2, SPATIAL, 0.6)
-        out = propagate_scores(table, video, {0}, VOCAB)
+        out = propagate_scores(table, video, {0})
         assert out.get(1, ("idx", 0), 2, SPATIAL) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_oracle(self, data):
+        video, keyframes, table = data.draw(propagation_cases())
+        out = propagate_scores(table, video, keyframes)
+        assert dict(out.items()) == propagation_oracle(table, video, keyframes)
+
+
+@st.composite
+def propagation_cases(draw):
+    """A short video of tracked and untracked pairs whose object classes
+    repeat (shared triplet texts), a keyframe set, and a score table that
+    holds a value on about half of the slots, keyframe or not. Few relations
+    and kinds per case, so keyframes often share a source key and ties occur."""
+    gaps = draw(st.sets(st.integers(1, 9), max_size=2))
+    indices = [f for f in range(draw(st.integers(1, 10))) if f not in gaps]
+    # a keyframe grid, with a few frames toggled in or out of it
+    keyframes = set(indices[::draw(st.sampled_from((2, 4, 3, 1)))]) ^ draw(
+        st.sets(st.sampled_from(indices), max_size=2))
+    relations = draw(st.lists(st.integers(0, VOCAB.n - 1), min_size=1, max_size=2, unique=True))
+    kinds = draw(st.lists(st.sampled_from(SCORE_KINDS), min_size=1, max_size=2, unique=True))
+    frames, table = [], AgentScoreTable()
+    for f in indices:
+        ids = [(0, 1)] + [(0, 2)] * draw(st.booleans())
+        pids = draw(st.permutations(ids + [None] * draw(st.integers(0, 2))))
+        pairs = [make_pair(f, pair_id=pid, object_class=draw(st.sampled_from(("chair", "cup"))))
+                 for pid in pids]
+        frames.append(frame(f, pairs))
+        for i, pair in enumerate(pairs):
+            for r in relations:
+                for kind in kinds:
+                    value = draw(st.none() | st.floats(0.0, 1.0))
+                    if value is not None:
+                        table.set(f, pair_key(pair, i), r, kind, value)
+    return make_video(frames), keyframes, table
+
+
+def propagation_oracle(table, video, keyframes):
+    """Brute force from the propagate_scores docstring: every table entry is
+    kept; an empty non-keyframe slot takes the value of the keyframe holding
+    its (pair_key, relation, kind) with the smallest (distance, keyframe);
+    an untracked pair does the same for common-sense scores only, matched by
+    triplet text, where the last matching pair of a keyframe wins."""
+    expected = {slot: dict(kinds) for slot, kinds in table.items()}
+    key_frames = [fr for fr in video.frames if fr.frame_index in keyframes]
+    for fr in video.frames:
+        f = fr.frame_index
+        if f in keyframes:
+            continue
+        for i, pair in enumerate(fr.pairs):
+            pk = pair_key(pair, i)
+            for r in range(VOCAB.n):
+                for kind in SCORE_KINDS:
+                    if kind in expected.get((f, pk, r), {}):
+                        continue
+                    held = {}
+                    for kf_frame in key_frames:
+                        kf = kf_frame.frame_index
+                        if pair.pair_id is not None:
+                            if table.get(kf, pk, r, kind) is not None:
+                                held[kf] = table.get(kf, pk, r, kind)
+                        elif kind == CS:
+                            text = triplet_to_text(pair, r, VOCAB)
+                            for j, other in enumerate(kf_frame.pairs):
+                                for r2 in range(VOCAB.n):
+                                    value = table.get(kf, pair_key(other, j), r2, CS)
+                                    same = triplet_to_text(other, r2, VOCAB) == text
+                                    if value is not None and same:
+                                        held[kf] = value
+                    if held:
+                        kf = min(held, key=lambda k: (abs(k - f), k))
+                        expected.setdefault((f, pk, r), {})[kind] = held[kf]
+    return expected

@@ -187,6 +187,33 @@ class TestAblate:
         assert "configuration" in stdout
 
 
+    def test_empty_ground_truth_exits_one_before_any_call(self, tmp_path, capsys,
+                                                          monkeypatch):
+        calls = []
+
+        def counting_provider(spec):
+            rules = load_rule_table(spec.rules_path)
+
+            def transport(_spec, req):
+                calls.append(req.prompt)
+                return match_rules(rules, req.prompt)
+            return Provider(spec, transport=transport)
+
+        monkeypatch.setattr(pipeline, "Provider", counting_provider)
+        empty = tmp_path / "gt.jsonl"
+        empty.write_text("")
+        code = main([
+            "ablate",
+            "--config", fixture_path("config.json"),
+            "--predictions", fixture_path("predictions.jsonl"),
+            "--vocab", fixture_path("vocab.txt"),
+            "--gt", str(empty),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert calls == []
+
+
 class TestGradcheck:
     def test_fixture_batch_passes(self, capsys):
         code = main(["gradcheck", "--batch", fixture_path("embedding_batch.jsonl")])

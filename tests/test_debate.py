@@ -121,17 +121,20 @@ class TestFailureHandling:
         with pytest.raises(AuthError):
             run_debate("q", [scripted("a")], scripted("judge", transport=rejected))
 
-    def test_debate_auth_error_fails_the_whole_refine(self):
-        # stage 1 succeeds; only debater turns are rejected
+    def refine_with_debaters_rejected(self):
+        """Refine the fixture with stage 1 answered and every debater turn
+        rejected; returns the debater prompts that were sent."""
         config = load_config(fixture_path("config.json"))
         pred_set = load_predictions(fixture_path("predictions.jsonl"),
                                     load_vocabulary(fixture_path("vocab.txt")))
+        sent = []
 
         def transport_for(spec):
             rules = load_rule_table(spec.rules_path)
 
             def transport(_spec, req):
                 if req.prompt.startswith(DEBATER_PREAMBLE):
+                    sent.append(req.prompt)
                     raise AuthError("bad key")
                 return match_rules(rules, req.prompt)
             return transport
@@ -140,6 +143,16 @@ class TestFailureHandling:
                      for spec in config.providers]
         with pytest.raises(AuthError):
             refine(pred_set, config, providers=providers)
+        return sent
+
+    def test_debate_auth_error_fails_the_whole_refine(self):
+        assert self.refine_with_debaters_rejected()
+
+    def test_debate_auth_error_starts_no_queued_debate(self):
+        # the fixture debates 36 candidates on a pool of 8 workers; once one
+        # debate hits the AuthError, no queued debate may start
+        for _ in range(5):
+            assert len(self.refine_with_debaters_rejected()) <= 16
 
     def test_unparseable_judge_answer(self):
         transcript = run_debate("q", [scripted("a")], scripted("judge", reply="it depends"))

@@ -99,6 +99,28 @@ class TestLoadPredictions:
             load_predictions(tmp_path / "p.jsonl", vocab)
         assert "score out of [0,1]" in str(exc.value)
 
+    def test_duplicate_pair_id_rejected(self, tmp_path, vocab):
+        write_lines(tmp_path / "p.jsonl", [record(obj="chair"), record(obj="cup")])
+        with pytest.raises(ValidationError) as exc:
+            load_predictions(tmp_path / "p.jsonl", vocab)
+        assert "duplicate pair_id" in str(exc.value)
+
+    def test_mixed_video_ids_rejected_at_first_change(self, tmp_path, vocab):
+        other = record(frame=2)
+        other["video_id"] = "w"
+        write_lines(tmp_path / "p.jsonl", [record(frame=0), record(frame=1), other,
+                                           record(frame=3)])
+        with pytest.raises(ParseError) as exc:
+            load_predictions(tmp_path / "p.jsonl", vocab)
+        assert exc.value.line == 3
+        assert "video_id" in str(exc.value)
+
+    def test_video_id_may_be_omitted_after_first(self, tmp_path, vocab):
+        later = record(frame=1)
+        del later["video_id"]
+        write_lines(tmp_path / "p.jsonl", [record(frame=0), later])
+        assert load_predictions(tmp_path / "p.jsonl", vocab).video_id == "v"
+
     def test_missing_field(self, tmp_path, vocab):
         bad = record()
         del bad["human_box"]

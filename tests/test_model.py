@@ -90,6 +90,16 @@ class TestValidation:
         violations = validate_prediction_set(make_set(frames))
         assert any("scores length" in v for v in violations)
 
+    def test_duplicate_pair_id_in_frame(self):
+        # untracked pairs carry no id, so any number of them may share a frame
+        frames = [
+            FramePrediction(0, 640, 480, (make_pair(0), make_pair(0, object_class="cup"))),
+            FramePrediction(1, 640, 480, (make_pair(1), make_pair(1, pair_id=None),
+                                          make_pair(1, pair_id=None))),
+        ]
+        violations = validate_prediction_set(make_set(frames))
+        assert violations == ["frame 0 pair (0, 1): duplicate pair_id"]
+
     def test_non_increasing_frames(self):
         frames = [
             FramePrediction(1, 640, 480, (make_pair(1),)),
