@@ -10,14 +10,21 @@ Every agent asks its provider through one loop, ``_score_batches``, with one
 failure policy, which the stage-2 debate shares: an AuthError is fatal and
 propagates to the caller; any other ProviderError is logged and leaves only
 the failed batch's slots unscored.
+
+The agents run one after another, but one agent's batches are in flight
+together, up to the provider's ``max_concurrency``. Prompts are rendered
+before and answers parsed after, in batch order on the calling thread, so
+the output does not depend on which answer arrives first.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .ingest import triplet_to_text
 from .model import (
@@ -110,25 +117,57 @@ def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: flo
                     yield frame.frame_index, pk, r, pair
 
 
+def fan_out(fn: Callable, items: list, max_workers: int) -> list:
+    """``[fn(item) for item in items]``, run on up to ``max_workers`` threads.
+
+    Once a call has raised, no queued call starts: ``Executor.map`` would
+    cancel them only when the calling thread wakes, and by then workers
+    whose calls fail fast have taken every queued item. The calls already
+    running finish, then the first exception in item order propagates.
+    """
+    failed = threading.Event()
+
+    def guarded(item):
+        if failed.is_set():
+            return None  # never read: an earlier item has raised
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = [pool.submit(guarded, item) for item in items]
+        return [future.result() for future in futures]
+
+
 def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
                    render, parse, cache_dir: Optional[str]) -> dict:
-    """Ask ``provider`` about ``items`` in order, ``batch_size`` per prompt.
+    """Ask ``provider`` about ``items``, ``batch_size`` per prompt, with up to
+    ``provider.spec.max_concurrency`` prompts in flight.
 
     ``render(batch)`` builds the prompt bundle and ``parse(raw, n)`` returns
-    one value or None per item. Returns {item: value} for the items whose
-    answer parsed. An AuthError propagates; any other ProviderError drops
-    only its own batch.
+    one value or None per item; both run on the calling thread, in batch
+    order. Returns {item: value} for the items whose answer parsed. An
+    AuthError propagates and stops queued batches; any other ProviderError
+    drops only its own batch.
     """
-    values = {}
-    for start in range(0, len(items), batch_size):
-        batch = items[start:start + batch_size]
-        req = CompletionRequest(provider_id=provider.id, prompt=render(batch).render())
+    batches = [items[start:start + batch_size] for start in range(0, len(items), batch_size)]
+    prompts = [render(batch).render() for batch in batches]
+
+    def ask(prompt: str) -> Optional[str]:
+        req = CompletionRequest(provider_id=provider.id, prompt=prompt)
         try:
-            raw = cached_complete(provider, req, cache_dir).text
+            return cached_complete(provider, req, cache_dir).text
         except AuthError:
             raise
         except ProviderError as exc:
             log.warning("%s: %s batch failed: %s", provider.id, what, exc)
+            return None
+
+    values = {}
+    for batch, raw in zip(batches, fan_out(ask, prompts, provider.spec.max_concurrency)):
+        if raw is None:
             continue
         for item, value in zip(batch, parse(raw, len(batch))):
             if value is not None:

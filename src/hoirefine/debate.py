@@ -4,7 +4,10 @@ One debate is strictly sequential: with debaters D_1..D_N and history H
 initialized to the question, each D_i first answers the question, then every
 other debater responds to the full history, and finally the judge extracts
 the answer from H. A failure-free debate therefore has exactly 1 + N^2
-history entries. Distinct debates are independent and may run concurrently.
+history entries. Distinct debates are independent: ``pipeline.run_stage_two``
+runs them concurrently, on as many threads as the providers' summed
+``max_concurrency``, and stops starting them once one raises. Judge scores
+are recorded in candidate order, whichever debate finishes first.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Optional
 
 from .model import (
@@ -214,7 +215,7 @@ def write_predictions(pred_set: VideoPredictionSet, fused: dict, path: str) -> N
                 "score_scale": "fused",
             }
             lines.append(json.dumps(rec, sort_keys=True))
-    tmp = path + ".tmp"
+    tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     os.replace(tmp, path)

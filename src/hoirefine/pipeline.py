@@ -9,14 +9,13 @@ failing. The debate judge's score is shared, not per-provider.
 from __future__ import annotations
 
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .agents import (
     Transition,
     detect_transitions,
+    fan_out,
     keyframe_slots,
     propagate_scores,
     run_common_sense,
@@ -143,9 +142,13 @@ def run_stage_two(
     keyframes: set[int],
     cache_dir: Optional[str],
     transcript_dir: Optional[str],
-    max_workers: int = 8,
 ) -> AgentScoreTable:
-    """Debate the selected keyframe candidates and record judge scores."""
+    """Debate the selected keyframe candidates and record judge scores.
+
+    Distinct debates run concurrently on as many threads as the providers
+    allow requests in flight together (the sum of their ``max_concurrency``);
+    each provider's own semaphore still bounds its requests. Once a debate
+    raises, no queued debate starts and the error propagates."""
     vocab = pred_set.vocabulary
     per_provider_fused: dict[tuple, list[float]] = {}
     slot_pairs = {}
@@ -169,14 +172,7 @@ def run_stage_two(
     if not candidates:
         return AgentScoreTable()
 
-    failed = threading.Event()
-
     def debate_slot(slot):
-        # once a debate has raised, queued debates must not start: the error
-        # is on its way to the caller, and Executor.map cancels too late to
-        # stop workers whose debates fail fast
-        if failed.is_set():
-            return slot, None
         frame_index, pk, r = slot
         pair = slot_pairs[slot]
         question = render_debate_question(
@@ -185,21 +181,17 @@ def run_stage_two(
             pair.object_box.as_int_list(),
             {providers[i].id: per_provider_fused[slot][i] for i in range(len(providers))},
         )
-        try:
-            transcript = run_debate(question, providers, judge, cache_dir=cache_dir)
-        except Exception:
-            failed.set()
-            raise
+        transcript = run_debate(question, providers, judge, cache_dir=cache_dir)
         if transcript_dir:
             persist_transcript(transcript, transcript_dir)
-        return slot, transcript.judge_score
+        return transcript.judge_score
 
     table = AgentScoreTable()
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for slot, score in pool.map(debate_slot, candidates):
-            if score is not None:
-                frame_index, pk, r = slot
-                table.set(frame_index, pk, r, DEBATE, score)
+    pool_size = sum(p.spec.max_concurrency for p in providers)
+    for (frame_index, pk, r), score in zip(candidates,
+                                           fan_out(debate_slot, candidates, pool_size)):
+        if score is not None:
+            table.set(frame_index, pk, r, DEBATE, score)
     return table
 
 

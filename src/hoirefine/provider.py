@@ -4,12 +4,16 @@ and a content-addressed response cache.
 
 The cache is one file per key under a directory, so it is process- and
 language-agnostic; values are deterministic per key at temperature 0, which
-makes last-writer-wins safe under concurrent writers.
+makes last-writer-wins safe under concurrent writers. The key covers what
+produces the answer: the provider's id, model, endpoint and mock rule table,
+and the request. Within one Provider, concurrent requests for one key are
+single-flight: the first asks, the others then read its cached answer.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -18,7 +22,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 log = logging.getLogger(__name__)
 
@@ -110,20 +114,25 @@ def _test_region(prompt: str) -> list[str]:
 
 
 def load_rule_table(path: str) -> list[MockRule]:
-    rules = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                rule = MockRule(kind=rec["match"], key=rec["key"], response=rec["response"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise RuleTableError(f"{path}:{lineno}: malformed rule: {exc}") from None
-            if rule.kind not in ("triplet", "relation", "contains"):
-                raise RuleTableError(f"{path}:{lineno}: unknown matcher {rule.kind!r}")
-            rules.append(rule)
+        return _parse_rule_table(fh, path)
+
+
+def _parse_rule_table(lines: Iterable[str], path: str) -> list[MockRule]:
+    """Rules of a JSON-lines rule table; ``path`` names it in errors."""
+    rules = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            rule = MockRule(kind=rec["match"], key=rec["key"], response=rec["response"])
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise RuleTableError(f"{path}:{lineno}: malformed rule: {exc}") from None
+        if rule.kind not in ("triplet", "relation", "contains"):
+            raise RuleTableError(f"{path}:{lineno}: unknown matcher {rule.kind!r}")
+        rules.append(rule)
     return rules
 
 
@@ -150,20 +159,32 @@ def match_rules(rules: list[MockRule], prompt: str) -> str:
 
 class Provider:
     """Runtime wrapper around a ProviderSpec: owns the concurrency semaphore,
-    retry loop and call counter."""
+    retry loop and call counter.
+
+    A mock spec without a ``transport`` answers from its rule table, read
+    once here. ``rules_sha256``, which goes into the cache key, is the
+    digest of those bytes, or of no bytes when the rules do not answer."""
 
     def __init__(self, spec: ProviderSpec,
                  transport: Optional[Callable[[ProviderSpec, CompletionRequest], str]] = None):
         self.spec = spec
         self._semaphore = threading.BoundedSemaphore(spec.max_concurrency)
         self._lock = threading.Lock()
+        self._leaders: dict[str, threading.Event] = {}  # cache key -> set when answered
         self.call_count = 0
         self.cache_hits = 0
         self.in_flight = 0
         self.max_in_flight = 0
+        data = b""
         if transport is None and spec.kind == "mock":
-            rules = load_rule_table(spec.rules_path) if spec.rules_path else []
+            rules = []
+            if spec.rules_path:
+                with open(spec.rules_path, "rb") as fh:
+                    data = fh.read()
+                rules = _parse_rule_table(io.StringIO(data.decode("utf-8"), newline=None),
+                                         spec.rules_path)
             transport = lambda _s, req: match_rules(rules, req.prompt)
+        self.rules_sha256 = hashlib.sha256(data).hexdigest()
         self._transport = transport or _http_complete
 
     @property
@@ -238,9 +259,11 @@ def _http_complete(spec: ProviderSpec, req: CompletionRequest) -> str:
         raise MalformedResponseError(f"{spec.id}: unexpected response body") from exc
 
 
-def cache_key(spec: ProviderSpec, req: CompletionRequest) -> str:
+def cache_key(provider: Provider, req: CompletionRequest) -> str:
+    spec = provider.spec
     payload = json.dumps(
-        [spec.id, spec.model_name, req.prompt, req.temperature, req.max_tokens],
+        [spec.id, spec.model_name, spec.endpoint, provider.rules_sha256,
+         req.prompt, req.temperature, req.max_tokens],
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -251,28 +274,42 @@ def cached_complete(provider: Provider, req: CompletionRequest,
     """Content-addressed caching wrapper around ``Provider.complete``.
 
     A hit returns the stored text without a remote call; corrupted entries
-    are treated as misses with a warning. Without a cache directory this is
-    a plain ``Provider.complete``.
+    are treated as misses with a warning. A request for a key already in
+    flight on this provider waits for it and then reads the cache, so it is
+    billed only if the first request failed. Without a cache directory this
+    is a plain ``Provider.complete``.
     """
     if not cache_dir:
         return provider.complete(req)
-    key = cache_key(provider.spec, req)
+    key = cache_key(provider, req)
     path = os.path.join(cache_dir, key)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    while True:
         with provider._lock:
-            provider.cache_hits += 1
-        return CompletionResponse(text=text, cached=True)
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        log.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
+            leader = provider._leaders.get(key)
+            if leader is None:
+                done = provider._leaders[key] = threading.Event()
+                break
+        leader.wait()
+    try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            with provider._lock:
+                provider.cache_hits += 1
+            return CompletionResponse(text=text, cached=True)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            log.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
 
-    resp = provider.complete(req)
-    os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(resp.text)
-    os.replace(tmp, path)
-    return resp
+        resp = provider.complete(req)
+        os.makedirs(cache_dir, exist_ok=True)
+        tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(resp.text)
+        os.replace(tmp, path)
+        return resp
+    finally:
+        with provider._lock:
+            del provider._leaders[key]
+        done.set()

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,27 @@ class TestCommonSense:
         with pytest.raises(AuthError):
             run_common_sense(provider(transport=transport), video, {0}, VOCAB,
                              FLOOR, batch_size=1)
+
+
+class TestBatchConcurrency:
+    def test_one_agents_batches_overlap(self):
+        # every prompt waits until max_concurrency prompts are in flight, so
+        # one batch at a time breaks the barrier
+        width = 3
+        barrier = threading.Barrier(width, timeout=5)
+
+        def transport(_spec, req):
+            barrier.wait()
+            return "Output: 0.9"
+
+        spec = ProviderSpec(id="m", kind="mock", max_concurrency=width, max_retries=0)
+        pairs = [make_pair(0, pair_id=(0, i), object_class=obj)
+                 for i, obj in enumerate(("chair", "cup"))]
+        video = make_video([frame(0, pairs)])
+        table = run_common_sense(Provider(spec, transport=transport), video, {0}, VOCAB,
+                                 FLOOR, batch_size=1)
+        assert len(table) == 2 * width
+        assert not barrier.broken
 
 
 class TestSpatial:

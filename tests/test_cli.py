@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 
 import pytest
 
@@ -39,6 +40,30 @@ class TestRefine:
         code_b, out_b = run_refine(tmp_path, "b.jsonl", tmp_path / "cache_b")
         assert code_a == code_b == 0
         assert filecmp.cmp(out_a, out_b, shallow=False)
+
+    def test_edited_rule_table_is_not_served_from_the_cache(self, tmp_path):
+        for name in ("config.json", "rules_alpha.jsonl", "rules_beta.jsonl"):
+            shutil.copy(fixture_path(name), tmp_path / name)
+
+        def refined(name, cache):
+            out = tmp_path / name
+            assert main([
+                "refine",
+                "--config", str(tmp_path / "config.json"),
+                "--predictions", fixture_path("predictions.jsonl"),
+                "--vocab", fixture_path("vocab.txt"),
+                "--out", str(out),
+                "--cache-dir", str(tmp_path / cache),
+            ]) == 0
+            return out.read_bytes()
+
+        before = refined("before.jsonl", "cache")
+        rules = tmp_path / "rules_alpha.jsonl"
+        rules.write_text(rules.read_text().replace("Output: 0.9", "Output: 0.2"))
+        rerun = refined("rerun.jsonl", "cache")
+        fresh = refined("fresh.jsonl", "fresh-cache")
+        assert fresh != before
+        assert rerun == fresh
 
     def test_missing_config_exits_one(self, tmp_path):
         code = main([

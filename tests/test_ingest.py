@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -179,6 +180,39 @@ class TestWritePredictions:
             for i, (pa, pb) in enumerate(zip(frame_a.pairs, frame_b.pairs)):
                 for r in range(vocab.n):
                     assert pb.scores[r] == pa.scores[r] + 0.75  # bit-exact
+
+    def test_concurrent_writers_leave_one_complete_file(self, tmp_path, vocab):
+        write_lines(tmp_path / "p.jsonl", [record(frame=f) for f in range(50)])
+        pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
+        out = tmp_path / "out.jsonl"
+        tables = [{(frame.frame_index, pair_key(pair, i), r): offset + r
+                   for frame in pred_set.frames
+                   for i, pair in enumerate(frame.pairs)
+                   for r in range(vocab.n)} for offset in (1.0, 2.0)]
+        contents = set()
+        for fused in tables:
+            write_predictions(pred_set, fused, str(out))
+            contents.add(out.read_bytes())
+        for _ in range(20):
+            barrier = threading.Barrier(2, timeout=5)
+            errors = []
+
+            def write(fused):
+                try:
+                    barrier.wait()
+                    write_predictions(pred_set, fused, str(out))
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=write, args=(fused,)) for fused in tables]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            assert errors == []
+            assert out.read_bytes() in contents
+            assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out")] == ["out.jsonl"]
 
     def test_empty_set(self, tmp_path, vocab):
         (tmp_path / "p.jsonl").write_text("")

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 
@@ -150,7 +151,7 @@ class TestCache:
         requests = [req(f"prompt {i % 4}") for i in range(20)]
         for r in requests:
             cached_complete(provider, r, str(tmp_path))
-        distinct = {cache_key(provider.spec, r) for r in requests}
+        distinct = {cache_key(provider, r) for r in requests}
         assert provider.call_count == len(distinct) == 4
 
     def test_removed_entry_is_miss(self, tmp_path):
@@ -160,6 +161,78 @@ class TestCache:
         resp = cached_complete(provider, req(), str(tmp_path))
         assert provider.call_count == 2
         assert resp.text == "Output: 0.5"
+
+
+class TestSingleFlight:
+    @pytest.mark.parametrize("first_fails", [False, True])
+    def test_second_request_waits_for_the_first(self, tmp_path, first_fails):
+        started, release = threading.Event(), threading.Event()
+
+        def transport(spec, request):
+            if not started.is_set():
+                started.set()
+                release.wait(5)
+                if first_fails:
+                    raise ProviderTimeout("first request fails")
+            return "Output: 0.7"
+
+        provider = Provider(ProviderSpec(id="p", kind="mock", max_retries=0),
+                            transport=transport)
+        answers = []
+
+        def ask():
+            try:
+                answers.append(cached_complete(provider, req(), str(tmp_path)))
+            except ProviderTimeout:
+                answers.append(None)
+
+        first = threading.Thread(target=ask)
+        first.start()
+        assert started.wait(5)
+        second = threading.Thread(target=ask)
+        second.start()
+        time.sleep(0.05)
+        assert provider.call_count == 1  # the second request is waiting
+        release.set()
+        for t in (first, second):
+            t.join(timeout=5)
+            assert not t.is_alive()
+        if first_fails:
+            # the waiter asks again, as it would have after a serial failure
+            assert answers[0] is None and not answers[1].cached
+            assert provider.call_count == 2
+        else:
+            assert [a.cached for a in answers] == [False, True]
+            assert provider.call_count == 1 and provider.cache_hits == 1
+        assert answers[1].text == "Output: 0.7"
+
+
+    def test_many_threads_bill_each_key_once(self, tmp_path):
+        def transport(spec, request):
+            time.sleep(0.002)
+            return "Output: 0.5"
+
+        provider = Provider(ProviderSpec(id="p", kind="mock", max_concurrency=4),
+                            transport=transport)
+        start = threading.Barrier(16, timeout=5)
+
+        def ask(i):
+            start.wait()
+            cached_complete(provider, req(f"prompt {i % 4}"), str(tmp_path))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert provider.call_count == 4
+        assert provider.cache_hits == 12
 
 
 class TestSpecValidation:
