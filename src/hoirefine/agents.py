@@ -11,10 +11,12 @@ failure policy, which the stage-2 debate shares: an AuthError is fatal and
 propagates to the caller; any other ProviderError is logged and leaves only
 the failed batch's slots unscored.
 
-The agents run one after another, but one agent's batches are in flight
-together, up to the provider's ``max_concurrency``. Prompts are rendered
-before and answers parsed after, in batch order on the calling thread, so
-the output does not depend on which answer arrives first.
+Each agent function asks one provider; ``pipeline.run_stage_one`` runs an
+agent for every provider at once and the agents one after another. One
+agent's batches are in flight together, up to the provider's
+``max_concurrency``. Prompts are rendered before and answers parsed after,
+in batch order on the calling thread, so the output does not depend on
+which answer arrives first.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import logging
 import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -118,27 +119,46 @@ def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: flo
 
 
 def fan_out(fn: Callable, items: list, max_workers: int) -> list:
-    """``[fn(item) for item in items]``, run on up to ``max_workers`` threads.
+    """``[fn(item) for item in items]``, run by the calling thread together
+    with up to ``max_workers - 1`` helper threads, joined before return.
 
-    Once a call has raised, no queued call starts: ``Executor.map`` would
-    cancel them only when the calling thread wakes, and by then workers
-    whose calls fail fast have taken every queued item. The calls already
-    running finish, then the first exception in item order propagates.
+    The calling thread takes the first item, so at least one item runs in
+    the caller's own thread-local context (a profiler's open span, say);
+    every thread then takes the next unstarted item. With one worker, one
+    item or none, no thread is started. Once a call has raised, no further
+    item starts; the calls already running finish, then the first exception
+    in item order propagates.
     """
-    failed = threading.Event()
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    unstarted = iter(range(len(items)))
 
-    def guarded(item):
-        if failed.is_set():
-            return None  # never read: an earlier item has raised
-        try:
-            return fn(item)
-        except BaseException:
-            failed.set()
-            raise
+    def take() -> Optional[int]:
+        with lock:
+            return None if errors else next(unstarted, None)
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(guarded, item) for item in items]
-        return [future.result() for future in futures]
+    def work(i: Optional[int]) -> None:
+        while i is not None:
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+                return
+            i = take()
+
+    first = take()
+    helpers = [threading.Thread(target=lambda: work(take()))
+               for _ in range(min(max_workers, len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work(first)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _score_batches(provider: Provider, what: str, items: list, batch_size: int,

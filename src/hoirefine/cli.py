@@ -32,8 +32,8 @@ from .evaluation import (
 )
 from .ingest import load_ground_truth, load_predictions, load_vocabulary, write_predictions
 from .model import pair_key
-from .pipeline import fuse_table, refine
-from .provider import ProviderError
+from .pipeline import build_providers, fuse_table, refine
+from .provider import ProviderError, RuleTableError
 from . import embedloss
 
 log = logging.getLogger("hoirefine")
@@ -70,7 +70,8 @@ def cmd_refine(args) -> int:
         config = _apply_overrides(load_config(args.config), args)
         vocab = load_vocabulary(args.vocab)
         pred_set = load_predictions(args.predictions, vocab)
-    except (ValueError, OSError) as exc:
+        providers = build_providers(config)
+    except (ValueError, OSError, RuleTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     transcript_dir = None
@@ -80,7 +81,7 @@ def cmd_refine(args) -> int:
         transcript_dir = os.path.join(args.cache_dir, "transcripts")
     try:
         outcome = refine(pred_set, config, cache_dir=args.cache_dir,
-                         transcript_dir=transcript_dir)
+                         transcript_dir=transcript_dir, providers=providers)
     except ProviderError as exc:
         print(f"error: provider exhausted: {exc}", file=sys.stderr)
         return 2
@@ -127,7 +128,8 @@ def cmd_ablate(args) -> int:
         gt = load_ground_truth(args.gt, pred_set)
         if not gt.frames:
             raise NoGroundTruthError(f"{args.gt}: no ground-truth records")
-    except (ValueError, OSError) as exc:
+        providers = build_providers(config)
+    except (ValueError, OSError, RuleTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     gt_frames = _gt_per_frame(gt)
@@ -136,7 +138,7 @@ def cmd_ablate(args) -> int:
     # one full run computes every agent/debate score; each row just re-fuses
     try:
         outcome = refine(pred_set, config, cache_dir=args.cache_dir,
-                         transcript_dir=None)
+                         transcript_dir=None, providers=providers)
     except ProviderError as exc:
         print(f"error: provider exhausted: {exc}", file=sys.stderr)
         return 2

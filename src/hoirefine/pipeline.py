@@ -104,7 +104,14 @@ def run_stage_one(
     keyframes: set[int],
     cache_dir: Optional[str],
 ) -> dict[str, AgentScoreTable]:
-    """Raw per-provider keyframe score tables of the three stage-1 agents."""
+    """Raw per-provider keyframe score tables of the three stage-1 agents.
+
+    The agents run one after another; each runs for every provider at once,
+    one provider on the calling thread. Each provider's ``max_concurrency``
+    still caps its requests in flight, and the tables merge in provider
+    order, so the output does not depend on which provider answers first.
+    An AuthError propagates once the other providers' runs of that agent
+    have finished, and no later agent starts."""
     vocab = pred_set.vocabulary
     transitions: list[Transition] = []
     try:
@@ -116,20 +123,22 @@ def run_stage_one(
     except TrackingUnavailableError:
         log.info("no pair tracking; temporal agent disabled")
 
-    tables: dict[str, AgentScoreTable] = {}
-    for provider in providers:
-        table = run_common_sense(
+    tables = {provider.id: AgentScoreTable() for provider in providers}
+    for agent in (
+        lambda provider: run_common_sense(
             provider, pred_set, keyframes, vocab,
             floor=config.candidate_floor, batch_size=config.batch_size,
-            cache_dir=cache_dir)
-        table.merge(run_spatial(
+            cache_dir=cache_dir),
+        lambda provider: run_spatial(
             provider, pred_set, keyframes, vocab,
             floor=config.candidate_floor, batch_size=config.batch_size,
-            cache_dir=cache_dir))
-        table.merge(run_temporal(
+            cache_dir=cache_dir),
+        lambda provider: run_temporal(
             provider, pred_set, transitions, vocab,
-            batch_size=config.batch_size, cache_dir=cache_dir))
-        tables[provider.id] = table
+            batch_size=config.batch_size, cache_dir=cache_dir),
+    ):
+        for provider, table in zip(providers, fan_out(agent, providers, len(providers))):
+            tables[provider.id].merge(table)
     return tables
 
 
@@ -235,6 +244,12 @@ def _coverage(pred_set, table, keyframes, floor) -> dict[str, float]:
     return coverage
 
 
+def build_providers(config: RefinementConfig) -> list[Provider]:
+    """One Provider per configured spec. Reads each mock rule table, so an
+    unreadable one raises OSError and a malformed one RuleTableError."""
+    return [Provider(spec) for spec in config.providers]
+
+
 def refine(
     pred_set: VideoPredictionSet,
     config: RefinementConfig,
@@ -246,7 +261,7 @@ def refine(
     calls keeps their call counters cumulative. Ablations re-fuse
     ``outcome.table`` with ``fuse_table``."""
     if providers is None:
-        providers = [Provider(spec) for spec in config.providers]
+        providers = build_providers(config)
     judge = next(p for p in providers if p.id == config.judge_provider)
 
     keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval) \

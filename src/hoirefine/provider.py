@@ -181,8 +181,11 @@ class Provider:
             if spec.rules_path:
                 with open(spec.rules_path, "rb") as fh:
                     data = fh.read()
-                rules = _parse_rule_table(io.StringIO(data.decode("utf-8"), newline=None),
-                                         spec.rules_path)
+                try:
+                    text = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise RuleTableError(f"{spec.rules_path}: not UTF-8: {exc}") from None
+                rules = _parse_rule_table(io.StringIO(text, newline=None), spec.rules_path)
             transport = lambda _s, req: match_rules(rules, req.prompt)
         self.rules_sha256 = hashlib.sha256(data).hexdigest()
         self._transport = transport or _http_complete

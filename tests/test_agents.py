@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hoirefine.agents import (
     TrackingUnavailableError,
     classify_spatial_awareness,
     detect_transitions,
+    fan_out,
     propagate_scores,
     run_common_sense,
     run_spatial,
@@ -182,6 +185,101 @@ class TestBatchConcurrency:
                                  FLOOR, batch_size=1)
         assert len(table) == 2 * width
         assert not barrier.broken
+
+
+class TestFanOut:
+    def test_results_in_item_order(self):
+        # later items finish first
+        def slow_first(i):
+            time.sleep(0.002 * (8 - i))
+            return i * i
+
+        assert fan_out(slow_first, list(range(8)), 4) == [i * i for i in range(8)]
+
+    def test_every_item_runs_once_under_frequent_switches(self):
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = fan_out(lambda i: calls.append(i) or -i, list(range(2000)), 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-i for i in range(2000)]
+        assert sorted(calls) == list(range(2000))
+
+    def test_calling_thread_takes_the_first_item(self):
+        ran_on = {}
+
+        def record(i):
+            ran_on[i] = threading.get_ident()
+            time.sleep(0.001)
+
+        fan_out(record, list(range(8)), 4)
+        assert sorted(ran_on) == list(range(8))
+        assert ran_on[0] == threading.get_ident()
+
+    @pytest.fixture
+    def started_threads(self, monkeypatch):
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        return started
+
+    @pytest.mark.parametrize("items,max_workers", [
+        (list(range(5)), 1),
+        ([7], 4),
+        ([], 4),
+    ])
+    def test_starts_no_thread_when_one_would_do(self, started_threads, items, max_workers):
+        assert fan_out(lambda i: -i, items, max_workers) == [-i for i in items]
+        assert started_threads == []
+
+    def test_starts_one_helper_less_than_workers(self, started_threads):
+        fan_out(lambda i: i, list(range(10)), 3)
+        assert len(started_threads) == 2
+        assert not any(t.is_alive() for t in started_threads)
+
+    def test_no_item_starts_after_one_has_raised(self):
+        # the other items are held until 200 ms after item 0 raises, so every
+        # helper can take at most the one item it took before the failure
+        started = []
+        release = threading.Event()
+        timer = threading.Timer(0.2, release.set)
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                timer.start()
+                raise ValueError("item 0")
+            release.wait(5)
+
+        with pytest.raises(ValueError, match="item 0"):
+            fan_out(fn, list(range(20)), 4)
+        timer.join(5)
+        assert release.is_set()
+        assert 0 in started
+        assert len(started) <= 4
+        assert max(started) < 4
+
+    def test_lowest_indexed_exception_propagates(self):
+        # item 1 raises first in time, item 0 after it
+        one_raised = threading.Event()
+
+        def fn(i):
+            if i == 1:
+                one_raised.set()
+                raise ValueError("item 1")
+            if i == 0:
+                one_raised.wait(5)
+                raise ValueError("item 0")
+
+        with pytest.raises(ValueError, match="item 0"):
+            fan_out(fn, [0, 1, 2], 2)
 
 
 class TestSpatial:

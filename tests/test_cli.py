@@ -153,6 +153,32 @@ def test_out_of_range_flag_exits_one(tmp_path, capsys, command, bad):
     assert "R@" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["refine", "ablate"])
+@pytest.mark.parametrize("rules", [None, b"not json\n", b"\xff\xfe{}\n"],
+                         ids=["missing", "malformed", "not-utf8"])
+def test_bad_rule_table_exits_one_before_any_call(tmp_path, capsys, command, rules):
+    # alpha's rule table is fine; beta's is missing, not JSON or not UTF-8
+    bad = tmp_path / "rules_beta.jsonl"
+    if rules is not None:
+        bad.write_bytes(rules)
+    with open(fixture_path("config.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["providers"][0]["rules_path"] = fixture_path("rules_alpha.jsonl")
+    config["providers"][1]["rules_path"] = str(bad)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, *INPUT_FILES[command], "--vocab", fixture_path("vocab.txt"),
+            "--config", str(cfg), "--cache-dir", str(tmp_path / "cache")]
+    if command == "refine":
+        argv += ["--out", str(tmp_path / "o.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(bad) in err
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 class TestEval:
     def test_baseline_recall_printed(self, capsys):
         code = main([

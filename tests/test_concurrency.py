@@ -1,5 +1,6 @@
-"""Concurrency in refine: one stage-1 agent's batches and distinct stage-2
-debates run on worker threads. The output must not depend on how many run
+"""Concurrency in refine: each stage-1 agent asks every provider at once,
+one agent's batches per provider are in flight together, and distinct
+stage-2 debates run concurrently. The output must not depend on how many run
 at once or on the order in which their answers arrive."""
 
 import dataclasses
@@ -10,13 +11,16 @@ import pytest
 
 from hoirefine.ingest import write_predictions
 from hoirefine.pipeline import refine
+from hoirefine.prompt import COMMON_SENSE_INSTRUCTION
 from hoirefine.provider import AuthError, Provider, load_rule_table, match_rules
 
 
-def fixture_providers(config, latency=0.0, reject=False, max_concurrency=None):
-    """Providers answering from the fixture rule tables after ``latency``
-    seconds (or rejecting every prompt with AuthError). Returns the providers
-    and the (provider id, prompt) of every call their transports received."""
+def fixture_providers(config, latency=0.0, reject=False, max_concurrency=None,
+                      hold=lambda prompt: None):
+    """Providers answering from the fixture rule tables after ``hold(prompt)``
+    returns and ``latency`` seconds pass (or rejecting every prompt with
+    AuthError). Returns the providers and the (provider id, prompt) of every
+    call their transports received."""
     sent = []
 
     def build(spec):
@@ -26,6 +30,7 @@ def fixture_providers(config, latency=0.0, reject=False, max_concurrency=None):
 
         def transport(_spec, req):
             sent.append((spec.id, req.prompt))
+            hold(req.prompt)
             time.sleep(latency)
             if reject:
                 raise AuthError("bad key")
@@ -49,14 +54,33 @@ def test_output_does_not_depend_on_max_concurrency(fixture_predictions, fixture_
     assert written[0] == written[1]
 
 
+def test_one_agent_asks_every_provider_at_once(fixture_predictions, fixture_config):
+    # each provider has one request in flight at a time, and every
+    # common-sense prompt waits for the other provider's, so asking one
+    # provider after the other breaks the barrier
+    barrier = threading.Barrier(2, timeout=5)
+
+    def hold(prompt):
+        if prompt.startswith(COMMON_SENSE_INSTRUCTION):
+            barrier.wait()
+
+    providers, sent = fixture_providers(fixture_config, max_concurrency=1, hold=hold)
+    refine(fixture_predictions, fixture_config, providers=providers)
+    assert not barrier.broken
+    asked = [pid for pid, prompt in sent if prompt.startswith(COMMON_SENSE_INSTRUCTION)]
+    assert asked.count("alpha") == asked.count("beta") > 0
+
+
 def test_stage_one_auth_error_starts_no_queued_batch(fixture_predictions, fixture_config):
-    # the fixture's first agent asks 8 common-sense batches on 2 workers; once
-    # one hits the AuthError, no queued batch may start
+    # the fixture's first agent asks 8 common-sense batches of each provider,
+    # both providers at once, on 2 workers each; once a provider's batch hits
+    # the AuthError, none of its queued batches may start, so at most the
+    # summed max_concurrency (2 + 2) prompts are sent
     for _ in range(5):
         providers, sent = fixture_providers(fixture_config, reject=True, max_concurrency=2)
         with pytest.raises(AuthError):
             refine(fixture_predictions, fixture_config, providers=providers)
-        assert 0 < len(sent) <= 2 * 2
+        assert 0 < len(sent) <= 2 + 2
 
 
 def test_refine_leaves_no_thread_running(fixture_predictions, fixture_config):

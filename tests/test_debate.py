@@ -215,7 +215,8 @@ class TestQuestionAndPersistence:
             judge_score=0.8,
         )
         path = persist_transcript(transcript, str(tmp_path / "transcripts"))
-        lines = [json.loads(ln) for ln in open(path, encoding="utf-8")]
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(ln) for ln in fh]
         assert lines[0] == {"speaker": "question", "text": "q"}
         assert lines[1] == {"speaker": "a", "text": "stance A"}
         assert lines[2] == {"speaker": "judge", "text": "Output: 0.8", "score": 0.8}
