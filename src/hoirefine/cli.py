@@ -16,7 +16,9 @@ import argparse
 import itertools
 import json
 import logging
+import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -46,6 +48,18 @@ def _ks(args) -> list[int]:
     return ks
 
 
+def _check_out_path(path: Optional[str]) -> None:
+    """Reject an output path that is a directory or whose directory does not
+    exist, so the command fails before doing any work for it. No path
+    passes."""
+    if path:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(f"{path}: directory {directory} does not exist")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: is a directory")
+
+
 def _gt_per_frame(gt_set) -> dict[int, frozenset]:
     return {
         fi: frozenset({(("id",) + tuple(pid), r) for pid, r in triplets})
@@ -70,14 +84,13 @@ def cmd_refine(args) -> int:
         config = _apply_overrides(load_config(args.config), args)
         vocab = load_vocabulary(args.vocab)
         pred_set = load_predictions(args.predictions, vocab)
+        _check_out_path(args.out)
         providers = build_providers(config)
     except (ValueError, OSError, RuleTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     transcript_dir = None
     if args.cache_dir:
-        import os
-
         transcript_dir = os.path.join(args.cache_dir, "transcripts")
     try:
         outcome = refine(pred_set, config, cache_dir=args.cache_dir,
@@ -94,6 +107,7 @@ def cmd_refine(args) -> int:
 def cmd_eval(args) -> int:
     try:
         ks = _ks(args)
+        _check_out_path(args.report)
         vocab = load_vocabulary(args.vocab)
         pred_set = load_predictions(args.refined, vocab)
         gt = load_ground_truth(args.gt, pred_set)
@@ -128,6 +142,7 @@ def cmd_ablate(args) -> int:
         gt = load_ground_truth(args.gt, pred_set)
         if not gt.frames:
             raise NoGroundTruthError(f"{args.gt}: no ground-truth records")
+        _check_out_path(args.out)
         providers = build_providers(config)
     except (ValueError, OSError, RuleTableError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """Stage-2 multi-LLM debate.
 
-One debate is strictly sequential: with debaters D_1..D_N and history H
-initialized to the question, each D_i first answers the question, then every
-other debater responds to the full history, and finally the judge extracts
-the answer from H. A failure-free debate therefore has exactly 1 + N^2
-history entries. Distinct debates are independent: ``pipeline.run_stage_two``
-runs them concurrently, on as many threads as the providers' summed
+With debaters D_1..D_N and history H initialized to the question, each D_i
+first answers the question, then every other debater responds to the full
+history, and finally the judge extracts the answer from H. A failure-free
+debate therefore has exactly 1 + N^2 history entries. An opening answer sees
+only the bare question, so all N openings are asked at once; the response
+turns then run one after another, each on the history it would see if the
+openings had been asked in turn, so the critical path is N^2 - N + 2 calls.
+Distinct debates are independent: ``pipeline.run_stage_two`` runs them
+concurrently, on as many threads as the providers' summed
 ``max_concurrency``, and stops starting them once one raises. Judge scores
 are recorded in candidate order, whichever debate finishes first.
 """
@@ -19,6 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from .agents import fan_out
 from .prompt import parse_score_output, render_debate_turn
 from .provider import AuthError, CompletionRequest, Provider, ProviderError, cached_complete
 
@@ -89,9 +93,12 @@ def run_debate(
 ) -> DebateTranscript:
     """Run one full debate and judge it.
 
-    A debater failure inserts an empty entry and the debate continues; a
-    judge failure yields a transcript with judge_score=None. An AuthError
-    from any participant is fatal and propagates.
+    The openings are asked at once (the calling thread asks the first, a
+    helper thread each other) and put in ``entries`` at their turn's
+    position; the response turns and the judge follow in order. A debater
+    failure inserts an empty entry and the debate continues; a judge failure
+    yields a transcript with judge_score=None. An AuthError from any
+    participant is fatal and propagates.
     """
     if not debaters:
         raise ValueError("need at least one debater")
@@ -108,9 +115,9 @@ def run_debate(
             log.warning("debater %s failed: %s", provider.id, exc)
             return ""
 
-    for d_i in debaters:
-        # initial answer to the bare question
-        entries.append((d_i.id, turn(d_i, [])))
+    openings = fan_out(lambda d: turn(d, []), debaters, len(debaters))
+    for d_i, opening in zip(debaters, openings):
+        entries.append((d_i.id, opening))
         for d_j in debaters:
             if d_j is d_i:
                 continue

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -45,6 +46,15 @@ class MalformedResponseError(ProviderError):
 
 class RuleTableError(ProviderError):
     pass
+
+
+class RateLimitError(ConnectionError):
+    """Transient HTTP 429. ``retry_after`` is the server's ``Retry-After``
+    in seconds, or None when the header is absent or not a number."""
+
+    def __init__(self, message: str, retry_after: Optional[float]):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 @dataclass(frozen=True)
@@ -195,39 +205,61 @@ class Provider:
         return self.spec.id
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        """One completion, with exponential backoff on transient HTTP failures
-        (base 1s, factor 2, jitter +/-20%) and at most ``max_concurrency``
-        requests in flight."""
+        """One billed completion, retried on transient failures with
+        exponential backoff (``backoff_base`` seconds, factor 2, jitter
+        +/-20%). An HTTP 429 with a numeric ``Retry-After`` waits at least
+        that long, but never longer than ``timeout``.
+
+        Each attempt holds one of the ``max_concurrency`` slots; a request
+        backing off holds none, so other requests use its slot meanwhile.
+        ``call_count`` counts one per call, ``in_flight`` the attempts
+        holding a slot."""
         start = time.monotonic()
+        with self._lock:
+            self.call_count += 1
+        text = self._retrying(req)
+        return CompletionResponse(text=text, cached=False, latency=time.monotonic() - start)
+
+    def _attempt(self, req: CompletionRequest) -> str:
         with self._semaphore:
             with self._lock:
-                self.call_count += 1
                 self.in_flight += 1
                 self.max_in_flight = max(self.max_in_flight, self.in_flight)
             try:
-                text = self._retrying(lambda: self._transport(self.spec, req))
+                return self._transport(self.spec, req)
             finally:
                 with self._lock:
                     self.in_flight -= 1
-        return CompletionResponse(text=text, cached=False, latency=time.monotonic() - start)
 
-    def _retrying(self, fn: Callable[[], str]) -> str:
+    def _retrying(self, req: CompletionRequest) -> str:
         attempts = self.spec.max_retries + 1
         last: Optional[Exception] = None
         for attempt in range(attempts):
             try:
-                return fn()
+                return self._attempt(req)
             except (ProviderTimeout, ConnectionError) as exc:
                 last = exc
                 if attempt + 1 < attempts:
                     delay = self.spec.backoff_base * (2 ** attempt)
                     delay *= 1.0 + random.uniform(-0.2, 0.2)
+                    if isinstance(exc, RateLimitError) and exc.retry_after is not None:
+                        delay = max(delay, min(exc.retry_after, self.spec.timeout))
                     log.warning("%s: transient failure (%s), retrying in %.2fs",
                                 self.spec.id, exc, delay)
                     time.sleep(delay)
         raise ProviderTimeout(
             f"{self.spec.id}: gave up after {attempts} attempts: {last}"
         ) from last
+
+
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """The delay-seconds form of a ``Retry-After`` header; an HTTP-date or
+    any other value gives None."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
 
 
 def _http_complete(spec: ProviderSpec, req: CompletionRequest) -> str:
@@ -251,7 +283,10 @@ def _http_complete(spec: ProviderSpec, req: CompletionRequest) -> str:
         raise ConnectionError(f"{spec.id}: connection failed: {exc}") from exc
     if resp.status_code in (401, 403):
         raise AuthError(f"{spec.id}: authentication failed (HTTP {resp.status_code})")
-    if resp.status_code == 429 or resp.status_code >= 500:
+    if resp.status_code == 429:
+        raise RateLimitError(f"{spec.id}: transient HTTP 429",
+                             _retry_after_seconds(resp.headers.get("Retry-After")))
+    if resp.status_code >= 500:
         raise ConnectionError(f"{spec.id}: transient HTTP {resp.status_code}")
     if resp.status_code != 200:
         raise MalformedResponseError(f"{spec.id}: HTTP {resp.status_code}: {resp.text[:200]}")

@@ -126,6 +126,24 @@ class TestRefine:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def transport_calls(monkeypatch):
+    """Prompts sent by the providers that ``refine`` and ``ablate`` build,
+    which answer from the fixture rule tables."""
+    calls = []
+
+    def counting_provider(spec):
+        rules = load_rule_table(spec.rules_path)
+
+        def transport(_spec, req):
+            calls.append(req.prompt)
+            return match_rules(rules, req.prompt)
+        return Provider(spec, transport=transport)
+
+    monkeypatch.setattr(pipeline, "Provider", counting_provider)
+    return calls
+
+
 INPUT_FILES = {
     "refine": ["--config", fixture_path("config.json"),
                "--predictions", fixture_path("predictions.jsonl")],
@@ -177,6 +195,28 @@ def test_bad_rule_table_exits_one_before_any_call(tmp_path, capsys, command, rul
     assert str(bad) in err
     assert not (tmp_path / "cache").exists()
     assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("command,flag", [("refine", "--out"), ("ablate", "--out"),
+                                          ("eval", "--report")])
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+def test_unwritable_output_path_exits_one_before_any_call(tmp_path, capsys, transport_calls,
+                                                          command, flag, where):
+    if where == "missing-dir":
+        out = tmp_path / "missing" / "out.jsonl"
+    else:
+        out = tmp_path / "out"
+        out.mkdir()
+    argv = [command, *INPUT_FILES[command], "--vocab", fixture_path("vocab.txt"), flag, str(out)]
+    if command != "eval":
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert str(out) in captured.err
+    assert "R@" not in captured.out
+    assert transport_calls == []
+    assert not (tmp_path / "cache").exists()
 
 
 class TestEval:
@@ -239,18 +279,7 @@ class TestAblate:
 
 
     def test_empty_ground_truth_exits_one_before_any_call(self, tmp_path, capsys,
-                                                          monkeypatch):
-        calls = []
-
-        def counting_provider(spec):
-            rules = load_rule_table(spec.rules_path)
-
-            def transport(_spec, req):
-                calls.append(req.prompt)
-                return match_rules(rules, req.prompt)
-            return Provider(spec, transport=transport)
-
-        monkeypatch.setattr(pipeline, "Provider", counting_provider)
+                                                          transport_calls):
         empty = tmp_path / "gt.jsonl"
         empty.write_text("")
         code = main([
@@ -262,7 +291,7 @@ class TestAblate:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
-        assert calls == []
+        assert transport_calls == []
 
 
 class TestGradcheck:

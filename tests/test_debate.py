@@ -1,8 +1,13 @@
+import hashlib
 import json
+import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoirefine.debate import (
+    QUESTION_SPEAKER,
     DebateTranscript,
     persist_transcript,
     render_debate_question,
@@ -13,7 +18,7 @@ from hoirefine.debate import (
 from hoirefine.config import load_config
 from hoirefine.ingest import load_predictions, load_vocabulary
 from hoirefine.pipeline import refine
-from hoirefine.prompt import DEBATER_PREAMBLE
+from hoirefine.prompt import DEBATER_PREAMBLE, render_debate_turn
 from hoirefine.provider import (
     AuthError,
     Provider,
@@ -26,9 +31,10 @@ from hoirefine.provider import (
 from conftest import fixture_path
 
 
-def scripted(pid, reply=None, transport=None):
+def scripted(pid, reply=None, transport=None, max_concurrency=4):
     """Debater that answers every prompt with a fixed line (or via transport)."""
-    spec = ProviderSpec(id=pid, kind="mock", max_retries=0, backoff_base=0.001)
+    spec = ProviderSpec(id=pid, kind="mock", max_retries=0, backoff_base=0.001,
+                        max_concurrency=max_concurrency)
     if transport is None:
         fixed = reply if reply is not None else f"Output: 0.5 ({pid})"
         transport = lambda _spec, _req: fixed
@@ -58,20 +64,87 @@ class TestHistoryStructure:
         assert speakers == ["question", "a", "b", "b", "a"]
 
     def test_responders_see_growing_history(self):
-        seen = {}
+        seen = []
 
         def transport_for(pid):
             def transport(_spec, req):
-                seen.setdefault(pid, []).append(req.prompt.count("Output:"))
+                seen.append((pid, req.prompt.count("Output:")))
                 return f"Output: 0.5 ({pid})"
             return transport
 
         debaters = [scripted("a", transport=transport_for("a")),
                     scripted("b", transport=transport_for("b"))]
         run_debate("q", debaters, judge_provider())
-        # a: opening answer (0 prior outputs), then response in b's round (3 prior)
-        assert seen["a"] == [0, 3]
-        assert seen["b"] == [1, 0]
+        # (speaker, prior outputs in its prompt): both openings see the bare
+        # question, b's response sees a's opening, and a's response sees a's
+        # opening, b's response and b's opening
+        assert Counter(seen) == Counter([("a", 0), ("b", 0), ("b", 1), ("a", 3)])
+
+    def test_openings_are_asked_at_once(self):
+        # each debater has one request in flight at a time, and every opening
+        # waits for the other's, so asking them one after another breaks the
+        # barrier
+        barrier = threading.Barrier(2, timeout=5)
+        opening = render_debate_turn("debater", "q", [])
+
+        def transport_for(pid):
+            def transport(_spec, req):
+                if req.prompt == opening:
+                    barrier.wait()
+                return f"Output: 0.5 ({pid})"
+            return transport
+
+        debaters = [scripted(pid, transport=transport_for(pid), max_concurrency=1)
+                    for pid in ("a", "b")]
+        transcript = run_debate("q", debaters, judge_provider())
+        assert not barrier.broken
+        assert [speaker for speaker, _ in transcript.entries] == ["question", "a", "b", "b", "a"]
+
+    @given(st.integers(1, 4), st.text(min_size=1, max_size=12), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sequential_oracle(self, n, question, salt):
+        # answers depend on the prompt, and about one turn in five fails
+        def answer(pid, prompt):
+            digest = hashlib.sha256(f"{salt}\0{pid}\0{prompt}".encode()).digest()
+            if digest[0] < 51:
+                raise ProviderTimeout("down")
+            return f"{pid} says {digest[1:4].hex()}"
+
+        sent, judge_prompts = [], []
+
+        def transport(spec, req):
+            sent.append((spec.id, req.prompt))
+            return answer(spec.id, req.prompt)
+
+        def judge_transport(_spec, req):
+            judge_prompts.append(req.prompt)
+            return "Output: 0.8"
+
+        ids = [f"d{i}" for i in range(n)]
+        transcript = run_debate(question, [scripted(pid, transport=transport) for pid in ids],
+                                scripted("judge", transport=judge_transport))
+
+        # the oracle: every turn in order, as before the openings ran at once
+        asked = []
+
+        def turn(pid, history):
+            prompt = render_debate_turn("debater", question, history)
+            asked.append((pid, prompt))
+            try:
+                return answer(pid, prompt)
+            except ProviderTimeout:
+                return ""
+
+        entries = [(QUESTION_SPEAKER, question)]
+        for d_i in ids:
+            entries.append((d_i, turn(d_i, [])))
+            for d_j in ids:
+                if d_j != d_i:
+                    entries.append((d_j, turn(d_j, entries[1:])))
+
+        assert transcript.entries == tuple(entries)
+        assert judge_prompts == [render_debate_turn("judge", question, entries[1:])]
+        assert Counter(sent) == Counter(asked)
 
     def test_judge_sees_full_history(self):
         judge_prompts = []
@@ -149,8 +222,10 @@ class TestFailureHandling:
         assert self.refine_with_debaters_rejected()
 
     def test_debate_auth_error_starts_no_queued_debate(self):
-        # the fixture debates 36 candidates on a pool of 8 workers; once one
-        # debate hits the AuthError, no queued debate may start
+        # the fixture debates 36 candidates on a pool of 8 workers, and each
+        # debate asks its 2 debaters' openings at once; once one debate hits
+        # the AuthError, no queued debate may start, so at most 8 × 2
+        # openings are sent
         for _ in range(5):
             assert len(self.refine_with_debaters_rejected()) <= 16
 

@@ -4,6 +4,7 @@ import threading
 import time
 
 import pytest
+import requests
 
 from hoirefine.provider import (
     CompletionRequest,
@@ -122,6 +123,94 @@ class TestComplete:
             t.join()
         assert provider.max_in_flight <= 3
         assert provider.call_count == 12
+
+    def test_backoff_leaves_the_slot_to_other_requests(self):
+        attempts = []
+        failed = threading.Event()
+
+        def transport(spec, request):
+            attempts.append(request.prompt)
+            if attempts == ["A"]:
+                failed.set()
+                raise ProviderTimeout("first attempt times out")
+            return "Output: 0.5"
+
+        provider = Provider(
+            ProviderSpec(id="p", kind="mock", max_concurrency=1, backoff_base=0.2),
+            transport=transport,
+        )
+        first = threading.Thread(target=provider.complete, args=(req("A"),))
+        first.start()
+        assert failed.wait(5)
+        provider.complete(req("B"))
+        # B took the only slot while A was backing off
+        assert attempts == ["A", "B"]
+        first.join(timeout=5)
+        assert not first.is_alive()
+        assert attempts == ["A", "B", "A"]
+        assert provider.call_count == 2
+
+
+class FakeResponse:
+    def __init__(self, status_code, headers=None, body=None):
+        self.status_code = status_code
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
+        self.body = body
+        self.text = json.dumps(body)
+
+    def json(self):
+        return self.body
+
+
+class TestRetryAfter:
+    """HTTP 429 answers, with their ``Retry-After`` header, through the real
+    HTTP client with ``requests.post`` and ``time.sleep`` replaced."""
+
+    OK = FakeResponse(200, body={"choices": [{"message": {"content": "Output: 0.7"}}]})
+
+    def run(self, monkeypatch, responses, timeout=5.0):
+        """Complete one request on a ``max_concurrency=1`` HTTP provider that
+        receives ``responses`` in order. Returns the provider, the answer and,
+        per backoff sleep, (delay, whether a slot was free meanwhile)."""
+        provider = Provider(ProviderSpec(
+            id="h", kind="http", endpoint="http://localhost:9/v1/chat/completions",
+            api_key_env="HOIREFINE_TEST_KEY", max_concurrency=1, timeout=timeout,
+            backoff_base=0.01))
+        replies = iter(responses)
+        sleeps = []
+
+        def fake_sleep(delay):
+            free = provider._semaphore.acquire(blocking=False)
+            if free:
+                provider._semaphore.release()
+            sleeps.append((delay, free))
+
+        monkeypatch.setenv("HOIREFINE_TEST_KEY", "key")
+        monkeypatch.setattr(requests, "post", lambda *_a, **_kw: next(replies))
+        monkeypatch.setattr(time, "sleep", fake_sleep)
+        return provider, provider.complete(req()).text, sleeps
+
+    def test_numeric_retry_after_waits_off_the_slot(self, monkeypatch):
+        provider, text, sleeps = self.run(
+            monkeypatch, [FakeResponse(429, {"Retry-After": "2"}), self.OK])
+        assert text == "Output: 0.7"
+        [(delay, free)] = sleeps
+        assert delay >= 2
+        assert free  # the backing-off request holds no slot
+        assert provider.call_count == 1
+
+    @pytest.mark.parametrize("headers", [{}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"},
+                                         {"Retry-After": "nan"}, {"Retry-After": "-3"}])
+    def test_absent_or_non_numeric_retry_after_keeps_the_backoff(self, monkeypatch, headers):
+        _, text, sleeps = self.run(monkeypatch, [FakeResponse(429, headers), self.OK])
+        assert text == "Output: 0.7"
+        [(delay, _)] = sleeps
+        assert 0.008 <= delay <= 0.012  # backoff_base with its +/-20% jitter
+
+    def test_retry_after_is_capped_at_the_timeout(self, monkeypatch):
+        _, _, sleeps = self.run(
+            monkeypatch, [FakeResponse(429, {"Retry-After": "3600"}), self.OK], timeout=3.0)
+        assert [delay for delay, _ in sleeps] == [3.0]
 
 
 class TestCache:
