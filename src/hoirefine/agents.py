@@ -37,6 +37,7 @@ from .model import (
     RelationVocabulary,
     VideoPredictionSet,
     pair_key,
+    tracked_pair_key,
 )
 from .prompt import (
     parse_binary_output,
@@ -289,7 +290,7 @@ def run_temporal(
         pair = pair_lookup[(tr.frame_index, tr.pair_id)]
         texts[tr] = (triplet_to_text(pair, tr.old_relation, vocab),
                      triplet_to_text(pair, tr.new_relation, vocab))
-        wanted[tr] = [(tr.frame_index, ("id",) + tuple(tr.pair_id), tr.new_relation)]
+        wanted[tr] = [(tr.frame_index, tracked_pair_key(tr.pair_id), tr.new_relation)]
     scores = _score_batches(
         provider, "temporal", transitions, batch_size,
         lambda batch: render_temporal([texts[tr] for tr in batch],

@@ -33,7 +33,7 @@ from .evaluation import (
     write_ablation_report,
 )
 from .ingest import load_ground_truth, load_predictions, load_vocabulary, write_predictions
-from .model import pair_key
+from .model import SCORE_KINDS, pair_key, tracked_pair_key
 from .pipeline import build_providers, fuse_table, refine
 from .provider import ProviderError, RuleTableError
 from . import embedloss
@@ -62,7 +62,7 @@ def _check_out_path(path: Optional[str]) -> None:
 
 def _gt_per_frame(gt_set) -> dict[int, frozenset]:
     return {
-        fi: frozenset({(("id",) + tuple(pid), r) for pid, r in triplets})
+        fi: frozenset({(tracked_pair_key(pid), r) for pid, r in triplets})
         for fi, triplets in gt_set.frames.items()
     }
 
@@ -163,11 +163,10 @@ def cmd_ablate(args) -> int:
         recalls = recall_at_k_dataset(positives_per_frame(fused, threshold), gt_frames, ks)
         return AblationRow(label=label, toggles=toggles, recalls=recalls)
 
-    components = ("cs", "spatial", "temporal", "debate")
-    rows = [row_for("baseline", {c: False for c in components})]
-    for bits in itertools.product((False, True), repeat=len(components)):
-        toggles = dict(zip(components, bits))
-        label = "+".join(c for c in components if toggles[c]) or "none"
+    rows = [row_for("baseline", {c: False for c in SCORE_KINDS})]
+    for bits in itertools.product((False, True), repeat=len(SCORE_KINDS)):
+        toggles = dict(zip(SCORE_KINDS, bits))
+        label = "+".join(c for c in SCORE_KINDS if toggles[c]) or "none"
         rows.append(row_for(label, toggles))
 
     table_text = format_ablation_table(rows, ks)

@@ -48,6 +48,10 @@ class RefinementConfig:
 
 
 def load_config(path: str) -> RefinementConfig:
+    """The configuration in the JSON file at ``path``. A relative
+    ``rules_path`` is relative to the directory of that file, not to the
+    working directory; an absolute one is kept. Whether the rule table
+    exists is checked when the provider reads it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -58,11 +62,8 @@ def load_config(path: str) -> RefinementConfig:
         specs = []
         for spec in raw["providers"]:
             spec = dict(spec)
-            # mock rule tables travel with the config file
-            if spec.get("rules_path") and not os.path.isabs(spec["rules_path"]):
-                candidate = os.path.join(base_dir, os.path.basename(spec["rules_path"]))
-                if os.path.exists(candidate):
-                    spec["rules_path"] = candidate
+            if spec.get("rules_path"):
+                spec["rules_path"] = os.path.join(base_dir, spec["rules_path"])
             specs.append(ProviderSpec(**spec))
         providers = tuple(specs)
         if not providers:

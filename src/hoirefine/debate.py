@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .agents import fan_out
-from .prompt import parse_score_output, render_debate_turn
+from .prompt import box_text, parse_score_output, render_debate_turn
 from .provider import AuthError, CompletionRequest, Provider, ProviderError, cached_complete
 
 log = logging.getLogger(__name__)
@@ -75,12 +75,11 @@ def render_debate_question(
 ) -> str:
     """The debated question: the triplet, its geometry, and each provider's
     stage-1 fused score, asking for one final rationality score."""
-    hb = "[" + ",".join(str(v) for v in human_box) + "]"
-    ob = "[" + ",".join(str(v) for v in object_box) + "]"
     score_bits = ", ".join(f"{pid}={provider_scores[pid]:.4f}" for pid in sorted(provider_scores))
     return (
         f"How rational is the predicted triplet {triplet_text} given person "
-        f"box {hb} and object box {ob}? Current per-model scores: {score_bits}. "
+        f"box {box_text(human_box)} and object box {box_text(object_box)}? "
+        f"Current per-model scores: {score_bits}. "
         "Give a final rationality score between 0 and 1."
     )
 
@@ -95,50 +94,42 @@ def run_debate(
 
     The openings are asked at once (the calling thread asks the first, a
     helper thread each other) and put in ``entries`` at their turn's
-    position; the response turns and the judge follow in order. A debater
-    failure inserts an empty entry and the debate continues; a judge failure
-    yields a transcript with judge_score=None. An AuthError from any
-    participant is fatal and propagates.
+    position; the response turns and the judge follow in order. Every turn
+    and the judge go through one ask with the agents' failure policy: an
+    AuthError from any participant is fatal and propagates, and any other
+    ProviderError is logged. A failed debater turn inserts an empty entry
+    and the debate continues; a failed judge yields a transcript with
+    judge_answer="" and judge_score=None.
     """
     if not debaters:
         raise ValueError("need at least one debater")
     entries: list[tuple[str, str]] = [(QUESTION_SPEAKER, question)]
 
-    def turn(provider: Provider, history: list[tuple[str, str]]) -> str:
+    def ask(role: str, provider: Provider, history: list[tuple[str, str]]) -> Optional[str]:
         req = CompletionRequest(provider_id=provider.id,
-                                prompt=render_debate_turn("debater", question, history))
+                                prompt=render_debate_turn(role, question, history))
         try:
             return cached_complete(provider, req, cache_dir).text
         except AuthError:
             raise
         except ProviderError as exc:
-            log.warning("debater %s failed: %s", provider.id, exc)
-            return ""
+            log.warning("%s %s failed: %s", role, provider.id, exc)
+            return None
 
-    openings = fan_out(lambda d: turn(d, []), debaters, len(debaters))
+    openings = fan_out(lambda d: ask("debater", d, []) or "", debaters, len(debaters))
     for d_i, opening in zip(debaters, openings):
         entries.append((d_i.id, opening))
         for d_j in debaters:
             if d_j is d_i:
                 continue
-            entries.append((d_j.id, turn(d_j, entries[1:])))
+            entries.append((d_j.id, ask("debater", d_j, entries[1:]) or ""))
 
-    judge_req = CompletionRequest(provider_id=judge.id,
-                                  prompt=render_debate_turn("judge", question, entries[1:]))
-    try:
-        judge_answer = cached_complete(judge, judge_req, cache_dir).text
-    except AuthError:
-        raise
-    except ProviderError as exc:
-        log.warning("judge %s failed: %s", judge.id, exc)
-        judge_answer = ""
-        judge_score = None
-    else:
-        judge_score = parse_score_output(judge_answer, 1)[0]
+    judge_answer = ask("judge", judge, entries[1:])
+    judge_score = None if judge_answer is None else parse_score_output(judge_answer, 1)[0]
     return DebateTranscript(
         question=question,
         entries=tuple(entries),
-        judge_answer=judge_answer,
+        judge_answer=judge_answer or "",
         judge_score=judge_score,
     )
 

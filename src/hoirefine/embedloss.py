@@ -13,7 +13,7 @@ emits the caption strings it should embed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,19 +105,6 @@ def _activate_grad(pre: np.ndarray, act: str) -> np.ndarray:
     if act == "tanh":
         return 1.0 - np.tanh(pre) ** 2
     return np.ones_like(pre)
-
-
-def mlp_forward(params: MlpParams, f_human: np.ndarray, f_inter: np.ndarray,
-                f_obj: np.ndarray):
-    """Fused vector for one cell: the MLP applied to the concatenation.
-    Returns (output, cache) where the cache feeds the backward pass."""
-    x = np.concatenate([f_human, f_inter, f_obj]).astype(np.float64)
-    if x.shape[0] != params.input_dim:
-        raise ValueError(
-            f"concatenated input dim {x.shape[0]} != MLP input dim {params.input_dim}"
-        )
-    out, cache = _forward_batch(params, x[None, :])
-    return out[0], cache
 
 
 def _forward_batch(params: MlpParams, x: np.ndarray):

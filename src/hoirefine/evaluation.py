@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fusion import threshold_select
+from .model import SCORE_KINDS
 
 DEFAULT_KS = (10, 20, 50)
 
@@ -87,8 +88,8 @@ def format_ablation_table(rows: list[AblationRow], ks: Sequence[int] = DEFAULT_K
     body = []
     for row in rows:
         cells = [row.label]
-        for component in ("cs", "spatial", "temporal", "debate"):
-            cells.append("x" if row.toggles.get(component) else "")
+        for kind in SCORE_KINDS:
+            cells.append("x" if row.toggles.get(kind) else "")
         cells.extend(f"{row.recalls[k]:.2f}" for k in ks)
         body.append(cells)
     widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(headers)]

@@ -9,6 +9,7 @@ across datasets that mix cases.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -21,6 +22,7 @@ from .model import (
     PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
+    pair_key,
     validate_prediction_set,
 )
 
@@ -190,12 +192,10 @@ def write_predictions(pred_set: VideoPredictionSet, fused: dict, path: str) -> N
     relaxes the upper bound for them. Scores round-trip bit-exactly through
     JSON's shortest-repr float encoding.
     """
-    from .model import pair_key as _pair_key
-
     lines = []
     for frame in pred_set.frames:
         for i, pair in enumerate(frame.pairs):
-            pkey = _pair_key(pair, i)
+            pkey = pair_key(pair, i)
             scores = []
             for r in range(pred_set.vocabulary.n):
                 key = (frame.frame_index, pkey, r)
@@ -215,7 +215,19 @@ def write_predictions(pred_set: VideoPredictionSet, fused: dict, path: str) -> N
                 "score_scale": "fused",
             }
             lines.append(json.dumps(rec, sort_keys=True))
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file renamed into
+    place, so a reader sees the old file or the whole new one, never part.
+    On any failure the temporary file is removed and the error re-raised."""
     tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

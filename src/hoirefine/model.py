@@ -17,18 +17,7 @@ CS = "cs"
 SPATIAL = "spatial"
 TEMPORAL = "temporal"
 DEBATE = "debate"
-SCORE_KINDS = (CS, SPATIAL, TEMPORAL, DEBATE)
-
-
-class UnknownRelationError(KeyError):
-    """Raised when a relation name is not in the vocabulary."""
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
-
-    def __str__(self) -> str:
-        return f"unknown relation: {self.name!r}"
+SCORE_KINDS = (CS, SPATIAL, TEMPORAL, DEBATE)  # the order of fusion.fuse_scores' arguments
 
 
 @dataclass(frozen=True)
@@ -48,12 +37,6 @@ class RelationVocabulary:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownRelationError(name) from None
 
 
 @dataclass(frozen=True)
@@ -105,11 +88,16 @@ class VideoPredictionSet:
                 yield frame, pair
 
 
+def tracked_pair_key(pair_id: PairId) -> tuple:
+    """The pair key of a pair tracked as ``pair_id``."""
+    return ("id",) + tuple(pair_id)
+
+
 def pair_key(pair: PairPrediction, position: int):
     """Total-order identity for a pair: pair_id when tracked, else its
     position within the frame."""
     if pair.pair_id is not None:
-        return ("id",) + tuple(pair.pair_id)
+        return tracked_pair_key(pair.pair_id)
     return ("idx", position)
 
 
@@ -118,9 +106,6 @@ class GroundTruthSet:
     """Per frame, the set of (pair_id, relation_index) positive triplets."""
 
     frames: dict[int, frozenset[tuple[PairId, int]]]
-
-    def for_frame(self, frame_index: int) -> frozenset[tuple[PairId, int]]:
-        return self.frames.get(frame_index, frozenset())
 
 
 class AgentScoreTable:

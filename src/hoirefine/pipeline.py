@@ -36,6 +36,7 @@ from .ingest import triplet_to_text
 from .model import (
     CS,
     DEBATE,
+    SCORE_KINDS,
     SPATIAL,
     TEMPORAL,
     AgentScoreTable,
@@ -43,11 +44,9 @@ from .model import (
     VideoPredictionSet,
     pair_key,
 )
-from .provider import Provider
+from .provider import Provider, ProviderError
 
 log = logging.getLogger(__name__)
-
-ALL_COMPONENTS = {"cs": True, "spatial": True, "temporal": True, "debate": True}
 
 
 @dataclass
@@ -210,23 +209,25 @@ def fuse_table(
     weights: FusionWeights,
     toggles: Optional[dict] = None,
 ) -> dict:
-    """Fused score for every (frame, pair, relation); disabled components'
-    terms are dropped entirely."""
-    toggles = dict(ALL_COMPONENTS) if toggles is None else toggles
+    """Fused score for every (frame, pair, relation) slot, in frame, pair
+    and relation order.
+
+    A slot without a table entry keeps its base score. Each entry adds the
+    terms of its kinds that ``toggles`` enables; ``toggles`` maps each of
+    ``SCORE_KINDS`` to on or off (None enables all), and a disabled kind's
+    term is dropped entirely. Every entry must be a slot of ``pred_set``."""
     fused = {}
     for frame in pred_set.frames:
         for i, pair in enumerate(frame.pairs):
             pk = pair_key(pair, i)
             for r, base in enumerate(pair.scores):
-                kinds = table.kinds_at(frame.frame_index, pk, r)
-                fused[(frame.frame_index, pk, r)] = fuse_scores(
-                    base,
-                    s_cs=kinds.get(CS) if toggles.get("cs") else None,
-                    s_spatial=kinds.get(SPATIAL) if toggles.get("spatial") else None,
-                    s_temporal=kinds.get(TEMPORAL) if toggles.get("temporal") else None,
-                    s_debate=kinds.get(DEBATE) if toggles.get("debate") else None,
-                    weights=weights,
-                )
+                fused[(frame.frame_index, pk, r)] = base
+    enabled = [toggles is None or bool(toggles.get(kind)) for kind in SCORE_KINDS]
+    for slot, kinds in table.items():
+        fused[slot] = fuse_scores(
+            fused[slot],
+            *(kinds.get(kind) if on else None for kind, on in zip(SCORE_KINDS, enabled)),
+            weights=weights)
     return fused
 
 
@@ -235,7 +236,7 @@ def _coverage(pred_set, table, keyframes, floor) -> dict[str, float]:
     if not slots:
         return {}
     coverage = {}
-    for kind in (CS, SPATIAL, TEMPORAL, DEBATE):
+    for kind in SCORE_KINDS:
         scored = sum(
             1 for frame_index, pk, r, _ in slots
             if table.get(frame_index, pk, r, kind) is not None
@@ -259,7 +260,10 @@ def refine(
 ) -> RefinementOutcome:
     """Full pipeline over one prediction set; reusing ``providers`` across
     calls keeps their call counters cumulative. Ablations re-fuse
-    ``outcome.table`` with ``fuse_table``."""
+    ``outcome.table`` with ``fuse_table``.
+
+    Raises ProviderError when keyframe candidates exist but no agent scored
+    any of them, so a total provider outage does not pass for base scores."""
     if providers is None:
         providers = build_providers(config)
     judge = next(p for p in providers if p.id == config.judge_provider)
@@ -278,6 +282,10 @@ def refine(
         debates = len(debate_table)
         table.merge(debate_table)
 
+    # propagation fills only non-keyframes, so keyframe coverage is final here
+    coverage = _coverage(pred_set, table, keyframes, config.candidate_floor)
+    if coverage and not any(coverage.values()):
+        raise ProviderError("no agent score for any keyframe candidate")
     table = propagate_scores(table, pred_set, keyframes)
     fused = fuse_table(pred_set, table, config.weights)
 
@@ -285,6 +293,6 @@ def refine(
         provider_calls={p.id: p.call_count for p in providers},
         cache_hits={p.id: p.cache_hits for p in providers},
         debates=debates,
-        coverage=_coverage(pred_set, table, keyframes, config.candidate_floor),
+        coverage=coverage,
     )
     return RefinementOutcome(fused=fused, table=table, keyframes=keyframes, stats=stats)

@@ -117,6 +117,11 @@ class PromptBundle:
         return "\n".join(parts)
 
 
+def box_text(box) -> str:
+    """An integer pixel box as prompt text: ``[x1,y1,x2,y2]``."""
+    return "[" + ",".join(str(v) for v in box) + "]"
+
+
 def render_common_sense(tests: list[str]) -> PromptBundle:
     if not tests:
         raise ValueError("tests must be non-empty")
@@ -143,35 +148,29 @@ def render_spatial(stage: str, payload) -> PromptBundle:
     if stage == "scoring":
         if not payload:
             raise ValueError("payload must be non-empty")
-        tests = []
-        for triplet, human_box, object_box in payload:
-            hb = "[" + ",".join(str(v) for v in human_box) + "]"
-            ob = "[" + ",".join(str(v) for v in object_box) + "]"
-            tests.append(f"{triplet} person box {hb}, object box {ob}")
+        tests = tuple(
+            f"{triplet} person box {box_text(human_box)}, object box {box_text(object_box)}"
+            for triplet, human_box, object_box in payload)
         return PromptBundle(
             instruction=SPATIAL_SCORING_INSTRUCTION,
             demonstrations=SPATIAL_SCORING_DEMONSTRATIONS,
-            tests=tuple(tests),
+            tests=tests,
         )
     raise ValueError(f"unknown spatial stage {stage!r}")
 
 
 def render_temporal(transitions: list[tuple[str, str]],
-                    frame_labels: Optional[list[tuple[int, int]]] = None) -> PromptBundle:
-    """Each test shows both frames' triplets and asks for the rationality of
-    the change. Identity transitions are filtered upstream."""
+                    frame_labels: list[tuple[int, int]]) -> PromptBundle:
+    """Each test shows both frames' triplets, labelled with the frame
+    indices in ``frame_labels``, and asks for the rationality of the
+    change. Identity transitions are filtered upstream."""
     if not transitions:
         raise ValueError("transitions must be non-empty")
     tests = []
-    for k, (old, new) in enumerate(transitions):
+    for (old, new), (a, b) in zip(transitions, frame_labels, strict=True):
         if old == new:
             raise ValueError(f"identity transition {old}")
-        if frame_labels:
-            a, b = frame_labels[k]
-            label_a, label_b = f"frame {a}", f"frame {b}"
-        else:
-            label_a, label_b = "frame i", "frame i+1"
-        tests.append(f" {label_a}: {old} {label_b}: {new}")
+        tests.append(f" frame {a}: {old} frame {b}: {new}")
     return PromptBundle(
         instruction=TEMPORAL_INSTRUCTION,
         demonstrations=TEMPORAL_DEMONSTRATIONS,

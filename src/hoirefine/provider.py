@@ -22,8 +22,10 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from .ingest import write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -123,15 +125,18 @@ def _test_region(prompt: str) -> list[str]:
     return lines if lines else [prompt]
 
 
-def load_rule_table(path: str) -> list[MockRule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_rule_table(fh, path)
-
-
-def _parse_rule_table(lines: Iterable[str], path: str) -> list[MockRule]:
-    """Rules of a JSON-lines rule table; ``path`` names it in errors."""
+def load_rule_table(path: str) -> tuple[list[MockRule], str]:
+    """Rules of a JSON-lines rule table, and the sha256 of its bytes. An
+    unreadable file raises OSError; a file that is not UTF-8 or holds a
+    malformed rule raises RuleTableError naming ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RuleTableError(f"{path}: not UTF-8: {exc}") from None
     rules = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.strip()
         if not line:
             continue
@@ -143,7 +148,7 @@ def _parse_rule_table(lines: Iterable[str], path: str) -> list[MockRule]:
         if rule.kind not in ("triplet", "relation", "contains"):
             raise RuleTableError(f"{path}:{lineno}: unknown matcher {rule.kind!r}")
         rules.append(rule)
-    return rules
+    return rules, hashlib.sha256(data).hexdigest()
 
 
 def match_rules(rules: list[MockRule], prompt: str) -> str:
@@ -185,19 +190,12 @@ class Provider:
         self.cache_hits = 0
         self.in_flight = 0
         self.max_in_flight = 0
-        data = b""
+        self.rules_sha256 = hashlib.sha256(b"").hexdigest()
         if transport is None and spec.kind == "mock":
             rules = []
             if spec.rules_path:
-                with open(spec.rules_path, "rb") as fh:
-                    data = fh.read()
-                try:
-                    text = data.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise RuleTableError(f"{spec.rules_path}: not UTF-8: {exc}") from None
-                rules = _parse_rule_table(io.StringIO(text, newline=None), spec.rules_path)
+                rules, self.rules_sha256 = load_rule_table(spec.rules_path)
             transport = lambda _s, req: match_rules(rules, req.prompt)
-        self.rules_sha256 = hashlib.sha256(data).hexdigest()
         self._transport = transport or _http_complete
 
     @property
@@ -342,10 +340,7 @@ def cached_complete(provider: Provider, req: CompletionRequest,
 
         resp = provider.complete(req)
         os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(resp.text)
-        os.replace(tmp, path)
+        write_atomic(path, resp.text)
         return resp
     finally:
         with provider._lock:

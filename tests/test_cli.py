@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import shutil
@@ -6,8 +7,9 @@ import pytest
 
 from hoirefine import pipeline
 from hoirefine.cli import main
+from hoirefine.config import load_config
 from hoirefine.prompt import DEBATER_PREAMBLE
-from hoirefine.provider import AuthError, Provider, load_rule_table, match_rules
+from hoirefine.provider import AuthError, Provider, ProviderTimeout, load_rule_table, match_rules
 
 from conftest import fixture_path
 
@@ -111,7 +113,7 @@ class TestRefine:
 
     def test_auth_failure_in_debate_exits_two(self, tmp_path, monkeypatch, capsys):
         def rejecting_provider(spec):
-            rules = load_rule_table(spec.rules_path)
+            rules, _ = load_rule_table(spec.rules_path)
 
             def transport(_spec, req):
                 if req.prompt.startswith(DEBATER_PREAMBLE):
@@ -133,7 +135,7 @@ def transport_calls(monkeypatch):
     calls = []
 
     def counting_provider(spec):
-        rules = load_rule_table(spec.rules_path)
+        rules, _ = load_rule_table(spec.rules_path)
 
         def transport(_spec, req):
             calls.append(req.prompt)
@@ -217,6 +219,95 @@ def test_unwritable_output_path_exits_one_before_any_call(tmp_path, capsys, tran
     assert "R@" not in captured.out
     assert transport_calls == []
     assert not (tmp_path / "cache").exists()
+
+
+class TestRulesPath:
+    """A relative ``rules_path`` is relative to the config file's directory."""
+
+    def copy_rules(self, directory):
+        directory.mkdir(parents=True)
+        for pid in ("alpha", "beta"):
+            shutil.copy(fixture_path(f"rules_{pid}.jsonl"), directory / f"{pid}.jsonl")
+
+    def write_config(self, directory, rules_path):
+        with open(fixture_path("config.json"), encoding="utf-8") as fh:
+            config = json.load(fh)
+        for provider in config["providers"]:
+            provider["rules_path"] = rules_path.format(id=provider["id"])
+        directory.mkdir(parents=True, exist_ok=True)
+        cfg = directory / "config.json"
+        cfg.write_text(json.dumps(config))
+        return cfg
+
+    def refine(self, cfg, out):
+        return main(["refine", "--config", str(cfg),
+                     "--predictions", fixture_path("predictions.jsonl"),
+                     "--vocab", fixture_path("vocab.txt"), "--out", str(out)])
+
+    def test_resolves_beside_the_config(self, tmp_path):
+        self.copy_rules(tmp_path / "rules")
+        cfg = self.write_config(tmp_path, "rules/{id}.jsonl")
+        specs = load_config(str(cfg)).providers
+        assert [spec.rules_path for spec in specs] == [
+            str(tmp_path / "rules" / "alpha.jsonl"), str(tmp_path / "rules" / "beta.jsonl")]
+        assert self.refine(cfg, tmp_path / "o.jsonl") == 0
+        _, fixture_out = run_refine(tmp_path, "fixture.jsonl")
+        assert filecmp.cmp(tmp_path / "o.jsonl", fixture_out, shallow=False)
+
+    def test_missing_beside_the_config_exits_one(self, tmp_path, monkeypatch, capsys):
+        # the path exists under the working directory, but not beside the config
+        self.copy_rules(tmp_path / "rules")
+        cfg = self.write_config(tmp_path / "cfg", "rules/{id}.jsonl")
+        monkeypatch.chdir(tmp_path)
+        assert self.refine(cfg, tmp_path / "o.jsonl") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(tmp_path / "cfg" / "rules" / "alpha.jsonl") in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.fixture
+def outage_calls(monkeypatch):
+    """Prompts sent by the providers that ``refine`` and ``ablate`` build,
+    each of which times out without a retry."""
+    calls = []
+
+    def timing_out_provider(spec):
+        def transport(_spec, req):
+            calls.append(req.prompt)
+            raise ProviderTimeout("no answer")
+        return Provider(dataclasses.replace(spec, max_retries=0), transport=transport)
+
+    monkeypatch.setattr(pipeline, "Provider", timing_out_provider)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["refine", "ablate"])
+def test_total_outage_exits_two_without_output(tmp_path, capsys, outage_calls, command):
+    out = tmp_path / "o.jsonl"
+    argv = [command, *INPUT_FILES[command], "--vocab", fixture_path("vocab.txt"),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert outage_calls
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "R@" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_video_without_candidates_exits_zero_in_an_outage(tmp_path, outage_calls):
+    # every base score is under the candidate floor, so no agent is asked
+    with open(fixture_path("predictions.jsonl"), encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_text("".join(
+        json.dumps(dict(rec, scores=[0.01] * len(rec["scores"]))) + "\n" for rec in records))
+    out = tmp_path / "o.jsonl"
+    assert main(["refine", "--config", fixture_path("config.json"),
+                 "--predictions", str(predictions), "--vocab", fixture_path("vocab.txt"),
+                 "--out", str(out)]) == 0
+    assert outage_calls == []
+    assert out.exists()
 
 
 class TestEval:

@@ -26,7 +26,7 @@ def fixture_providers(config, latency=0.0, reject=False, max_concurrency=None,
     def build(spec):
         if max_concurrency is not None:
             spec = dataclasses.replace(spec, max_concurrency=max_concurrency)
-        rules = load_rule_table(spec.rules_path)
+        rules, _ = load_rule_table(spec.rules_path)
 
         def transport(_spec, req):
             sent.append((spec.id, req.prompt))

@@ -203,7 +203,7 @@ class TestFailureHandling:
         sent = []
 
         def transport_for(spec):
-            rules = load_rule_table(spec.rules_path)
+            rules, _ = load_rule_table(spec.rules_path)
 
             def transport(_spec, req):
                 if req.prompt.startswith(DEBATER_PREAMBLE):

@@ -1,10 +1,22 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hoirefine.fusion import fuse_scores, sigmoid, threshold_select
-from hoirefine.model import FusionWeights
+from hoirefine.model import (
+    CS,
+    DEBATE,
+    SCORE_KINDS,
+    SPATIAL,
+    TEMPORAL,
+    FusionWeights,
+    pair_key,
+)
+from hoirefine.pipeline import fuse_table
+
+from test_agents import propagation_cases
 
 
 def logistic(x):
@@ -89,3 +101,43 @@ class TestThresholdSelect:
     def test_threshold_domain(self, threshold):
         with pytest.raises(ValueError):
             threshold_select({}, threshold)
+
+
+def fuse_table_oracle(video, table, weights, toggles):
+    """One fuse_scores call per (frame, pair, relation) slot, in frame, pair
+    and relation order, with each disabled kind's score left out."""
+    def enabled(kinds, kind):
+        return kinds.get(kind) if toggles is None or toggles.get(kind) else None
+
+    fused = {}
+    for frame in video.frames:
+        for i, pair in enumerate(frame.pairs):
+            for r, base in enumerate(pair.scores):
+                kinds = table.kinds_at(frame.frame_index, pair_key(pair, i), r)
+                fused[(frame.frame_index, pair_key(pair, i), r)] = fuse_scores(
+                    base,
+                    s_cs=enabled(kinds, CS),
+                    s_spatial=enabled(kinds, SPATIAL),
+                    s_temporal=enabled(kinds, TEMPORAL),
+                    s_debate=enabled(kinds, DEBATE),
+                    weights=weights,
+                )
+    return fused
+
+
+TOGGLE_SETS = [None] + [dict(zip(SCORE_KINDS, bits))
+                        for bits in itertools.product((False, True), repeat=len(SCORE_KINDS))]
+
+
+class TestFuseTable:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_slot_oracle(self, data):
+        video, _keyframes, table = data.draw(propagation_cases())
+        weights = FusionWeights(lambda_cs=data.draw(weight), lambda_s=data.draw(weight),
+                                lambda_t=data.draw(weight), lambda_debate=data.draw(weight))
+        for toggles in TOGGLE_SETS:
+            got = fuse_table(video, table, weights, toggles)
+            expected = fuse_table_oracle(video, table, weights, toggles)
+            assert got == expected
+            assert list(got) == list(expected)

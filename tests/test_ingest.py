@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 
 import pytest
@@ -141,7 +142,7 @@ class TestLoadGroundTruth:
         write_lines(tmp_path / "gt.jsonl",
                     [{"frame_index": 0, "pair_id": [0, 1], "relation_index": 1}])
         gt = load_ground_truth(tmp_path / "gt.jsonl", preds)
-        assert gt.for_frame(0) == frozenset({((0, 1), 1)})
+        assert gt.frames == {0: frozenset({((0, 1), 1)})}
 
     def test_dangling_pair(self, tmp_path, vocab):
         preds = self.make_predictions(tmp_path, vocab)
@@ -226,6 +227,19 @@ class TestWritePredictions:
         pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
         with pytest.raises(OSError):
             write_predictions(pred_set, {}, str(tmp_path / "missing-dir" / "o.jsonl"))
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, vocab, monkeypatch):
+        write_lines(tmp_path / "p.jsonl", [record()])
+        pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
+        fused = {(0, pair_key(pred_set.frames[0].pairs[0], 0), r): 0.5 for r in range(vocab.n)}
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            write_predictions(pred_set, fused, str(tmp_path / "out.jsonl"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.jsonl", "vocab.txt"]
 
     def test_missing_fused_entry(self, tmp_path, vocab):
         write_lines(tmp_path / "p.jsonl", [record()])

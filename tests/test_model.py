@@ -7,7 +7,6 @@ from hoirefine.model import (
     FusionWeights,
     PairPrediction,
     RelationVocabulary,
-    UnknownRelationError,
     VideoPredictionSet,
     validate_prediction_set,
 )
@@ -36,14 +35,9 @@ def make_set(frames):
 class TestVocabulary:
     def test_lookup_positions(self):
         vocab = RelationVocabulary(("a", "b", "c", "d", "ride"))
-        assert vocab.index_of("ride") == 4
-        assert vocab.index_of("a") == 0
-
-    def test_unknown_relation(self):
-        vocab = RelationVocabulary(("a", "b"))
-        with pytest.raises(UnknownRelationError) as exc:
-            vocab.index_of("zzz")
-        assert "zzz" in str(exc.value)
+        assert vocab.names[4] == "ride"
+        assert vocab.names[0] == "a"
+        assert vocab.n == 5
 
     def test_rejects_duplicates_and_empties(self):
         with pytest.raises(ValueError):
@@ -56,8 +50,9 @@ class TestVocabulary:
     @given(st.lists(st.text(min_size=1), min_size=1, max_size=20, unique=True))
     def test_bijection(self, names):
         vocab = RelationVocabulary(tuple(names))
-        for i, name in enumerate(names):
-            assert vocab.index_of(name) == i
+        assert vocab.n == len(names)
+        assert {name: i for i, name in enumerate(vocab.names)} == {
+            name: i for i, name in enumerate(names)}
 
 
 class TestValidation:

@@ -78,7 +78,7 @@ class TestRendering:
 
     def test_temporal_identity_rejected(self):
         with pytest.raises(ValueError):
-            pr.render_temporal([("<a>", "<a>")])
+            pr.render_temporal([("<a>", "<a>")], [(0, 1)])
 
     def test_empty_tests_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import sys
 import threading
 import time
@@ -69,13 +71,21 @@ class TestMockRules:
     def test_rule_table_file_round_trip(self, tmp_path):
         path = tmp_path / "rules.jsonl"
         path.write_text(json.dumps({"match": "triplet", "key": "<a>", "response": "Output: 1"}) + "\n")
-        rules = load_rule_table(str(path))
+        rules, digest = load_rule_table(str(path))
         assert rules == [MockRule("triplet", "<a>", "Output: 1")]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert Provider(ProviderSpec(id="p", rules_path=str(path))).rules_sha256 == digest
 
     def test_malformed_rule_table(self, tmp_path):
         path = tmp_path / "rules.jsonl"
         path.write_text('{"match": "nope", "key": "x", "response": "y"}\n')
         with pytest.raises(RuleTableError):
+            load_rule_table(str(path))
+
+    def test_rule_table_not_utf8(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        path.write_bytes(b'{"match": "triplet", "key": "\xff", "response": "y"}\n')
+        with pytest.raises(RuleTableError, match="not UTF-8"):
             load_rule_table(str(path))
 
 
@@ -250,6 +260,16 @@ class TestCache:
         resp = cached_complete(provider, req(), str(tmp_path))
         assert provider.call_count == 2
         assert resp.text == "Output: 0.5"
+
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            cached_complete(mock_provider(), req(), str(tmp_path / "cache"))
+        assert list((tmp_path / "cache").iterdir()) == []
 
 
 class TestSingleFlight:

@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the synthetic offline fixture under fixtures/.
+"""Regenerate the synthetic offline fixture under fixtures/, or under the
+directory given as the only argument:
+
+    python3 tools/make_fixture.py [OUT_DIR]
 
 The fixture encodes one correctable error per pair so each reasoning
 component fixes a disjoint slice of the ground truth:
@@ -18,13 +21,14 @@ relation past the 0.3 positive threshold, so recall improves monotonically
 as components are enabled.
 """
 
+import argparse
 import json
 import os
 import sys
 
 import numpy as np
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 VOCAB = ["hold", "carry", "hug", "ride", "lean on",
          "next to", "look at", "push", "sit on", "touch"]
@@ -145,9 +149,9 @@ def write_config(path):
     config = {
         "providers": [
             {"id": "alpha", "kind": "mock", "model_name": "mock-alpha",
-             "rules_path": "fixtures/rules_alpha.jsonl"},
+             "rules_path": "rules_alpha.jsonl"},
             {"id": "beta", "kind": "mock", "model_name": "mock-beta",
-             "rules_path": "fixtures/rules_beta.jsonl"},
+             "rules_path": "rules_beta.jsonl"},
         ],
         "judge_provider": "alpha",
         "keyframe_interval": 4,
@@ -164,7 +168,7 @@ def write_config(path):
 
 
 def write_embedding_batch(path):
-    sys.path.insert(0, os.path.join(os.path.dirname(ROOT), "src"))
+    sys.path.insert(0, os.path.join(REPO, "src"))
     from hoirefine import embedloss
 
     rng = np.random.default_rng(7)
@@ -173,16 +177,19 @@ def write_embedding_batch(path):
 
 
 def main():
-    os.makedirs(ROOT, exist_ok=True)
-    write_predictions(os.path.join(ROOT, "predictions.jsonl"))
-    write_gt(os.path.join(ROOT, "gt.jsonl"))
-    with open(os.path.join(ROOT, "vocab.txt"), "w") as fh:
+    parser = argparse.ArgumentParser(description="Write the synthetic offline fixture.")
+    parser.add_argument("out_dir", nargs="?", default=os.path.join(REPO, "fixtures"))
+    out = parser.parse_args().out_dir
+    os.makedirs(out, exist_ok=True)
+    write_predictions(os.path.join(out, "predictions.jsonl"))
+    write_gt(os.path.join(out, "gt.jsonl"))
+    with open(os.path.join(out, "vocab.txt"), "w") as fh:
         fh.write("\n".join(VOCAB) + "\n")
-    write_rules(os.path.join(ROOT, "rules_alpha.jsonl"), 0.9)
-    write_rules(os.path.join(ROOT, "rules_beta.jsonl"), 0.3)
-    write_config(os.path.join(ROOT, "config.json"))
-    write_embedding_batch(os.path.join(ROOT, "embedding_batch.jsonl"))
-    print(f"fixture written under {os.path.abspath(ROOT)}")
+    write_rules(os.path.join(out, "rules_alpha.jsonl"), 0.9)
+    write_rules(os.path.join(out, "rules_beta.jsonl"), 0.3)
+    write_config(os.path.join(out, "config.json"))
+    write_embedding_batch(os.path.join(out, "embedding_batch.jsonl"))
+    print(f"fixture written under {os.path.abspath(out)}")
 
 
 if __name__ == "__main__":
