@@ -6,10 +6,10 @@ Agents only score candidate relations whose base confidence reaches a small
 floor; scoring every relation of every pair is exactly the call-volume
 explosion keyframe sampling exists to avoid.
 
-Every agent asks its provider through one loop, ``_score_batches``, with one
-failure policy, which the stage-2 debate shares: an AuthError is fatal and
-propagates to the caller; any other ProviderError is logged and leaves only
-the failed batch's slots unscored.
+Every agent asks its provider through one loop, ``_score_batches``, which
+asks each distinct prompt once. Its failure policy is shared with the stage-2
+debate: an AuthError is fatal and propagates to the caller; any other
+ProviderError is logged and leaves only the failed batch's slots unscored.
 
 Each agent function asks one provider; ``pipeline.run_stage_one`` runs an
 agent for every provider at once and the agents one after another. One
@@ -51,11 +51,6 @@ from .provider import AuthError, CompletionRequest, Provider, ProviderError, cac
 log = logging.getLogger(__name__)
 
 
-class TrackingUnavailableError(RuntimeError):
-    """No pair identifiers in the video; temporal reasoning and per-pair
-    propagation cannot run."""
-
-
 @dataclass(frozen=True)
 class Transition:
     """A pair whose argmax relation changed between consecutive frames."""
@@ -85,9 +80,7 @@ def _argmax(scores) -> int:
 
 def detect_transitions(pred_set: VideoPredictionSet) -> list[Transition]:
     """Argmax-relation changes for tracked pairs present in consecutive
-    frames. Raises TrackingUnavailableError when no pair carries an id."""
-    if not any(p.pair_id is not None for _, p in pred_set.iter_pairs()):
-        raise TrackingUnavailableError("no pair identifiers in prediction set")
+    frames; a video without pair ids has none."""
     transitions = []
     frames = pred_set.frames
     for prev, cur in zip(frames, frames[1:]):
@@ -169,12 +162,14 @@ def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
 
     ``render(batch)`` builds the prompt bundle and ``parse(raw, n)`` returns
     one value or None per item; both run on the calling thread, in batch
-    order. Returns {item: value} for the items whose answer parsed. An
-    AuthError propagates and stops queued batches; any other ProviderError
-    drops only its own batch.
+    order. Each distinct prompt is asked once, and its answer parsed for
+    every batch that rendered it. Returns {item: value} for the items whose
+    answer parsed. An AuthError propagates and stops queued prompts; any
+    other ProviderError drops only the batches of its own prompt.
     """
     batches = [items[start:start + batch_size] for start in range(0, len(items), batch_size)]
     prompts = [render(batch).render() for batch in batches]
+    distinct = list(dict.fromkeys(prompts))
 
     def ask(prompt: str) -> Optional[str]:
         req = CompletionRequest(provider_id=provider.id, prompt=prompt)
@@ -186,8 +181,10 @@ def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
             log.warning("%s: %s batch failed: %s", provider.id, what, exc)
             return None
 
+    answers = dict(zip(distinct, fan_out(ask, distinct, provider.spec.max_concurrency)))
     values = {}
-    for batch, raw in zip(batches, fan_out(ask, prompts, provider.spec.max_concurrency)):
+    for batch, prompt in zip(batches, prompts):
+        raw = answers[prompt]
         if raw is None:
             continue
         for item, value in zip(batch, parse(raw, len(batch))):
@@ -282,7 +279,8 @@ def run_temporal(
 ) -> AgentScoreTable:
     """Score each transition's change; the score attaches to the new relation
     at the later frame (the old relation is untouched). Each transition is
-    its own test slot, even when two pairs show the same change."""
+    its own test slot, even when two pairs show the same change; a batch
+    prompt that such slots repeat is asked once."""
     pair_lookup = {(frame.frame_index, pair.pair_id): pair
                    for frame, pair in pred_set.iter_pairs() if pair.pair_id is not None}
     texts, wanted = {}, {}

@@ -7,10 +7,11 @@ debate therefore has exactly 1 + N^2 history entries. An opening answer sees
 only the bare question, so all N openings are asked at once; the response
 turns then run one after another, each on the history it would see if the
 openings had been asked in turn, so the critical path is N^2 - N + 2 calls.
-Distinct debates are independent: ``pipeline.run_stage_two`` runs them
-concurrently, on as many threads as the providers' summed
-``max_concurrency``, and stops starting them once one raises. Judge scores
-are recorded in candidate order, whichever debate finishes first.
+Debates are independent: ``pipeline.run_stage_two`` runs one per distinct
+question, concurrently, on as many threads as the providers' summed
+``max_concurrency``, and stops starting them once one raises. Candidates
+that render the same question share its debate and its judge score, which
+is recorded in candidate order, whichever debate finishes first.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .agents import fan_out
+from .ingest import write_atomic
 from .prompt import box_text, parse_score_output, render_debate_turn
 from .provider import AuthError, CompletionRequest, Provider, ProviderError, cached_complete
 
@@ -139,14 +141,12 @@ def transcript_filename(question: str) -> str:
 
 
 def persist_transcript(transcript: DebateTranscript, directory: str) -> str:
-    """Audit record: one line per history entry plus the judge's answer."""
+    """Audit record: one line per history entry plus the judge's answer,
+    written with ``write_atomic``, so a failed write leaves no partial file."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, transcript_filename(transcript.question))
-    with open(path, "w", encoding="utf-8") as fh:
-        for speaker, text in transcript.entries:
-            fh.write(json.dumps({"speaker": speaker, "text": text}, sort_keys=True) + "\n")
-        fh.write(json.dumps(
-            {"speaker": "judge", "text": transcript.judge_answer,
-             "score": transcript.judge_score},
-            sort_keys=True) + "\n")
+    records = [{"speaker": speaker, "text": text} for speaker, text in transcript.entries]
+    records.append({"speaker": "judge", "text": transcript.judge_answer,
+                    "score": transcript.judge_score})
+    write_atomic(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     return path

@@ -8,12 +8,10 @@ failing. The debate judge's score is shared, not per-provider.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .agents import (
-    Transition,
     detect_transitions,
     fan_out,
     keyframe_slots,
@@ -22,7 +20,6 @@ from .agents import (
     run_spatial,
     run_temporal,
     select_keyframes,
-    TrackingUnavailableError,
 )
 from .config import RefinementConfig
 from .debate import (
@@ -45,8 +42,6 @@ from .model import (
     pair_key,
 )
 from .provider import Provider, ProviderError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -78,7 +73,6 @@ class RunStats:
 class RefinementOutcome:
     fused: dict  # (frame_index, pair_key, relation_index) -> fused score
     table: AgentScoreTable  # propagated, aggregated agent scores
-    keyframes: set[int]
     stats: RunStats
 
 
@@ -112,15 +106,11 @@ def run_stage_one(
     An AuthError propagates once the other providers' runs of that agent
     have finished, and no later agent starts."""
     vocab = pred_set.vocabulary
-    transitions: list[Transition] = []
-    try:
-        transitions = [
-            tr for tr in detect_transitions(pred_set)
-            # keyframe-adjacent changes only; others are covered by propagation
-            if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
-        ]
-    except TrackingUnavailableError:
-        log.info("no pair tracking; temporal agent disabled")
+    transitions = [
+        tr for tr in detect_transitions(pred_set)
+        # keyframe-adjacent changes only; others are covered by propagation
+        if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
+    ]
 
     tables = {provider.id: AgentScoreTable() for provider in providers}
     for agent in (
@@ -150,11 +140,15 @@ def run_stage_two(
     keyframes: set[int],
     cache_dir: Optional[str],
     transcript_dir: Optional[str],
-) -> AgentScoreTable:
-    """Debate the selected keyframe candidates and record judge scores.
+) -> tuple[AgentScoreTable, int]:
+    """Debate the selected keyframe candidates; return their judge scores and
+    the number of debates run.
 
-    Distinct debates run concurrently on as many threads as the providers
-    allow requests in flight together (the sum of their ``max_concurrency``);
+    Every candidate's question is rendered first. One debate runs, and is
+    persisted, per distinct question, in the order of the first candidate
+    asking it; its judge score goes on every candidate that asked it. The
+    debates run concurrently on as many threads as the providers allow
+    requests in flight together (the sum of their ``max_concurrency``);
     each provider's own semaphore still bounds its requests. Once a debate
     raises, no queued debate starts and the error propagates."""
     vocab = pred_set.vocabulary
@@ -177,30 +171,30 @@ def run_stage_two(
 
     candidates = select_debate_candidates(
         per_provider_fused, config.debate_mode, config.disagreement_delta)
-    if not candidates:
-        return AgentScoreTable()
-
-    def debate_slot(slot):
-        frame_index, pk, r = slot
-        pair = slot_pairs[slot]
-        question = render_debate_question(
-            triplet_to_text(pair, r, vocab),
-            pair.human_box.as_int_list(),
-            pair.object_box.as_int_list(),
-            {providers[i].id: per_provider_fused[slot][i] for i in range(len(providers))},
+    asked = {
+        slot: render_debate_question(
+            triplet_to_text(slot_pairs[slot], slot[2], vocab),
+            slot_pairs[slot].human_box.as_int_list(),
+            slot_pairs[slot].object_box.as_int_list(),
+            {p.id: score for p, score in zip(providers, per_provider_fused[slot])},
         )
+        for slot in candidates
+    }
+    questions = list(dict.fromkeys(asked.values()))
+
+    def debate(question):
         transcript = run_debate(question, providers, judge, cache_dir=cache_dir)
         if transcript_dir:
             persist_transcript(transcript, transcript_dir)
         return transcript.judge_score
 
-    table = AgentScoreTable()
     pool_size = sum(p.spec.max_concurrency for p in providers)
-    for (frame_index, pk, r), score in zip(candidates,
-                                           fan_out(debate_slot, candidates, pool_size)):
-        if score is not None:
-            table.set(frame_index, pk, r, DEBATE, score)
-    return table
+    scores = dict(zip(questions, fan_out(debate, questions, pool_size)))
+    table = AgentScoreTable()
+    for (frame_index, pk, r), question in asked.items():
+        if scores[question] is not None:
+            table.set(frame_index, pk, r, DEBATE, scores[question])
+    return table, len(questions)
 
 
 def fuse_table(
@@ -276,10 +270,9 @@ def refine(
 
     debates = 0
     if config.debate_mode != "off":
-        debate_table = run_stage_two(
+        debate_table, debates = run_stage_two(
             pred_set, config, providers, judge, per_provider, keyframes,
             cache_dir, transcript_dir)
-        debates = len(debate_table)
         table.merge(debate_table)
 
     # propagation fills only non-keyframes, so keyframe coverage is final here
@@ -295,4 +288,4 @@ def refine(
         debates=debates,
         coverage=coverage,
     )
-    return RefinementOutcome(fused=fused, table=table, keyframes=keyframes, stats=stats)
+    return RefinementOutcome(fused=fused, table=table, stats=stats)

@@ -4,10 +4,11 @@ and a content-addressed response cache.
 
 The cache is one file per key under a directory, so it is process- and
 language-agnostic; values are deterministic per key at temperature 0, which
-makes last-writer-wins safe under concurrent writers. The key covers what
-produces the answer: the provider's id, model, endpoint and mock rule table,
-and the request. Within one Provider, concurrent requests for one key are
-single-flight: the first asks, the others then read its cached answer.
+makes last-writer-wins safe under concurrent writers: each writer renames a
+complete file into place. The key covers what produces the answer: the
+provider's id, model, endpoint and mock rule table, and the request. The
+cache does not de-duplicate requests in flight; the callers ask each
+distinct prompt once per run.
 """
 
 from __future__ import annotations
@@ -152,24 +153,21 @@ def load_rule_table(path: str) -> tuple[list[MockRule], str]:
 
 
 def match_rules(rules: list[MockRule], prompt: str) -> str:
-    """First matching rule's response; no match falls back to 'Output: 0.5'.
+    """One answer per test instance of the prompt, in order and one per
+    line: the response of the first rule matching that instance's line, or
+    'Output: 0.5'. A prompt without test instances gets one answer, matched
+    against the whole prompt.
 
-    Triplet and relation matchers look only at the test instances of the
-    prompt so in-context demonstrations never trigger a rule.
+    Rules look only at the test lines, so in-context demonstrations never
+    trigger a rule; a relation rule matches the quoted relation name.
     """
-    region = _test_region(prompt)
-    for rule in rules:
-        if rule.kind == "contains":
-            if rule.key in prompt:
+    def answer(line: str) -> str:
+        for rule in rules:
+            if (f"'{rule.key}'" if rule.kind == "relation" else rule.key) in line:
                 return rule.response
-        elif rule.kind == "triplet":
-            if any(rule.key in ln for ln in region):
-                return rule.response
-        elif rule.kind == "relation":
-            quoted = f"'{rule.key}'"
-            if any(quoted in ln for ln in region):
-                return rule.response
-    return "Output: 0.5"
+        return "Output: 0.5"
+
+    return "\n".join(answer(line) for line in _test_region(prompt))
 
 
 class Provider:
@@ -185,7 +183,6 @@ class Provider:
         self.spec = spec
         self._semaphore = threading.BoundedSemaphore(spec.max_concurrency)
         self._lock = threading.Lock()
-        self._leaders: dict[str, threading.Event] = {}  # cache key -> set when answered
         self.call_count = 0
         self.cache_hits = 0
         self.in_flight = 0
@@ -309,40 +306,28 @@ def cached_complete(provider: Provider, req: CompletionRequest,
                     cache_dir: Optional[str] = None) -> CompletionResponse:
     """Content-addressed caching wrapper around ``Provider.complete``.
 
-    A hit returns the stored text without a remote call; corrupted entries
-    are treated as misses with a warning. A request for a key already in
-    flight on this provider waits for it and then reads the cache, so it is
-    billed only if the first request failed. Without a cache directory this
-    is a plain ``Provider.complete``.
+    A hit returns the stored text without a remote call; an entry whose
+    file cannot be read (an OSError) is a miss, with a warning. A miss asks
+    the provider and writes the answer with ``write_atomic``, so concurrent
+    writers of one key each leave a complete file. Without a cache directory
+    this is a plain ``Provider.complete``.
     """
     if not cache_dir:
         return provider.complete(req)
     key = cache_key(provider, req)
     path = os.path.join(cache_dir, key)
-    while True:
-        with provider._lock:
-            leader = provider._leaders.get(key)
-            if leader is None:
-                done = provider._leaders[key] = threading.Event()
-                break
-        leader.wait()
     try:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            with provider._lock:
-                provider.cache_hits += 1
-            return CompletionResponse(text=text, cached=True)
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            log.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
-
-        resp = provider.complete(req)
-        os.makedirs(cache_dir, exist_ok=True)
-        write_atomic(path, resp.text)
-        return resp
-    finally:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         with provider._lock:
-            del provider._leaders[key]
-        done.set()
+            provider.cache_hits += 1
+        return CompletionResponse(text=text, cached=True)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        log.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
+
+    resp = provider.complete(req)
+    os.makedirs(cache_dir, exist_ok=True)
+    write_atomic(path, resp.text)
+    return resp

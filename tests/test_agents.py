@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from hoirefine.agents import (
     Transition,
-    TrackingUnavailableError,
     classify_spatial_awareness,
     detect_transitions,
     fan_out,
@@ -110,13 +109,12 @@ class TestTransitions:
         ])
         assert detect_transitions(video) == []
 
-    def test_untracked_video_raises(self):
+    def test_untracked_video_has_no_transitions(self):
         video = make_video([
-            frame(0, [make_pair(0, pair_id=None)]),
-            frame(1, [make_pair(1, pair_id=None)]),
+            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=None)]),
+            frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=None)]),
         ])
-        with pytest.raises(TrackingUnavailableError):
-            detect_transitions(video)
+        assert detect_transitions(video) == []
 
 
 class TestCommonSense:
@@ -134,6 +132,13 @@ class TestCommonSense:
         assert table.get(0, ("id", 0, 1), 1, CS) == 0.1
         # below the candidate floor, never queried
         assert table.get(0, ("id", 0, 1), 2, CS) is None
+
+    def test_batched_rule_table_answers_land_on_their_own_slots(self):
+        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
+        table = run_common_sense(provider(self.rules()), video, {0}, VOCAB,
+                                 FLOOR, batch_size=3)
+        assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
+        assert table.get(0, ("id", 0, 1), 1, CS) == 0.1
 
     def test_distinct_texts_cost_one_call_each(self):
         pairs = [make_pair(f, scores=(0.5, 0.5, 0.02)) for f in range(4)]
@@ -413,7 +418,9 @@ class TestTemporal:
         transport, prompts = answer_every_test(0.5)
         table = run_temporal(provider(transport=transport), video, transitions, VOCAB,
                              batch_size=batch_size)
-        assert len(prompts) == math.ceil(len(transitions) / batch_size)
+        # each distinct prompt is asked once: at batch size 1 the four pairs
+        # of a frame render one prompt, at 5 the three batches differ
+        assert len(prompts) == len(set(prompts)) == 3
         assert len(table) == len(transitions)
 
     def test_no_transitions_no_calls(self):

@@ -8,7 +8,7 @@ import pytest
 from hoirefine import pipeline
 from hoirefine.cli import main
 from hoirefine.config import load_config
-from hoirefine.prompt import DEBATER_PREAMBLE
+from hoirefine.prompt import DEBATER_PREAMBLE, JUDGE_PREAMBLE
 from hoirefine.provider import AuthError, Provider, ProviderTimeout, load_rule_table, match_rules
 
 from conftest import fixture_path
@@ -308,6 +308,24 @@ def test_video_without_candidates_exits_zero_in_an_outage(tmp_path, outage_calls
                  "--out", str(out)]) == 0
     assert outage_calls == []
     assert out.exists()
+
+
+def test_summary_counts_debates_whose_judge_failed(tmp_path, capsys, monkeypatch):
+    # the fixture's 36 debated candidates ask 10 distinct questions; every
+    # judge call times out, yet each of those debates ran
+    def judge_rejecting_provider(spec):
+        rules, _ = load_rule_table(spec.rules_path)
+
+        def transport(_spec, req):
+            if req.prompt.startswith(JUDGE_PREAMBLE):
+                raise ProviderTimeout("no answer")
+            return match_rules(rules, req.prompt)
+        return Provider(dataclasses.replace(spec, max_retries=0), transport=transport)
+
+    monkeypatch.setattr(pipeline, "Provider", judge_rejecting_provider)
+    code, _ = run_refine(tmp_path, "refined.jsonl")
+    assert code == 0
+    assert "debates run: 10\n" in capsys.readouterr().out
 
 
 class TestEval:

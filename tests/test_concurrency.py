@@ -90,12 +90,13 @@ def test_refine_leaves_no_thread_running(fixture_predictions, fixture_config):
     assert threading.active_count() == before
 
 
-def test_billed_calls_equal_distinct_prompts_with_a_cache_dir(fixture_predictions,
-                                                              fixture_config, tmp_path):
-    # concurrent debates ask identical debater and judge prompts; with a cache
-    # directory each distinct prompt is billed once
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache_dir", "cache_dir"])
+def test_billed_calls_equal_distinct_prompts(fixture_predictions, fixture_config, tmp_path,
+                                             cached):
+    # the fixture's 36 debated candidates ask only 10 distinct questions;
+    # each distinct prompt is billed once, with or without a cache directory
     for run in range(5):
         providers, sent = fixture_providers(fixture_config, latency=0.002)
-        refine(fixture_predictions, fixture_config, cache_dir=str(tmp_path / f"cache-{run}"),
-               providers=providers)
-        assert sum(p.call_count for p in providers) == len(sent) == len(set(sent))
+        refine(fixture_predictions, fixture_config, providers=providers,
+               cache_dir=str(tmp_path / f"cache-{run}") if cached else None)
+        assert sum(p.call_count for p in providers) == len(sent) == len(set(sent)) == 86

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import threading
 from collections import Counter
 
@@ -15,9 +16,17 @@ from hoirefine.debate import (
     select_debate_candidates,
     transcript_filename,
 )
-from hoirefine.config import load_config
+from hoirefine.config import RefinementConfig, load_config
 from hoirefine.ingest import load_predictions, load_vocabulary
-from hoirefine.pipeline import refine
+from hoirefine.model import (
+    DEBATE,
+    AgentScoreTable,
+    FramePrediction,
+    RelationVocabulary,
+    VideoPredictionSet,
+    pair_key,
+)
+from hoirefine.pipeline import refine, run_stage_two
 from hoirefine.prompt import DEBATER_PREAMBLE, render_debate_turn
 from hoirefine.provider import (
     AuthError,
@@ -29,6 +38,7 @@ from hoirefine.provider import (
 )
 
 from conftest import fixture_path
+from test_model import make_pair
 
 
 def scripted(pid, reply=None, transport=None, max_concurrency=4):
@@ -295,3 +305,38 @@ class TestQuestionAndPersistence:
         assert lines[0] == {"speaker": "question", "text": "q"}
         assert lines[1] == {"speaker": "a", "text": "stance A"}
         assert lines[2] == {"speaker": "judge", "text": "Output: 0.8", "score": 0.8}
+
+    def test_failed_replace_leaves_no_partial_transcript(self, tmp_path, monkeypatch):
+        transcript = DebateTranscript(question="q", entries=(("question", "q"),),
+                                      judge_answer="Output: 0.8", judge_score=0.8)
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            persist_transcript(transcript, str(tmp_path / "transcripts"))
+        assert list((tmp_path / "transcripts").iterdir()) == []
+
+
+class TestStageTwo:
+    def test_candidates_asking_one_question_share_one_debate(self, tmp_path):
+        # two untracked, identical pairs: one candidate relation each, both
+        # rendering the same question
+        pairs = tuple(make_pair(0, scores=(0.9, 0.01, 0.01), pair_id=None) for _ in range(2))
+        video = VideoPredictionSet("v", RelationVocabulary(("hold", "ride", "sit on")),
+                                   (FramePrediction(0, 640, 480, pairs),))
+        judge, other = scripted("a", reply="Output: 0.8"), scripted("b")
+        providers = [judge, other]
+        config = RefinementConfig(providers=tuple(p.spec for p in providers),
+                                  judge_provider="a", debate_mode="always")
+        table, debates = run_stage_two(
+            video, config, providers, judge, {p.id: AgentScoreTable() for p in providers},
+            {0}, None, str(tmp_path / "transcripts"))
+        assert debates == 1
+        # one two-debater debate: each debater opens and responds once, and
+        # the judge answers once
+        assert (judge.call_count, other.call_count) == (3, 2)
+        assert [table.get(0, pair_key(pair, i), 0, DEBATE) for i, pair in enumerate(pairs)] \
+            == [0.8, 0.8]
+        assert len(list((tmp_path / "transcripts").iterdir())) == 1

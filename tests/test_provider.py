@@ -64,6 +64,17 @@ class TestMockRules:
         assert match_rules(rules, "Input: is the relation 'ride' spatial-aware? Output:") == "yes"
         assert match_rules(rules, "Input:<person,ride,bicycle> Output:") == "Output: 0.5"
 
+    def test_batch_answers_each_test_line(self):
+        # each test line gets the first rule matching that line, in order;
+        # answered demonstration lines match nothing
+        rules = [MockRule("triplet", "<person,hug,table>", "Output: 0.1"),
+                 MockRule("contains", "person box [300", "Output: 0.9")]
+        prompt = ("Input:<person,hug,table> person box [300,1,2,3] Output: 1.0\n"
+                  "Input:<person,hold,cup> Output:\n"
+                  "Input:<person,hug,table> Output:\n"
+                  "Input:<person,sit on,chair> person box [300,1,2,3] Output:")
+        assert match_rules(rules, prompt) == "Output: 0.5\nOutput: 0.1\nOutput: 0.9"
+
     def test_contains_rule_matches_anywhere(self):
         rules = [MockRule("contains", "person box [300", "Output: 0.1")]
         assert match_rules(rules, "judge this: person box [300,1,2,3]") == "Output: 0.1"
@@ -271,63 +282,21 @@ class TestCache:
             cached_complete(mock_provider(), req(), str(tmp_path / "cache"))
         assert list((tmp_path / "cache").iterdir()) == []
 
-
-class TestSingleFlight:
-    @pytest.mark.parametrize("first_fails", [False, True])
-    def test_second_request_waits_for_the_first(self, tmp_path, first_fails):
-        started, release = threading.Event(), threading.Event()
-
-        def transport(spec, request):
-            if not started.is_set():
-                started.set()
-                release.wait(5)
-                if first_fails:
-                    raise ProviderTimeout("first request fails")
-            return "Output: 0.7"
-
-        provider = Provider(ProviderSpec(id="p", kind="mock", max_retries=0),
-                            transport=transport)
-        answers = []
-
-        def ask():
-            try:
-                answers.append(cached_complete(provider, req(), str(tmp_path)))
-            except ProviderTimeout:
-                answers.append(None)
-
-        first = threading.Thread(target=ask)
-        first.start()
-        assert started.wait(5)
-        second = threading.Thread(target=ask)
-        second.start()
-        time.sleep(0.05)
-        assert provider.call_count == 1  # the second request is waiting
-        release.set()
-        for t in (first, second):
-            t.join(timeout=5)
-            assert not t.is_alive()
-        if first_fails:
-            # the waiter asks again, as it would have after a serial failure
-            assert answers[0] is None and not answers[1].cached
-            assert provider.call_count == 2
-        else:
-            assert [a.cached for a in answers] == [False, True]
-            assert provider.call_count == 1 and provider.cache_hits == 1
-        assert answers[1].text == "Output: 0.7"
-
-
-    def test_many_threads_bill_each_key_once(self, tmp_path):
+    def test_concurrent_askers_leave_one_complete_file_per_key(self, tmp_path):
+        # askers of one key in flight together may each bill it; each gets
+        # its own prompt's answer, and the renames leave one whole file a key
         def transport(spec, request):
             time.sleep(0.002)
-            return "Output: 0.5"
+            return f"answer to {request.prompt}"
 
         provider = Provider(ProviderSpec(id="p", kind="mock", max_concurrency=4),
                             transport=transport)
         start = threading.Barrier(16, timeout=5)
+        texts = {}
 
         def ask(i):
             start.wait()
-            cached_complete(provider, req(f"prompt {i % 4}"), str(tmp_path))
+            texts[i] = cached_complete(provider, req(f"prompt {i % 4}"), str(tmp_path)).text
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -340,8 +309,11 @@ class TestSingleFlight:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert provider.call_count == 4
-        assert provider.cache_hits == 12
+        assert texts == {i: f"answer to prompt {i % 4}" for i in range(16)}
+        assert provider.call_count + provider.cache_hits == 16
+        entries = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
+        assert not [name for name in entries if ".tmp." in name]
+        assert sorted(entries.values()) == [f"answer to prompt {k}" for k in range(4)]
 
 
 class TestSpecValidation:
