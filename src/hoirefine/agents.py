@@ -11,12 +11,16 @@ asks each distinct prompt once. Its failure policy is shared with the stage-2
 debate: an AuthError is fatal and propagates to the caller; any other
 ProviderError is logged and leaves only the failed batch's slots unscored.
 
-Each agent function asks one provider; ``pipeline.run_stage_one`` runs an
-agent for every provider at once and the agents one after another. One
-agent's batches are in flight together, up to the provider's
-``max_concurrency``. Prompts are rendered before and answers parsed after,
-in batch order on the calling thread, so the output does not depend on
-which answer arrives first.
+Each agent function asks one provider; ``pipeline.run_stage_one`` runs
+every agent for every provider at once. One agent's batches are in flight
+together, up to the provider's ``max_concurrency``. Each answer is parsed
+as it arrives, and each batch is reported at once to the agent's
+``on_scored(table, slots)``: a table of the batch's scores and every
+candidate slot the batch covers, scored or not, so a caller knows when a
+slot's scores are final. Each slot gets each kind from one batch, so the
+scores do not depend on which answer arrives first. Agents return nothing;
+their reports are their result. Agents given one ``stop`` event start no
+further prompt once any of them has raised.
 """
 
 from __future__ import annotations
@@ -112,25 +116,29 @@ def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: flo
                     yield frame.frame_index, pk, r, pair
 
 
-def fan_out(fn: Callable, items: list, max_workers: int) -> list:
+def fan_out(fn: Callable, items: list, max_workers: int,
+            stop: Optional[threading.Event] = None) -> list:
     """``[fn(item) for item in items]``, run by the calling thread together
     with up to ``max_workers - 1`` helper threads, joined before return.
 
     The calling thread takes the first item, so at least one item runs in
     the caller's own thread-local context (a profiler's open span, say);
     every thread then takes the next unstarted item. With one worker, one
-    item or none, no thread is started. Once a call has raised, no further
-    item starts; the calls already running finish, then the first exception
-    in item order propagates.
+    item or none, no thread is started. Once a call has raised, or ``stop``
+    is set, no further item starts; a call that raises sets ``stop``, so
+    fan-outs sharing it stop together. The calls already running finish,
+    then the first exception in item order propagates; without one, an item
+    left unstarted by ``stop`` has the result None.
     """
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
     unstarted = iter(range(len(items)))
+    stop = threading.Event() if stop is None else stop
 
     def take() -> Optional[int]:
         with lock:
-            return None if errors else next(unstarted, None)
+            return None if stop.is_set() else next(unstarted, None)
 
     def work(i: Optional[int]) -> None:
         while i is not None:
@@ -139,6 +147,7 @@ def fan_out(fn: Callable, items: list, max_workers: int) -> list:
             except BaseException as exc:
                 with lock:
                     errors[i] = exc
+                    stop.set()
                 return
             i = take()
 
@@ -156,51 +165,53 @@ def fan_out(fn: Callable, items: list, max_workers: int) -> list:
 
 
 def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
-                   render, parse, cache_dir: Optional[str]) -> dict:
+                   render, parse, cache_dir: Optional[str], on_batch: Callable,
+                   stop: Optional[threading.Event]) -> None:
     """Ask ``provider`` about ``items``, ``batch_size`` per prompt, with up to
     ``provider.spec.max_concurrency`` prompts in flight.
 
-    ``render(batch)`` builds the prompt bundle and ``parse(raw, n)`` returns
-    one value or None per item; both run on the calling thread, in batch
-    order. Each distinct prompt is asked once, and its answer parsed for
-    every batch that rendered it. Returns {item: value} for the items whose
-    answer parsed. An AuthError propagates and stops queued prompts; any
-    other ProviderError drops only the batches of its own prompt.
+    ``render(batch)`` builds the prompt bundle on the calling thread. Each
+    distinct prompt is asked once; as its answer arrives, ``parse(raw, n)``
+    turns it into one value or None per item for every batch that rendered
+    it, and ``on_batch(batch, values)`` gets them, on the thread that asked.
+    A batch whose prompt failed gets all None. An AuthError propagates, sets
+    ``stop`` and starts no queued prompt of any fan-out sharing ``stop``;
+    its batches are not reported. Any other ProviderError drops only the
+    values of its own prompt.
     """
-    batches = [items[start:start + batch_size] for start in range(0, len(items), batch_size)]
-    prompts = [render(batch).render() for batch in batches]
-    distinct = list(dict.fromkeys(prompts))
+    batches: dict[str, list] = {}
+    for start in range(0, len(items), batch_size):
+        batch = items[start:start + batch_size]
+        batches.setdefault(render(batch).render(), []).append(batch)
 
-    def ask(prompt: str) -> Optional[str]:
+    def ask(prompt: str) -> None:
         req = CompletionRequest(provider_id=provider.id, prompt=prompt)
         try:
-            return cached_complete(provider, req, cache_dir).text
+            raw = cached_complete(provider, req, cache_dir).text
         except AuthError:
             raise
         except ProviderError as exc:
             log.warning("%s: %s batch failed: %s", provider.id, what, exc)
-            return None
+            raw = None
+        for batch in batches[prompt]:
+            on_batch(batch, [None] * len(batch) if raw is None else parse(raw, len(batch)))
 
-    answers = dict(zip(distinct, fan_out(ask, distinct, provider.spec.max_concurrency)))
-    values = {}
-    for batch, prompt in zip(batches, prompts):
-        raw = answers[prompt]
-        if raw is None:
-            continue
-        for item, value in zip(batch, parse(raw, len(batch))):
-            if value is not None:
-                values[item] = value
-    return values
+    fan_out(ask, list(batches), provider.spec.max_concurrency, stop)
 
 
-def _scatter(values: dict, wanted: dict, kind: str) -> AgentScoreTable:
-    """Put each item's value on every (frame, pair_key, relation) slot that
-    wanted it."""
-    table = AgentScoreTable()
-    for item, value in values.items():
-        for frame_index, pk, r in wanted[item]:
-            table.set(frame_index, pk, r, kind, value)
-    return table
+def _reporter(wanted: dict, kind: str, on_scored: Callable) -> Callable:
+    """An ``on_batch`` that puts each item's value on every (frame, pair_key,
+    relation) slot that wanted it, and reports the batch's table and all its
+    slots, scored or not, to ``on_scored``."""
+    def on_batch(batch: list, values: list) -> None:
+        table, slots = AgentScoreTable(), []
+        for item, value in zip(batch, values):
+            for slot in wanted[item]:
+                slots.append(slot)
+                if value is not None:
+                    table.set(*slot, kind, value)
+        on_scored(table, slots)
+    return on_batch
 
 
 def run_common_sense(
@@ -211,30 +222,40 @@ def run_common_sense(
     floor: float,
     batch_size: int,
     cache_dir: Optional[str] = None,
-) -> AgentScoreTable:
+    on_scored: Callable = lambda table, slots: None,
+    stop: Optional[threading.Event] = None,
+) -> None:
     """Rationality scores for every candidate (keyframe, pair, relation).
 
     Scores are keyed by triplet text, so each distinct text costs one test
-    slot regardless of how many keyframes it appears in.
+    slot regardless of how many keyframes it appears in. Each batch is
+    reported as ``on_scored(table, slots)`` when its answer arrives, every
+    candidate slot once.
     """
     wanted: dict[str, list[tuple]] = {}
     for frame_index, pk, r, pair in keyframe_slots(pred_set, keyframes, floor):
         wanted.setdefault(triplet_to_text(pair, r, vocab), []).append((frame_index, pk, r))
-    scores = _score_batches(provider, "common-sense", sorted(wanted), batch_size,
-                            render_common_sense, parse_score_output, cache_dir)
-    return _scatter(scores, wanted, CS)
+    _score_batches(provider, "common-sense", sorted(wanted), batch_size,
+                   render_common_sense, parse_score_output, cache_dir,
+                   _reporter(wanted, CS, on_scored), stop)
 
 
 def classify_spatial_awareness(
     provider: Provider,
     relation_names: list[str],
     cache_dir: Optional[str] = None,
+    stop: Optional[threading.Event] = None,
 ) -> dict[str, bool]:
     """Stage-1 spatial query: one yes/no per relation name, memoized by the
     response cache. A failed or unparseable answer means not spatial-aware."""
-    verdicts = _score_batches(provider, "awareness", relation_names, 1,
-                              lambda batch: render_spatial("awareness", batch),
-                              lambda raw, _n: [parse_binary_output(raw)], cache_dir)
+    verdicts = {}
+
+    def on_batch(batch: list, values: list) -> None:
+        verdicts[batch[0]] = values[0] is True
+
+    _score_batches(provider, "awareness", relation_names, 1,
+                   lambda batch: render_spatial("awareness", batch),
+                   lambda raw, _n: [parse_binary_output(raw)], cache_dir, on_batch, stop)
     return {name: verdicts.get(name, False) for name in relation_names}
 
 
@@ -246,27 +267,37 @@ def run_spatial(
     floor: float,
     batch_size: int,
     cache_dir: Optional[str] = None,
-) -> AgentScoreTable:
+    on_scored: Callable = lambda table, slots: None,
+    stop: Optional[threading.Event] = None,
+) -> None:
     """Two-stage spatial reasoning: classify each relation name once, then
-    score only spatial-aware candidates with that frame's boxes."""
+    score only spatial-aware candidates with that frame's boxes.
+
+    Reports like ``run_common_sense``; the candidates of relations that are
+    not spatial-aware are reported, unscored, as soon as awareness is
+    known."""
     slots = list(keyframe_slots(pred_set, keyframes, floor))
     aware = classify_spatial_awareness(
-        provider, sorted({vocab.names[r] for _, _, r, _ in slots}), cache_dir)
+        provider, sorted({vocab.names[r] for _, _, r, _ in slots}), cache_dir, stop)
 
     # (text, boxes) -> slots; identical geometry costs one test slot
     wanted: dict[tuple, list[tuple]] = {}
+    unaware = []
     for frame_index, pk, r, pair in slots:
-        if aware[vocab.names[r]]:
-            item = (
-                triplet_to_text(pair, r, vocab),
-                tuple(pair.human_box.as_int_list()),
-                tuple(pair.object_box.as_int_list()),
-            )
-            wanted.setdefault(item, []).append((frame_index, pk, r))
-    scores = _score_batches(provider, "spatial", sorted(wanted), batch_size,
-                            lambda batch: render_spatial("scoring", batch),
-                            parse_score_output, cache_dir)
-    return _scatter(scores, wanted, SPATIAL)
+        if not aware[vocab.names[r]]:
+            unaware.append((frame_index, pk, r))
+            continue
+        item = (
+            triplet_to_text(pair, r, vocab),
+            tuple(pair.human_box.as_int_list()),
+            tuple(pair.object_box.as_int_list()),
+        )
+        wanted.setdefault(item, []).append((frame_index, pk, r))
+    on_scored(AgentScoreTable(), unaware)
+    _score_batches(provider, "spatial", sorted(wanted), batch_size,
+                   lambda batch: render_spatial("scoring", batch),
+                   parse_score_output, cache_dir, _reporter(wanted, SPATIAL, on_scored),
+                   stop)
 
 
 def run_temporal(
@@ -276,11 +307,14 @@ def run_temporal(
     vocab: RelationVocabulary,
     batch_size: int,
     cache_dir: Optional[str] = None,
-) -> AgentScoreTable:
+    on_scored: Callable = lambda table, slots: None,
+    stop: Optional[threading.Event] = None,
+) -> None:
     """Score each transition's change; the score attaches to the new relation
     at the later frame (the old relation is untouched). Each transition is
     its own test slot, even when two pairs show the same change; a batch
-    prompt that such slots repeat is asked once."""
+    prompt that such slots repeat is asked once. Reports like
+    ``run_common_sense``, each transition's slot once."""
     pair_lookup = {(frame.frame_index, pair.pair_id): pair
                    for frame, pair in pred_set.iter_pairs() if pair.pair_id is not None}
     texts, wanted = {}, {}
@@ -289,12 +323,11 @@ def run_temporal(
         texts[tr] = (triplet_to_text(pair, tr.old_relation, vocab),
                      triplet_to_text(pair, tr.new_relation, vocab))
         wanted[tr] = [(tr.frame_index, tracked_pair_key(tr.pair_id), tr.new_relation)]
-    scores = _score_batches(
+    _score_batches(
         provider, "temporal", transitions, batch_size,
         lambda batch: render_temporal([texts[tr] for tr in batch],
                                       [(tr.frame_index - 1, tr.frame_index) for tr in batch]),
-        parse_score_output, cache_dir)
-    return _scatter(scores, wanted, TEMPORAL)
+        parse_score_output, cache_dir, _reporter(wanted, TEMPORAL, on_scored), stop)
 
 
 def propagate_scores(

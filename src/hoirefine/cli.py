@@ -32,7 +32,13 @@ from .evaluation import (
     recall_at_k_dataset,
     write_ablation_report,
 )
-from .ingest import load_ground_truth, load_predictions, load_vocabulary, write_predictions
+from .ingest import (
+    load_ground_truth,
+    load_predictions,
+    load_vocabulary,
+    write_atomic,
+    write_predictions,
+)
 from .model import SCORE_KINDS, pair_key, tracked_pair_key
 from .pipeline import build_providers, fuse_table, refine
 from .provider import ProviderError, RuleTableError
@@ -124,11 +130,9 @@ def cmd_eval(args) -> int:
     for k in ks:
         print(f"{f'R@{k}':<{width}}  {recalls[k]:.2f}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump({"threshold": args.threshold,
-                       "recall": {str(k): recalls[k] for k in ks}},
-                      fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_atomic(args.report, json.dumps({"threshold": args.threshold,
+                                              "recall": {str(k): recalls[k] for k in ks}},
+                                             sort_keys=True, indent=2) + "\n")
         print(f"report written to {args.report}")
     return 0
 
@@ -173,8 +177,7 @@ def cmd_ablate(args) -> int:
     print(table_text)
     if args.out:
         write_ablation_report(rows, args.out, ks)
-        with open(args.out + ".txt", "w", encoding="utf-8") as fh:
-            fh.write(table_text + "\n")
+        write_atomic(args.out + ".txt", table_text + "\n")
         print(f"ablation report written to {args.out}")
     return 0
 

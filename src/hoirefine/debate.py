@@ -7,11 +7,13 @@ debate therefore has exactly 1 + N^2 history entries. An opening answer sees
 only the bare question, so all N openings are asked at once; the response
 turns then run one after another, each on the history it would see if the
 openings had been asked in turn, so the critical path is N^2 - N + 2 calls.
-Debates are independent: ``pipeline.run_stage_two`` runs one per distinct
-question, concurrently, on as many threads as the providers' summed
-``max_concurrency``, and stops starting them once one raises. Candidates
-that render the same question share its debate and its judge score, which
-is recorded in candidate order, whichever debate finishes first.
+Debates are independent, and a debate depends on its question alone:
+``pipeline.run_stage_two`` starts one per distinct question as soon as a
+candidate whose stage-1 scores are final first asks it, while stage 1 still
+runs, on up to as many threads as the providers' summed
+``max_concurrency``, and starts no further debate once one of them or
+stage 1 raises. Candidates that render the same question share its debate
+and its judge score, whichever candidate asked first.
 """
 
 from __future__ import annotations

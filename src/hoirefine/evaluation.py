@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fusion import threshold_select
+from .ingest import write_atomic
 from .model import SCORE_KINDS
 
 DEFAULT_KS = (10, 20, 50)
@@ -106,12 +107,12 @@ def format_ablation_table(rows: list[AblationRow], ks: Sequence[int] = DEFAULT_K
 
 def write_ablation_report(rows: list[AblationRow], path: str,
                           ks: Sequence[int] = DEFAULT_KS) -> None:
-    """Machine-readable companion to the text table: one JSON record per row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            rec = {
-                "label": row.label,
-                "toggles": {k: bool(v) for k, v in sorted(row.toggles.items())},
-                "recall": {str(k): row.recalls[k] for k in ks},
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """Machine-readable companion to the text table: one JSON record per row,
+    written with ``write_atomic``."""
+    write_atomic(path, "".join(
+        json.dumps({
+            "label": row.label,
+            "toggles": {k: bool(v) for k, v in sorted(row.toggles.items())},
+            "recall": {str(k): row.recalls[k] for k in ks},
+        }, sort_keys=True) + "\n"
+        for row in rows))

@@ -1,17 +1,26 @@
 """End-to-end refinement: keyframe selection, per-provider agent runs,
 debate, cross-provider aggregation, propagation and fusion.
 
+The two stages form one dataflow. Stage 1 runs every agent for every
+provider at once; each keyframe candidate is debated as soon as its stage-1
+scores are final, while the rest of stage 1 is still in flight.
+
 Stage-1 scores used by fusion are arithmetic means over the providers that
-returned a value, which is order-independent and robust to one provider
-failing. The debate judge's score is shared, not per-provider.
+returned a value, summed in provider order, so they do not depend on which
+answer arrives first, and one failing provider leaves the others' scores.
+The debate judge's score is shared, not per-provider.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .agents import (
+    Transition,
     detect_transitions,
     fan_out,
     keyframe_slots,
@@ -40,6 +49,7 @@ from .model import (
     FusionWeights,
     VideoPredictionSet,
     pair_key,
+    tracked_pair_key,
 )
 from .provider import Provider, ProviderError
 
@@ -95,39 +105,52 @@ def run_stage_one(
     config: RefinementConfig,
     providers: list[Provider],
     keyframes: set[int],
+    transitions: list[Transition],
     cache_dir: Optional[str],
+    on_scored: Callable = lambda tables, slots: None,
+    stop: Optional[threading.Event] = None,
 ) -> dict[str, AgentScoreTable]:
     """Raw per-provider keyframe score tables of the three stage-1 agents.
 
-    The agents run one after another; each runs for every provider at once,
-    one provider on the calling thread. Each provider's ``max_concurrency``
-    still caps its requests in flight, and the tables merge in provider
-    order, so the output does not depend on which provider answers first.
-    An AuthError propagates once the other providers' runs of that agent
-    have finished, and no later agent starts."""
-    vocab = pred_set.vocabulary
-    transitions = [
-        tr for tr in detect_transitions(pred_set)
-        # keyframe-adjacent changes only; others are covered by propagation
-        if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
-    ]
+    Every agent runs for every provider at once, in one ``fan_out``, with
+    the temporal agent on ``transitions``; each provider's
+    ``max_concurrency`` still caps its requests in flight. Each batch's
+    scores merge into their provider's table as they arrive; each slot and
+    kind is scored by one batch, so the tables do not depend on which
+    answer arrives first. After each merge, ``on_scored(tables, slots)``
+    gets the tables so far and the slots the batch reported. Its calls do
+    not overlap, and no table changes while one runs.
 
+    Every agent shares ``stop`` (a new event if None): once any of them
+    raises, or ``stop`` is set elsewhere, no agent of any provider starts a
+    further prompt. The prompts already started finish, then the first
+    error propagates; with ``stop`` set and no error here, the tables are
+    partial."""
+    vocab = pred_set.vocabulary
     tables = {provider.id: AgentScoreTable() for provider in providers}
-    for agent in (
-        lambda provider: run_common_sense(
-            provider, pred_set, keyframes, vocab,
-            floor=config.candidate_floor, batch_size=config.batch_size,
-            cache_dir=cache_dir),
-        lambda provider: run_spatial(
-            provider, pred_set, keyframes, vocab,
-            floor=config.candidate_floor, batch_size=config.batch_size,
-            cache_dir=cache_dir),
-        lambda provider: run_temporal(
-            provider, pred_set, transitions, vocab,
-            batch_size=config.batch_size, cache_dir=cache_dir),
-    ):
-        for provider, table in zip(providers, fan_out(agent, providers, len(providers))):
-            tables[provider.id].merge(table)
+    lock = threading.Lock()
+    stop = threading.Event() if stop is None else stop
+
+    def reporter(provider: Provider) -> Callable:
+        def report(partial: AgentScoreTable, slots: list) -> None:
+            with lock:
+                tables[provider.id].merge(partial)
+                on_scored(tables, slots)
+        return report
+
+    floor, batch_size = config.candidate_floor, config.batch_size
+    jobs = []
+    for provider in providers:
+        report = reporter(provider)
+        jobs += [
+            partial(run_common_sense, provider, pred_set, keyframes, vocab, floor,
+                    batch_size, cache_dir, report, stop),
+            partial(run_spatial, provider, pred_set, keyframes, vocab, floor,
+                    batch_size, cache_dir, report, stop),
+            partial(run_temporal, provider, pred_set, transitions, vocab, batch_size,
+                    cache_dir, report, stop),
+        ]
+    fan_out(lambda job: job(), jobs, len(jobs), stop)
     return tables
 
 
@@ -136,65 +159,97 @@ def run_stage_two(
     config: RefinementConfig,
     providers: list[Provider],
     judge: Provider,
-    per_provider: dict[str, AgentScoreTable],
     keyframes: set[int],
+    transitions: list[Transition],
     cache_dir: Optional[str],
     transcript_dir: Optional[str],
-) -> tuple[AgentScoreTable, int]:
-    """Debate the selected keyframe candidates; return their judge scores and
-    the number of debates run.
+) -> tuple[dict[str, AgentScoreTable], AgentScoreTable, int]:
+    """Run stage one through ``run_stage_one`` and debate the selected
+    keyframe candidates while it runs. Returns the per-provider stage-1
+    tables, the debated candidates' judge scores and the number of debates
+    run.
 
-    Every candidate's question is rendered first. One debate runs, and is
-    persisted, per distinct question, in the order of the first candidate
-    asking it; its judge score goes on every candidate that asked it. The
-    debates run concurrently on as many threads as the providers allow
-    requests in flight together (the sum of their ``max_concurrency``);
-    each provider's own semaphore still bounds its requests. Once a debate
-    raises, no queued debate starts and the error propagates."""
+    A candidate waits for two reports per provider (common sense, and
+    spatial or its not-aware verdict), plus one per provider for each of
+    ``transitions`` that lands on it. After its last report its
+    per-provider fused scores are final, and ``select_debate_candidates``
+    sees that candidate alone. One debate runs, and is persisted, per
+    distinct question, as soon as a selected candidate first asks it; its
+    judge score goes on every candidate that asked it. The debates run on
+    up to as many threads as the providers allow requests in flight
+    together (the sum of their ``max_concurrency``), started as debates are
+    queued; each provider's own semaphore still bounds its requests. Stage
+    one and the debates share one stop: once either raises, neither starts
+    anything further, the running calls finish and the error propagates."""
     vocab = pred_set.vocabulary
-    per_provider_fused: dict[tuple, list[float]] = {}
-    slot_pairs = {}
+    pairs, waiting = {}, {}
     for frame_index, pk, r, pair in keyframe_slots(pred_set, keyframes,
                                                    config.candidate_floor):
-        scores = []
-        for provider in providers:
-            table = per_provider[provider.id]
-            scores.append(fuse_scores(
-                pair.scores[r],
-                s_cs=table.get(frame_index, pk, r, CS),
-                s_spatial=table.get(frame_index, pk, r, SPATIAL),
-                s_temporal=table.get(frame_index, pk, r, TEMPORAL),
-                weights=config.weights,
-            ))
-        per_provider_fused[(frame_index, pk, r)] = scores
-        slot_pairs[(frame_index, pk, r)] = pair
+        pairs[(frame_index, pk, r)] = pair
+        waiting[(frame_index, pk, r)] = 2 * len(providers)
+    for tr in transitions:
+        slot = (tr.frame_index, tracked_pair_key(tr.pair_id), tr.new_relation)
+        if slot in waiting:
+            waiting[slot] += len(providers)
 
-    candidates = select_debate_candidates(
-        per_provider_fused, config.debate_mode, config.disagreement_delta)
-    asked = {
-        slot: render_debate_question(
-            triplet_to_text(slot_pairs[slot], slot[2], vocab),
-            slot_pairs[slot].human_box.as_int_list(),
-            slot_pairs[slot].object_box.as_int_list(),
-            {p.id: score for p, score in zip(providers, per_provider_fused[slot])},
-        )
-        for slot in candidates
-    }
-    questions = list(dict.fromkeys(asked.values()))
+    stop = threading.Event()
 
-    def debate(question):
-        transcript = run_debate(question, providers, judge, cache_dir=cache_dir)
-        if transcript_dir:
-            persist_transcript(transcript, transcript_dir)
+    def debate(question: str) -> Optional[float]:
+        if stop.is_set():
+            return None
+        try:
+            transcript = run_debate(question, providers, judge, cache_dir=cache_dir)
+            if transcript_dir:
+                persist_transcript(transcript, transcript_dir)
+        except BaseException:
+            stop.set()
+            raise
         return transcript.judge_score
 
-    pool_size = sum(p.spec.max_concurrency for p in providers)
-    scores = dict(zip(questions, fan_out(debate, questions, pool_size)))
+    asked: dict[tuple, str] = {}
+    judged: dict[str, Future] = {}
+    pool = ThreadPoolExecutor(sum(p.spec.max_concurrency for p in providers))
+
+    def on_scored(tables: dict[str, AgentScoreTable], slots: list) -> None:
+        for slot in slots:
+            if slot not in waiting:
+                continue
+            waiting[slot] -= 1
+            if waiting[slot]:
+                continue
+            del waiting[slot]
+            frame_index, pk, r = slot
+            pair = pairs.pop(slot)
+            fused = [fuse_scores(
+                pair.scores[r],
+                s_cs=tables[p.id].get(frame_index, pk, r, CS),
+                s_spatial=tables[p.id].get(frame_index, pk, r, SPATIAL),
+                s_temporal=tables[p.id].get(frame_index, pk, r, TEMPORAL),
+                weights=config.weights,
+            ) for p in providers]
+            if not select_debate_candidates({slot: fused}, config.debate_mode,
+                                            config.disagreement_delta):
+                continue
+            question = render_debate_question(
+                triplet_to_text(pair, r, vocab),
+                pair.human_box.as_int_list(),
+                pair.object_box.as_int_list(),
+                {p.id: score for p, score in zip(providers, fused)},
+            )
+            asked[slot] = question
+            if question not in judged:
+                judged[question] = pool.submit(debate, question)
+
+    with pool:
+        tables = run_stage_one(pred_set, config, providers, keyframes, transitions,
+                               cache_dir, on_scored, stop)
+
     table = AgentScoreTable()
     for (frame_index, pk, r), question in asked.items():
-        if scores[question] is not None:
-            table.set(frame_index, pk, r, DEBATE, scores[question])
-    return table, len(questions)
+        score = judged[question].result()
+        if score is not None:
+            table.set(frame_index, pk, r, DEBATE, score)
+    return tables, table, len(judged)
 
 
 def fuse_table(
@@ -265,15 +320,20 @@ def refine(
     keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval) \
         if pred_set.frames else set()
 
-    per_provider = run_stage_one(pred_set, config, providers, keyframes, cache_dir)
-    table = aggregate_provider_tables(per_provider)
-
-    debates = 0
-    if config.debate_mode != "off":
-        debate_table, debates = run_stage_two(
-            pred_set, config, providers, judge, per_provider, keyframes,
+    transitions = [
+        tr for tr in detect_transitions(pred_set)
+        # keyframe-adjacent changes only; others are covered by propagation
+        if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
+    ]
+    if config.debate_mode == "off":
+        per_provider = run_stage_one(pred_set, config, providers, keyframes, transitions,
+                                     cache_dir)
+        debate_table, debates = AgentScoreTable(), 0
+    else:
+        per_provider, debate_table, debates = run_stage_two(
+            pred_set, config, providers, judge, keyframes, transitions,
             cache_dir, transcript_dir)
-        table.merge(debate_table)
+    table = aggregate_provider_tables(per_provider).merge(debate_table)
 
     # propagation fills only non-keyframes, so keyframe coverage is final here
     coverage = _coverage(pred_set, table, keyframes, config.candidate_floor)

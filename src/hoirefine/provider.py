@@ -187,6 +187,7 @@ class Provider:
         self.cache_hits = 0
         self.in_flight = 0
         self.max_in_flight = 0
+        self._auth_error: Optional[AuthError] = None
         self.rules_sha256 = hashlib.sha256(b"").hexdigest()
         if transport is None and spec.kind == "mock":
             rules = []
@@ -208,7 +209,12 @@ class Provider:
         Each attempt holds one of the ``max_concurrency`` slots; a request
         backing off holds none, so other requests use its slot meanwhile.
         ``call_count`` counts one per call, ``in_flight`` the attempts
-        holding a slot."""
+        holding a slot.
+
+        An AuthError is sticky: once the transport has raised one, every
+        later attempt takes its slot and raises an AuthError with the same
+        message without calling the transport, so requests already started
+        elsewhere send nothing more with a rejected key."""
         start = time.monotonic()
         with self._lock:
             self.call_count += 1
@@ -218,10 +224,16 @@ class Provider:
     def _attempt(self, req: CompletionRequest) -> str:
         with self._semaphore:
             with self._lock:
+                if self._auth_error is not None:
+                    raise AuthError(str(self._auth_error))
                 self.in_flight += 1
                 self.max_in_flight = max(self.max_in_flight, self.in_flight)
             try:
                 return self._transport(self.spec, req)
+            except AuthError as exc:
+                with self._lock:
+                    self._auth_error = self._auth_error or exc
+                raise
             finally:
                 with self._lock:
                     self.in_flight -= 1
@@ -307,10 +319,10 @@ def cached_complete(provider: Provider, req: CompletionRequest,
     """Content-addressed caching wrapper around ``Provider.complete``.
 
     A hit returns the stored text without a remote call; an entry whose
-    file cannot be read (an OSError) is a miss, with a warning. A miss asks
-    the provider and writes the answer with ``write_atomic``, so concurrent
-    writers of one key each leave a complete file. Without a cache directory
-    this is a plain ``Provider.complete``.
+    file cannot be read (an OSError) or is not UTF-8 is a miss, with a
+    warning. A miss asks the provider and writes the answer with
+    ``write_atomic``, so concurrent writers of one key each leave a complete
+    file. Without a cache directory this is a plain ``Provider.complete``.
     """
     if not cache_dir:
         return provider.complete(req)
@@ -324,7 +336,7 @@ def cached_complete(provider: Provider, req: CompletionRequest,
         return CompletionResponse(text=text, cached=True)
     except FileNotFoundError:
         pass
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         log.warning("cache entry %s unreadable (%s); treating as miss", key, exc)
 
     resp = provider.complete(req)

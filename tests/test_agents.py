@@ -65,6 +65,18 @@ def answer_every_test(*scores):
     return transport, prompts
 
 
+def scored(agent, *args, **kwargs) -> AgentScoreTable:
+    """Every score ``agent`` reports, merged into one table."""
+    table, lock = AgentScoreTable(), threading.Lock()
+
+    def collect(partial, _slots):
+        with lock:
+            table.merge(partial)
+
+    agent(*args, on_scored=collect, **kwargs)
+    return table
+
+
 def provider(rules=(), transport=None):
     spec = ProviderSpec(id="m", kind="mock", max_retries=0, backoff_base=0.001)
     if transport is None:
@@ -126,8 +138,8 @@ class TestCommonSense:
 
     def test_scores_land_on_candidates(self):
         video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
-        table = run_common_sense(provider(self.rules()), video, {0}, VOCAB,
-                                 FLOOR, batch_size=1)
+        table = scored(run_common_sense, provider(self.rules()), video, {0}, VOCAB, FLOOR,
+                       batch_size=1)
         assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
         assert table.get(0, ("id", 0, 1), 1, CS) == 0.1
         # below the candidate floor, never queried
@@ -135,8 +147,8 @@ class TestCommonSense:
 
     def test_batched_rule_table_answers_land_on_their_own_slots(self):
         video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
-        table = run_common_sense(provider(self.rules()), video, {0}, VOCAB,
-                                 FLOOR, batch_size=3)
+        table = scored(run_common_sense, provider(self.rules()), video, {0}, VOCAB, FLOOR,
+                       batch_size=3)
         assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
         assert table.get(0, ("id", 0, 1), 1, CS) == 0.1
 
@@ -144,7 +156,7 @@ class TestCommonSense:
         pairs = [make_pair(f, scores=(0.5, 0.5, 0.02)) for f in range(4)]
         video = make_video([frame(f, [pairs[f]]) for f in range(4)])
         p = provider(self.rules())
-        table = run_common_sense(p, video, {0, 1, 2, 3}, VOCAB, FLOOR, batch_size=1)
+        table = scored(run_common_sense, p, video, {0, 1, 2, 3}, VOCAB, FLOOR, batch_size=1)
         assert p.call_count == 2  # 2 distinct triplet texts across 4 keyframes
         for f in range(4):
             assert table.get(f, ("id", 0, 1), 0, CS) == 0.9
@@ -156,8 +168,8 @@ class TestCommonSense:
             return "Output: 0.9"
 
         video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
-        table = run_common_sense(provider(transport=transport), video, {0},
-                                 VOCAB, FLOOR, batch_size=1)
+        table = scored(run_common_sense, provider(transport=transport), video, {0}, VOCAB,
+                       FLOOR, batch_size=1)
         assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
         assert table.get(0, ("id", 0, 1), 1, CS) is None
 
@@ -186,8 +198,8 @@ class TestBatchConcurrency:
         pairs = [make_pair(0, pair_id=(0, i), object_class=obj)
                  for i, obj in enumerate(("chair", "cup"))]
         video = make_video([frame(0, pairs)])
-        table = run_common_sense(Provider(spec, transport=transport), video, {0}, VOCAB,
-                                 FLOOR, batch_size=1)
+        table = scored(run_common_sense, Provider(spec, transport=transport), video, {0},
+                       VOCAB, FLOOR, batch_size=1)
         assert len(table) == 2 * width
         assert not barrier.broken
 
@@ -271,6 +283,23 @@ class TestFanOut:
         assert len(started) <= 4
         assert max(started) < 4
 
+    def test_shared_stop_halts_every_fan_out(self):
+        # a set stop starts no further item, and leaves None for the items
+        # it kept from starting; a raising call sets the stop it shares
+        stop = threading.Event()
+
+        def fn(i):
+            if i == 2:
+                stop.set()
+            return -i
+
+        assert fan_out(fn, list(range(5)), 1, stop) == [0, -1, -2, None, None]
+        other = threading.Event()
+        with pytest.raises(ValueError):
+            fan_out(lambda i: int("x"), [0], 1, other)
+        assert other.is_set()
+        assert fan_out(lambda i: i, [0, 1], 2, other) == [None, None]
+
     def test_lowest_indexed_exception_propagates(self):
         # item 1 raises first in time, item 0 after it
         one_raised = threading.Event()
@@ -307,8 +336,8 @@ class TestSpatial:
 
     def test_only_aware_relations_scored(self):
         video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.5))])])
-        table = run_spatial(provider(self.rules()), video, {0}, VOCAB,
-                            FLOOR, batch_size=1)
+        table = scored(run_spatial, provider(self.rules()), video, {0}, VOCAB, FLOOR,
+                       batch_size=1)
         assert table.get(0, ("id", 0, 1), 1, SPATIAL) == 0.2
         assert table.get(0, ("id", 0, 1), 0, SPATIAL) is None
         assert table.get(0, ("id", 0, 1), 2, SPATIAL) is None
@@ -321,8 +350,8 @@ class TestSpatial:
                                 MockRule("relation", "ride", "yes")], req.prompt)
 
         video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
-        table = run_spatial(provider(transport=transport), video, {0}, VOCAB,
-                            FLOOR, batch_size=1)
+        table = scored(run_spatial, provider(transport=transport), video, {0}, VOCAB, FLOOR,
+                       batch_size=1)
         assert table.get(0, ("id", 0, 1), 0, SPATIAL) == 0.5
         assert table.get(0, ("id", 0, 1), 1, SPATIAL) is None
 
@@ -365,7 +394,7 @@ class TestTemporal:
         ])
         transitions = detect_transitions(video)
         p = provider([MockRule("contains", "frame 0:", "Output: 0.7")])
-        table = run_temporal(p, video, transitions, VOCAB, batch_size=1)
+        table = scored(run_temporal, p, video, transitions, VOCAB, batch_size=1)
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
         assert table.get(1, ("id", 0, 1), 0, TEMPORAL) is None
         assert table.get(0, ("id", 0, 1), 0, TEMPORAL) is None
@@ -380,8 +409,8 @@ class TestTemporal:
                       make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=(0, 2))]),
         ])
         transport, prompts = answer_every_test(0.7, 0.4)
-        table = run_temporal(provider(transport=transport), video, detect_transitions(video),
-                             VOCAB, batch_size=2)
+        table = scored(run_temporal, provider(transport=transport), video,
+                       detect_transitions(video), VOCAB, batch_size=2)
         assert len(prompts) == 1
         assert prompts[0].count("frame 0: <person,hold,chair> frame 1: <person,ride,chair>") == 2
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
@@ -400,8 +429,8 @@ class TestTemporal:
                 raise ProviderTimeout("flaky")
             return "Output: 0.7"
 
-        table = run_temporal(provider(transport=transport), video, detect_transitions(video),
-                             VOCAB, batch_size=1)
+        table = scored(run_temporal, provider(transport=transport), video,
+                       detect_transitions(video), VOCAB, batch_size=1)
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
         assert table.get(1, ("id", 0, 2), 2, TEMPORAL) is None
 
@@ -416,8 +445,8 @@ class TestTemporal:
         transitions = detect_transitions(video)
         assert len(transitions) == 12
         transport, prompts = answer_every_test(0.5)
-        table = run_temporal(provider(transport=transport), video, transitions, VOCAB,
-                             batch_size=batch_size)
+        table = scored(run_temporal, provider(transport=transport), video, transitions,
+                       VOCAB, batch_size=batch_size)
         # each distinct prompt is asked once: at batch size 1 the four pairs
         # of a frame render one prompt, at 5 the three batches differ
         assert len(prompts) == len(set(prompts)) == 3
@@ -426,7 +455,7 @@ class TestTemporal:
     def test_no_transitions_no_calls(self):
         video = make_video([frame(0, [make_pair(0)])])
         p = provider([])
-        table = run_temporal(p, video, [], VOCAB, batch_size=1)
+        table = scored(run_temporal, p, video, [], VOCAB, batch_size=1)
         assert p.call_count == 0
         assert list(table.items()) == []
 

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import os
 import shutil
 
 import pytest
@@ -364,6 +365,17 @@ class TestEval:
         ])
         assert code == 1
 
+    def test_failed_replace_leaves_no_partial_report(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            main(["eval", "--refined", fixture_path("predictions.jsonl"),
+                  "--gt", fixture_path("gt.jsonl"), "--vocab", fixture_path("vocab.txt"),
+                  "--report", str(tmp_path / "report.json")])
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAblate:
     def test_grid_and_report(self, tmp_path, capsys):
@@ -386,6 +398,25 @@ class TestAblate:
         stdout = capsys.readouterr().out
         assert "configuration" in stdout
 
+
+    @pytest.mark.parametrize("failing", ["ablation.jsonl", "ablation.jsonl.txt"])
+    def test_failed_replace_leaves_no_partial_file(self, tmp_path, monkeypatch, failing):
+        # the JSON report is written first, then the text table
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(dst) == failing:
+                raise OSError("replace failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            main(["ablate", "--config", fixture_path("config.json"),
+                  "--predictions", fixture_path("predictions.jsonl"),
+                  "--vocab", fixture_path("vocab.txt"), "--gt", fixture_path("gt.jsonl"),
+                  "--out", str(tmp_path / "ablation.jsonl")])
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == (["ablation.jsonl"] if failing.endswith(".txt") else [])
 
     def test_empty_ground_truth_exits_one_before_any_call(self, tmp_path, capsys,
                                                           transport_calls):

@@ -1,26 +1,34 @@
-"""Concurrency in refine: each stage-1 agent asks every provider at once,
-one agent's batches per provider are in flight together, and distinct
-stage-2 debates run concurrently. The output must not depend on how many run
-at once or on the order in which their answers arrive."""
+"""Concurrency in refine: every stage-1 agent asks every provider at once,
+one agent's batches per provider are in flight together, and a keyframe
+candidate's debate starts as soon as its stage-1 scores are final, while
+other stage-1 batches are still in flight. The output must not depend on
+how many run at once or on the order in which their answers arrive; the
+seeded chaos test in ``test_schedule.py`` checks that over many schedules."""
 
 import dataclasses
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from hoirefine.ingest import write_predictions
 from hoirefine.pipeline import refine
-from hoirefine.prompt import COMMON_SENSE_INSTRUCTION
+from hoirefine.prompt import (
+    COMMON_SENSE_INSTRUCTION,
+    DEBATER_PREAMBLE,
+    SPATIAL_SCORING_INSTRUCTION,
+)
 from hoirefine.provider import AuthError, Provider, load_rule_table, match_rules
 
 
-def fixture_providers(config, latency=0.0, reject=False, max_concurrency=None,
+def fixture_providers(config, latency=0.0, reject=(), max_concurrency=None,
                       hold=lambda prompt: None):
     """Providers answering from the fixture rule tables after ``hold(prompt)``
-    returns and ``latency`` seconds pass (or rejecting every prompt with
-    AuthError). Returns the providers and the (provider id, prompt) of every
-    call their transports received."""
+    returns and ``latency`` seconds pass; the providers whose ids are in
+    ``reject`` reject every prompt with AuthError, once ``hold`` returns.
+    Returns the providers and the (provider id, prompt) of every call their
+    transports received."""
     sent = []
 
     def build(spec):
@@ -31,9 +39,9 @@ def fixture_providers(config, latency=0.0, reject=False, max_concurrency=None,
         def transport(_spec, req):
             sent.append((spec.id, req.prompt))
             hold(req.prompt)
-            time.sleep(latency)
-            if reject:
+            if spec.id in reject:
                 raise AuthError("bad key")
+            time.sleep(latency)
             return match_rules(rules, req.prompt)
         return Provider(spec, transport=transport)
 
@@ -77,10 +85,71 @@ def test_stage_one_auth_error_starts_no_queued_batch(fixture_predictions, fixtur
     # the AuthError, none of its queued batches may start, so at most the
     # summed max_concurrency (2 + 2) prompts are sent
     for _ in range(5):
-        providers, sent = fixture_providers(fixture_config, reject=True, max_concurrency=2)
+        providers, sent = fixture_providers(fixture_config, reject={"alpha", "beta"},
+                                            max_concurrency=2)
         with pytest.raises(AuthError):
             refine(fixture_predictions, fixture_config, providers=providers)
         assert 0 < len(sent) <= 2 + 2
+
+
+def test_one_rejected_key_stops_every_provider(fixture_predictions, fixture_config):
+    # beta rejects its key at once while each of alpha's prompts takes
+    # 50 ms; from beta's AuthError on, no agent of either provider starts a
+    # queued prompt, so alpha sends only the prompts its three agents had
+    # started (at most max_concurrency each) and beta those that held its
+    # slots
+    for _ in range(3):
+        providers, sent = fixture_providers(fixture_config, latency=0.05, reject={"beta"},
+                                            max_concurrency=2)
+        with pytest.raises(AuthError):
+            refine(fixture_predictions, fixture_config, providers=providers)
+        by_provider = Counter(pid for pid, _ in sent)
+        assert 0 < by_provider["beta"] <= 2
+        assert by_provider["alpha"] <= 3 * 2
+
+
+def hold_spatial_batch_until_debate(reject_held=False):
+    """A ``hold`` that keeps the first spatial scoring batch in its
+    transport call until the first debate prompt arrives, at a barrier that
+    breaks after 5 s (and then rejects the held batch with AuthError when
+    ``reject_held``). Returns the hold and the barrier."""
+    barrier = threading.Barrier(2, timeout=5)
+    lock = threading.Lock()
+    first = {}
+
+    def hold(prompt):
+        kind = ("spatial" if prompt.startswith(SPATIAL_SCORING_INSTRUCTION)
+                else "debate" if prompt.startswith(DEBATER_PREAMBLE) else None)
+        with lock:
+            if kind is None or kind in first:
+                return
+            first[kind] = prompt
+        barrier.wait()
+        if kind == "spatial" and reject_held:
+            raise AuthError("bad key")
+
+    return hold, barrier
+
+
+def test_debate_starts_while_a_stage_one_batch_is_in_flight(fixture_predictions,
+                                                           fixture_config):
+    # the held batch takes one of its provider's two slots, so that
+    # provider's other prompts still run; a debate must then start on the
+    # candidates whose stage-1 scores are final, or the barrier breaks
+    hold, barrier = hold_spatial_batch_until_debate()
+    providers, _ = fixture_providers(fixture_config, max_concurrency=2, hold=hold)
+    refine(fixture_predictions, fixture_config, providers=providers)
+    assert barrier.n_waiting == 0 and not barrier.broken
+
+
+def test_stage_one_auth_error_while_debates_run(fixture_predictions, fixture_config):
+    before = threading.active_count()
+    hold, barrier = hold_spatial_batch_until_debate(reject_held=True)
+    providers, _ = fixture_providers(fixture_config, max_concurrency=2, hold=hold)
+    with pytest.raises(AuthError):
+        refine(fixture_predictions, fixture_config, providers=providers)
+    assert not barrier.broken
+    assert threading.active_count() == before
 
 
 def test_refine_leaves_no_thread_running(fixture_predictions, fixture_config):

@@ -19,8 +19,8 @@ from hoirefine.debate import (
 from hoirefine.config import RefinementConfig, load_config
 from hoirefine.ingest import load_predictions, load_vocabulary
 from hoirefine.model import (
+    CS,
     DEBATE,
-    AgentScoreTable,
     FramePrediction,
     RelationVocabulary,
     VideoPredictionSet,
@@ -330,13 +330,15 @@ class TestStageTwo:
         providers = [judge, other]
         config = RefinementConfig(providers=tuple(p.spec for p in providers),
                                   judge_provider="a", debate_mode="always")
-        table, debates = run_stage_two(
-            video, config, providers, judge, {p.id: AgentScoreTable() for p in providers},
-            {0}, None, str(tmp_path / "transcripts"))
+        tables, table, debates = run_stage_two(
+            video, config, providers, judge, {0}, [], None, str(tmp_path / "transcripts"))
         assert debates == 1
-        # one two-debater debate: each debater opens and responds once, and
-        # the judge answers once
-        assert (judge.call_count, other.call_count) == (3, 2)
+        # stage one asks each provider one common-sense and one awareness
+        # prompt; then one two-debater debate: each debater opens and
+        # responds once, and the judge answers once
+        assert (judge.call_count, other.call_count) == (2 + 3, 2 + 2)
+        assert [tables[p.id].get(0, pair_key(pairs[0], 0), 0, CS) for p in providers] \
+            == [0.8, 0.5]
         assert [table.get(0, pair_key(pair, i), 0, DEBATE) for i, pair in enumerate(pairs)] \
             == [0.8, 0.8]
         assert len(list((tmp_path / "transcripts").iterdir())) == 1

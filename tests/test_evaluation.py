@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -165,3 +166,12 @@ class TestAblationReport:
         assert records[0]["label"] == "baseline"
         assert records[1]["toggles"]["debate"] is True
         assert records[1]["recall"] == {"10": 100.0, "20": 100.0}
+
+    def test_failed_replace_leaves_no_partial_report(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            write_ablation_report(self.rows(), str(tmp_path / "ablation.jsonl"), ks=(10, 20))
+        assert list(tmp_path.iterdir()) == []

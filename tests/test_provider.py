@@ -9,6 +9,7 @@ import pytest
 import requests
 
 from hoirefine.provider import (
+    AuthError,
     CompletionRequest,
     MockRule,
     Provider,
@@ -171,6 +172,24 @@ class TestComplete:
         assert attempts == ["A", "B", "A"]
         assert provider.call_count == 2
 
+    def test_auth_error_is_sticky(self):
+        sent = []
+
+        def transport(spec, request):
+            sent.append(request.prompt)
+            if request.prompt == "A":
+                raise AuthError("bad key")
+            return "Output: 0.5"
+
+        provider = Provider(ProviderSpec(id="p", kind="mock"), transport=transport)
+        with pytest.raises(AuthError, match="bad key"):
+            provider.complete(req("A"))
+        # a rejected key stays rejected: B is not sent
+        with pytest.raises(AuthError, match="bad key"):
+            provider.complete(req("B"))
+        assert sent == ["A"]
+        assert provider.call_count == 2
+
 
 class FakeResponse:
     def __init__(self, status_code, headers=None, body=None):
@@ -272,6 +291,16 @@ class TestCache:
         assert provider.call_count == 2
         assert resp.text == "Output: 0.5"
 
+    def test_undecodable_entry_is_miss_and_rewritten(self, tmp_path, caplog):
+        provider = mock_provider()
+        cached_complete(provider, req(), str(tmp_path))
+        entry = next(tmp_path.iterdir())
+        entry.write_bytes(b"\xff\xfe garbage")
+        resp = cached_complete(provider, req(), str(tmp_path))
+        assert resp.text == "Output: 0.5" and not resp.cached
+        assert provider.call_count == 2
+        assert "unreadable" in caplog.text
+        assert entry.read_text(encoding="utf-8") == "Output: 0.5"
 
     def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         def failing_replace(src, dst):

@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of HEAD against the working tree.
+
+    python3 tools/pairs.py --workload rt_cold --first-seed 20 --pairs 10 \\
+        [--workload rt_long ...] [--out BENCH.json]
+
+The parent, HEAD, is extracted with ``git archive`` into a temporary
+directory. For each seed i (``--first-seed`` onwards, ``--pairs`` of them)
+both sides run ``perfbench/run.py --workload W --seed i --trace 0`` in their
+own tree, one after the other, for the run length the benchmark sets: the
+parent first on even seeds, the working tree first on odd ones. Every
+pair's ``job_s``, ``setup_s``, ``peak_rss_mb`` and failure count are
+printed, then each side's median and quartiles, how many pairs the working
+tree won, and whether the gain rule holds for each metric: the working tree
+wins at least 9 of every 10 pairs, its median is lower than the parent's by
+more than the parent's quartile distance, and no more of its operations
+failed than the parent's. ``--out`` writes the same summary as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PARENT = "HEAD"
+METRICS = ("job_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+
+
+def extract(rev: str, directory: str) -> None:
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", directory], input=archive, check=True)
+
+
+def run_side(tree: str, workload: str, seed: int) -> dict:
+    """The REPORT line of one benchmark run in ``tree``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    for line in proc.stdout.splitlines():
+        if line.startswith("REPORT "):
+            report = json.loads(line[len("REPORT "):])
+            return {**{m: report["metrics"][m] for m in METRICS},
+                    "failed": report["failed"], "attempted": report["attempted"]}
+    sys.stderr.write(proc.stderr)
+    raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode} "
+                       "without a REPORT line")
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
+    out = {}
+    for metric in METRICS:
+        parent = [p["parent"][metric] for p in pairs]
+        change = [p["change"][metric] for p in pairs]
+        wins = sum(c < p for p, c in zip(parent, change))
+        before, after = spread(parent), spread(change)
+        gap = before["median"] - after["median"]
+        out[metric] = {"parent": before, "change": after, "wins": wins,
+                       "gain": (wins * 10 >= 9 * len(pairs)
+                                and gap > before["q3"] - before["q1"]
+                                and failed["change"] <= failed["parent"])}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", default=None)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2")
+
+    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", PARENT], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    summary = {"parent": rev, "workloads": {}}
+    parent_tree = tempfile.mkdtemp(prefix="pairs-parent-")
+    try:
+        extract(rev, parent_tree)
+        for workload in args.workload:
+            print(f"{workload}: parent {rev[:12]} vs working tree")
+            print(f"  {'seed':>4}  " + "  ".join(f"{m + ' p/c':>21}" for m in METRICS)
+                  + "  failed p/c")
+            pairs = []
+            for seed in range(args.first_seed, args.first_seed + args.pairs):
+                order = [("parent", parent_tree), ("change", ROOT)]
+                if seed % 2:
+                    order.reverse()
+                pair = {"seed": seed}
+                for side, tree in order:
+                    pair[side] = run_side(tree, workload, seed)
+                pairs.append(pair)
+                cells = "  ".join(f"{pair['parent'][m]:>10.4f}/{pair['change'][m]:<10.4f}"
+                                  for m in METRICS)
+                print(f"  {seed:>4}  {cells}  {pair['parent']['failed']}/"
+                      f"{pair['change']['failed']}", flush=True)
+            result = summarize(pairs)
+            for metric, r in result.items():
+                p, c = r["parent"], r["change"]
+                verdict = "holds" if r["gain"] else "fails"
+                print(f"  {metric}: parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]"
+                      f"  change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]"
+                      f"  wins {r['wins']}/{len(pairs)}  gain rule {verdict}")
+            summary["workloads"][workload] = {"pairs": pairs, "summary": result}
+    finally:
+        shutil.rmtree(parent_tree, ignore_errors=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
