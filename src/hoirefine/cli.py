@@ -6,8 +6,10 @@ Subcommands:
   ablate     Recall@K over every component on/off combination
   gradcheck  finite-difference verification of the embedding-loss gradients
 
-Exit codes: 0 success, 1 invalid input/configuration (or a failed gradient
-check), 2 provider exhaustion.
+Exit codes: 0 success; 1 invalid input or configuration, a failed output
+write, or a failed gradient check; 2 provider exhaustion. The subcommands
+raise; ``main`` alone turns an error into an ``error:`` line and its exit
+code.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -43,8 +46,6 @@ from .model import SCORE_KINDS, pair_key, tracked_pair_key
 from .pipeline import build_providers, fuse_table, refine
 from .provider import ProviderError, RuleTableError
 from . import embedloss
-
-log = logging.getLogger("hoirefine")
 
 
 def _ks(args) -> list[int]:
@@ -74,36 +75,31 @@ def _gt_per_frame(gt_set) -> dict[int, frozenset]:
 
 
 def _apply_overrides(config, args):
-    from dataclasses import replace
-
-    if getattr(args, "interval", None) is not None:
+    if args.interval is not None:
         config = replace(config, keyframe_interval=args.interval)
-    if getattr(args, "debate_mode", None) is not None:
+    if args.debate_mode is not None:
         config = replace(config, debate_mode=args.debate_mode)
-    if getattr(args, "threshold", None) is not None:
+    if args.threshold is not None:
         config = replace(config, weights=replace(config.weights, threshold=args.threshold))
     return config
 
 
+def _load_run(args):
+    """The configuration with the flag overrides, the prediction set and the
+    providers of a ``refine`` or ``ablate`` run, after checking the
+    ``--out`` path. Building the providers reads their rule tables but
+    calls none of them."""
+    config = _apply_overrides(load_config(args.config), args)
+    pred_set = load_predictions(args.predictions, load_vocabulary(args.vocab))
+    _check_out_path(args.out)
+    return config, pred_set, build_providers(config)
+
+
 def cmd_refine(args) -> int:
-    try:
-        config = _apply_overrides(load_config(args.config), args)
-        vocab = load_vocabulary(args.vocab)
-        pred_set = load_predictions(args.predictions, vocab)
-        _check_out_path(args.out)
-        providers = build_providers(config)
-    except (ValueError, OSError, RuleTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    transcript_dir = None
-    if args.cache_dir:
-        transcript_dir = os.path.join(args.cache_dir, "transcripts")
-    try:
-        outcome = refine(pred_set, config, cache_dir=args.cache_dir,
-                         transcript_dir=transcript_dir, providers=providers)
-    except ProviderError as exc:
-        print(f"error: provider exhausted: {exc}", file=sys.stderr)
-        return 2
+    config, pred_set, providers = _load_run(args)
+    transcript_dir = os.path.join(args.cache_dir, "transcripts") if args.cache_dir else None
+    outcome = refine(pred_set, config, cache_dir=args.cache_dir,
+                     transcript_dir=transcript_dir, providers=providers)
     write_predictions(pred_set, outcome.fused, args.out)
     print(outcome.stats.summary())
     print(f"refined predictions written to {args.out}")
@@ -111,21 +107,16 @@ def cmd_refine(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        ks = _ks(args)
-        _check_out_path(args.report)
-        vocab = load_vocabulary(args.vocab)
-        pred_set = load_predictions(args.refined, vocab)
-        gt = load_ground_truth(args.gt, pred_set)
-        scores = {(frame.frame_index, pair_key(pair, i), r): s
-                  for frame in pred_set.frames
-                  for i, pair in enumerate(frame.pairs)
-                  for r, s in enumerate(pair.scores)}
-        positives = positives_per_frame(scores, args.threshold)
-        recalls = recall_at_k_dataset(positives, _gt_per_frame(gt), ks)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ks = _ks(args)
+    _check_out_path(args.report)
+    pred_set = load_predictions(args.refined, load_vocabulary(args.vocab))
+    gt = load_ground_truth(args.gt, pred_set)
+    scores = {(frame.frame_index, pair_key(pair, i), r): s
+              for frame in pred_set.frames
+              for i, pair in enumerate(frame.pairs)
+              for r, s in enumerate(pair.scores)}
+    positives = positives_per_frame(scores, args.threshold)
+    recalls = recall_at_k_dataset(positives, _gt_per_frame(gt), ks)
     width = max(len(f"R@{k}") for k in ks)
     for k in ks:
         print(f"{f'R@{k}':<{width}}  {recalls[k]:.2f}")
@@ -138,29 +129,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    try:
-        ks = _ks(args)
-        config = _apply_overrides(load_config(args.config), args)
-        vocab = load_vocabulary(args.vocab)
-        pred_set = load_predictions(args.predictions, vocab)
-        gt = load_ground_truth(args.gt, pred_set)
-        if not gt.frames:
-            raise NoGroundTruthError(f"{args.gt}: no ground-truth records")
-        _check_out_path(args.out)
-        providers = build_providers(config)
-    except (ValueError, OSError, RuleTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ks = _ks(args)
+    config, pred_set, providers = _load_run(args)
+    gt = load_ground_truth(args.gt, pred_set)
+    if not gt.frames:
+        raise NoGroundTruthError(f"{args.gt}: no ground-truth records")
     gt_frames = _gt_per_frame(gt)
     threshold = config.weights.threshold
 
     # one full run computes every agent/debate score; each row just re-fuses
-    try:
-        outcome = refine(pred_set, config, cache_dir=args.cache_dir,
-                         transcript_dir=None, providers=providers)
-    except ProviderError as exc:
-        print(f"error: provider exhausted: {exc}", file=sys.stderr)
-        return 2
+    outcome = refine(pred_set, config, cache_dir=args.cache_dir,
+                     transcript_dir=None, providers=providers)
 
     def row_for(label: str, toggles: dict) -> AblationRow:
         fused = fuse_table(pred_set, outcome.table, config.weights, toggles)
@@ -183,14 +162,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.h <= 0:
-        print("error: step h must be > 0", file=sys.stderr)
-        return 1
-    try:
-        batch, file_metric = embedloss.load_embedding_batch(args.batch)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    batch, file_metric = embedloss.load_embedding_batch(args.batch)
     metric = args.metric or file_metric
     rng = np.random.default_rng(args.seed)
     params = embedloss.random_mlp(rng, 3 * batch.feature_dim, hidden=(16,),
@@ -256,9 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. An invalid input or
+    configuration, or a failed read or write (ValueError, OSError or
+    RuleTableError), prints ``error: ...`` and returns 1; any other
+    ProviderError prints ``error: provider exhausted: ...`` and returns 2."""
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, RuleTableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ProviderError as exc:
+        print(f"error: provider exhausted: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

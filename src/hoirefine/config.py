@@ -8,7 +8,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .model import FusionWeights
+from .model import FusionWeights, require_numbers
 from .provider import ProviderSpec
 
 DEBATE_MODES = ("disagreement", "always", "off")
@@ -30,6 +30,8 @@ class RefinementConfig:
     batch_size: int = 16
 
     def __post_init__(self):
+        require_numbers(self, ints=("keyframe_interval", "batch_size"),
+                        reals=("disagreement_delta", "candidate_floor"))
         if not self.providers:
             raise ConfigError("at least one provider is required")
         ids = [p.id for p in self.providers]
@@ -48,7 +50,13 @@ class RefinementConfig:
 
 
 def load_config(path: str) -> RefinementConfig:
-    """The configuration in the JSON file at ``path``. A relative
+    """The configuration in the JSON file at ``path``.
+
+    Each top-level key is a ``RefinementConfig`` field, each provider's a
+    ``ProviderSpec`` field and each of ``weights``' a ``FusionWeights``
+    field; an unknown key, or a value of the wrong JSON type, raises
+    ConfigError. An omitted field takes the dataclass default, and an
+    omitted ``judge_provider`` is the first provider. A relative
     ``rules_path`` is relative to the directory of that file, not to the
     working directory; an absolute one is kept. Whether the rule table
     exists is checked when the provider reads it."""
@@ -59,27 +67,17 @@ def load_config(path: str) -> RefinementConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
+        fields = {**raw}
         specs = []
         for spec in raw["providers"]:
             spec = dict(spec)
             if spec.get("rules_path"):
                 spec["rules_path"] = os.path.join(base_dir, spec["rules_path"])
             specs.append(ProviderSpec(**spec))
-        providers = tuple(specs)
-        if not providers:
-            raise ConfigError(f"{path}: at least one provider is required")
-        weights = FusionWeights(**raw.get("weights", {}))
-        return RefinementConfig(
-            providers=providers,
-            judge_provider=raw.get("judge_provider", providers[0].id),
-            keyframe_interval=int(raw.get("keyframe_interval", 1)),
-            weights=weights,
-            debate_mode=raw.get("debate_mode", "disagreement"),
-            disagreement_delta=float(raw.get("disagreement_delta", 0.3)),
-            candidate_floor=float(raw.get("candidate_floor", 0.05)),
-            batch_size=int(raw.get("batch_size", 16)),
-        )
+        fields["providers"] = tuple(specs)
+        fields.setdefault("judge_provider", specs[0].id if specs else None)
+        if "weights" in fields:
+            fields["weights"] = FusionWeights(**fields["weights"])
+        return RefinementConfig(**fields)
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from None

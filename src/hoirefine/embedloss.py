@@ -6,8 +6,7 @@ negative cosine) between those fused vectors and target text embeddings,
 restricted by a ground-truth mask. Everything here is 64-bit numpy with
 analytic gradients, verified against central finite differences.
 
-The text targets come from an external embedding pipeline; this module only
-emits the caption strings it should embed.
+The text targets come from an external embedding pipeline.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ class MlpParams:
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("parameters must be finite")
             prev = w.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0][0].shape[1]
 
     @property
     def output_dim(self) -> int:
@@ -252,12 +247,6 @@ def loss_and_param_grads(params: MlpParams, batch: EmbeddingBatch, metric: str):
     return loss, _backward_batch(params, cache, d_out)
 
 
-def total_loss(l_model: float, l_tri_emb: float, lambda_clip: float) -> float:
-    if lambda_clip < 0:
-        raise ValueError("lambda_clip must be >= 0")
-    return l_model + lambda_clip * l_tri_emb
-
-
 def finite_diff_check(params: MlpParams, batch: EmbeddingBatch, metric: str,
                       h: float = 1e-5) -> float:
     """Max over parameter coordinates of the discrepancy between the analytic
@@ -308,15 +297,6 @@ def toy_descent(params: MlpParams, batch: EmbeddingBatch, metric: str,
     final, _ = loss_and_param_grads(current, batch, metric)
     trajectory.append(final)
     return trajectory
-
-
-_VOWELS = "aeiou"
-
-
-def caption_for_triplet(relation: str, object_class: str) -> str:
-    """Caption handed to an external text-embedding pipeline."""
-    article = "an" if object_class[:1].lower() in _VOWELS else "a"
-    return f"A scene of a person {relation} {article} {object_class}"
 
 
 def save_embedding_batch(batch: EmbeddingBatch, metric: str, path: str) -> None:

@@ -144,6 +144,17 @@ class AgentScoreTable:
         return len(self._entries)
 
 
+def require_numbers(obj, ints: tuple = (), reals: tuple = ()) -> None:
+    """Raise ValueError unless each field of ``obj`` named in ``ints`` is an
+    int and each named in ``reals`` an int or a float. A bool is neither, so
+    a JSON ``true`` does not pass for 1."""
+    for names, types, what in ((ints, int, "an integer"), (reals, (int, float), "a number")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{name} must be {what}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FusionWeights:
     """Weights of the score-integration formula plus the positive-prediction
@@ -156,7 +167,9 @@ class FusionWeights:
     threshold: float = 0.3
 
     def __post_init__(self):
-        for name in ("lambda_cs", "lambda_s", "lambda_t", "lambda_debate"):
+        lambdas = ("lambda_cs", "lambda_s", "lambda_t", "lambda_debate")
+        require_numbers(self, reals=lambdas + ("threshold",))
+        for name in lambdas:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.threshold < 1.0:

@@ -107,8 +107,8 @@ def run_stage_one(
     keyframes: set[int],
     transitions: list[Transition],
     cache_dir: Optional[str],
-    on_scored: Callable = lambda tables, slots: None,
-    stop: Optional[threading.Event] = None,
+    on_scored: Callable,
+    stop: threading.Event,
 ) -> dict[str, AgentScoreTable]:
     """Raw per-provider keyframe score tables of the three stage-1 agents.
 
@@ -121,15 +121,15 @@ def run_stage_one(
     gets the tables so far and the slots the batch reported. Its calls do
     not overlap, and no table changes while one runs.
 
-    Every agent shares ``stop`` (a new event if None): once any of them
-    raises, or ``stop`` is set elsewhere, no agent of any provider starts a
-    further prompt. The prompts already started finish, then the first
-    error propagates; with ``stop`` set and no error here, the tables are
-    partial."""
+    Every agent shares ``stop``: once any of them raises, or ``stop`` is
+    set elsewhere, no agent of any provider starts a further prompt. The
+    prompts already started finish, then the first error propagates; with
+    ``stop`` set and no error here, the tables are partial.
+    ``run_stage_two`` is the one caller; it passes its debate scheduler as
+    ``on_scored`` and shares ``stop`` with the debates."""
     vocab = pred_set.vocabulary
     tables = {provider.id: AgentScoreTable() for provider in providers}
     lock = threading.Lock()
-    stop = threading.Event() if stop is None else stop
 
     def reporter(provider: Provider) -> Callable:
         def report(partial: AgentScoreTable, slots: list) -> None:
@@ -178,9 +178,11 @@ def run_stage_two(
     judge score goes on every candidate that asked it. The debates run on
     up to as many threads as the providers allow requests in flight
     together (the sum of their ``max_concurrency``), started as debates are
-    queued; each provider's own semaphore still bounds its requests. Stage
-    one and the debates share one stop: once either raises, neither starts
-    anything further, the running calls finish and the error propagates."""
+    queued; each provider's own semaphore still bounds its requests. With
+    ``debate_mode`` "off" no candidate is selected, so no debate runs and
+    the pool starts no thread. Stage one and the debates share one stop:
+    once either raises, neither starts anything further, the running calls
+    finish and the error propagates."""
     vocab = pred_set.vocabulary
     pairs, waiting = {}, {}
     for frame_index, pk, r, pair in keyframe_slots(pred_set, keyframes,
@@ -307,9 +309,11 @@ def refine(
     transcript_dir: Optional[str] = None,
     providers: Optional[list[Provider]] = None,
 ) -> RefinementOutcome:
-    """Full pipeline over one prediction set; reusing ``providers`` across
-    calls keeps their call counters cumulative. Ablations re-fuse
-    ``outcome.table`` with ``fuse_table``.
+    """Full pipeline over one prediction set: keyframes and their adjacent
+    transitions, then both stages through ``run_stage_two`` (for every
+    ``debate_mode``), aggregation, propagation and fusion. Reusing
+    ``providers`` across calls keeps their call counters cumulative.
+    Ablations re-fuse ``outcome.table`` with ``fuse_table``.
 
     Raises ProviderError when keyframe candidates exist but no agent scored
     any of them, so a total provider outage does not pass for base scores."""
@@ -325,14 +329,8 @@ def refine(
         # keyframe-adjacent changes only; others are covered by propagation
         if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
     ]
-    if config.debate_mode == "off":
-        per_provider = run_stage_one(pred_set, config, providers, keyframes, transitions,
-                                     cache_dir)
-        debate_table, debates = AgentScoreTable(), 0
-    else:
-        per_provider, debate_table, debates = run_stage_two(
-            pred_set, config, providers, judge, keyframes, transitions,
-            cache_dir, transcript_dir)
+    per_provider, debate_table, debates = run_stage_two(
+        pred_set, config, providers, judge, keyframes, transitions, cache_dir, transcript_dir)
     table = aggregate_provider_tables(per_provider).merge(debate_table)
 
     # propagation fills only non-keyframes, so keyframe coverage is final here

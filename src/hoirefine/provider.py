@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ingest import write_atomic
+from .model import require_numbers
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +77,8 @@ class ProviderSpec:
     auth_scheme: str = "Bearer"
 
     def __post_init__(self):
+        require_numbers(self, ints=("max_concurrency", "max_retries"),
+                        reals=("timeout", "backoff_base"))
         if self.kind not in ("http", "mock"):
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if self.kind == "http" and (not self.endpoint or not self.api_key_env):

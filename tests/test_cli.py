@@ -29,6 +29,11 @@ def run_refine(tmp_path, name, cache=None):
     return main(argv), out
 
 
+def assert_one_error_line(capsys, message):
+    """stderr is the single line ``error: <message>``, with no traceback."""
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 class TestRefine:
     def test_exit_zero_and_output_written(self, tmp_path, capsys):
         code, out = run_refine(tmp_path, "refined.jsonl", tmp_path / "cache")
@@ -67,6 +72,16 @@ class TestRefine:
         fresh = refined("fresh.jsonl", "fresh-cache")
         assert fresh != before
         assert rerun == fresh
+
+    def test_failed_replace_leaves_no_partial_output(self, tmp_path, monkeypatch, capsys):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, _ = run_refine(tmp_path, "refined.jsonl")
+        assert code == 1
+        assert_one_error_line(capsys, "replace failed")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_exits_one(self, tmp_path):
         code = main([
@@ -222,6 +237,43 @@ def test_unwritable_output_path_exits_one_before_any_call(tmp_path, capsys, tran
     assert not (tmp_path / "cache").exists()
 
 
+def set_first_provider(field, value):
+    def edit(config):
+        config["providers"][0][field] = value
+    return edit
+
+
+@pytest.mark.parametrize("command", ["refine", "ablate"])
+@pytest.mark.parametrize("edit,field", [
+    (lambda c: c.update(keyframe_interval=2.7), "keyframe_interval"),
+    (lambda c: c.update(keyframe_interval="3"), "keyframe_interval"),
+    (lambda c: c.update(batch_size=True), "batch_size"),
+    (lambda c: c.update(candidate_floor="0.05"), "candidate_floor"),
+    (lambda c: c.update(debate_mdoe="off"), "debate_mdoe"),
+    (set_first_provider("max_concurrency", 2.5), "max_concurrency"),
+    (set_first_provider("max_retries", False), "max_retries"),
+    (set_first_provider("timeout", "30"), "timeout"),
+], ids=["float-interval", "string-interval", "bool-batch", "string-floor", "unknown-key",
+        "float-concurrency", "bool-retries", "string-timeout"])
+def test_malformed_config_exits_one_before_any_call(tmp_path, capsys, transport_calls,
+                                                    command, edit, field):
+    with open(fixture_path("config.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    for provider in config["providers"]:
+        provider["rules_path"] = fixture_path(provider["rules_path"])
+    edit(config)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, *INPUT_FILES[command], "--vocab", fixture_path("vocab.txt"),
+            "--config", str(cfg), "--out", str(tmp_path / "o.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ")
+    assert field in err
+    assert transport_calls == []
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 class TestRulesPath:
     """A relative ``rules_path`` is relative to the config file's directory."""
 
@@ -365,15 +417,15 @@ class TestEval:
         ])
         assert code == 1
 
-    def test_failed_replace_leaves_no_partial_report(self, tmp_path, monkeypatch):
+    def test_failed_replace_leaves_no_partial_report(self, tmp_path, monkeypatch, capsys):
         def failing_replace(src, dst):
             raise OSError("replace failed")
 
         monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError, match="replace failed"):
-            main(["eval", "--refined", fixture_path("predictions.jsonl"),
-                  "--gt", fixture_path("gt.jsonl"), "--vocab", fixture_path("vocab.txt"),
-                  "--report", str(tmp_path / "report.json")])
+        assert main(["eval", "--refined", fixture_path("predictions.jsonl"),
+                     "--gt", fixture_path("gt.jsonl"), "--vocab", fixture_path("vocab.txt"),
+                     "--report", str(tmp_path / "report.json")]) == 1
+        assert_one_error_line(capsys, "replace failed")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -400,7 +452,8 @@ class TestAblate:
 
 
     @pytest.mark.parametrize("failing", ["ablation.jsonl", "ablation.jsonl.txt"])
-    def test_failed_replace_leaves_no_partial_file(self, tmp_path, monkeypatch, failing):
+    def test_failed_replace_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys,
+                                                   failing):
         # the JSON report is written first, then the text table
         replace = os.replace
 
@@ -410,11 +463,11 @@ class TestAblate:
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError, match="replace failed"):
-            main(["ablate", "--config", fixture_path("config.json"),
-                  "--predictions", fixture_path("predictions.jsonl"),
-                  "--vocab", fixture_path("vocab.txt"), "--gt", fixture_path("gt.jsonl"),
-                  "--out", str(tmp_path / "ablation.jsonl")])
+        assert main(["ablate", "--config", fixture_path("config.json"),
+                     "--predictions", fixture_path("predictions.jsonl"),
+                     "--vocab", fixture_path("vocab.txt"), "--gt", fixture_path("gt.jsonl"),
+                     "--out", str(tmp_path / "ablation.jsonl")]) == 1
+        assert_one_error_line(capsys, "replace failed")
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == (["ablation.jsonl"] if failing.endswith(".txt") else [])
 

@@ -1,0 +1,42 @@
+import json
+
+import pytest
+
+from hoirefine.config import ConfigError, RefinementConfig, load_config
+from hoirefine.model import FusionWeights
+from hoirefine.provider import ProviderSpec
+
+
+def test_omitted_fields_take_the_dataclass_defaults(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"providers": [{"id": "a"}, {"id": "b"}]}))
+    # the judge defaults to the first provider
+    assert load_config(str(cfg)) == RefinementConfig(
+        providers=(ProviderSpec(id="a"), ProviderSpec(id="b")), judge_provider="a")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProviderSpec(id="p", max_concurrency=True),
+    lambda: ProviderSpec(id="p", max_retries=1.0),
+    lambda: ProviderSpec(id="p", backoff_base=None),
+    lambda: FusionWeights(threshold="0.3"),
+    lambda: FusionWeights(lambda_s=True),
+    lambda: RefinementConfig(providers=(ProviderSpec(id="p"),), judge_provider="p",
+                             disagreement_delta=[0.3]),
+], ids=["bool-concurrency", "float-retries", "none-backoff", "string-threshold",
+        "bool-weight", "list-delta"])
+def test_wrongly_typed_field_is_rejected(make):
+    with pytest.raises(ValueError, match="must be"):
+        make()
+
+
+def test_integer_valued_floats_are_accepted():
+    weights = FusionWeights(lambda_s=2, threshold=0.5)
+    assert weights.lambda_s == 2
+
+
+def test_non_object_config_is_a_config_error(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[]")
+    with pytest.raises(ConfigError, match=str(cfg)):
+        load_config(str(cfg))

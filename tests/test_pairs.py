@@ -1,0 +1,68 @@
+"""The gain rule of ``tools/pairs.py``: a metric counts as a gain only when
+the change wins at least 9 of every 10 pairs, its median is below the
+parent's by more than the parent's quartile distance, and no more of its
+operations failed."""
+
+import os
+import sys
+
+import pytest
+
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
+
+
+@pytest.fixture
+def pairs():
+    sys.path.insert(0, TOOLS)
+    try:
+        import pairs
+    finally:
+        sys.path.remove(TOOLS)
+    return pairs
+
+
+# parent job_s 1.00..1.09: quartiles 1.0225 and 1.0675, an IQR of 0.045
+PARENT_JOB_S = [1.00 + 0.01 * i for i in range(10)]
+
+
+def side(job_s: float, failed: int = 0) -> dict:
+    return {"job_s": job_s, "setup_s": 0.05, "peak_rss_mb": 40.0,
+            "failed": failed, "attempted": 100}
+
+
+def make_pairs(change_job_s, parent_failed=0, change_failed=0) -> list[dict]:
+    return [{"seed": seed, "parent": side(p, parent_failed), "change": side(c, change_failed)}
+            for seed, (p, c) in enumerate(zip(PARENT_JOB_S, change_job_s))]
+
+
+def test_all_wins_beyond_the_parents_spread_is_a_gain(pairs):
+    result = pairs.summarize(make_pairs([p - 0.1 for p in PARENT_JOB_S]))
+    assert result["job_s"]["wins"] == 10
+    assert result["job_s"]["gain"]
+    # a tie on every pair is neither a win nor a gain
+    assert result["setup_s"]["wins"] == 0
+    assert not result["setup_s"]["gain"]
+
+
+def test_eight_wins_are_no_gain(pairs):
+    change = [p - 0.1 for p in PARENT_JOB_S[:8]] + [p + 0.1 for p in PARENT_JOB_S[8:]]
+    result = pairs.summarize(make_pairs(change))
+    assert result["job_s"]["wins"] == 8
+    assert not result["job_s"]["gain"]
+
+
+def test_gap_within_the_parents_iqr_is_no_gain(pairs):
+    # every pair won, but the medians differ by 0.04, below the IQR of 0.045
+    result = pairs.summarize(make_pairs([p - 0.04 for p in PARENT_JOB_S]))
+    summary = result["job_s"]
+    assert summary["wins"] == 10
+    assert summary["parent"]["q3"] - summary["parent"]["q1"] == pytest.approx(0.045)
+    assert not summary["gain"]
+
+
+def test_more_failed_runs_in_the_change_is_no_gain(pairs):
+    faster = [p - 0.1 for p in PARENT_JOB_S]
+    assert pairs.summarize(make_pairs(faster, parent_failed=1, change_failed=1))["job_s"]["gain"]
+    result = pairs.summarize(make_pairs(faster, parent_failed=0, change_failed=1))
+    assert result["job_s"]["wins"] == 10
+    assert not result["job_s"]["gain"]
