@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import load_config
+from .config import DEBATE_MODES, load_config
 from .evaluation import (
     AblationRow,
     DEFAULT_KS,
@@ -42,7 +42,7 @@ from .ingest import (
     write_atomic,
     write_predictions,
 )
-from .model import SCORE_KINDS, pair_key, tracked_pair_key
+from .model import SCORE_KINDS, FusionWeights, pair_key, tracked_pair_key
 from .pipeline import build_providers, fuse_table, refine
 from .provider import ProviderError, RuleTableError
 from . import embedloss
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--interval", type=int, default=None)
-    p.add_argument("--debate-mode", choices=("disagreement", "always", "off"), default=None)
+    p.add_argument("--debate-mode", choices=DEBATE_MODES, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=cmd_refine)
 
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refined", required=True, help="prediction file to score")
     p.add_argument("--gt", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--threshold", type=float, default=0.3)
+    p.add_argument("--threshold", type=float, default=FusionWeights.threshold)
     p.add_argument("--k", type=int, nargs="+", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_eval)
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--interval", type=int, default=None)
-    p.add_argument("--debate-mode", choices=("disagreement", "always", "off"), default=None)
+    p.add_argument("--debate-mode", choices=DEBATE_MODES, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--k", type=int, nargs="+", default=None)
     p.add_argument("--out", default=None, help="machine-readable report path")

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _field, _records
+
 DEFAULT_FEATURE_DIM = 64
 DEFAULT_EMBED_DIM = 64
 DEFAULT_HIDDEN_DIM = 128
@@ -319,29 +321,36 @@ def save_embedding_batch(batch: EmbeddingBatch, metric: str, path: str) -> None:
 
 
 def load_embedding_batch(path: str) -> tuple[EmbeddingBatch, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
+    """The batch and metric that ``save_embedding_batch`` wrote to ``path``.
+
+    The header holds the integers ``k``, ``d_f`` and ``d_e`` (each >= 1) and
+    the string ``metric``. Each of the K*K cells follows once: integers
+    ``i`` and ``j`` in [0, K), ``f_human``, ``f_inter`` and ``f_obj`` of
+    ``d_f`` numbers, ``e_text`` of ``d_e`` numbers and the boolean ``gt``. A
+    record that breaks a rule raises ParseError at its line."""
+    records = _records(path)
+    first = next(records, None)
+    if first is None:
         raise ValueError(f"{path}: empty batch file")
-    try:
-        header = json.loads(lines[0])
-        k, d_f, d_e = int(header["k"]), int(header["d_f"]), int(header["d_e"])
-        metric = str(header["metric"])
-        fh_arr = np.zeros((k, k, d_f))
-        fi_arr = np.zeros((k, k, d_f))
-        fo_arr = np.zeros((k, k, d_f))
-        et_arr = np.zeros((k, k, d_e))
-        mask = np.zeros((k, k), dtype=bool)
-        if len(lines) - 1 != k * k:
-            raise ValueError(f"expected {k * k} cell records, got {len(lines) - 1}")
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            i, j = int(rec["i"]), int(rec["j"])
-            fh_arr[i, j] = rec["f_human"]
-            fi_arr[i, j] = rec["f_inter"]
-            fo_arr[i, j] = rec["f_obj"]
-            et_arr[i, j] = rec["e_text"]
-            mask[i, j] = bool(rec["gt"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed embedding batch: {exc}") from None
-    return EmbeddingBatch(fh_arr, fi_arr, fo_arr, et_arr, mask), metric
+    lineno, header = first
+    k, d_f, d_e = (_field(path, lineno, header, name, INTEGER) for name in ("k", "d_f", "d_e"))
+    if min(k, d_f, d_e) < 1:
+        raise ParseError(path, lineno, "k, d_f and d_e must be >= 1")
+    metric = _field(path, lineno, header, "metric", STRING)
+    dims = {"f_human": d_f, "f_inter": d_f, "f_obj": d_f, "e_text": d_e}
+    arrays = {name: np.zeros((k, k, dim)) for name, dim in dims.items()}
+    mask = np.zeros((k, k), dtype=bool)
+    seen = set()
+    for lineno, rec in records:
+        i, j = (_field(path, lineno, rec, name, INTEGER) for name in ("i", "j"))
+        if not (0 <= i < k and 0 <= j < k):
+            raise ParseError(path, lineno, f"cell ({i}, {j}) outside the {k}x{k} grid")
+        if (i, j) in seen:
+            raise ParseError(path, lineno, f"duplicate cell ({i}, {j})")
+        seen.add((i, j))
+        for name, dim in dims.items():
+            arrays[name][i, j] = _field(path, lineno, rec, name, NUMBER, dim)
+        mask[i, j] = _field(path, lineno, rec, "gt", BOOLEAN)
+    if len(seen) != k * k:
+        raise ValueError(f"{path}: expected {k * k} cell records, got {len(seen)}")
+    return EmbeddingBatch(**arrays, gt_mask=mask), metric

@@ -1,19 +1,22 @@
 """File I/O for predictions, ground truth and vocabularies, plus the
 triplet-to-text serialization shared by every prompt.
 
-Predictions and ground truth are line-delimited JSON, one record per line.
-Relation vocabularies are plain text, one relation name per line (index =
-line number). Labels are lower-cased at load time so prompt text is stable
-across datasets that mix cases.
+Predictions and ground truth are line-delimited JSON, one object per line;
+relation vocabularies are plain text, one relation name per line (index =
+line number). Every file is read by one reader and every value checked by
+one type rule, in the same pass, so each rejected input raises ParseError
+at ``path:line``. Labels are lower-cased at load time so prompt text is
+stable across datasets that mix cases.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import threading
-from typing import Optional
+from typing import Iterator, Optional
 
 from .model import (
     BoundingBox,
@@ -23,7 +26,6 @@ from .model import (
     RelationVocabulary,
     VideoPredictionSet,
     pair_key,
-    validate_prediction_set,
 )
 
 
@@ -38,18 +40,71 @@ class ParseError(IngestError):
         self.line = line
 
 
-class ValidationError(IngestError):
-    pass
-
-
 class DanglingReferenceError(IngestError):
     pass
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_no_constant)  # NaN and Infinity fail
+
+
+def _records(path: str, data: Optional[bytes] = None) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of the JSON-lines file
+    at ``path``, streamed from the file or from its bytes ``data`` when
+    given. A line that is not UTF-8 or not JSON, or whose value is not a
+    JSON object, raises ParseError at that line."""
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, lineno, f"not UTF-8: {exc.reason}") from None
+            if not line:
+                continue
+            try:
+                rec = _DECODER.decode(line)
+            except ValueError as exc:
+                raise ParseError(path, lineno, f"invalid JSON: {exc}") from None
+            if type(rec) is not dict:
+                raise ParseError(path, lineno, f"record must be a JSON object, not {line}")
+            yield lineno, rec
+
+
+# JSON types by exact Python type, so a bool is no integer and no number
+INTEGER = ("an integer", frozenset({int}))
+NUMBER = ("a number", frozenset({int, float}))
+STRING = ("a string", frozenset({str}))
+BOOLEAN = ("a boolean", frozenset({bool}))
+
+
+def _field(path: str, lineno: int, rec: dict, name: str, kind: tuple,
+           length: Optional[int] = None):
+    """``rec[name]`` if its JSON type is ``kind`` or, given ``length``, if
+    it is a list of that many values of type ``kind``; else ParseError at
+    ``path:lineno``. Callers convert a value only after this check."""
+    if name not in rec:
+        raise ParseError(path, lineno, f"missing field {name!r}")
+    value = rec[name]
+    what, types = kind
+    if length is None:
+        if type(value) in types:
+            return value
+        raise ParseError(path, lineno, f"field {name!r} must be {what}, not {json.dumps(value)}")
+    if type(value) is list and len(value) == length and set(map(type, value)) <= types:
+        return value
+    raise ParseError(path, lineno, f"field {name!r} must be a list of {length} values, "
+                                   f"each {what}, not {json.dumps(value)}")
+
+
 def load_vocabulary(path: str) -> RelationVocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        names = [line.strip().lower() for line in fh if line.strip()]
-    return RelationVocabulary(tuple(names))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return RelationVocabulary(tuple(ln.strip().lower() for ln in fh if ln.strip()))
+    except ValueError as exc:  # not UTF-8, or a relation name twice
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def triplet_to_text(pair: PairPrediction, relation_index: int, vocab: RelationVocabulary) -> str:
@@ -62,93 +117,82 @@ def triplet_to_text(pair: PairPrediction, relation_index: int, vocab: RelationVo
     return f"<person,{relation},{obj}>"
 
 
-def _parse_box(raw, path, lineno) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ParseError(path, lineno, f"box must be [x1,y1,x2,y2], got {raw!r}")
-    try:
-        return BoundingBox(*(float(v) for v in raw))
-    except (TypeError, ValueError):
-        raise ParseError(path, lineno, f"non-numeric box coordinates: {raw!r}") from None
-
-
 def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet:
-    """Load a line-delimited prediction file.
-
-    Raises ParseError with a line/field location on malformed input or on
-    the first record whose ``video_id`` differs from an earlier record's,
-    and ValidationError (carrying the first violation) if the parsed set
-    breaks a structural invariant.
-    """
-    frames: dict[int, dict] = {}
+    """Load a line-delimited prediction file, checking each record in the
+    pass that reads it. A record holds ``frame_index`` (an integer >= 0),
+    the numbers ``frame_w`` and ``frame_h``, the string ``object_class``,
+    ``human_box`` and ``object_box`` (four numbers x1 < x2, y1 < y2 inside
+    the frame) and ``scores`` (a number in [0,1] per relation). Optional are
+    ``pair_id`` (two integers, unique in the frame), ``video_id`` (a string)
+    and ``score_scale`` ("base" or "fused"; a fused score may exceed 1);
+    these two and each frame's size must agree with earlier records. The
+    first record that breaks a rule raises ParseError at its line. Frames
+    come out sorted by index, each frame's pairs in file order."""
+    frames: dict[int, tuple[tuple[float, float], list, set]] = {}
     video_id: Optional[str] = None
-    score_scale = "base"
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, lineno, f"invalid JSON: {exc}") from None
-            for field in ("frame_index", "frame_w", "frame_h", "object_class",
-                          "human_box", "object_box", "scores"):
-                if field not in rec:
-                    raise ParseError(path, lineno, f"missing field {field!r}")
-            vid = rec.get("video_id", video_id)
+    score_scale: Optional[str] = None
+    for lineno, rec in _records(path):
+        if "video_id" in rec:
+            vid = _field(path, lineno, rec, "video_id", STRING)
             if video_id is not None and vid != video_id:
                 raise ParseError(path, lineno, f"video_id {vid!r} differs from earlier "
                                                f"{video_id!r}; one video per file")
             video_id = vid
-            if rec.get("score_scale") == "fused":
-                score_scale = "fused"
-            fi = rec["frame_index"]
-            if not isinstance(fi, int):
-                raise ParseError(path, lineno, f"frame_index must be an integer, got {fi!r}")
-            scores = rec["scores"]
-            if not isinstance(scores, list) or not all(
-                isinstance(s, (int, float)) and not isinstance(s, bool) for s in scores
-            ):
-                raise ParseError(path, lineno, "field 'scores' must be a list of numbers")
-            raw_pid = rec.get("pair_id")
-            pid: Optional[tuple[int, int]] = None
-            if raw_pid is not None:
-                if not (isinstance(raw_pid, (list, tuple)) and len(raw_pid) == 2):
-                    raise ParseError(path, lineno, f"pair_id must be [human_id, object_id], got {raw_pid!r}")
-                pid = (int(raw_pid[0]), int(raw_pid[1]))
-            pair = PairPrediction(
-                frame_index=fi,
-                pair_id=pid,
-                object_class=str(rec["object_class"]).lower(),
-                human_box=_parse_box(rec["human_box"], path, lineno),
-                object_box=_parse_box(rec["object_box"], path, lineno),
-                scores=tuple(float(s) for s in scores),
-            )
-            slot = frames.setdefault(fi, {"w": float(rec["frame_w"]), "h": float(rec["frame_h"]), "pairs": []})
-            slot["pairs"].append(pair)
+        scale = rec.get("score_scale", "base")
+        if scale not in ("base", "fused"):
+            raise ParseError(path, lineno, f"score_scale must be \"base\" or \"fused\", "
+                                           f"not {json.dumps(scale)}")
+        if score_scale is not None and scale != score_scale:
+            raise ParseError(path, lineno, f"score_scale {scale!r} differs from earlier "
+                                           f"{score_scale!r}; one scale per file")
+        score_scale = scale
 
-    frame_objs = tuple(
-        FramePrediction(
-            frame_index=fi,
-            frame_width=frames[fi]["w"],
-            frame_height=frames[fi]["h"],
-            pairs=tuple(frames[fi]["pairs"]),
-        )
-        for fi in sorted(frames)
+        fi = _field(path, lineno, rec, "frame_index", INTEGER)
+        if fi < 0:
+            raise ParseError(path, lineno, f"negative frame_index {fi}")
+        size = (float(_field(path, lineno, rec, "frame_w", NUMBER)),
+                float(_field(path, lineno, rec, "frame_h", NUMBER)))
+        frame_size, pairs, pair_ids = frames.setdefault(fi, (size, [], set()))
+        if size != frame_size:
+            raise ParseError(path, lineno, f"frame size {size} differs from earlier "
+                                           f"{frame_size} of frame {fi}")
+        pid = None
+        if rec.get("pair_id") is not None:
+            pid = tuple(_field(path, lineno, rec, "pair_id", INTEGER, 2))
+            if pid in pair_ids:
+                raise ParseError(path, lineno, f"duplicate pair_id {pid} in frame {fi}")
+            pair_ids.add(pid)
+        object_class = _field(path, lineno, rec, "object_class", STRING).lower()
+        scores = _field(path, lineno, rec, "scores", NUMBER, vocab.n)
+        if min(scores) < 0.0 or (scale == "base" and max(scores) > 1.0):
+            raise ParseError(path, lineno, f"scores {scores} out of "
+                                           f"{'[0,1]' if scale == 'base' else '[0,inf)'}")
+        boxes = []
+        for name in ("human_box", "object_box"):
+            x1, y1, x2, y2 = box = list(map(float, _field(path, lineno, rec, name, NUMBER, 4)))
+            if not (x1 < x2 and y1 < y2):
+                raise ParseError(path, lineno, f"degenerate {name} {box}")
+            if x1 < 0 or y1 < 0 or x2 > size[0] or y2 > size[1]:
+                raise ParseError(path, lineno, f"{name} {box} outside the frame {size}")
+            boxes.append(BoundingBox(*box))
+        pairs.append(PairPrediction(frame_index=fi, pair_id=pid, object_class=object_class,
+                                    human_box=boxes[0], object_box=boxes[1],
+                                    scores=tuple(map(float, scores))))
+    return VideoPredictionSet(
+        video_id="" if video_id is None else video_id,
+        vocabulary=vocab,
+        frames=tuple(FramePrediction(fi, *frames[fi][0], tuple(frames[fi][1]))
+                     for fi in sorted(frames)),
+        score_scale=score_scale or "base",
     )
-    pred_set = VideoPredictionSet(
-        video_id="" if video_id is None else video_id, vocabulary=vocab,
-        frames=frame_objs, score_scale=score_scale,
-    )
-    violations = validate_prediction_set(pred_set)
-    if violations:
-        raise ValidationError(f"{path}: {violations[0]}")
-    return pred_set
 
 
 def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruthSet:
     """Load ground truth and cross-check every triplet against the prediction
-    set: each GT pair must exist among that frame's predicted pairs."""
+    set. A record holds the integers ``frame_index`` and ``relation_index``
+    (< the vocabulary size) and ``pair_id``, two integers. A record that
+    breaks a rule raises ParseError at its line, and one whose pair is not
+    predicted in that frame DanglingReferenceError."""
     n = predictions.vocabulary.n
     known: dict[int, set] = {}
     for frame, pair in predictions.iter_pairs():
@@ -156,30 +200,18 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
             known.setdefault(frame.frame_index, set()).add(pair.pair_id)
 
     frames: dict[int, set] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, lineno, f"invalid JSON: {exc}") from None
-            try:
-                fi = int(rec["frame_index"])
-                pid = (int(rec["pair_id"][0]), int(rec["pair_id"][1]))
-                rel = int(rec["relation_index"])
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(path, lineno, f"malformed ground-truth record: {line}") from None
-            if not 0 <= rel < n:
-                raise IngestError(
-                    f"{path}:{lineno}: relation_index {rel} out of range (vocabulary size {n})"
-                )
-            if pid not in known.get(fi, set()):
-                raise DanglingReferenceError(
-                    f"{path}:{lineno}: pair {pid} not predicted at frame {fi}"
-                )
-            frames.setdefault(fi, set()).add((pid, rel))
+    for lineno, rec in _records(path):
+        fi = _field(path, lineno, rec, "frame_index", INTEGER)
+        pid = tuple(_field(path, lineno, rec, "pair_id", INTEGER, 2))
+        rel = _field(path, lineno, rec, "relation_index", INTEGER)
+        if not 0 <= rel < n:
+            raise ParseError(path, lineno, f"relation_index {rel} out of range "
+                                           f"(vocabulary size {n})")
+        if pid not in known.get(fi, set()):
+            raise DanglingReferenceError(
+                f"{path}:{lineno}: pair {pid} not predicted at frame {fi}"
+            )
+        frames.setdefault(fi, set()).add((pid, rel))
     return GroundTruthSet({fi: frozenset(s) for fi, s in frames.items()})
 
 

@@ -1,8 +1,8 @@
 """Core domain types for per-frame human-object interaction predictions.
 
 All types here are immutable after construction and safe to share across
-concurrent pipeline stages. Structural checks live in
-``validate_prediction_set``; violations are returned as data, not raised.
+concurrent pipeline stages. The rules a prediction file must follow are
+checked where it is read, in ``ingest.load_predictions``.
 """
 
 from __future__ import annotations
@@ -175,43 +175,3 @@ class FusionWeights:
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0,1)")
 
-
-def validate_prediction_set(pred_set: VideoPredictionSet) -> list[str]:
-    """Structural validation. Returns a list of human-readable violations,
-    each naming the frame, pair, and broken rule; empty iff well-formed."""
-    violations: list[str] = []
-    n = pred_set.vocabulary.n
-    fused = pred_set.score_scale == "fused"
-
-    last_index = None
-    for frame in pred_set.frames:
-        where = f"frame {frame.frame_index}"
-        if last_index is not None and frame.frame_index <= last_index:
-            violations.append(f"{where}: frame indices not strictly increasing")
-        last_index = frame.frame_index
-        if frame.frame_index < 0:
-            violations.append(f"{where}: negative frame index")
-        seen_ids = set()
-        for i, pair in enumerate(frame.pairs):
-            pwhere = f"{where} pair {pair.pair_id if pair.pair_id is not None else i}"
-            if pair.pair_id is not None:
-                if pair.pair_id in seen_ids:
-                    violations.append(f"{pwhere}: duplicate pair_id")
-                seen_ids.add(pair.pair_id)
-            if pair.frame_index != frame.frame_index:
-                violations.append(f"{pwhere}: pair frame_index mismatch")
-            if len(pair.scores) != n:
-                violations.append(
-                    f"{pwhere}: scores length {len(pair.scores)} != vocabulary size {n}"
-                )
-            for r, s in enumerate(pair.scores):
-                if s < 0.0 or (not fused and s > 1.0):
-                    violations.append(f"{pwhere} relation {r}: score out of [0,1]")
-            for label, box in (("human", pair.human_box), ("object", pair.object_box)):
-                if not (box.x1 < box.x2 and box.y1 < box.y2):
-                    violations.append(f"{pwhere}: degenerate {label} box")
-                if box.x1 < 0 or box.y1 < 0:
-                    violations.append(f"{pwhere}: {label} box outside frame")
-                if box.x2 > frame.frame_width or box.y2 > frame.frame_height:
-                    violations.append(f"{pwhere}: {label} box outside frame")
-    return violations

@@ -321,8 +321,7 @@ def refine(
         providers = build_providers(config)
     judge = next(p for p in providers if p.id == config.judge_provider)
 
-    keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval) \
-        if pred_set.frames else set()
+    keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval)
 
     transitions = [
         tr for tr in detect_transitions(pred_set)

@@ -14,7 +14,6 @@ distinct prompt once per run.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import math
@@ -26,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ingest import write_atomic
+from .ingest import STRING, ParseError, _field, _records, write_atomic
 from .model import require_numbers
 
 log = logging.getLogger(__name__)
@@ -130,28 +129,22 @@ def _test_region(prompt: str) -> list[str]:
 
 
 def load_rule_table(path: str) -> tuple[list[MockRule], str]:
-    """Rules of a JSON-lines rule table, and the sha256 of its bytes. An
-    unreadable file raises OSError; a file that is not UTF-8 or holds a
-    malformed rule raises RuleTableError naming ``path``."""
+    """Rules of a JSON-lines rule table, and the sha256 of its bytes. Each
+    rule has the strings ``match`` (a matcher name), ``key`` and
+    ``response``. An unreadable file raises OSError; a file that is not
+    UTF-8 or holds a malformed rule raises RuleTableError at ``path:line``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise RuleTableError(f"{path}: not UTF-8: {exc}") from None
     rules = []
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            rule = MockRule(kind=rec["match"], key=rec["key"], response=rec["response"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise RuleTableError(f"{path}:{lineno}: malformed rule: {exc}") from None
-        if rule.kind not in ("triplet", "relation", "contains"):
-            raise RuleTableError(f"{path}:{lineno}: unknown matcher {rule.kind!r}")
-        rules.append(rule)
+    try:
+        for lineno, rec in _records(path, data):
+            kind, key, response = (_field(path, lineno, rec, name, STRING)
+                                   for name in ("match", "key", "response"))
+            if kind not in ("triplet", "relation", "contains"):
+                raise ParseError(path, lineno, f"unknown matcher {kind!r}")
+            rules.append(MockRule(kind=kind, key=key, response=response))
+    except ParseError as exc:
+        raise RuleTableError(str(exc)) from None
     return rules, hashlib.sha256(data).hexdigest()
 
 

@@ -190,10 +190,12 @@ def test_out_of_range_flag_exits_one(tmp_path, capsys, command, bad):
 
 
 @pytest.mark.parametrize("command", ["refine", "ablate"])
-@pytest.mark.parametrize("rules", [None, b"not json\n", b"\xff\xfe{}\n"],
-                         ids=["missing", "malformed", "not-utf8"])
+@pytest.mark.parametrize("rules", [
+    None, b"not json\n", b"\xff\xfe{}\n",
+    b'{"match": "contains", "key": 5, "response": "Output: 0.9"}\n',
+], ids=["missing", "malformed", "not-utf8", "number-key"])
 def test_bad_rule_table_exits_one_before_any_call(tmp_path, capsys, command, rules):
-    # alpha's rule table is fine; beta's is missing, not JSON or not UTF-8
+    # alpha's rule table is fine; beta's is missing, not JSON, not UTF-8 or has a number key
     bad = tmp_path / "rules_beta.jsonl"
     if rules is not None:
         bad.write_bytes(rules)
@@ -235,6 +237,53 @@ def test_unwritable_output_path_exits_one_before_any_call(tmp_path, capsys, tran
     assert "R@" not in captured.out
     assert transport_calls == []
     assert not (tmp_path / "cache").exists()
+
+
+def fixture_records_with(line: bytes, at: int) -> bytes:
+    """The fixture predictions with ``line`` put in as line ``at``."""
+    with open(fixture_path("predictions.jsonl"), "rb") as fh:
+        lines = fh.read().splitlines()
+    return b"\n".join(lines[:at - 1] + [line] + lines[at - 1:]) + b"\n"
+
+
+def first_fixture_record(**changes) -> bytes:
+    with open(fixture_path("predictions.jsonl"), encoding="utf-8") as fh:
+        rec = json.loads(fh.readline())
+    return json.dumps({**rec, **changes}).encode()
+
+
+@pytest.mark.parametrize("command", ["refine", "eval", "ablate"])
+@pytest.mark.parametrize("line", [
+    b"5",
+    b"null",
+    first_fixture_record(pair_id=[0, 1.7]),
+    first_fixture_record(pair_id=["0", "1"]),
+    first_fixture_record(frame_index=True),
+    first_fixture_record(frame_w="640"),
+    first_fixture_record(object_class=None),
+    first_fixture_record(frame_w=800.0, pair_id=[9, 9]),
+    first_fixture_record(score_scale="fused", pair_id=[9, 9]),
+    b'{"video_id": "synth\xefic"}',
+], ids=["bare-number", "null", "float-pair-id", "string-pair-id", "bool-frame-index",
+        "string-frame-w", "null-object-class", "frame-size-differs", "fused-record",
+        "not-utf8"])
+def test_bad_prediction_line_exits_one_before_any_call(tmp_path, capsys, transport_calls,
+                                                       command, line):
+    preds = tmp_path / "predictions.jsonl"
+    preds.write_bytes(fixture_records_with(line, at=3))
+    config, gt, out = fixture_path("config.json"), fixture_path("gt.jsonl"), str(tmp_path / "o.jsonl")
+    args = {
+        "refine": ["--predictions", str(preds), "--config", config, "--out", out],
+        "eval": ["--refined", str(preds), "--gt", gt],
+        "ablate": ["--predictions", str(preds), "--config", config, "--gt", gt, "--out", out],
+    }[command]
+    assert main([command, "--vocab", fixture_path("vocab.txt"), *args]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1, captured.err
+    assert err[0].startswith(f"error: {preds}:3: ")
+    assert transport_calls == []
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def set_first_provider(field, value):

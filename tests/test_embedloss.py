@@ -1,10 +1,13 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hoirefine import embedloss as el
+from hoirefine.ingest import ParseError
 
 
 def oracle_loss(params, batch, metric):
@@ -212,4 +215,28 @@ class TestCaptionsAndSerialization:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
+            el.load_embedding_batch(str(path))
+
+    @pytest.mark.parametrize("line,edit", [
+        (2, lambda cell: cell.update(gt="false")),
+        (2, lambda cell: cell.update(gt=1)),
+        (2, lambda cell: cell.update(i=1.0)),
+        (2, lambda cell: cell.update(i=-1)),
+        (2, lambda cell: cell.update(j=2)),
+        (2, lambda cell: cell.update(f_human=["0.5", 0.5])),
+        (2, lambda cell: cell.update(e_text=[0.5])),
+        (3, lambda cell: cell.update(i=0, j=0)),
+        (1, lambda header: header.update(k="2")),
+        (1, lambda header: header.update(d_f=0)),
+    ], ids=["string-gt", "integer-gt", "float-i", "negative-i", "j-outside-grid",
+            "string-feature", "short-embedding", "duplicate-cell", "string-k", "zero-d_f"])
+    def test_load_rejects_bad_record_at_its_line(self, tmp_path, line, edit):
+        rng = np.random.default_rng(42)
+        batch = el.random_batch(rng, k=2, d_f=2, d_e=2)
+        path = tmp_path / "batch.jsonl"
+        el.save_embedding_batch(batch, "l1", str(path))
+        records = [json.loads(ln) for ln in path.read_text().splitlines()]
+        edit(records[line - 1])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: "):
             el.load_embedding_batch(str(path))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 
 import pytest
@@ -8,7 +9,6 @@ from hoirefine.ingest import (
     DanglingReferenceError,
     IngestError,
     ParseError,
-    ValidationError,
     load_ground_truth,
     load_predictions,
     load_vocabulary,
@@ -21,10 +21,12 @@ from test_model import make_pair  # noqa: F401  (shared builders)
 
 
 def write_lines(path, records):
-    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    """One line per record: a dict as JSON, bytes as they are."""
+    path.write_bytes(b"\n".join(r if isinstance(r, bytes) else json.dumps(r).encode()
+                                 for r in records) + b"\n")
 
 
-def record(frame=0, pair_id=(0, 1), obj="chair", scores=(0.5, 0.5, 0.5)):
+def record(frame=0, pair_id=(0, 1), obj="chair", scores=(0.5, 0.5, 0.5), **fields):
     return {
         "video_id": "v",
         "frame_index": frame,
@@ -35,6 +37,7 @@ def record(frame=0, pair_id=(0, 1), obj="chair", scores=(0.5, 0.5, 0.5)):
         "human_box": [10, 10, 50, 100],
         "object_box": [20, 40, 60, 90],
         "scores": list(scores),
+        **fields,
     }
 
 
@@ -46,6 +49,17 @@ def vocab(tmp_path):
 
 def test_vocabulary_lowercased(vocab):
     assert vocab.names == ("hold", "ride", "sit on")
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"hold\nride\nhold\n", "relation names must be unique"),
+    (b"hold\nr\xffde\n", "can't decode byte 0xff"),
+], ids=["duplicate", "not-utf8"])
+def test_vocabulary_error_names_the_file(tmp_path, text, message):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(text)
+    with pytest.raises(IngestError, match=f"^{re.escape(str(path))}: .*{message}"):
+        load_vocabulary(path)
 
 
 class TestTripletToText:
@@ -97,15 +111,101 @@ class TestLoadPredictions:
 
     def test_validation_error_names_rule(self, tmp_path, vocab):
         write_lines(tmp_path / "p.jsonl", [record(scores=(1.4, 0.2, 0.1))])
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ParseError) as exc:
             load_predictions(tmp_path / "p.jsonl", vocab)
-        assert "score out of [0,1]" in str(exc.value)
+        assert "scores [1.4, 0.2, 0.1] out of [0,1]" in str(exc.value)
 
     def test_duplicate_pair_id_rejected(self, tmp_path, vocab):
         write_lines(tmp_path / "p.jsonl", [record(obj="chair"), record(obj="cup")])
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ParseError) as exc:
             load_predictions(tmp_path / "p.jsonl", vocab)
+        assert exc.value.line == 2
         assert "duplicate pair_id" in str(exc.value)
+
+    def test_well_formed_two_frames(self, tmp_path, vocab):
+        # untracked pairs carry no id, so any number of them may share a frame
+        write_lines(tmp_path / "p.jsonl", [
+            record(frame=0, pair_id=(0, 1)), record(frame=0, pair_id=(0, 2), obj="Cup"),
+            record(frame=1, pair_id=(0, 1)), record(frame=1, pair_id=None),
+            record(frame=1, pair_id=None)])
+        pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
+        assert pred_set.frame_indices() == [0, 1]
+        assert [p.pair_id for p in pred_set.frames[1].pairs] == [(0, 1), None, None]
+        assert pred_set.frames[0].pairs[1].object_class == "cup"
+
+    def test_frames_load_sorted(self, tmp_path, vocab):
+        write_lines(tmp_path / "p.jsonl", [record(frame=2), record(frame=0),
+                                           record(frame=1), record(frame=0, pair_id=None)])
+        pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
+        assert pred_set.frame_indices() == [0, 1, 2]
+        assert [p.pair_id for p in pred_set.frames[0].pairs] == [(0, 1), None]
+        assert all(p.frame_index == f.frame_index for f, p in pred_set.iter_pairs())
+
+    def test_fused_scale_relaxes_upper_bound(self, tmp_path, vocab):
+        write_lines(tmp_path / "p.jsonl", [record(frame=f, scores=(2.3, 0.5, 0.2),
+                                                  score_scale="fused") for f in (0, 1)])
+        pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
+        assert pred_set.score_scale == "fused"
+        assert pred_set.frames[0].pairs[0].scores == (2.3, 0.5, 0.2)
+
+    def test_crlf_line_ends_load_like_lf(self, tmp_path, vocab):
+        records = [record(frame=0), record(frame=1, pair_id=None)]
+        write_lines(tmp_path / "lf.jsonl", records)
+        (tmp_path / "crlf.jsonl").write_bytes((tmp_path / "lf.jsonl").read_bytes()
+                                              .replace(b"\n", b"\r\n"))
+        assert (load_predictions(tmp_path / "crlf.jsonl", vocab)
+                == load_predictions(tmp_path / "lf.jsonl", vocab))
+
+    def test_integers_load_as_floats(self, tmp_path, vocab):
+        write_lines(tmp_path / "p.jsonl", [record(frame_w=640, scores=(1, 0, 0.5))])
+        frame = load_predictions(tmp_path / "p.jsonl", vocab).frames[0]
+        pair = frame.pairs[0]
+        assert (frame.frame_width, pair.human_box.x1, pair.scores) == (640.0, 10.0, (1.0, 0.0, 0.5))
+        assert all(type(v) is float for v in (frame.frame_width, pair.human_box.x1, *pair.scores))
+
+    @pytest.mark.parametrize("lines,line", [
+        # one rule each, at the line that breaks it
+        ([record(scores=(1.3, 0.5, 0.2))], 1),
+        ([record(scores=(0.5, -0.1, 0.2))], 1),
+        ([record(scores=(0.5,))], 1),
+        ([record(scores=(True, 0.5, 0.5))], 1),
+        ([record(human_box=[10, 10, 10, 100])], 1),
+        ([record(object_box=[20, 40, 700, 90])], 1),
+        ([record(human_box=[-1, 10, 50, 100])], 1),
+        ([record(human_box=[True, 10, 50, 100])], 1),
+        ([record(), record(obj="cup")], 2),
+        ([record(frame=-1)], 1),
+        ([record(pair_id=(0, 1.7))], 1),
+        ([record(pair_id=("0", "1"))], 1),
+        ([record(pair_id=(True, 1))], 1),
+        ([record(pair_id=(0, 1, 2))], 1),
+        ([record(frame=True)], 1),
+        ([record(frame_w="640")], 1),
+        ([record(obj=None)], 1),
+        ([record(video_id=5)], 1),
+        ([record(frame=0), record(frame=0, pair_id=(0, 2), frame_w=800.0)], 2),
+        ([record(frame=0, score_scale="fused"), record(frame=1, scores=(1.4, 0.2, 0.1))], 2),
+        ([record(frame=0), record(frame=1, score_scale="fused")], 2),
+        ([record(score_scale="raw")], 1),
+        ([record(), b"5"], 2),
+        ([b"null"], 1),
+        ([b"[1, 2]"], 1),
+        ([b"not json"], 1),
+        ([b'{"scores": [NaN, 0.5, 0.5]}'], 1),
+        ([record(frame=0), b"", b'{"video_id": "v\xff"}'], 3),
+    ], ids=["score-above-1", "negative-score", "short-scores", "bool-score",
+            "degenerate-box", "box-outside-frame", "negative-box", "bool-box",
+            "duplicate-pair-id", "negative-frame", "float-pair-id", "string-pair-id",
+            "bool-pair-id", "long-pair-id", "bool-frame-index", "string-frame-w",
+            "null-object-class", "number-video-id", "frame-size-differs",
+            "fused-then-base-above-1", "base-then-fused", "unknown-scale", "bare-number",
+            "null-line", "list-line", "not-json", "nan", "not-utf8"])
+    def test_bad_record_raises_at_its_line(self, tmp_path, vocab, lines, line):
+        path = tmp_path / "p.jsonl"
+        write_lines(path, lines)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: ") as exc:
+            load_predictions(path, vocab)
+        assert exc.value.line == line
 
     def test_mixed_video_ids_rejected_at_first_change(self, tmp_path, vocab):
         other = record(frame=2)
@@ -159,6 +259,24 @@ class TestLoadGroundTruth:
         with pytest.raises(IngestError) as exc:
             load_ground_truth(tmp_path / "gt.jsonl", preds)
         assert "out of range" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [
+        {"frame_index": 0, "pair_id": [0, 1], "relation_index": 1.9},
+        {"frame_index": 0, "pair_id": [0, 1], "relation_index": "1"},
+        {"frame_index": 0, "pair_id": [0, 1], "relation_index": True},
+        {"frame_index": 0, "pair_id": [0, 1.0], "relation_index": 1},
+        {"frame_index": "0", "pair_id": [0, 1], "relation_index": 1},
+        {"frame_index": 0, "relation_index": 1},
+        b"5",
+    ], ids=["float-relation", "string-relation", "bool-relation", "float-pair-id",
+            "string-frame", "missing-pair-id", "bare-number"])
+    def test_bad_record_raises_at_its_line(self, tmp_path, vocab, bad):
+        preds = self.make_predictions(tmp_path, vocab)
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, [{"frame_index": 1, "pair_id": [0, 1], "relation_index": 0}, bad])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: ") as exc:
+            load_ground_truth(path, preds)
+        assert exc.value.line == 2
 
 
 class TestWritePredictions:

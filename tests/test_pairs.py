@@ -1,8 +1,10 @@
-"""The gain rule of ``tools/pairs.py``: a metric counts as a gain only when
+"""The verdicts of ``tools/pairs.py``. A metric counts as a gain only when
 the change wins at least 9 of every 10 pairs, its median is below the
 parent's by more than the parent's quartile distance, and no more of its
-operations failed."""
+operations failed. It counts as regressed when the change's median is
+above the parent's by more than the metric's ``BENCHMARK.json`` bound."""
 
+import json
 import os
 import sys
 
@@ -66,3 +68,27 @@ def test_more_failed_runs_in_the_change_is_no_gain(pairs):
     result = pairs.summarize(make_pairs(faster, parent_failed=0, change_failed=1))
     assert result["job_s"]["wins"] == 10
     assert not result["job_s"]["gain"]
+
+
+def test_bounds_are_read_from_the_benchmark(pairs):
+    with open(os.path.join(TOOLS, "..", "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+    assert pairs.BOUNDS == declared
+    assert pairs.METRICS == tuple(declared)
+
+
+def test_median_worse_beyond_the_bound_is_a_regression(pairs):
+    bound = pairs.BOUNDS["job_s"]
+    result = pairs.summarize(make_pairs([p * (1 + bound) + 0.01 for p in PARENT_JOB_S]))
+    assert result["job_s"]["regressed"]
+    assert not result["job_s"]["gain"]
+    assert not result["setup_s"]["regressed"]
+
+
+def test_median_worse_within_the_bound_is_no_regression(pairs):
+    bound = pairs.BOUNDS["job_s"]
+    result = pairs.summarize(make_pairs([p * (1 + bound) - 0.01 for p in PARENT_JOB_S]))
+    assert result["job_s"]["wins"] == 0
+    assert not result["job_s"]["regressed"]
+    # a gain is never a regression
+    assert not pairs.summarize(make_pairs([p - 0.1 for p in PARENT_JOB_S]))["job_s"]["regressed"]

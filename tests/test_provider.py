@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -92,6 +93,20 @@ class TestMockRules:
         path = tmp_path / "rules.jsonl"
         path.write_text('{"match": "nope", "key": "x", "response": "y"}\n')
         with pytest.raises(RuleTableError):
+            load_rule_table(str(path))
+
+    @pytest.mark.parametrize("rule", [
+        {"match": "contains", "key": 5, "response": "Output: 0.9"},
+        {"match": "contains", "key": "x", "response": None},
+        {"match": ["contains"], "key": "x", "response": "y"},
+        {"match": "contains", "response": "y"},
+        [1, 2],
+    ], ids=["number-key", "null-response", "list-match", "missing-key", "not-an-object"])
+    def test_rule_fields_must_be_strings(self, tmp_path, rule):
+        path = tmp_path / "rules.jsonl"
+        good = {"match": "triplet", "key": "<a>", "response": "Output: 1"}
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(rule) + "\n")
+        with pytest.raises(RuleTableError, match=f"^{re.escape(str(path))}:3: "):
             load_rule_table(str(path))
 
     def test_rule_table_not_utf8(self, tmp_path):

@@ -14,7 +14,10 @@ printed, then each side's median and quartiles, how many pairs the working
 tree won, and whether the gain rule holds for each metric: the working tree
 wins at least 9 of every 10 pairs, its median is lower than the parent's by
 more than the parent's quartile distance, and no more of its operations
-failed than the parent's. ``--out`` writes the same summary as JSON.
+failed than the parent's. Each metric is also flagged ``regressed`` when
+the working tree's median is above the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json``, taken as a share of the parent's median.
+``--out`` writes the same summary as JSON.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARENT = "HEAD"
-METRICS = ("job_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+    BOUNDS = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+METRICS = tuple(BOUNDS)  # job_s, setup_s, peak_rss_mb: all lower-is-better
 
 
 def extract(rev: str, directory: str) -> None:
@@ -73,7 +78,8 @@ def summarize(pairs: list[dict]) -> dict:
         out[metric] = {"parent": before, "change": after, "wins": wins,
                        "gain": (wins * 10 >= 9 * len(pairs)
                                 and gap > before["q3"] - before["q1"]
-                                and failed["change"] <= failed["parent"])}
+                                and failed["change"] <= failed["parent"]),
+                       "regressed": -gap > BOUNDS[metric] * before["median"]}
     return out
 
 
@@ -114,9 +120,11 @@ def main(argv=None) -> int:
             for metric, r in result.items():
                 p, c = r["parent"], r["change"]
                 verdict = "holds" if r["gain"] else "fails"
+                regressed = "REGRESSED" if r["regressed"] else "no regression"
                 print(f"  {metric}: parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]"
                       f"  change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]"
-                      f"  wins {r['wins']}/{len(pairs)}  gain rule {verdict}")
+                      f"  wins {r['wins']}/{len(pairs)}  gain rule {verdict}"
+                      f"  {regressed} (bound {BOUNDS[metric]:.0%})")
             summary["workloads"][workload] = {"pairs": pairs, "summary": result}
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
