@@ -74,22 +74,16 @@ def _gt_per_frame(gt_set) -> dict[int, frozenset]:
     }
 
 
-def _apply_overrides(config, args):
+def _load_run(args):
+    """The configuration with the ``--interval`` and ``--debate-mode``
+    overrides, the prediction set and the providers of a ``refine`` or
+    ``ablate`` run, after checking the ``--out`` path. Building the
+    providers reads their rule tables but calls none of them."""
+    config = load_config(args.config)
     if args.interval is not None:
         config = replace(config, keyframe_interval=args.interval)
     if args.debate_mode is not None:
         config = replace(config, debate_mode=args.debate_mode)
-    if args.threshold is not None:
-        config = replace(config, weights=replace(config.weights, threshold=args.threshold))
-    return config
-
-
-def _load_run(args):
-    """The configuration with the flag overrides, the prediction set and the
-    providers of a ``refine`` or ``ablate`` run, after checking the
-    ``--out`` path. Building the providers reads their rule tables but
-    calls none of them."""
-    config = _apply_overrides(load_config(args.config), args)
     pred_set = load_predictions(args.predictions, load_vocabulary(args.vocab))
     _check_out_path(args.out)
     return config, pred_set, build_providers(config)
@@ -131,6 +125,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     ks = _ks(args)
     config, pred_set, providers = _load_run(args)
+    if args.threshold is not None:
+        config = replace(config, weights=replace(config.weights, threshold=args.threshold))
     gt = load_ground_truth(args.gt, pred_set)
     if not gt.frames:
         raise NoGroundTruthError(f"{args.gt}: no ground-truth records")
@@ -192,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--interval", type=int, default=None)
     p.add_argument("--debate-mode", choices=DEBATE_MODES, default=None)
-    p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("eval", help="Recall@K of a prediction file")
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify embedding-loss gradients")
     p.add_argument("--batch", required=True, help="embedding batch file")
-    p.add_argument("--metric", choices=("l1", "neg_cosine"), default=None)
+    p.add_argument("--metric", choices=embedloss.METRICS, default=None)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)

@@ -8,7 +8,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .model import FusionWeights, require_numbers
+from .model import FusionWeights, require_types
 from .provider import ProviderSpec
 
 DEBATE_MODES = ("disagreement", "always", "off")
@@ -30,10 +30,9 @@ class RefinementConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        require_numbers(self, ints=("keyframe_interval", "batch_size"),
-                        reals=("disagreement_delta", "candidate_floor"))
         if not self.providers:
             raise ConfigError("at least one provider is required")
+        require_types(self)
         ids = [p.id for p in self.providers]
         if len(set(ids)) != len(ids):
             raise ConfigError("provider ids must be unique")
@@ -71,7 +70,7 @@ def load_config(path: str) -> RefinementConfig:
         specs = []
         for spec in raw["providers"]:
             spec = dict(spec)
-            if spec.get("rules_path"):
+            if spec.get("rules_path") and isinstance(spec["rules_path"], str):
                 spec["rules_path"] = os.path.join(base_dir, spec["rules_path"])
             specs.append(ProviderSpec(**spec))
         fields["providers"] = tuple(specs)

@@ -2,27 +2,31 @@
 
 The model side fuses the human/interaction/object feature vectors of each
 candidate pair through a small MLP; the loss is the summed distance (l1 or
-negative cosine) between those fused vectors and target text embeddings,
-restricted by a ground-truth mask. Everything here is 64-bit numpy with
-analytic gradients, verified against central finite differences.
-
-The text targets come from an external embedding pipeline.
+negative cosine) between those fused vectors and the target text embeddings
+of an external pipeline, over the cells of a ground-truth mask. The masked
+cells pass through the MLP, the loss and back as the rows of one 64-bit
+array, so an empty mask gives a zero loss and zero gradients; the analytic
+gradients are checked against central differences by ``finite_diff_check``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _field, _records
+from .ingest import (BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _field, _only_fields,
+                     _records, write_atomic)
 
 DEFAULT_FEATURE_DIM = 64
 DEFAULT_EMBED_DIM = 64
 DEFAULT_HIDDEN_DIM = 128
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
+METRICS = ("l1", "neg_cosine")
+_VECTORS = ("f_human", "f_inter", "f_obj", "e_text")  # per-cell vectors of an EmbeddingBatch
 
 
 class DivergenceError(RuntimeError):
@@ -55,22 +59,6 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         return MlpParams([(w.copy(), b.copy(), act) for w, b, act in self.layers])
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b, _ in self.layers])
-
-    def with_flat(self, values: np.ndarray) -> "MlpParams":
-        layers = []
-        pos = 0
-        for w, b, act in self.layers:
-            nw, nb = w.size, b.size
-            layers.append((
-                values[pos:pos + nw].reshape(w.shape).copy(),
-                values[pos + nw:pos + nw + nb].copy(),
-                act,
-            ))
-            pos += nw + nb
-        return MlpParams(layers)
 
 
 def random_mlp(rng: np.random.Generator, d_in: int,
@@ -116,35 +104,34 @@ def _forward_batch(params: MlpParams, x: np.ndarray):
 
 def _backward_batch(params: MlpParams, cache, d_out: np.ndarray):
     """Gradients of a scalar loss wrt every parameter, given dL/d(output)."""
-    grads = [None] * len(params.layers)
+    grads = []
     cur = d_out
-    for idx in range(len(params.layers) - 1, -1, -1):
-        w, _, _ = params.layers[idx]
-        inp, pre, act = cache[idx]
+    for (w, _, _), (inp, pre, act) in zip(reversed(params.layers), reversed(cache)):
         dpre = cur * _activate_grad(pre, act)
-        grads[idx] = (dpre.T @ inp, dpre.sum(axis=0))
+        grads.append((dpre.T @ inp, dpre.sum(axis=0)))
         cur = dpre @ w
-    return grads
+    return grads[::-1]
 
 
 def pair_distance(metric: str, f: np.ndarray, e: np.ndarray):
-    """Distance between one fused vector and its target, plus the gradient
-    with respect to ``f``. l1 uses the sign subgradient (0 at ties)."""
+    """Distance between each fused vector and its target along the last
+    axis, plus the gradient with respect to ``f``. l1 uses the sign
+    subgradient (0 at ties)."""
     f = np.asarray(f, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     if f.shape != e.shape:
         raise ValueError("vector dims differ")
     if metric == "l1":
         diff = f - e
-        return float(np.abs(diff).sum()), np.sign(diff)
+        return np.abs(diff).sum(axis=-1), np.sign(diff)
     if metric == "neg_cosine":
-        nf = np.linalg.norm(f)
-        ne = np.linalg.norm(e)
-        if nf == 0.0 or ne == 0.0:
+        nf = np.linalg.norm(f, axis=-1, keepdims=True)
+        ne = np.linalg.norm(e, axis=-1, keepdims=True)
+        if not (nf.all() and ne.all()):
             raise ZeroDivisionError("neg_cosine requires nonzero vectors")
-        cos = float(f @ e) / (nf * ne)
+        cos = (f * e).sum(axis=-1, keepdims=True) / (nf * ne)
         grad = -e / (nf * ne) + cos * f / (nf * nf)
-        return -cos, grad
+        return -cos[..., 0], grad
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -165,12 +152,9 @@ class EmbeddingBatch:
         k = self.gt_mask.shape[0]
         if self.gt_mask.shape != (k, k):
             raise ValueError("mask must be square")
-        for name in ("f_human", "f_inter", "f_obj"):
-            arr = getattr(self, name)
-            if arr.shape[:2] != (k, k):
+        for name in _VECTORS:
+            if getattr(self, name).shape[:2] != (k, k):
                 raise ValueError(f"{name} grid shape mismatch")
-        if self.e_text.shape[:2] != (k, k):
-            raise ValueError("e_text grid shape mismatch")
         if bool(np.diag(self.gt_mask).any()):
             raise ValueError("diagonal cells must be masked out")
 
@@ -185,9 +169,6 @@ class EmbeddingBatch:
     @property
     def embed_dim(self) -> int:
         return self.e_text.shape[2]
-
-    def masked_cells(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.k) for j in range(self.k) if self.gt_mask[i, j]]
 
 
 def random_batch(rng: np.random.Generator, k: int = 4,
@@ -211,66 +192,60 @@ def tri_emb_loss(f_model: np.ndarray, batch: EmbeddingBatch, metric: str):
     Gradients are exactly zero wherever the mask is false."""
     if f_model.shape != batch.e_text.shape:
         raise ValueError("fused grid must match target grid shape")
-    total = 0.0
+    values, rows = pair_distance(metric, f_model[batch.gt_mask], batch.e_text[batch.gt_mask])
     grads = np.zeros_like(f_model, dtype=np.float64)
-    for i, j in batch.masked_cells():
-        value, grad = pair_distance(metric, f_model[i, j], batch.e_text[i, j])
-        total += value
-        grads[i, j] = grad
-    return total, grads
+    grads[batch.gt_mask] = rows
+    return float(values.sum()), grads
 
 
 def fused_forward(params: MlpParams, batch: EmbeddingBatch):
     """MLP outputs for the masked cells only (unmasked cells never touch the
-    loss). Returns (f_model grid, cache, cells)."""
-    cells = batch.masked_cells()
+    loss). Returns (f_model grid, cache, the masked rows of that grid in
+    row-major cell order)."""
+    mask = batch.gt_mask
+    x = np.concatenate([batch.f_human[mask], batch.f_inter[mask], batch.f_obj[mask]],
+                       axis=1).astype(np.float64)
+    rows, cache = _forward_batch(params, x)
     f_model = np.zeros((batch.k, batch.k, params.output_dim))
-    if not cells:
-        return f_model, None, cells
-    x = np.stack([
-        np.concatenate([batch.f_human[i, j], batch.f_inter[i, j], batch.f_obj[i, j]])
-        for i, j in cells
-    ]).astype(np.float64)
-    out, cache = _forward_batch(params, x)
-    for row, (i, j) in enumerate(cells):
-        f_model[i, j] = out[row]
-    return f_model, cache, cells
+    f_model[mask] = rows
+    return f_model, cache, rows
 
 
 def loss_and_param_grads(params: MlpParams, batch: EmbeddingBatch, metric: str):
     """Masked embedding loss through the MLP and its gradient wrt every
-    parameter."""
-    f_model, cache, cells = fused_forward(params, batch)
-    loss, cell_grads = tri_emb_loss(f_model, batch, metric)
-    if not cells:
-        zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _ in params.layers]
-        return loss, zeros
-    d_out = np.stack([cell_grads[i, j] for i, j in cells])
-    return loss, _backward_batch(params, cache, d_out)
+    parameter. An empty mask gives a zero loss and zero gradients."""
+    _, cache, rows = fused_forward(params, batch)
+    values, d_rows = pair_distance(metric, rows, batch.e_text[batch.gt_mask])
+    return float(values.sum()), _backward_batch(params, cache, d_rows)
 
 
 def finite_diff_check(params: MlpParams, batch: EmbeddingBatch, metric: str,
                       h: float = 1e-5) -> float:
     """Max over parameter coordinates of the discrepancy between the analytic
-    gradient and central differences, relative to max(|g|, 1).
+    gradient and central differences, relative to max(|g|, 1). Each
+    coordinate of one copy of ``params`` is stepped to v + h and v - h in
+    place, then restored.
 
     For l1 the inputs must sit away from sign-change neighborhoods (callers
     sample ties at least ~10h apart), otherwise the subgradient is compared
     against a kinked difference quotient.
     """
-    if h <= 0:
-        raise ValueError("step h must be > 0")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be finite and > 0, not {h}")
     _, grads = loss_and_param_grads(params, batch, metric)
     analytic = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    flat = params.flat()
-    numeric = np.zeros_like(analytic)
-    for idx in range(flat.size):
-        bumped = flat.copy()
-        bumped[idx] = flat[idx] + h
-        up, _ = loss_and_param_grads(params.with_flat(bumped), batch, metric)
-        bumped[idx] = flat[idx] - h
-        down, _ = loss_and_param_grads(params.with_flat(bumped), batch, metric)
-        numeric[idx] = (up - down) / (2.0 * h)
+    stepped = params.copy()
+    numeric = []
+    for arr in (a for w, b, _ in stepped.layers for a in (w, b)):
+        for idx in np.ndindex(arr.shape):
+            v = arr[idx]
+            arr[idx] = v + h
+            up, _ = loss_and_param_grads(stepped, batch, metric)
+            arr[idx] = v - h
+            down, _ = loss_and_param_grads(stepped, batch, metric)
+            arr[idx] = v
+            numeric.append((up - down) / (2.0 * h))
+    numeric = np.array(numeric)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
@@ -302,46 +277,46 @@ def toy_descent(params: MlpParams, batch: EmbeddingBatch, metric: str,
 
 
 def save_embedding_batch(batch: EmbeddingBatch, metric: str, path: str) -> None:
-    """Header line (K, dims, metric) then one record per cell, row-major."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"k": batch.k, "d_f": batch.feature_dim,
-                  "d_e": batch.embed_dim, "metric": metric}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in range(batch.k):
-            for j in range(batch.k):
-                rec = {
-                    "i": i, "j": j,
-                    "f_human": batch.f_human[i, j].tolist(),
-                    "f_inter": batch.f_inter[i, j].tolist(),
-                    "f_obj": batch.f_obj[i, j].tolist(),
-                    "e_text": batch.e_text[i, j].tolist(),
-                    "gt": bool(batch.gt_mask[i, j]),
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """Header line (K, dims, metric) then one record per cell, row-major,
+    written atomically."""
+    header = {"k": batch.k, "d_f": batch.feature_dim, "d_e": batch.embed_dim, "metric": metric}
+    lines = [json.dumps(header, sort_keys=True)]
+    for i in range(batch.k):
+        for j in range(batch.k):
+            rec = {name: getattr(batch, name)[i, j].tolist() for name in _VECTORS}
+            rec.update(i=i, j=j, gt=bool(batch.gt_mask[i, j]))
+            lines.append(json.dumps(rec, sort_keys=True))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_embedding_batch(path: str) -> tuple[EmbeddingBatch, str]:
     """The batch and metric that ``save_embedding_batch`` wrote to ``path``.
 
     The header holds the integers ``k``, ``d_f`` and ``d_e`` (each >= 1) and
-    the string ``metric``. Each of the K*K cells follows once: integers
+    ``metric``, one of METRICS. Each of the K*K cells follows once: integers
     ``i`` and ``j`` in [0, K), ``f_human``, ``f_inter`` and ``f_obj`` of
-    ``d_f`` numbers, ``e_text`` of ``d_e`` numbers and the boolean ``gt``. A
-    record that breaks a rule raises ParseError at its line."""
+    ``d_f`` numbers, ``e_text`` of ``d_e`` numbers and the boolean ``gt``,
+    false on the diagonal. A record with another key, or that breaks a
+    rule, raises ParseError at its line."""
     records = _records(path)
     first = next(records, None)
     if first is None:
         raise ValueError(f"{path}: empty batch file")
     lineno, header = first
+    _only_fields(path, lineno, header, frozenset({"k", "d_f", "d_e", "metric"}))
     k, d_f, d_e = (_field(path, lineno, header, name, INTEGER) for name in ("k", "d_f", "d_e"))
     if min(k, d_f, d_e) < 1:
         raise ParseError(path, lineno, "k, d_f and d_e must be >= 1")
     metric = _field(path, lineno, header, "metric", STRING)
-    dims = {"f_human": d_f, "f_inter": d_f, "f_obj": d_f, "e_text": d_e}
+    if metric not in METRICS:
+        raise ParseError(path, lineno, f"metric must be one of {METRICS}, not {metric!r}")
+    dims = dict(zip(_VECTORS, (d_f, d_f, d_f, d_e)))
+    cell_fields = frozenset({"i", "j", "gt", *dims})
     arrays = {name: np.zeros((k, k, dim)) for name, dim in dims.items()}
     mask = np.zeros((k, k), dtype=bool)
     seen = set()
     for lineno, rec in records:
+        _only_fields(path, lineno, rec, cell_fields)
         i, j = (_field(path, lineno, rec, name, INTEGER) for name in ("i", "j"))
         if not (0 <= i < k and 0 <= j < k):
             raise ParseError(path, lineno, f"cell ({i}, {j}) outside the {k}x{k} grid")
@@ -351,6 +326,8 @@ def load_embedding_batch(path: str) -> tuple[EmbeddingBatch, str]:
         for name, dim in dims.items():
             arrays[name][i, j] = _field(path, lineno, rec, name, NUMBER, dim)
         mask[i, j] = _field(path, lineno, rec, "gt", BOOLEAN)
+        if mask[i, j] and i == j:
+            raise ParseError(path, lineno, f"diagonal cell ({i}, {j}) must have gt false")
     if len(seen) != k * k:
         raise ValueError(f"{path}: expected {k * k} cell records, got {len(seen)}")
     return EmbeddingBatch(**arrays, gt_mask=mask), metric

@@ -99,6 +99,12 @@ def _field(path: str, lineno: int, rec: dict, name: str, kind: tuple,
                                    f"each {what}, not {json.dumps(value)}")
 
 
+def _only_fields(path: str, lineno: int, rec: dict, fields: frozenset) -> None:
+    """ParseError at ``path:lineno`` naming a key of ``rec`` not in ``fields``."""
+    if not rec.keys() <= fields:
+        raise ParseError(path, lineno, f"unknown field {min(rec.keys() - fields)!r}")
+
+
 def load_vocabulary(path: str) -> RelationVocabulary:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -117,6 +123,11 @@ def triplet_to_text(pair: PairPrediction, relation_index: int, vocab: RelationVo
     return f"<person,{relation},{obj}>"
 
 
+_PREDICTION_FIELDS = frozenset({"frame_index", "frame_w", "frame_h", "object_class", "human_box",
+                                "object_box", "scores", "pair_id", "video_id", "score_scale"})
+_GROUND_TRUTH_FIELDS = frozenset({"frame_index", "pair_id", "relation_index"})
+
+
 def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet:
     """Load a line-delimited prediction file, checking each record in the
     pass that reads it. A record holds ``frame_index`` (an integer >= 0),
@@ -126,12 +137,14 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
     ``pair_id`` (two integers, unique in the frame), ``video_id`` (a string)
     and ``score_scale`` ("base" or "fused"; a fused score may exceed 1);
     these two and each frame's size must agree with earlier records. The
-    first record that breaks a rule raises ParseError at its line. Frames
-    come out sorted by index, each frame's pairs in file order."""
+    first record with another key, or that breaks a rule, raises ParseError
+    at its line. Frames come out sorted by index, each frame's pairs in file
+    order."""
     frames: dict[int, tuple[tuple[float, float], list, set]] = {}
     video_id: Optional[str] = None
     score_scale: Optional[str] = None
     for lineno, rec in _records(path):
+        _only_fields(path, lineno, rec, _PREDICTION_FIELDS)
         if "video_id" in rec:
             vid = _field(path, lineno, rec, "video_id", STRING)
             if video_id is not None and vid != video_id:
@@ -190,9 +203,9 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
 def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruthSet:
     """Load ground truth and cross-check every triplet against the prediction
     set. A record holds the integers ``frame_index`` and ``relation_index``
-    (< the vocabulary size) and ``pair_id``, two integers. A record that
-    breaks a rule raises ParseError at its line, and one whose pair is not
-    predicted in that frame DanglingReferenceError."""
+    (< the vocabulary size) and ``pair_id``, two integers. A record with
+    another key, or that breaks a rule, raises ParseError at its line, and
+    one whose pair is not predicted in that frame DanglingReferenceError."""
     n = predictions.vocabulary.n
     known: dict[int, set] = {}
     for frame, pair in predictions.iter_pairs():
@@ -201,6 +214,7 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
 
     frames: dict[int, set] = {}
     for lineno, rec in _records(path):
+        _only_fields(path, lineno, rec, _GROUND_TRUTH_FIELDS)
         fi = _field(path, lineno, rec, "frame_index", INTEGER)
         pid = tuple(_field(path, lineno, rec, "pair_id", INTEGER, 2))
         rel = _field(path, lineno, rec, "relation_index", INTEGER)

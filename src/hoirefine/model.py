@@ -7,7 +7,7 @@ checked where it is read, in ``ingest.load_predictions``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 # (human_id, object_id); stable across frames when the upstream detector tracks
@@ -144,15 +144,25 @@ class AgentScoreTable:
         return len(self._entries)
 
 
-def require_numbers(obj, ints: tuple = (), reals: tuple = ()) -> None:
-    """Raise ValueError unless each field of ``obj`` named in ``ints`` is an
-    int and each named in ``reals`` an int or a float. A bool is neither, so
-    a JSON ``true`` does not pass for 1."""
-    for names, types, what in ((ints, int, "an integer"), (reals, (int, float), "a number")):
-        for name in names:
-            value = getattr(obj, name)
+# keyed by annotation text: every dataclass module has ``from __future__ import annotations``
+_FIELD_TYPES = {
+    "int": ("an integer", int),
+    "float": ("a number", (int, float)),
+    "str": ("a string", str),
+    "Optional[str]": ("a string or null", (str, type(None))),
+}
+
+
+def require_types(obj) -> None:
+    """Raise ValueError unless each field of the dataclass ``obj`` annotated
+    ``int``, ``float``, ``str`` or ``Optional[str]`` holds that type, an int
+    passing for a float. A bool is neither, so JSON ``true`` is not 1."""
+    for f in fields(obj):
+        if f.type in _FIELD_TYPES:
+            what, types = _FIELD_TYPES[f.type]
+            value = getattr(obj, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"{name} must be {what}, not {value!r}")
+                raise ValueError(f"{f.name} must be {what}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -167,9 +177,8 @@ class FusionWeights:
     threshold: float = 0.3
 
     def __post_init__(self):
-        lambdas = ("lambda_cs", "lambda_s", "lambda_t", "lambda_debate")
-        require_numbers(self, reals=lambdas + ("threshold",))
-        for name in lambdas:
+        require_types(self)
+        for name in ("lambda_cs", "lambda_s", "lambda_t", "lambda_debate"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.threshold < 1.0:

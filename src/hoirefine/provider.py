@@ -25,8 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ingest import STRING, ParseError, _field, _records, write_atomic
-from .model import require_numbers
+from .ingest import STRING, ParseError, _field, _only_fields, _records, write_atomic
+from .model import require_types
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +76,7 @@ class ProviderSpec:
     auth_scheme: str = "Bearer"
 
     def __post_init__(self):
-        require_numbers(self, ints=("max_concurrency", "max_retries"),
-                        reals=("timeout", "backoff_base"))
+        require_types(self)
         if self.kind not in ("http", "mock"):
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if self.kind == "http" and (not self.endpoint or not self.api_key_env):
@@ -128,16 +127,21 @@ def _test_region(prompt: str) -> list[str]:
     return lines if lines else [prompt]
 
 
+_RULE_FIELDS = frozenset({"match", "key", "response"})
+
+
 def load_rule_table(path: str) -> tuple[list[MockRule], str]:
     """Rules of a JSON-lines rule table, and the sha256 of its bytes. Each
     rule has the strings ``match`` (a matcher name), ``key`` and
-    ``response``. An unreadable file raises OSError; a file that is not
-    UTF-8 or holds a malformed rule raises RuleTableError at ``path:line``."""
+    ``response``, and no other key. An unreadable file raises OSError; a
+    file that is not UTF-8 or holds a malformed rule raises RuleTableError
+    at ``path:line``."""
     with open(path, "rb") as fh:
         data = fh.read()
     rules = []
     try:
         for lineno, rec in _records(path, data):
+            _only_fields(path, lineno, rec, _RULE_FIELDS)
             kind, key, response = (_field(path, lineno, rec, name, STRING)
                                    for name in ("match", "key", "response"))
             if kind not in ("triplet", "relation", "contains"):

@@ -173,7 +173,7 @@ INPUT_FILES = {
 
 
 @pytest.mark.parametrize("command,bad", [
-    ("refine", ["--threshold", "1.5"]),
+    ("refine", ["--interval", "0"]),
     ("ablate", ["--threshold", "1.5"]),
     ("eval", ["--threshold", "1.5"]),
     ("eval", ["--k", "0"]),
@@ -193,7 +193,8 @@ def test_out_of_range_flag_exits_one(tmp_path, capsys, command, bad):
 @pytest.mark.parametrize("rules", [
     None, b"not json\n", b"\xff\xfe{}\n",
     b'{"match": "contains", "key": 5, "response": "Output: 0.9"}\n',
-], ids=["missing", "malformed", "not-utf8", "number-key"])
+    b'{"match": "contains", "key": "x", "response": "Output: 0.9", "weight": 1}\n',
+], ids=["missing", "malformed", "not-utf8", "number-key", "unknown-key"])
 def test_bad_rule_table_exits_one_before_any_call(tmp_path, capsys, command, rules):
     # alpha's rule table is fine; beta's is missing, not JSON, not UTF-8 or has a number key
     bad = tmp_path / "rules_beta.jsonl"
@@ -264,9 +265,10 @@ def first_fixture_record(**changes) -> bytes:
     first_fixture_record(frame_w=800.0, pair_id=[9, 9]),
     first_fixture_record(score_scale="fused", pair_id=[9, 9]),
     b'{"video_id": "synth\xefic"}',
+    first_fixture_record(pairid=[0, 10], pair_id=None),
 ], ids=["bare-number", "null", "float-pair-id", "string-pair-id", "bool-frame-index",
         "string-frame-w", "null-object-class", "frame-size-differs", "fused-record",
-        "not-utf8"])
+        "not-utf8", "unknown-key"])
 def test_bad_prediction_line_exits_one_before_any_call(tmp_path, capsys, transport_calls,
                                                        command, line):
     preds = tmp_path / "predictions.jsonl"
@@ -302,8 +304,15 @@ def set_first_provider(field, value):
     (set_first_provider("max_concurrency", 2.5), "max_concurrency"),
     (set_first_provider("max_retries", False), "max_retries"),
     (set_first_provider("timeout", "30"), "timeout"),
+    (set_first_provider("id", 5), "id must be a string"),
+    (set_first_provider("model_name", 7), "model_name"),
+    (set_first_provider("auth_header", 5), "auth_header"),
+    (set_first_provider("rules_path", 5), "rules_path"),
+    (lambda c: c["providers"][0].update(kind="http", endpoint="http://localhost:1/v1",
+                                        api_key_env=3), "api_key_env"),
 ], ids=["float-interval", "string-interval", "bool-batch", "string-floor", "unknown-key",
-        "float-concurrency", "bool-retries", "string-timeout"])
+        "float-concurrency", "bool-retries", "string-timeout", "number-id",
+        "number-model-name", "number-auth-header", "number-rules-path", "number-api-key-env"])
 def test_malformed_config_exits_one_before_any_call(tmp_path, capsys, transport_calls,
                                                     command, edit, field):
     with open(fixture_path("config.json"), encoding="utf-8") as fh:
@@ -546,6 +555,24 @@ class TestGradcheck:
         code = main(["gradcheck", "--batch", fixture_path("embedding_batch.jsonl"),
                      "--h=-1e-5"])
         assert code == 1
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_step_exits_one(self, capsys, h):
+        code = main(["gradcheck", "--batch", fixture_path("embedding_batch.jsonl"), "--h", h])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: step h must be finite and > 0, not {float(h)}"]
+
+    @pytest.mark.parametrize("override", [[], ["--metric", "l1"]])
+    def test_unknown_metric_in_header_exits_one_at_line_one(self, tmp_path, capsys, override):
+        bad = tmp_path / "batch.jsonl"
+        with open(fixture_path("embedding_batch.jsonl"), encoding="utf-8") as fh:
+            header, *cells = fh.read().splitlines()
+        bad.write_text("\n".join([json.dumps({**json.loads(header), "metric": "l2"}), *cells]))
+        assert main(["gradcheck", "--batch", str(bad), *override]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
 
     def test_corrupt_batch_exits_one(self, tmp_path):
         bad = tmp_path / "batch.jsonl"

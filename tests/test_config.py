@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -23,11 +24,34 @@ def test_omitted_fields_take_the_dataclass_defaults(tmp_path):
     lambda: FusionWeights(lambda_s=True),
     lambda: RefinementConfig(providers=(ProviderSpec(id="p"),), judge_provider="p",
                              disagreement_delta=[0.3]),
+    lambda: ProviderSpec(id=5),
+    lambda: ProviderSpec(id="p", model_name=7),
+    lambda: ProviderSpec(id="p", kind="http", endpoint="http://localhost:1/v1",
+                         api_key_env=3),
+    lambda: ProviderSpec(id="p", auth_header=5),
+    lambda: ProviderSpec(id="p", auth_scheme=None),
+    lambda: ProviderSpec(id="p", rules_path=True),
 ], ids=["bool-concurrency", "float-retries", "none-backoff", "string-threshold",
-        "bool-weight", "list-delta"])
+        "bool-weight", "list-delta", "number-id", "number-model-name", "number-api-key-env",
+        "number-auth-header", "null-auth-scheme", "bool-rules-path"])
 def test_wrongly_typed_field_is_rejected(make):
     with pytest.raises(ValueError, match="must be"):
         make()
+
+
+def test_optional_strings_may_be_null(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"providers": [
+        {"id": "a", "endpoint": None, "api_key_env": None, "rules_path": None}]}))
+    assert load_config(str(cfg)).providers == (ProviderSpec(id="a"),)
+
+
+def test_string_typed_config_error_names_the_file(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"providers": [
+        {"id": "a", "kind": "http", "endpoint": "http://localhost:1/v1", "api_key_env": 3}]}))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg))}: api_key_env must be a string"):
+        load_config(str(cfg))
 
 
 def test_integer_valued_floats_are_accepted():

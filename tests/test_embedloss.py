@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -32,6 +33,25 @@ def oracle_loss(params, batch, metric):
             else:
                 total += -float(x @ e) / (np.linalg.norm(x) * np.linalg.norm(e))
     return total
+
+
+def oracle_finite_diff(params, batch, metric, h):
+    """Central differences on a fresh copy of the parameters for every step,
+    compared with the analytic gradient as ``finite_diff_check`` does."""
+    _, grads = el.loss_and_param_grads(params, batch, metric)
+    errors = []
+    for layer, pair in enumerate(grads):
+        for slot, grad in enumerate(pair):
+            for idx in np.ndindex(grad.shape):
+                losses = []
+                for step in (h, -h):
+                    stepped = params.copy()
+                    stepped.layers[layer][slot][idx] += step
+                    losses.append(el.loss_and_param_grads(stepped, batch, metric)[0])
+                numeric = (losses[0] - losses[1]) / (2.0 * h)
+                g = grad[idx]
+                errors.append(abs(g - numeric) / max(abs(g), abs(numeric), 1.0))
+    return max(errors)
 
 
 def small_setup(seed, metric="l1", k=3, d_f=4, d_e=5, hidden=(8,)):
@@ -73,6 +93,17 @@ class TestPairDistance:
         scaled, _ = el.pair_distance("neg_cosine", alpha * f, e)
         assert scaled == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("metric", ["l1", "neg_cosine"])
+    def test_rows_match_single_vectors(self, metric):
+        rng = np.random.default_rng(7)
+        f, e = rng.normal(size=(2, 3, 4, 5))
+        values, grads = el.pair_distance(metric, f, e)
+        assert values.shape == (3, 4) and grads.shape == f.shape
+        for idx in np.ndindex(3, 4):
+            value, grad = el.pair_distance(metric, f[idx], e[idx])
+            assert values[idx] == pytest.approx(value, rel=1e-14)
+            np.testing.assert_allclose(grads[idx], grad, rtol=1e-14)
+
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             el.pair_distance("l2", np.ones(2), np.ones(2))
@@ -100,6 +131,18 @@ class TestLossForward:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_loop_oracle(self, metric, seed):
         params, batch = small_setup(seed, metric)
+        f_model, _, _ = el.fused_forward(params, batch)
+        loss, _ = el.tri_emb_loss(f_model, batch, metric)
+        assert loss == pytest.approx(oracle_loss(params, batch, metric), rel=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5),
+           st.sampled_from(["l1", "neg_cosine"]), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_any_mask_matches_loop_oracle(self, seed, k, metric, density):
+        # k = 1 leaves only the diagonal, so the mask is empty and the loss 0
+        rng = np.random.default_rng(seed)
+        batch = el.random_batch(rng, k=k, d_f=3, d_e=4, mask_density=density)
+        params = el.random_mlp(rng, d_in=9, hidden=(5,), d_out=4)
         f_model, _, _ = el.fused_forward(params, batch)
         loss, _ = el.tri_emb_loss(f_model, batch, metric)
         assert loss == pytest.approx(oracle_loss(params, batch, metric), rel=1e-12)
@@ -163,11 +206,22 @@ class TestParamGradients:
         with pytest.raises(ValueError):
             el.finite_diff_check(params, batch, "l1", h=0.0)
 
-    def test_flat_round_trip(self):
-        params, _ = small_setup(9)
-        flat = params.flat()
-        rebuilt = params.with_flat(flat)
-        assert np.array_equal(rebuilt.flat(), flat)
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, h):
+        params, batch = small_setup(0)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            el.finite_diff_check(params, batch, "l1", h=h)
+
+    @pytest.mark.parametrize("metric,k,seed", [
+        ("neg_cosine", 3, 4), ("l1", 3, 6), ("l1", 1, 0), ("neg_cosine", 1, 0),
+    ])
+    def test_matches_copying_oracle_exactly(self, metric, k, seed):
+        params, batch = small_setup(seed, metric, k=k, d_f=2, d_e=3, hidden=(4,))
+        before = params.copy()
+        error = el.finite_diff_check(params, batch, metric, h=1e-5)
+        assert error == oracle_finite_diff(params, batch, metric, h=1e-5)
+        for (w, b, _), (w0, b0, _) in zip(params.layers, before.layers):
+            assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
 class TestDescentAndTotal:
@@ -207,6 +261,20 @@ class TestCaptionsAndSerialization:
         assert np.array_equal(loaded.f_human, batch.f_human)
         assert np.array_equal(loaded.e_text, batch.e_text)
 
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(42)
+        path = tmp_path / "batch.jsonl"
+        path.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            el.save_embedding_batch(el.random_batch(rng, k=2, d_f=2, d_e=2), "l1", str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["batch.jsonl"]
+        assert path.read_text() == "old\n"
+
     def test_load_rejects_truncated_file(self, tmp_path):
         rng = np.random.default_rng(42)
         batch = el.random_batch(rng, k=2, d_f=2, d_e=2)
@@ -228,8 +296,13 @@ class TestCaptionsAndSerialization:
         (3, lambda cell: cell.update(i=0, j=0)),
         (1, lambda header: header.update(k="2")),
         (1, lambda header: header.update(d_f=0)),
+        (1, lambda header: header.update(metric="l2")),
+        (2, lambda cell: cell.update(gt=True)),
+        (1, lambda header: header.update(gt=False)),
+        (3, lambda cell: cell.update(label="ride")),
     ], ids=["string-gt", "integer-gt", "float-i", "negative-i", "j-outside-grid",
-            "string-feature", "short-embedding", "duplicate-cell", "string-k", "zero-d_f"])
+            "string-feature", "short-embedding", "duplicate-cell", "string-k", "zero-d_f",
+            "unknown-metric", "diagonal-gt", "unknown-header-key", "unknown-cell-key"])
     def test_load_rejects_bad_record_at_its_line(self, tmp_path, line, edit):
         rng = np.random.default_rng(42)
         batch = el.random_batch(rng, k=2, d_f=2, d_e=2)

@@ -193,13 +193,14 @@ class TestLoadPredictions:
         ([b"not json"], 1),
         ([b'{"scores": [NaN, 0.5, 0.5]}'], 1),
         ([record(frame=0), b"", b'{"video_id": "v\xff"}'], 3),
+        ([record(), record(frame=1, pairid=[0, 1])], 2),
     ], ids=["score-above-1", "negative-score", "short-scores", "bool-score",
             "degenerate-box", "box-outside-frame", "negative-box", "bool-box",
             "duplicate-pair-id", "negative-frame", "float-pair-id", "string-pair-id",
             "bool-pair-id", "long-pair-id", "bool-frame-index", "string-frame-w",
             "null-object-class", "number-video-id", "frame-size-differs",
             "fused-then-base-above-1", "base-then-fused", "unknown-scale", "bare-number",
-            "null-line", "list-line", "not-json", "nan", "not-utf8"])
+            "null-line", "list-line", "not-json", "nan", "not-utf8", "unknown-key"])
     def test_bad_record_raises_at_its_line(self, tmp_path, vocab, lines, line):
         path = tmp_path / "p.jsonl"
         write_lines(path, lines)
@@ -222,6 +223,13 @@ class TestLoadPredictions:
         del later["video_id"]
         write_lines(tmp_path / "p.jsonl", [record(frame=0), later])
         assert load_predictions(tmp_path / "p.jsonl", vocab).video_id == "v"
+
+    def test_misspelt_key_is_named(self, tmp_path, vocab):
+        misspelt = record()
+        misspelt["pairid"] = misspelt.pop("pair_id")
+        write_lines(tmp_path / "p.jsonl", [misspelt])
+        with pytest.raises(ParseError, match="unknown field 'pairid'"):
+            load_predictions(tmp_path / "p.jsonl", vocab)
 
     def test_missing_field(self, tmp_path, vocab):
         bad = record()
@@ -268,8 +276,9 @@ class TestLoadGroundTruth:
         {"frame_index": "0", "pair_id": [0, 1], "relation_index": 1},
         {"frame_index": 0, "relation_index": 1},
         b"5",
+        {"frame_index": 0, "pair_id": [0, 1], "relation_index": 1, "relation": "hold"},
     ], ids=["float-relation", "string-relation", "bool-relation", "float-pair-id",
-            "string-frame", "missing-pair-id", "bare-number"])
+            "string-frame", "missing-pair-id", "bare-number", "unknown-key"])
     def test_bad_record_raises_at_its_line(self, tmp_path, vocab, bad):
         preds = self.make_predictions(tmp_path, vocab)
         path = tmp_path / "gt.jsonl"
