@@ -7,25 +7,24 @@ floor; scoring every relation of every pair is exactly the call-volume
 explosion keyframe sampling exists to avoid.
 
 Every agent asks its provider through one loop, ``_score_batches``, which
-asks each distinct prompt once. Its failure policy is shared with the stage-2
-debate: an AuthError is fatal and propagates to the caller; any other
-ProviderError is logged and leaves only the failed batch's slots unscored.
+asks each distinct prompt once, under ``provider.text_or_none``, the one
+failure policy of both stages: a failed batch leaves only its slots
+unscored, and an AuthError propagates to the caller.
 
 Each agent function asks one provider; ``pipeline.run_stage_one`` runs
 every agent for every provider at once. One agent's batches are in flight
 together, up to the provider's ``max_concurrency``. Each answer is parsed
 as it arrives, and each batch is reported at once to the agent's
-``on_scored(table, slots)``: a table of the batch's scores and every
-candidate slot the batch covers, scored or not, so a caller knows when a
-slot's scores are final. Each slot gets each kind from one batch, so the
-scores do not depend on which answer arrives first. Agents return nothing;
-their reports are their result. Agents given one ``stop`` event start no
+``on_scored(kind, scored)``: its score kind and a ``(slot, value)`` for
+every candidate slot the batch covers, the value None where it is unscored,
+so a caller knows when a slot's scores are final. Each slot gets each kind
+from one batch, so the scores do not depend on which answer arrives first.
+Agents return nothing; their reports are their result. Agents given one ``stop`` event start no
 further prompt once any of them has raised.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -50,9 +49,7 @@ from .prompt import (
     render_spatial,
     render_temporal,
 )
-from .provider import AuthError, CompletionRequest, Provider, ProviderError, cached_complete
-
-log = logging.getLogger(__name__)
+from .provider import CompletionRequest, Provider, cached_complete, text_or_none
 
 
 @dataclass(frozen=True)
@@ -174,10 +171,10 @@ def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
     distinct prompt is asked once; as its answer arrives, ``parse(raw, n)``
     turns it into one value or None per item for every batch that rendered
     it, and ``on_batch(batch, values)`` gets them, on the thread that asked.
-    A batch whose prompt failed gets all None. An AuthError propagates, sets
-    ``stop`` and starts no queued prompt of any fan-out sharing ``stop``;
-    its batches are not reported. Any other ProviderError drops only the
-    values of its own prompt.
+    A batch whose prompt failed gets all None. Under ``text_or_none``, an
+    AuthError propagates, sets ``stop`` and starts no queued prompt of any
+    fan-out sharing ``stop``; its batches are not reported. Any other
+    ProviderError drops only the values of its own prompt.
     """
     batches: dict[str, list] = {}
     for start in range(0, len(items), batch_size):
@@ -185,14 +182,9 @@ def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
         batches.setdefault(render(batch).render(), []).append(batch)
 
     def ask(prompt: str) -> None:
-        req = CompletionRequest(provider_id=provider.id, prompt=prompt)
-        try:
-            raw = cached_complete(provider, req, cache_dir).text
-        except AuthError:
-            raise
-        except ProviderError as exc:
-            log.warning("%s: %s batch failed: %s", provider.id, what, exc)
-            raw = None
+        raw = text_or_none(
+            lambda: cached_complete(provider, CompletionRequest(prompt), cache_dir).text,
+            f"{provider.id}: {what} batch")
         for batch in batches[prompt]:
             on_batch(batch, [None] * len(batch) if raw is None else parse(raw, len(batch)))
 
@@ -200,17 +192,12 @@ def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
 
 
 def _reporter(wanted: dict, kind: str, on_scored: Callable) -> Callable:
-    """An ``on_batch`` that puts each item's value on every (frame, pair_key,
-    relation) slot that wanted it, and reports the batch's table and all its
-    slots, scored or not, to ``on_scored``."""
+    """An ``on_batch`` that reports each item's value, or None, on every
+    (frame, pair_key, relation) slot that wanted it, as
+    ``on_scored(kind, [(slot, value), ...])``."""
     def on_batch(batch: list, values: list) -> None:
-        table, slots = AgentScoreTable(), []
-        for item, value in zip(batch, values):
-            for slot in wanted[item]:
-                slots.append(slot)
-                if value is not None:
-                    table.set(*slot, kind, value)
-        on_scored(table, slots)
+        on_scored(kind, [(slot, value) for item, value in zip(batch, values)
+                         for slot in wanted[item]])
     return on_batch
 
 
@@ -222,14 +209,14 @@ def run_common_sense(
     floor: float,
     batch_size: int,
     cache_dir: Optional[str] = None,
-    on_scored: Callable = lambda table, slots: None,
+    on_scored: Callable = lambda kind, scored: None,
     stop: Optional[threading.Event] = None,
 ) -> None:
     """Rationality scores for every candidate (keyframe, pair, relation).
 
     Scores are keyed by triplet text, so each distinct text costs one test
     slot regardless of how many keyframes it appears in. Each batch is
-    reported as ``on_scored(table, slots)`` when its answer arrives, every
+    reported as ``on_scored(CS, scored)`` when its answer arrives, every
     candidate slot once.
     """
     wanted: dict[str, list[tuple]] = {}
@@ -267,15 +254,15 @@ def run_spatial(
     floor: float,
     batch_size: int,
     cache_dir: Optional[str] = None,
-    on_scored: Callable = lambda table, slots: None,
+    on_scored: Callable = lambda kind, scored: None,
     stop: Optional[threading.Event] = None,
 ) -> None:
     """Two-stage spatial reasoning: classify each relation name once, then
     score only spatial-aware candidates with that frame's boxes.
 
     Reports like ``run_common_sense``; the candidates of relations that are
-    not spatial-aware are reported, unscored, as soon as awareness is
-    known."""
+    not spatial-aware are reported with the value None as soon as awareness
+    is known."""
     slots = list(keyframe_slots(pred_set, keyframes, floor))
     aware = classify_spatial_awareness(
         provider, sorted({vocab.names[r] for _, _, r, _ in slots}), cache_dir, stop)
@@ -285,7 +272,7 @@ def run_spatial(
     unaware = []
     for frame_index, pk, r, pair in slots:
         if not aware[vocab.names[r]]:
-            unaware.append((frame_index, pk, r))
+            unaware.append(((frame_index, pk, r), None))
             continue
         item = (
             triplet_to_text(pair, r, vocab),
@@ -293,7 +280,7 @@ def run_spatial(
             tuple(pair.object_box.as_int_list()),
         )
         wanted.setdefault(item, []).append((frame_index, pk, r))
-    on_scored(AgentScoreTable(), unaware)
+    on_scored(SPATIAL, unaware)
     _score_batches(provider, "spatial", sorted(wanted), batch_size,
                    lambda batch: render_spatial("scoring", batch),
                    parse_score_output, cache_dir, _reporter(wanted, SPATIAL, on_scored),
@@ -307,7 +294,7 @@ def run_temporal(
     vocab: RelationVocabulary,
     batch_size: int,
     cache_dir: Optional[str] = None,
-    on_scored: Callable = lambda table, slots: None,
+    on_scored: Callable = lambda kind, scored: None,
     stop: Optional[threading.Event] = None,
 ) -> None:
     """Score each transition's change; the score attaches to the new relation

@@ -159,6 +159,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     batch, file_metric = embedloss.load_embedding_batch(args.batch)
+    if not batch.gt_mask.any():
+        raise ValueError(f"{args.batch}: no ground-truth cell, so no gradient to check")
     metric = args.metric or file_metric
     rng = np.random.default_rng(args.seed)
     params = embedloss.random_mlp(rng, 3 * batch.feature_dim, hidden=(16,),

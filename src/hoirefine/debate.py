@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -28,9 +27,7 @@ from typing import Optional
 from .agents import fan_out
 from .ingest import write_atomic
 from .prompt import box_text, parse_score_output, render_debate_turn
-from .provider import AuthError, CompletionRequest, Provider, ProviderError, cached_complete
-
-log = logging.getLogger(__name__)
+from .provider import CompletionRequest, Provider, cached_complete, text_or_none
 
 QUESTION_SPEAKER = "question"
 
@@ -99,26 +96,20 @@ def run_debate(
     The openings are asked at once (the calling thread asks the first, a
     helper thread each other) and put in ``entries`` at their turn's
     position; the response turns and the judge follow in order. Every turn
-    and the judge go through one ask with the agents' failure policy: an
-    AuthError from any participant is fatal and propagates, and any other
-    ProviderError is logged. A failed debater turn inserts an empty entry
-    and the debate continues; a failed judge yields a transcript with
-    judge_answer="" and judge_score=None.
+    and the judge are asked under ``text_or_none``, the agents' failure
+    policy: an AuthError from any participant is fatal and propagates, and
+    any other ProviderError is logged. A failed debater turn inserts an
+    empty entry and the debate continues; a failed judge yields a transcript
+    with judge_answer="" and judge_score=None.
     """
     if not debaters:
         raise ValueError("need at least one debater")
     entries: list[tuple[str, str]] = [(QUESTION_SPEAKER, question)]
 
     def ask(role: str, provider: Provider, history: list[tuple[str, str]]) -> Optional[str]:
-        req = CompletionRequest(provider_id=provider.id,
-                                prompt=render_debate_turn(role, question, history))
-        try:
-            return cached_complete(provider, req, cache_dir).text
-        except AuthError:
-            raise
-        except ProviderError as exc:
-            log.warning("%s %s failed: %s", role, provider.id, exc)
-            return None
+        req = CompletionRequest(render_debate_turn(role, question, history))
+        return text_or_none(lambda: cached_complete(provider, req, cache_dir).text,
+                            f"{role} {provider.id}")
 
     openings = fan_out(lambda d: ask("debater", d, []) or "", debaters, len(debaters))
     for d_i, opening in zip(debaters, openings):

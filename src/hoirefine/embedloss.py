@@ -20,11 +20,7 @@ import numpy as np
 from .ingest import (BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _field, _only_fields,
                      _records, write_atomic)
 
-DEFAULT_FEATURE_DIM = 64
-DEFAULT_EMBED_DIM = 64
-DEFAULT_HIDDEN_DIM = 128
-
-_ACTIVATIONS = ("relu", "tanh", "identity")
+_ACTIVATIONS = ("tanh", "identity")
 METRICS = ("l1", "neg_cosine")
 _VECTORS = ("f_human", "f_inter", "f_obj", "e_text")  # per-cell vectors of an EmbeddingBatch
 
@@ -61,35 +57,25 @@ class MlpParams:
         return MlpParams([(w.copy(), b.copy(), act) for w, b, act in self.layers])
 
 
-def random_mlp(rng: np.random.Generator, d_in: int,
-               hidden: tuple[int, ...] = (DEFAULT_HIDDEN_DIM,),
-               d_out: int = DEFAULT_EMBED_DIM,
-               hidden_activation: str = "tanh") -> MlpParams:
+def random_mlp(rng: np.random.Generator, d_in: int, hidden: tuple[int, ...],
+               d_out: int) -> MlpParams:
     dims = (d_in, *hidden, d_out)
     layers = []
     for i in range(len(dims) - 1):
         scale = 1.0 / np.sqrt(dims[i])
         w = rng.normal(0.0, scale, size=(dims[i + 1], dims[i]))
         b = rng.normal(0.0, 0.01, size=dims[i + 1])
-        act = hidden_activation if i < len(dims) - 2 else "identity"
+        act = "tanh" if i < len(dims) - 2 else "identity"
         layers.append((w, b, act))
     return MlpParams(layers)
 
 
 def _activate(pre: np.ndarray, act: str) -> np.ndarray:
-    if act == "relu":
-        return np.maximum(pre, 0.0)
-    if act == "tanh":
-        return np.tanh(pre)
-    return pre
+    return np.tanh(pre) if act == "tanh" else pre
 
 
 def _activate_grad(pre: np.ndarray, act: str) -> np.ndarray:
-    if act == "relu":
-        return (pre > 0.0).astype(pre.dtype)
-    if act == "tanh":
-        return 1.0 - np.tanh(pre) ** 2
-    return np.ones_like(pre)
+    return 1.0 - np.tanh(pre) ** 2 if act == "tanh" else np.ones_like(pre)
 
 
 def _forward_batch(params: MlpParams, x: np.ndarray):
@@ -171,8 +157,7 @@ class EmbeddingBatch:
         return self.e_text.shape[2]
 
 
-def random_batch(rng: np.random.Generator, k: int = 4,
-                 d_f: int = DEFAULT_FEATURE_DIM, d_e: int = DEFAULT_EMBED_DIM,
+def random_batch(rng: np.random.Generator, k: int, d_f: int, d_e: int,
                  mask_density: float = 0.5) -> EmbeddingBatch:
     mask = rng.random((k, k)) < mask_density
     np.fill_diagonal(mask, False)

@@ -114,12 +114,13 @@ def run_stage_one(
 
     Every agent runs for every provider at once, in one ``fan_out``, with
     the temporal agent on ``transitions``; each provider's
-    ``max_concurrency`` still caps its requests in flight. Each batch's
-    scores merge into their provider's table as they arrive; each slot and
-    kind is scored by one batch, so the tables do not depend on which
-    answer arrives first. After each merge, ``on_scored(tables, slots)``
-    gets the tables so far and the slots the batch reported. Its calls do
-    not overlap, and no table changes while one runs.
+    ``max_concurrency`` still caps its requests in flight. This is the one
+    writer of the tables: each batch's scores go into their provider's table
+    as the agent reports them; each slot and kind is scored by one batch, so
+    the tables do not depend on which answer arrives first. After each
+    report, ``on_scored(tables, slots)`` gets the tables so far and the slots
+    the batch reported, scored or not. Its calls do not overlap, and no
+    table changes while one runs.
 
     Every agent shares ``stop``: once any of them raises, or ``stop`` is
     set elsewhere, no agent of any provider starts a further prompt. The
@@ -131,17 +132,17 @@ def run_stage_one(
     tables = {provider.id: AgentScoreTable() for provider in providers}
     lock = threading.Lock()
 
-    def reporter(provider: Provider) -> Callable:
-        def report(partial: AgentScoreTable, slots: list) -> None:
-            with lock:
-                tables[provider.id].merge(partial)
-                on_scored(tables, slots)
-        return report
+    def record(table: AgentScoreTable, kind: str, scored: list) -> None:
+        with lock:
+            for slot, value in scored:
+                if value is not None:
+                    table.set(*slot, kind, value)
+            on_scored(tables, [slot for slot, _ in scored])
 
     floor, batch_size = config.candidate_floor, config.batch_size
     jobs = []
     for provider in providers:
-        report = reporter(provider)
+        report = partial(record, tables[provider.id])
         jobs += [
             partial(run_common_sense, provider, pred_set, keyframes, vocab, floor,
                     batch_size, cache_dir, report, stop),

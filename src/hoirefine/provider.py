@@ -1,6 +1,8 @@
 """Chat-completion providers: a generic HTTP client with retries and
 bounded concurrency, an offline deterministic mock driven by a rule table,
-and a content-addressed response cache.
+a content-addressed response cache, and ``text_or_none``, the one failure
+policy of the stage-1 agents and the stage-2 debate. An answer is text or
+a ProviderError.
 
 The cache is one file per key under a directory, so it is process- and
 language-agnostic; values are deterministic per key at temperature 0, which
@@ -87,20 +89,18 @@ class ProviderSpec:
             raise ValueError("max_retries must be >= 0")
 
 
+# every request is sampled alike; both values go into the HTTP body and the cache key
+TEMPERATURE = 0.0
+MAX_TOKENS = 256
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
-    provider_id: str
     prompt: str
-    temperature: float = 0.0
-    max_tokens: int = 256
 
     def __post_init__(self):
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
 
 
 @dataclass
@@ -172,7 +172,8 @@ def match_rules(rules: list[MockRule], prompt: str) -> str:
 
 class Provider:
     """Runtime wrapper around a ProviderSpec: owns the concurrency semaphore,
-    retry loop and call counter.
+    retry loop and call counter. An answer is text: a transport that returns
+    anything else raises MalformedResponseError, which is not retried.
 
     A mock spec without a ``transport`` answers from its rule table, read
     once here. ``rules_sha256``, which goes into the cache key, is the
@@ -229,7 +230,7 @@ class Provider:
                 self.in_flight += 1
                 self.max_in_flight = max(self.max_in_flight, self.in_flight)
             try:
-                return self._transport(self.spec, req)
+                text = self._transport(self.spec, req)
             except AuthError as exc:
                 with self._lock:
                     self._auth_error = self._auth_error or exc
@@ -237,6 +238,10 @@ class Provider:
             finally:
                 with self._lock:
                     self.in_flight -= 1
+        if not isinstance(text, str):
+            raise MalformedResponseError(
+                f"{self.spec.id}: answer is {type(text).__name__}, not text")
+        return text
 
     def _retrying(self, req: CompletionRequest) -> str:
         attempts = self.spec.max_retries + 1
@@ -278,8 +283,8 @@ def _http_complete(spec: ProviderSpec, req: CompletionRequest) -> str:
     payload = {
         "model": spec.model_name,
         "messages": [{"role": "user", "content": req.prompt}],
-        "temperature": req.temperature,
-        "max_tokens": req.max_tokens,
+        "temperature": TEMPERATURE,
+        "max_tokens": MAX_TOKENS,
     }
     headers = {spec.auth_header: f"{spec.auth_scheme} {api_key}".strip()}
     try:
@@ -308,7 +313,7 @@ def cache_key(provider: Provider, req: CompletionRequest) -> str:
     spec = provider.spec
     payload = json.dumps(
         [spec.id, spec.model_name, spec.endpoint, provider.rules_sha256,
-         req.prompt, req.temperature, req.max_tokens],
+         req.prompt, TEMPERATURE, MAX_TOKENS],
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -343,3 +348,16 @@ def cached_complete(provider: Provider, req: CompletionRequest,
     os.makedirs(cache_dir, exist_ok=True)
     write_atomic(path, resp.text)
     return resp
+
+
+def text_or_none(ask: Callable[[], str], what: str) -> Optional[str]:
+    """``ask()``, under the one failure policy of both stages: an AuthError
+    propagates; any other ProviderError is logged as ``what`` failed and
+    gives None."""
+    try:
+        return ask()
+    except AuthError:
+        raise
+    except ProviderError as exc:
+        log.warning("%s failed: %s", what, exc)
+        return None

@@ -69,9 +69,11 @@ def scored(agent, *args, **kwargs) -> AgentScoreTable:
     """Every score ``agent`` reports, merged into one table."""
     table, lock = AgentScoreTable(), threading.Lock()
 
-    def collect(partial, _slots):
+    def collect(kind, scored):
         with lock:
-            table.merge(partial)
+            for slot, value in scored:
+                if value is not None:
+                    table.set(*slot, kind, value)
 
     agent(*args, on_scored=collect, **kwargs)
     return table

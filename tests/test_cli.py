@@ -5,12 +5,22 @@ import os
 import shutil
 
 import pytest
+import requests
 
 from hoirefine import pipeline
 from hoirefine.cli import main
 from hoirefine.config import load_config
-from hoirefine.prompt import DEBATER_PREAMBLE, JUDGE_PREAMBLE
-from hoirefine.provider import AuthError, Provider, ProviderTimeout, load_rule_table, match_rules
+from hoirefine.pipeline import build_providers
+from hoirefine.prompt import COMMON_SENSE_INSTRUCTION, DEBATER_PREAMBLE, JUDGE_PREAMBLE
+from hoirefine.provider import (
+    AuthError,
+    CompletionRequest,
+    Provider,
+    ProviderTimeout,
+    cache_key,
+    load_rule_table,
+    match_rules,
+)
 
 from conftest import fixture_path
 
@@ -439,6 +449,55 @@ def test_summary_counts_debates_whose_judge_failed(tmp_path, capsys, monkeypatch
     assert "debates run: 10\n" in capsys.readouterr().out
 
 
+class ChatResponse:
+    """The part of a ``requests`` response that the HTTP provider reads."""
+
+    status_code, headers = 200, {}
+
+    def __init__(self, content):
+        self.body = {"choices": [{"message": {"content": content}}]}
+        self.text = json.dumps(self.body)
+
+    def json(self):
+        return self.body
+
+
+def test_null_content_drops_only_its_batches(tmp_path, capsys, monkeypatch):
+    # http providers answer from the fixture rule tables, except that every
+    # common-sense prompt gets an HTTP 200 whose content is null
+    with open(fixture_path("config.json"), encoding="utf-8") as fh:
+        config = json.load(fh)
+    rules = {}
+    for spec in config["providers"]:
+        rules[spec["model_name"]], _ = load_rule_table(fixture_path(spec.pop("rules_path")))
+        spec.update(kind="http", endpoint="http://localhost:9/v1/chat/completions",
+                    api_key_env="HOIREFINE_TEST_KEY")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    answered = []
+
+    def post(_url, **kw):
+        model, prompt = kw["json"]["model"], kw["json"]["messages"][0]["content"]
+        if prompt.startswith(COMMON_SENSE_INSTRUCTION):
+            return ChatResponse(None)
+        answered.append((model, prompt))
+        return ChatResponse(match_rules(rules[model], prompt))
+
+    monkeypatch.setenv("HOIREFINE_TEST_KEY", "key")
+    monkeypatch.setattr(requests, "post", post)
+    cache = tmp_path / "cache"
+    code = main(["refine", "--config", str(cfg),
+                 "--predictions", fixture_path("predictions.jsonl"),
+                 "--vocab", fixture_path("vocab.txt"),
+                 "--out", str(tmp_path / "o.jsonl"), "--cache-dir", str(cache)])
+    assert code == 0
+    assert "  cs coverage: 0.0% of candidates" in capsys.readouterr().out.splitlines()
+    # one cache entry per answered prompt: none for a null answer, no .tmp. file
+    providers = {p.spec.model_name: p for p in build_providers(load_config(str(cfg)))}
+    assert sorted(entry.name for entry in cache.iterdir() if entry.is_file()) == sorted(
+        {cache_key(providers[model], CompletionRequest(prompt)) for model, prompt in answered})
+
+
 class TestEval:
     def test_baseline_recall_printed(self, capsys):
         code = main([
@@ -573,6 +632,19 @@ class TestGradcheck:
         bad.write_text("\n".join([json.dumps({**json.loads(header), "metric": "l2"}), *cells]))
         assert main(["gradcheck", "--batch", str(bad), *override]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
+
+    def test_batch_without_ground_truth_exits_one(self, tmp_path, capsys):
+        # with no true cell the loss and every gradient are zero: nothing to compare
+        bad = tmp_path / "batch.jsonl"
+        with open(fixture_path("embedding_batch.jsonl"), encoding="utf-8") as fh:
+            header, *cells = fh.read().splitlines()
+        cells = [json.dumps({**json.loads(cell), "gt": False}) for cell in cells]
+        bad.write_text("\n".join([header, *cells]) + "\n")
+        assert main(["gradcheck", "--batch", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {bad}: no ground-truth cell, so no gradient to check"]
 
     def test_corrupt_batch_exits_one(self, tmp_path):
         bad = tmp_path / "batch.jsonl"

@@ -2,7 +2,8 @@
 the change wins at least 9 of every 10 pairs, its median is below the
 parent's by more than the parent's quartile distance, and no more of its
 operations failed. It counts as regressed when the change's median is
-above the parent's by more than the metric's ``BENCHMARK.json`` bound."""
+above the parent's by more than the metric's ``BENCHMARK.json`` bound,
+and the run then exits 1, as it does when failures rose."""
 
 import json
 import os
@@ -92,3 +93,44 @@ def test_median_worse_within_the_bound_is_no_regression(pairs):
     assert not result["job_s"]["regressed"]
     # a gain is never a regression
     assert not pairs.summarize(make_pairs([p - 0.1 for p in PARENT_JOB_S]))["job_s"]["regressed"]
+
+
+@pytest.fixture
+def run_main(pairs, monkeypatch, tmp_path):
+    """``pairs.main`` on two workloads without git or benchmark runs: each
+    side's report comes from ``reports[side][workload]``. Returns the exit
+    status and the ``--out`` summary."""
+    monkeypatch.setattr(pairs.subprocess, "run", lambda args, **_kw: (
+        pairs.subprocess.CompletedProcess(args, 0, stdout="f" * 40 + "\n")))
+    monkeypatch.setattr(pairs, "extract", lambda _rev, _directory: None)
+
+    def run(reports):
+        monkeypatch.setattr(pairs, "run_side", lambda tree, workload, _seed: reports[
+            "change" if tree == pairs.ROOT else "parent"][workload])
+        out = tmp_path / "bench.json"
+        status = pairs.main(["--workload", "a", "--workload", "b", "--first-seed", "0",
+                             "--pairs", "3", "--out", str(out)])
+        return status, json.loads(out.read_text(encoding="utf-8"))
+    return run
+
+
+def test_no_regression_exits_zero(run_main):
+    status, summary = run_main({"parent": {"a": side(1.0), "b": side(2.0)},
+                                "change": {"a": side(1.1), "b": side(2.0)}})
+    assert status == 0
+    assert not summary["workloads"]["a"]["summary"]["job_s"]["regressed"]
+
+
+def test_regressed_metric_exits_one_after_writing_the_summary(run_main):
+    status, summary = run_main({"parent": {"a": side(1.0), "b": side(2.0)},
+                                "change": {"a": side(1.0), "b": side(3.0)}})
+    assert status == 1
+    assert summary["workloads"]["b"]["summary"]["job_s"]["regressed"]
+
+
+def test_more_failures_exit_one(run_main):
+    status, summary = run_main({"parent": {"a": side(1.0), "b": side(2.0)},
+                                "change": {"a": side(1.0, failed=1), "b": side(2.0)}})
+    assert status == 1
+    assert not any(r["regressed"] for run in summary["workloads"].values()
+                   for r in run["summary"].values())

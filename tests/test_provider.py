@@ -9,9 +9,11 @@ import time
 import pytest
 import requests
 
+from hoirefine.config import load_config
 from hoirefine.provider import (
     AuthError,
     CompletionRequest,
+    MalformedResponseError,
     MockRule,
     Provider,
     ProviderSpec,
@@ -21,11 +23,14 @@ from hoirefine.provider import (
     cached_complete,
     load_rule_table,
     match_rules,
+    text_or_none,
 )
 
+from conftest import fixture_path
 
-def req(prompt="Input:<person,sit on,chair> Output:", **kw):
-    return CompletionRequest(provider_id="p", prompt=prompt, **kw)
+
+def req(prompt="Input:<person,sit on,chair> Output:"):
+    return CompletionRequest(prompt=prompt)
 
 
 def mock_provider(rules=()):
@@ -119,7 +124,7 @@ class TestMockRules:
 class TestComplete:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
-            CompletionRequest(provider_id="p", prompt="")
+            CompletionRequest(prompt="")
 
     def test_retry_contract(self):
         attempts = []
@@ -268,6 +273,45 @@ class TestRetryAfter:
         assert [delay for delay, _ in sleeps] == [3.0]
 
 
+class TestNonTextAnswer:
+    """An HTTP 200 whose content is not a string, through the real HTTP
+    client with ``requests.post`` replaced."""
+
+    @pytest.mark.parametrize("content", [None, ["Output: 0.7"]], ids=["null", "list"])
+    def test_is_malformed_after_one_attempt(self, monkeypatch, content):
+        posts = []
+
+        def post(*_a, **_kw):
+            posts.append(1)
+            return FakeResponse(200, body={"choices": [{"message": {"content": content}}]})
+
+        provider = Provider(ProviderSpec(
+            id="h", kind="http", endpoint="http://localhost:9/v1/chat/completions",
+            api_key_env="HOIREFINE_TEST_KEY", max_retries=2, backoff_base=0.001))
+        monkeypatch.setenv("HOIREFINE_TEST_KEY", "key")
+        monkeypatch.setattr(requests, "post", post)
+        with pytest.raises(MalformedResponseError, match="^h: "):
+            provider.complete(req())
+        assert len(posts) == 1
+
+
+class TestTextOrNone:
+    def test_auth_error_propagates(self):
+        def ask():
+            raise AuthError("bad key")
+
+        with pytest.raises(AuthError, match="bad key"):
+            text_or_none(ask, "ask")
+
+    @pytest.mark.parametrize("error", [ProviderTimeout("slow"), MalformedResponseError("null")])
+    def test_other_failure_is_logged_once_and_gives_none(self, caplog, error):
+        def ask():
+            raise error
+
+        assert text_or_none(ask, "p: judge") is None
+        assert [r.getMessage() for r in caplog.records] == [f"p: judge failed: {error}"]
+
+
 class TestCache:
     def test_hit_skips_provider(self, tmp_path):
         provider = mock_provider()
@@ -284,11 +328,11 @@ class TestCache:
         cached_complete(provider, req("prompt b"), str(tmp_path))
         assert provider.call_count == 2
 
-    def test_temperature_in_key(self, tmp_path):
-        provider = mock_provider()
-        cached_complete(provider, req(temperature=0.0), str(tmp_path))
-        cached_complete(provider, req(temperature=0.7), str(tmp_path))
-        assert provider.call_count == 2
+    def test_key_is_pinned(self):
+        # a key that drifted would turn every entry users hold into a miss
+        provider = Provider(load_config(fixture_path("config.json")).providers[0])
+        assert cache_key(provider, req()) == (
+            "1aa7c3278a7ff54ee2bcd15b09a827590b8e5140bf3c7fece51c881a7dcc7278")
 
     def test_call_count_equals_distinct_keys(self, tmp_path):
         provider = mock_provider()

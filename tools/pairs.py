@@ -17,7 +17,9 @@ more than the parent's quartile distance, and no more of its operations
 failed than the parent's. Each metric is also flagged ``regressed`` when
 the working tree's median is above the parent's by more than the metric's
 ``bound`` in ``BENCHMARK.json``, taken as a share of the parent's median.
-``--out`` writes the same summary as JSON.
+``--out`` writes the same summary as JSON. The exit status is 1 when any
+metric of any workload regressed or the working tree failed more
+operations than the parent on any workload, else 0.
 """
 
 from __future__ import annotations
@@ -66,8 +68,12 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def failures(pairs: list[dict]) -> dict:
+    return {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
+
+
 def summarize(pairs: list[dict]) -> dict:
-    failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
+    failed = failures(pairs)
     out = {}
     for metric in METRICS:
         parent = [p["parent"][metric] for p in pairs]
@@ -81,6 +87,16 @@ def summarize(pairs: list[dict]) -> dict:
                                 and failed["change"] <= failed["parent"]),
                        "regressed": -gap > BOUNDS[metric] * before["median"]}
     return out
+
+
+def exit_status(workloads: dict) -> int:
+    """1 when a metric regressed or failures rose on any workload, else 0."""
+    for run in workloads.values():
+        failed = failures(run["pairs"])
+        if (failed["change"] > failed["parent"]
+                or any(r["regressed"] for r in run["summary"].values())):
+            return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -132,7 +148,7 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return 0
+    return exit_status(summary["workloads"])
 
 
 if __name__ == "__main__":
