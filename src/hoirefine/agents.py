@@ -26,9 +26,10 @@ further prompt once any of them has raised.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .ingest import triplet_to_text
 from .model import (
@@ -333,46 +334,49 @@ def propagate_scores(
     pair's common-sense score is indexed that way, and when two pairs share
     a text in one keyframe the later pair's score is the source.
     """
-    vocab = pred_set.vocabulary
-    out = AgentScoreTable().merge(table)
-
-    # source key -> (keyframes, values), parallel and in frame order
-    sources: dict[tuple, tuple[list[int], list[float]]] = {}
-    for frame in pred_set.frames:
-        if frame.frame_index not in keyframes:
-            continue
-        for i, pair in enumerate(frame.pairs):
-            pk = pair_key(pair, i)
-            for r in range(vocab.n):
-                for kind, value in table.kinds_at(frame.frame_index, pk, r).items():
-                    keys = [(pk, r, kind)]
-                    if kind == CS:
-                        keys.append((triplet_to_text(pair, r, vocab), CS))
-                    for key in keys:
-                        kfs, values = sources.setdefault(key, ([], []))
-                        if kfs and kfs[-1] == frame.frame_index:
-                            values[-1] = value
-                        else:
-                            kfs.append(frame.frame_index)
-                            values.append(value)
-
-    for frame in pred_set.frames:
-        f = frame.frame_index
-        if f in keyframes:
-            continue
-        for i, pair in enumerate(frame.pairs):
-            pk = pair_key(pair, i)
-            for r in range(vocab.n):
-                if pair.pair_id is not None:
-                    keys = [((pk, r, kind), kind) for kind in SCORE_KINDS]
-                else:
-                    keys = [((triplet_to_text(pair, r, vocab), CS), CS)]
-                for key, kind in keys:
-                    if key not in sources or out.get(f, pk, r, kind) is not None:
-                        continue
-                    kfs, values = sources[key]
-                    j = bisect_left(kfs, f)  # f is not a keyframe: kfs[j - 1] < f < kfs[j]
-                    if j == len(kfs) or (j > 0 and f - kfs[j - 1] <= kfs[j] - f):
-                        j -= 1
-                    out.set(f, pk, r, kind, values[j])
+    table = table.over(pred_set)
+    layout, vocab, n = table.layout, pred_set.vocabulary, pred_set.vocabulary.n
+    # per pair, its track (-1 if untracked) and the text id of each relation
+    tracks, texts, ids, class_texts, text_ids = [], [], {}, {}, {}
+    for _, pair in pred_set.iter_pairs():
+        tracks.append(-1 if pair.pair_id is None else ids.setdefault(pair.pair_id, len(ids)))
+        if pair.object_class not in class_texts:
+            class_texts[pair.object_class] = [
+                text_ids.setdefault(triplet_to_text(pair, r, vocab), len(text_ids))
+                for r in range(n)]
+        texts.append(class_texts[pair.object_class])
+    # per slot: its source groups, (track, relation) and text, and its frame's rank
+    tracked = np.repeat(np.array(tracks) >= 0, n)
+    pair_relation = (np.array(tracks, dtype=np.int64)[:, None] * n + np.arange(n)).reshape(-1)
+    text = np.array(texts, dtype=np.int64).reshape(-1)
+    position = np.cumsum(np.append(False, layout.frame[1:] != layout.frame[:-1]))
+    keyframe = np.isin(layout.frame, list(keyframes))
+    out = AgentScoreTable(layout).merge(table)
+    for values, filled, kind in zip(table.values, out.values, SCORE_KINDS):
+        held, empty = ~np.isnan(values) & keyframe, np.isnan(values) & ~keyframe
+        _fill(filled, values, pair_relation, held & tracked, empty & tracked,
+              layout.frame, position)
+        if kind == CS:
+            _fill(filled, values, text, held, empty & ~tracked, layout.frame, position)
     return out
+
+
+def _fill(out: np.ndarray, values: np.ndarray, group: np.ndarray, sources: np.ndarray,
+          targets: np.ndarray, frame: np.ndarray, position: np.ndarray) -> None:
+    """Set ``out`` at each ``targets`` slot to ``values`` at its ``group``'s
+    ``sources`` slot nearest in ``frame`` index: the earlier on a tie, the last
+    in one frame. Slots are in frame order; no source is in a target's frame."""
+    src, tgt = np.flatnonzero(sources), np.flatnonzero(targets)
+    if not len(src) or not len(tgt):
+        return
+    scale = int(position[-1]) + 1
+    src_key = group[src] * scale + position[src]  # orders by group, then frame
+    src_key, last = np.unique(src_key[::-1], return_index=True)  # a key's last source
+    src = src[::-1][last]
+    j = np.searchsorted(src_key, group[tgt] * scale + position[tgt])
+    before, after = src[np.maximum(j - 1, 0)], src[np.minimum(j, len(src) - 1)]
+    has_before = (j > 0) & (group[before] == group[tgt])
+    has_after = (j < len(src)) & (group[after] == group[tgt])
+    earlier = has_before & (~has_after | (frame[tgt] - frame[before] <= frame[after] - frame[tgt]))
+    found = has_before | has_after
+    out[tgt[found]] = values[np.where(earlier, before, after)[found]]

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import (BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _field, _only_fields,
-                     _records, write_atomic)
+from .ingest import BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _fields, _records, write_atomic
 
 _ACTIVATIONS = ("tanh", "identity")
 METRICS = ("l1", "neg_cosine")
@@ -288,29 +287,28 @@ def load_embedding_batch(path: str) -> tuple[EmbeddingBatch, str]:
     if first is None:
         raise ValueError(f"{path}: empty batch file")
     lineno, header = first
-    _only_fields(path, lineno, header, frozenset({"k", "d_f", "d_e", "metric"}))
-    k, d_f, d_e = (_field(path, lineno, header, name, INTEGER) for name in ("k", "d_f", "d_e"))
+    k, d_f, d_e, metric = _fields(path, lineno, header, {
+        **dict.fromkeys(("k", "d_f", "d_e"), (INTEGER, None)), "metric": (STRING, None)})
     if min(k, d_f, d_e) < 1:
         raise ParseError(path, lineno, "k, d_f and d_e must be >= 1")
-    metric = _field(path, lineno, header, "metric", STRING)
     if metric not in METRICS:
         raise ParseError(path, lineno, f"metric must be one of {METRICS}, not {metric!r}")
     dims = dict(zip(_VECTORS, (d_f, d_f, d_f, d_e)))
-    cell_fields = frozenset({"i", "j", "gt", *dims})
+    schema = {"i": (INTEGER, None), "j": (INTEGER, None), "gt": (BOOLEAN, None),
+              **{name: (NUMBER, dim) for name, dim in dims.items()}}
     arrays = {name: np.zeros((k, k, dim)) for name, dim in dims.items()}
     mask = np.zeros((k, k), dtype=bool)
     seen = set()
     for lineno, rec in records:
-        _only_fields(path, lineno, rec, cell_fields)
-        i, j = (_field(path, lineno, rec, name, INTEGER) for name in ("i", "j"))
+        i, j, gt, *vectors = _fields(path, lineno, rec, schema)
         if not (0 <= i < k and 0 <= j < k):
             raise ParseError(path, lineno, f"cell ({i}, {j}) outside the {k}x{k} grid")
         if (i, j) in seen:
             raise ParseError(path, lineno, f"duplicate cell ({i}, {j})")
         seen.add((i, j))
-        for name, dim in dims.items():
-            arrays[name][i, j] = _field(path, lineno, rec, name, NUMBER, dim)
-        mask[i, j] = _field(path, lineno, rec, "gt", BOOLEAN)
+        for name, vector in zip(dims, vectors):
+            arrays[name][i, j] = vector
+        mask[i, j] = gt
         if mask[i, j] and i == j:
             raise ParseError(path, lineno, f"diagonal cell ({i}, {j}) must have gt false")
     if len(seen) != k * k:

@@ -65,7 +65,9 @@ def _records(path: str, data: Optional[bytes] = None) -> Iterator[tuple[int, dic
             if not line:
                 continue
             try:
-                rec = _DECODER.decode(line)
+                rec, end = _DECODER.raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except ValueError as exc:
                 raise ParseError(path, lineno, f"invalid JSON: {exc}") from None
             if type(rec) is not dict:
@@ -80,29 +82,28 @@ STRING = ("a string", frozenset({str}))
 BOOLEAN = ("a boolean", frozenset({bool}))
 
 
-def _field(path: str, lineno: int, rec: dict, name: str, kind: tuple,
-           length: Optional[int] = None):
-    """``rec[name]`` if its JSON type is ``kind`` or, given ``length``, if
-    it is a list of that many values of type ``kind``; else ParseError at
-    ``path:lineno``. Callers convert a value only after this check."""
-    if name not in rec:
-        raise ParseError(path, lineno, f"missing field {name!r}")
-    value = rec[name]
-    what, types = kind
-    if length is None:
-        if type(value) in types:
-            return value
-        raise ParseError(path, lineno, f"field {name!r} must be {what}, not {json.dumps(value)}")
-    if type(value) is list and len(value) == length and set(map(type, value)) <= types:
-        return value
-    raise ParseError(path, lineno, f"field {name!r} must be a list of {length} values, "
-                                   f"each {what}, not {json.dumps(value)}")
-
-
-def _only_fields(path: str, lineno: int, rec: dict, fields: frozenset) -> None:
-    """ParseError at ``path:lineno`` naming a key of ``rec`` not in ``fields``."""
-    if not rec.keys() <= fields:
-        raise ParseError(path, lineno, f"unknown field {min(rec.keys() - fields)!r}")
+def _fields(path: str, lineno: int, rec: dict, schema: dict,
+            optional: frozenset = frozenset()) -> list:
+    """The one type rule, one call per record: ``rec``'s values of the fields
+    of ``schema``, which maps each to ``(kind, length)``: a value of JSON type
+    ``kind``, or a list of ``length`` of them. None for an absent ``optional``
+    field. A key outside ``schema``, then a missing field or a value of another
+    type, raises ParseError at ``path:lineno``. Convert after this check."""
+    if not rec.keys() <= schema.keys():
+        raise ParseError(path, lineno, f"unknown field {min(rec.keys() - schema.keys())!r}")
+    values = []
+    for name, ((what, types), length) in schema.items():
+        value = rec.get(name)
+        if name not in rec:
+            if name not in optional:
+                raise ParseError(path, lineno, f"missing field {name!r}")
+        elif type(value) not in types if length is None else not (
+                type(value) is list and len(value) == length and set(map(type, value)) <= types):
+            what = what if length is None else f"a list of {length} values, each {what}"
+            raise ParseError(path, lineno,
+                             f"field {name!r} must be {what}, not {json.dumps(value)}")
+        values.append(value)
+    return values
 
 
 def load_vocabulary(path: str) -> RelationVocabulary:
@@ -123,35 +124,37 @@ def triplet_to_text(pair: PairPrediction, relation_index: int, vocab: RelationVo
     return f"<person,{relation},{obj}>"
 
 
-_PREDICTION_FIELDS = frozenset({"frame_index", "frame_w", "frame_h", "object_class", "human_box",
-                                "object_box", "scores", "pair_id", "video_id", "score_scale"})
-_GROUND_TRUTH_FIELDS = frozenset({"frame_index", "pair_id", "relation_index"})
-
-
 def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet:
     """Load a line-delimited prediction file, checking each record in the
-    pass that reads it. A record holds ``frame_index`` (an integer >= 0),
-    the numbers ``frame_w`` and ``frame_h``, the string ``object_class``,
-    ``human_box`` and ``object_box`` (four numbers x1 < x2, y1 < y2 inside
-    the frame) and ``scores`` (a number in [0,1] per relation). Optional are
-    ``pair_id`` (two integers, unique in the frame), ``video_id`` (a string)
-    and ``score_scale`` ("base" or "fused"; a fused score may exceed 1);
-    these two and each frame's size must agree with earlier records. The
-    first record with another key, or that breaks a rule, raises ParseError
-    at its line. Frames come out sorted by index, each frame's pairs in file
-    order."""
+    pass that reads it. A record holds ``frame_index`` (an integer in
+    [0, 2**63)), the numbers ``frame_w`` and ``frame_h``, the string
+    ``object_class``, ``human_box`` and ``object_box`` (four numbers x1 <
+    x2, y1 < y2 inside the frame) and ``scores`` (a number in [0,1] per
+    relation). Optional are ``pair_id`` (two integers, unique in the frame),
+    ``video_id`` (a string) and ``score_scale`` ("base" or "fused"; a fused
+    score may exceed 1); these two and each frame's size must agree with
+    earlier records. The first record with another key, or that breaks a
+    rule, raises ParseError at its line. Frames come out sorted by index,
+    each frame's pairs in file order."""
+    schema = {"frame_index": (INTEGER, None), "frame_w": (NUMBER, None),
+              "frame_h": (NUMBER, None), "object_class": (STRING, None),
+              "human_box": (NUMBER, 4), "object_box": (NUMBER, 4), "scores": (NUMBER, vocab.n),
+              "pair_id": (INTEGER, 2), "video_id": (STRING, None), "score_scale": (STRING, None)}
+    optional = frozenset({"pair_id", "video_id", "score_scale"})
     frames: dict[int, tuple[tuple[float, float], list, set]] = {}
     video_id: Optional[str] = None
     score_scale: Optional[str] = None
     for lineno, rec in _records(path):
-        _only_fields(path, lineno, rec, _PREDICTION_FIELDS)
-        if "video_id" in rec:
-            vid = _field(path, lineno, rec, "video_id", STRING)
+        if rec.get("pair_id", 0) is None:  # a null pair_id is an untracked pair
+            del rec["pair_id"]
+        fi, w, h, object_class, *boxes, scores, pid, vid, scale = _fields(
+            path, lineno, rec, schema, optional)
+        if vid is not None:
             if video_id is not None and vid != video_id:
                 raise ParseError(path, lineno, f"video_id {vid!r} differs from earlier "
                                                f"{video_id!r}; one video per file")
             video_id = vid
-        scale = rec.get("score_scale", "base")
+        scale = "base" if scale is None else scale
         if scale not in ("base", "fused"):
             raise ParseError(path, lineno, f"score_scale must be \"base\" or \"fused\", "
                                            f"not {json.dumps(scale)}")
@@ -160,36 +163,31 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
                                            f"{score_scale!r}; one scale per file")
         score_scale = scale
 
-        fi = _field(path, lineno, rec, "frame_index", INTEGER)
-        if fi < 0:
-            raise ParseError(path, lineno, f"negative frame_index {fi}")
-        size = (float(_field(path, lineno, rec, "frame_w", NUMBER)),
-                float(_field(path, lineno, rec, "frame_h", NUMBER)))
+        if not 0 <= fi < 2**63:
+            raise ParseError(path, lineno, f"frame_index {fi} out of [0, 2**63)")
+        size = (float(w), float(h))
         frame_size, pairs, pair_ids = frames.setdefault(fi, (size, [], set()))
         if size != frame_size:
             raise ParseError(path, lineno, f"frame size {size} differs from earlier "
                                            f"{frame_size} of frame {fi}")
-        pid = None
-        if rec.get("pair_id") is not None:
-            pid = tuple(_field(path, lineno, rec, "pair_id", INTEGER, 2))
+        if pid is not None:
+            pid = tuple(pid)
             if pid in pair_ids:
                 raise ParseError(path, lineno, f"duplicate pair_id {pid} in frame {fi}")
             pair_ids.add(pid)
-        object_class = _field(path, lineno, rec, "object_class", STRING).lower()
-        scores = _field(path, lineno, rec, "scores", NUMBER, vocab.n)
         if min(scores) < 0.0 or (scale == "base" and max(scores) > 1.0):
             raise ParseError(path, lineno, f"scores {scores} out of "
                                            f"{'[0,1]' if scale == 'base' else '[0,inf)'}")
-        boxes = []
-        for name in ("human_box", "object_box"):
-            x1, y1, x2, y2 = box = list(map(float, _field(path, lineno, rec, name, NUMBER, 4)))
+        for name, box in zip(("human_box", "object_box"), boxes):
+            x1, y1, x2, y2 = box = list(map(float, box))
             if not (x1 < x2 and y1 < y2):
                 raise ParseError(path, lineno, f"degenerate {name} {box}")
             if x1 < 0 or y1 < 0 or x2 > size[0] or y2 > size[1]:
                 raise ParseError(path, lineno, f"{name} {box} outside the frame {size}")
-            boxes.append(BoundingBox(*box))
-        pairs.append(PairPrediction(frame_index=fi, pair_id=pid, object_class=object_class,
-                                    human_box=boxes[0], object_box=boxes[1],
+        pairs.append(PairPrediction(frame_index=fi, pair_id=pid,
+                                    object_class=object_class.lower(),
+                                    human_box=BoundingBox(*map(float, boxes[0])),
+                                    object_box=BoundingBox(*map(float, boxes[1])),
                                     scores=tuple(map(float, scores))))
     return VideoPredictionSet(
         video_id="" if video_id is None else video_id,
@@ -212,12 +210,12 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
         if pair.pair_id is not None:
             known.setdefault(frame.frame_index, set()).add(pair.pair_id)
 
+    schema = {"frame_index": (INTEGER, None), "pair_id": (INTEGER, 2),
+              "relation_index": (INTEGER, None)}
     frames: dict[int, set] = {}
     for lineno, rec in _records(path):
-        _only_fields(path, lineno, rec, _GROUND_TRUTH_FIELDS)
-        fi = _field(path, lineno, rec, "frame_index", INTEGER)
-        pid = tuple(_field(path, lineno, rec, "pair_id", INTEGER, 2))
-        rel = _field(path, lineno, rec, "relation_index", INTEGER)
+        fi, pid, rel = _fields(path, lineno, rec, schema)
+        pid = tuple(pid)
         if not 0 <= rel < n:
             raise ParseError(path, lineno, f"relation_index {rel} out of range "
                                            f"(vocabulary size {n})")
@@ -229,6 +227,9 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
     return GroundTruthSet({fi: frozenset(s) for fi, s in frames.items()})
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(rec, sort_keys=True), built once
+
+
 def write_predictions(pred_set: VideoPredictionSet, fused: dict, path: str) -> None:
     """Write the set with fused scores in place of the base scores.
 
@@ -238,16 +239,14 @@ def write_predictions(pred_set: VideoPredictionSet, fused: dict, path: str) -> N
     relaxes the upper bound for them. Scores round-trip bit-exactly through
     JSON's shortest-repr float encoding.
     """
-    lines = []
+    lines, relations = [], range(pred_set.vocabulary.n)
     for frame in pred_set.frames:
         for i, pair in enumerate(frame.pairs):
             pkey = pair_key(pair, i)
-            scores = []
-            for r in range(pred_set.vocabulary.n):
-                key = (frame.frame_index, pkey, r)
-                if key not in fused:
-                    raise KeyError(f"fused table missing entry {key}")
-                scores.append(fused[key])
+            try:
+                scores = [fused[(frame.frame_index, pkey, r)] for r in relations]
+            except KeyError as exc:
+                raise KeyError(f"fused table missing entry {exc.args[0]}") from None
             rec = {
                 "video_id": pred_set.video_id,
                 "frame_index": frame.frame_index,
@@ -260,7 +259,7 @@ def write_predictions(pred_set: VideoPredictionSet, fused: dict, path: str) -> N
                 "scores": scores,
                 "score_scale": "fused",
             }
-            lines.append(json.dumps(rec, sort_keys=True))
+            lines.append(_ENCODER.encode(rec))
     write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
+import numpy as np
+
 # (human_id, object_id); stable across frames when the upstream detector tracks
 PairId = tuple[int, int]
 
@@ -108,40 +110,88 @@ class GroundTruthSet:
     frames: dict[int, frozenset[tuple[PairId, int]]]
 
 
+class SlotLayout:
+    """The (frame_index, pair_key, relation_index) slots of ``pred_set``, in
+    order: slot ``i`` (see ``find``) is relation ``i % n`` of pair ``keys[i // n]``,
+    in frame ``frame[i]``, base score ``base[i]``; else ``keys`` holds a table's slots."""
+
+    def __init__(self, pred_set: Optional[VideoPredictionSet] = None):
+        self.pred_set = pred_set
+        frames, self.n = ((), 1) if pred_set is None else (pred_set.frames, pred_set.vocabulary.n)
+        self.keys = [(frame.frame_index, pair_key(pair, i))
+                     for frame in frames for i, pair in enumerate(frame.pairs)]
+        self.rows = dict(zip(self.keys, range(len(self.keys))))
+        self.frame = np.repeat(np.array([fi for fi, _ in self.keys], dtype=np.int64), self.n)
+        self.base = np.array([pair.scores for frame in frames for pair in frame.pairs],
+                             dtype=float).reshape(-1)
+
+    def slots(self) -> list[tuple]:
+        return list(self.keys) if self.pred_set is None else [
+            (fi, pk, r) for fi, pk in self.keys for r in range(self.n)]
+
+    def find(self, slot: tuple) -> Optional[int]:
+        if self.pred_set is None:
+            return self.rows.get(slot)
+        row = self.rows.get(slot[:2])
+        return None if row is None or not 0 <= slot[2] < self.n else row * self.n + slot[2]
+
+
 class AgentScoreTable:
-    """Sparse map (frame_index, pair_key, relation_index) -> per-kind scores.
+    """Agent scores by slot, in columns: ``values[k, i]`` is the
+    ``SCORE_KINDS[k]`` score of slot ``i`` of ``layout``, NaN where absent.
+    ``refine`` builds one ``SlotLayout`` of its prediction set, and setting
+    a slot outside it raises KeyError. A table made without a layout has its
+    own, and each new slot set adds a column (for small tables). ``items``
+    and ``len`` count the slots holding any kind."""
 
-    Built by merging partial tables from agent batches; keys are disjoint per
-    batch so the merge is associative and commutative.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple, dict[str, float]] = {}
+    def __init__(self, layout: Optional[SlotLayout] = None):
+        self.layout = SlotLayout() if layout is None else layout
+        self.values = np.full((len(SCORE_KINDS), len(self.layout.keys) * self.layout.n), np.nan)
 
     def set(self, frame_index: int, pkey, relation_index: int, kind: str, score: float):
         if kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {kind!r}")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} out of [0,1]")
-        key = (frame_index, pkey, relation_index)
-        self._entries.setdefault(key, {})[kind] = score
+        slot = (frame_index, pkey, relation_index)
+        i = self.layout.find(slot)
+        if i is None and self.layout.pred_set is not None:
+            raise KeyError(f"{slot} is not a slot of the table's prediction set")
+        if i is None:
+            i = self.layout.rows[slot] = len(self.layout.keys)
+            self.layout.keys.append(slot)
+            self.values = np.pad(self.values, ((0, 0), (0, 1)), constant_values=np.nan)
+        self.values[SCORE_KINDS.index(kind), i] = score
 
     def get(self, frame_index: int, pkey, relation_index: int, kind: str) -> Optional[float]:
-        return self._entries.get((frame_index, pkey, relation_index), {}).get(kind)
+        return self.kinds_at(frame_index, pkey, relation_index).get(kind)
 
     def kinds_at(self, frame_index: int, pkey, relation_index: int) -> dict[str, float]:
-        return dict(self._entries.get((frame_index, pkey, relation_index), {}))
+        i = self.layout.find((frame_index, pkey, relation_index))
+        column = [] if i is None else self.values[:, i].tolist()
+        return {kind: v for kind, v in zip(SCORE_KINDS, column) if v == v}
 
     def merge(self, other: "AgentScoreTable") -> "AgentScoreTable":
-        for key, kinds in other._entries.items():
-            self._entries.setdefault(key, {}).update(kinds)
+        if other.layout is self.layout:
+            np.copyto(self.values, other.values, where=~np.isnan(other.values))
+            return self
+        for slot, kinds in other.items():
+            for kind, value in kinds.items():
+                self.set(*slot, kind, value)
         return self
 
+    def over(self, pred_set: VideoPredictionSet) -> "AgentScoreTable":
+        """This table if it is over ``pred_set``'s layout, else a copy over a new one."""
+        return self if self.layout.pred_set is pred_set else (
+            AgentScoreTable(SlotLayout(pred_set)).merge(self))
+
     def items(self):
-        return self._entries.items()
+        slots = self.layout.slots()
+        for i in np.flatnonzero(~np.isnan(self.values).all(axis=0)).tolist():
+            yield slots[i], self.kinds_at(*slots[i])
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return int((~np.isnan(self.values).all(axis=0)).sum())
 
 
 # keyed by annotation text: every dataclass module has ``from __future__ import annotations``

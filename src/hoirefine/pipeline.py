@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
+import numpy as np
+
 from .agents import (
     Transition,
     detect_transitions,
@@ -37,7 +39,7 @@ from .debate import (
     run_debate,
     select_debate_candidates,
 )
-from .fusion import fuse_scores
+from .fusion import fuse_scores, sigmoid
 from .ingest import triplet_to_text
 from .model import (
     CS,
@@ -47,8 +49,8 @@ from .model import (
     TEMPORAL,
     AgentScoreTable,
     FusionWeights,
+    SlotLayout,
     VideoPredictionSet,
-    pair_key,
     tracked_pair_key,
 )
 from .provider import Provider, ProviderError
@@ -87,16 +89,18 @@ class RefinementOutcome:
 
 
 def aggregate_provider_tables(tables: dict[str, AgentScoreTable]) -> AgentScoreTable:
-    """Per-slot arithmetic mean of cs/spatial/temporal over the providers
-    that scored the slot, summed in provider order."""
-    merged: dict[tuple, list[float]] = {}
+    """Per slot and kind, the mean over the providers that scored it, summed
+    from 0.0 in provider order: bit-identical to ``sum(values) / len(values)``.
+    The tables share one layout."""
+    out = AgentScoreTable(next(iter(tables.values())).layout)
+    total, count = out.values, np.zeros(out.values.shape, dtype=np.int16)
+    total.fill(0.0)
     for table in tables.values():
-        for slot, kinds in table.items():
-            for kind, value in kinds.items():
-                merged.setdefault(slot + (kind,), []).append(value)
-    out = AgentScoreTable()
-    for (frame_index, pk, r, kind), values in merged.items():
-        out.set(frame_index, pk, r, kind, sum(values) / len(values))
+        present = ~np.isnan(table.values)
+        np.add(total, table.values, out=total, where=present)
+        count += present
+    np.divide(total, count, out=total, where=count > 0)
+    total[count == 0] = np.nan
     return out
 
 
@@ -110,7 +114,7 @@ def run_stage_one(
     on_scored: Callable,
     stop: threading.Event,
 ) -> dict[str, AgentScoreTable]:
-    """Raw per-provider keyframe score tables of the three stage-1 agents.
+    """Raw per-provider keyframe score tables of the stage-1 agents, on one layout.
 
     Every agent runs for every provider at once, in one ``fan_out``, with
     the temporal agent on ``transitions``; each provider's
@@ -129,7 +133,8 @@ def run_stage_one(
     ``run_stage_two`` is the one caller; it passes its debate scheduler as
     ``on_scored`` and shares ``stop`` with the debates."""
     vocab = pred_set.vocabulary
-    tables = {provider.id: AgentScoreTable() for provider in providers}
+    layout = SlotLayout(pred_set)
+    tables = {provider.id: AgentScoreTable(layout) for provider in providers}
     lock = threading.Lock()
 
     def record(table: AgentScoreTable, kind: str, scored: list) -> None:
@@ -168,7 +173,7 @@ def run_stage_two(
     """Run stage one through ``run_stage_one`` and debate the selected
     keyframe candidates while it runs. Returns the per-provider stage-1
     tables, the debated candidates' judge scores and the number of debates
-    run.
+    run, all over one layout of ``pred_set``.
 
     A candidate waits for two reports per provider (common sense, and
     spatial or its not-aware verdict), plus one per provider for each of
@@ -221,15 +226,10 @@ def run_stage_two(
             if waiting[slot]:
                 continue
             del waiting[slot]
-            frame_index, pk, r = slot
-            pair = pairs.pop(slot)
-            fused = [fuse_scores(
-                pair.scores[r],
-                s_cs=tables[p.id].get(frame_index, pk, r, CS),
-                s_spatial=tables[p.id].get(frame_index, pk, r, SPATIAL),
-                s_temporal=tables[p.id].get(frame_index, pk, r, TEMPORAL),
-                weights=config.weights,
-            ) for p in providers]
+            pair, r = pairs.pop(slot), slot[2]
+            fused = [fuse_scores(pair.scores[r], *map(tables[p.id].kinds_at(*slot).get,
+                                                      (CS, SPATIAL, TEMPORAL)),
+                                 weights=config.weights) for p in providers]
             if not select_debate_candidates({slot: fused}, config.debate_mode,
                                             config.disagreement_delta):
                 continue
@@ -247,7 +247,7 @@ def run_stage_two(
         tables = run_stage_one(pred_set, config, providers, keyframes, transitions,
                                cache_dir, on_scored, stop)
 
-    table = AgentScoreTable()
+    table = AgentScoreTable(tables[judge.id].layout)
     for (frame_index, pk, r), question in asked.items():
         score = judged[question].result()
         if score is not None:
@@ -262,39 +262,29 @@ def fuse_table(
     toggles: Optional[dict] = None,
 ) -> dict:
     """Fused score for every (frame, pair, relation) slot, in frame, pair
-    and relation order.
+    and relation order: ``fuse_scores``' value, bit for bit, in one array pass.
 
     A slot without a table entry keeps its base score. Each entry adds the
     terms of its kinds that ``toggles`` enables; ``toggles`` maps each of
     ``SCORE_KINDS`` to on or off (None enables all), and a disabled kind's
     term is dropped entirely. Every entry must be a slot of ``pred_set``."""
-    fused = {}
-    for frame in pred_set.frames:
-        for i, pair in enumerate(frame.pairs):
-            pk = pair_key(pair, i)
-            for r, base in enumerate(pair.scores):
-                fused[(frame.frame_index, pk, r)] = base
-    enabled = [toggles is None or bool(toggles.get(kind)) for kind in SCORE_KINDS]
-    for slot, kinds in table.items():
-        fused[slot] = fuse_scores(
-            fused[slot],
-            *(kinds.get(kind) if on else None for kind, on in zip(SCORE_KINDS, enabled)),
-            weights=weights)
-    return fused
+    table = table.over(pred_set)
+    fused = table.layout.base.copy()
+    lambdas = (weights.lambda_cs, weights.lambda_s, weights.lambda_t, weights.lambda_debate)
+    for kind, values, lam in zip(SCORE_KINDS, table.values, lambdas):  # fuse_scores' order
+        if toggles is None or toggles.get(kind):
+            present = np.flatnonzero(~np.isnan(values))
+            distinct, inverse = np.unique(values[present], return_inverse=True)
+            # sigmoid (math.exp) per distinct score: np.exp may differ in the last ulp
+            fused[present] += lam * np.array([sigmoid(x) for x in distinct.tolist()])[inverse]
+    return dict(zip(table.layout.slots(), fused.tolist()))
 
 
-def _coverage(pred_set, table, keyframes, floor) -> dict[str, float]:
-    slots = list(keyframe_slots(pred_set, keyframes, floor))
-    if not slots:
-        return {}
-    coverage = {}
-    for kind in SCORE_KINDS:
-        scored = sum(
-            1 for frame_index, pk, r, _ in slots
-            if table.get(frame_index, pk, r, kind) is not None
-        )
-        coverage[kind] = scored / len(slots)
-    return coverage
+def _coverage(table, keyframes, floor) -> dict[str, float]:
+    candidates = np.isin(table.layout.frame, list(keyframes)) & (table.layout.base >= floor)
+    total = int(candidates.sum())
+    return {kind: int((~np.isnan(values[candidates])).sum()) / total
+            for kind, values in zip(SCORE_KINDS, table.values)} if total else {}
 
 
 def build_providers(config: RefinementConfig) -> list[Provider]:
@@ -311,10 +301,10 @@ def refine(
     providers: Optional[list[Provider]] = None,
 ) -> RefinementOutcome:
     """Full pipeline over one prediction set: keyframes and their adjacent
-    transitions, then both stages through ``run_stage_two`` (for every
-    ``debate_mode``), aggregation, propagation and fusion. Reusing
-    ``providers`` across calls keeps their call counters cumulative.
-    Ablations re-fuse ``outcome.table`` with ``fuse_table``.
+    transitions, both stages through ``run_stage_two`` (for every
+    ``debate_mode``), then aggregation, propagation and fusion as array passes
+    over the stages' ``SlotLayout``. Reusing ``providers`` across calls keeps
+    their call counters cumulative. Ablations re-fuse ``outcome.table``.
 
     Raises ProviderError when keyframe candidates exist but no agent scored
     any of them, so a total provider outage does not pass for base scores."""
@@ -334,7 +324,7 @@ def refine(
     table = aggregate_provider_tables(per_provider).merge(debate_table)
 
     # propagation fills only non-keyframes, so keyframe coverage is final here
-    coverage = _coverage(pred_set, table, keyframes, config.candidate_floor)
+    coverage = _coverage(table, keyframes, config.candidate_floor)
     if coverage and not any(coverage.values()):
         raise ProviderError("no agent score for any keyframe candidate")
     table = propagate_scores(table, pred_set, keyframes)

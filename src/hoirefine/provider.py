@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ingest import STRING, ParseError, _field, _only_fields, _records, write_atomic
+from .ingest import STRING, ParseError, _fields, _records, write_atomic
 from .model import require_types
 
 log = logging.getLogger(__name__)
@@ -127,7 +127,7 @@ def _test_region(prompt: str) -> list[str]:
     return lines if lines else [prompt]
 
 
-_RULE_FIELDS = frozenset({"match", "key", "response"})
+_RULE_SCHEMA = {"match": (STRING, None), "key": (STRING, None), "response": (STRING, None)}
 
 
 def load_rule_table(path: str) -> tuple[list[MockRule], str]:
@@ -141,9 +141,7 @@ def load_rule_table(path: str) -> tuple[list[MockRule], str]:
     rules = []
     try:
         for lineno, rec in _records(path, data):
-            _only_fields(path, lineno, rec, _RULE_FIELDS)
-            kind, key, response = (_field(path, lineno, rec, name, STRING)
-                                   for name in ("match", "key", "response"))
+            kind, key, response = _fields(path, lineno, rec, _RULE_SCHEMA)
             if kind not in ("triplet", "relation", "contains"):
                 raise ParseError(path, lineno, f"unknown matcher {kind!r}")
             rules.append(MockRule(kind=kind, key=key, response=response))

@@ -11,12 +11,15 @@ from hoirefine.model import (
     SCORE_KINDS,
     SPATIAL,
     TEMPORAL,
+    AgentScoreTable,
     FusionWeights,
+    SlotLayout,
     pair_key,
 )
-from hoirefine.pipeline import fuse_table
+from hoirefine.pipeline import aggregate_provider_tables, fuse_table
 
-from test_agents import propagation_cases
+from test_agents import frame, make_video, propagation_cases
+from test_model import make_pair
 
 
 def logistic(x):
@@ -141,3 +144,46 @@ class TestFuseTable:
             expected = fuse_table_oracle(video, table, weights, toggles)
             assert got == expected
             assert list(got) == list(expected)
+
+    def test_sigmoid_where_np_exp_differs_in_the_last_ulp(self):
+        # found by search: on x86-64 with numpy 2.4, np.exp(-0.6125) is one ulp
+        # off math.exp(-0.6125), so 1 / (1 + np.exp(-x)) would move this fused
+        # value; fuse_table takes each sigmoid from math.exp instead
+        x, weights = 0.6125, FusionWeights()
+        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.5))])])
+        table = AgentScoreTable(SlotLayout(video))
+        for kind in SCORE_KINDS:
+            table.set(0, ("id", 0, 1), 1, kind, x)
+        fused = fuse_table(video, table, weights)
+        assert fused[(0, ("id", 0, 1), 1)] == fuse_scores(0.5, x, x, x, x, weights=weights)
+        assert fused[(0, ("id", 0, 1), 0)] == 0.5
+
+
+class TestAggregate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mean_in_provider_order_bit_for_bit(self, data):
+        """Every slot and kind holds ``sum(values) / len(values)`` over the
+        providers that scored it, in provider order, and no other slot does."""
+        video, _keyframes, _table = data.draw(propagation_cases())
+        layout = SlotLayout(video)
+        cells = [(slot, kind) for slot in layout.slots() for kind in SCORE_KINDS]
+        # a few cells, each scored or not by each provider
+        cells = [cells[i] for i in data.draw(st.lists(st.integers(0, len(cells) - 1),
+                                                       min_size=1, max_size=8, unique=True))]
+        tables = {}
+        for provider in range(data.draw(st.integers(1, 3))):
+            table = tables[f"p{provider}"] = AgentScoreTable(layout)
+            for slot, kind in cells:
+                value = data.draw(st.none() | st.floats(0.0, 1.0))
+                if value is not None:
+                    table.set(*slot, kind, value)
+        got = aggregate_provider_tables(tables)
+        assert got.layout is layout
+        for slot in layout.slots():
+            for kind in SCORE_KINDS:
+                values = [t.get(*slot, kind) for t in tables.values()]
+                values = [v for v in values if v is not None]
+                expected = sum(values) / len(values) if values else None
+                value = got.get(*slot, kind)
+                assert (value is None and expected is None) or value.hex() == expected.hex()

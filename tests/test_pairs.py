@@ -3,7 +3,9 @@ the change wins at least 9 of every 10 pairs, its median is below the
 parent's by more than the parent's quartile distance, and no more of its
 operations failed. It counts as regressed when the change's median is
 above the parent's by more than the metric's ``BENCHMARK.json`` bound,
-and the run then exits 1, as it does when failures rose."""
+and the run then exits 1, as it does when failures rose. It counts as
+unresolved when the parent's quartile distance, as a share of its median,
+exceeds the bound, unless every change run beats every parent run."""
 
 import json
 import os
@@ -95,6 +97,42 @@ def test_median_worse_within_the_bound_is_no_regression(pairs):
     assert not pairs.summarize(make_pairs([p - 0.1 for p in PARENT_JOB_S]))["job_s"]["regressed"]
 
 
+def with_setup_s(pairs_list, parent, change) -> list[dict]:
+    """``pairs_list`` with each side's ``setup_s`` taken from ``parent`` and ``change``."""
+    for pair, p, c in zip(pairs_list, parent, change):
+        pair["parent"]["setup_s"], pair["change"]["setup_s"] = p, c
+    return pairs_list
+
+
+# parent setup_s 0.15..0.33: quartiles 0.195 and 0.285 around a median of 0.24,
+# a spread of 37.5% of the median, wider than setup_s's bound
+WIDE_SETUP_S = [0.15 + 0.02 * i for i in range(10)]
+
+
+def test_spread_is_the_parents_quartile_distance_over_its_median(pairs):
+    result = pairs.summarize(make_pairs([p - 0.1 for p in PARENT_JOB_S]))
+    assert result["job_s"]["spread"] == pytest.approx(0.045 / 1.045)
+    assert not result["job_s"]["unresolved"]
+
+
+def test_spread_wider_than_the_bound_is_unresolved(pairs):
+    assert pairs.BOUNDS["setup_s"] < 0.375
+    result = pairs.summarize(with_setup_s(make_pairs(PARENT_JOB_S), WIDE_SETUP_S,
+                                          WIDE_SETUP_S[::-1]))
+    summary = result["setup_s"]
+    assert summary["spread"] == pytest.approx(0.375)
+    assert summary["unresolved"]
+    assert not summary["regressed"]
+    assert not result["job_s"]["unresolved"]
+
+
+def test_wide_spread_is_resolved_when_every_change_run_is_better(pairs):
+    result = pairs.summarize(with_setup_s(make_pairs(PARENT_JOB_S), WIDE_SETUP_S,
+                                          [0.149 - 0.001 * i for i in range(10)]))
+    assert result["setup_s"]["spread"] > pairs.BOUNDS["setup_s"]
+    assert not result["setup_s"]["unresolved"]
+
+
 @pytest.fixture
 def run_main(pairs, monkeypatch, tmp_path):
     """``pairs.main`` on two workloads without git or benchmark runs: each
@@ -134,3 +172,10 @@ def test_more_failures_exit_one(run_main):
     assert status == 1
     assert not any(r["regressed"] for run in summary["workloads"].values()
                    for r in run["summary"].values())
+
+
+def test_unresolved_metric_keeps_the_exit_status(pairs):
+    runs = with_setup_s(make_pairs(PARENT_JOB_S), WIDE_SETUP_S, WIDE_SETUP_S[::-1])
+    summary = pairs.summarize(runs)
+    assert summary["setup_s"]["unresolved"]
+    assert pairs.exit_status({"a": {"pairs": runs, "summary": summary}}) == 0

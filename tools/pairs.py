@@ -17,7 +17,12 @@ more than the parent's quartile distance, and no more of its operations
 failed than the parent's. Each metric is also flagged ``regressed`` when
 the working tree's median is above the parent's by more than the metric's
 ``bound`` in ``BENCHMARK.json``, taken as a share of the parent's median.
-``--out`` writes the same summary as JSON. The exit status is 1 when any
+Next to the bound it prints the parent's quartile distance as a share of
+its median, and flags the metric ``unresolved`` when that spread exceeds
+the bound, unless every run of the working tree reads better than every
+run of the parent: noise alone can then cross the bound, so a median
+within it does not show the metric unchanged. ``--out`` writes the same
+summary as JSON. The exit status is 1 when any
 metric of any workload regressed or the working tree failed more
 operations than the parent on any workload, else 0.
 """
@@ -81,7 +86,10 @@ def summarize(pairs: list[dict]) -> dict:
         wins = sum(c < p for p, c in zip(parent, change))
         before, after = spread(parent), spread(change)
         gap = before["median"] - after["median"]
+        noise = (before["q3"] - before["q1"]) / before["median"]
         out[metric] = {"parent": before, "change": after, "wins": wins,
+                       "spread": noise,
+                       "unresolved": noise > BOUNDS[metric] and max(change) >= min(parent),
                        "gain": (wins * 10 >= 9 * len(pairs)
                                 and gap > before["q3"] - before["q1"]
                                 and failed["change"] <= failed["parent"]),
@@ -137,10 +145,12 @@ def main(argv=None) -> int:
                 p, c = r["parent"], r["change"]
                 verdict = "holds" if r["gain"] else "fails"
                 regressed = "REGRESSED" if r["regressed"] else "no regression"
+                unresolved = "  UNRESOLVED" if r["unresolved"] else ""
                 print(f"  {metric}: parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]"
                       f"  change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]"
                       f"  wins {r['wins']}/{len(pairs)}  gain rule {verdict}"
-                      f"  {regressed} (bound {BOUNDS[metric]:.0%})")
+                      f"  {regressed} (bound {BOUNDS[metric]:.0%},"
+                      f" parent spread {r['spread']:.0%}){unresolved}")
             summary["workloads"][workload] = {"pairs": pairs, "summary": result}
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
