@@ -42,7 +42,7 @@ from .ingest import (
     write_atomic,
     write_predictions,
 )
-from .model import SCORE_KINDS, FusionWeights, pair_key, tracked_pair_key
+from .model import SCORE_KINDS, FusedScores, FusionWeights, SlotLayout, tracked_pair_key
 from .pipeline import build_providers, fuse_table, refine
 from .provider import ProviderError, RuleTableError
 from . import embedloss
@@ -105,11 +105,8 @@ def cmd_eval(args) -> int:
     _check_out_path(args.report)
     pred_set = load_predictions(args.refined, load_vocabulary(args.vocab))
     gt = load_ground_truth(args.gt, pred_set)
-    scores = {(frame.frame_index, pair_key(pair, i), r): s
-              for frame in pred_set.frames
-              for i, pair in enumerate(frame.pairs)
-              for r, s in enumerate(pair.scores)}
-    positives = positives_per_frame(scores, args.threshold)
+    layout = SlotLayout(pred_set)
+    positives = positives_per_frame(FusedScores(layout, layout.base), args.threshold)
     recalls = recall_at_k_dataset(positives, _gt_per_frame(gt), ks)
     width = max(len(f"R@{k}") for k in ks)
     for k in ks:

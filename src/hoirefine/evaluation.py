@@ -2,7 +2,9 @@
 component-ablation report.
 
 Only positive predictions (fused score strictly above the threshold) compete
-for the top-K slots; K truncates within that pool. Frames without ground
+for the top-K slots; K truncates within that pool. Positives are selected
+from a ``model.FusedScores`` column: ``pipeline.fuse_table``'s output, or a
+loaded set's own scores wrapped over its ``SlotLayout``. Frames without ground
 truth are skipped by the dataset mean, which is the per-frame average used
 by the metric lineage this follows.
 """
@@ -13,9 +15,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .fusion import threshold_select
+import numpy as np
+
 from .ingest import write_atomic
-from .model import SCORE_KINDS
+from .model import SCORE_KINDS, FusedScores
 
 DEFAULT_KS = (10, 20, 50)
 
@@ -24,15 +27,20 @@ class NoGroundTruthError(ValueError):
     pass
 
 
-def positives_per_frame(scores: dict, threshold: float) -> dict[int, list[tuple]]:
+def positives_per_frame(fused: FusedScores, threshold: float) -> dict[int, list[tuple]]:
     """Per frame, the (pair_key, relation_index, score) positives competing
-    for the top-K slots; frames without positives are absent. ``scores``
-    maps (frame_index, pair_key, relation_index) to a score; selection is
-    ``fusion.threshold_select``."""
+    for the top-K slots, in slot order; frames without positives are absent.
+    The positives are the semi-constraint selection: every slot whose score
+    is strictly above ``threshold``, several relations per pair allowed,
+    taken with one array comparison over ``fused``'s column."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must be in (0,1)")
+    selected = np.flatnonzero(fused.values > threshold)
+    keys, n = fused.layout.keys, fused.layout.n
     frames: dict[int, list[tuple]] = {}
-    for key in threshold_select(scores, threshold):
-        frame_index, pk, r = key
-        frames.setdefault(frame_index, []).append((pk, r, scores[key]))
+    for i, score in zip(selected.tolist(), fused.values[selected].tolist()):
+        frame_index, pk = keys[i // n]
+        frames.setdefault(frame_index, []).append((pk, i % n, score))
     return frames
 
 

@@ -1,4 +1,4 @@
-"""Score integration and positive-prediction selection.
+"""Score integration.
 
 A fused score is the base confidence plus one sigmoid-squashed, weighted
 term per agent. Absent agent scores contribute 0 for their whole term, so
@@ -39,14 +39,3 @@ def fuse_scores(
         total += weights.lambda_debate * sigmoid(s_debate)
     return total
 
-
-def threshold_select(fused: dict, threshold: float) -> set:
-    """Semi-constraint positives: every (pair, relation) whose fused score is
-    strictly above the threshold. Multiple relations per pair are allowed.
-
-    ``fused`` maps a slot key, such as (frame_index, pair_key,
-    relation_index), to its fused score.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0,1)")
-    return {key for key, score in fused.items() if score > threshold}

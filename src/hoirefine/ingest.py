@@ -6,7 +6,9 @@ relation vocabularies are plain text, one relation name per line (index =
 line number). Every file is read by one reader and every value checked by
 one type rule, in the same pass, so each rejected input raises ParseError
 at ``path:line``. Labels are lower-cased at load time so prompt text is
-stable across datasets that mix cases.
+stable across datasets that mix cases. Refined predictions are written
+from the fused-score column, one formatted line per pair, each the bytes
+``json.dumps(record, sort_keys=True)`` gives.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from typing import Iterator, Optional
 from .model import (
     BoundingBox,
     FramePrediction,
+    FusedScores,
     GroundTruthSet,
     PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
-    pair_key,
 )
 
 
@@ -227,39 +229,45 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
     return GroundTruthSet({fi: frozenset(s) for fi, s in frames.items()})
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(rec, sort_keys=True), built once
+def _number(x) -> str:
+    """``x`` as ``JSONEncoder`` writes it: its repr, NaN and infinities by name."""
+    return repr(x) if x - x == 0 else json.dumps(x)
 
 
-def write_predictions(pred_set: VideoPredictionSet, fused: dict, path: str) -> None:
+def _numbers(values) -> str:
+    """The items of the JSON list ``values``, as ``JSONEncoder`` writes them:
+    only a NaN's or an infinity's repr holds an "n"."""
+    text = ", ".join(map(repr, values))
+    return ", ".join(map(_number, values)) if "n" in text else text
+
+
+def write_predictions(pred_set: VideoPredictionSet, fused: FusedScores, path: str) -> None:
     """Write the set with fused scores in place of the base scores.
 
-    ``fused`` maps (frame_index, pair_key, relation_index) -> fused score and
-    must cover every slot. Fused scores can exceed 1 (no clipping happens in
-    fusion), so the records are tagged ``score_scale: fused`` and the loader
-    relaxes the upper bound for them. Scores round-trip bit-exactly through
-    JSON's shortest-repr float encoding.
+    ``fused`` is ``pipeline.fuse_table``'s column over ``pred_set``'s
+    layout; row ``j`` of it holds the scores of the set's ``j``-th pair in
+    frame order. Fused scores can exceed 1 (no clipping happens in fusion),
+    so the records are tagged ``score_scale: fused`` and the loader relaxes
+    the upper bound for them. Each line is formatted from the column's row
+    as ``json.dumps(record, sort_keys=True)`` would write it, so scores
+    round-trip bit-exactly through JSON's shortest-repr float encoding.
     """
-    lines, relations = [], range(pred_set.vocabulary.n)
+    if fused.layout.pred_set is not pred_set:
+        raise ValueError("fused scores are over another prediction set")
+    rows = iter(fused.values.reshape(-1, pred_set.vocabulary.n).tolist())
+    video_id, lines = json.dumps(pred_set.video_id), []
     for frame in pred_set.frames:
-        for i, pair in enumerate(frame.pairs):
-            pkey = pair_key(pair, i)
-            try:
-                scores = [fused[(frame.frame_index, pkey, r)] for r in relations]
-            except KeyError as exc:
-                raise KeyError(f"fused table missing entry {exc.args[0]}") from None
-            rec = {
-                "video_id": pred_set.video_id,
-                "frame_index": frame.frame_index,
-                "frame_w": frame.frame_width,
-                "frame_h": frame.frame_height,
-                "pair_id": list(pair.pair_id) if pair.pair_id is not None else None,
-                "object_class": pair.object_class,
-                "human_box": [pair.human_box.x1, pair.human_box.y1, pair.human_box.x2, pair.human_box.y2],
-                "object_box": [pair.object_box.x1, pair.object_box.y1, pair.object_box.x2, pair.object_box.y2],
-                "scores": scores,
-                "score_scale": "fused",
-            }
-            lines.append(_ENCODER.encode(rec))
+        head = (f'{{"frame_h": {_number(frame.frame_height)}, '
+                f'"frame_index": {frame.frame_index}, "frame_w": {_number(frame.frame_width)}, ')
+        for pair, scores in zip(frame.pairs, rows):
+            h, o = pair.human_box, pair.object_box
+            pair_id = "null" if pair.pair_id is None else f"[{', '.join(map(repr, pair.pair_id))}]"
+            lines.append(
+                f'{head}"human_box": [{_numbers((h.x1, h.y1, h.x2, h.y2))}], '
+                f'"object_box": [{_numbers((o.x1, o.y1, o.x2, o.y2))}], '
+                f'"object_class": {json.dumps(pair.object_class)}, "pair_id": {pair_id}, '
+                f'"score_scale": "fused", "scores": [{_numbers(scores)}], '
+                f'"video_id": {video_id}}}')
     write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -7,6 +7,7 @@ checked where it is read, in ``ingest.load_predictions``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
@@ -134,6 +135,42 @@ class SlotLayout:
             return self.rows.get(slot)
         row = self.rows.get(slot[:2])
         return None if row is None or not 0 <= slot[2] < self.n else row * self.n + slot[2]
+
+
+class FusedScores(Mapping):
+    """Fused scores of ``layout``'s slots as one float64 column: ``values[i]``
+    is the score of slot ``i``. A read-only mapping from (frame_index,
+    pair_key, relation_index) to score, iterated in slot order; two are
+    equal when they hold the same slots in the same order and the same
+    values bit for bit. ``layout`` is over a prediction set."""
+
+    def __init__(self, layout: SlotLayout, values: np.ndarray):
+        slots = len(layout.keys) * layout.n
+        if len(values) != slots:
+            raise ValueError(f"fused column holds {len(values)} scores for {slots} slots")
+        self.layout, self.values = layout, values
+
+    def __getitem__(self, slot: tuple) -> float:
+        row, r = self.layout.rows.get(slot[:2]), slot[2]
+        if row is None or not 0 <= r < self.layout.n:
+            raise KeyError(slot)
+        return self.values.item(row * self.layout.n + r)
+
+    def __iter__(self) -> Iterator[tuple]:
+        relations = range(self.layout.n)
+        return ((fi, pk, r) for fi, pk in self.layout.keys for r in relations)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FusedScores):
+            return (self.layout.n == other.layout.n and self.layout.keys == other.layout.keys
+                    and self.values.tobytes() == other.values.tobytes())
+        if isinstance(other, Mapping):
+            return (len(self) == len(other) and all(slot in other for slot in self) and
+                    self.values.tobytes() == np.array([other[s] for s in self], float).tobytes())
+        return NotImplemented
 
 
 class AgentScoreTable:

@@ -9,6 +9,12 @@ Stage-1 scores used by fusion are arithmetic means over the providers that
 returned a value, summed in provider order, so they do not depend on which
 answer arrives first, and one failing provider leaves the others' scores.
 The debate judge's score is shared, not per-provider.
+
+Every score of a run lives in columns over one ``SlotLayout`` of the
+prediction set, from the stage-1 tables to the fused scores: ``fuse_table``
+returns a ``FusedScores`` column, which ``ingest.write_predictions`` formats
+row by row and ``evaluation.positives_per_frame`` selects from with one
+array comparison, so no per-slot object is built.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .model import (
     SPATIAL,
     TEMPORAL,
     AgentScoreTable,
+    FusedScores,
     FusionWeights,
     SlotLayout,
     VideoPredictionSet,
@@ -83,7 +90,7 @@ class RunStats:
 
 @dataclass
 class RefinementOutcome:
-    fused: dict  # (frame_index, pair_key, relation_index) -> fused score
+    fused: FusedScores  # (frame_index, pair_key, relation_index) -> fused score
     table: AgentScoreTable  # propagated, aggregated agent scores
     stats: RunStats
 
@@ -260,9 +267,10 @@ def fuse_table(
     table: AgentScoreTable,
     weights: FusionWeights,
     toggles: Optional[dict] = None,
-) -> dict:
+) -> FusedScores:
     """Fused score for every (frame, pair, relation) slot, in frame, pair
-    and relation order: ``fuse_scores``' value, bit for bit, in one array pass.
+    and relation order: ``fuse_scores``' value, bit for bit, in one array pass,
+    kept as one column over the table's layout of ``pred_set``.
 
     A slot without a table entry keeps its base score. Each entry adds the
     terms of its kinds that ``toggles`` enables; ``toggles`` maps each of
@@ -277,7 +285,7 @@ def fuse_table(
             distinct, inverse = np.unique(values[present], return_inverse=True)
             # sigmoid (math.exp) per distinct score: np.exp may differ in the last ulp
             fused[present] += lam * np.array([sigmoid(x) for x in distinct.tolist()])[inverse]
-    return dict(zip(table.layout.slots(), fused.tolist()))
+    return FusedScores(table.layout, fused)
 
 
 def _coverage(table, keyframes, floor) -> dict[str, float]:

@@ -13,7 +13,7 @@ from hoirefine.evaluation import (
     recall_at_k_frame,
     write_ablation_report,
 )
-from hoirefine.model import pair_key
+from hoirefine.model import FusedScores, SlotLayout, pair_key
 
 
 def oracle_recall(positives, gt, k):
@@ -122,21 +122,22 @@ class TestDatasetRecall:
 class TestPositives:
     @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.85])
     def test_matches_loop_oracle(self, fixture_predictions, threshold):
-        scores, oracle = {}, {}
+        oracle = {}
         for frame in fixture_predictions.frames:
             for i, pair in enumerate(frame.pairs):
                 pk = pair_key(pair, i)
                 for r, s in enumerate(pair.scores):
-                    scores[(frame.frame_index, pk, r)] = s
                     if s > threshold:
                         oracle.setdefault(frame.frame_index, []).append((pk, r, s))
-        got = positives_per_frame(scores, threshold)
+        layout = SlotLayout(fixture_predictions)
+        got = positives_per_frame(FusedScores(layout, layout.base), threshold)
         assert {fi: sorted(v) for fi, v in got.items()} == \
             {fi: sorted(v) for fi, v in oracle.items()}
 
-    def test_threshold_domain(self):
+    def test_threshold_domain(self, fixture_predictions):
+        layout = SlotLayout(fixture_predictions)
         with pytest.raises(ValueError):
-            positives_per_frame({(0, ("id", 0, 1), 0): 0.5}, 1.5)
+            positives_per_frame(FusedScores(layout, layout.base), 1.5)
 
 
 class TestAblationReport:

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoirefine.fusion import fuse_scores, sigmoid, threshold_select
+from hoirefine.evaluation import positives_per_frame
+from hoirefine.fusion import fuse_scores, sigmoid
 from hoirefine.model import (
     CS,
     DEBATE,
@@ -12,8 +14,11 @@ from hoirefine.model import (
     SPATIAL,
     TEMPORAL,
     AgentScoreTable,
+    FusedScores,
     FusionWeights,
+    RelationVocabulary,
     SlotLayout,
+    VideoPredictionSet,
     pair_key,
 )
 from hoirefine.pipeline import aggregate_provider_tables, fuse_table
@@ -91,19 +96,27 @@ class TestProperties:
         assert sigmoid(x) + sigmoid(-x) == pytest.approx(1.0, abs=1e-12)
 
 
+def one_pair_column(scores):
+    """The scores of pair (0, 1), the one pair of frame 0, as a fused column."""
+    layout = SlotLayout(make_video([frame(0, [make_pair(0, scores=scores)])]))
+    return FusedScores(layout, layout.base)
+
+
 class TestThresholdSelect:
+    """Fused scores are selected by ``evaluation.positives_per_frame``."""
+
     def test_strictly_greater(self):
-        fused = {("a", 0): 0.3, ("a", 1): 0.3000001, ("b", 0): 0.1}
-        assert threshold_select(fused, 0.3) == {("a", 1)}
+        positives = positives_per_frame(one_pair_column((0.3, 0.3000001, 0.1)), 0.3)
+        assert positives == {0: [(("id", 0, 1), 1, 0.3000001)]}
 
     def test_multiple_relations_per_pair(self):
-        fused = {("a", 0): 0.9, ("a", 1): 0.8, ("a", 2): 0.2}
-        assert threshold_select(fused, 0.3) == {("a", 0), ("a", 1)}
+        positives = positives_per_frame(one_pair_column((0.9, 0.8, 0.2)), 0.3)
+        assert positives == {0: [(("id", 0, 1), 0, 0.9), (("id", 0, 1), 1, 0.8)]}
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -1.0])
     def test_threshold_domain(self, threshold):
         with pytest.raises(ValueError):
-            threshold_select({}, threshold)
+            positives_per_frame(one_pair_column((0.9, 0.8, 0.2)), threshold)
 
 
 def fuse_table_oracle(video, table, weights, toggles):
@@ -157,6 +170,25 @@ class TestFuseTable:
         fused = fuse_table(video, table, weights)
         assert fused[(0, ("id", 0, 1), 1)] == fuse_scores(0.5, x, x, x, x, weights=weights)
         assert fused[(0, ("id", 0, 1), 0)] == 0.5
+
+    def test_holds_one_column_not_a_slot_dict(self):
+        # 400 frames of 8 pairs and 10 relations: the float64 column is
+        # 256 kB, a dict of the 32,000 slot tuples would be about 4 MB
+        vocab = RelationVocabulary(tuple(f"r{r}" for r in range(10)))
+        video = VideoPredictionSet("v", vocab, tuple(
+            frame(f, [make_pair(f, scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
+            for f in range(400)))
+        table = AgentScoreTable(SlotLayout(video))
+        table.values[:, ::3] = 0.7
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fused = fuse_table(video, table, FusionWeights())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(fused) == 32_000
+        assert held < 1_000_000
 
 
 class TestAggregate:

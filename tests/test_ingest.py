@@ -3,7 +3,9 @@ import os
 import re
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hoirefine.ingest import (
     DanglingReferenceError,
@@ -15,7 +17,15 @@ from hoirefine.ingest import (
     triplet_to_text,
     write_predictions,
 )
-from hoirefine.model import pair_key
+from hoirefine.model import (
+    BoundingBox,
+    FramePrediction,
+    FusedScores,
+    PairPrediction,
+    RelationVocabulary,
+    SlotLayout,
+    VideoPredictionSet,
+)
 
 from test_model import make_pair  # noqa: F401  (shared builders)
 
@@ -288,18 +298,71 @@ class TestLoadGroundTruth:
         assert exc.value.line == 2
 
 
+def fused_column(pred_set, score):
+    """Fused scores over ``pred_set`` holding ``score(slot, base)`` per slot."""
+    layout = SlotLayout(pred_set)
+    return FusedScores(layout, np.array([score(slot, base) for slot, base
+                                         in zip(layout.slots(), layout.base.tolist())], float))
+
+
+# any float JSONEncoder writes, integer-valued, subnormal and huge ones included
+json_floats = st.floats() | st.sampled_from([5e-324, -0.0, 3.0, 1e16, 1.7976931348623157e308])
+# any UTF-8 text, with quote, backslash, non-ASCII and control characters common
+json_text = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\é☃\x00'), max_size=6)
+
+
+@st.composite
+def written_sets(draw):
+    """A prediction set built directly, so any value a record can hold
+    appears, and a fused column over it."""
+    vocab = RelationVocabulary(tuple(f"r{r}" for r in range(draw(st.integers(1, 3)))))
+    frames = []
+    for fi in sorted(draw(st.sets(st.integers(0, 2**63 - 1), max_size=3))):
+        ids = draw(st.lists(st.none() | st.tuples(st.integers(), st.integers()),
+                            max_size=3, unique_by=lambda pid: pid or object()))
+        pairs = tuple(PairPrediction(
+            frame_index=fi, object_class=draw(json_text), pair_id=pid,
+            human_box=BoundingBox(*draw(st.lists(json_floats, min_size=4, max_size=4))),
+            object_box=BoundingBox(*draw(st.lists(json_floats | st.integers(),
+                                                  min_size=4, max_size=4))),
+            scores=(0.0,) * vocab.n) for pid in ids)
+        frames.append(FramePrediction(fi, draw(json_floats), draw(json_floats), pairs))
+    pred_set = VideoPredictionSet(draw(json_text), vocab, tuple(frames))
+    layout = SlotLayout(pred_set)
+    values = draw(st.lists(json_floats, min_size=len(layout.base), max_size=len(layout.base)))
+    return pred_set, FusedScores(layout, np.array(values, float))
+
+
 class TestWritePredictions:
+    @settings(max_examples=200, deadline=None)
+    @given(written_sets())
+    def test_each_line_is_json_dumps_of_its_record(self, tmp_path_factory, case):
+        pred_set, fused = case
+        out = tmp_path_factory.getbasetemp() / "written.jsonl"
+        write_predictions(pred_set, fused, str(out))
+        scores = iter(fused.values.reshape(-1, pred_set.vocabulary.n).tolist())
+        expected = [json.dumps({
+            "video_id": pred_set.video_id,
+            "frame_index": frame.frame_index,
+            "frame_w": frame.frame_width,
+            "frame_h": frame.frame_height,
+            "pair_id": list(pair.pair_id) if pair.pair_id is not None else None,
+            "object_class": pair.object_class,
+            "human_box": [pair.human_box.x1, pair.human_box.y1,
+                          pair.human_box.x2, pair.human_box.y2],
+            "object_box": [pair.object_box.x1, pair.object_box.y1,
+                           pair.object_box.x2, pair.object_box.y2],
+            "scores": next(scores),
+            "score_scale": "fused",
+        }, sort_keys=True) for frame, pair in pred_set.iter_pairs()]
+        assert out.read_text(encoding="utf-8").splitlines() == expected
+
     def test_round_trip_bit_exact(self, tmp_path, vocab):
         records = [record(frame=f, scores=(0.123456789012345, 0.5, 1 / 3))
                    for f in range(2)]
         write_lines(tmp_path / "p.jsonl", records)
         pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
-        fused = {
-            (frame.frame_index, pair_key(pair, i), r): pair.scores[r] + 0.75
-            for frame in pred_set.frames
-            for i, pair in enumerate(frame.pairs)
-            for r in range(vocab.n)
-        }
+        fused = fused_column(pred_set, lambda slot, base: base + 0.75)
         out = tmp_path / "out.jsonl"
         write_predictions(pred_set, fused, str(out))
         loaded = load_predictions(str(out), vocab)
@@ -313,10 +376,8 @@ class TestWritePredictions:
         write_lines(tmp_path / "p.jsonl", [record(frame=f) for f in range(50)])
         pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
         out = tmp_path / "out.jsonl"
-        tables = [{(frame.frame_index, pair_key(pair, i), r): offset + r
-                   for frame in pred_set.frames
-                   for i, pair in enumerate(frame.pairs)
-                   for r in range(vocab.n)} for offset in (1.0, 2.0)]
+        tables = [fused_column(pred_set, lambda slot, base, offset=offset: offset + slot[2])
+                  for offset in (1.0, 2.0)]
         contents = set()
         for fused in tables:
             write_predictions(pred_set, fused, str(out))
@@ -346,19 +407,20 @@ class TestWritePredictions:
         (tmp_path / "p.jsonl").write_text("")
         pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
         out = tmp_path / "out.jsonl"
-        write_predictions(pred_set, {}, str(out))
+        write_predictions(pred_set, fused_column(pred_set, None), str(out))
         assert load_predictions(str(out), vocab).frames == ()
 
     def test_unwritable_path(self, tmp_path, vocab):
         (tmp_path / "p.jsonl").write_text("")
         pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
         with pytest.raises(OSError):
-            write_predictions(pred_set, {}, str(tmp_path / "missing-dir" / "o.jsonl"))
+            write_predictions(pred_set, fused_column(pred_set, None),
+                              str(tmp_path / "missing-dir" / "o.jsonl"))
 
     def test_failed_replace_leaves_no_temporary_file(self, tmp_path, vocab, monkeypatch):
         write_lines(tmp_path / "p.jsonl", [record()])
         pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
-        fused = {(0, pair_key(pred_set.frames[0].pairs[0], 0), r): 0.5 for r in range(vocab.n)}
+        fused = fused_column(pred_set, lambda slot, base: 0.5)
 
         def failing_replace(src, dst):
             raise OSError("replace failed")
@@ -368,8 +430,17 @@ class TestWritePredictions:
             write_predictions(pred_set, fused, str(tmp_path / "out.jsonl"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.jsonl", "vocab.txt"]
 
-    def test_missing_fused_entry(self, tmp_path, vocab):
+    def test_column_must_cover_every_slot(self, tmp_path, vocab):
+        write_lines(tmp_path / "p.jsonl", [record(frame=f) for f in range(2)])
+        layout = SlotLayout(load_predictions(tmp_path / "p.jsonl", vocab))
+        message = f"fused column holds {vocab.n} scores for {2 * vocab.n} slots"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FusedScores(layout, np.zeros(vocab.n))
+
+    def test_scores_over_another_set_rejected(self, tmp_path, vocab):
         write_lines(tmp_path / "p.jsonl", [record()])
-        pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
-        with pytest.raises(KeyError):
-            write_predictions(pred_set, {}, str(tmp_path / "o.jsonl"))
+        pred_set, other = (load_predictions(tmp_path / "p.jsonl", vocab) for _ in range(2))
+        with pytest.raises(ValueError, match="another prediction set"):
+            write_predictions(pred_set, fused_column(other, lambda slot, base: base),
+                              str(tmp_path / "o.jsonl"))
+        assert not (tmp_path / "o.jsonl").exists()

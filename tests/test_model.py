@@ -1,11 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hoirefine.model import (
     BoundingBox,
+    FramePrediction,
+    FusedScores,
     FusionWeights,
     PairPrediction,
     RelationVocabulary,
+    SlotLayout,
+    VideoPredictionSet,
 )
 
 
@@ -56,3 +61,37 @@ class TestFusionWeights:
     def test_threshold_bounds(self, threshold):
         with pytest.raises(ValueError):
             FusionWeights(threshold=threshold)
+
+
+class TestFusedScores:
+    """Two frames: a tracked and an untracked pair, then one tracked pair."""
+
+    def column(self, values):
+        video = VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
+            FramePrediction(3, 640, 480, (make_pair(3), make_pair(3, pair_id=None))),
+            FramePrediction(7, 640, 480, (make_pair(7, pair_id=(2, 5)),))))
+        return FusedScores(SlotLayout(video), np.array(values, float))
+
+    def test_slots_in_order_and_indexed(self):
+        fused = self.column([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        assert list(fused) == [(3, ("id", 0, 1), 0), (3, ("id", 0, 1), 1), (3, ("idx", 1), 0),
+                               (3, ("idx", 1), 1), (7, ("id", 2, 5), 0), (7, ("id", 2, 5), 1)]
+        assert [fused[slot] for slot in fused] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        assert type(fused[(7, ("id", 2, 5), 1)]) is float
+        assert len(fused) == 6
+
+    @pytest.mark.parametrize("slot", [(7, ("id", 0, 1), 0), (3, ("idx", 1), 2),
+                                      (3, ("idx", 1), -1)])
+    def test_foreign_slot_is_missing(self, slot):
+        fused = self.column([0.5] * 6)
+        assert slot not in fused
+        with pytest.raises(KeyError):
+            fused[slot]
+
+    def test_equal_bit_for_bit(self):
+        values = [0.0, np.nan, 0.3, 0.4, 0.5, 0.6]
+        assert self.column(values) == self.column(values)
+        assert self.column(values) == dict(zip(self.column(values), values))
+        assert self.column(values) != self.column([-0.0] + values[1:])
+        assert self.column(values) != dict(zip(self.column(values), [-0.0] + values[1:]))
+        assert self.column(values) != dict(list(zip(self.column(values), values))[:5])
