@@ -323,7 +323,9 @@ def propagate_scores(
     pred_set: VideoPredictionSet,
     keyframes: set[int],
 ) -> AgentScoreTable:
-    """Copy keyframe scores to non-keyframes.
+    """Copy keyframe scores to non-keyframes, in place: the table is filled
+    and returned when it is over ``pred_set``'s layout, else a copy over
+    that layout is.
 
     Every table entry is kept, so directly recorded non-keyframe values
     (temporal scores land wherever the transition happened) win. An empty
@@ -351,21 +353,22 @@ def propagate_scores(
     text = np.array(texts, dtype=np.int64).reshape(-1)
     position = np.cumsum(np.append(False, layout.frame[1:] != layout.frame[:-1]))
     keyframe = np.isin(layout.frame, list(keyframes))
-    out = AgentScoreTable(layout).merge(table)
-    for values, filled, kind in zip(table.values, out.values, SCORE_KINDS):
+    # sources are held keyframe slots and targets empty non-keyframe slots,
+    # so a kind's row is read and filled in place
+    for values, kind in zip(table.values, SCORE_KINDS):
         held, empty = ~np.isnan(values) & keyframe, np.isnan(values) & ~keyframe
-        _fill(filled, values, pair_relation, held & tracked, empty & tracked,
-              layout.frame, position)
+        _fill(values, pair_relation, held & tracked, empty & tracked, layout.frame, position)
         if kind == CS:
-            _fill(filled, values, text, held, empty & ~tracked, layout.frame, position)
-    return out
+            _fill(values, text, held, empty & ~tracked, layout.frame, position)
+    return table
 
 
-def _fill(out: np.ndarray, values: np.ndarray, group: np.ndarray, sources: np.ndarray,
+def _fill(values: np.ndarray, group: np.ndarray, sources: np.ndarray,
           targets: np.ndarray, frame: np.ndarray, position: np.ndarray) -> None:
-    """Set ``out`` at each ``targets`` slot to ``values`` at its ``group``'s
+    """Set ``values`` at each ``targets`` slot to its value at its ``group``'s
     ``sources`` slot nearest in ``frame`` index: the earlier on a tie, the last
-    in one frame. Slots are in frame order; no source is in a target's frame."""
+    in one frame. Slots are in frame order; no source is in a target's frame,
+    and no slot is both."""
     src, tgt = np.flatnonzero(sources), np.flatnonzero(targets)
     if not len(src) or not len(tgt):
         return
@@ -379,4 +382,4 @@ def _fill(out: np.ndarray, values: np.ndarray, group: np.ndarray, sources: np.nd
     has_after = (j < len(src)) & (group[after] == group[tgt])
     earlier = has_before & (~has_after | (frame[tgt] - frame[before] <= frame[after] - frame[tgt]))
     found = has_before | has_after
-    out[tgt[found]] = values[np.where(earlier, before, after)[found]]
+    values[tgt[found]] = values[np.where(earlier, before, after)[found]]

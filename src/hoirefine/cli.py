@@ -112,9 +112,9 @@ def cmd_eval(args) -> int:
     for k in ks:
         print(f"{f'R@{k}':<{width}}  {recalls[k]:.2f}")
     if args.report:
-        write_atomic(args.report, json.dumps({"threshold": args.threshold,
-                                              "recall": {str(k): recalls[k] for k in ks}},
-                                             sort_keys=True, indent=2) + "\n")
+        write_atomic(args.report, (json.dumps({"threshold": args.threshold,
+                                               "recall": {str(k): recalls[k] for k in ks}},
+                                              sort_keys=True, indent=2) + "\n",))
         print(f"report written to {args.report}")
     return 0
 
@@ -149,7 +149,7 @@ def cmd_ablate(args) -> int:
     print(table_text)
     if args.out:
         write_ablation_report(rows, args.out, ks)
-        write_atomic(args.out + ".txt", table_text + "\n")
+        write_atomic(args.out + ".txt", (table_text + "\n",))
         print(f"ablation report written to {args.out}")
     return 0
 

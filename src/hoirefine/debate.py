@@ -141,5 +141,5 @@ def persist_transcript(transcript: DebateTranscript, directory: str) -> str:
     records = [{"speaker": speaker, "text": text} for speaker, text in transcript.entries]
     records.append({"speaker": "judge", "text": transcript.judge_answer,
                     "score": transcript.judge_score})
-    write_atomic(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    write_atomic(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     return path

@@ -270,7 +270,7 @@ def save_embedding_batch(batch: EmbeddingBatch, metric: str, path: str) -> None:
             rec = {name: getattr(batch, name)[i, j].tolist() for name in _VECTORS}
             rec.update(i=i, j=j, gt=bool(batch.gt_mask[i, j]))
             lines.append(json.dumps(rec, sort_keys=True))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n",))
 
 
 def load_embedding_batch(path: str) -> tuple[EmbeddingBatch, str]:
@@ -282,7 +282,7 @@ def load_embedding_batch(path: str) -> tuple[EmbeddingBatch, str]:
     ``d_f`` numbers, ``e_text`` of ``d_e`` numbers and the boolean ``gt``,
     false on the diagonal. A record with another key, or that breaks a
     rule, raises ParseError at its line."""
-    records = _records(path)
+    records = _records(path, share=False)  # features are all distinct: sharing only costs
     first = next(records, None)
     if first is None:
         raise ValueError(f"{path}: empty batch file")

@@ -117,7 +117,7 @@ def write_ablation_report(rows: list[AblationRow], path: str,
                           ks: Sequence[int] = DEFAULT_KS) -> None:
     """Machine-readable companion to the text table: one JSON record per row,
     written with ``write_atomic``."""
-    write_atomic(path, "".join(
+    write_atomic(path, (
         json.dumps({
             "label": row.label,
             "toggles": {k: bool(v) for k, v in sorted(row.toggles.items())},

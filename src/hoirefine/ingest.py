@@ -6,9 +6,11 @@ relation vocabularies are plain text, one relation name per line (index =
 line number). Every file is read by one reader and every value checked by
 one type rule, in the same pass, so each rejected input raises ParseError
 at ``path:line``. Labels are lower-cased at load time so prompt text is
-stable across datasets that mix cases. Refined predictions are written
-from the fused-score column, one formatted line per pair, each the bytes
-``json.dumps(record, sort_keys=True)`` gives.
+stable across datasets that mix cases. A loaded prediction set holds each
+distinct number text, label and pair id of its file once. Refined
+predictions are written from the fused-score column, one formatted line
+per pair, each the bytes ``json.dumps(record, sort_keys=True)`` gives, and
+streamed to the file a frame at a time.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import contextlib
 import io
 import json
 import os
+import sys
 import threading
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .model import (
     BoundingBox,
@@ -50,14 +53,50 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_no_constant)  # NaN and Infinity fail
+_FLOAT_MAX = sys.float_info.max
 
 
-def _records(path: str, data: Optional[bytes] = None) -> Iterator[tuple[int, dict]]:
+def _in_range(parse):
+    """A JSON number hook: ``parse`` of a number's text, which must lie
+    within float range: ``1e400`` would be infinity, and a 400-digit
+    integer has no float."""
+    def hook(text: str):
+        value = parse(text)
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return value
+        raise ValueError(f"number {text if len(text) <= 24 else text[:20] + '...'} "
+                         "is out of float range")
+    return hook
+
+
+class _Shared(dict):
+    """``convert(key)`` for each key, computed on its first lookup and then
+    held, so equal keys share one value object."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+def _records(path: str, data: Optional[bytes] = None,
+             share: bool = True) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of the JSON-lines file
     at ``path``, streamed from the file or from its bytes ``data`` when
-    given. A line that is not UTF-8 or not JSON, or whose value is not a
-    JSON object, raises ParseError at that line."""
+    given, through a decoder of the file's own. Its ``_in_range`` hooks parse
+    the numbers; with ``share``, equal number texts decode to one object
+    (``-0.0`` and ``0.0`` are two texts, ``1`` and ``1.0`` too), which pays
+    where records repeat their numbers. A line that is not UTF-8 or not
+    JSON, that holds ``NaN``, ``Infinity`` or a number beyond float range,
+    or whose value is not a JSON object, raises ParseError at that line."""
+    parse_float, parse_int = _in_range(float), _in_range(int)
+    if share:
+        parse_float, parse_int = _Shared(parse_float).__getitem__, _Shared(parse_int).__getitem__
+    decode = json.JSONDecoder(parse_float=parse_float, parse_int=parse_int,
+                              parse_constant=_no_constant).raw_decode
     with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -67,7 +106,7 @@ def _records(path: str, data: Optional[bytes] = None) -> Iterator[tuple[int, dic
             if not line:
                 continue
             try:
-                rec, end = _DECODER.raw_decode(line)
+                rec, end = decode(line)
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
             except ValueError as exc:
@@ -100,7 +139,7 @@ def _fields(path: str, lineno: int, rec: dict, schema: dict,
             if name not in optional:
                 raise ParseError(path, lineno, f"missing field {name!r}")
         elif type(value) not in types if length is None else not (
-                type(value) is list and len(value) == length and set(map(type, value)) <= types):
+                type(value) is list and len(value) == length and types.issuperset(map(type, value))):
             what = what if length is None else f"a list of {length} values, each {what}"
             raise ParseError(path, lineno,
                              f"field {name!r} must be {what}, not {json.dumps(value)}")
@@ -146,6 +185,7 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
     frames: dict[int, tuple[tuple[float, float], list, set]] = {}
     video_id: Optional[str] = None
     score_scale: Optional[str] = None
+    classes, pair_ids = _Shared(str.lower), {}  # one object per distinct label and pair_id
     for lineno, rec in _records(path):
         if rec.get("pair_id", 0) is None:  # a null pair_id is an untracked pair
             del rec["pair_id"]
@@ -168,28 +208,22 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
         if not 0 <= fi < 2**63:
             raise ParseError(path, lineno, f"frame_index {fi} out of [0, 2**63)")
         size = (float(w), float(h))
-        frame_size, pairs, pair_ids = frames.setdefault(fi, (size, [], set()))
+        frame_size, pairs, frame_ids = frames.setdefault(fi, (size, [], set()))
         if size != frame_size:
             raise ParseError(path, lineno, f"frame size {size} differs from earlier "
                                            f"{frame_size} of frame {fi}")
         if pid is not None:
-            pid = tuple(pid)
-            if pid in pair_ids:
+            pid = pair_ids.setdefault(pid := tuple(pid), pid)
+            if pid in frame_ids:
                 raise ParseError(path, lineno, f"duplicate pair_id {pid} in frame {fi}")
-            pair_ids.add(pid)
+            frame_ids.add(pid)
         if min(scores) < 0.0 or (scale == "base" and max(scores) > 1.0):
             raise ParseError(path, lineno, f"scores {scores} out of "
                                            f"{'[0,1]' if scale == 'base' else '[0,inf)'}")
-        for name, box in zip(("human_box", "object_box"), boxes):
-            x1, y1, x2, y2 = box = list(map(float, box))
-            if not (x1 < x2 and y1 < y2):
-                raise ParseError(path, lineno, f"degenerate {name} {box}")
-            if x1 < 0 or y1 < 0 or x2 > size[0] or y2 > size[1]:
-                raise ParseError(path, lineno, f"{name} {box} outside the frame {size}")
         pairs.append(PairPrediction(frame_index=fi, pair_id=pid,
-                                    object_class=object_class.lower(),
-                                    human_box=BoundingBox(*map(float, boxes[0])),
-                                    object_box=BoundingBox(*map(float, boxes[1])),
+                                    object_class=classes[object_class],
+                                    human_box=_box(path, lineno, "human_box", boxes[0], size),
+                                    object_box=_box(path, lineno, "object_box", boxes[1], size),
                                     scores=tuple(map(float, scores))))
     return VideoPredictionSet(
         video_id="" if video_id is None else video_id,
@@ -198,6 +232,17 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
                      for fi in sorted(frames)),
         score_scale=score_scale or "base",
     )
+
+
+def _box(path: str, lineno: int, name: str, values: list, size: tuple) -> BoundingBox:
+    """The box of the four numbers ``values``, converted once. Unless x1 <
+    x2 and y1 < y2, inside the frame of ``size``, it raises ParseError."""
+    x1, y1, x2, y2 = map(float, values)
+    if not (x1 < x2 and y1 < y2):
+        raise ParseError(path, lineno, f"degenerate {name} {[x1, y1, x2, y2]}")
+    if x1 < 0 or y1 < 0 or x2 > size[0] or y2 > size[1]:
+        raise ParseError(path, lineno, f"{name} {[x1, y1, x2, y2]} outside the frame {size}")
+    return BoundingBox(x1, y1, x2, y2)
 
 
 def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruthSet:
@@ -250,13 +295,22 @@ def write_predictions(pred_set: VideoPredictionSet, fused: FusedScores, path: st
     so the records are tagged ``score_scale: fused`` and the loader relaxes
     the upper bound for them. Each line is formatted from the column's row
     as ``json.dumps(record, sort_keys=True)`` would write it, so scores
-    round-trip bit-exactly through JSON's shortest-repr float encoding.
+    round-trip bit-exactly through JSON's shortest-repr float encoding. The
+    file is streamed through ``write_atomic`` one frame at a time, so
+    neither the whole text nor every row is held at once.
     """
     if fused.layout.pred_set is not pred_set:
         raise ValueError("fused scores are over another prediction set")
-    rows = iter(fused.values.reshape(-1, pred_set.vocabulary.n).tolist())
-    video_id, lines = json.dumps(pred_set.video_id), []
+    write_atomic(path, _frame_lines(pred_set, fused.values))
+
+
+def _frame_lines(pred_set: VideoPredictionSet, values) -> Iterator[str]:
+    """Per frame of ``pred_set``, its lines with the scores of ``values``,
+    the fused column, taken from the column frame by frame."""
+    n, start, video_id = pred_set.vocabulary.n, 0, json.dumps(pred_set.video_id)
     for frame in pred_set.frames:
+        end = start + len(frame.pairs) * n
+        rows, start, lines = values[start:end].reshape(-1, n).tolist(), end, []
         head = (f'{{"frame_h": {_number(frame.frame_height)}, '
                 f'"frame_index": {frame.frame_index}, "frame_w": {_number(frame.frame_width)}, ')
         for pair, scores in zip(frame.pairs, rows):
@@ -267,18 +321,20 @@ def write_predictions(pred_set: VideoPredictionSet, fused: FusedScores, path: st
                 f'"object_box": [{_numbers((o.x1, o.y1, o.x2, o.y2))}], '
                 f'"object_class": {json.dumps(pair.object_class)}, "pair_id": {pair_id}, '
                 f'"score_scale": "fused", "scores": [{_numbers(scores)}], '
-                f'"video_id": {video_id}}}')
-    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+                f'"video_id": {video_id}}}\n')
+        yield "".join(lines)
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file renamed into
-    place, so a reader sees the old file or the whole new one, never part.
-    On any failure the temporary file is removed and the error re-raised."""
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path``, in order, through a temporary
+    file renamed into place, so a reader sees the old file or the whole new
+    one, never part; pass one text as ``(text,)``. On any failure, raised
+    by a write or by ``chunks`` itself, the temporary file is removed and
+    the error re-raised."""
     tmp = path + f".tmp.{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

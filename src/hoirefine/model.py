@@ -1,8 +1,10 @@
 """Core domain types for per-frame human-object interaction predictions.
 
 All types here are immutable after construction and safe to share across
-concurrent pipeline stages. The rules a prediction file must follow are
-checked where it is read, in ``ingest.load_predictions``.
+concurrent pipeline stages. The records of a prediction set (frames, pairs
+and boxes) are slotted, so they carry no per-instance ``__dict__``. The rules
+a prediction file must follow are checked where it is read, in
+``ingest.load_predictions``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class RelationVocabulary:
         return len(self.names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     x1: float
     y1: float
@@ -54,7 +56,7 @@ class BoundingBox:
         return [round(self.x1), round(self.y1), round(self.x2), round(self.y2)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairPrediction:
     """One human-object pair in one frame with its per-relation confidences."""
 
@@ -66,7 +68,7 @@ class PairPrediction:
     pair_id: Optional[PairId] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FramePrediction:
     frame_index: int
     frame_width: float

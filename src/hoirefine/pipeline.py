@@ -176,11 +176,12 @@ def run_stage_two(
     transitions: list[Transition],
     cache_dir: Optional[str],
     transcript_dir: Optional[str],
-) -> tuple[dict[str, AgentScoreTable], AgentScoreTable, int]:
+) -> tuple[dict[str, AgentScoreTable], dict[tuple, float], int]:
     """Run stage one through ``run_stage_one`` and debate the selected
     keyframe candidates while it runs. Returns the per-provider stage-1
-    tables, the debated candidates' judge scores and the number of debates
-    run, all over one layout of ``pred_set``.
+    tables, over one layout of ``pred_set``; the judge score of each
+    debated candidate whose judge answered, by (frame_index, pair_key,
+    relation_index) slot; and the number of debates run.
 
     A candidate waits for two reports per provider (common sense, and
     spatial or its not-aware verdict), plus one per provider for each of
@@ -254,12 +255,8 @@ def run_stage_two(
         tables = run_stage_one(pred_set, config, providers, keyframes, transitions,
                                cache_dir, on_scored, stop)
 
-    table = AgentScoreTable(tables[judge.id].layout)
-    for (frame_index, pk, r), question in asked.items():
-        score = judged[question].result()
-        if score is not None:
-            table.set(frame_index, pk, r, DEBATE, score)
-    return tables, table, len(judged)
+    return tables, {slot: score for slot, question in asked.items()
+                    if (score := judged[question].result()) is not None}, len(judged)
 
 
 def fuse_table(
@@ -327,15 +324,17 @@ def refine(
         # keyframe-adjacent changes only; others are covered by propagation
         if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
     ]
-    per_provider, debate_table, debates = run_stage_two(
+    per_provider, judge_scores, debates = run_stage_two(
         pred_set, config, providers, judge, keyframes, transitions, cache_dir, transcript_dir)
-    table = aggregate_provider_tables(per_provider).merge(debate_table)
+    table = aggregate_provider_tables(per_provider)
+    for slot, score in judge_scores.items():
+        table.set(*slot, DEBATE, score)
 
     # propagation fills only non-keyframes, so keyframe coverage is final here
     coverage = _coverage(table, keyframes, config.candidate_floor)
     if coverage and not any(coverage.values()):
         raise ProviderError("no agent score for any keyframe candidate")
-    table = propagate_scores(table, pred_set, keyframes)
+    table = propagate_scores(table, pred_set, keyframes)  # fills the table in place
     fused = fuse_table(pred_set, table, config.weights)
 
     stats = RunStats(

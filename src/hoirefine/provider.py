@@ -344,7 +344,7 @@ def cached_complete(provider: Provider, req: CompletionRequest,
 
     resp = provider.complete(req)
     os.makedirs(cache_dir, exist_ok=True)
-    write_atomic(path, resp.text)
+    write_atomic(path, (resp.text,))
     return resp
 
 

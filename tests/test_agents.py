@@ -26,6 +26,7 @@ from hoirefine.model import (
     AgentScoreTable,
     FramePrediction,
     RelationVocabulary,
+    SlotLayout,
     VideoPredictionSet,
     pair_key,
 )
@@ -515,12 +516,33 @@ class TestPropagation:
         out = propagate_scores(table, video, {0})
         assert out.get(1, ("idx", 0), 2, SPATIAL) is None
 
+    def test_fills_a_table_over_the_sets_layout_in_place(self):
+        video = self.tracked_video()
+        table = AgentScoreTable(SlotLayout(video))
+        table.set(0, ("id", 0, 1), 0, CS, 0.2)
+        table.set(4, ("id", 0, 1), 0, CS, 0.8)
+        values = table.values
+        assert propagate_scores(table, video, {0, 4}) is table
+        assert table.values is values
+        assert [table.get(f, ("id", 0, 1), 0, CS) for f in range(5)] == [0.2, 0.2, 0.2, 0.8, 0.8]
+
+    def test_a_table_over_another_layout_is_left_as_it_was(self):
+        table = AgentScoreTable()
+        table.set(0, ("id", 0, 1), 0, CS, 0.2)
+        out = propagate_scores(table, self.tracked_video(), {0, 4})
+        assert out is not table and out.get(1, ("id", 0, 1), 0, CS) == 0.2
+        assert list(table.items()) == [((0, ("id", 0, 1), 0), {CS: 0.2})]
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_brute_force_oracle(self, data):
         video, keyframes, table = data.draw(propagation_cases())
+        if data.draw(st.booleans(), label="filled in place"):
+            table = table.over(video)  # a copy over the set's own layout
+        # the oracle reads a snapshot: propagation may fill ``table`` itself
+        expected = propagation_oracle(table, video, keyframes)
         out = propagate_scores(table, video, keyframes)
-        assert dict(out.items()) == propagation_oracle(table, video, keyframes)
+        assert dict(out.items()) == expected
 
 
 @st.composite

@@ -276,9 +276,12 @@ def first_fixture_record(**changes) -> bytes:
     first_fixture_record(score_scale="fused", pair_id=[9, 9]),
     b'{"video_id": "synth\xefic"}',
     first_fixture_record(pairid=[0, 10], pair_id=None),
+    # in a frame of its own, where an infinite width held every box
+    first_fixture_record(frame_index=99999, frame_w=1234.5).replace(b"1234.5", b"1e400"),
+    first_fixture_record(frame_index=99999, frame_w=10**400),
 ], ids=["bare-number", "null", "float-pair-id", "string-pair-id", "bool-frame-index",
         "string-frame-w", "null-object-class", "frame-size-differs", "fused-record",
-        "not-utf8", "unknown-key"])
+        "not-utf8", "unknown-key", "float-out-of-range", "integer-out-of-range"])
 def test_bad_prediction_line_exits_one_before_any_call(tmp_path, capsys, transport_calls,
                                                        command, line):
     preds = tmp_path / "predictions.jsonl"
@@ -632,6 +635,21 @@ class TestGradcheck:
         bad.write_text("\n".join([json.dumps({**json.loads(header), "metric": "l2"}), *cells]))
         assert main(["gradcheck", "--batch", str(bad), *override]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
+
+    @pytest.mark.parametrize("text", ["1e400", "1" + "0" * 400], ids=["1e400", "401-digits"])
+    def test_number_out_of_float_range_exits_one_at_its_line(self, tmp_path, capsys, text):
+        bad = tmp_path / "batch.jsonl"
+        with open(fixture_path("embedding_batch.jsonl"), encoding="utf-8") as fh:
+            header, first, *cells = fh.read().splitlines()
+        cell = json.loads(first)
+        cell["f_human"][0] = 1234.5
+        first = json.dumps(cell).replace("1234.5", text)
+        bad.write_text("\n".join([header, first, *cells]) + "\n")
+        assert main(["gradcheck", "--batch", str(bad)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1, captured.err
+        assert err[0].startswith(f"error: {bad}:2: ") and "out of float range" in err[0]
 
     def test_batch_without_ground_truth_exits_one(self, tmp_path, capsys):
         # with no true cell the loss and every gradient are zero: nothing to compare

@@ -20,7 +20,6 @@ from hoirefine.config import RefinementConfig, load_config
 from hoirefine.ingest import load_predictions, load_vocabulary
 from hoirefine.model import (
     CS,
-    DEBATE,
     FramePrediction,
     RelationVocabulary,
     VideoPredictionSet,
@@ -330,7 +329,7 @@ class TestStageTwo:
         providers = [judge, other]
         config = RefinementConfig(providers=tuple(p.spec for p in providers),
                                   judge_provider="a", debate_mode="always")
-        tables, table, debates = run_stage_two(
+        tables, judge_scores, debates = run_stage_two(
             video, config, providers, judge, {0}, [], None, str(tmp_path / "transcripts"))
         assert debates == 1
         # stage one asks each provider one common-sense and one awareness
@@ -339,6 +338,6 @@ class TestStageTwo:
         assert (judge.call_count, other.call_count) == (2 + 3, 2 + 2)
         assert [tables[p.id].get(0, pair_key(pairs[0], 0), 0, CS) for p in providers] \
             == [0.8, 0.5]
-        assert [table.get(0, pair_key(pair, i), 0, DEBATE) for i, pair in enumerate(pairs)] \
-            == [0.8, 0.8]
+        # the judge's score, by slot, on both candidates that asked the question
+        assert judge_scores == {(0, pair_key(pair, i), 0): 0.8 for i, pair in enumerate(pairs)}
         assert len(list((tmp_path / "transcripts").iterdir())) == 1

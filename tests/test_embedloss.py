@@ -285,6 +285,18 @@ class TestCaptionsAndSerialization:
         with pytest.raises(ValueError):
             el.load_embedding_batch(str(path))
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400],
+                             ids=["1e400", "-1e400", "401-digits"])
+    def test_load_rejects_number_out_of_float_range_at_its_line(self, tmp_path, text):
+        rng = np.random.default_rng(42)
+        path = tmp_path / "batch.jsonl"
+        el.save_embedding_batch(el.random_batch(rng, k=2, d_f=2, d_e=2), "l1", str(path))
+        records = [json.loads(ln) for ln in path.read_text().splitlines()]
+        records[2]["f_obj"][1] = 1234.5
+        path.write_text("".join(json.dumps(r).replace("1234.5", text) + "\n" for r in records))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: .*out of float range"):
+            el.load_embedding_batch(str(path))
+
     @pytest.mark.parametrize("line,edit", [
         (2, lambda cell: cell.update(gt="false")),
         (2, lambda cell: cell.update(gt=1)),

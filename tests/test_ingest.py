@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +219,27 @@ class TestLoadPredictions:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: ") as exc:
             load_predictions(path, vocab)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("field", ["frame_w", "object_box", "scores"])
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400, "-" + "9" * 400],
+                             ids=["1e400", "-1e400", "401-digits", "-400-digits"])
+    def test_number_out_of_float_range_fails_at_its_line(self, tmp_path, vocab, field, text):
+        # 1e400 loaded as infinity, which the writer spelt Infinity and the
+        # loader then refused; a 400-digit integer has no float at all
+        fused = {"score_scale": "fused"}
+        bad = {"frame_w": record(frame=1, frame_w=1234.5, **fused),
+               "object_box": record(frame=1, object_box=[20, 40, 1234.5, 90], **fused),
+               "scores": record(frame=1, scores=(0.5, 1234.5, 0.5), **fused)}[field]
+        path = tmp_path / "p.jsonl"
+        write_lines(path, [record(**fused), json.dumps(bad).replace("1234.5", text).encode()])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: .*out of float range"):
+            load_predictions(path, vocab)
+
+    def test_largest_and_smallest_floats_load(self, tmp_path, vocab):
+        write_lines(tmp_path / "p.jsonl", [record(frame_w=1.7976931348623157e308,
+                                                  scores=(5e-324, 0.0, 1.0))])
+        frame = load_predictions(tmp_path / "p.jsonl", vocab).frames[0]
+        assert (frame.frame_width, frame.pairs[0].scores[0]) == (1.7976931348623157e308, 5e-324)
 
     def test_mixed_video_ids_rejected_at_first_change(self, tmp_path, vocab):
         other = record(frame=2)
@@ -444,3 +467,112 @@ class TestWritePredictions:
             write_predictions(pred_set, fused_column(other, lambda slot, base: base),
                               str(tmp_path / "o.jsonl"))
         assert not (tmp_path / "o.jsonl").exists()
+
+
+def detector_video(path, frames=400, pairs=8):
+    """``frames`` frames of ``pairs`` tracked pairs each, written with
+    ``record`` as a detector writes them: whole-pixel boxes, three object
+    classes and three-decimal scores, so values repeat across records."""
+    rng = np.random.default_rng(0)
+    records = []
+    for f in range(frames):
+        for k in range(pairs):
+            x, y = (float(v) for v in rng.integers(0, 300, 2))
+            records.append(record(
+                frame=f, pair_id=(k, 100 + k), obj=("Chair", "cup", "horse")[k % 3],
+                scores=tuple(round(float(v) ** 3, 3) for v in rng.random(3)),
+                human_box=[x, y, x + 100.0, y + 150.0], object_box=[y, x, y + 40.0, x + 60.0]))
+    write_lines(path, records)
+
+
+class TestMemory:
+    """Guards on the bytes a loaded set holds and on the writer's peak, by
+    ``tracemalloc``, for 400 frames x 8 pairs (3200 records)."""
+
+    def test_loaded_set_holds_each_value_once(self, tmp_path, vocab):
+        detector_video(tmp_path / "p.jsonl")
+        tracemalloc.start()
+        try:
+            pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(frame.pairs) for frame in pred_set.frames) == 3200
+        # 2.67 MB with a float object per value and a __dict__ per record,
+        # 1.13 MB with shared values and slotted records
+        assert held < 1_400_000
+
+    def test_writer_streams_frame_by_frame(self, tmp_path, vocab):
+        detector_video(tmp_path / "p.jsonl")
+        pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
+        fused = fused_column(pred_set, lambda slot, base: base + 0.25)
+        tracemalloc.start()
+        try:
+            write_predictions(pred_set, fused, str(tmp_path / "out.jsonl"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.2 MB with the whole text, its lines and every row held at once
+        assert peak < 1_000_000
+
+
+# texts of equal numbers that differ in sign, type or spelling, and the
+# smallest subnormal: sharing values must not merge any two of them
+SIGNED_ZEROS = ["-0.0", "0.0", "0", "-0", "0e0", "-0e0", "5e-324"]
+ONES = ["1", "1.0", "1.00", "10", "1e1", "10.0"]
+
+
+@st.composite
+def shared_value_files(draw):
+    """Prediction lines whose box corners, frame sizes and scores are texts
+    of ``SIGNED_ZEROS`` and ``ONES``, one frame per line."""
+    lines = []
+    for f in range(draw(st.integers(1, 6))):
+        low, high = (draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2))
+                     for pool in (SIGNED_ZEROS, ONES))
+        size = draw(st.sampled_from(["640", "640.0", "6.4e2"]))
+        box = f"{low[0]}, {low[1]}, {high[0]}, {high[1]}"
+        scores = ", ".join(draw(st.lists(st.sampled_from(SIGNED_ZEROS + ONES[:3]),
+                                         min_size=3, max_size=3)))
+        lines.append(f'{{"frame_index": {f}, "frame_w": {size}, "frame_h": {size}, '
+                     f'"object_class": "cup", "pair_id": [0, 1], "human_box": [{box}], '
+                     f'"object_box": [{box}], "scores": [{scores}]}}')
+    return lines
+
+
+def loaded_values(pred_set):
+    return [v for frame in pred_set.frames for pair in frame.pairs
+            for v in (frame.frame_width, frame.frame_height, pair.human_box.x1,
+                      pair.human_box.y1, pair.human_box.x2, pair.human_box.y2,
+                      pair.object_box.x1, pair.object_box.y1, pair.object_box.x2,
+                      pair.object_box.y2, *pair.scores)]
+
+
+class TestSharedValues:
+    @settings(max_examples=150, deadline=None)
+    @given(shared_value_files())
+    def test_each_value_keeps_its_own_bits(self, tmp_path_factory, lines):
+        """Each loaded value is, bit for bit, the float of what ``json.loads``
+        gives for its own text, sign of zero included, and load, write, load,
+        write is byte-stable."""
+        base, vocab = tmp_path_factory.getbasetemp(), RelationVocabulary(("a", "b", "c"))
+        (base / "p.jsonl").write_text("\n".join(lines) + "\n")
+        pred_set = load_predictions(base / "p.jsonl", vocab)
+        expected = []
+        for line in lines:
+            rec = json.loads(line)
+            expected += [rec["frame_w"], rec["frame_h"], *rec["human_box"],
+                         *rec["object_box"], *rec["scores"]]
+        values = loaded_values(pred_set)
+        assert all(type(v) is float for v in values)
+        assert [v.hex() for v in values] == [float(v).hex() for v in expected]
+        assert [math.copysign(1.0, v) for v in values] == \
+            [math.copysign(1.0, float(v)) for v in expected]
+
+        layout = SlotLayout(pred_set)
+        write_predictions(pred_set, FusedScores(layout, layout.base), str(base / "a.jsonl"))
+        again = load_predictions(base / "a.jsonl", vocab)
+        assert [v.hex() for v in loaded_values(again)] == [v.hex() for v in values]
+        layout = SlotLayout(again)
+        write_predictions(again, FusedScores(layout, layout.base), str(base / "b.jsonl"))
+        assert (base / "b.jsonl").read_bytes() == (base / "a.jsonl").read_bytes()

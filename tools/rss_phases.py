@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Resident set size at each phase of one benchmark repetition.
+
+    python3 tools/rss_phases.py [--workload rt_long] [--seed 9]
+
+Prepares the seed's first input variant with ``perfbench``'s own ``Bench``
+in a temporary directory, then runs one repetition in a fresh process as
+``perfbench/worker.py`` does: the job, then the set-ups alone. Each library
+call that ends a phase is wrapped. When one returns, a row gives its name,
+the resident set size then (``/proc/self/statm``) and the largest size a
+thread sampling every millisecond saw since the previous row. The last rows
+give the sampled maximum, which can miss a short peak, and ``ru_maxrss``,
+which the benchmark reports as ``peak_rss_mb``. Linux only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import logging
+import os
+import subprocess
+import sys
+import tempfile
+import threading
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import run  # noqa: E402  (perfbench/run.py)
+
+PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2**20
+# (module, function) pairs whose return ends a phase, as the job calls them
+PHASES = [("pipeline", "run_stage_two"), ("pipeline", "aggregate_provider_tables"),
+          ("pipeline", "propagate_scores"), ("pipeline", "fuse_table"), ("pipeline", "refine"),
+          ("ingest", "write_predictions"), ("ingest", "load_predictions"),
+          ("ingest", "load_ground_truth"), ("evaluation", "recall_at_k_dataset")]
+
+
+def rss_mb() -> float:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * PAGE_MB
+
+
+class Sampler:
+    """The largest resident set size seen since the last ``take``, overall in ``peak``."""
+
+    def __init__(self):
+        self.lock, self.stop = threading.Lock(), threading.Event()
+        self.since = self.peak = rss_mb()
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self):
+        while not self.stop.wait(0.001):
+            self.note(rss_mb())
+
+    def note(self, value: float) -> None:
+        with self.lock:
+            self.since, self.peak = max(self.since, value), max(self.peak, value)
+
+    def take(self, name: str) -> None:
+        now = rss_mb()
+        self.note(now)
+        with self.lock:
+            print(f"{name:<34}{now:>10.2f}{self.since:>10.2f}")
+            self.since = now
+
+
+def measure(workload: str, work: str, variant: int) -> None:
+    run.import_program()
+    from hoirefine import evaluation, ingest, pipeline
+
+    logging.disable(logging.WARNING)  # the mock providers' retry notices
+    modules = {"pipeline": pipeline, "ingest": ingest, "evaluation": evaluation}
+    bench = run.Bench(workload, work, [variant], run.load_expected())
+    sampler = Sampler()
+
+    def phase(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            sampler.take(name)
+            return result
+        return wrapper
+
+    for module, name in PHASES:
+        setattr(modules[module], name, phase(getattr(modules[module], name), f"{module}.{name}"))
+    bench.setup = phase(bench.setup, "Bench.setup")
+    print(f"{'phase ends':<34}{'rss_mb':>10}{'max_mb':>10}")
+    sampler.take("start")
+    sample = bench.rep(variant)
+    bench.setup_times(variant, sample["setup_s"])
+    sampler.stop.set()
+    sampler.thread.join(timeout=5)
+    print(f"{'sampled maximum':<34}{sampler.peak:>10.2f}")
+    print(f"{'ru_maxrss (peak_rss_mb)':<34}{run.peak_rss_mb():>10.2f}")
+    for problem in sample["problems"]:
+        print(f"rss_phases: {problem}", file=sys.stderr)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="rt_long",
+                        choices=sorted(w for w in run.WORKLOADS if w != "gradcheck"))
+    parser.add_argument("--seed", type=int, default=9)
+    parser.add_argument("--work", help=argparse.SUPPRESS)  # set for the measuring process
+    parser.add_argument("--variant", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.work:
+        measure(args.workload, args.work, args.variant)
+        return 0
+    variant = run.variants(args.seed, run.WORKLOADS[args.workload]["pool"])[0]
+    with tempfile.TemporaryDirectory(prefix="rss-phases-") as work:
+        run.import_program()
+        run.Bench(args.workload, work, [variant]).prepare()
+        print(f"workload {args.workload}, seed {args.seed}, variant {variant}")
+        return subprocess.run([sys.executable, os.path.abspath(__file__), "--workload",
+                               args.workload, "--work", work, "--variant", str(variant)]).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
