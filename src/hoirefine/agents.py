@@ -323,9 +323,8 @@ def propagate_scores(
     pred_set: VideoPredictionSet,
     keyframes: set[int],
 ) -> AgentScoreTable:
-    """Copy keyframe scores to non-keyframes, in place: the table is filled
-    and returned when it is over ``pred_set``'s layout, else a copy over
-    that layout is.
+    """Copy keyframe scores to non-keyframes, in place: the table, which must
+    be over ``pred_set``'s own layout (else ValueError), is filled and returned.
 
     Every table entry is kept, so directly recorded non-keyframe values
     (temporal scores land wherever the transition happened) win. An empty
@@ -336,7 +335,7 @@ def propagate_scores(
     pair's common-sense score is indexed that way, and when two pairs share
     a text in one keyframe the later pair's score is the source.
     """
-    table = table.over(pred_set)
+    table.layout.require(pred_set, "agent scores")
     layout, vocab, n = table.layout, pred_set.vocabulary, pred_set.vocabulary.n
     # per pair, its track (-1 if untracked) and the text id of each relation
     tracks, texts, ids, class_texts, text_ids = [], [], {}, {}, {}

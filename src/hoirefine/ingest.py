@@ -289,9 +289,9 @@ def _numbers(values) -> str:
 def write_predictions(pred_set: VideoPredictionSet, fused: FusedScores, path: str) -> None:
     """Write the set with fused scores in place of the base scores.
 
-    ``fused`` is ``pipeline.fuse_table``'s column over ``pred_set``'s
-    layout; row ``j`` of it holds the scores of the set's ``j``-th pair in
-    frame order. Fused scores can exceed 1 (no clipping happens in fusion),
+    ``fused`` is ``pipeline.fuse_table``'s column over ``pred_set``'s own
+    layout (a column over another set raises ValueError); row ``j`` of it
+    holds the scores of the set's ``j``-th pair in frame order. Fused scores can exceed 1 (no clipping happens in fusion),
     so the records are tagged ``score_scale: fused`` and the loader relaxes
     the upper bound for them. Each line is formatted from the column's row
     as ``json.dumps(record, sort_keys=True)`` would write it, so scores
@@ -299,8 +299,7 @@ def write_predictions(pred_set: VideoPredictionSet, fused: FusedScores, path: st
     file is streamed through ``write_atomic`` one frame at a time, so
     neither the whole text nor every row is held at once.
     """
-    if fused.layout.pred_set is not pred_set:
-        raise ValueError("fused scores are over another prediction set")
+    fused.layout.require(pred_set, "fused scores")
     write_atomic(path, _frame_lines(pred_set, fused.values))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from itertools import compress
 from typing import Iterator, Optional
 
 import numpy as np
@@ -115,28 +116,36 @@ class GroundTruthSet:
 
 class SlotLayout:
     """The (frame_index, pair_key, relation_index) slots of ``pred_set``, in
-    order: slot ``i`` (see ``find``) is relation ``i % n`` of pair ``keys[i // n]``,
-    in frame ``frame[i]``, base score ``base[i]``; else ``keys`` holds a table's slots."""
+    frame, pair and relation order: slot ``i`` (see ``find`` and ``slots``) is
+    relation ``i % n`` of pair ``keys[i // n]``, in frame ``frame[i]``, base
+    score ``base[i]``."""
 
-    def __init__(self, pred_set: Optional[VideoPredictionSet] = None):
-        self.pred_set = pred_set
-        frames, self.n = ((), 1) if pred_set is None else (pred_set.frames, pred_set.vocabulary.n)
+    def __init__(self, pred_set: VideoPredictionSet):
+        self.pred_set, self.n = pred_set, pred_set.vocabulary.n
         self.keys = [(frame.frame_index, pair_key(pair, i))
-                     for frame in frames for i, pair in enumerate(frame.pairs)]
+                     for frame in pred_set.frames for i, pair in enumerate(frame.pairs)]
         self.rows = dict(zip(self.keys, range(len(self.keys))))
         self.frame = np.repeat(np.array([fi for fi, _ in self.keys], dtype=np.int64), self.n)
-        self.base = np.array([pair.scores for frame in frames for pair in frame.pairs],
+        self.base = np.array([pair.scores for _, pair in pred_set.iter_pairs()],
                              dtype=float).reshape(-1)
 
-    def slots(self) -> list[tuple]:
-        return list(self.keys) if self.pred_set is None else [
-            (fi, pk, r) for fi, pk in self.keys for r in range(self.n)]
+    def slots(self) -> Iterator[tuple]:
+        """Every slot, in index order."""
+        relations = range(self.n)
+        return ((fi, pk, r) for fi, pk in self.keys for r in relations)
 
-    def find(self, slot: tuple) -> Optional[int]:
-        if self.pred_set is None:
-            return self.rows.get(slot)
+    def find(self, slot) -> Optional[int]:
+        """The index of ``slot``; None for any key that is not a slot of the set."""
+        if not isinstance(slot, tuple) or len(slot) != 3 or slot[2] not in range(self.n):
+            return None
         row = self.rows.get(slot[:2])
-        return None if row is None or not 0 <= slot[2] < self.n else row * self.n + slot[2]
+        return None if row is None else row * self.n + int(slot[2])
+
+    def require(self, pred_set: VideoPredictionSet, what: str) -> None:
+        """Raise ValueError unless this is the layout of ``pred_set`` itself,
+        by identity: a set loaded again from the same file is another set."""
+        if self.pred_set is not pred_set:
+            raise ValueError(f"{what} are over another prediction set")
 
 
 class FusedScores(Mapping):
@@ -144,7 +153,7 @@ class FusedScores(Mapping):
     is the score of slot ``i``. A read-only mapping from (frame_index,
     pair_key, relation_index) to score, iterated in slot order; two are
     equal when they hold the same slots in the same order and the same
-    values bit for bit. ``layout`` is over a prediction set."""
+    values bit for bit."""
 
     def __init__(self, layout: SlotLayout, values: np.ndarray):
         slots = len(layout.keys) * layout.n
@@ -153,14 +162,13 @@ class FusedScores(Mapping):
         self.layout, self.values = layout, values
 
     def __getitem__(self, slot: tuple) -> float:
-        row, r = self.layout.rows.get(slot[:2]), slot[2]
-        if row is None or not 0 <= r < self.layout.n:
+        i = self.layout.find(slot)
+        if i is None:
             raise KeyError(slot)
-        return self.values.item(row * self.layout.n + r)
+        return self.values.item(i)
 
     def __iter__(self) -> Iterator[tuple]:
-        relations = range(self.layout.n)
-        return ((fi, pk, r) for fi, pk in self.layout.keys for r in relations)
+        return self.layout.slots()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -176,16 +184,14 @@ class FusedScores(Mapping):
 
 
 class AgentScoreTable:
-    """Agent scores by slot, in columns: ``values[k, i]`` is the
-    ``SCORE_KINDS[k]`` score of slot ``i`` of ``layout``, NaN where absent.
-    ``refine`` builds one ``SlotLayout`` of its prediction set, and setting
-    a slot outside it raises KeyError. A table made without a layout has its
-    own, and each new slot set adds a column (for small tables). ``items``
-    and ``len`` count the slots holding any kind."""
+    """Agent scores of ``layout``'s slots, in columns: ``values[k, i]`` is the
+    ``SCORE_KINDS[k]`` score of slot ``i``, NaN where absent. Setting a slot
+    outside the layout's prediction set raises KeyError. ``items`` and
+    ``len`` count the slots holding any kind."""
 
-    def __init__(self, layout: Optional[SlotLayout] = None):
-        self.layout = SlotLayout() if layout is None else layout
-        self.values = np.full((len(SCORE_KINDS), len(self.layout.keys) * self.layout.n), np.nan)
+    def __init__(self, layout: SlotLayout):
+        self.layout = layout
+        self.values = np.full((len(SCORE_KINDS), len(layout.keys) * layout.n), np.nan)
 
     def set(self, frame_index: int, pkey, relation_index: int, kind: str, score: float):
         if kind not in SCORE_KINDS:
@@ -194,12 +200,8 @@ class AgentScoreTable:
             raise ValueError(f"score {score} out of [0,1]")
         slot = (frame_index, pkey, relation_index)
         i = self.layout.find(slot)
-        if i is None and self.layout.pred_set is not None:
-            raise KeyError(f"{slot} is not a slot of the table's prediction set")
         if i is None:
-            i = self.layout.rows[slot] = len(self.layout.keys)
-            self.layout.keys.append(slot)
-            self.values = np.pad(self.values, ((0, 0), (0, 1)), constant_values=np.nan)
+            raise KeyError(f"{slot} is not a slot of the table's prediction set")
         self.values[SCORE_KINDS.index(kind), i] = score
 
     def get(self, frame_index: int, pkey, relation_index: int, kind: str) -> Optional[float]:
@@ -210,24 +212,10 @@ class AgentScoreTable:
         column = [] if i is None else self.values[:, i].tolist()
         return {kind: v for kind, v in zip(SCORE_KINDS, column) if v == v}
 
-    def merge(self, other: "AgentScoreTable") -> "AgentScoreTable":
-        if other.layout is self.layout:
-            np.copyto(self.values, other.values, where=~np.isnan(other.values))
-            return self
-        for slot, kinds in other.items():
-            for kind, value in kinds.items():
-                self.set(*slot, kind, value)
-        return self
-
-    def over(self, pred_set: VideoPredictionSet) -> "AgentScoreTable":
-        """This table if it is over ``pred_set``'s layout, else a copy over a new one."""
-        return self if self.layout.pred_set is pred_set else (
-            AgentScoreTable(SlotLayout(pred_set)).merge(self))
-
     def items(self):
-        slots = self.layout.slots()
-        for i in np.flatnonzero(~np.isnan(self.values).all(axis=0)).tolist():
-            yield slots[i], self.kinds_at(*slots[i])
+        held = (~np.isnan(self.values).all(axis=0)).tolist()
+        for slot in compress(self.layout.slots(), held):
+            yield slot, self.kinds_at(*slot)
 
     def __len__(self) -> int:
         return int((~np.isnan(self.values).all(axis=0)).sum())

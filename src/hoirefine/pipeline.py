@@ -267,13 +267,14 @@ def fuse_table(
 ) -> FusedScores:
     """Fused score for every (frame, pair, relation) slot, in frame, pair
     and relation order: ``fuse_scores``' value, bit for bit, in one array pass,
-    kept as one column over the table's layout of ``pred_set``.
+    kept as one column over the table's layout, which must be ``pred_set``'s
+    own (else ValueError).
 
     A slot without a table entry keeps its base score. Each entry adds the
     terms of its kinds that ``toggles`` enables; ``toggles`` maps each of
     ``SCORE_KINDS`` to on or off (None enables all), and a disabled kind's
-    term is dropped entirely. Every entry must be a slot of ``pred_set``."""
-    table = table.over(pred_set)
+    term is dropped entirely."""
+    table.layout.require(pred_set, "agent scores")
     fused = table.layout.base.copy()
     lambdas = (weights.lambda_cs, weights.lambda_s, weights.lambda_t, weights.lambda_debate)
     for kind, values, lam in zip(SCORE_KINDS, table.values, lambdas):  # fuse_scores' order

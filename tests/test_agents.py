@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,7 @@ from hoirefine.agents import (
     run_temporal,
     select_keyframes,
 )
-from hoirefine.ingest import triplet_to_text
+from hoirefine.ingest import load_predictions, triplet_to_text
 from hoirefine.model import (
     CS,
     SCORE_KINDS,
@@ -40,6 +41,7 @@ from hoirefine.provider import (
 )
 from hoirefine.prompt import SPATIAL_AWARENESS_INSTRUCTION, SPATIAL_SCORING_INSTRUCTION
 
+from conftest import fixture_path
 from test_model import make_pair
 
 VOCAB = RelationVocabulary(("hold", "ride", "sit on"))
@@ -66,9 +68,9 @@ def answer_every_test(*scores):
     return transport, prompts
 
 
-def scored(agent, *args, **kwargs) -> AgentScoreTable:
-    """Every score ``agent`` reports, merged into one table."""
-    table, lock = AgentScoreTable(), threading.Lock()
+def scored(agent, provider, pred_set, *args, **kwargs) -> AgentScoreTable:
+    """Every score ``agent`` reports, set in one table over ``pred_set``'s layout."""
+    table, lock = AgentScoreTable(SlotLayout(pred_set)), threading.Lock()
 
     def collect(kind, scored):
         with lock:
@@ -76,7 +78,7 @@ def scored(agent, *args, **kwargs) -> AgentScoreTable:
                 if value is not None:
                     table.set(*slot, kind, value)
 
-    agent(*args, on_scored=collect, **kwargs)
+    agent(provider, pred_set, *args, on_scored=collect, **kwargs)
     return table
 
 
@@ -468,32 +470,36 @@ class TestPropagation:
         return make_video([frame(f, [make_pair(f)]) for f in range(n)])
 
     def test_nearest_keyframe_wins(self):
-        table = AgentScoreTable()
+        video = self.tracked_video()
+        table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        out = propagate_scores(table, self.tracked_video(), {0, 4})
+        out = propagate_scores(table, video, {0, 4})
         assert out.get(1, ("id", 0, 1), 0, CS) == 0.2
         assert out.get(3, ("id", 0, 1), 0, CS) == 0.8
 
     def test_distance_tie_prefers_earlier(self):
-        table = AgentScoreTable()
+        video = self.tracked_video()
+        table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        out = propagate_scores(table, self.tracked_video(), {0, 4})
+        out = propagate_scores(table, video, {0, 4})
         assert out.get(2, ("id", 0, 1), 0, CS) == 0.2
 
     def test_skips_keyframes_missing_value(self):
         # keyframe 2 never got a score, so frame 3 reaches back to keyframe 0
-        table = AgentScoreTable()
+        video = self.tracked_video()
+        table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
-        out = propagate_scores(table, self.tracked_video(), {0, 2, 4})
+        out = propagate_scores(table, video, {0, 2, 4})
         assert out.get(3, ("id", 0, 1), 0, CS) == 0.2
 
     def test_direct_non_keyframe_entries_kept(self):
-        table = AgentScoreTable()
+        video = self.tracked_video()
+        table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, TEMPORAL, 0.3)
         table.set(1, ("id", 0, 1), 0, TEMPORAL, 0.9)
-        out = propagate_scores(table, self.tracked_video(), {0, 4})
+        out = propagate_scores(table, video, {0, 4})
         assert out.get(1, ("id", 0, 1), 0, TEMPORAL) == 0.9
 
     def test_untracked_pairs_propagate_by_text(self):
@@ -501,7 +507,7 @@ class TestPropagation:
             frame(0, [make_pair(0, pair_id=None)]),
             frame(1, [make_pair(1, pair_id=None)]),
         ])
-        table = AgentScoreTable()
+        table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("idx", 0), 2, CS, 0.6)
         out = propagate_scores(table, video, {0})
         assert out.get(1, ("idx", 0), 2, CS) == 0.6
@@ -511,7 +517,7 @@ class TestPropagation:
             frame(0, [make_pair(0, pair_id=None)]),
             frame(1, [make_pair(1, pair_id=None)]),
         ])
-        table = AgentScoreTable()
+        table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("idx", 0), 2, SPATIAL, 0.6)
         out = propagate_scores(table, video, {0})
         assert out.get(1, ("idx", 0), 2, SPATIAL) is None
@@ -526,20 +532,22 @@ class TestPropagation:
         assert table.values is values
         assert [table.get(f, ("id", 0, 1), 0, CS) for f in range(5)] == [0.2, 0.2, 0.2, 0.8, 0.8]
 
-    def test_a_table_over_another_layout_is_left_as_it_was(self):
-        table = AgentScoreTable()
-        table.set(0, ("id", 0, 1), 0, CS, 0.2)
-        out = propagate_scores(table, self.tracked_video(), {0, 4})
-        assert out is not table and out.get(1, ("id", 0, 1), 0, CS) == 0.2
-        assert list(table.items()) == [((0, ("id", 0, 1), 0), {CS: 0.2})]
+    @pytest.mark.parametrize("other", ["another video", "the same file loaded again"])
+    def test_a_table_over_another_set_is_rejected(self, other, fixture_predictions,
+                                                  fixture_vocab):
+        # by identity, as for the writer: a set loaded again is another set
+        video = self.tracked_video() if other == "another video" else load_predictions(
+            fixture_path("predictions.jsonl"), fixture_vocab)
+        table = AgentScoreTable(SlotLayout(video))
+        with pytest.raises(ValueError, match="^agent scores are over another prediction set$"):
+            propagate_scores(table, fixture_predictions, {0})
+        assert np.isnan(table.values).all()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_brute_force_oracle(self, data):
         video, keyframes, table = data.draw(propagation_cases())
-        if data.draw(st.booleans(), label="filled in place"):
-            table = table.over(video)  # a copy over the set's own layout
-        # the oracle reads a snapshot: propagation may fill ``table`` itself
+        # the oracle reads a snapshot: propagation fills ``table`` itself
         expected = propagation_oracle(table, video, keyframes)
         out = propagate_scores(table, video, keyframes)
         assert dict(out.items()) == expected
@@ -558,7 +566,7 @@ def propagation_cases(draw):
         st.sets(st.sampled_from(indices), max_size=2))
     relations = draw(st.lists(st.integers(0, VOCAB.n - 1), min_size=1, max_size=2, unique=True))
     kinds = draw(st.lists(st.sampled_from(SCORE_KINDS), min_size=1, max_size=2, unique=True))
-    frames, table = [], AgentScoreTable()
+    frames, entries = [], []
     for f in indices:
         ids = [(0, 1)] + [(0, 2)] * draw(st.booleans())
         pids = draw(st.permutations(ids + [None] * draw(st.integers(0, 2))))
@@ -570,8 +578,12 @@ def propagation_cases(draw):
                 for kind in kinds:
                     value = draw(st.none() | st.floats(0.0, 1.0))
                     if value is not None:
-                        table.set(f, pair_key(pair, i), r, kind, value)
-    return make_video(frames), keyframes, table
+                        entries.append((f, pair_key(pair, i), r, kind, value))
+    video = make_video(frames)
+    table = AgentScoreTable(SlotLayout(video))
+    for entry in entries:
+        table.set(*entry)
+    return video, keyframes, table
 
 
 def propagation_oracle(table, video, keyframes):

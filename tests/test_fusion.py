@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hoirefine.evaluation import positives_per_frame
 from hoirefine.fusion import fuse_scores, sigmoid
+from hoirefine.ingest import load_predictions
 from hoirefine.model import (
     CS,
     DEBATE,
@@ -23,6 +24,7 @@ from hoirefine.model import (
 )
 from hoirefine.pipeline import aggregate_provider_tables, fuse_table
 
+from conftest import fixture_path
 from test_agents import frame, make_video, propagation_cases
 from test_model import make_pair
 
@@ -157,6 +159,15 @@ class TestFuseTable:
             expected = fuse_table_oracle(video, table, weights, toggles)
             assert got == expected
             assert list(got) == list(expected)
+
+    @pytest.mark.parametrize("other", ["another video", "the same file loaded again"])
+    def test_a_table_over_another_set_is_rejected(self, other, fixture_predictions,
+                                                  fixture_vocab):
+        # by identity, as for the writer: a set loaded again is another set
+        video = make_video([frame(0, [make_pair(0)])]) if other == "another video" else (
+            load_predictions(fixture_path("predictions.jsonl"), fixture_vocab))
+        with pytest.raises(ValueError, match="^agent scores are over another prediction set$"):
+            fuse_table(fixture_predictions, AgentScoreTable(SlotLayout(video)), FusionWeights())
 
     def test_sigmoid_where_np_exp_differs_in_the_last_ulp(self):
         # found by search: on x86-64 with numpy 2.4, np.exp(-0.6125) is one ulp

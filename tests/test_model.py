@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hoirefine.model import (
+    CS,
+    AgentScoreTable,
     BoundingBox,
     FramePrediction,
     FusedScores,
@@ -63,14 +65,20 @@ class TestFusionWeights:
             FusionWeights(threshold=threshold)
 
 
-class TestFusedScores:
+def two_frames():
     """Two frames: a tracked and an untracked pair, then one tracked pair."""
+    return VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
+        FramePrediction(3, 640, 480, (make_pair(3), make_pair(3, pair_id=None))),
+        FramePrediction(7, 640, 480, (make_pair(7, pair_id=(2, 5)),))))
 
+
+# a foreign pair, relation n and relation -1
+FOREIGN_SLOTS = [(7, ("id", 0, 1), 0), (3, ("idx", 1), 2), (3, ("idx", 1), -1)]
+
+
+class TestFusedScores:
     def column(self, values):
-        video = VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
-            FramePrediction(3, 640, 480, (make_pair(3), make_pair(3, pair_id=None))),
-            FramePrediction(7, 640, 480, (make_pair(7, pair_id=(2, 5)),))))
-        return FusedScores(SlotLayout(video), np.array(values, float))
+        return FusedScores(SlotLayout(two_frames()), np.array(values, float))
 
     def test_slots_in_order_and_indexed(self):
         fused = self.column([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
@@ -80,8 +88,7 @@ class TestFusedScores:
         assert type(fused[(7, ("id", 2, 5), 1)]) is float
         assert len(fused) == 6
 
-    @pytest.mark.parametrize("slot", [(7, ("id", 0, 1), 0), (3, ("idx", 1), 2),
-                                      (3, ("idx", 1), -1)])
+    @pytest.mark.parametrize("slot", FOREIGN_SLOTS + [(3, ("idx", 1)), (3, ("idx", 1), 0, 0)])
     def test_foreign_slot_is_missing(self, slot):
         fused = self.column([0.5] * 6)
         assert slot not in fused
@@ -95,3 +102,12 @@ class TestFusedScores:
         assert self.column(values) != self.column([-0.0] + values[1:])
         assert self.column(values) != dict(zip(self.column(values), [-0.0] + values[1:]))
         assert self.column(values) != dict(list(zip(self.column(values), values))[:5])
+
+
+class TestAgentScoreTable:
+    @pytest.mark.parametrize("slot", FOREIGN_SLOTS)
+    def test_setting_a_foreign_slot_raises(self, slot):
+        table = AgentScoreTable(SlotLayout(two_frames()))
+        with pytest.raises(KeyError, match="is not a slot of the table's prediction set"):
+            table.set(*slot, CS, 0.5)
+        assert len(table) == 0
