@@ -318,6 +318,11 @@ def run_temporal(
         parse_score_output, cache_dir, _reporter(wanted, TEMPORAL, on_scored), stop)
 
 
+# pairs whose targets one pass of ``_fill`` fills, so that its temporaries
+# stay a few hundred KB however long the video
+_CHUNK = 1024
+
+
 def propagate_scores(
     table: AgentScoreTable,
     pred_set: VideoPredictionSet,
@@ -337,48 +342,77 @@ def propagate_scores(
     """
     table.layout.require(pred_set, "agent scores")
     layout, vocab, n = table.layout, pred_set.vocabulary, pred_set.vocabulary.n
-    # per pair, its track (-1 if untracked) and the text id of each relation
-    tracks, texts, ids, class_texts, text_ids = [], [], {}, {}, {}
-    for _, pair in pred_set.iter_pairs():
-        tracks.append(-1 if pair.pair_id is None else ids.setdefault(pair.pair_id, len(ids)))
-        if pair.object_class not in class_texts:
-            class_texts[pair.object_class] = [
-                text_ids.setdefault(triplet_to_text(pair, r, vocab), len(text_ids))
-                for r in range(n)]
-        texts.append(class_texts[pair.object_class])
-    # per slot: its source groups, (track, relation) and text, and its frame's rank
-    tracked = np.repeat(np.array(tracks) >= 0, n)
-    pair_relation = (np.array(tracks, dtype=np.int64)[:, None] * n + np.arange(n)).reshape(-1)
-    text = np.array(texts, dtype=np.int64).reshape(-1)
-    position = np.cumsum(np.append(False, layout.frame[1:] != layout.frame[:-1]))
-    keyframe = np.isin(layout.frame, list(keyframes))
-    # sources are held keyframe slots and targets empty non-keyframe slots,
-    # so a kind's row is read and filled in place
+    pairs, ids, classes, class_texts, text_ids = len(layout.keys), {None: -1}, {}, [], {}
+
+    def class_id(pair) -> int:
+        if pair.object_class not in classes:
+            classes[pair.object_class] = len(class_texts)
+            class_texts.append([text_ids.setdefault(triplet_to_text(pair, r, vocab), len(text_ids))
+                                for r in range(n)])
+        return classes[pair.object_class]
+
+    def every_pair():
+        return (pair for frame in pred_set.frames for pair in frame.pairs)
+    # per pair: its track (``ids`` maps an untracked pair's None to -1), class
+    # and frame rank; per class, the text id of each relation
+    track = np.fromiter((ids.setdefault(pair.pair_id, len(ids) - 1) for pair in every_pair()),
+                        np.int64, pairs)
+    cls = np.fromiter(map(class_id, every_pair()), np.int64, pairs)
+    class_text = np.array(class_texts, dtype=np.int64).reshape(-1, n)
+    rank = np.repeat(np.arange(len(pred_set.frames)), [len(f.pairs) for f in pred_set.frames])
+    frame = layout.frame[::n]
+    keyframe, tracked = np.isin(frame, list(keyframes)), track >= 0
+    tracks, texts = (len(ids) - 1) * n, len(text_ids)
+
+    def by_track(p, r):
+        return track[p] * n + r
+
+    def by_text(p, r):
+        return class_text[cls[p], r]
+    # sources are held slots of keyframe pairs and targets empty slots of
+    # the others, so a kind's row is read and filled in place
     for values, kind in zip(table.values, SCORE_KINDS):
-        held, empty = ~np.isnan(values) & keyframe, np.isnan(values) & ~keyframe
-        _fill(values, pair_relation, held & tracked, empty & tracked, layout.frame, position)
+        grid = values.reshape(pairs, n)
+        _fill(grid, by_track, tracks, keyframe & tracked, ~keyframe & tracked, frame, rank)
         if kind == CS:
-            _fill(values, text, held, empty & ~tracked, layout.frame, position)
+            _fill(grid, by_text, texts, keyframe, ~keyframe & ~tracked, frame, rank)
     return table
 
 
-def _fill(values: np.ndarray, group: np.ndarray, sources: np.ndarray,
-          targets: np.ndarray, frame: np.ndarray, position: np.ndarray) -> None:
-    """Set ``values`` at each ``targets`` slot to its value at its ``group``'s
-    ``sources`` slot nearest in ``frame`` index: the earlier on a tie, the last
-    in one frame. Slots are in frame order; no source is in a target's frame,
-    and no slot is both."""
-    src, tgt = np.flatnonzero(sources), np.flatnonzero(targets)
-    if not len(src) or not len(tgt):
+def _fill(grid: np.ndarray, group: Callable, groups: int, sources: np.ndarray,
+          targets: np.ndarray, frame: np.ndarray, rank: np.ndarray) -> None:
+    """Set each empty slot of a ``targets`` pair in ``grid``, one kind's
+    values with a row per pair, to the value of its group's held slot, among
+    the ``sources`` pairs, nearest in ``frame`` index: the earlier on a tie,
+    the last in one frame. ``group(p, r)`` gives the groups, each below
+    ``groups``, of relations ``r`` of pairs ``p``; ``rank`` is the position
+    of each pair's frame. Pairs are in frame order; no source is in a
+    target's frame, and no pair is both. The targets are filled ``_CHUNK``
+    pairs at a time, and only those whose group holds a source are looked up."""
+    src_p, src_r = np.nonzero(~np.isnan(grid) & sources[:, None])
+    if not len(src_p):
         return
-    scale = int(position[-1]) + 1
-    src_key = group[src] * scale + position[src]  # orders by group, then frame
+    scale = int(rank[-1]) + 1
+    src_key = group(src_p, src_r) * scale + rank[src_p]  # orders by group, then frame
     src_key, last = np.unique(src_key[::-1], return_index=True)  # a key's last source
-    src = src[::-1][last]
-    j = np.searchsorted(src_key, group[tgt] * scale + position[tgt])
-    before, after = src[np.maximum(j - 1, 0)], src[np.minimum(j, len(src) - 1)]
-    has_before = (j > 0) & (group[before] == group[tgt])
-    has_after = (j < len(src)) & (group[after] == group[tgt])
-    earlier = has_before & (~has_after | (frame[tgt] - frame[before] <= frame[after] - frame[tgt]))
-    found = has_before | has_after
-    values[tgt[found]] = values[np.where(earlier, before, after)[found]]
+    last = len(src_p) - 1 - last
+    src_p, src_r = src_p[last], src_r[last]
+    src_group, src_frame = src_key // scale, frame[src_p]
+    held = np.zeros(groups, dtype=bool)
+    held[src_group] = True
+    for start in range(0, len(grid), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        p, r = np.nonzero(np.isnan(grid[chunk]) & targets[chunk, None])
+        p += start
+        g = group(p, r)
+        found = held[g]
+        p, r, g = p[found], r[found], g[found]
+        # the group holds a source, so the one before or the one after is in it
+        j = np.searchsorted(src_key, g * scale + rank[p])
+        before, after = np.maximum(j - 1, 0), np.minimum(j, len(src_key) - 1)
+        has_before = (j > 0) & (src_group[before] == g)
+        has_after = (j < len(src_key)) & (src_group[after] == g)
+        f = frame[p]
+        earlier = has_before & (~has_after | (f - src_frame[before] <= src_frame[after] - f))
+        nearest = np.where(earlier, before, after)
+        grid[p, r] = grid[src_p[nearest], src_r[nearest]]

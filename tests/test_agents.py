@@ -2,11 +2,13 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hoirefine import agents
 from hoirefine.agents import (
     Transition,
     classify_spatial_awareness,
@@ -551,6 +553,72 @@ class TestPropagation:
         expected = propagation_oracle(table, video, keyframes)
         out = propagate_scores(table, video, keyframes)
         assert dict(out.items()) == expected
+
+    # a drawn case holds at most 30 pairs, inside one default chunk: with
+    # chunks of 1 or 2 pairs its targets are filled over several passes
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_oracle_chunk_by_chunk(self, chunk, data):
+        video, keyframes, table = data.draw(propagation_cases())
+        expected = propagation_oracle(table, video, keyframes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(agents, "_CHUNK", chunk)
+            out = propagate_scores(table, video, keyframes)
+        assert dict(out.items()) == expected
+
+    def test_matches_the_oracle_over_more_pairs_than_a_chunk(self):
+        video, keyframes, table = long_propagation_case()
+        assert sum(len(fr.pairs) for fr in video.frames) > agents._CHUNK
+        expected = propagation_oracle(table, video, keyframes)
+        out = propagate_scores(table, video, keyframes)
+        assert dict(out.items()) == expected
+
+
+def long_propagation_case(frames=520, interval=20):
+    """Two pairs per frame, one of three tracks and one untracked pair whose
+    class repeats, with about half of the slots of each kind held, keyframe
+    or not: 1040 pairs, more than one default chunk."""
+    rng = np.random.default_rng(7)
+    video = make_video([
+        frame(f, [make_pair(f, pair_id=(0, f % 3)),
+                  make_pair(f, pair_id=None, object_class=("chair", "cup")[f % 2])])
+        for f in range(frames)])
+    table = AgentScoreTable(SlotLayout(video))
+    held = rng.random(table.values.shape) < 0.5
+    table.values[held] = rng.random(int(held.sum()))
+    return video, set(range(0, frames, interval)), table
+
+
+class TestMemory:
+    """A guard on the bytes propagation allocates, by ``tracemalloc``, for
+    400 frames x 8 pairs over 10 relations: 6 tracked pairs and 2 untracked,
+    about 3 candidates each, a keyframe every 4th frame."""
+
+    def test_propagation_peak_is_bounded(self):
+        vocab = RelationVocabulary(tuple(f"r{i}" for i in range(10)))
+        rng = np.random.default_rng(0)
+        video = VideoPredictionSet("v", vocab, tuple(
+            FramePrediction(f, 640, 480, tuple(
+                make_pair(f, scores=(0.5,) * 10, pair_id=(0, k) if k < 6 else None,
+                          object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)))
+            for f in range(400)))
+        table, keyframes = AgentScoreTable(SlotLayout(video)), set(range(0, 400, 4))
+        candidates = (rng.random(table.values.shape[1]) < 0.3) & np.isin(
+            SlotLayout(video).frame, list(keyframes))
+        for k in range(3):  # cs, spatial and temporal scores on the keyframe candidates
+            table.values[k, candidates] = rng.random(int(candidates.sum()))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            propagate_scores(table, video, keyframes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (~np.isnan(table.values[0])).sum() > 4 * candidates.sum()
+        # 2.27 MB with per-slot group, text and frame-rank arrays over all
+        # 32,000 slots, 0.72 MB with per-pair groups and chunked fills
+        assert peak < 1_000_000
 
 
 @st.composite

@@ -9,6 +9,8 @@ exceeds the bound, unless every change run beats every parent run."""
 
 import json
 import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -141,10 +143,11 @@ def run_main(pairs, monkeypatch, tmp_path):
     monkeypatch.setattr(pairs.subprocess, "run", lambda args, **_kw: (
         pairs.subprocess.CompletedProcess(args, 0, stdout="f" * 40 + "\n")))
     monkeypatch.setattr(pairs, "extract", lambda _rev, _directory: None)
+    monkeypatch.setattr(pairs, "copy_worktree", lambda _directory: None)
 
     def run(reports):
         monkeypatch.setattr(pairs, "run_side", lambda tree, workload, _seed: reports[
-            "change" if tree == pairs.ROOT else "parent"][workload])
+            os.path.basename(tree)][workload])
         out = tmp_path / "bench.json"
         status = pairs.main(["--workload", "a", "--workload", "b", "--first-seed", "0",
                              "--pairs", "3", "--out", str(out)])
@@ -179,3 +182,42 @@ def test_unresolved_metric_keeps_the_exit_status(pairs):
     summary = pairs.summarize(runs)
     assert summary["setup_s"]["unresolved"]
     assert pairs.exit_status({"a": {"pairs": runs, "summary": summary}}) == 0
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], check=True, capture_output=True)
+
+
+def test_both_sides_run_from_extracted_sibling_trees(pairs, monkeypatch, tmp_path):
+    """The parent is HEAD and the change the working tree, each extracted
+    under one temporary directory; an uncommitted edit and a new untracked
+    file reach only the change side, an ignored file neither."""
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "parent")
+    (repo / "perfbench" / "run.py").write_text("edited\n")
+    (repo / "perfbench" / "new.py").write_text("untracked\n")
+    (repo / "perfbench" / "out.log").write_text("ignored\n")
+    monkeypatch.setattr(pairs, "ROOT", str(repo))
+    trees = {}
+
+    def run_side(tree, _workload, _seed):
+        files = {str(path.relative_to(tree)): path.read_text(encoding="utf-8")
+                 for path in pathlib.Path(tree).rglob("*") if path.is_file()}
+        trees.setdefault(tree, files)
+        return side(1.0)
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    assert pairs.main(["--workload", "a", "--first-seed", "0", "--pairs", "2"]) == 0
+    parent, change = sorted(trees, key=lambda tree: os.path.basename(tree) == "change")
+    assert os.path.dirname(parent) == os.path.dirname(change)
+    assert os.path.realpath(pairs.ROOT) not in {os.path.realpath(parent), os.path.realpath(change)}
+    assert trees[parent] == {".gitignore": "*.log\n", "perfbench/run.py": "committed\n"}
+    assert trees[change] == {".gitignore": "*.log\n", "perfbench/run.py": "edited\n",
+                             "perfbench/new.py": "untracked\n"}
+    # both trees are removed when the run ends
+    assert not os.path.exists(os.path.dirname(parent))

@@ -1,6 +1,7 @@
 """``tools/rss_phases.py`` wraps functions of the package by (module, name)
-to mark the end of each phase. These tests fail when a rename in the package
-would make that tool stop at start-up."""
+to mark the end of each phase. The first test fails when a rename in the
+package would make that tool stop at start-up; the others check which
+phase it names as holding the sampled maximum."""
 
 import importlib
 import os
@@ -27,3 +28,36 @@ def test_every_phase_is_a_function_of_the_package(rss_phases):
     for module, name in rss_phases.PHASES:
         owner = importlib.import_module(f"hoirefine.{module}")
         assert callable(getattr(owner, name, None)), f"{module}.{name}"
+
+
+# the rows of one rt_long repetition: its set-up, the job, then one set-up
+# run alone; row 13 (index) is the first row after the job
+ROWS = [("start", 35.2), ("ingest.load_predictions", 38.9), ("ingest.load_ground_truth", 40.0),
+        ("Bench.setup", 40.0), ("pipeline.run_stage_two", 51.3),
+        ("pipeline.aggregate_provider_tables", 54.4), ("pipeline.propagate_scores", 54.3),
+        ("pipeline.fuse_table", 55.6), ("pipeline.refine", 55.1),
+        ("ingest.write_predictions", 55.1), ("ingest.load_predictions", 55.1),
+        ("ingest.load_ground_truth", 54.0), ("evaluation.recall_at_k_dataset", 55.4),
+        ("ingest.load_predictions", 57.6), ("ingest.load_ground_truth", 52.2),
+        ("Bench.setup", 52.2)]
+JOB_END = 13
+
+
+def with_max(index, value):
+    return [(name, value if i == index else mb) for i, (name, mb) in enumerate(ROWS)]
+
+
+@pytest.mark.parametrize("index, named", [
+    (13, "ingest.load_predictions (post-job set-up)"),
+    (6, "pipeline.propagate_scores (job)"),
+    (1, "ingest.load_predictions (set-up)"),
+    (3, "Bench.setup (set-up)"),
+    (15, "Bench.setup (post-job set-up)"),
+])
+def test_names_the_phase_and_part_holding_the_maximum(rss_phases, index, named):
+    assert rss_phases.peak_phase(with_max(index, 60.0), JOB_END) == named
+
+
+def test_a_tie_names_the_earlier_phase(rss_phases):
+    rows = with_max(6, 57.6)  # propagation reaches the post-job set-up's maximum
+    assert rss_phases.peak_phase(rows, JOB_END) == "pipeline.propagate_scores (job)"

@@ -4,10 +4,13 @@
     python3 tools/pairs.py --workload rt_cold --first-seed 20 --pairs 10 \\
         [--workload rt_long ...] [--out BENCH.json]
 
-The parent, HEAD, is extracted with ``git archive`` into a temporary
-directory. For each seed i (``--first-seed`` onwards, ``--pairs`` of them)
-both sides run ``perfbench/run.py --workload W --seed i --trace 0`` in their
-own tree, one after the other, for the run length the benchmark sets: the
+The parent, HEAD, is extracted with ``git archive`` and the working tree
+(its tracked files as they are now, plus the untracked files git does not
+ignore) is copied, each into its own directory under one temporary
+directory, so that the two sides differ only in their files. For each seed
+i (``--first-seed`` onwards, ``--pairs`` of them) both sides run
+``perfbench/run.py --workload W --seed i --trace 0`` in their own tree, one
+after the other, for the run length the benchmark sets: the
 parent first on even seeds, the working tree first on odd ones. Every
 pair's ``job_s``, ``setup_s``, ``peak_rss_mb`` and failure count are
 printed, then each side's median and quartiles, how many pairs the working
@@ -49,6 +52,20 @@ def extract(rev: str, directory: str) -> None:
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", directory], input=archive, check=True)
+
+
+def copy_worktree(directory: str) -> None:
+    """Copy the working tree's tracked files and the untracked files git does
+    not ignore into ``directory``; a tracked file deleted in the working tree
+    is left out."""
+    names = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in {os.fsdecode(n) for n in names.split(b"\0") if n}:
+        source = os.path.join(ROOT, name)
+        if os.path.lexists(source):
+            target = os.path.join(directory, name)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target, follow_symlinks=False)
 
 
 def run_side(tree: str, workload: str, seed: int) -> dict:
@@ -120,16 +137,20 @@ def main(argv=None) -> int:
     rev = subprocess.run(["git", "-C", ROOT, "rev-parse", PARENT], check=True,
                          capture_output=True, text=True).stdout.strip()
     summary = {"parent": rev, "workloads": {}}
-    parent_tree = tempfile.mkdtemp(prefix="pairs-parent-")
+    top = tempfile.mkdtemp(prefix="pairs-")
+    parent_tree, change_tree = os.path.join(top, "parent"), os.path.join(top, "change")
     try:
+        os.mkdir(parent_tree)
+        os.mkdir(change_tree)
         extract(rev, parent_tree)
+        copy_worktree(change_tree)
         for workload in args.workload:
             print(f"{workload}: parent {rev[:12]} vs working tree")
             print(f"  {'seed':>4}  " + "  ".join(f"{m + ' p/c':>21}" for m in METRICS)
                   + "  failed p/c")
             pairs = []
             for seed in range(args.first_seed, args.first_seed + args.pairs):
-                order = [("parent", parent_tree), ("change", ROOT)]
+                order = [("parent", parent_tree), ("change", change_tree)]
                 if seed % 2:
                     order.reverse()
                 pair = {"seed": seed}
@@ -153,7 +174,7 @@ def main(argv=None) -> int:
                       f" parent spread {r['spread']:.0%}){unresolved}")
             summary["workloads"][workload] = {"pairs": pairs, "summary": result}
     finally:
-        shutil.rmtree(parent_tree, ignore_errors=True)
+        shutil.rmtree(top, ignore_errors=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

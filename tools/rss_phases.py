@@ -9,8 +9,10 @@ in a temporary directory, then runs one repetition in a fresh process as
 call that ends a phase is wrapped. When one returns, a row gives its name,
 the resident set size then (``/proc/self/statm``) and the largest size a
 thread sampling every millisecond saw since the previous row. The last rows
-give the sampled maximum, which can miss a short peak, and ``ru_maxrss``,
-which the benchmark reports as ``peak_rss_mb``. Linux only.
+give the sampled maximum, which can miss a short peak, the phase that held
+it and its part of the repetition (the set-up, the job, or the set-ups run
+alone after it), and ``ru_maxrss``, which the benchmark reports as
+``peak_rss_mb``. Linux only.
 """
 
 from __future__ import annotations
@@ -41,12 +43,25 @@ def rss_mb() -> float:
         return int(fh.read().split()[1]) * PAGE_MB
 
 
+def peak_phase(rows: list[tuple[str, float]], job_end: int) -> str:
+    """The phase among ``rows``, each (name, sampled maximum) in the order
+    the phases ended, with the largest maximum (the first on a tie), and its
+    part: the set-up up to the first ``Bench.setup`` row, the job before row
+    ``job_end``, and the set-ups after it."""
+    peak = max(range(len(rows)), key=lambda i: (rows[i][1], -i))
+    setup_end = next(i for i, (name, _) in enumerate(rows) if name == "Bench.setup")
+    part = "set-up" if peak <= setup_end else "job" if peak < job_end else "post-job set-up"
+    return f"{rows[peak][0]} ({part})"
+
+
 class Sampler:
-    """The largest resident set size seen since the last ``take``, overall in ``peak``."""
+    """The largest resident set size seen since the last ``take``, overall in
+    ``peak``; each ``take``'s name and largest size in ``rows``."""
 
     def __init__(self):
         self.lock, self.stop = threading.Lock(), threading.Event()
         self.since = self.peak = rss_mb()
+        self.rows = []
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
 
@@ -63,6 +78,7 @@ class Sampler:
         self.note(now)
         with self.lock:
             print(f"{name:<34}{now:>10.2f}{self.since:>10.2f}")
+            self.rows.append((name, self.since))
             self.since = now
 
 
@@ -89,10 +105,12 @@ def measure(workload: str, work: str, variant: int) -> None:
     print(f"{'phase ends':<34}{'rss_mb':>10}{'max_mb':>10}")
     sampler.take("start")
     sample = bench.rep(variant)
+    job_end = len(sampler.rows)
     bench.setup_times(variant, sample["setup_s"])
     sampler.stop.set()
     sampler.thread.join(timeout=5)
     print(f"{'sampled maximum':<34}{sampler.peak:>10.2f}")
+    print(f"{'  held by':<34}{peak_phase(sampler.rows, job_end)}")
     print(f"{'ru_maxrss (peak_rss_mb)':<34}{run.peak_rss_mb():>10.2f}")
     for problem in sample["problems"]:
         print(f"rss_phases: {problem}", file=sys.stderr)
