@@ -8,6 +8,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from .ingest import _in_range, _no_constant
 from .model import FusionWeights, require_types
 from .provider import ProviderSpec
 
@@ -16,6 +17,17 @@ DEBATE_MODES = ("disagreement", "always", "off")
 
 class ConfigError(ValueError):
     pass
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object hook: the object's pairs as a dict, refusing a key that
+    occurs twice rather than keeping its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 @dataclass(frozen=True)
@@ -53,19 +65,18 @@ def load_config(path: str) -> RefinementConfig:
 
     Each top-level key is a ``RefinementConfig`` field, each provider's a
     ``ProviderSpec`` field and each of ``weights``' a ``FusionWeights``
-    field; an unknown key, or a value of the wrong JSON type, raises
-    ConfigError. An omitted field takes the dataclass default, and an
-    omitted ``judge_provider`` is the first provider. A relative
-    ``rules_path`` is relative to the directory of that file, not to the
-    working directory; an absolute one is kept. Whether the rule table
-    exists is checked when the provider reads it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    field; an unknown key, a key given twice in one object, a value of the
+    wrong JSON type, or a number outside JSON and float range (``NaN``,
+    ``Infinity``, ``1e400``) raises ConfigError. An omitted field takes the
+    dataclass default, and an omitted ``judge_provider`` is the first
+    provider. A relative ``rules_path`` is relative to the directory of that
+    file, not to the working directory; an absolute one is kept. Whether the
+    rule table exists is checked when the provider reads it."""
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh, parse_float=_in_range(float), parse_int=_in_range(int),
+                            parse_constant=_no_constant, object_pairs_hook=_unique_keys)
         fields = {**raw}
         specs = []
         for spec in raw["providers"]:
@@ -78,5 +89,7 @@ def load_config(path: str) -> RefinementConfig:
         if "weights" in fields:
             fields["weights"] = FusionWeights(**fields["weights"])
         return RefinementConfig(**fields)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None

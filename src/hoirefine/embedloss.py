@@ -19,7 +19,6 @@ import numpy as np
 
 from .ingest import BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _fields, _records, write_atomic
 
-_ACTIVATIONS = ("tanh", "identity")
 METRICS = ("l1", "neg_cosine")
 _VECTORS = ("f_human", "f_inter", "f_obj", "e_text")  # per-cell vectors of an EmbeddingBatch
 
@@ -30,16 +29,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class MlpParams:
-    """Affine + activation stack; layers are (weight (out,in), bias (out,),
-    activation name)."""
+    """Affine stack of (weight (out,in), bias (out,)) layers: tanh after
+    every layer but the last, whose output is linear."""
 
-    layers: list[tuple[np.ndarray, np.ndarray, str]]
+    layers: list[tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         prev = None
-        for w, b, act in self.layers:
-            if act not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
+        for w, b in self.layers:
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError("incompatible weight/bias shapes")
             if prev is not None and w.shape[1] != prev:
@@ -53,7 +50,7 @@ class MlpParams:
         return self.layers[-1][0].shape[0]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([(w.copy(), b.copy(), act) for w, b, act in self.layers])
+        return MlpParams([(w.copy(), b.copy()) for w, b in self.layers])
 
 
 def random_mlp(rng: np.random.Generator, d_in: int, hidden: tuple[int, ...],
@@ -64,26 +61,18 @@ def random_mlp(rng: np.random.Generator, d_in: int, hidden: tuple[int, ...],
         scale = 1.0 / np.sqrt(dims[i])
         w = rng.normal(0.0, scale, size=(dims[i + 1], dims[i]))
         b = rng.normal(0.0, 0.01, size=dims[i + 1])
-        act = "tanh" if i < len(dims) - 2 else "identity"
-        layers.append((w, b, act))
+        layers.append((w, b))
     return MlpParams(layers)
-
-
-def _activate(pre: np.ndarray, act: str) -> np.ndarray:
-    return np.tanh(pre) if act == "tanh" else pre
-
-
-def _activate_grad(pre: np.ndarray, act: str) -> np.ndarray:
-    return 1.0 - np.tanh(pre) ** 2 if act == "tanh" else np.ones_like(pre)
 
 
 def _forward_batch(params: MlpParams, x: np.ndarray):
     cache = []
     cur = x
-    for w, b, act in params.layers:
+    last = len(params.layers) - 1
+    for depth, (w, b) in enumerate(params.layers):
         pre = cur @ w.T + b
-        cache.append((cur, pre, act))
-        cur = _activate(pre, act)
+        cache.append((cur, pre))
+        cur = pre if depth == last else np.tanh(pre)
     return cur, cache
 
 
@@ -91,8 +80,8 @@ def _backward_batch(params: MlpParams, cache, d_out: np.ndarray):
     """Gradients of a scalar loss wrt every parameter, given dL/d(output)."""
     grads = []
     cur = d_out
-    for (w, _, _), (inp, pre, act) in zip(reversed(params.layers), reversed(cache)):
-        dpre = cur * _activate_grad(pre, act)
+    for (w, _), (inp, pre) in zip(reversed(params.layers), reversed(cache)):
+        dpre = cur * (1.0 - np.tanh(pre) ** 2) if grads else cur  # the output layer is linear
         grads.append((dpre.T @ inp, dpre.sum(axis=0)))
         cur = dpre @ w
     return grads[::-1]
@@ -220,7 +209,7 @@ def finite_diff_check(params: MlpParams, batch: EmbeddingBatch, metric: str,
     analytic = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
     stepped = params.copy()
     numeric = []
-    for arr in (a for w, b, _ in stepped.layers for a in (w, b)):
+    for arr in (a for layer in stepped.layers for a in layer):
         for idx in np.ndindex(arr.shape):
             v = arr[idx]
             arr[idx] = v + h
@@ -252,7 +241,7 @@ def toy_descent(params: MlpParams, batch: EmbeddingBatch, metric: str,
         else:
             increases = 0
         trajectory.append(loss)
-        for (w, b, _), (gw, gb) in zip(current.layers, grads):
+        for (w, b), (gw, gb) in zip(current.layers, grads):
             w -= learning_rate * gw
             b -= learning_rate * gb
     final, _ = loss_and_param_grads(current, batch, metric)

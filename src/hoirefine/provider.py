@@ -87,6 +87,10 @@ class ProviderSpec:
             raise ValueError("max_concurrency must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, not {self.timeout}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError(f"backoff_base must be finite and >= 0, not {self.backoff_base}")
 
 
 # every request is sampled alike; both values go into the HTTP body and the cache key

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import math
 import os
 import shutil
 
@@ -323,9 +324,13 @@ def set_first_provider(field, value):
     (set_first_provider("rules_path", 5), "rules_path"),
     (lambda c: c["providers"][0].update(kind="http", endpoint="http://localhost:1/v1",
                                         api_key_env=3), "api_key_env"),
+    (lambda c: c["weights"].update(lambda_s=math.nan), "NaN is not a JSON number"),
+    (set_first_provider("timeout", 0), "timeout must be finite and > 0"),
+    (set_first_provider("backoff_base", -1), "backoff_base must be finite and >= 0"),
 ], ids=["float-interval", "string-interval", "bool-batch", "string-floor", "unknown-key",
         "float-concurrency", "bool-retries", "string-timeout", "number-id",
-        "number-model-name", "number-auth-header", "number-rules-path", "number-api-key-env"])
+        "number-model-name", "number-auth-header", "number-rules-path", "number-api-key-env",
+        "nan-weight", "zero-timeout", "negative-backoff"])
 def test_malformed_config_exits_one_before_any_call(tmp_path, capsys, transport_calls,
                                                     command, edit, field):
     with open(fixture_path("config.json"), encoding="utf-8") as fh:
@@ -340,7 +345,7 @@ def test_malformed_config_exits_one_before_any_call(tmp_path, capsys, transport_
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: ")
-    assert field in err
+    assert field in err and len(err.splitlines()) == 1, err
     assert transport_calls == []
     assert not (tmp_path / "o.jsonl").exists()
 

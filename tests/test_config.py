@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -31,9 +32,14 @@ def test_omitted_fields_take_the_dataclass_defaults(tmp_path):
     lambda: ProviderSpec(id="p", auth_header=5),
     lambda: ProviderSpec(id="p", auth_scheme=None),
     lambda: ProviderSpec(id="p", rules_path=True),
+    lambda: ProviderSpec(id="p", timeout=0),
+    lambda: ProviderSpec(id="p", timeout=math.inf),
+    lambda: ProviderSpec(id="p", backoff_base=-1),
+    lambda: ProviderSpec(id="p", backoff_base=math.nan),
 ], ids=["bool-concurrency", "float-retries", "none-backoff", "string-threshold",
         "bool-weight", "list-delta", "number-id", "number-model-name", "number-api-key-env",
-        "number-auth-header", "null-auth-scheme", "bool-rules-path"])
+        "number-auth-header", "null-auth-scheme", "bool-rules-path", "zero-timeout",
+        "infinite-timeout", "negative-backoff", "nan-backoff"])
 def test_wrongly_typed_field_is_rejected(make):
     with pytest.raises(ValueError, match="must be"):
         make()
@@ -63,4 +69,24 @@ def test_non_object_config_is_a_config_error(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text("[]")
     with pytest.raises(ConfigError, match=str(cfg)):
+        load_config(str(cfg))
+
+
+@pytest.mark.parametrize("text,message", [
+    *((f'{{"providers": [{{"id": "a"}}], "weights": {{"lambda_s": {number}}}}}', message)
+      for number, message in [("NaN", "NaN is not a JSON number"),
+                              ("Infinity", "Infinity is not a JSON number"),
+                              ("-Infinity", "-Infinity is not a JSON number"),
+                              ("1e400", "number 1e400 is out of float range"),
+                              ("1" + "0" * 400, "number 1000.* is out of float range")]),
+    ('{"providers": [{"id": "a"}], "batch_size": 1, "batch_size": 2}',
+     "duplicate key 'batch_size'"),
+    ('{"providers": [{"id": "a", "timeout": 5, "timeout": 6}]}', "duplicate key 'timeout'"),
+], ids=["NaN", "Infinity", "-Infinity", "1e400", "401-digits", "duplicate-key",
+        "duplicate-provider-key"])
+def test_text_outside_the_json_number_and_key_rules_is_a_config_error(tmp_path, text,
+                                                                      message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg))}: {message}$"):
         load_config(str(cfg))

@@ -140,10 +140,8 @@ def run_main(pairs, monkeypatch, tmp_path):
     """``pairs.main`` on two workloads without git or benchmark runs: each
     side's report comes from ``reports[side][workload]``. Returns the exit
     status and the ``--out`` summary."""
-    monkeypatch.setattr(pairs.subprocess, "run", lambda args, **_kw: (
-        pairs.subprocess.CompletedProcess(args, 0, stdout="f" * 40 + "\n")))
-    monkeypatch.setattr(pairs, "extract", lambda _rev, _directory: None)
-    monkeypatch.setattr(pairs, "copy_worktree", lambda _directory: None)
+    monkeypatch.setattr(pairs, "git", lambda _env, *_args: b"f" * 40 + b"\n")
+    monkeypatch.setattr(pairs, "extract", lambda _env, _tree, _directory: None)
 
     def run(reports):
         monkeypatch.setattr(pairs, "run_side", lambda tree, workload, _seed: reports[
@@ -189,20 +187,31 @@ def git(repo, *args):
                     *args], check=True, capture_output=True)
 
 
+def store(repo) -> dict:
+    """Every file under the repository's ``.git``, with its bytes."""
+    return {str(path.relative_to(repo)): path.read_bytes()
+            for path in (repo / ".git").rglob("*") if path.is_file()}
+
+
 def test_both_sides_run_from_extracted_sibling_trees(pairs, monkeypatch, tmp_path):
-    """The parent is HEAD and the change the working tree, each extracted
-    under one temporary directory; an uncommitted edit and a new untracked
-    file reach only the change side, an ignored file neither."""
+    """The parent is HEAD and the change the working tree, each extracted by
+    ``git archive`` under one temporary directory; an uncommitted edit and a
+    new untracked file reach only the change side, a deleted file only the
+    parent side, an ignored file neither, and the repository's index and
+    object store are left as they were."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text("committed\n")
+    (repo / "perfbench" / "old.py").write_text("deleted\n")
     (repo / ".gitignore").write_text("*.log\n")
     git(repo, "init", "-q")
     git(repo, "add", "-A")
     git(repo, "commit", "-q", "-m", "parent")
     (repo / "perfbench" / "run.py").write_text("edited\n")
+    (repo / "perfbench" / "old.py").unlink()
     (repo / "perfbench" / "new.py").write_text("untracked\n")
     (repo / "perfbench" / "out.log").write_text("ignored\n")
+    before = store(repo)
     monkeypatch.setattr(pairs, "ROOT", str(repo))
     trees = {}
 
@@ -216,8 +225,10 @@ def test_both_sides_run_from_extracted_sibling_trees(pairs, monkeypatch, tmp_pat
     parent, change = sorted(trees, key=lambda tree: os.path.basename(tree) == "change")
     assert os.path.dirname(parent) == os.path.dirname(change)
     assert os.path.realpath(pairs.ROOT) not in {os.path.realpath(parent), os.path.realpath(change)}
-    assert trees[parent] == {".gitignore": "*.log\n", "perfbench/run.py": "committed\n"}
+    assert trees[parent] == {".gitignore": "*.log\n", "perfbench/run.py": "committed\n",
+                             "perfbench/old.py": "deleted\n"}
     assert trees[change] == {".gitignore": "*.log\n", "perfbench/run.py": "edited\n",
                              "perfbench/new.py": "untracked\n"}
+    assert store(repo) == before
     # both trees are removed when the run ends
     assert not os.path.exists(os.path.dirname(parent))

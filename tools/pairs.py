@@ -4,10 +4,13 @@
     python3 tools/pairs.py --workload rt_cold --first-seed 20 --pairs 10 \\
         [--workload rt_long ...] [--out BENCH.json]
 
-The parent, HEAD, is extracted with ``git archive`` and the working tree
-(its tracked files as they are now, plus the untracked files git does not
-ignore) is copied, each into its own directory under one temporary
-directory, so that the two sides differ only in their files. For each seed
+The parent is HEAD's tree. The working tree (its tracked files as they
+are now, less the deleted ones, plus the untracked files git does not
+ignore) is written as a git tree with a temporary index and object
+directory, so the repository's own index and object store are left as
+they are. Both trees are extracted the same way, with ``git archive``, each
+into its own directory under one temporary directory, so that the two sides
+differ only in their files, not in how they were made. For each seed
 i (``--first-seed`` onwards, ``--pairs`` of them) both sides run
 ``perfbench/run.py --workload W --seed i --trace 0`` in their own tree, one
 after the other, for the run length the benchmark sets: the
@@ -48,24 +51,31 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
 METRICS = tuple(BOUNDS)  # job_s, setup_s, peak_rss_mb: all lower-is-better
 
 
-def extract(rev: str, directory: str) -> None:
-    archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", directory], input=archive, check=True)
+def git(env: dict, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", ROOT, *args], env=env, check=True,
+                          capture_output=True).stdout
 
 
-def copy_worktree(directory: str) -> None:
-    """Copy the working tree's tracked files and the untracked files git does
-    not ignore into ``directory``; a tracked file deleted in the working tree
-    is left out."""
-    names = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
-                            "--exclude-standard"], check=True, capture_output=True).stdout
-    for name in {os.fsdecode(n) for n in names.split(b"\0") if n}:
-        source = os.path.join(ROOT, name)
-        if os.path.lexists(source):
-            target = os.path.join(directory, name)
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            shutil.copy2(source, target, follow_symlinks=False)
+def scratch_store(directory: str) -> dict:
+    """An environment in which git keeps its index and new objects under
+    ``directory`` and reads the repository's objects as alternates."""
+    objects = os.path.join(ROOT, git(os.environ, "rev-parse", "--git-path", "objects")
+                           .decode().strip())
+    os.mkdir(os.path.join(directory, "objects"))
+    return {**os.environ, "GIT_INDEX_FILE": os.path.join(directory, "index"),
+            "GIT_OBJECT_DIRECTORY": os.path.join(directory, "objects"),
+            "GIT_ALTERNATE_OBJECT_DIRECTORIES": objects}
+
+
+def worktree_tree(env: dict) -> str:
+    """The id of a tree of the working tree, written in ``env``'s store."""
+    git(env, "read-tree", "HEAD")
+    git(env, "add", "-A")
+    return git(env, "write-tree").decode().strip()
+
+
+def extract(env: dict, tree: str, directory: str) -> None:
+    subprocess.run(["tar", "-x", "-C", directory], input=git(env, "archive", tree), check=True)
 
 
 def run_side(tree: str, workload: str, seed: int) -> dict:
@@ -134,16 +144,16 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
 
-    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", PARENT], check=True,
-                         capture_output=True, text=True).stdout.strip()
+    rev = git(os.environ, "rev-parse", PARENT).decode().strip()
     summary = {"parent": rev, "workloads": {}}
     top = tempfile.mkdtemp(prefix="pairs-")
     parent_tree, change_tree = os.path.join(top, "parent"), os.path.join(top, "change")
     try:
         os.mkdir(parent_tree)
         os.mkdir(change_tree)
-        extract(rev, parent_tree)
-        copy_worktree(change_tree)
+        env = scratch_store(top)
+        extract(env, f"{rev}^{{tree}}", parent_tree)
+        extract(env, worktree_tree(env), change_tree)
         for workload in args.workload:
             print(f"{workload}: parent {rev[:12]} vs working tree")
             print(f"  {'seed':>4}  " + "  ".join(f"{m + ' p/c':>21}" for m in METRICS)
