@@ -71,33 +71,24 @@ def select_keyframes(frame_indices: list[int], interval: int) -> set[int]:
     return {frame_indices[pos] for pos in range(0, len(frame_indices), interval)}
 
 
-def _argmax(scores) -> int:
-    # ties break toward the lowest relation index
-    best, best_score = 0, scores[0]
-    for r, s in enumerate(scores):
-        if s > best_score:
-            best, best_score = r, s
-    return best
-
-
-def detect_transitions(pred_set: VideoPredictionSet) -> list[Transition]:
-    """Argmax-relation changes for tracked pairs present in consecutive
-    frames; a video without pair ids has none."""
+def detect_transitions(pred_set: VideoPredictionSet, keyframes: set[int]) -> list[Transition]:
+    """Argmax-relation changes (ties toward the lowest relation) of tracked
+    pairs between consecutive frames of which one is a keyframe; propagation
+    covers the others. A video without pair ids has none."""
     transitions = []
     frames = pred_set.frames
     for prev, cur in zip(frames, frames[1:]):
-        if cur.frame_index != prev.frame_index + 1:
+        if cur.frame_index != prev.frame_index + 1 or not (
+                prev.frame_index in keyframes or cur.frame_index in keyframes):
             continue
-        prev_by_id = {p.pair_id: p for p in prev.pairs if p.pair_id is not None}
+        prev_top = {p.pair_id: p.scores.index(max(p.scores))
+                    for p in prev.pairs if p.pair_id is not None}
         for pair in cur.pairs:
-            if pair.pair_id is None or pair.pair_id not in prev_by_id:
+            if pair.pair_id is None or pair.pair_id not in prev_top:
                 continue
-            old = _argmax(prev_by_id[pair.pair_id].scores)
-            new = _argmax(pair.scores)
+            old, new = prev_top[pair.pair_id], pair.scores.index(max(pair.scores))
             if old != new:
-                transitions.append(
-                    Transition(cur.frame_index, pair.pair_id, old, new)
-                )
+                transitions.append(Transition(cur.frame_index, pair.pair_id, old, new))
     return transitions
 
 

@@ -8,7 +8,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .ingest import _in_range, _no_constant
+from .ingest import _in_range, _no_constant, _unique_keys
 from .model import FusionWeights, require_types
 from .provider import ProviderSpec
 
@@ -17,17 +17,6 @@ DEBATE_MODES = ("disagreement", "always", "off")
 
 class ConfigError(ValueError):
     pass
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object hook: the object's pairs as a dict, refusing a key that
-    occurs twice rather than keeping its last value."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,15 @@ def _in_range(parse):
     return hook
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object hook: the pairs as a dict, refusing a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 class _Shared(dict):
     """``convert(key)`` for each key, computed on its first lookup and then
     held, so equal keys share one value object."""
@@ -90,13 +99,15 @@ def _records(path: str, data: Optional[bytes] = None,
     the numbers; with ``share``, equal number texts decode to one object
     (``-0.0`` and ``0.0`` are two texts, ``1`` and ``1.0`` too), which pays
     where records repeat their numbers. A line that is not UTF-8 or not
-    JSON, that holds ``NaN``, ``Infinity`` or a number beyond float range,
-    or whose value is not a JSON object, raises ParseError at that line."""
+    JSON, that holds ``NaN``, ``Infinity``, a number beyond float range or
+    a key given twice in one object, or whose value is not a JSON object,
+    raises ParseError at that line."""
     parse_float, parse_int = _in_range(float), _in_range(int)
     if share:
         parse_float, parse_int = _Shared(parse_float).__getitem__, _Shared(parse_int).__getitem__
     decode = json.JSONDecoder(parse_float=parse_float, parse_int=parse_int,
-                              parse_constant=_no_constant).raw_decode
+                              parse_constant=_no_constant,
+                              object_pairs_hook=_unique_keys).raw_decode
     with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:

@@ -312,19 +312,19 @@ def refine(
     over the stages' ``SlotLayout``. Reusing ``providers`` across calls keeps
     their call counters cumulative. Ablations re-fuse ``outcome.table``.
 
-    Raises ProviderError when keyframe candidates exist but no agent scored
-    any of them, so a total provider outage does not pass for base scores."""
+    Raises ValueError on a fused-scale set, whose scores hold every agent
+    term already, before any call; ProviderError when keyframe candidates
+    exist but no agent scored any of them, so a total provider outage does
+    not pass for base scores."""
+    if pred_set.score_scale == "fused":
+        raise ValueError(f"video {pred_set.video_id!r} is already refined (score_scale fused)")
     if providers is None:
         providers = build_providers(config)
     judge = next(p for p in providers if p.id == config.judge_provider)
 
     keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval)
 
-    transitions = [
-        tr for tr in detect_transitions(pred_set)
-        # keyframe-adjacent changes only; others are covered by propagation
-        if tr.frame_index in keyframes or tr.frame_index - 1 in keyframes
-    ]
+    transitions = detect_transitions(pred_set, keyframes)
     per_provider, judge_scores, debates = run_stage_two(
         pred_set, config, providers, judge, keyframes, transitions, cache_dir, transcript_dir)
     table = aggregate_provider_tables(per_provider)

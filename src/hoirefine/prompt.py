@@ -200,7 +200,7 @@ def render_debate_turn(role: str, question: str, history: list[tuple[str, str]])
     return "\n".join(parts)
 
 
-_NUMBER_AFTER_OUTPUT = re.compile(r"Output:\s*([-+]?\d+(?:\.\d+)?)", re.IGNORECASE)
+_NUMBER_AFTER_OUTPUT = re.compile(r"Output:\s*([-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?)", re.I)
 
 
 def _clamp(value: float) -> Optional[float]:
@@ -215,8 +215,8 @@ def _clamp(value: float) -> Optional[float]:
 
 
 def parse_score_output(raw: str, n_tests: int) -> list[Optional[float]]:
-    """Extract the k-th numeric value after the k-th 'Output:' token: one
-    float in [0,1] per test slot, or None where it does not parse.
+    """Extract the k-th number (an exponent included) after the k-th 'Output:'
+    token: one float in [0,1] per test slot, or None where it does not parse.
 
     Surrounding chain-of-thought prose is tolerated; missing slots become
     failure markers rather than errors.
@@ -233,12 +233,15 @@ def parse_score_output(raw: str, n_tests: int) -> list[Optional[float]]:
     return values
 
 
+_OUTPUT = re.compile(r"Output:", re.IGNORECASE)
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 
 
 def parse_binary_output(raw: str) -> Optional[bool]:
-    """First standalone yes/no token, case-insensitive; None on failure."""
-    m = _YES_NO.search(raw)
+    """First standalone yes/no token, case-insensitive, after the first
+    'Output:' when the answer has one, else anywhere; None on failure."""
+    output = _OUTPUT.search(raw)
+    m = _YES_NO.search(raw, output.end() if output else 0)
     if not m:
         return PARSE_FAILURE
     return m.group(1).lower() == "yes"

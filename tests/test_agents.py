@@ -58,6 +58,11 @@ def frame(idx, pairs):
     return FramePrediction(idx, 640, 480, tuple(pairs))
 
 
+def every_frame(video) -> set[int]:
+    """Every frame of ``video`` as a keyframe."""
+    return set(video.frame_indices())
+
+
 def answer_every_test(*scores):
     """Transport answering the k-th test line of a prompt with scores[k];
     records every prompt it is asked."""
@@ -112,28 +117,64 @@ class TestTransitions:
             frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0))]),
             frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0))]),
         ])
-        assert detect_transitions(video) == [Transition(1, (0, 1), 0, 1)]
+        assert detect_transitions(video, every_frame(video)) == [Transition(1, (0, 1), 0, 1)]
 
     def test_stable_argmax_no_transition(self):
         video = make_video([
             frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0))]),
             frame(1, [make_pair(1, scores=(0.8, 0.3, 0.0))]),
         ])
-        assert detect_transitions(video) == []
+        assert detect_transitions(video, every_frame(video)) == []
 
     def test_gap_between_frames_skipped(self):
         video = make_video([
             frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0))]),
             frame(2, [make_pair(2, scores=(0.1, 0.9, 0.0))]),
         ])
-        assert detect_transitions(video) == []
+        assert detect_transitions(video, every_frame(video)) == []
 
     def test_untracked_video_has_no_transitions(self):
         video = make_video([
             frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=None)]),
             frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=None)]),
         ])
-        assert detect_transitions(video) == []
+        assert detect_transitions(video, every_frame(video)) == []
+
+    def test_only_changes_at_or_right_after_a_keyframe(self):
+        flips = ((0.9, 0.1, 0.0), (0.1, 0.9, 0.0))
+        video = make_video([frame(f, [make_pair(f, scores=flips[f % 2])]) for f in range(6)])
+        # frames 0-1 and 1-2 touch keyframe 1, frames 3-4 and 4-5 keyframe 4
+        assert [tr.frame_index for tr in detect_transitions(video, {1, 4})] == [1, 2, 4, 5]
+        assert detect_transitions(video, set()) == []
+
+    @pytest.mark.parametrize("interval", range(1, 8))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_oracle(self, seed, interval):
+        rng = np.random.default_rng(seed)
+        levels = (0.0, 0.25, 0.5, 0.75)  # few levels, so argmax ties are common
+        indices = sorted(rng.choice(40, size=30, replace=False).tolist())  # with gaps
+        frames = []
+        for f in indices:
+            ids = rng.choice(5, size=int(rng.integers(0, 5)), replace=False)
+            pairs = [make_pair(f, scores=tuple(rng.choice(levels, size=3).tolist()),
+                               pair_id=None if k == 4 else (0, int(k))) for k in ids]
+            frames.append(frame(f, pairs))
+        video = make_video(frames)
+        keyframes = select_keyframes(video.frame_indices(), interval)
+
+        def top(scores):
+            return min(r for r, s in enumerate(scores) if s == max(scores))
+
+        by_frame = {fr.frame_index: {p.pair_id: p.scores for p in fr.pairs
+                                     if p.pair_id is not None}
+                    for fr in video.frames}
+        oracle = [
+            Transition(t, pid, top(by_frame[t - 1][pid]), top(scores))
+            for t in indices if t - 1 in by_frame and (t in keyframes or t - 1 in keyframes)
+            for pid, scores in by_frame[t].items()
+            if pid in by_frame[t - 1] and top(by_frame[t - 1][pid]) != top(scores)
+        ]
+        assert detect_transitions(video, keyframes) == oracle
 
 
 class TestCommonSense:
@@ -399,7 +440,7 @@ class TestTemporal:
             frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0))]),
             frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0))]),
         ])
-        transitions = detect_transitions(video)
+        transitions = detect_transitions(video, every_frame(video))
         p = provider([MockRule("contains", "frame 0:", "Output: 0.7")])
         table = scored(run_temporal, p, video, transitions, VOCAB, batch_size=1)
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
@@ -417,7 +458,7 @@ class TestTemporal:
         ])
         transport, prompts = answer_every_test(0.7, 0.4)
         table = scored(run_temporal, provider(transport=transport), video,
-                       detect_transitions(video), VOCAB, batch_size=2)
+                       detect_transitions(video, every_frame(video)), VOCAB, batch_size=2)
         assert len(prompts) == 1
         assert prompts[0].count("frame 0: <person,hold,chair> frame 1: <person,ride,chair>") == 2
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
@@ -437,7 +478,7 @@ class TestTemporal:
             return "Output: 0.7"
 
         table = scored(run_temporal, provider(transport=transport), video,
-                       detect_transitions(video), VOCAB, batch_size=1)
+                       detect_transitions(video, every_frame(video)), VOCAB, batch_size=1)
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
         assert table.get(1, ("id", 0, 2), 2, TEMPORAL) is None
 
@@ -449,7 +490,7 @@ class TestTemporal:
             frame(f, [make_pair(f, scores=flips[f % 2], pair_id=(0, k)) for k in range(4)])
             for f in range(4)
         ])
-        transitions = detect_transitions(video)
+        transitions = detect_transitions(video, every_frame(video))
         assert len(transitions) == 12
         transport, prompts = answer_every_test(0.5)
         table = scored(run_temporal, provider(transport=transport), video, transitions,

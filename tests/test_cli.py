@@ -54,6 +54,15 @@ class TestRefine:
         assert "run summary:" in stdout
         assert "debates run:" in stdout
 
+    def test_debate_mode_off_runs_no_debate(self, tmp_path, capsys):
+        out = tmp_path / "refined.jsonl"
+        assert main(["refine", "--config", fixture_path("config.json"),
+                     "--predictions", fixture_path("predictions.jsonl"),
+                     "--vocab", fixture_path("vocab.txt"), "--out", str(out),
+                     "--debate-mode", "off"]) == 0
+        assert "debates run: 0\n" in capsys.readouterr().out
+        assert out.exists()
+
     def test_consecutive_runs_byte_identical(self, tmp_path):
         code_a, out_a = run_refine(tmp_path, "a.jsonl", tmp_path / "cache_a")
         code_b, out_b = run_refine(tmp_path, "b.jsonl", tmp_path / "cache_b")
@@ -280,9 +289,11 @@ def first_fixture_record(**changes) -> bytes:
     # in a frame of its own, where an infinite width held every box
     first_fixture_record(frame_index=99999, frame_w=1234.5).replace(b"1234.5", b"1e400"),
     first_fixture_record(frame_index=99999, frame_w=10**400),
+    first_fixture_record() + b" {}",
 ], ids=["bare-number", "null", "float-pair-id", "string-pair-id", "bool-frame-index",
         "string-frame-w", "null-object-class", "frame-size-differs", "fused-record",
-        "not-utf8", "unknown-key", "float-out-of-range", "integer-out-of-range"])
+        "not-utf8", "unknown-key", "float-out-of-range", "integer-out-of-range",
+        "trailing-data"])
 def test_bad_prediction_line_exits_one_before_any_call(tmp_path, capsys, transport_calls,
                                                        command, line):
     preds = tmp_path / "predictions.jsonl"
@@ -300,6 +311,24 @@ def test_bad_prediction_line_exits_one_before_any_call(tmp_path, capsys, transpo
     assert err[0].startswith(f"error: {preds}:3: ")
     assert transport_calls == []
     assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["refine", "ablate"])
+def test_refined_input_exits_one_before_any_call(tmp_path, capsys, transport_calls, command):
+    # feeding refine its own output would add every agent term a second time
+    code, refined = run_refine(tmp_path, "refined.jsonl")
+    assert code == 0
+    transport_calls.clear()
+    capsys.readouterr()
+    out = tmp_path / "o.jsonl"
+    argv = [command, "--config", fixture_path("config.json"), "--predictions", str(refined),
+            "--vocab", fixture_path("vocab.txt"), "--out", str(out)]
+    if command == "ablate":
+        argv += ["--gt", fixture_path("gt.jsonl")]
+    assert main(argv) == 1
+    assert_one_error_line(capsys, "video 'synthetic' is already refined (score_scale fused)")
+    assert transport_calls == []
+    assert not out.exists()
 
 
 def set_first_provider(field, value):
@@ -327,10 +356,20 @@ def set_first_provider(field, value):
     (lambda c: c["weights"].update(lambda_s=math.nan), "NaN is not a JSON number"),
     (set_first_provider("timeout", 0), "timeout must be finite and > 0"),
     (set_first_provider("backoff_base", -1), "backoff_base must be finite and >= 0"),
+    (lambda c: c["providers"][1].update(id=c["providers"][0]["id"]),
+     "provider ids must be unique"),
+    (lambda c: c.update(debate_mode="vote"), "debate_mode must be one of"),
+    (lambda c: c.update(disagreement_delta=-0.1), "disagreement_delta must be >= 0"),
+    (lambda c: c.update(batch_size=0), "batch_size must be >= 1"),
+    (lambda c: c.update(judge_provider="gamma"), "judge_provider 'gamma' is not configured"),
+    (set_first_provider("kind", "grpc"), "unknown provider kind 'grpc'"),
+    (set_first_provider("max_retries", -1), "max_retries must be >= 0"),
 ], ids=["float-interval", "string-interval", "bool-batch", "string-floor", "unknown-key",
         "float-concurrency", "bool-retries", "string-timeout", "number-id",
         "number-model-name", "number-auth-header", "number-rules-path", "number-api-key-env",
-        "nan-weight", "zero-timeout", "negative-backoff"])
+        "nan-weight", "zero-timeout", "negative-backoff", "duplicate-provider-id",
+        "unknown-debate-mode", "negative-delta", "zero-batch", "unconfigured-judge",
+        "unknown-kind", "negative-retries"])
 def test_malformed_config_exits_one_before_any_call(tmp_path, capsys, transport_calls,
                                                     command, edit, field):
     with open(fixture_path("config.json"), encoding="utf-8") as fh:
@@ -617,6 +656,14 @@ class TestGradcheck:
         code = main(["gradcheck", "--batch", fixture_path("embedding_batch.jsonl")])
         assert code == 0
         assert "gradient check passed" in capsys.readouterr().out
+
+    def test_coarse_step_fails_the_check(self, capsys):
+        # a step of 1.0 is far too coarse for a finite difference to match
+        code = main(["gradcheck", "--batch", fixture_path("embedding_batch.jsonl"), "--h", "1.0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "max relative gradient error: 5.524e-01" in captured.out
+        assert captured.err.splitlines() == ["gradient check FAILED"]
 
     def test_bad_step_exits_one(self):
         code = main(["gradcheck", "--batch", fixture_path("embedding_batch.jsonl"),

@@ -169,3 +169,13 @@ def test_billed_calls_equal_distinct_prompts(fixture_predictions, fixture_config
         refine(fixture_predictions, fixture_config, providers=providers,
                cache_dir=str(tmp_path / f"cache-{run}") if cached else None)
         assert sum(p.call_count for p in providers) == len(sent) == len(set(sent)) == 86
+
+
+def test_refined_set_is_refused_before_any_call(fixture_predictions, fixture_config):
+    # a fused-scale set already holds every agent term; refining it again
+    # would add them a second time
+    refined = dataclasses.replace(fixture_predictions, score_scale="fused")
+    providers, sent = fixture_providers(fixture_config)
+    with pytest.raises(ValueError, match="already refined"):
+        refine(refined, fixture_config, providers=providers)
+    assert sent == []

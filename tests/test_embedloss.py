@@ -338,16 +338,21 @@ class TestCaptionsAndSerialization:
         (2, lambda cell: cell.update(gt=True)),
         (1, lambda header: header.update(gt=False)),
         (3, lambda cell: cell.update(label="ride")),
+        (2, lambda cell: json.dumps(cell)[:-1] + f', "i": {cell["i"]}}}'),
     ], ids=["string-gt", "integer-gt", "float-i", "negative-i", "j-outside-grid",
             "string-feature", "short-embedding", "duplicate-cell", "string-k", "zero-d_f",
-            "unknown-metric", "diagonal-gt", "unknown-header-key", "unknown-cell-key"])
+            "unknown-metric", "diagonal-gt", "unknown-header-key", "unknown-cell-key",
+            "duplicate-key"])
     def test_load_rejects_bad_record_at_its_line(self, tmp_path, line, edit):
+        # an edit edits the record in place, or returns the line's text
         rng = np.random.default_rng(42)
         batch = el.random_batch(rng, k=2, d_f=2, d_e=2)
         path = tmp_path / "batch.jsonl"
         el.save_embedding_batch(batch, "l1", str(path))
         records = [json.loads(ln) for ln in path.read_text().splitlines()]
-        edit(records[line - 1])
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        text = edit(records[line - 1])
+        lines = [json.dumps(r) for r in records]
+        lines[line - 1] = text or lines[line - 1]
+        path.write_text("".join(ln + "\n" for ln in lines))
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: "):
             el.load_embedding_batch(str(path))

@@ -206,13 +206,16 @@ class TestLoadPredictions:
         ([b'{"scores": [NaN, 0.5, 0.5]}'], 1),
         ([record(frame=0), b"", b'{"video_id": "v\xff"}'], 3),
         ([record(), record(frame=1, pairid=[0, 1])], 2),
+        ([record(), json.dumps(record(frame=1)).encode()[:-1] + b', "scores": [0.1, 0.2, 0.3]}'],
+         2),
     ], ids=["score-above-1", "negative-score", "short-scores", "bool-score",
             "degenerate-box", "box-outside-frame", "negative-box", "bool-box",
             "duplicate-pair-id", "negative-frame", "float-pair-id", "string-pair-id",
             "bool-pair-id", "long-pair-id", "bool-frame-index", "string-frame-w",
             "null-object-class", "number-video-id", "frame-size-differs",
             "fused-then-base-above-1", "base-then-fused", "unknown-scale", "bare-number",
-            "null-line", "list-line", "not-json", "nan", "not-utf8", "unknown-key"])
+            "null-line", "list-line", "not-json", "nan", "not-utf8", "unknown-key",
+            "duplicate-key"])
     def test_bad_record_raises_at_its_line(self, tmp_path, vocab, lines, line):
         path = tmp_path / "p.jsonl"
         write_lines(path, lines)
@@ -310,8 +313,9 @@ class TestLoadGroundTruth:
         {"frame_index": 0, "relation_index": 1},
         b"5",
         {"frame_index": 0, "pair_id": [0, 1], "relation_index": 1, "relation": "hold"},
+        b'{"frame_index": 0, "pair_id": [0, 1], "relation_index": 1, "relation_index": 2}',
     ], ids=["float-relation", "string-relation", "bool-relation", "float-pair-id",
-            "string-frame", "missing-pair-id", "bare-number", "unknown-key"])
+            "string-frame", "missing-pair-id", "bare-number", "unknown-key", "duplicate-key"])
     def test_bad_record_raises_at_its_line(self, tmp_path, vocab, bad):
         preds = self.make_predictions(tmp_path, vocab)
         path = tmp_path / "gt.jsonl"

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hoirefine import prompt as pr
 
@@ -133,15 +133,20 @@ class TestScoreParsing:
     def test_far_out_of_range_fails(self):
         assert pr.parse_score_output("Output: 7", 1) == [None]
         assert pr.parse_score_output("Output: -2.5", 1) == [None]
+        assert pr.parse_score_output("Output: 1e5", 1) == [None]
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
                     min_size=1, max_size=16))
+    @example([1e-05, 5e-324, 0.07])
     def test_round_trip_self_consistency(self, scores):
         raw = "\n".join(f"Output: {s:.6f}" for s in scores)
         parsed = pr.parse_score_output(raw, len(scores))
         assert len(parsed) == len(scores)
         for got, want in zip(parsed, scores):
             assert got is not None and math.isclose(got, want, abs_tol=5e-7)
+        # repr writes small scores in exponent form (1e-05, 5e-324)
+        raw = "\n".join(f"Output: {s!r}" for s in scores)
+        assert pr.parse_score_output(raw, len(scores)) == scores
 
 
 class TestBinaryParsing:
@@ -152,6 +157,8 @@ class TestBinaryParsing:
         ("the answer is no.", False),
         ("maybe", None),
         ("eyesore notes", None),
+        ("No doubt about it. Output: yes", True),
+        ("I cannot say no. Output: yes", True),
     ])
     def test_cases(self, raw, expected):
         assert pr.parse_binary_output(raw) is expected

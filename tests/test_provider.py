@@ -106,11 +106,15 @@ class TestMockRules:
         {"match": ["contains"], "key": "x", "response": "y"},
         {"match": "contains", "response": "y"},
         [1, 2],
-    ], ids=["number-key", "null-response", "list-match", "missing-key", "not-an-object"])
+        '{"match": "contains", "key": "x", "response": "y", "key": "z"}',
+    ], ids=["number-key", "null-response", "list-match", "missing-key", "not-an-object",
+            "duplicate-key"])
     def test_rule_fields_must_be_strings(self, tmp_path, rule):
+        # a rule given as text is written as it is
         path = tmp_path / "rules.jsonl"
         good = {"match": "triplet", "key": "<a>", "response": "Output: 1"}
-        path.write_text(json.dumps(good) + "\n\n" + json.dumps(rule) + "\n")
+        rule = rule if isinstance(rule, str) else json.dumps(rule)
+        path.write_text(json.dumps(good) + "\n\n" + rule + "\n")
         with pytest.raises(RuleTableError, match=f"^{re.escape(str(path))}:3: "):
             load_rule_table(str(path))
 

@@ -3,9 +3,9 @@
 A seeded chaos transport takes every latency, failure and answer from a hash
 of (seed, provider, prompt, attempt), so which slots stay unscored depends
 on the prompt, not on the order in which answers arrive. Hypothesis draws
-per-provider ``max_concurrency``, ``batch_size``, ``debate_mode`` and the
-interpreter's thread switch interval; the oracle is the same run with every
-``max_concurrency`` at 1 and no latency. Three providers take part, so a
+per-provider ``max_concurrency``, ``batch_size``, ``debate_mode``, the
+keyframe interval (3 or 4) and the interpreter's thread switch interval; the
+oracle is the same run with every ``max_concurrency`` at 1 and no latency. Three providers take part, so a
 mean over providers summed in another order than the configured one
 changes some agent scores in the refined table.
 """
@@ -97,16 +97,17 @@ def chaos_specs(widths) -> tuple[ProviderSpec, ...]:
                  for pid, width in zip(PROVIDER_IDS, widths))
 
 
-def chaos_config(widths, batch_size: int, debate_mode: str) -> RefinementConfig:
+def chaos_config(widths, batch_size: int, debate_mode: str,
+                 keyframe_interval: int) -> RefinementConfig:
     return RefinementConfig(providers=chaos_specs(widths), judge_provider="alpha",
-                            keyframe_interval=4, batch_size=batch_size,
+                            keyframe_interval=keyframe_interval, batch_size=batch_size,
                             debate_mode=debate_mode, disagreement_delta=0.1)
 
 
-def run_chaos(pred_set, widths, batch_size, debate_mode, latency) -> dict:
+def run_chaos(pred_set, widths, batch_size, debate_mode, keyframe_interval, latency) -> dict:
     """Refine under the chaos transport; everything the run leaves behind."""
     transport, billed = ChaosTransport(latency), Counter()
-    config = chaos_config(widths, batch_size, debate_mode)
+    config = chaos_config(widths, batch_size, debate_mode, keyframe_interval)
     providers = [BilledProvider(spec, transport, billed) for spec in config.providers]
     with tempfile.TemporaryDirectory() as tmp:
         transcripts = os.path.join(tmp, "transcripts")
@@ -128,10 +129,11 @@ def run_chaos(pred_set, widths, batch_size, debate_mode, latency) -> dict:
 _ORACLES: dict = {}
 
 
-def oracle(pred_set, batch_size, debate_mode) -> dict:
-    key = (batch_size, debate_mode)
+def oracle(pred_set, batch_size, debate_mode, keyframe_interval) -> dict:
+    key = (batch_size, debate_mode, keyframe_interval)
     if key not in _ORACLES:
-        _ORACLES[key] = run_chaos(pred_set, (1, 1, 1), batch_size, debate_mode, latency=False)
+        _ORACLES[key] = run_chaos(pred_set, (1, 1, 1), batch_size, debate_mode,
+                                  keyframe_interval, latency=False)
     return _ORACLES[key]
 
 
@@ -150,6 +152,9 @@ schedules = dict(
     widths=st.tuples(*(st.integers(1, 4) for _ in PROVIDER_IDS)),
     batch_size=st.sampled_from([1, 3, 16]),
     debate_mode=st.sampled_from(["disagreement", "always", "off"]),
+    # at 3 the fixture's flip at frame 4 follows keyframe 3, so it is asked
+    # about but lands on no keyframe candidate
+    keyframe_interval=st.sampled_from([3, 4]),
     interval=st.sampled_from([None, 1e-6]),
 )
 
@@ -157,10 +162,11 @@ schedules = dict(
 @settings(max_examples=12, deadline=None)
 @given(**schedules)
 def test_output_does_not_depend_on_the_schedule(fixture_predictions, widths, batch_size,
-                                                debate_mode, interval):
-    expected = oracle(fixture_predictions, batch_size, debate_mode)
+                                                debate_mode, keyframe_interval, interval):
+    expected = oracle(fixture_predictions, batch_size, debate_mode, keyframe_interval)
     with switch_interval(interval):
-        got = run_chaos(fixture_predictions, widths, batch_size, debate_mode, latency=True)
+        got = run_chaos(fixture_predictions, widths, batch_size, debate_mode, keyframe_interval,
+                        latency=True)
     assert got["predictions"] == expected["predictions"]
     assert got["transcripts"] == expected["transcripts"]
     assert got["billed"] == expected["billed"]
@@ -171,7 +177,7 @@ def test_output_does_not_depend_on_the_schedule(fixture_predictions, widths, bat
 
 def test_chaos_exercises_every_failure_kind(fixture_predictions):
     # the oracle runs see retried, dropped and debated prompts alike
-    run = oracle(fixture_predictions, 1, "always")
+    run = oracle(fixture_predictions, 1, "always", 4)
     fates = Counter(
         "dropped" if _hash(SEED, pid, prompt) % 100 < 5
         else "retried" if _hash(SEED, pid, prompt) % 100 < 15 else "answered"
@@ -186,13 +192,13 @@ def test_chaos_exercises_every_failure_kind(fixture_predictions):
 @settings(max_examples=4, deadline=None)
 @given(**schedules)
 def test_auth_error_exits_two_and_writes_nothing(fixture_predictions, widths, batch_size,
-                                                debate_mode, interval):
+                                                debate_mode, keyframe_interval, interval):
     # beta's key is rejected on spatial scoring prompts, which every
     # debate mode asks while debates may already be running
     def reject(pid, prompt):
         return pid == "beta" and prompt.startswith(SPATIAL_SCORING_INSTRUCTION)
 
-    config = chaos_config(widths, batch_size, debate_mode)
+    config = chaos_config(widths, batch_size, debate_mode, keyframe_interval)
     transport = ChaosTransport(latency=True, reject=reject)
     with tempfile.TemporaryDirectory() as tmp, switch_interval(interval), \
             mock.patch.object(pipeline, "Provider",
