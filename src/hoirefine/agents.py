@@ -38,6 +38,7 @@ from .model import (
     SPATIAL,
     TEMPORAL,
     AgentScoreTable,
+    PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
     pair_key,
@@ -55,12 +56,17 @@ from .provider import CompletionRequest, Provider, cached_complete, text_or_none
 
 @dataclass(frozen=True)
 class Transition:
-    """A pair whose argmax relation changed between consecutive frames."""
+    """A tracked pair whose argmax relation changed between consecutive frames."""
 
     frame_index: int  # the later frame (t+1)
-    pair_id: tuple[int, int]
+    pair: PairPrediction  # the pair in the later frame
     old_relation: int
     new_relation: int
+
+    @property
+    def slot(self) -> tuple:
+        """The (frame_index, pair_key, relation_index) slot its score lands on."""
+        return self.frame_index, tracked_pair_key(self.pair.pair_id), self.new_relation
 
 
 def select_keyframes(frame_indices: list[int], interval: int) -> set[int]:
@@ -88,13 +94,13 @@ def detect_transitions(pred_set: VideoPredictionSet, keyframes: set[int]) -> lis
                 continue
             old, new = prev_top[pair.pair_id], pair.scores.index(max(pair.scores))
             if old != new:
-                transitions.append(Transition(cur.frame_index, pair.pair_id, old, new))
+                transitions.append(Transition(cur.frame_index, pair, old, new))
     return transitions
 
 
 def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: float):
-    """Yield (frame_index, pair_key, relation_index, pair) for every candidate
-    relation (base score >= floor) of every keyframe pair, in frame order."""
+    """Yield ((frame_index, pair_key, relation_index) slot, pair) for every
+    candidate relation (base score >= floor) of every keyframe pair, in frame order."""
     for frame in pred_set.frames:
         if frame.frame_index not in keyframes:
             continue
@@ -102,7 +108,7 @@ def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: flo
             pk = pair_key(pair, i)
             for r, s in enumerate(pair.scores):
                 if s >= floor:
-                    yield frame.frame_index, pk, r, pair
+                    yield (frame.frame_index, pk, r), pair
 
 
 def fan_out(fn: Callable, items: list, max_workers: int,
@@ -183,13 +189,13 @@ def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
     fan_out(ask, list(batches), provider.spec.max_concurrency, stop)
 
 
-def _reporter(wanted: dict, kind: str, on_scored: Callable) -> Callable:
+def _reporter(slots_of: Callable, kind: str, on_scored: Callable) -> Callable:
     """An ``on_batch`` that reports each item's value, or None, on every
-    (frame, pair_key, relation) slot that wanted it, as
+    (frame, pair_key, relation) slot of ``slots_of(item)``, as
     ``on_scored(kind, [(slot, value), ...])``."""
     def on_batch(batch: list, values: list) -> None:
         on_scored(kind, [(slot, value) for item, value in zip(batch, values)
-                         for slot in wanted[item]])
+                         for slot in slots_of(item)])
     return on_batch
 
 
@@ -212,11 +218,11 @@ def run_common_sense(
     candidate slot once.
     """
     wanted: dict[str, list[tuple]] = {}
-    for frame_index, pk, r, pair in keyframe_slots(pred_set, keyframes, floor):
-        wanted.setdefault(triplet_to_text(pair, r, vocab), []).append((frame_index, pk, r))
+    for slot, pair in keyframe_slots(pred_set, keyframes, floor):
+        wanted.setdefault(triplet_to_text(pair, slot[2], vocab), []).append(slot)
     _score_batches(provider, "common-sense", sorted(wanted), batch_size,
                    render_common_sense, parse_score_output, cache_dir,
-                   _reporter(wanted, CS, on_scored), stop)
+                   _reporter(wanted.__getitem__, CS, on_scored), stop)
 
 
 def classify_spatial_awareness(
@@ -257,33 +263,29 @@ def run_spatial(
     is known."""
     slots = list(keyframe_slots(pred_set, keyframes, floor))
     aware = classify_spatial_awareness(
-        provider, sorted({vocab.names[r] for _, _, r, _ in slots}), cache_dir, stop)
+        provider, sorted({vocab.names[slot[2]] for slot, _ in slots}), cache_dir, stop)
 
     # (text, boxes) -> slots; identical geometry costs one test slot
     wanted: dict[tuple, list[tuple]] = {}
     unaware = []
-    for frame_index, pk, r, pair in slots:
-        if not aware[vocab.names[r]]:
-            unaware.append(((frame_index, pk, r), None))
+    for slot, pair in slots:
+        if not aware[vocab.names[slot[2]]]:
+            unaware.append((slot, None))
             continue
-        item = (
-            triplet_to_text(pair, r, vocab),
-            tuple(pair.human_box.as_int_list()),
-            tuple(pair.object_box.as_int_list()),
-        )
-        wanted.setdefault(item, []).append((frame_index, pk, r))
+        item = (triplet_to_text(pair, slot[2], vocab), tuple(pair.human_box.as_int_list()),
+                tuple(pair.object_box.as_int_list()))
+        wanted.setdefault(item, []).append(slot)
     on_scored(SPATIAL, unaware)
     _score_batches(provider, "spatial", sorted(wanted), batch_size,
                    lambda batch: render_spatial("scoring", batch),
-                   parse_score_output, cache_dir, _reporter(wanted, SPATIAL, on_scored),
-                   stop)
+                   parse_score_output, cache_dir,
+                   _reporter(wanted.__getitem__, SPATIAL, on_scored), stop)
 
 
 def run_temporal(
     provider: Provider,
-    pred_set: VideoPredictionSet,
-    transitions: list[Transition],
     vocab: RelationVocabulary,
+    transitions: list[Transition],
     batch_size: int,
     cache_dir: Optional[str] = None,
     on_scored: Callable = lambda kind, scored: None,
@@ -293,20 +295,15 @@ def run_temporal(
     at the later frame (the old relation is untouched). Each transition is
     its own test slot, even when two pairs show the same change; a batch
     prompt that such slots repeat is asked once. Reports like
-    ``run_common_sense``, each transition's slot once."""
-    pair_lookup = {(frame.frame_index, pair.pair_id): pair
-                   for frame, pair in pred_set.iter_pairs() if pair.pair_id is not None}
-    texts, wanted = {}, {}
-    for tr in transitions:
-        pair = pair_lookup[(tr.frame_index, tr.pair_id)]
-        texts[tr] = (triplet_to_text(pair, tr.old_relation, vocab),
-                     triplet_to_text(pair, tr.new_relation, vocab))
-        wanted[tr] = [(tr.frame_index, tracked_pair_key(tr.pair_id), tr.new_relation)]
+    ``run_common_sense``, each transition's ``slot`` once."""
     _score_batches(
         provider, "temporal", transitions, batch_size,
-        lambda batch: render_temporal([texts[tr] for tr in batch],
-                                      [(tr.frame_index - 1, tr.frame_index) for tr in batch]),
-        parse_score_output, cache_dir, _reporter(wanted, TEMPORAL, on_scored), stop)
+        lambda batch: render_temporal(
+            [(triplet_to_text(tr.pair, tr.old_relation, vocab),
+              triplet_to_text(tr.pair, tr.new_relation, vocab)) for tr in batch],
+            [(tr.frame_index - 1, tr.frame_index) for tr in batch]),
+        parse_score_output, cache_dir, _reporter(lambda tr: (tr.slot,), TEMPORAL, on_scored),
+        stop)
 
 
 # pairs whose targets one pass of ``_fill`` fills, so that its temporaries

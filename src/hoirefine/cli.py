@@ -50,8 +50,8 @@ from . import embedloss
 
 def _ks(args) -> list[int]:
     ks = args.k or list(DEFAULT_KS)
-    if min(ks) < 1:
-        raise ValueError("every --k must be >= 1")
+    if min(ks) < 1 or len(set(ks)) < len(ks):
+        raise ValueError(f"each --k must be >= 1 and given once, not {' '.join(map(str, ks))}")
     return ks
 
 

@@ -93,15 +93,16 @@ class _Shared(dict):
 
 def _records(path: str, data: Optional[bytes] = None,
              share: bool = True) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of the JSON-lines file
-    at ``path``, streamed from the file or from its bytes ``data`` when
-    given, through a decoder of the file's own. Its ``_in_range`` hooks parse
+    """(line number, record) for each line of the JSON-lines file at ``path``
+    that holds more than JSON whitespace (space, tab, LF, CR), streamed from
+    the file or from its bytes ``data`` when given, through a decoder of the
+    file's own. Its ``_in_range`` hooks parse
     the numbers; with ``share``, equal number texts decode to one object
     (``-0.0`` and ``0.0`` are two texts, ``1`` and ``1.0`` too), which pays
-    where records repeat their numbers. A line that is not UTF-8 or not
-    JSON, that holds ``NaN``, ``Infinity``, a number beyond float range or
-    a key given twice in one object, or whose value is not a JSON object,
-    raises ParseError at that line."""
+    where records repeat their numbers. A line that is not UTF-8 or not JSON
+    (a no-break space or form feed is no JSON whitespace), that holds ``NaN``,
+    ``Infinity``, a number beyond float range or a key given twice in one
+    object, or whose value is not a JSON object, raises ParseError there."""
     parse_float, parse_int = _in_range(float), _in_range(int)
     if share:
         parse_float, parse_int = _Shared(parse_float).__getitem__, _Shared(parse_int).__getitem__
@@ -111,7 +112,7 @@ def _records(path: str, data: Optional[bytes] = None,
     with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8").strip(" \t\n\r")  # JSON's whitespace only
             except UnicodeDecodeError as exc:
                 raise ParseError(path, lineno, f"not UTF-8: {exc.reason}") from None
             if not line:
@@ -231,8 +232,7 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
         if min(scores) < 0.0 or (scale == "base" and max(scores) > 1.0):
             raise ParseError(path, lineno, f"scores {scores} out of "
                                            f"{'[0,1]' if scale == 'base' else '[0,inf)'}")
-        pairs.append(PairPrediction(frame_index=fi, pair_id=pid,
-                                    object_class=classes[object_class],
+        pairs.append(PairPrediction(pair_id=pid, object_class=classes[object_class],
                                     human_box=_box(path, lineno, "human_box", boxes[0], size),
                                     object_box=_box(path, lineno, "object_box", boxes[1], size),
                                     scores=tuple(map(float, scores))))

@@ -59,9 +59,9 @@ class BoundingBox:
 
 @dataclass(frozen=True, slots=True)
 class PairPrediction:
-    """One human-object pair in one frame with its per-relation confidences."""
+    """One human-object pair with its per-relation confidences; its frame is
+    the ``FramePrediction`` that holds it."""
 
-    frame_index: int
     object_class: str
     human_box: BoundingBox
     object_box: BoundingBox

@@ -58,7 +58,6 @@ from .model import (
     FusionWeights,
     SlotLayout,
     VideoPredictionSet,
-    tracked_pair_key,
 )
 from .provider import Provider, ProviderError
 
@@ -160,8 +159,8 @@ def run_stage_one(
                     batch_size, cache_dir, report, stop),
             partial(run_spatial, provider, pred_set, keyframes, vocab, floor,
                     batch_size, cache_dir, report, stop),
-            partial(run_temporal, provider, pred_set, transitions, vocab, batch_size,
-                    cache_dir, report, stop),
+            partial(run_temporal, provider, vocab, transitions, batch_size, cache_dir,
+                    report, stop),
         ]
     fan_out(lambda job: job(), jobs, len(jobs), stop)
     return tables
@@ -198,15 +197,11 @@ def run_stage_two(
     once either raises, neither starts anything further, the running calls
     finish and the error propagates."""
     vocab = pred_set.vocabulary
-    pairs, waiting = {}, {}
-    for frame_index, pk, r, pair in keyframe_slots(pred_set, keyframes,
-                                                   config.candidate_floor):
-        pairs[(frame_index, pk, r)] = pair
-        waiting[(frame_index, pk, r)] = 2 * len(providers)
+    pairs = dict(keyframe_slots(pred_set, keyframes, config.candidate_floor))
+    waiting = dict.fromkeys(pairs, 2 * len(providers))
     for tr in transitions:
-        slot = (tr.frame_index, tracked_pair_key(tr.pair_id), tr.new_relation)
-        if slot in waiting:
-            waiting[slot] += len(providers)
+        if tr.slot in waiting:
+            waiting[tr.slot] += len(providers)
 
     stop = threading.Event()
 
@@ -312,15 +307,20 @@ def refine(
     over the stages' ``SlotLayout``. Reusing ``providers`` across calls keeps
     their call counters cumulative. Ablations re-fuse ``outcome.table``.
 
-    Raises ValueError on a fused-scale set, whose scores hold every agent
-    term already, before any call; ProviderError when keyframe candidates
+    Raises ValueError, before any call, on a fused-scale set, whose scores
+    hold every agent term already, and on ``providers`` that repeat an id
+    or lack ``config.judge_provider``; ProviderError when keyframe candidates
     exist but no agent scored any of them, so a total provider outage does
     not pass for base scores."""
     if pred_set.score_scale == "fused":
         raise ValueError(f"video {pred_set.video_id!r} is already refined (score_scale fused)")
     if providers is None:
         providers = build_providers(config)
-    judge = next(p for p in providers if p.id == config.judge_provider)
+    ids = [p.id for p in providers]
+    if len(set(ids)) < len(ids) or config.judge_provider not in ids:
+        raise ValueError(f"provider ids {ids} must be distinct and include the judge "
+                         f"{config.judge_provider!r}")
+    judge = providers[ids.index(config.judge_provider)]
 
     keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval)
 

@@ -75,9 +75,11 @@ def answer_every_test(*scores):
     return transport, prompts
 
 
-def scored(agent, provider, pred_set, *args, **kwargs) -> AgentScoreTable:
-    """Every score ``agent`` reports, set in one table over ``pred_set``'s layout."""
-    table, lock = AgentScoreTable(SlotLayout(pred_set)), threading.Lock()
+def scored(agent, provider, *args, over=None, **kwargs) -> AgentScoreTable:
+    """Every score ``agent(provider, *args, **kwargs)`` reports, set in one
+    table over the layout of ``over``, by default ``args[0]``, the agent's
+    prediction set."""
+    table, lock = AgentScoreTable(SlotLayout(args[0] if over is None else over)), threading.Lock()
 
     def collect(kind, scored):
         with lock:
@@ -85,7 +87,7 @@ def scored(agent, provider, pred_set, *args, **kwargs) -> AgentScoreTable:
                 if value is not None:
                     table.set(*slot, kind, value)
 
-    agent(provider, pred_set, *args, on_scored=collect, **kwargs)
+    agent(provider, *args, on_scored=collect, **kwargs)
     return table
 
 
@@ -114,35 +116,38 @@ class TestKeyframes:
 class TestTransitions:
     def test_argmax_change_detected(self):
         video = make_video([
-            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0))]),
-            frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0))]),
+            frame(0, [make_pair(scores=(0.9, 0.1, 0.0))]),
+            frame(1, [make_pair(scores=(0.1, 0.9, 0.0))]),
         ])
-        assert detect_transitions(video, every_frame(video)) == [Transition(1, (0, 1), 0, 1)]
+        [transition] = detect_transitions(video, every_frame(video))
+        assert transition == Transition(1, video.frames[1].pairs[0], 0, 1)
+        assert transition.pair is video.frames[1].pairs[0]
+        assert transition.slot == (1, ("id", 0, 1), 1)
 
     def test_stable_argmax_no_transition(self):
         video = make_video([
-            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0))]),
-            frame(1, [make_pair(1, scores=(0.8, 0.3, 0.0))]),
+            frame(0, [make_pair(scores=(0.9, 0.1, 0.0))]),
+            frame(1, [make_pair(scores=(0.8, 0.3, 0.0))]),
         ])
         assert detect_transitions(video, every_frame(video)) == []
 
     def test_gap_between_frames_skipped(self):
         video = make_video([
-            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0))]),
-            frame(2, [make_pair(2, scores=(0.1, 0.9, 0.0))]),
+            frame(0, [make_pair(scores=(0.9, 0.1, 0.0))]),
+            frame(2, [make_pair(scores=(0.1, 0.9, 0.0))]),
         ])
         assert detect_transitions(video, every_frame(video)) == []
 
     def test_untracked_video_has_no_transitions(self):
         video = make_video([
-            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=None)]),
-            frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=None)]),
+            frame(0, [make_pair(scores=(0.9, 0.1, 0.0), pair_id=None)]),
+            frame(1, [make_pair(scores=(0.1, 0.9, 0.0), pair_id=None)]),
         ])
         assert detect_transitions(video, every_frame(video)) == []
 
     def test_only_changes_at_or_right_after_a_keyframe(self):
         flips = ((0.9, 0.1, 0.0), (0.1, 0.9, 0.0))
-        video = make_video([frame(f, [make_pair(f, scores=flips[f % 2])]) for f in range(6)])
+        video = make_video([frame(f, [make_pair(scores=flips[f % 2])]) for f in range(6)])
         # frames 0-1 and 1-2 touch keyframe 1, frames 3-4 and 4-5 keyframe 4
         assert [tr.frame_index for tr in detect_transitions(video, {1, 4})] == [1, 2, 4, 5]
         assert detect_transitions(video, set()) == []
@@ -156,7 +161,7 @@ class TestTransitions:
         frames = []
         for f in indices:
             ids = rng.choice(5, size=int(rng.integers(0, 5)), replace=False)
-            pairs = [make_pair(f, scores=tuple(rng.choice(levels, size=3).tolist()),
+            pairs = [make_pair(scores=tuple(rng.choice(levels, size=3).tolist()),
                                pair_id=None if k == 4 else (0, int(k))) for k in ids]
             frames.append(frame(f, pairs))
         video = make_video(frames)
@@ -165,16 +170,17 @@ class TestTransitions:
         def top(scores):
             return min(r for r, s in enumerate(scores) if s == max(scores))
 
-        by_frame = {fr.frame_index: {p.pair_id: p.scores for p in fr.pairs
-                                     if p.pair_id is not None}
+        by_frame = {fr.frame_index: {p.pair_id: p for p in fr.pairs if p.pair_id is not None}
                     for fr in video.frames}
         oracle = [
-            Transition(t, pid, top(by_frame[t - 1][pid]), top(scores))
+            Transition(t, pair, top(by_frame[t - 1][pid].scores), top(pair.scores))
             for t in indices if t - 1 in by_frame and (t in keyframes or t - 1 in keyframes)
-            for pid, scores in by_frame[t].items()
-            if pid in by_frame[t - 1] and top(by_frame[t - 1][pid]) != top(scores)
+            for pid, pair in by_frame[t].items()
+            if pid in by_frame[t - 1] and top(by_frame[t - 1][pid].scores) != top(pair.scores)
         ]
-        assert detect_transitions(video, keyframes) == oracle
+        transitions = detect_transitions(video, keyframes)
+        assert transitions == oracle
+        assert all(tr.pair is by_frame[tr.frame_index][tr.pair.pair_id] for tr in transitions)
 
 
 class TestCommonSense:
@@ -185,7 +191,7 @@ class TestCommonSense:
         ]
 
     def test_scores_land_on_candidates(self):
-        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
+        video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
         assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
@@ -194,15 +200,14 @@ class TestCommonSense:
         assert table.get(0, ("id", 0, 1), 2, CS) is None
 
     def test_batched_rule_table_answers_land_on_their_own_slots(self):
-        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
+        video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=3)
         assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
         assert table.get(0, ("id", 0, 1), 1, CS) == 0.1
 
     def test_distinct_texts_cost_one_call_each(self):
-        pairs = [make_pair(f, scores=(0.5, 0.5, 0.02)) for f in range(4)]
-        video = make_video([frame(f, [pairs[f]]) for f in range(4)])
+        video = make_video([frame(f, [make_pair(scores=(0.5, 0.5, 0.02))]) for f in range(4)])
         p = provider(self.rules())
         table = scored(run_common_sense, p, video, {0, 1, 2, 3}, VOCAB, FLOOR, batch_size=1)
         assert p.call_count == 2  # 2 distinct triplet texts across 4 keyframes
@@ -215,7 +220,7 @@ class TestCommonSense:
                 raise ProviderTimeout("flaky")
             return "Output: 0.9"
 
-        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
+        video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(transport=transport), video, {0}, VOCAB,
                        FLOOR, batch_size=1)
         assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
@@ -225,7 +230,7 @@ class TestCommonSense:
         def transport(spec, req):
             raise AuthError("bad key")
 
-        video = make_video([frame(0, [make_pair(0)])])
+        video = make_video([frame(0, [make_pair()])])
         with pytest.raises(AuthError):
             run_common_sense(provider(transport=transport), video, {0}, VOCAB,
                              FLOOR, batch_size=1)
@@ -243,7 +248,7 @@ class TestBatchConcurrency:
             return "Output: 0.9"
 
         spec = ProviderSpec(id="m", kind="mock", max_concurrency=width, max_retries=0)
-        pairs = [make_pair(0, pair_id=(0, i), object_class=obj)
+        pairs = [make_pair(pair_id=(0, i), object_class=obj)
                  for i, obj in enumerate(("chair", "cup"))]
         video = make_video([frame(0, pairs)])
         table = scored(run_common_sense, Provider(spec, transport=transport), video, {0},
@@ -383,7 +388,7 @@ class TestSpatial:
         assert classify_spatial_awareness(p, ["ride"]) == {"ride": False}
 
     def test_only_aware_relations_scored(self):
-        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.5))])])
+        video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.5))])])
         table = scored(run_spatial, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
         assert table.get(0, ("id", 0, 1), 1, SPATIAL) == 0.2
@@ -397,7 +402,7 @@ class TestSpatial:
             return match_rules([MockRule("relation", "hold", "yes"),
                                 MockRule("relation", "ride", "yes")], req.prompt)
 
-        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.02))])])
+        video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_spatial, provider(transport=transport), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
         assert table.get(0, ("id", 0, 1), 0, SPATIAL) == 0.5
@@ -437,12 +442,12 @@ class TestSpatial:
 class TestTemporal:
     def test_score_attaches_to_new_relation(self):
         video = make_video([
-            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0))]),
-            frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0))]),
+            frame(0, [make_pair(scores=(0.9, 0.1, 0.0))]),
+            frame(1, [make_pair(scores=(0.1, 0.9, 0.0))]),
         ])
         transitions = detect_transitions(video, every_frame(video))
         p = provider([MockRule("contains", "frame 0:", "Output: 0.7")])
-        table = scored(run_temporal, p, video, transitions, VOCAB, batch_size=1)
+        table = scored(run_temporal, p, VOCAB, transitions, batch_size=1, over=video)
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
         assert table.get(1, ("id", 0, 1), 0, TEMPORAL) is None
         assert table.get(0, ("id", 0, 1), 0, TEMPORAL) is None
@@ -451,14 +456,14 @@ class TestTemporal:
         # two chairs in one frame both flip hold -> ride: the triplet texts
         # coincide, yet each transition keeps its own test slot
         video = make_video([
-            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=(0, 1)),
-                      make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=(0, 2))]),
-            frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=(0, 1)),
-                      make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=(0, 2))]),
+            frame(0, [make_pair(scores=(0.9, 0.1, 0.0), pair_id=(0, 1)),
+                      make_pair(scores=(0.9, 0.1, 0.0), pair_id=(0, 2))]),
+            frame(1, [make_pair(scores=(0.1, 0.9, 0.0), pair_id=(0, 1)),
+                      make_pair(scores=(0.1, 0.9, 0.0), pair_id=(0, 2))]),
         ])
         transport, prompts = answer_every_test(0.7, 0.4)
-        table = scored(run_temporal, provider(transport=transport), video,
-                       detect_transitions(video, every_frame(video)), VOCAB, batch_size=2)
+        table = scored(run_temporal, provider(transport=transport), VOCAB,
+                       detect_transitions(video, every_frame(video)), batch_size=2, over=video)
         assert len(prompts) == 1
         assert prompts[0].count("frame 0: <person,hold,chair> frame 1: <person,ride,chair>") == 2
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
@@ -466,10 +471,10 @@ class TestTemporal:
 
     def test_failed_batch_isolated(self):
         video = make_video([
-            frame(0, [make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=(0, 1)),
-                      make_pair(0, scores=(0.9, 0.1, 0.0), pair_id=(0, 2))]),
-            frame(1, [make_pair(1, scores=(0.1, 0.9, 0.0), pair_id=(0, 1)),
-                      make_pair(1, scores=(0.1, 0.0, 0.9), pair_id=(0, 2))]),
+            frame(0, [make_pair(scores=(0.9, 0.1, 0.0), pair_id=(0, 1)),
+                      make_pair(scores=(0.9, 0.1, 0.0), pair_id=(0, 2))]),
+            frame(1, [make_pair(scores=(0.1, 0.9, 0.0), pair_id=(0, 1)),
+                      make_pair(scores=(0.1, 0.0, 0.9), pair_id=(0, 2))]),
         ])
 
         def transport(spec, req):
@@ -477,8 +482,8 @@ class TestTemporal:
                 raise ProviderTimeout("flaky")
             return "Output: 0.7"
 
-        table = scored(run_temporal, provider(transport=transport), video,
-                       detect_transitions(video, every_frame(video)), VOCAB, batch_size=1)
+        table = scored(run_temporal, provider(transport=transport), VOCAB,
+                       detect_transitions(video, every_frame(video)), batch_size=1, over=video)
         assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
         assert table.get(1, ("id", 0, 2), 2, TEMPORAL) is None
 
@@ -487,30 +492,30 @@ class TestTemporal:
         # four pairs flip hold <-> ride on every frame: 12 transitions
         flips = ((0.9, 0.1, 0.0), (0.1, 0.9, 0.0))
         video = make_video([
-            frame(f, [make_pair(f, scores=flips[f % 2], pair_id=(0, k)) for k in range(4)])
+            frame(f, [make_pair(scores=flips[f % 2], pair_id=(0, k)) for k in range(4)])
             for f in range(4)
         ])
         transitions = detect_transitions(video, every_frame(video))
         assert len(transitions) == 12
         transport, prompts = answer_every_test(0.5)
-        table = scored(run_temporal, provider(transport=transport), video, transitions,
-                       VOCAB, batch_size=batch_size)
+        table = scored(run_temporal, provider(transport=transport), VOCAB, transitions,
+                       batch_size=batch_size, over=video)
         # each distinct prompt is asked once: at batch size 1 the four pairs
         # of a frame render one prompt, at 5 the three batches differ
         assert len(prompts) == len(set(prompts)) == 3
         assert len(table) == len(transitions)
 
     def test_no_transitions_no_calls(self):
-        video = make_video([frame(0, [make_pair(0)])])
+        video = make_video([frame(0, [make_pair()])])
         p = provider([])
-        table = scored(run_temporal, p, video, [], VOCAB, batch_size=1)
+        table = scored(run_temporal, p, VOCAB, [], batch_size=1, over=video)
         assert p.call_count == 0
         assert list(table.items()) == []
 
 
 class TestPropagation:
     def tracked_video(self, n=5):
-        return make_video([frame(f, [make_pair(f)]) for f in range(n)])
+        return make_video([frame(f, [make_pair()]) for f in range(n)])
 
     def test_nearest_keyframe_wins(self):
         video = self.tracked_video()
@@ -547,8 +552,8 @@ class TestPropagation:
 
     def test_untracked_pairs_propagate_by_text(self):
         video = make_video([
-            frame(0, [make_pair(0, pair_id=None)]),
-            frame(1, [make_pair(1, pair_id=None)]),
+            frame(0, [make_pair(pair_id=None)]),
+            frame(1, [make_pair(pair_id=None)]),
         ])
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("idx", 0), 2, CS, 0.6)
@@ -557,8 +562,8 @@ class TestPropagation:
 
     def test_untracked_pairs_only_cs_propagates(self):
         video = make_video([
-            frame(0, [make_pair(0, pair_id=None)]),
-            frame(1, [make_pair(1, pair_id=None)]),
+            frame(0, [make_pair(pair_id=None)]),
+            frame(1, [make_pair(pair_id=None)]),
         ])
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("idx", 0), 2, SPATIAL, 0.6)
@@ -622,8 +627,8 @@ def long_propagation_case(frames=520, interval=20):
     or not: 1040 pairs, more than one default chunk."""
     rng = np.random.default_rng(7)
     video = make_video([
-        frame(f, [make_pair(f, pair_id=(0, f % 3)),
-                  make_pair(f, pair_id=None, object_class=("chair", "cup")[f % 2])])
+        frame(f, [make_pair(pair_id=(0, f % 3)),
+                  make_pair(pair_id=None, object_class=("chair", "cup")[f % 2])])
         for f in range(frames)])
     table = AgentScoreTable(SlotLayout(video))
     held = rng.random(table.values.shape) < 0.5
@@ -641,7 +646,7 @@ class TestMemory:
         rng = np.random.default_rng(0)
         video = VideoPredictionSet("v", vocab, tuple(
             FramePrediction(f, 640, 480, tuple(
-                make_pair(f, scores=(0.5,) * 10, pair_id=(0, k) if k < 6 else None,
+                make_pair(scores=(0.5,) * 10, pair_id=(0, k) if k < 6 else None,
                           object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)))
             for f in range(400)))
         table, keyframes = AgentScoreTable(SlotLayout(video)), set(range(0, 400, 4))
@@ -679,7 +684,7 @@ def propagation_cases(draw):
     for f in indices:
         ids = [(0, 1)] + [(0, 2)] * draw(st.booleans())
         pids = draw(st.permutations(ids + [None] * draw(st.integers(0, 2))))
-        pairs = [make_pair(f, pair_id=pid, object_class=draw(st.sampled_from(("chair", "cup"))))
+        pairs = [make_pair(pair_id=pid, object_class=draw(st.sampled_from(("chair", "cup"))))
                  for pid in pids]
         frames.append(frame(f, pairs))
         for i, pair in enumerate(pairs):

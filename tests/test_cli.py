@@ -198,6 +198,8 @@ INPUT_FILES = {
     ("eval", ["--threshold", "1.5"]),
     ("eval", ["--k", "0"]),
     ("ablate", ["--k", "10", "0"]),
+    ("eval", ["--k", "10", "10", "20"]),
+    ("ablate", ["--k", "20", "10", "20"]),
 ])
 def test_out_of_range_flag_exits_one(tmp_path, capsys, command, bad):
     argv = [command, *INPUT_FILES[command], "--vocab", fixture_path("vocab.txt"), *bad]

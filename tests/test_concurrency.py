@@ -6,6 +6,7 @@ how many run at once or on the order in which their answers arrive; the
 seeded chaos test in ``test_schedule.py`` checks that over many schedules."""
 
 import dataclasses
+import re
 import threading
 import time
 from collections import Counter
@@ -178,4 +179,20 @@ def test_refined_set_is_refused_before_any_call(fixture_predictions, fixture_con
     providers, sent = fixture_providers(fixture_config)
     with pytest.raises(ValueError, match="already refined"):
         refine(refined, fixture_config, providers=providers)
+    assert sent == []
+
+
+@pytest.mark.parametrize("pick,ids", [
+    (lambda alpha, beta: [alpha, alpha], "['alpha', 'alpha']"),
+    (lambda alpha, beta: [alpha, beta, beta], "['alpha', 'beta', 'beta']"),
+    (lambda alpha, beta: [beta], "['beta']"),
+], ids=["same-provider-twice", "one-id-twice", "no-judge"])
+def test_bad_provider_list_is_refused_before_any_call(fixture_predictions, fixture_config,
+                                                      pick, ids):
+    # one table per provider id: a repeated id would merge two tables and
+    # hide the first provider's calls; the fixture's judge is alpha
+    providers, sent = fixture_providers(fixture_config)
+    with pytest.raises(ValueError, match=re.escape(
+            f"provider ids {ids} must be distinct and include the judge 'alpha'")):
+        refine(fixture_predictions, fixture_config, providers=pick(*providers))
     assert sent == []

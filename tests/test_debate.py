@@ -322,7 +322,7 @@ class TestStageTwo:
     def test_candidates_asking_one_question_share_one_debate(self, tmp_path):
         # two untracked, identical pairs: one candidate relation each, both
         # rendering the same question
-        pairs = tuple(make_pair(0, scores=(0.9, 0.01, 0.01), pair_id=None) for _ in range(2))
+        pairs = tuple(make_pair(scores=(0.9, 0.01, 0.01), pair_id=None) for _ in range(2))
         video = VideoPredictionSet("v", RelationVocabulary(("hold", "ride", "sit on")),
                                    (FramePrediction(0, 640, 480, pairs),))
         judge, other = scripted("a", reply="Output: 0.8"), scripted("b")

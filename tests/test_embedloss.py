@@ -339,10 +339,12 @@ class TestCaptionsAndSerialization:
         (1, lambda header: header.update(gt=False)),
         (3, lambda cell: cell.update(label="ride")),
         (2, lambda cell: json.dumps(cell)[:-1] + f', "i": {cell["i"]}}}'),
+        (2, lambda cell: "\u00a0" + json.dumps(cell)),
+        (2, lambda cell: "\f"),
     ], ids=["string-gt", "integer-gt", "float-i", "negative-i", "j-outside-grid",
             "string-feature", "short-embedding", "duplicate-cell", "string-k", "zero-d_f",
             "unknown-metric", "diagonal-gt", "unknown-header-key", "unknown-cell-key",
-            "duplicate-key"])
+            "duplicate-key", "no-break-space", "form-feed-line"])
     def test_load_rejects_bad_record_at_its_line(self, tmp_path, line, edit):
         # an edit edits the record in place, or returns the line's text
         rng = np.random.default_rng(42)

@@ -100,7 +100,7 @@ class TestProperties:
 
 def one_pair_column(scores):
     """The scores of pair (0, 1), the one pair of frame 0, as a fused column."""
-    layout = SlotLayout(make_video([frame(0, [make_pair(0, scores=scores)])]))
+    layout = SlotLayout(make_video([frame(0, [make_pair(scores=scores)])]))
     return FusedScores(layout, layout.base)
 
 
@@ -164,7 +164,7 @@ class TestFuseTable:
     def test_a_table_over_another_set_is_rejected(self, other, fixture_predictions,
                                                   fixture_vocab):
         # by identity, as for the writer: a set loaded again is another set
-        video = make_video([frame(0, [make_pair(0)])]) if other == "another video" else (
+        video = make_video([frame(0, [make_pair()])]) if other == "another video" else (
             load_predictions(fixture_path("predictions.jsonl"), fixture_vocab))
         with pytest.raises(ValueError, match="^agent scores are over another prediction set$"):
             fuse_table(fixture_predictions, AgentScoreTable(SlotLayout(video)), FusionWeights())
@@ -174,7 +174,7 @@ class TestFuseTable:
         # off math.exp(-0.6125), so 1 / (1 + np.exp(-x)) would move this fused
         # value; fuse_table takes each sigmoid from math.exp instead
         x, weights = 0.6125, FusionWeights()
-        video = make_video([frame(0, [make_pair(0, scores=(0.5, 0.5, 0.5))])])
+        video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.5))])])
         table = AgentScoreTable(SlotLayout(video))
         for kind in SCORE_KINDS:
             table.set(0, ("id", 0, 1), 1, kind, x)
@@ -187,7 +187,7 @@ class TestFuseTable:
         # 256 kB, a dict of the 32,000 slot tuples would be about 4 MB
         vocab = RelationVocabulary(tuple(f"r{r}" for r in range(10)))
         video = VideoPredictionSet("v", vocab, tuple(
-            frame(f, [make_pair(f, scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
+            frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
             for f in range(400)))
         table = AgentScoreTable(SlotLayout(video))
         table.values[:, ::3] = 0.7

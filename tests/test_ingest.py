@@ -151,7 +151,6 @@ class TestLoadPredictions:
         pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
         assert pred_set.frame_indices() == [0, 1, 2]
         assert [p.pair_id for p in pred_set.frames[0].pairs] == [(0, 1), None]
-        assert all(p.frame_index == f.frame_index for f, p in pred_set.iter_pairs())
 
     def test_fused_scale_relaxes_upper_bound(self, tmp_path, vocab):
         write_lines(tmp_path / "p.jsonl", [record(frame=f, scores=(2.3, 0.5, 0.2),
@@ -166,6 +165,15 @@ class TestLoadPredictions:
         (tmp_path / "crlf.jsonl").write_bytes((tmp_path / "lf.jsonl").read_bytes()
                                               .replace(b"\n", b"\r\n"))
         assert (load_predictions(tmp_path / "crlf.jsonl", vocab)
+                == load_predictions(tmp_path / "lf.jsonl", vocab))
+
+    def test_json_whitespace_around_records_is_skipped(self, tmp_path, vocab):
+        # space, tab, LF and CR are the whitespace JSON allows around a value
+        records = [record(frame=0), record(frame=1, pair_id=None)]
+        write_lines(tmp_path / "lf.jsonl", records)
+        write_lines(tmp_path / "spaced.jsonl", [b" \t" + json.dumps(r).encode() + b"\t \r"
+                                                for r in records] + [b" \t\r"])
+        assert (load_predictions(tmp_path / "spaced.jsonl", vocab)
                 == load_predictions(tmp_path / "lf.jsonl", vocab))
 
     def test_integers_load_as_floats(self, tmp_path, vocab):
@@ -208,6 +216,8 @@ class TestLoadPredictions:
         ([record(), record(frame=1, pairid=[0, 1])], 2),
         ([record(), json.dumps(record(frame=1)).encode()[:-1] + b', "scores": [0.1, 0.2, 0.3]}'],
          2),
+        ([record(), "\u00a0".encode() + json.dumps(record(frame=1)).encode()], 2),
+        ([record(), b"\x0c", record(frame=1)], 2),
     ], ids=["score-above-1", "negative-score", "short-scores", "bool-score",
             "degenerate-box", "box-outside-frame", "negative-box", "bool-box",
             "duplicate-pair-id", "negative-frame", "float-pair-id", "string-pair-id",
@@ -215,7 +225,7 @@ class TestLoadPredictions:
             "null-object-class", "number-video-id", "frame-size-differs",
             "fused-then-base-above-1", "base-then-fused", "unknown-scale", "bare-number",
             "null-line", "list-line", "not-json", "nan", "not-utf8", "unknown-key",
-            "duplicate-key"])
+            "duplicate-key", "no-break-space", "form-feed-line"])
     def test_bad_record_raises_at_its_line(self, tmp_path, vocab, lines, line):
         path = tmp_path / "p.jsonl"
         write_lines(path, lines)
@@ -314,8 +324,11 @@ class TestLoadGroundTruth:
         b"5",
         {"frame_index": 0, "pair_id": [0, 1], "relation_index": 1, "relation": "hold"},
         b'{"frame_index": 0, "pair_id": [0, 1], "relation_index": 1, "relation_index": 2}',
+        "\u00a0".encode() + b'{"frame_index": 0, "pair_id": [0, 1], "relation_index": 1}',
+        b"\x0c",
     ], ids=["float-relation", "string-relation", "bool-relation", "float-pair-id",
-            "string-frame", "missing-pair-id", "bare-number", "unknown-key", "duplicate-key"])
+            "string-frame", "missing-pair-id", "bare-number", "unknown-key", "duplicate-key",
+            "no-break-space", "form-feed-line"])
     def test_bad_record_raises_at_its_line(self, tmp_path, vocab, bad):
         preds = self.make_predictions(tmp_path, vocab)
         path = tmp_path / "gt.jsonl"
@@ -348,7 +361,7 @@ def written_sets(draw):
         ids = draw(st.lists(st.none() | st.tuples(st.integers(), st.integers()),
                             max_size=3, unique_by=lambda pid: pid or object()))
         pairs = tuple(PairPrediction(
-            frame_index=fi, object_class=draw(json_text), pair_id=pid,
+            object_class=draw(json_text), pair_id=pid,
             human_box=BoundingBox(*draw(st.lists(json_floats, min_size=4, max_size=4))),
             object_box=BoundingBox(*draw(st.lists(json_floats | st.integers(),
                                                   min_size=4, max_size=4))),

@@ -16,10 +16,9 @@ from hoirefine.model import (
 )
 
 
-def make_pair(frame_index=0, scores=(0.5, 0.5, 0.5), pair_id=(0, 1),
+def make_pair(scores=(0.5, 0.5, 0.5), pair_id=(0, 1),
               human_box=None, object_box=None, object_class="chair"):
     return PairPrediction(
-        frame_index=frame_index,
         pair_id=pair_id,
         object_class=object_class,
         human_box=human_box or BoundingBox(10, 10, 50, 100),
@@ -68,8 +67,8 @@ class TestFusionWeights:
 def two_frames():
     """Two frames: a tracked and an untracked pair, then one tracked pair."""
     return VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
-        FramePrediction(3, 640, 480, (make_pair(3), make_pair(3, pair_id=None))),
-        FramePrediction(7, 640, 480, (make_pair(7, pair_id=(2, 5)),))))
+        FramePrediction(3, 640, 480, (make_pair(), make_pair(pair_id=None))),
+        FramePrediction(7, 640, 480, (make_pair(pair_id=(2, 5)),))))
 
 
 # a foreign pair, relation n and relation -1

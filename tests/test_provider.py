@@ -107,8 +107,10 @@ class TestMockRules:
         {"match": "contains", "response": "y"},
         [1, 2],
         '{"match": "contains", "key": "x", "response": "y", "key": "z"}',
+        '\u00a0{"match": "contains", "key": "x", "response": "y"}',
+        "\f",
     ], ids=["number-key", "null-response", "list-match", "missing-key", "not-an-object",
-            "duplicate-key"])
+            "duplicate-key", "no-break-space", "form-feed-line"])
     def test_rule_fields_must_be_strings(self, tmp_path, rule):
         # a rule given as text is written as it is
         path = tmp_path / "rules.jsonl"

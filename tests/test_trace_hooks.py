@@ -3,11 +3,13 @@ functions of the package by name, where the pipeline, the agents and the
 debate look them up. These tests fail when a rename or an import-time binding
 would make that trace miss a layer."""
 
+import dataclasses
 import os
 import sys
 
 import pytest
 
+from hoirefine.agents import detect_transitions, select_keyframes
 from hoirefine.pipeline import refine
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
@@ -64,3 +66,19 @@ def test_traced_refine_reaches_every_agent_and_the_debate(installed, fixture_pre
     assert len(asks) == sum(s[1] == "provider.complete" for s in spans)
     assert installed.counts["agents.batches"] > 0
     assert installed.counts["prompt.asked"] > 0
+
+
+def test_traced_transition_count_is_what_the_temporal_agent_got(installed, fixture_predictions,
+                                                                fixture_config):
+    # the trace reads run_temporal's third positional argument as its
+    # transitions. The fixture has one flip at any interval, between frames 3
+    # and 4, so frames 0 and 4 taken in turn make a flip at every frame.
+    turns = (fixture_predictions.frames[0].pairs, fixture_predictions.frames[4].pairs)
+    video = dataclasses.replace(fixture_predictions, frames=tuple(
+        dataclasses.replace(frame, pairs=turns[frame.frame_index % 2])
+        for frame in fixture_predictions.frames))
+    keyframes = select_keyframes(video.frame_indices(), fixture_config.keyframe_interval)
+    transitions = detect_transitions(video, keyframes)
+    assert len(transitions) > 1
+    refine(video, fixture_config)
+    assert installed.counts["agents.transitions"] == len(transitions)
