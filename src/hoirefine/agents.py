@@ -348,7 +348,7 @@ def propagate_scores(
     cls = np.fromiter(map(class_id, every_pair()), np.int64, pairs)
     class_text = np.array(class_texts, dtype=np.int64).reshape(-1, n)
     rank = np.repeat(np.arange(len(pred_set.frames)), [len(f.pairs) for f in pred_set.frames])
-    frame = layout.frame[::n]
+    frame = layout.frame
     keyframe, tracked = np.isin(frame, list(keyframes)), track >= 0
     tracks, texts = (len(ids) - 1) * n, len(text_ids)
 

@@ -34,19 +34,24 @@ class RefinementConfig:
         if not self.providers:
             raise ConfigError("at least one provider is required")
         require_types(self)
-        ids = [p.id for p in self.providers]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("provider ids must be unique")
+        check_provider_ids([p.id for p in self.providers], self.judge_provider)
         if self.keyframe_interval < 1:
             raise ConfigError("keyframe_interval must be >= 1")
         if self.debate_mode not in DEBATE_MODES:
             raise ConfigError(f"debate_mode must be one of {DEBATE_MODES}")
         if self.disagreement_delta < 0:
             raise ConfigError("disagreement_delta must be >= 0")
-        if self.judge_provider not in ids:
-            raise ConfigError(f"judge_provider {self.judge_provider!r} is not configured")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+
+
+def check_provider_ids(ids: list[str], judge: str) -> None:
+    """Raise ConfigError unless the provider ``ids`` are distinct, one score
+    table per provider, and include the ``judge``'s."""
+    if len(set(ids)) < len(ids):
+        raise ConfigError(f"provider ids must be unique, not {ids}")
+    if judge not in ids:
+        raise ConfigError(f"judge_provider {judge!r} is not configured (provider ids {ids})")
 
 
 def load_config(path: str) -> RefinementConfig:

@@ -7,10 +7,13 @@ line number). Every file is read by one reader and every value checked by
 one type rule, in the same pass, so each rejected input raises ParseError
 at ``path:line``. Labels are lower-cased at load time so prompt text is
 stable across datasets that mix cases. A loaded prediction set holds each
-distinct number text, label and pair id of its file once. Refined
-predictions are written from the fused-score column, one formatted line
-per pair, each the bytes ``json.dumps(record, sort_keys=True)`` gives, and
-streamed to the file a frame at a time.
+distinct label and pair id of its file once, and each of the first
+``_SHARED_KEYS`` distinct number texts once; a text first seen after those
+is converted at each occurrence. A loaded ground truth shares its
+prediction set's pair-id objects and holds each distinct triplet once.
+Refined predictions are written from the fused-score column, one formatted
+line per pair, each the bytes ``json.dumps(record, sort_keys=True)`` gives,
+and streamed to the file a frame at a time.
 """
 
 from __future__ import annotations
@@ -78,16 +81,26 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# keys a ``_Shared`` holds at most: a base input's number texts repeat and
+# stay below it (7,454 distinct at 800 frames), while a refined file's fused
+# scores are nearly all distinct, so holding each would cost time and memory
+# for a value read once
+_SHARED_KEYS = 8192
+
+
 class _Shared(dict):
     """``convert(key)`` for each key, computed on its first lookup and then
-    held, so equal keys share one value object."""
+    held, so equal keys share one value object, until ``_SHARED_KEYS`` keys
+    are held; a key first seen after that is converted on each lookup."""
 
     def __init__(self, convert):
         super().__init__()
         self.convert = convert
 
     def __missing__(self, key):
-        value = self[key] = self.convert(key)
+        value = self.convert(key)
+        if len(self) < _SHARED_KEYS:
+            self[key] = value
         return value
 
 
@@ -97,9 +110,10 @@ def _records(path: str, data: Optional[bytes] = None,
     that holds more than JSON whitespace (space, tab, LF, CR), streamed from
     the file or from its bytes ``data`` when given, through a decoder of the
     file's own. Its ``_in_range`` hooks parse
-    the numbers; with ``share``, equal number texts decode to one object
-    (``-0.0`` and ``0.0`` are two texts, ``1`` and ``1.0`` too), which pays
-    where records repeat their numbers. A line that is not UTF-8 or not JSON
+    the numbers; with ``share``, equal number texts among the first
+    ``_SHARED_KEYS`` distinct ones decode to one object (``-0.0`` and ``0.0``
+    are two texts, ``1`` and ``1.0`` too), which pays where records repeat
+    their numbers. A line that is not UTF-8 or not JSON
     (a no-break space or form feed is no JSON whitespace), that holds ``NaN``,
     ``Infinity``, a number beyond float range or a key given twice in one
     object, or whose value is not a JSON object, raises ParseError there."""
@@ -261,27 +275,31 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
     set. A record holds the integers ``frame_index`` and ``relation_index``
     (< the vocabulary size) and ``pair_id``, two integers. A record with
     another key, or that breaks a rule, raises ParseError at its line, and
-    one whose pair is not predicted in that frame DanglingReferenceError."""
+    one whose pair is not predicted in that frame DanglingReferenceError.
+    Each pair id is the prediction set's own object, and equal triplets
+    are one object."""
     n = predictions.vocabulary.n
-    known: dict[int, set] = {}
+    known: dict[int, dict] = {}  # per frame, each pair id to itself
     for frame, pair in predictions.iter_pairs():
         if pair.pair_id is not None:
-            known.setdefault(frame.frame_index, set()).add(pair.pair_id)
+            known.setdefault(frame.frame_index, {})[pair.pair_id] = pair.pair_id
 
     schema = {"frame_index": (INTEGER, None), "pair_id": (INTEGER, 2),
               "relation_index": (INTEGER, None)}
     frames: dict[int, set] = {}
+    triplets: dict = {}
     for lineno, rec in _records(path):
         fi, pid, rel = _fields(path, lineno, rec, schema)
-        pid = tuple(pid)
         if not 0 <= rel < n:
             raise ParseError(path, lineno, f"relation_index {rel} out of range "
                                            f"(vocabulary size {n})")
-        if pid not in known.get(fi, set()):
+        predicted = known.get(fi, {}).get(pid := tuple(pid))
+        if predicted is None:
             raise DanglingReferenceError(
                 f"{path}:{lineno}: pair {pid} not predicted at frame {fi}"
             )
-        frames.setdefault(fi, set()).add((pid, rel))
+        frames.setdefault(fi, set()).add(
+            triplets.setdefault(triplet := (predicted, rel), triplet))
     return GroundTruthSet({fi: frozenset(s) for fi, s in frames.items()})
 
 

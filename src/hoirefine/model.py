@@ -117,15 +117,18 @@ class GroundTruthSet:
 class SlotLayout:
     """The (frame_index, pair_key, relation_index) slots of ``pred_set``, in
     frame, pair and relation order: slot ``i`` (see ``find`` and ``slots``) is
-    relation ``i % n`` of pair ``keys[i // n]``, in frame ``frame[i]``, base
-    score ``base[i]``."""
+    relation ``i % n`` of pair row ``i // n``, whose (frame_index, pair_key)
+    is ``keys[i // n]`` and frame index ``frame[i // n]``, base score
+    ``base[i]``. Equal pair keys, a tracked pair's in every frame, are one
+    object."""
 
     def __init__(self, pred_set: VideoPredictionSet):
         self.pred_set, self.n = pred_set, pred_set.vocabulary.n
-        self.keys = [(frame.frame_index, pair_key(pair, i))
+        shared: dict = {}
+        self.keys = [(frame.frame_index, shared.setdefault(pk := pair_key(pair, i), pk))
                      for frame in pred_set.frames for i, pair in enumerate(frame.pairs)]
         self.rows = dict(zip(self.keys, range(len(self.keys))))
-        self.frame = np.repeat(np.array([fi for fi, _ in self.keys], dtype=np.int64), self.n)
+        self.frame = np.array([fi for fi, _ in self.keys], dtype=np.int64)
         self.base = np.array([pair.scores for _, pair in pred_set.iter_pairs()],
                              dtype=float).reshape(-1)
 

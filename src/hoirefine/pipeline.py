@@ -38,7 +38,7 @@ from .agents import (
     run_temporal,
     select_keyframes,
 )
-from .config import RefinementConfig
+from .config import RefinementConfig, check_provider_ids
 from .debate import (
     persist_transcript,
     render_debate_question,
@@ -282,7 +282,9 @@ def fuse_table(
 
 
 def _coverage(table, keyframes, floor) -> dict[str, float]:
-    candidates = np.isin(table.layout.frame, list(keyframes)) & (table.layout.base >= floor)
+    layout = table.layout
+    candidates = (np.repeat(np.isin(layout.frame, list(keyframes)), layout.n)
+                  & (layout.base >= floor))
     total = int(candidates.sum())
     return {kind: int((~np.isnan(values[candidates])).sum()) / total
             for kind, values in zip(SCORE_KINDS, table.values)} if total else {}
@@ -308,18 +310,16 @@ def refine(
     their call counters cumulative. Ablations re-fuse ``outcome.table``.
 
     Raises ValueError, before any call, on a fused-scale set, whose scores
-    hold every agent term already, and on ``providers`` that repeat an id
-    or lack ``config.judge_provider``; ProviderError when keyframe candidates
-    exist but no agent scored any of them, so a total provider outage does
-    not pass for base scores."""
+    hold every agent term already, and ConfigError (a ValueError) on
+    ``providers`` that repeat an id or lack ``config.judge_provider``;
+    ProviderError when keyframe candidates exist but no agent scored any of
+    them, so a total provider outage does not pass for base scores."""
     if pred_set.score_scale == "fused":
         raise ValueError(f"video {pred_set.video_id!r} is already refined (score_scale fused)")
     if providers is None:
         providers = build_providers(config)
     ids = [p.id for p in providers]
-    if len(set(ids)) < len(ids) or config.judge_provider not in ids:
-        raise ValueError(f"provider ids {ids} must be distinct and include the judge "
-                         f"{config.judge_provider!r}")
+    check_provider_ids(ids, config.judge_provider)
     judge = providers[ids.index(config.judge_provider)]
 
     keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval)

@@ -246,24 +246,26 @@ class Provider:
         return text
 
     def _retrying(self, req: CompletionRequest) -> str:
+        # no transient failure outlives its except clause, nor goes into a log
+        # record that a handler may keep: its traceback holds this frame and,
+        # through it, the callers' frames, which a local reference to it would
+        # keep in a cycle that only the cyclic collector frees
         attempts = self.spec.max_retries + 1
-        last: Optional[Exception] = None
         for attempt in range(attempts):
             try:
                 return self._attempt(req)
             except (ProviderTimeout, ConnectionError) as exc:
-                last = exc
-                if attempt + 1 < attempts:
-                    delay = self.spec.backoff_base * (2 ** attempt)
-                    delay *= 1.0 + random.uniform(-0.2, 0.2)
-                    if isinstance(exc, RateLimitError) and exc.retry_after is not None:
-                        delay = max(delay, min(exc.retry_after, self.spec.timeout))
-                    log.warning("%s: transient failure (%s), retrying in %.2fs",
-                                self.spec.id, exc, delay)
-                    time.sleep(delay)
-        raise ProviderTimeout(
-            f"{self.spec.id}: gave up after {attempts} attempts: {last}"
-        ) from last
+                if attempt + 1 == attempts:
+                    raise ProviderTimeout(
+                        f"{self.spec.id}: gave up after {attempts} attempts: {exc}"
+                    ) from exc
+                delay = self.spec.backoff_base * (2 ** attempt)
+                delay *= 1.0 + random.uniform(-0.2, 0.2)
+                if isinstance(exc, RateLimitError) and exc.retry_after is not None:
+                    delay = max(delay, min(exc.retry_after, self.spec.timeout))
+                log.warning("%s: transient failure (%s), retrying in %.2fs",
+                            self.spec.id, str(exc), delay)
+            time.sleep(delay)
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:

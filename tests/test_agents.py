@@ -650,8 +650,8 @@ class TestMemory:
                           object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)))
             for f in range(400)))
         table, keyframes = AgentScoreTable(SlotLayout(video)), set(range(0, 400, 4))
-        candidates = (rng.random(table.values.shape[1]) < 0.3) & np.isin(
-            SlotLayout(video).frame, list(keyframes))
+        candidates = (rng.random(table.values.shape[1]) < 0.3) & np.repeat(
+            np.isin(table.layout.frame, list(keyframes)), vocab.n)
         for k in range(3):  # cs, spatial and temporal scores on the keyframe candidates
             table.values[k, candidates] = rng.random(int(candidates.sum()))
         tracemalloc.start()

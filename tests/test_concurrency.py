@@ -182,17 +182,17 @@ def test_refined_set_is_refused_before_any_call(fixture_predictions, fixture_con
     assert sent == []
 
 
-@pytest.mark.parametrize("pick,ids", [
-    (lambda alpha, beta: [alpha, alpha], "['alpha', 'alpha']"),
-    (lambda alpha, beta: [alpha, beta, beta], "['alpha', 'beta', 'beta']"),
-    (lambda alpha, beta: [beta], "['beta']"),
+@pytest.mark.parametrize("pick,message", [
+    (lambda alpha, beta: [alpha, alpha], "provider ids must be unique, not ['alpha', 'alpha']"),
+    (lambda alpha, beta: [alpha, beta, beta],
+     "provider ids must be unique, not ['alpha', 'beta', 'beta']"),
+    (lambda alpha, beta: [beta], "judge_provider 'alpha' is not configured (provider ids ['beta'])"),
 ], ids=["same-provider-twice", "one-id-twice", "no-judge"])
 def test_bad_provider_list_is_refused_before_any_call(fixture_predictions, fixture_config,
-                                                      pick, ids):
+                                                      pick, message):
     # one table per provider id: a repeated id would merge two tables and
     # hide the first provider's calls; the fixture's judge is alpha
     providers, sent = fixture_providers(fixture_config)
-    with pytest.raises(ValueError, match=re.escape(
-            f"provider ids {ids} must be distinct and include the judge 'alpha'")):
+    with pytest.raises(ValueError, match=re.escape(message)):
         refine(fixture_predictions, fixture_config, providers=pick(*providers))
     assert sent == []

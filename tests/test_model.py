@@ -110,3 +110,19 @@ class TestAgentScoreTable:
         with pytest.raises(KeyError, match="is not a slot of the table's prediction set"):
             table.set(*slot, CS, 0.5)
         assert len(table) == 0
+
+
+class TestSlotLayout:
+    def test_one_frame_index_per_pair_row(self):
+        layout = SlotLayout(two_frames())
+        assert layout.frame.tolist() == [3, 3, 7]
+        assert [fi for fi, _ in layout.keys] == [3, 3, 7]
+
+    def test_equal_pair_keys_are_one_object(self):
+        # an untracked pair first and a pair tracked as (0, 1), in each of three frames
+        video = VideoPredictionSet("v", RelationVocabulary(("a",)), tuple(
+            FramePrediction(f, 640, 480, (make_pair(pair_id=None), make_pair(pair_id=(0, 1))))
+            for f in range(3)))
+        keys = [pk for _, pk in SlotLayout(video).keys]
+        assert keys[0] == ("idx", 0) and keys[1] == ("id", 0, 1)
+        assert keys[0] is keys[2] is keys[4] and keys[1] is keys[3] is keys[5]

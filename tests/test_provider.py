@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 import requests
@@ -146,6 +148,35 @@ class TestComplete:
         with pytest.raises(ProviderTimeout):
             provider.complete(req())
         assert len(attempts) == 3
+
+    def test_a_retried_request_frees_its_callers_locals(self):
+        # the timeout's traceback reaches the caller's frame: held past the
+        # retry, in a local or in a log record the test's log capture keeps,
+        # it would keep the caller's locals alive, in a cycle that only the
+        # cyclic collector frees or for as long as the record lives
+        def transport(spec, request):
+            if not attempts:
+                attempts.append(1)
+                raise ProviderTimeout("first attempt times out")
+            return "Output: 0.5"
+
+        def caller():
+            local = Local()
+            assert provider.complete(req()).text == "Output: 0.5"
+            return weakref.ref(local)
+
+        class Local:
+            pass
+
+        attempts = []
+        provider = Provider(ProviderSpec(id="p", kind="mock", backoff_base=0.001),
+                            transport=transport)
+        gc.disable()
+        try:
+            local = caller()
+            assert attempts == [1] and local() is None
+        finally:
+            gc.enable()
 
     def test_mock_determinism(self):
         provider = mock_provider([MockRule("triplet", "<person,sit on,chair>", "Output: 1.0")])

@@ -1,7 +1,7 @@
-"""``tools/rss_phases.py`` wraps functions of the package by (module, name)
-to mark the end of each phase. The first test fails when a rename in the
-package would make that tool stop at start-up; the others check which
-phase it names as holding the sampled maximum."""
+"""``tools/rss_phases.py`` wraps functions of the package by (module, name),
+and of the benchmark harness by name, to mark the end of each phase. The
+first two tests fail when a rename would make that tool stop at start-up;
+the others check which phase it names as holding the sampled maximum."""
 
 import importlib
 import os
@@ -28,6 +28,12 @@ def test_every_phase_is_a_function_of_the_package(rss_phases):
     for module, name in rss_phases.PHASES:
         owner = importlib.import_module(f"hoirefine.{module}")
         assert callable(getattr(owner, name, None)), f"{module}.{name}"
+
+
+def test_every_harness_phase_is_a_function_of_the_benchmark(rss_phases):
+    assert rss_phases.HARNESS
+    for name in rss_phases.HARNESS:
+        assert callable(getattr(rss_phases.run, name, None)), f"run.{name}"
 
 
 # the rows of one rt_long repetition: its set-up, the job, then one set-up

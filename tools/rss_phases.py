@@ -10,9 +10,9 @@ call that ends a phase is wrapped. When one returns, a row gives its name,
 the resident set size then (``/proc/self/statm``) and the largest size a
 thread sampling every millisecond saw since the previous row. The last rows
 give the sampled maximum, which can miss a short peak, the phase that held
-it and its part of the repetition (the set-up, the job, or the set-ups run
-alone after it), and ``ru_maxrss``, which the benchmark reports as
-``peak_rss_mb``. Linux only.
+it and its part of the repetition (the set-up, the job with its output
+check, or the set-ups run alone after it), and ``ru_maxrss``, which the
+benchmark reports as ``peak_rss_mb``. Linux only.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ PHASES = [("pipeline", "run_stage_two"), ("pipeline", "aggregate_provider_tables
           ("pipeline", "propagate_scores"), ("pipeline", "fuse_table"), ("pipeline", "refine"),
           ("ingest", "write_predictions"), ("ingest", "load_predictions"),
           ("ingest", "load_ground_truth"), ("evaluation", "recall_at_k_dataset")]
+# functions of perfbench/run.py whose return ends a phase: the output check
+# hashes the refined file, read whole while the job's data is still held
+HARNESS = ["sha256_file"]
 
 
 def rss_mb() -> float:
@@ -101,6 +104,8 @@ def measure(workload: str, work: str, variant: int) -> None:
 
     for module, name in PHASES:
         setattr(modules[module], name, phase(getattr(modules[module], name), f"{module}.{name}"))
+    for name in HARNESS:
+        setattr(run, name, phase(getattr(run, name), f"run.{name}"))
     bench.setup = phase(bench.setup, "Bench.setup")
     print(f"{'phase ends':<34}{'rss_mb':>10}{'max_mb':>10}")
     sampler.take("start")
