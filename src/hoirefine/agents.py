@@ -330,7 +330,7 @@ def propagate_scores(
     """
     table.layout.require(pred_set, "agent scores")
     layout, vocab, n = table.layout, pred_set.vocabulary, pred_set.vocabulary.n
-    pairs, ids, classes, class_texts, text_ids = len(layout.keys), {None: -1}, {}, [], {}
+    pairs, ids, classes, class_texts, text_ids = len(layout.pair_keys), {None: -1}, {}, [], {}
 
     def class_id(pair) -> int:
         if pair.object_class not in classes:

@@ -36,11 +36,12 @@ def positives_per_frame(fused: FusedScores, threshold: float) -> dict[int, list[
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0,1)")
     selected = np.flatnonzero(fused.values > threshold)
-    keys, n = fused.layout.keys, fused.layout.n
+    layout = fused.layout
+    rows, relations = np.divmod(selected, layout.n)
     frames: dict[int, list[tuple]] = {}
-    for i, score in zip(selected.tolist(), fused.values[selected].tolist()):
-        frame_index, pk = keys[i // n]
-        frames.setdefault(frame_index, []).append((pk, i % n, score))
+    for frame_index, row, r, score in zip(layout.frame[rows].tolist(), rows.tolist(),
+                                          relations.tolist(), fused.values[selected].tolist()):
+        frames.setdefault(frame_index, []).append((layout.pair_keys[row], r, score))
     return frames
 
 

@@ -10,7 +10,8 @@ stable across datasets that mix cases. A loaded prediction set holds each
 distinct label and pair id of its file once, and each of the first
 ``_SHARED_KEYS`` distinct number texts once; a text first seen after those
 is converted at each occurrence. A loaded ground truth shares its
-prediction set's pair-id objects and holds each distinct triplet once.
+prediction set's pair-id objects and holds each distinct triplet and frame
+set once.
 Refined predictions are written from the fused-score column, one formatted
 line per pair, each the bytes ``json.dumps(record, sort_keys=True)`` gives,
 and streamed to the file a frame at a time.
@@ -276,8 +277,8 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
     (< the vocabulary size) and ``pair_id``, two integers. A record with
     another key, or that breaks a rule, raises ParseError at its line, and
     one whose pair is not predicted in that frame DanglingReferenceError.
-    Each pair id is the prediction set's own object, and equal triplets
-    are one object."""
+    Each pair id is the prediction set's own object, and equal triplets,
+    and equal frame sets, are one object."""
     n = predictions.vocabulary.n
     known: dict[int, dict] = {}  # per frame, each pair id to itself
     for frame, pair in predictions.iter_pairs():
@@ -300,7 +301,9 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
             )
         frames.setdefault(fi, set()).add(
             triplets.setdefault(triplet := (predicted, rel), triplet))
-    return GroundTruthSet({fi: frozenset(s) for fi, s in frames.items()})
+    sets: dict = {}  # each distinct frame set to itself
+    return GroundTruthSet({fi: sets.setdefault(fs := frozenset(s), fs)
+                           for fi, s in frames.items()})
 
 
 def _number(x) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from itertools import compress
 from typing import Iterator, Optional
 
 import numpy as np
@@ -117,32 +116,54 @@ class GroundTruthSet:
 class SlotLayout:
     """The (frame_index, pair_key, relation_index) slots of ``pred_set``, in
     frame, pair and relation order: slot ``i`` (see ``find`` and ``slots``) is
-    relation ``i % n`` of pair row ``i // n``, whose (frame_index, pair_key)
-    is ``keys[i // n]`` and frame index ``frame[i // n]``, base score
-    ``base[i]``. Equal pair keys, a tracked pair's in every frame, are one
-    object."""
+    relation ``i % n`` of pair row ``i // n``, whose pair key is
+    ``pair_keys[i // n]`` and frame index ``frame[i // n]``, base score
+    ``base[i]``. The rows of frame ``f`` are ``range(*spans[f])``. The layout
+    holds each distinct pair key once: equal keys, a tracked pair's in every
+    frame, are one object. A set that repeats a frame index, or a pair key
+    within a frame, raises ValueError: its slots would be ambiguous."""
 
     def __init__(self, pred_set: VideoPredictionSet):
         self.pred_set, self.n = pred_set, pred_set.vocabulary.n
         shared: dict = {}
-        self.keys = [(frame.frame_index, shared.setdefault(pk := pair_key(pair, i), pk))
-                     for frame in pred_set.frames for i, pair in enumerate(frame.pairs)]
-        self.rows = dict(zip(self.keys, range(len(self.keys))))
-        self.frame = np.array([fi for fi, _ in self.keys], dtype=np.int64)
+        self.pair_keys, self.spans, stop = [], {}, 0
+        for frame in pred_set.frames:
+            fi, start = frame.frame_index, stop
+            if fi in self.spans:
+                raise ValueError(f"frame {fi} appears twice")
+            keys = [shared.setdefault(pk := pair_key(pair, i), pk)
+                    for i, pair in enumerate(frame.pairs)]
+            if len(set(keys)) < len(keys):
+                twice = next(pk for i, pk in enumerate(keys) if pk in keys[:i])
+                raise ValueError(f"frame {fi} holds pair key {twice} twice")
+            self.pair_keys += keys
+            stop = start + len(keys)
+            self.spans[fi] = (start, stop)
+        self.frame = np.repeat(np.array(list(self.spans), dtype=np.int64),
+                               [stop - start for start, stop in self.spans.values()])
         self.base = np.array([pair.scores for _, pair in pred_set.iter_pairs()],
                              dtype=float).reshape(-1)
 
     def slots(self) -> Iterator[tuple]:
         """Every slot, in index order."""
         relations = range(self.n)
-        return ((fi, pk, r) for fi, pk in self.keys for r in relations)
+        return ((fi, pk, r) for fi, (start, stop) in self.spans.items()
+                for pk in self.pair_keys[start:stop] for r in relations)
 
     def find(self, slot) -> Optional[int]:
-        """The index of ``slot``; None for any key that is not a slot of the set."""
+        """The index of ``slot``; None for any key that is not a slot of the
+        set. The pair key is looked for among its frame's rows only."""
         if not isinstance(slot, tuple) or len(slot) != 3 or slot[2] not in range(self.n):
             return None
-        row = self.rows.get(slot[:2])
-        return None if row is None else row * self.n + int(slot[2])
+        span = self.spans.get(slot[0])
+        if span is None:
+            return None
+        start, stop = span
+        try:
+            row = self.pair_keys.index(slot[1], start, stop)
+        except ValueError:
+            return None
+        return row * self.n + int(slot[2])
 
     def require(self, pred_set: VideoPredictionSet, what: str) -> None:
         """Raise ValueError unless this is the layout of ``pred_set`` itself,
@@ -159,7 +180,7 @@ class FusedScores(Mapping):
     values bit for bit."""
 
     def __init__(self, layout: SlotLayout, values: np.ndarray):
-        slots = len(layout.keys) * layout.n
+        slots = len(layout.pair_keys) * layout.n
         if len(values) != slots:
             raise ValueError(f"fused column holds {len(values)} scores for {slots} slots")
         self.layout, self.values = layout, values
@@ -178,7 +199,9 @@ class FusedScores(Mapping):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FusedScores):
-            return (self.layout.n == other.layout.n and self.layout.keys == other.layout.keys
+            mine, theirs = self.layout, other.layout
+            return (mine.n == theirs.n and np.array_equal(mine.frame, theirs.frame)
+                    and mine.pair_keys == theirs.pair_keys
                     and self.values.tobytes() == other.values.tobytes())
         if isinstance(other, Mapping):
             return (len(self) == len(other) and all(slot in other for slot in self) and
@@ -189,12 +212,12 @@ class FusedScores(Mapping):
 class AgentScoreTable:
     """Agent scores of ``layout``'s slots, in columns: ``values[k, i]`` is the
     ``SCORE_KINDS[k]`` score of slot ``i``, NaN where absent. Setting a slot
-    outside the layout's prediction set raises KeyError. ``items`` and
-    ``len`` count the slots holding any kind."""
+    outside the layout's prediction set raises KeyError. ``len`` counts
+    the slots holding any kind."""
 
     def __init__(self, layout: SlotLayout):
         self.layout = layout
-        self.values = np.full((len(SCORE_KINDS), len(layout.keys) * layout.n), np.nan)
+        self.values = np.full((len(SCORE_KINDS), len(layout.pair_keys) * layout.n), np.nan)
 
     def set(self, frame_index: int, pkey, relation_index: int, kind: str, score: float):
         if kind not in SCORE_KINDS:
@@ -207,18 +230,10 @@ class AgentScoreTable:
             raise KeyError(f"{slot} is not a slot of the table's prediction set")
         self.values[SCORE_KINDS.index(kind), i] = score
 
-    def get(self, frame_index: int, pkey, relation_index: int, kind: str) -> Optional[float]:
-        return self.kinds_at(frame_index, pkey, relation_index).get(kind)
-
     def kinds_at(self, frame_index: int, pkey, relation_index: int) -> dict[str, float]:
         i = self.layout.find((frame_index, pkey, relation_index))
         column = [] if i is None else self.values[:, i].tolist()
         return {kind: v for kind, v in zip(SCORE_KINDS, column) if v == v}
-
-    def items(self):
-        held = (~np.isnan(self.values).all(axis=0)).tolist()
-        for slot in compress(self.layout.slots(), held):
-            yield slot, self.kinds_at(*slot)
 
     def __len__(self) -> int:
         return int((~np.isnan(self.values).all(axis=0)).sum())

@@ -194,17 +194,17 @@ class TestCommonSense:
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
-        assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
-        assert table.get(0, ("id", 0, 1), 1, CS) == 0.1
+        assert table.kinds_at(0, ("id", 0, 1), 0).get(CS) == 0.9
+        assert table.kinds_at(0, ("id", 0, 1), 1).get(CS) == 0.1
         # below the candidate floor, never queried
-        assert table.get(0, ("id", 0, 1), 2, CS) is None
+        assert table.kinds_at(0, ("id", 0, 1), 2).get(CS) is None
 
     def test_batched_rule_table_answers_land_on_their_own_slots(self):
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=3)
-        assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
-        assert table.get(0, ("id", 0, 1), 1, CS) == 0.1
+        assert table.kinds_at(0, ("id", 0, 1), 0).get(CS) == 0.9
+        assert table.kinds_at(0, ("id", 0, 1), 1).get(CS) == 0.1
 
     def test_distinct_texts_cost_one_call_each(self):
         video = make_video([frame(f, [make_pair(scores=(0.5, 0.5, 0.02))]) for f in range(4)])
@@ -212,7 +212,7 @@ class TestCommonSense:
         table = scored(run_common_sense, p, video, {0, 1, 2, 3}, VOCAB, FLOOR, batch_size=1)
         assert p.call_count == 2  # 2 distinct triplet texts across 4 keyframes
         for f in range(4):
-            assert table.get(f, ("id", 0, 1), 0, CS) == 0.9
+            assert table.kinds_at(f, ("id", 0, 1), 0).get(CS) == 0.9
 
     def test_failed_batch_isolated(self):
         def transport(spec, req):
@@ -223,8 +223,8 @@ class TestCommonSense:
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(transport=transport), video, {0}, VOCAB,
                        FLOOR, batch_size=1)
-        assert table.get(0, ("id", 0, 1), 0, CS) == 0.9
-        assert table.get(0, ("id", 0, 1), 1, CS) is None
+        assert table.kinds_at(0, ("id", 0, 1), 0).get(CS) == 0.9
+        assert table.kinds_at(0, ("id", 0, 1), 1).get(CS) is None
 
     def test_auth_error_fatal(self):
         def transport(spec, req):
@@ -391,9 +391,9 @@ class TestSpatial:
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.5))])])
         table = scored(run_spatial, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
-        assert table.get(0, ("id", 0, 1), 1, SPATIAL) == 0.2
-        assert table.get(0, ("id", 0, 1), 0, SPATIAL) is None
-        assert table.get(0, ("id", 0, 1), 2, SPATIAL) is None
+        assert table.kinds_at(0, ("id", 0, 1), 1).get(SPATIAL) == 0.2
+        assert table.kinds_at(0, ("id", 0, 1), 0).get(SPATIAL) is None
+        assert table.kinds_at(0, ("id", 0, 1), 2).get(SPATIAL) is None
 
     def test_failed_batch_isolated(self):
         def transport(spec, req):
@@ -405,8 +405,8 @@ class TestSpatial:
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_spatial, provider(transport=transport), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
-        assert table.get(0, ("id", 0, 1), 0, SPATIAL) == 0.5
-        assert table.get(0, ("id", 0, 1), 1, SPATIAL) is None
+        assert table.kinds_at(0, ("id", 0, 1), 0).get(SPATIAL) == 0.5
+        assert table.kinds_at(0, ("id", 0, 1), 1).get(SPATIAL) is None
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_call_volume(self, fixture_predictions, fixture_vocab, batch_size):
@@ -448,9 +448,9 @@ class TestTemporal:
         transitions = detect_transitions(video, every_frame(video))
         p = provider([MockRule("contains", "frame 0:", "Output: 0.7")])
         table = scored(run_temporal, p, VOCAB, transitions, batch_size=1, over=video)
-        assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
-        assert table.get(1, ("id", 0, 1), 0, TEMPORAL) is None
-        assert table.get(0, ("id", 0, 1), 0, TEMPORAL) is None
+        assert table.kinds_at(1, ("id", 0, 1), 1).get(TEMPORAL) == 0.7
+        assert table.kinds_at(1, ("id", 0, 1), 0).get(TEMPORAL) is None
+        assert table.kinds_at(0, ("id", 0, 1), 0).get(TEMPORAL) is None
 
     def test_same_change_on_two_pairs_is_asked_twice(self):
         # two chairs in one frame both flip hold -> ride: the triplet texts
@@ -466,8 +466,8 @@ class TestTemporal:
                        detect_transitions(video, every_frame(video)), batch_size=2, over=video)
         assert len(prompts) == 1
         assert prompts[0].count("frame 0: <person,hold,chair> frame 1: <person,ride,chair>") == 2
-        assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
-        assert table.get(1, ("id", 0, 2), 1, TEMPORAL) == 0.4
+        assert table.kinds_at(1, ("id", 0, 1), 1).get(TEMPORAL) == 0.7
+        assert table.kinds_at(1, ("id", 0, 2), 1).get(TEMPORAL) == 0.4
 
     def test_failed_batch_isolated(self):
         video = make_video([
@@ -484,8 +484,8 @@ class TestTemporal:
 
         table = scored(run_temporal, provider(transport=transport), VOCAB,
                        detect_transitions(video, every_frame(video)), batch_size=1, over=video)
-        assert table.get(1, ("id", 0, 1), 1, TEMPORAL) == 0.7
-        assert table.get(1, ("id", 0, 2), 2, TEMPORAL) is None
+        assert table.kinds_at(1, ("id", 0, 1), 1).get(TEMPORAL) == 0.7
+        assert table.kinds_at(1, ("id", 0, 2), 2).get(TEMPORAL) is None
 
     @pytest.mark.parametrize("batch_size", [1, 5])
     def test_call_volume(self, batch_size):
@@ -510,7 +510,7 @@ class TestTemporal:
         p = provider([])
         table = scored(run_temporal, p, VOCAB, [], batch_size=1, over=video)
         assert p.call_count == 0
-        assert list(table.items()) == []
+        assert held_entries(table) == {}
 
 
 class TestPropagation:
@@ -523,8 +523,8 @@ class TestPropagation:
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
         out = propagate_scores(table, video, {0, 4})
-        assert out.get(1, ("id", 0, 1), 0, CS) == 0.2
-        assert out.get(3, ("id", 0, 1), 0, CS) == 0.8
+        assert out.kinds_at(1, ("id", 0, 1), 0).get(CS) == 0.2
+        assert out.kinds_at(3, ("id", 0, 1), 0).get(CS) == 0.8
 
     def test_distance_tie_prefers_earlier(self):
         video = self.tracked_video()
@@ -532,7 +532,7 @@ class TestPropagation:
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
         out = propagate_scores(table, video, {0, 4})
-        assert out.get(2, ("id", 0, 1), 0, CS) == 0.2
+        assert out.kinds_at(2, ("id", 0, 1), 0).get(CS) == 0.2
 
     def test_skips_keyframes_missing_value(self):
         # keyframe 2 never got a score, so frame 3 reaches back to keyframe 0
@@ -540,7 +540,7 @@ class TestPropagation:
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         out = propagate_scores(table, video, {0, 2, 4})
-        assert out.get(3, ("id", 0, 1), 0, CS) == 0.2
+        assert out.kinds_at(3, ("id", 0, 1), 0).get(CS) == 0.2
 
     def test_direct_non_keyframe_entries_kept(self):
         video = self.tracked_video()
@@ -548,7 +548,7 @@ class TestPropagation:
         table.set(0, ("id", 0, 1), 0, TEMPORAL, 0.3)
         table.set(1, ("id", 0, 1), 0, TEMPORAL, 0.9)
         out = propagate_scores(table, video, {0, 4})
-        assert out.get(1, ("id", 0, 1), 0, TEMPORAL) == 0.9
+        assert out.kinds_at(1, ("id", 0, 1), 0).get(TEMPORAL) == 0.9
 
     def test_untracked_pairs_propagate_by_text(self):
         video = make_video([
@@ -558,7 +558,7 @@ class TestPropagation:
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("idx", 0), 2, CS, 0.6)
         out = propagate_scores(table, video, {0})
-        assert out.get(1, ("idx", 0), 2, CS) == 0.6
+        assert out.kinds_at(1, ("idx", 0), 2).get(CS) == 0.6
 
     def test_untracked_pairs_only_cs_propagates(self):
         video = make_video([
@@ -568,7 +568,7 @@ class TestPropagation:
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("idx", 0), 2, SPATIAL, 0.6)
         out = propagate_scores(table, video, {0})
-        assert out.get(1, ("idx", 0), 2, SPATIAL) is None
+        assert out.kinds_at(1, ("idx", 0), 2).get(SPATIAL) is None
 
     def test_fills_a_table_over_the_sets_layout_in_place(self):
         video = self.tracked_video()
@@ -578,7 +578,8 @@ class TestPropagation:
         values = table.values
         assert propagate_scores(table, video, {0, 4}) is table
         assert table.values is values
-        assert [table.get(f, ("id", 0, 1), 0, CS) for f in range(5)] == [0.2, 0.2, 0.2, 0.8, 0.8]
+        assert [table.kinds_at(f, ("id", 0, 1), 0).get(CS)
+                for f in range(5)] == [0.2, 0.2, 0.2, 0.8, 0.8]
 
     @pytest.mark.parametrize("other", ["another video", "the same file loaded again"])
     def test_a_table_over_another_set_is_rejected(self, other, fixture_predictions,
@@ -598,7 +599,7 @@ class TestPropagation:
         # the oracle reads a snapshot: propagation fills ``table`` itself
         expected = propagation_oracle(table, video, keyframes)
         out = propagate_scores(table, video, keyframes)
-        assert dict(out.items()) == expected
+        assert held_entries(out) == expected
 
     # a drawn case holds at most 30 pairs, inside one default chunk: with
     # chunks of 1 or 2 pairs its targets are filled over several passes
@@ -611,14 +612,14 @@ class TestPropagation:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(agents, "_CHUNK", chunk)
             out = propagate_scores(table, video, keyframes)
-        assert dict(out.items()) == expected
+        assert held_entries(out) == expected
 
     def test_matches_the_oracle_over_more_pairs_than_a_chunk(self):
         video, keyframes, table = long_propagation_case()
         assert sum(len(fr.pairs) for fr in video.frames) > agents._CHUNK
         expected = propagation_oracle(table, video, keyframes)
         out = propagate_scores(table, video, keyframes)
-        assert dict(out.items()) == expected
+        assert held_entries(out) == expected
 
 
 def long_propagation_case(frames=520, interval=20):
@@ -700,13 +701,18 @@ def propagation_cases(draw):
     return video, keyframes, table
 
 
+def held_entries(table):
+    """Per slot holding any kind, its scores by kind, in slot order."""
+    return {slot: kinds for slot in table.layout.slots() if (kinds := table.kinds_at(*slot))}
+
+
 def propagation_oracle(table, video, keyframes):
     """Brute force from the propagate_scores docstring: every table entry is
     kept; an empty non-keyframe slot takes the value of the keyframe holding
     its (pair_key, relation, kind) with the smallest (distance, keyframe);
     an untracked pair does the same for common-sense scores only, matched by
     triplet text, where the last matching pair of a keyframe wins."""
-    expected = {slot: dict(kinds) for slot, kinds in table.items()}
+    expected = held_entries(table)
     key_frames = [fr for fr in video.frames if fr.frame_index in keyframes]
     for fr in video.frames:
         f = fr.frame_index
@@ -722,13 +728,13 @@ def propagation_oracle(table, video, keyframes):
                     for kf_frame in key_frames:
                         kf = kf_frame.frame_index
                         if pair.pair_id is not None:
-                            if table.get(kf, pk, r, kind) is not None:
-                                held[kf] = table.get(kf, pk, r, kind)
+                            if table.kinds_at(kf, pk, r).get(kind) is not None:
+                                held[kf] = table.kinds_at(kf, pk, r).get(kind)
                         elif kind == CS:
                             text = triplet_to_text(pair, r, VOCAB)
                             for j, other in enumerate(kf_frame.pairs):
                                 for r2 in range(VOCAB.n):
-                                    value = table.get(kf, pair_key(other, j), r2, CS)
+                                    value = table.kinds_at(kf, pair_key(other, j), r2).get(CS)
                                     same = triplet_to_text(other, r2, VOCAB) == text
                                     if value is not None and same:
                                         held[kf] = value

@@ -574,6 +574,17 @@ class TestEval:
         assert set(data["recall"]) == {"5"}
         assert data["threshold"] == 0.3
 
+    def test_refined_fixture_report_bytes(self, tmp_path, capsys):
+        code, refined = run_refine(tmp_path, "refined.jsonl")
+        assert code == 0
+        report = tmp_path / "report.json"
+        assert main(["eval", "--refined", str(refined), "--gt", fixture_path("gt.jsonl"),
+                     "--vocab", fixture_path("vocab.txt"), "--k", "1", "2", "3", "5", "10",
+                     "--report", str(report)]) == 0
+        assert report.read_bytes() == (
+            b'{\n  "recall": {\n    "1": 5.0,\n    "10": 100.0,\n    "2": 5.0,\n'
+            b'    "3": 5.0,\n    "5": 50.0\n  },\n  "threshold": 0.3\n}\n')
+
     def test_missing_gt_exits_one(self, tmp_path):
         code = main([
             "eval",

@@ -225,8 +225,8 @@ class TestAggregate:
         assert got.layout is layout
         for slot in layout.slots():
             for kind in SCORE_KINDS:
-                values = [t.get(*slot, kind) for t in tables.values()]
+                values = [t.kinds_at(*slot).get(kind) for t in tables.values()]
                 values = [v for v in values if v is not None]
                 expected = sum(values) / len(values) if values else None
-                value = got.get(*slot, kind)
+                value = got.kinds_at(*slot).get(kind)
                 assert (value is None and expected is None) or value.hex() == expected.hex()

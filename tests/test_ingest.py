@@ -310,6 +310,25 @@ class TestLoadGroundTruth:
         (first,) = gt.frames[0]
         assert first is next(t for t in gt.frames[1] if t[1] == 1)
 
+    def test_holds_each_distinct_frame_set_once(self, tmp_path, vocab):
+        write_lines(tmp_path / "p.jsonl", [record(frame=f, pair_id=pid)
+                                           for f in range(5) for pid in ((0, 1), (0, 2))])
+        preds = load_predictions(tmp_path / "p.jsonl", vocab)
+        records = [{"frame_index": f, "pair_id": pid, "relation_index": r}
+                   for f, pid, r in ((0, [0, 1], 1), (1, [0, 1], 1), (2, [0, 2], 1),
+                                     (3, [0, 1], 1), (3, [0, 2], 0), (4, [0, 2], 0),
+                                     (4, [0, 1], 1))]
+        write_lines(tmp_path / "gt.jsonl", records)
+        gt = load_ground_truth(tmp_path / "gt.jsonl", preds)
+        frames: dict = {}  # a set per frame, built record by record
+        for rec in records:
+            frames.setdefault(rec["frame_index"], set()).add(
+                (tuple(rec["pair_id"]), rec["relation_index"]))
+        assert gt.frames == {fi: frozenset(s) for fi, s in frames.items()}
+        assert gt.frames[0] is gt.frames[1]  # one frame set
+        assert gt.frames[3] is gt.frames[4]  # the same set, given in another order
+        assert len({id(s) for s in gt.frames.values()}) == 3
+
     def test_dangling_pair(self, tmp_path, vocab):
         preds = self.make_predictions(tmp_path, vocab)
         write_lines(tmp_path / "gt.jsonl",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hoirefine.model import (
     CS,
@@ -13,6 +13,7 @@ from hoirefine.model import (
     RelationVocabulary,
     SlotLayout,
     VideoPredictionSet,
+    pair_key,
 )
 
 
@@ -116,13 +117,82 @@ class TestSlotLayout:
     def test_one_frame_index_per_pair_row(self):
         layout = SlotLayout(two_frames())
         assert layout.frame.tolist() == [3, 3, 7]
-        assert [fi for fi, _ in layout.keys] == [3, 3, 7]
+        assert layout.pair_keys == [("id", 0, 1), ("idx", 1), ("id", 2, 5)]
+        assert layout.spans == {3: (0, 2), 7: (2, 3)}
 
     def test_equal_pair_keys_are_one_object(self):
         # an untracked pair first and a pair tracked as (0, 1), in each of three frames
         video = VideoPredictionSet("v", RelationVocabulary(("a",)), tuple(
             FramePrediction(f, 640, 480, (make_pair(pair_id=None), make_pair(pair_id=(0, 1))))
             for f in range(3)))
-        keys = [pk for _, pk in SlotLayout(video).keys]
+        keys = SlotLayout(video).pair_keys
         assert keys[0] == ("idx", 0) and keys[1] == ("id", 0, 1)
         assert keys[0] is keys[2] is keys[4] and keys[1] is keys[3] is keys[5]
+
+    def test_a_pair_key_twice_in_a_frame_is_refused(self):
+        # the later row would shadow the earlier, whose slots could then never be scored
+        video = VideoPredictionSet("v", RelationVocabulary(("a",)), (
+            FramePrediction(2, 640, 480, (make_pair(pair_id=(0, 1)),)),
+            FramePrediction(4, 640, 480, (make_pair(pair_id=(0, 1)), make_pair(pair_id=None),
+                                          make_pair(pair_id=(0, 1))))))
+        with pytest.raises(ValueError, match=r"frame 4 holds pair key \('id', 0, 1\) twice"):
+            SlotLayout(video)
+
+    def test_a_frame_index_twice_is_refused(self):
+        video = VideoPredictionSet("v", RelationVocabulary(("a",)), (
+            FramePrediction(4, 640, 480, (make_pair(pair_id=(0, 1)),)),
+            FramePrediction(4, 640, 480, (make_pair(pair_id=(0, 2)),))))
+        with pytest.raises(ValueError, match="frame 4 appears twice"):
+            SlotLayout(video)
+
+
+@st.composite
+def layout_sets(draw):
+    """Sets with gaps in their frame indices, frames without pairs, tracked
+    and untracked pairs, and pair ids that recur in many frames."""
+    n = draw(st.integers(1, 3))
+    indices = sorted(draw(st.sets(st.integers(0, 30), max_size=6)))
+    frames = []
+    for fi in indices:
+        ids = draw(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 1))),
+                            max_size=5))
+        ids = [pid for i, pid in enumerate(ids) if pid is None or pid not in ids[:i]]
+        frames.append(FramePrediction(fi, 640, 480, tuple(
+            make_pair(scores=[0.5] * n, pair_id=pid) for pid in ids)))
+    return VideoPredictionSet("v", RelationVocabulary(tuple("abc"[:n])), tuple(frames))
+
+
+class TestFind:
+    @settings(max_examples=200, deadline=None)
+    @given(layout_sets())
+    def test_matches_a_brute_force_index(self, video):
+        layout = SlotLayout(video)
+        expected = [(frame.frame_index, pair_key(pair, i), r) for frame in video.frames
+                    for i, pair in enumerate(frame.pairs) for r in range(layout.n)]
+        assert list(layout.slots()) == expected
+        index = {slot: i for i, slot in enumerate(layout.slots())}
+        assert len(index) == len(expected) == len(layout.base)
+        for slot, i in index.items():
+            fi, pk, r = slot
+            assert layout.find(slot) == i
+            assert layout.find((fi, tuple(pk), r)) == i  # an equal key, not the layout's own
+            assert layout.find((np.int64(fi), pk, np.int64(r))) == i
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout_sets())
+    def test_none_for_every_key_that_is_no_slot(self, video):
+        layout = SlotLayout(video)
+        keys = {(frame.frame_index, pair_key(pair, i))
+                for frame in video.frames for i, pair in enumerate(frame.pairs)}
+        unknown = max(layout.spans, default=-1) + 1
+        for frame in video.frames:
+            for i, pair in enumerate(frame.pairs):
+                fi, pk = frame.frame_index, pair_key(pair, i)
+                assert layout.find((unknown, pk, 0)) is None
+                for other in layout.spans:
+                    if (other, pk) not in keys:  # the key of another frame
+                        assert layout.find((other, pk, 0)) is None
+                        assert layout.find((np.int64(other), pk, np.int64(0))) is None
+                for bad in ((fi, pk, -1), (fi, pk, layout.n), (fi, pk, np.int64(layout.n)),
+                            (fi, pk), (fi, pk, 0, 0), [fi, pk, 0], (fi, list(pk), 0), "slot"):
+                    assert layout.find(bad) is None

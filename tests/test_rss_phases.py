@@ -1,11 +1,14 @@
 """``tools/rss_phases.py`` wraps functions of the package by (module, name),
 and of the benchmark harness by name, to mark the end of each phase. The
 first two tests fail when a rename would make that tool stop at start-up;
-the others check which phase it names as holding the sampled maximum."""
+the next check which phase it names as holding the sampled maximum, and
+the last how it lists the live allocation sites of ``--live``."""
 
 import importlib
+import json
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -67,3 +70,32 @@ def test_names_the_phase_and_part_holding_the_maximum(rss_phases, index, named):
 def test_a_tie_names_the_earlier_phase(rss_phases):
     rows = with_max(6, 57.6)  # propagation reaches the post-job set-up's maximum
     assert rss_phases.peak_phase(rows, JOB_END) == "pipeline.propagate_scores (job)"
+
+
+def test_live_sites_lists_the_largest_sites_first(rss_phases):
+    tracemalloc.start()
+    try:
+        small = [bytearray(100) for _ in range(50)]
+        large, line = [bytearray(2000) for _ in range(100)], sys._getframe().f_lineno
+        rows = rss_phases.live_sites(tracemalloc.take_snapshot(), 2)
+    finally:
+        tracemalloc.stop()
+    assert len(small) == 50 and len(large) == 100
+    assert len(rows) == 2
+    kb, blocks, site = rows[0].split()
+    assert site == f"tests/test_rss_phases.py:{line}"
+    assert 100 * 2000 / 1024 <= float(kb) < 1.5 * 100 * 2000 / 1024
+    assert int(blocks) >= 100
+    assert rows[1].endswith(f"tests/test_rss_phases.py:{line - 1}")
+    assert not any("tracemalloc.py" in row for row in rows)
+
+
+def test_live_sites_names_a_file_outside_the_tree_by_its_own_path(rss_phases):
+    tracemalloc.start()
+    try:
+        held = json.loads("[" + ", ".join(['"' + "x" * 4000 + '"'] * 20) + "]")
+        rows = rss_phases.live_sites(tracemalloc.take_snapshot(), 1)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 20
+    assert rows[0].split()[2].startswith(os.path.dirname(json.__file__))

@@ -123,7 +123,8 @@ def run_chaos(pred_set, widths, batch_size, debate_mode, keyframe_interval, late
                     files[name] = fh.read()
     return {"predictions": written, "transcripts": files, "billed": billed,
             "summary": outcome.stats.summary(),
-            "table": {slot: dict(kinds) for slot, kinds in outcome.table.items()}}
+            "table": {slot: kinds for slot in outcome.table.layout.slots()
+                      if (kinds := outcome.table.kinds_at(*slot))}}
 
 
 _ORACLES: dict = {}

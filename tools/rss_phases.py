@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Resident set size at each phase of one benchmark repetition.
 
-    python3 tools/rss_phases.py [--workload rt_long] [--seed 9]
+    python3 tools/rss_phases.py [--workload rt_long] [--seed 9] [--live N]
 
 Prepares the seed's first input variant with ``perfbench``'s own ``Bench``
 in a temporary directory, then runs one repetition in a fresh process as
@@ -13,6 +13,13 @@ give the sampled maximum, which can miss a short peak, the phase that held
 it and its part of the repetition (the set-up, the job with its output
 check, or the set-ups run alone after it), and ``ru_maxrss``, which the
 benchmark reports as ``peak_rss_mb``. Linux only.
+
+With ``--live N`` the repetition runs once more, in another fresh process
+under ``tracemalloc``, and when the job's output check starts
+(``run.sha256_file``) prints the N largest live allocation sites: KB, blocks
+and file:line, a file of this tree by its relative path. They name what the
+job still holds at its peak. The RSS rows above come from the untraced run,
+since tracing inflates the resident set.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -55,6 +63,20 @@ def peak_phase(rows: list[tuple[str, float]], job_end: int) -> str:
     setup_end = next(i for i, (name, _) in enumerate(rows) if name == "Bench.setup")
     part = "set-up" if peak <= setup_end else "job" if peak < job_end else "post-job set-up"
     return f"{rows[peak][0]} ({part})"
+
+
+def live_sites(snapshot: tracemalloc.Snapshot, n: int) -> list[str]:
+    """The ``n`` largest live allocation sites of ``snapshot`` by size,
+    ``tracemalloc``'s own left out, one row each: KB, blocks and file:line,
+    a file under ``ROOT`` by its path relative to it."""
+    snapshot = snapshot.filter_traces([tracemalloc.Filter(False, tracemalloc.__file__)])
+    rows = []
+    for stat in snapshot.statistics("lineno")[:n]:
+        frame = stat.traceback[0]
+        path = os.path.relpath(frame.filename, ROOT)
+        path = frame.filename if path.startswith(os.pardir) else path
+        rows.append(f"{stat.size / 1024:>10.1f}{stat.count:>10}  {path}:{frame.lineno}")
+    return rows
 
 
 class Sampler:
@@ -121,24 +143,57 @@ def measure(workload: str, work: str, variant: int) -> None:
         print(f"rss_phases: {problem}", file=sys.stderr)
 
 
+def measure_live(workload: str, work: str, variant: int, n: int) -> None:
+    tracemalloc.start()
+    run.import_program()
+    logging.disable(logging.WARNING)
+    bench = run.Bench(workload, work, [variant], run.load_expected())
+    sha256_file, rows = run.sha256_file, []
+
+    def check(path):
+        if not rows:  # the job's output check, the first call
+            rows.extend(live_sites(tracemalloc.take_snapshot(), n))
+        return sha256_file(path)
+
+    run.sha256_file = check
+    sample = bench.rep(variant)
+    tracemalloc.stop()
+    print(f"live at the start of run.sha256_file (job), traced; the {n} largest sites")
+    print(f"{'KB':>10}{'blocks':>10}  file:line")
+    print("\n".join(rows))
+    for problem in sample["problems"]:
+        print(f"rss_phases: {problem}", file=sys.stderr)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="rt_long",
                         choices=sorted(w for w in run.WORKLOADS if w != "gradcheck"))
     parser.add_argument("--seed", type=int, default=9)
+    parser.add_argument("--live", type=int, default=0, metavar="N",
+                        help="also list the N largest live allocation sites at the output check")
     parser.add_argument("--work", help=argparse.SUPPRESS)  # set for the measuring process
     parser.add_argument("--variant", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.live < 0:
+        parser.error("--live must be >= 0")
     if args.work:
-        measure(args.workload, args.work, args.variant)
+        if args.live:  # the traced process
+            measure_live(args.workload, args.work, args.variant, args.live)
+        else:
+            measure(args.workload, args.work, args.variant)
         return 0
     variant = run.variants(args.seed, run.WORKLOADS[args.workload]["pool"])[0]
     with tempfile.TemporaryDirectory(prefix="rss-phases-") as work:
         run.import_program()
         run.Bench(args.workload, work, [variant]).prepare()
-        print(f"workload {args.workload}, seed {args.seed}, variant {variant}")
-        return subprocess.run([sys.executable, os.path.abspath(__file__), "--workload",
-                               args.workload, "--work", work, "--variant", str(variant)]).returncode
+        print(f"workload {args.workload}, seed {args.seed}, variant {variant}", flush=True)
+        command = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
+                   "--work", work, "--variant", str(variant)]
+        status = subprocess.run(command).returncode
+        if status or not args.live:
+            return status
+        return subprocess.run(command + ["--live", str(args.live)]).returncode
 
 
 if __name__ == "__main__":
