@@ -37,7 +37,7 @@ from .model import (
     SCORE_KINDS,
     SPATIAL,
     TEMPORAL,
-    AgentScoreTable,
+    AgentScores,
     PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
@@ -312,14 +312,16 @@ _CHUNK = 1024
 
 
 def propagate_scores(
-    table: AgentScoreTable,
+    scores: AgentScores,
     pred_set: VideoPredictionSet,
     keyframes: set[int],
-) -> AgentScoreTable:
-    """Copy keyframe scores to non-keyframes, in place: the table, which must
-    be over ``pred_set``'s own layout (else ValueError), is filled and returned.
+) -> AgentScores:
+    """``scores``, which must be over ``pred_set``'s own layout (else
+    ValueError), with keyframe scores copied to non-keyframes, as new
+    ``AgentScores``; ``scores`` itself is left as it is. Each kind is spread
+    in turn over a dense grid of one value per slot, then compacted again.
 
-    Every table entry is kept, so directly recorded non-keyframe values
+    Every entry is kept, so directly recorded non-keyframe values
     (temporal scores land wherever the transition happened) win. An empty
     non-keyframe slot takes the value of the nearest keyframe holding its
     source key; on a distance tie the earlier keyframe wins. A tracked
@@ -328,8 +330,8 @@ def propagate_scores(
     pair's common-sense score is indexed that way, and when two pairs share
     a text in one keyframe the later pair's score is the source.
     """
-    table.layout.require(pred_set, "agent scores")
-    layout, vocab, n = table.layout, pred_set.vocabulary, pred_set.vocabulary.n
+    scores.layout.require(pred_set, "agent scores")
+    layout, vocab, n = scores.layout, pred_set.vocabulary, pred_set.vocabulary.n
     pairs, ids, classes, class_texts, text_ids = len(layout.pair_keys), {None: -1}, {}, [], {}
 
     def class_id(pair) -> int:
@@ -358,13 +360,18 @@ def propagate_scores(
     def by_text(p, r):
         return class_text[cls[p], r]
     # sources are held slots of keyframe pairs and targets empty slots of
-    # the others, so a kind's row is read and filled in place
-    for values, kind in zip(table.values, SCORE_KINDS):
-        grid = values.reshape(pairs, n)
+    # the others, so a kind's grid is read and filled in place
+    columns = []
+    for (index, values), kind in zip(scores.columns, SCORE_KINDS):
+        dense = np.full(pairs * n, np.nan)
+        dense[index] = values
+        grid = dense.reshape(pairs, n)
         _fill(grid, by_track, tracks, keyframe & tracked, ~keyframe & tracked, frame, rank)
         if kind == CS:
             _fill(grid, by_text, texts, keyframe, ~keyframe & ~tracked, frame, rank)
-    return table
+        held = np.flatnonzero(~np.isnan(dense))
+        columns.append((held, dense[held]))
+    return AgentScores(layout, columns)
 
 
 def _fill(grid: np.ndarray, group: Callable, groups: int, sources: np.ndarray,

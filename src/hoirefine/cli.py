@@ -106,7 +106,7 @@ def cmd_eval(args) -> int:
     pred_set = load_predictions(args.refined, load_vocabulary(args.vocab))
     gt = load_ground_truth(args.gt, pred_set)
     layout = SlotLayout(pred_set)
-    positives = positives_per_frame(FusedScores(layout, layout.base), args.threshold)
+    positives = positives_per_frame(FusedScores(layout, layout.base_scores()), args.threshold)
     recalls = recall_at_k_dataset(positives, _gt_per_frame(gt), ks)
     width = max(len(f"R@{k}") for k in ks)
     for k in ks:

@@ -1,16 +1,24 @@
 """Core domain types for per-frame human-object interaction predictions.
 
-All types here are immutable after construction and safe to share across
-concurrent pipeline stages. The records of a prediction set (frames, pairs
-and boxes) are slotted, so they carry no per-instance ``__dict__``. The rules
-a prediction file must follow are checked where it is read, in
+All types here but ``AgentScoreTable`` are immutable after construction and
+safe to share across concurrent pipeline stages; an ``AgentScoreTable`` is
+one provider's stage-1 table, written under ``pipeline.run_stage_one``'s
+lock. The records of a prediction set (frames, pairs and boxes) are
+slotted, so they carry no per-instance ``__dict__``. The rules a prediction
+file must follow are checked where it is read, in
 ``ingest.load_predictions``.
+
+A run's scores over its ``SlotLayout`` are held once, and only where they
+exist: the base scores stay in the set's pairs (``SlotLayout.base_scores``
+reads them as a column), and ``AgentScores`` keeps, per score kind, the
+indices of the slots holding it and their values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -117,11 +125,12 @@ class SlotLayout:
     """The (frame_index, pair_key, relation_index) slots of ``pred_set``, in
     frame, pair and relation order: slot ``i`` (see ``find`` and ``slots``) is
     relation ``i % n`` of pair row ``i // n``, whose pair key is
-    ``pair_keys[i // n]`` and frame index ``frame[i // n]``, base score
-    ``base[i]``. The rows of frame ``f`` are ``range(*spans[f])``. The layout
-    holds each distinct pair key once: equal keys, a tracked pair's in every
-    frame, are one object. A set that repeats a frame index, or a pair key
-    within a frame, raises ValueError: its slots would be ambiguous."""
+    ``pair_keys[i // n]`` and frame index ``frame[i // n]``; ``base_scores``
+    reads the slots' base scores. The rows of frame ``f`` are
+    ``range(*spans[f])``. The layout holds each distinct pair key once:
+    equal keys, a tracked pair's in every frame, are one object. A set that
+    repeats a frame index, or a pair key within a frame, raises ValueError:
+    its slots would be ambiguous."""
 
     def __init__(self, pred_set: VideoPredictionSet):
         self.pred_set, self.n = pred_set, pred_set.vocabulary.n
@@ -141,8 +150,17 @@ class SlotLayout:
             self.spans[fi] = (start, stop)
         self.frame = np.repeat(np.array(list(self.spans), dtype=np.int64),
                                [stop - start for start, stop in self.spans.values()])
-        self.base = np.array([pair.scores for _, pair in pred_set.iter_pairs()],
-                             dtype=float).reshape(-1)
+
+    def base_scores(self) -> np.ndarray:
+        """A new float64 column of every slot's base score, in slot order,
+        read from the set's own pairs: the layout holds no copy of them.
+        Pairs holding more or fewer scores than the slots raise ValueError."""
+        scores = chain.from_iterable(pair.scores for frame in self.pred_set.frames
+                                     for pair in frame.pairs)
+        column = np.fromiter(scores, float, len(self.pair_keys) * self.n)  # raises when short
+        if next(scores, None) is not None:
+            raise ValueError("the set's pairs hold more scores than its slots")
+        return column
 
     def slots(self) -> Iterator[tuple]:
         """Every slot, in index order."""
@@ -210,10 +228,11 @@ class FusedScores(Mapping):
 
 
 class AgentScoreTable:
-    """Agent scores of ``layout``'s slots, in columns: ``values[k, i]`` is the
-    ``SCORE_KINDS[k]`` score of slot ``i``, NaN where absent. Setting a slot
-    outside the layout's prediction set raises KeyError. ``len`` counts
-    the slots holding any kind."""
+    """One provider's stage-1 scores of ``layout``'s slots, in dense columns:
+    ``values[k, i]`` is the ``SCORE_KINDS[k]`` score of slot ``i``, NaN where
+    absent. Setting a slot outside the layout's prediction set raises
+    KeyError. ``pipeline.aggregate_provider_tables`` turns the tables of a
+    run into one ``AgentScores``."""
 
     def __init__(self, layout: SlotLayout):
         self.layout = layout
@@ -235,8 +254,37 @@ class AgentScoreTable:
         column = [] if i is None else self.values[:, i].tolist()
         return {kind: v for kind, v in zip(SCORE_KINDS, column) if v == v}
 
+
+class AgentScores:
+    """A run's agent scores of ``layout``'s slots, held only where they
+    exist: ``columns[k]`` is an ``(index, values)`` pair for ``SCORE_KINDS[k]``,
+    the sorted, distinct int64 indices of the slots holding that kind and
+    their float64 scores. Read-only; ``len`` counts the slots holding any
+    kind."""
+
+    def __init__(self, layout: SlotLayout, columns):
+        self.layout = layout
+        self.columns = tuple((np.asarray(index, np.int64), np.asarray(values, float))
+                             for index, values in columns)
+        if len(self.columns) != len(SCORE_KINDS) or any(len(i) != len(v) for i, v in self.columns):
+            raise ValueError("need one (index, values) pair of equal lengths per score kind")
+        for column in self.columns:
+            for array in column:
+                array.flags.writeable = False
+
+    def kinds_at(self, frame_index: int, pkey, relation_index: int) -> dict[str, float]:
+        i = self.layout.find((frame_index, pkey, relation_index))
+        if i is None:
+            return {}
+        kinds = {}
+        for kind, (index, values) in zip(SCORE_KINDS, self.columns):
+            j = int(np.searchsorted(index, i))
+            if j < len(index) and index[j] == i:
+                kinds[kind] = values.item(j)
+        return kinds
+
     def __len__(self) -> int:
-        return int((~np.isnan(self.values).all(axis=0)).sum())
+        return len(np.unique(np.concatenate([index for index, _ in self.columns])))
 
 
 # keyed by annotation text: every dataclass module has ``from __future__ import annotations``

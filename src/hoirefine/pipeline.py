@@ -11,10 +11,15 @@ answer arrives first, and one failing provider leaves the others' scores.
 The debate judge's score is shared, not per-provider.
 
 Every score of a run lives in columns over one ``SlotLayout`` of the
-prediction set, from the stage-1 tables to the fused scores: ``fuse_table``
-returns a ``FusedScores`` column, which ``ingest.write_predictions`` formats
-row by row and ``evaluation.positives_per_frame`` selects from with one
-array comparison, so no per-slot object is built.
+prediction set. Only the per-provider stage-1 tables are dense, a column
+per kind over every slot; ``aggregate_provider_tables`` turns them into one
+``AgentScores``, which holds each kind's scores only at the slots that have
+one, and ``refine`` drops them there. Propagation and fusion read and
+return those compact columns, and the base scores are read from the
+prediction set itself. ``fuse_table`` returns a ``FusedScores`` column,
+which ``ingest.write_predictions`` formats row by row and
+``evaluation.positives_per_frame`` selects from with one array comparison,
+so no per-slot object is built.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .model import (
     SCORE_KINDS,
     SPATIAL,
     TEMPORAL,
+    AgentScores,
     AgentScoreTable,
     FusedScores,
     FusionWeights,
@@ -90,24 +96,40 @@ class RunStats:
 @dataclass
 class RefinementOutcome:
     fused: FusedScores  # (frame_index, pair_key, relation_index) -> fused score
-    table: AgentScoreTable  # propagated, aggregated agent scores
+    table: AgentScores  # propagated, aggregated agent scores
     stats: RunStats
 
 
-def aggregate_provider_tables(tables: dict[str, AgentScoreTable]) -> AgentScoreTable:
-    """Per slot and kind, the mean over the providers that scored it, summed
-    from 0.0 in provider order: bit-identical to ``sum(values) / len(values)``.
-    The tables share one layout."""
-    out = AgentScoreTable(next(iter(tables.values())).layout)
-    total, count = out.values, np.zeros(out.values.shape, dtype=np.int16)
-    total.fill(0.0)
-    for table in tables.values():
-        present = ~np.isnan(table.values)
-        np.add(total, table.values, out=total, where=present)
-        count += present
-    np.divide(total, count, out=total, where=count > 0)
-    total[count == 0] = np.nan
-    return out
+def aggregate_provider_tables(tables: dict[str, AgentScoreTable], *,
+                              judged: Optional[dict[tuple, float]] = None) -> AgentScores:
+    """The providers' stage-1 tables, which share one layout, as one
+    ``AgentScores``: per kind, the slots any provider scored, each with the
+    mean over the providers that scored it, summed from 0.0 in provider
+    order, so bit-identical to ``sum(values) / len(values)``.
+
+    ``judged`` maps (frame_index, pair_key, relation_index) slots to the
+    debate judge's score. When given, it is the DEBATE column, and the
+    tables' own DEBATE columns, which stage 1 never writes, are not read."""
+    layout = next(iter(tables.values())).layout
+    columns = []
+    for k, kind in enumerate(SCORE_KINDS):
+        if kind == DEBATE and judged is not None:
+            index = np.array([layout.find(slot) for slot in judged], dtype=np.int64)
+            order = np.argsort(index)
+            columns.append((index[order], np.array(list(judged.values()), dtype=float)[order]))
+            continue
+        scored = np.zeros(len(layout.pair_keys) * layout.n, dtype=bool)
+        for table in tables.values():
+            scored |= ~np.isnan(table.values[k])
+        index = np.flatnonzero(scored)
+        total, count = np.zeros(len(index)), np.zeros(len(index), dtype=np.int16)
+        for table in tables.values():
+            values = table.values[k, index]
+            present = ~np.isnan(values)
+            np.add(total, values, out=total, where=present)
+            count += present
+        columns.append((index, np.divide(total, count, out=total)))
+    return AgentScores(layout, columns)
 
 
 def run_stage_one(
@@ -256,38 +278,40 @@ def run_stage_two(
 
 def fuse_table(
     pred_set: VideoPredictionSet,
-    table: AgentScoreTable,
+    scores: AgentScores,
     weights: FusionWeights,
     toggles: Optional[dict] = None,
 ) -> FusedScores:
     """Fused score for every (frame, pair, relation) slot, in frame, pair
     and relation order: ``fuse_scores``' value, bit for bit, in one array pass,
-    kept as one column over the table's layout, which must be ``pred_set``'s
+    kept as one column over the scores' layout, which must be ``pred_set``'s
     own (else ValueError).
 
-    A slot without a table entry keeps its base score. Each entry adds the
-    terms of its kinds that ``toggles`` enables; ``toggles`` maps each of
-    ``SCORE_KINDS`` to on or off (None enables all), and a disabled kind's
-    term is dropped entirely."""
-    table.layout.require(pred_set, "agent scores")
-    fused = table.layout.base.copy()
+    The column starts as the set's own base scores; each kind that
+    ``toggles`` enables then adds its terms at the slots holding it, so a
+    slot without agent scores keeps its base score bit for bit (a ``-0.0``
+    too). ``toggles`` maps each of ``SCORE_KINDS`` to on or off (None
+    enables all), and a disabled kind's term is dropped entirely."""
+    layout = scores.layout
+    layout.require(pred_set, "agent scores")
+    fused = layout.base_scores()
     lambdas = (weights.lambda_cs, weights.lambda_s, weights.lambda_t, weights.lambda_debate)
-    for kind, values, lam in zip(SCORE_KINDS, table.values, lambdas):  # fuse_scores' order
+    # in fuse_scores' order of terms
+    for kind, (index, values), lam in zip(SCORE_KINDS, scores.columns, lambdas):
         if toggles is None or toggles.get(kind):
-            present = np.flatnonzero(~np.isnan(values))
-            distinct, inverse = np.unique(values[present], return_inverse=True)
+            distinct, inverse = np.unique(values, return_inverse=True)
             # sigmoid (math.exp) per distinct score: np.exp may differ in the last ulp
-            fused[present] += lam * np.array([sigmoid(x) for x in distinct.tolist()])[inverse]
-    return FusedScores(table.layout, fused)
+            fused[index] += lam * np.array([sigmoid(x) for x in distinct.tolist()])[inverse]
+    return FusedScores(layout, fused)
 
 
-def _coverage(table, keyframes, floor) -> dict[str, float]:
-    layout = table.layout
+def _coverage(scores: AgentScores, keyframes, floor) -> dict[str, float]:
+    layout = scores.layout
     candidates = (np.repeat(np.isin(layout.frame, list(keyframes)), layout.n)
-                  & (layout.base >= floor))
+                  & (layout.base_scores() >= floor))
     total = int(candidates.sum())
-    return {kind: int((~np.isnan(values[candidates])).sum()) / total
-            for kind, values in zip(SCORE_KINDS, table.values)} if total else {}
+    return {kind: int(candidates[index].sum()) / total
+            for kind, (index, _) in zip(SCORE_KINDS, scores.columns)} if total else {}
 
 
 def build_providers(config: RefinementConfig) -> list[Provider]:
@@ -306,8 +330,10 @@ def refine(
     """Full pipeline over one prediction set: keyframes and their adjacent
     transitions, both stages through ``run_stage_two`` (for every
     ``debate_mode``), then aggregation, propagation and fusion as array passes
-    over the stages' ``SlotLayout``. Reusing ``providers`` across calls keeps
-    their call counters cumulative. Ablations re-fuse ``outcome.table``.
+    over the stages' ``SlotLayout``. The dense per-provider tables are
+    dropped once aggregated; ``outcome.table`` holds the run's scores as
+    compact ``AgentScores`` columns, which ablations re-fuse. Reusing
+    ``providers`` across calls keeps their call counters cumulative.
 
     Raises ValueError, before any call, on a fused-scale set, whose scores
     hold every agent term already, and ConfigError (a ValueError) on
@@ -327,16 +353,15 @@ def refine(
     transitions = detect_transitions(pred_set, keyframes)
     per_provider, judge_scores, debates = run_stage_two(
         pred_set, config, providers, judge, keyframes, transitions, cache_dir, transcript_dir)
-    table = aggregate_provider_tables(per_provider)
-    for slot, score in judge_scores.items():
-        table.set(*slot, DEBATE, score)
+    scores = aggregate_provider_tables(per_provider, judged=judge_scores)
+    del per_provider  # the dense stage-1 tables are not held past here
 
     # propagation fills only non-keyframes, so keyframe coverage is final here
-    coverage = _coverage(table, keyframes, config.candidate_floor)
+    coverage = _coverage(scores, keyframes, config.candidate_floor)
     if coverage and not any(coverage.values()):
         raise ProviderError("no agent score for any keyframe candidate")
-    table = propagate_scores(table, pred_set, keyframes)  # fills the table in place
-    fused = fuse_table(pred_set, table, config.weights)
+    scores = propagate_scores(scores, pred_set, keyframes)
+    fused = fuse_table(pred_set, scores, config.weights)
 
     stats = RunStats(
         provider_calls={p.id: p.call_count for p in providers},
@@ -344,4 +369,4 @@ def refine(
         debates=debates,
         coverage=coverage,
     )
-    return RefinementOutcome(fused=fused, table=table, stats=stats)
+    return RefinementOutcome(fused=fused, table=scores, stats=stats)

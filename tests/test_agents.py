@@ -26,6 +26,7 @@ from hoirefine.model import (
     SCORE_KINDS,
     SPATIAL,
     TEMPORAL,
+    AgentScores,
     AgentScoreTable,
     FramePrediction,
     RelationVocabulary,
@@ -89,6 +90,13 @@ def scored(agent, provider, *args, over=None, **kwargs) -> AgentScoreTable:
 
     agent(provider, *args, on_scored=collect, **kwargs)
     return table
+
+
+def compact(table: AgentScoreTable) -> AgentScores:
+    """The scores ``table`` holds, value for value, as ``AgentScores``."""
+    held = ~np.isnan(table.values)
+    return AgentScores(table.layout, [(np.flatnonzero(mask), values[mask])
+                                      for mask, values in zip(held, table.values)])
 
 
 def provider(rules=(), transport=None):
@@ -253,7 +261,7 @@ class TestBatchConcurrency:
         video = make_video([frame(0, pairs)])
         table = scored(run_common_sense, Provider(spec, transport=transport), video, {0},
                        VOCAB, FLOOR, batch_size=1)
-        assert len(table) == 2 * width
+        assert len(compact(table)) == 2 * width
         assert not barrier.broken
 
 
@@ -503,7 +511,7 @@ class TestTemporal:
         # each distinct prompt is asked once: at batch size 1 the four pairs
         # of a frame render one prompt, at 5 the three batches differ
         assert len(prompts) == len(set(prompts)) == 3
-        assert len(table) == len(transitions)
+        assert len(compact(table)) == len(transitions)
 
     def test_no_transitions_no_calls(self):
         video = make_video([frame(0, [make_pair()])])
@@ -522,7 +530,7 @@ class TestPropagation:
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        out = propagate_scores(table, video, {0, 4})
+        out = propagate_scores(compact(table), video, {0, 4})
         assert out.kinds_at(1, ("id", 0, 1), 0).get(CS) == 0.2
         assert out.kinds_at(3, ("id", 0, 1), 0).get(CS) == 0.8
 
@@ -531,7 +539,7 @@ class TestPropagation:
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        out = propagate_scores(table, video, {0, 4})
+        out = propagate_scores(compact(table), video, {0, 4})
         assert out.kinds_at(2, ("id", 0, 1), 0).get(CS) == 0.2
 
     def test_skips_keyframes_missing_value(self):
@@ -539,7 +547,7 @@ class TestPropagation:
         video = self.tracked_video()
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
-        out = propagate_scores(table, video, {0, 2, 4})
+        out = propagate_scores(compact(table), video, {0, 2, 4})
         assert out.kinds_at(3, ("id", 0, 1), 0).get(CS) == 0.2
 
     def test_direct_non_keyframe_entries_kept(self):
@@ -547,7 +555,7 @@ class TestPropagation:
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, TEMPORAL, 0.3)
         table.set(1, ("id", 0, 1), 0, TEMPORAL, 0.9)
-        out = propagate_scores(table, video, {0, 4})
+        out = propagate_scores(compact(table), video, {0, 4})
         assert out.kinds_at(1, ("id", 0, 1), 0).get(TEMPORAL) == 0.9
 
     def test_untracked_pairs_propagate_by_text(self):
@@ -557,7 +565,7 @@ class TestPropagation:
         ])
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("idx", 0), 2, CS, 0.6)
-        out = propagate_scores(table, video, {0})
+        out = propagate_scores(compact(table), video, {0})
         assert out.kinds_at(1, ("idx", 0), 2).get(CS) == 0.6
 
     def test_untracked_pairs_only_cs_propagates(self):
@@ -567,19 +575,22 @@ class TestPropagation:
         ])
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("idx", 0), 2, SPATIAL, 0.6)
-        out = propagate_scores(table, video, {0})
+        out = propagate_scores(compact(table), video, {0})
         assert out.kinds_at(1, ("idx", 0), 2).get(SPATIAL) is None
 
-    def test_fills_a_table_over_the_sets_layout_in_place(self):
+    def test_returns_new_scores_and_leaves_its_input(self):
         video = self.tracked_video()
         table = AgentScoreTable(SlotLayout(video))
         table.set(0, ("id", 0, 1), 0, CS, 0.2)
         table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        values = table.values
-        assert propagate_scores(table, video, {0, 4}) is table
-        assert table.values is values
-        assert [table.kinds_at(f, ("id", 0, 1), 0).get(CS)
+        scores = compact(table)
+        out = propagate_scores(scores, video, {0, 4})
+        assert isinstance(out, AgentScores) and out is not scores
+        assert out.layout is scores.layout
+        assert [out.kinds_at(f, ("id", 0, 1), 0).get(CS)
                 for f in range(5)] == [0.2, 0.2, 0.2, 0.8, 0.8]
+        assert held_entries(scores) == held_entries(table)
+        assert [column.tolist() for column in scores.columns[0]] == [[0, 12], [0.2, 0.8]]
 
     @pytest.mark.parametrize("other", ["another video", "the same file loaded again"])
     def test_a_table_over_another_set_is_rejected(self, other, fixture_predictions,
@@ -587,16 +598,15 @@ class TestPropagation:
         # by identity, as for the writer: a set loaded again is another set
         video = self.tracked_video() if other == "another video" else load_predictions(
             fixture_path("predictions.jsonl"), fixture_vocab)
-        table = AgentScoreTable(SlotLayout(video))
+        scores = compact(AgentScoreTable(SlotLayout(video)))
         with pytest.raises(ValueError, match="^agent scores are over another prediction set$"):
-            propagate_scores(table, fixture_predictions, {0})
-        assert np.isnan(table.values).all()
+            propagate_scores(scores, fixture_predictions, {0})
+        assert len(scores) == 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_brute_force_oracle(self, data):
         video, keyframes, table = data.draw(propagation_cases())
-        # the oracle reads a snapshot: propagation fills ``table`` itself
         expected = propagation_oracle(table, video, keyframes)
         out = propagate_scores(table, video, keyframes)
         assert held_entries(out) == expected
@@ -634,13 +644,14 @@ def long_propagation_case(frames=520, interval=20):
     table = AgentScoreTable(SlotLayout(video))
     held = rng.random(table.values.shape) < 0.5
     table.values[held] = rng.random(int(held.sum()))
-    return video, set(range(0, frames, interval)), table
+    return video, set(range(0, frames, interval)), compact(table)
 
 
 class TestMemory:
-    """A guard on the bytes propagation allocates, by ``tracemalloc``, for
-    400 frames x 8 pairs over 10 relations: 6 tracked pairs and 2 untracked,
-    about 3 candidates each, a keyframe every 4th frame."""
+    """A guard on the bytes propagation allocates beyond the scores it
+    returns, by ``tracemalloc``, for 400 frames x 8 pairs over 10
+    relations: 6 tracked pairs and 2 untracked, about 3 candidates each, a
+    keyframe every 4th frame."""
 
     def test_propagation_peak_is_bounded(self):
         vocab = RelationVocabulary(tuple(f"r{i}" for i in range(10)))
@@ -655,24 +666,29 @@ class TestMemory:
             np.isin(table.layout.frame, list(keyframes)), vocab.n)
         for k in range(3):  # cs, spatial and temporal scores on the keyframe candidates
             table.values[k, candidates] = rng.random(int(candidates.sum()))
+        scores = compact(table)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            propagate_scores(table, video, keyframes)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            out = propagate_scores(scores, video, keyframes)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert (~np.isnan(table.values[0])).sum() > 4 * candidates.sum()
-        # 2.27 MB with per-slot group, text and frame-rank arrays over all
-        # 32,000 slots, 0.72 MB with per-pair groups and chunked fills
-        assert peak < 1_000_000
+        assert len(out.columns[0][0]) > 4 * candidates.sum()
+        # the result, 16 bytes per held score: 1.08 MB for its 67,194 scores
+        entries = sum(len(index) for index, _ in out.columns)
+        assert held <= 16 * entries + 10_000
+        # above the result: 2.27 MB with per-slot group, text and frame-rank
+        # arrays over all 32,000 slots, 0.72 MB with per-pair groups and
+        # chunked fills in place, 0.65 MB with one kind's dense grid at a time
+        assert peak - held < 1_000_000
 
 
 @st.composite
 def propagation_cases(draw):
     """A short video of tracked and untracked pairs whose object classes
-    repeat (shared triplet texts), a keyframe set, and a score table that
-    holds a value on about half of the slots, keyframe or not. Few relations
+    repeat (shared triplet texts), a keyframe set, and agent scores that
+    hold a value on about half of the slots, keyframe or not. Few relations
     and kinds per case, so keyframes often share a source key and ties occur."""
     gaps = draw(st.sets(st.integers(1, 9), max_size=2))
     indices = [f for f in range(draw(st.integers(1, 10))) if f not in gaps]
@@ -698,7 +714,7 @@ def propagation_cases(draw):
     table = AgentScoreTable(SlotLayout(video))
     for entry in entries:
         table.set(*entry)
-    return video, keyframes, table
+    return video, keyframes, compact(table)
 
 
 def held_entries(table):

@@ -130,14 +130,14 @@ class TestPositives:
                     if s > threshold:
                         oracle.setdefault(frame.frame_index, []).append((pk, r, s))
         layout = SlotLayout(fixture_predictions)
-        got = positives_per_frame(FusedScores(layout, layout.base), threshold)
+        got = positives_per_frame(FusedScores(layout, layout.base_scores()), threshold)
         assert {fi: sorted(v) for fi, v in got.items()} == \
             {fi: sorted(v) for fi, v in oracle.items()}
 
     def test_threshold_domain(self, fixture_predictions):
         layout = SlotLayout(fixture_predictions)
         with pytest.raises(ValueError):
-            positives_per_frame(FusedScores(layout, layout.base), 1.5)
+            positives_per_frame(FusedScores(layout, layout.base_scores()), 1.5)
 
 
 class TestAblationReport:

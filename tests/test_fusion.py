@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from hoirefine.model import (
 from hoirefine.pipeline import aggregate_provider_tables, fuse_table
 
 from conftest import fixture_path
-from test_agents import frame, make_video, propagation_cases
+from test_agents import compact, frame, make_video, propagation_cases
 from test_model import make_pair
 
 
@@ -101,7 +102,7 @@ class TestProperties:
 def one_pair_column(scores):
     """The scores of pair (0, 1), the one pair of frame 0, as a fused column."""
     layout = SlotLayout(make_video([frame(0, [make_pair(scores=scores)])]))
-    return FusedScores(layout, layout.base)
+    return FusedScores(layout, layout.base_scores())
 
 
 class TestThresholdSelect:
@@ -167,7 +168,8 @@ class TestFuseTable:
         video = make_video([frame(0, [make_pair()])]) if other == "another video" else (
             load_predictions(fixture_path("predictions.jsonl"), fixture_vocab))
         with pytest.raises(ValueError, match="^agent scores are over another prediction set$"):
-            fuse_table(fixture_predictions, AgentScoreTable(SlotLayout(video)), FusionWeights())
+            fuse_table(fixture_predictions, compact(AgentScoreTable(SlotLayout(video))),
+                       FusionWeights())
 
     def test_sigmoid_where_np_exp_differs_in_the_last_ulp(self):
         # found by search: on x86-64 with numpy 2.4, np.exp(-0.6125) is one ulp
@@ -178,9 +180,19 @@ class TestFuseTable:
         table = AgentScoreTable(SlotLayout(video))
         for kind in SCORE_KINDS:
             table.set(0, ("id", 0, 1), 1, kind, x)
-        fused = fuse_table(video, table, weights)
+        fused = fuse_table(video, compact(table), weights)
         assert fused[(0, ("id", 0, 1), 1)] == fuse_scores(0.5, x, x, x, x, weights=weights)
         assert fused[(0, ("id", 0, 1), 0)] == 0.5
+
+    def test_a_slot_without_agent_scores_keeps_a_negative_zero_base(self):
+        # -0.0 + 0.0 is 0.0, so a term of zero added to every slot would
+        # change the written bytes of such a slot
+        video = make_video([frame(0, [make_pair(scores=(-0.0, 0.5, -0.0))])])
+        table = AgentScoreTable(SlotLayout(video))
+        table.set(0, ("id", 0, 1), 2, CS, 0.5)
+        for toggles in TOGGLE_SETS:
+            fused = fuse_table(video, compact(table), FusionWeights(), toggles)
+            assert fused[(0, ("id", 0, 1), 0)].hex() == (-0.0).hex()
 
     def test_holds_one_column_not_a_slot_dict(self):
         # 400 frames of 8 pairs and 10 relations: the float64 column is
@@ -191,10 +203,11 @@ class TestFuseTable:
             for f in range(400)))
         table = AgentScoreTable(SlotLayout(video))
         table.values[:, ::3] = 0.7
+        scores = compact(table)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            fused = fuse_table(video, table, FusionWeights())
+            fused = fuse_table(video, scores, FusionWeights())
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -230,3 +243,103 @@ class TestAggregate:
                 expected = sum(values) / len(values) if values else None
                 value = got.kinds_at(*slot).get(kind)
                 assert (value is None and expected is None) or value.hex() == expected.hex()
+
+
+STAGE_ONE_KINDS = (CS, SPATIAL, TEMPORAL)
+drawn_scores = st.sampled_from((-0.0, 0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+class TestAgentScores:
+    """``aggregate_provider_tables``' ``AgentScores`` against brute force
+    over the dense per-provider tables it was built from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_provider_mean_and_holds_only_its_entries(self, data):
+        video, _keyframes, _scores = data.draw(propagation_cases())
+        layout = SlotLayout(video)
+        slots = list(layout.slots())
+        n_slots = len(slots)
+        tables = {}
+        for provider in range(data.draw(st.integers(1, 3))):
+            table = tables[f"p{provider}"] = AgentScoreTable(layout)
+            # some slots scored by this provider only, some by several
+            for k in range(len(STAGE_ONE_KINDS)):
+                for i in data.draw(st.sets(st.integers(0, n_slots - 1), max_size=6)):
+                    table.values[k, i] = data.draw(drawn_scores)
+        judged = {slots[i]: data.draw(drawn_scores)
+                  for i in data.draw(st.sets(st.integers(0, n_slots - 1), max_size=4))}
+        inputs = {pid: table.values.copy() for pid, table in tables.items()}
+
+        got = aggregate_provider_tables(tables, judged=judged)
+
+        for pid, table in tables.items():  # the inputs are left as they were
+            assert table.values.tobytes() == inputs[pid].tobytes()
+        held = 0
+        for i, slot in enumerate(slots):
+            expected = {}
+            for k, kind in enumerate(STAGE_ONE_KINDS):
+                values = [v[k, i] for v in inputs.values() if not np.isnan(v[k, i])]
+                if values:
+                    expected[kind] = sum(values) / len(values)
+            if slot in judged:
+                expected[DEBATE] = judged[slot]
+            kinds = got.kinds_at(*slot)
+            assert {kind: v.hex() for kind, v in kinds.items()} == \
+                {kind: float(v).hex() for kind, v in expected.items()}
+            held += len(expected)
+        assert len(got) == sum(any(not np.isnan(v[k, i]) for v in inputs.values()
+                                   for k in range(len(STAGE_ONE_KINDS))) or slot in judged
+                               for i, slot in enumerate(slots))
+        for index, values in got.columns:
+            assert index.dtype == np.int64 and values.dtype == np.float64
+            assert np.all(np.diff(index) > 0)  # sorted, each slot once
+        index, values = got.columns[SCORE_KINDS.index(DEBATE)]
+        assert list(zip(index.tolist(), map(float.hex, values.tolist()))) == sorted(
+            (layout.find(slot), score.hex()) for slot, score in judged.items())
+        # only the entries: an int64 index and a float64 value each
+        assert sum(a.nbytes for column in got.columns for a in column) <= 16 * held + 64
+
+    def test_sums_in_provider_order(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last ulp
+        video = make_video([frame(0, [make_pair()])])
+        layout = SlotLayout(video)
+        tables = {pid: AgentScoreTable(layout) for pid in ("a", "b", "c")}
+        for table, value in zip(tables.values(), (0.1, 0.2, 0.3)):
+            table.set(0, ("id", 0, 1), 0, SPATIAL, value)
+        got = aggregate_provider_tables(tables).kinds_at(0, ("id", 0, 1), 0)[SPATIAL]
+        assert got.hex() == (sum((0.1, 0.2, 0.3)) / 3).hex() != (sum((0.3, 0.2, 0.1)) / 3).hex()
+
+    def test_is_read_only(self):
+        video = make_video([frame(0, [make_pair()])])
+        table = AgentScoreTable(SlotLayout(video))
+        table.set(0, ("id", 0, 1), 1, CS, 0.4)
+        scores = aggregate_provider_tables({"p": table})
+        for array in scores.columns[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.9
+        assert scores.kinds_at(0, ("id", 0, 1), 1) == {CS: 0.4}
+
+    def test_aggregation_builds_no_dense_table(self):
+        # two providers over 400 frames of 8 pairs and 10 relations, each
+        # scoring a third of the slots of three kinds: a dense aggregate of
+        # the four kinds over the 32,000 slots alone would be 1 MB, its
+        # (4, slots) int16 count 0.25 MB
+        vocab = RelationVocabulary(tuple(f"r{r}" for r in range(10)))
+        video = VideoPredictionSet("v", vocab, tuple(
+            frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
+            for f in range(400)))
+        layout = SlotLayout(video)
+        tables = {pid: AgentScoreTable(layout) for pid in ("a", "b")}
+        for start, table in enumerate(tables.values()):
+            table.values[:3, start::3] = 0.25 * (start + 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scores = aggregate_provider_tables(tables, judged={})
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == 2 * 32_000 // 3 + 1
+        assert held <= 16 * 3 * len(scores) + 10_000
+        assert peak - held < 500_000

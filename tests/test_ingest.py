@@ -373,7 +373,7 @@ def fused_column(pred_set, score):
     """Fused scores over ``pred_set`` holding ``score(slot, base)`` per slot."""
     layout = SlotLayout(pred_set)
     return FusedScores(layout, np.array([score(slot, base) for slot, base
-                                         in zip(layout.slots(), layout.base.tolist())], float))
+                                         in zip(layout.slots(), layout.base_scores().tolist())], float))
 
 
 # any float JSONEncoder writes, integer-valued, subnormal and huge ones included
@@ -400,7 +400,7 @@ def written_sets(draw):
         frames.append(FramePrediction(fi, draw(json_floats), draw(json_floats), pairs))
     pred_set = VideoPredictionSet(draw(json_text), vocab, tuple(frames))
     layout = SlotLayout(pred_set)
-    values = draw(st.lists(json_floats, min_size=len(layout.base), max_size=len(layout.base)))
+    values = draw(st.lists(json_floats, min_size=len(layout.base_scores()), max_size=len(layout.base_scores())))
     return pred_set, FusedScores(layout, np.array(values, float))
 
 
@@ -640,11 +640,11 @@ class TestSharedValues:
             [math.copysign(1.0, float(v)) for v in expected]
 
         layout = SlotLayout(pred_set)
-        write_predictions(pred_set, FusedScores(layout, layout.base), str(base / "a.jsonl"))
+        write_predictions(pred_set, FusedScores(layout, layout.base_scores()), str(base / "a.jsonl"))
         again = load_predictions(base / "a.jsonl", vocab)
         assert [v.hex() for v in loaded_values(again)] == [v.hex() for v in values]
         layout = SlotLayout(again)
-        write_predictions(again, FusedScores(layout, layout.base), str(base / "b.jsonl"))
+        write_predictions(again, FusedScores(layout, layout.base_scores()), str(base / "b.jsonl"))
         assert (base / "b.jsonl").read_bytes() == (base / "a.jsonl").read_bytes()
 
 

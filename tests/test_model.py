@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from hoirefine.model import (
     CS,
+    SPATIAL,
+    AgentScores,
     AgentScoreTable,
     BoundingBox,
     FramePrediction,
@@ -110,7 +112,31 @@ class TestAgentScoreTable:
         table = AgentScoreTable(SlotLayout(two_frames()))
         with pytest.raises(KeyError, match="is not a slot of the table's prediction set"):
             table.set(*slot, CS, 0.5)
-        assert len(table) == 0
+        assert np.isnan(table.values).all()
+
+
+class TestAgentScores:
+    # two_frames' six slots: CS held at slots 1 and 4, SPATIAL at 4
+    def scores(self):
+        return AgentScores(SlotLayout(two_frames()), [([1, 4], [0.25, -0.0]), ([4], [0.5]),
+                                                      ([], []), ([], [])])
+
+    def test_kinds_at_each_slot(self):
+        scores = self.scores()
+        kinds = [scores.kinds_at(*slot) for slot in scores.layout.slots()]
+        assert kinds == [{}, {CS: 0.25}, {}, {}, {CS: -0.0, SPATIAL: 0.5}, {}]
+        assert str(kinds[4][CS]) == "-0.0"
+        assert len(scores) == 2
+
+    @pytest.mark.parametrize("slot", FOREIGN_SLOTS)
+    def test_a_foreign_slot_holds_no_kind(self, slot):
+        assert self.scores().kinds_at(*slot) == {}
+
+    @pytest.mark.parametrize("columns", [[([1], [0.5])] * 3, [([1], [0.5])] * 5,
+                                         [([1, 2], [0.5])] + [([], [])] * 3])
+    def test_one_column_of_equal_lengths_per_kind(self, columns):
+        with pytest.raises(ValueError, match="one .index, values. pair of equal lengths"):
+            AgentScores(SlotLayout(two_frames()), columns)
 
 
 class TestSlotLayout:
@@ -137,6 +163,26 @@ class TestSlotLayout:
                                           make_pair(pair_id=(0, 1))))))
         with pytest.raises(ValueError, match=r"frame 4 holds pair key \('id', 0, 1\) twice"):
             SlotLayout(video)
+
+    def test_base_scores_are_read_from_the_pairs_in_slot_order(self):
+        video = VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
+            FramePrediction(3, 640, 480, (make_pair(scores=(0.25, -0.0)),
+                                          make_pair(scores=(1.0, 0.5), pair_id=None))),
+            FramePrediction(7, 640, 480, (make_pair(scores=(0.0, 0.75), pair_id=(2, 5)),))))
+        layout = SlotLayout(video)
+        column = layout.base_scores()
+        assert column.dtype == np.float64
+        assert list(map(float.hex, column.tolist())) == list(map(float.hex, (
+            0.25, -0.0, 1.0, 0.5, 0.0, 0.75)))
+        assert layout.base_scores() is not column
+
+    @pytest.mark.parametrize("scores", [(0.5,), (0.5, 0.5, 0.5)])
+    def test_base_scores_refuse_pairs_of_another_width(self, scores):
+        video = VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
+            FramePrediction(3, 640, 480, (make_pair(scores=(0.5, 0.5)), make_pair(
+                scores=scores, pair_id=None))),))
+        with pytest.raises(ValueError):
+            SlotLayout(video).base_scores()
 
     def test_a_frame_index_twice_is_refused(self):
         video = VideoPredictionSet("v", RelationVocabulary(("a",)), (
@@ -171,7 +217,7 @@ class TestFind:
                     for i, pair in enumerate(frame.pairs) for r in range(layout.n)]
         assert list(layout.slots()) == expected
         index = {slot: i for i, slot in enumerate(layout.slots())}
-        assert len(index) == len(expected) == len(layout.base)
+        assert len(index) == len(expected) == len(layout.base_scores())
         for slot, i in index.items():
             fi, pk, r = slot
             assert layout.find(slot) == i

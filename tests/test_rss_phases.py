@@ -2,7 +2,7 @@
 and of the benchmark harness by name, to mark the end of each phase. The
 first two tests fail when a rename would make that tool stop at start-up;
 the next check which phase it names as holding the sampled maximum, and
-the last how it lists the live allocation sites of ``--live``."""
+the last how it lists and sums the live allocation sites of ``--live``."""
 
 import importlib
 import json
@@ -99,3 +99,22 @@ def test_live_sites_names_a_file_outside_the_tree_by_its_own_path(rss_phases):
         tracemalloc.stop()
     assert len(held) == 20
     assert rows[0].split()[2].startswith(os.path.dirname(json.__file__))
+
+
+def test_live_kb_under_sums_the_sites_of_a_directory_alone(rss_phases):
+    here = os.path.dirname(os.path.abspath(__file__))
+    tracemalloc.start()
+    try:
+        held = [bytearray(1000) for _ in range(200)]
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 200
+    sites = {os.path.abspath(stat.traceback[0].filename): stat.size / 1024
+             for stat in snapshot.statistics("filename")}
+    mine = sum(kb for path, kb in sites.items() if path.startswith(here + os.sep))
+    assert rss_phases.live_kb_under(snapshot, here) == pytest.approx(mine)
+    assert mine >= 200 * 1000 / 1024
+    # a path this directory's name starts with is no directory of its files
+    assert rss_phases.live_kb_under(snapshot, here[:-1]) == 0
+    assert rss_phases.live_kb_under(snapshot, os.path.dirname(here)) >= mine

@@ -18,8 +18,9 @@ With ``--live N`` the repetition runs once more, in another fresh process
 under ``tracemalloc``, and when the job's output check starts
 (``run.sha256_file``) prints the N largest live allocation sites: KB, blocks
 and file:line, a file of this tree by its relative path. They name what the
-job still holds at its peak. The RSS rows above come from the untraced run,
-since tracing inflates the resident set.
+job still holds at its peak. A last line gives the KB live at sites under
+``src/``, the program's own share. The RSS rows above come from the
+untraced run, since tracing inflates the resident set.
 """
 
 from __future__ import annotations
@@ -77,6 +78,14 @@ def live_sites(snapshot: tracemalloc.Snapshot, n: int) -> list[str]:
         path = frame.filename if path.startswith(os.pardir) else path
         rows.append(f"{stat.size / 1024:>10.1f}{stat.count:>10}  {path}:{frame.lineno}")
     return rows
+
+
+def live_kb_under(snapshot: tracemalloc.Snapshot, directory: str) -> float:
+    """The KB live in ``snapshot`` at allocation sites in files under
+    ``directory``."""
+    directory = os.path.join(os.path.abspath(directory), "")
+    return sum(stat.size for stat in snapshot.statistics("filename")
+               if os.path.abspath(stat.traceback[0].filename).startswith(directory)) / 1024
 
 
 class Sampler:
@@ -152,7 +161,10 @@ def measure_live(workload: str, work: str, variant: int, n: int) -> None:
 
     def check(path):
         if not rows:  # the job's output check, the first call
-            rows.extend(live_sites(tracemalloc.take_snapshot(), n))
+            snapshot = tracemalloc.take_snapshot()
+            rows.extend(live_sites(snapshot, n))
+            rows.append(f"{live_kb_under(snapshot, os.path.join(ROOT, 'src')):>10.1f}"
+                        f"{'':>10}  in all, at the sites under src/")
         return sha256_file(path)
 
     run.sha256_file = check
