@@ -46,8 +46,8 @@ class RefinementConfig:
 
 
 def check_provider_ids(ids: list[str], judge: str) -> None:
-    """Raise ConfigError unless the provider ``ids`` are distinct, one score
-    table per provider, and include the ``judge``'s."""
+    """Raise ConfigError unless the provider ``ids`` are distinct, each
+    keying its own provider's stage-1 scores, and include the ``judge``'s."""
     if len(set(ids)) < len(ids):
         raise ConfigError(f"provider ids must be unique, not {ids}")
     if judge not in ids:

@@ -1,11 +1,9 @@
 """Core domain types for per-frame human-object interaction predictions.
 
-All types here but ``AgentScoreTable`` are immutable after construction and
-safe to share across concurrent pipeline stages; an ``AgentScoreTable`` is
-one provider's stage-1 table, written under ``pipeline.run_stage_one``'s
-lock. The records of a prediction set (frames, pairs and boxes) are
-slotted, so they carry no per-instance ``__dict__``. The rules a prediction
-file must follow are checked where it is read, in
+All types here are immutable after construction and safe to share across
+concurrent pipeline stages. The records of a prediction set (frames, pairs
+and boxes) are slotted, so they carry no per-instance ``__dict__``. The
+rules a prediction file must follow are checked where it is read, in
 ``ingest.load_predictions``.
 
 A run's scores over its ``SlotLayout`` are held once, and only where they
@@ -31,6 +29,7 @@ SPATIAL = "spatial"
 TEMPORAL = "temporal"
 DEBATE = "debate"
 SCORE_KINDS = (CS, SPATIAL, TEMPORAL, DEBATE)  # the order of fusion.fuse_scores' arguments
+STAGE_ONE_KINDS = SCORE_KINDS[:3]  # the agents' kinds; the debate judge gives DEBATE
 
 
 @dataclass(frozen=True)
@@ -114,6 +113,22 @@ def pair_key(pair: PairPrediction, position: int):
     return ("idx", position)
 
 
+def check_slots_distinct(pred_set: VideoPredictionSet) -> None:
+    """Raise ValueError when ``pred_set`` repeats a frame index, or a pair
+    key within a frame: its slots would be ambiguous. Only tracked pairs can
+    share a key, since an untracked pair's key is its position."""
+    seen = set()
+    for frame in pred_set.frames:
+        fi = frame.frame_index
+        if fi in seen:
+            raise ValueError(f"frame {fi} appears twice")
+        seen.add(fi)
+        ids = [pair.pair_id for pair in frame.pairs if pair.pair_id is not None]
+        if len(set(ids)) < len(ids):
+            twice = next(pid for i, pid in enumerate(ids) if pid in ids[:i])
+            raise ValueError(f"frame {fi} holds pair key {tracked_pair_key(twice)} twice")
+
+
 @dataclass(frozen=True)
 class GroundTruthSet:
     """Per frame, the set of (pair_id, relation_index) positive triplets."""
@@ -129,22 +144,18 @@ class SlotLayout:
     reads the slots' base scores. The rows of frame ``f`` are
     ``range(*spans[f])``. The layout holds each distinct pair key once:
     equal keys, a tracked pair's in every frame, are one object. A set that
-    repeats a frame index, or a pair key within a frame, raises ValueError:
-    its slots would be ambiguous."""
+    repeats a frame index, or a pair key within a frame, raises ValueError
+    (``check_slots_distinct``)."""
 
     def __init__(self, pred_set: VideoPredictionSet):
+        check_slots_distinct(pred_set)
         self.pred_set, self.n = pred_set, pred_set.vocabulary.n
         shared: dict = {}
         self.pair_keys, self.spans, stop = [], {}, 0
         for frame in pred_set.frames:
             fi, start = frame.frame_index, stop
-            if fi in self.spans:
-                raise ValueError(f"frame {fi} appears twice")
             keys = [shared.setdefault(pk := pair_key(pair, i), pk)
                     for i, pair in enumerate(frame.pairs)]
-            if len(set(keys)) < len(keys):
-                twice = next(pk for i, pk in enumerate(keys) if pk in keys[:i])
-                raise ValueError(f"frame {fi} holds pair key {twice} twice")
             self.pair_keys += keys
             stop = start + len(keys)
             self.spans[fi] = (start, stop)
@@ -225,34 +236,6 @@ class FusedScores(Mapping):
             return (len(self) == len(other) and all(slot in other for slot in self) and
                     self.values.tobytes() == np.array([other[s] for s in self], float).tobytes())
         return NotImplemented
-
-
-class AgentScoreTable:
-    """One provider's stage-1 scores of ``layout``'s slots, in dense columns:
-    ``values[k, i]`` is the ``SCORE_KINDS[k]`` score of slot ``i``, NaN where
-    absent. Setting a slot outside the layout's prediction set raises
-    KeyError. ``pipeline.aggregate_provider_tables`` turns the tables of a
-    run into one ``AgentScores``."""
-
-    def __init__(self, layout: SlotLayout):
-        self.layout = layout
-        self.values = np.full((len(SCORE_KINDS), len(layout.pair_keys) * layout.n), np.nan)
-
-    def set(self, frame_index: int, pkey, relation_index: int, kind: str, score: float):
-        if kind not in SCORE_KINDS:
-            raise ValueError(f"unknown score kind {kind!r}")
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score {score} out of [0,1]")
-        slot = (frame_index, pkey, relation_index)
-        i = self.layout.find(slot)
-        if i is None:
-            raise KeyError(f"{slot} is not a slot of the table's prediction set")
-        self.values[SCORE_KINDS.index(kind), i] = score
-
-    def kinds_at(self, frame_index: int, pkey, relation_index: int) -> dict[str, float]:
-        i = self.layout.find((frame_index, pkey, relation_index))
-        column = [] if i is None else self.values[:, i].tolist()
-        return {kind: v for kind, v in zip(SCORE_KINDS, column) if v == v}
 
 
 class AgentScores:

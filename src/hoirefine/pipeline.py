@@ -10,14 +10,15 @@ returned a value, summed in provider order, so they do not depend on which
 answer arrives first, and one failing provider leaves the others' scores.
 The debate judge's score is shared, not per-provider.
 
-Every score of a run lives in columns over one ``SlotLayout`` of the
-prediction set. Only the per-provider stage-1 tables are dense, a column
-per kind over every slot; ``aggregate_provider_tables`` turns them into one
-``AgentScores``, which holds each kind's scores only at the slots that have
-one, and ``refine`` drops them there. Propagation and fusion read and
-return those compact columns, and the base scores are read from the
-prediction set itself. ``fuse_table`` returns a ``FusedScores`` column,
-which ``ingest.write_predictions`` formats row by row and
+Stage 1 keeps each provider's scores as plain ``{slot: score}`` dicts, one
+per kind, holding only the slots its agents scored. After both stages,
+``refine`` builds the run's one ``SlotLayout`` of the prediction set, and
+``aggregate_provider_tables`` turns the dicts and the judge's scores into
+one ``AgentScores``, which holds each kind's scores only at the slots that
+have one. Propagation and fusion read and return those compact columns,
+and the base scores are read from the prediction set itself.
+``fuse_table`` returns a ``FusedScores`` column, which
+``ingest.write_predictions`` formats row by row and
 ``evaluation.positives_per_frame`` selects from with one array comparison,
 so no per-slot object is built.
 """
@@ -53,17 +54,14 @@ from .debate import (
 from .fusion import fuse_scores, sigmoid
 from .ingest import triplet_to_text
 from .model import (
-    CS,
-    DEBATE,
     SCORE_KINDS,
-    SPATIAL,
-    TEMPORAL,
+    STAGE_ONE_KINDS,
     AgentScores,
-    AgentScoreTable,
     FusedScores,
     FusionWeights,
     SlotLayout,
     VideoPredictionSet,
+    check_slots_distinct,
 )
 from .provider import Provider, ProviderError
 
@@ -100,36 +98,46 @@ class RefinementOutcome:
     stats: RunStats
 
 
-def aggregate_provider_tables(tables: dict[str, AgentScoreTable], *,
-                              judged: Optional[dict[tuple, float]] = None) -> AgentScores:
-    """The providers' stage-1 tables, which share one layout, as one
-    ``AgentScores``: per kind, the slots any provider scored, each with the
-    mean over the providers that scored it, summed from 0.0 in provider
-    order, so bit-identical to ``sum(values) / len(values)``.
+def aggregate_provider_tables(layout: SlotLayout, tables: dict[str, dict[str, dict]],
+                              judged: dict[tuple, float]) -> AgentScores:
+    """The run's agent scores over ``layout`` as one ``AgentScores``.
 
-    ``judged`` maps (frame_index, pair_key, relation_index) slots to the
-    debate judge's score. When given, it is the DEBATE column, and the
-    tables' own DEBATE columns, which stage 1 never writes, are not read."""
-    layout = next(iter(tables.values())).layout
-    columns = []
-    for k, kind in enumerate(SCORE_KINDS):
-        if kind == DEBATE and judged is not None:
-            index = np.array([layout.find(slot) for slot in judged], dtype=np.int64)
-            order = np.argsort(index)
-            columns.append((index[order], np.array(list(judged.values()), dtype=float)[order]))
-            continue
-        scored = np.zeros(len(layout.pair_keys) * layout.n, dtype=bool)
-        for table in tables.values():
-            scored |= ~np.isnan(table.values[k])
-        index = np.flatnonzero(scored)
-        total, count = np.zeros(len(index)), np.zeros(len(index), dtype=np.int16)
-        for table in tables.values():
-            values = table.values[k, index]
-            present = ~np.isnan(values)
-            np.add(total, values, out=total, where=present)
-            count += present
-        columns.append((index, np.divide(total, count, out=total)))
-    return AgentScores(layout, columns)
+    ``tables`` maps each provider id, in provider order, to its stage-1
+    scores as ``run_stage_one`` returns them: per kind of
+    ``STAGE_ONE_KINDS``, a dict from (frame_index, pair_key,
+    relation_index) slot to score. A stage-1 kind's score at a slot is the
+    mean over the providers that scored it, summed from 0.0 in provider
+    order. ``judged``, the debate judge's score by slot, is the DEBATE
+    kind's. A slot outside ``layout`` raises KeyError."""
+    def index_of(slot) -> int:
+        i = layout.find(slot)
+        if i is None:
+            raise KeyError(f"{slot} is not a slot of the layout's prediction set")
+        return i
+
+    def column(scores: list[dict], start: float) -> tuple:
+        # the sorted union of the dicts' slots, then each dict's values added
+        # at its slots from ``start`` in order; no per-slot object is built
+        at = [np.fromiter(map(index_of, d), np.int64, len(d)) for d in scores]
+        index = np.concatenate(at)
+        index.sort()
+        distinct = np.empty(len(index), bool)
+        distinct[:1] = True
+        np.not_equal(index[1:], index[:-1], out=distinct[1:])
+        index = index[distinct]
+        totals = np.full(len(index), start)
+        counts = np.zeros(len(index), np.min_scalar_type(len(scores)))
+        for d, rows in zip(scores, at):
+            rows = np.searchsorted(index, rows)
+            np.add.at(totals, rows, np.fromiter(d.values(), float, len(d)))
+            np.add.at(counts, rows, 1)
+        return index, np.divide(totals, counts, out=totals)
+
+    # a mean sums from 0.0, as sum() does; -0.0 + x is x for every x, -0.0
+    # too, so the judge's scores pass unchanged
+    columns = [column([table[kind] for table in tables.values()], 0.0)
+               for kind in STAGE_ONE_KINDS]
+    return AgentScores(layout, columns + [column([judged], -0.0)])  # DEBATE is the last kind
 
 
 def run_stage_one(
@@ -141,35 +149,34 @@ def run_stage_one(
     cache_dir: Optional[str],
     on_scored: Callable,
     stop: threading.Event,
-) -> dict[str, AgentScoreTable]:
-    """Raw per-provider keyframe score tables of the stage-1 agents, on one layout.
+) -> dict[str, dict[str, dict]]:
+    """Raw per-provider keyframe scores of the stage-1 agents: per provider
+    id, per kind of ``STAGE_ONE_KINDS``, a dict from each (frame_index,
+    pair_key, relation_index) slot the agent scored to its score.
 
     Every agent runs for every provider at once, in one ``fan_out``, with
     the temporal agent on ``transitions``; each provider's
     ``max_concurrency`` still caps its requests in flight. This is the one
-    writer of the tables: each batch's scores go into their provider's table
+    writer of the dicts: each batch's scores go into their provider's dict
     as the agent reports them; each slot and kind is scored by one batch, so
-    the tables do not depend on which answer arrives first. After each
-    report, ``on_scored(tables, slots)`` gets the tables so far and the slots
+    the dicts do not depend on which answer arrives first. After each
+    report, ``on_scored(tables, slots)`` gets the dicts so far and the slots
     the batch reported, scored or not. Its calls do not overlap, and no
-    table changes while one runs.
+    dict changes while one runs.
 
     Every agent shares ``stop``: once any of them raises, or ``stop`` is
     set elsewhere, no agent of any provider starts a further prompt. The
     prompts already started finish, then the first error propagates; with
-    ``stop`` set and no error here, the tables are partial.
+    ``stop`` set and no error here, the dicts are partial.
     ``run_stage_two`` is the one caller; it passes its debate scheduler as
     ``on_scored`` and shares ``stop`` with the debates."""
     vocab = pred_set.vocabulary
-    layout = SlotLayout(pred_set)
-    tables = {provider.id: AgentScoreTable(layout) for provider in providers}
+    tables = {provider.id: {kind: {} for kind in STAGE_ONE_KINDS} for provider in providers}
     lock = threading.Lock()
 
-    def record(table: AgentScoreTable, kind: str, scored: list) -> None:
+    def record(table: dict[str, dict], kind: str, scored: list) -> None:
         with lock:
-            for slot, value in scored:
-                if value is not None:
-                    table.set(*slot, kind, value)
+            table[kind].update((slot, value) for slot, value in scored if value is not None)
             on_scored(tables, [slot for slot, _ in scored])
 
     floor, batch_size = config.candidate_floor, config.batch_size
@@ -197,11 +204,11 @@ def run_stage_two(
     transitions: list[Transition],
     cache_dir: Optional[str],
     transcript_dir: Optional[str],
-) -> tuple[dict[str, AgentScoreTable], dict[tuple, float], int]:
+) -> tuple[dict[str, dict[str, dict]], dict[tuple, float], int]:
     """Run stage one through ``run_stage_one`` and debate the selected
     keyframe candidates while it runs. Returns the per-provider stage-1
-    tables, over one layout of ``pred_set``; the judge score of each
-    debated candidate whose judge answered, by (frame_index, pair_key,
+    scores, as ``run_stage_one`` does; the judge score of each debated
+    candidate whose judge answered, by (frame_index, pair_key,
     relation_index) slot; and the number of debates run.
 
     A candidate waits for two reports per provider (common sense, and
@@ -243,7 +250,7 @@ def run_stage_two(
     judged: dict[str, Future] = {}
     pool = ThreadPoolExecutor(sum(p.spec.max_concurrency for p in providers))
 
-    def on_scored(tables: dict[str, AgentScoreTable], slots: list) -> None:
+    def on_scored(tables: dict[str, dict[str, dict]], slots: list) -> None:
         for slot in slots:
             if slot not in waiting:
                 continue
@@ -252,8 +259,8 @@ def run_stage_two(
                 continue
             del waiting[slot]
             pair, r = pairs.pop(slot), slot[2]
-            fused = [fuse_scores(pair.scores[r], *map(tables[p.id].kinds_at(*slot).get,
-                                                      (CS, SPATIAL, TEMPORAL)),
+            fused = [fuse_scores(pair.scores[r], *(tables[p.id][kind].get(slot)
+                                                   for kind in STAGE_ONE_KINDS),
                                  weights=config.weights) for p in providers]
             if not select_debate_candidates({slot: fused}, config.debate_mode,
                                             config.disagreement_delta):
@@ -330,18 +337,22 @@ def refine(
     """Full pipeline over one prediction set: keyframes and their adjacent
     transitions, both stages through ``run_stage_two`` (for every
     ``debate_mode``), then aggregation, propagation and fusion as array passes
-    over the stages' ``SlotLayout``. The dense per-provider tables are
+    over the set's ``SlotLayout``, built once the stages have run, so the
+    first prompts do not wait for it. The per-provider stage-1 dicts are
     dropped once aggregated; ``outcome.table`` holds the run's scores as
     compact ``AgentScores`` columns, which ablations re-fuse. Reusing
     ``providers`` across calls keeps their call counters cumulative.
 
     Raises ValueError, before any call, on a fused-scale set, whose scores
-    hold every agent term already, and ConfigError (a ValueError) on
-    ``providers`` that repeat an id or lack ``config.judge_provider``;
-    ProviderError when keyframe candidates exist but no agent scored any of
-    them, so a total provider outage does not pass for base scores."""
+    hold every agent term already, or on a set that repeats a frame index or
+    a pair key within a frame (``check_slots_distinct``), and ConfigError (a
+    ValueError) on ``providers`` that repeat an id or lack
+    ``config.judge_provider``; ProviderError when keyframe candidates exist
+    but no agent scored any of them, so a total provider outage does not
+    pass for base scores."""
     if pred_set.score_scale == "fused":
         raise ValueError(f"video {pred_set.video_id!r} is already refined (score_scale fused)")
+    check_slots_distinct(pred_set)
     if providers is None:
         providers = build_providers(config)
     ids = [p.id for p in providers]
@@ -353,8 +364,8 @@ def refine(
     transitions = detect_transitions(pred_set, keyframes)
     per_provider, judge_scores, debates = run_stage_two(
         pred_set, config, providers, judge, keyframes, transitions, cache_dir, transcript_dir)
-    scores = aggregate_provider_tables(per_provider, judged=judge_scores)
-    del per_provider  # the dense stage-1 tables are not held past here
+    scores = aggregate_provider_tables(SlotLayout(pred_set), per_provider, judge_scores)
+    del per_provider  # the stage-1 dicts are not held past aggregation
 
     # propagation fills only non-keyframes, so keyframe coverage is final here
     coverage = _coverage(scores, keyframes, config.candidate_floor)

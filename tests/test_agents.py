@@ -20,20 +20,22 @@ from hoirefine.agents import (
     run_temporal,
     select_keyframes,
 )
+from hoirefine.config import RefinementConfig
 from hoirefine.ingest import load_predictions, triplet_to_text
 from hoirefine.model import (
     CS,
     SCORE_KINDS,
     SPATIAL,
+    STAGE_ONE_KINDS,
     TEMPORAL,
     AgentScores,
-    AgentScoreTable,
     FramePrediction,
     RelationVocabulary,
     SlotLayout,
     VideoPredictionSet,
     pair_key,
 )
+from hoirefine.pipeline import run_stage_one
 from hoirefine.provider import (
     AuthError,
     MockRule,
@@ -76,27 +78,30 @@ def answer_every_test(*scores):
     return transport, prompts
 
 
-def scored(agent, provider, *args, over=None, **kwargs) -> AgentScoreTable:
-    """Every score ``agent(provider, *args, **kwargs)`` reports, set in one
-    table over the layout of ``over``, by default ``args[0]``, the agent's
-    prediction set."""
-    table, lock = AgentScoreTable(SlotLayout(args[0] if over is None else over)), threading.Lock()
+def scored(agent, provider, *args, **kwargs) -> dict[str, dict]:
+    """Every score ``agent(provider, *args, **kwargs)`` reports, per kind of
+    ``STAGE_ONE_KINDS`` a dict from slot to score, as ``run_stage_one``
+    keeps them."""
+    tables, lock = {kind: {} for kind in STAGE_ONE_KINDS}, threading.Lock()
 
     def collect(kind, scored):
         with lock:
-            for slot, value in scored:
-                if value is not None:
-                    table.set(*slot, kind, value)
+            tables[kind].update((slot, value) for slot, value in scored if value is not None)
 
     agent(provider, *args, on_scored=collect, **kwargs)
-    return table
+    return tables
 
 
-def compact(table: AgentScoreTable) -> AgentScores:
-    """The scores ``table`` holds, value for value, as ``AgentScores``."""
-    held = ~np.isnan(table.values)
-    return AgentScores(table.layout, [(np.flatnonzero(mask), values[mask])
-                                      for mask, values in zip(held, table.values)])
+def agent_scores(video, entries: dict) -> AgentScores:
+    """``AgentScores`` over a layout of ``video`` holding ``entries``, each
+    ``(slot, kind): value``, value for value (a ``-0.0`` too)."""
+    layout = SlotLayout(video)
+    columns = []
+    for kind in SCORE_KINDS:
+        held = sorted((layout.find(slot), value) for (slot, k), value in entries.items()
+                      if k == kind)
+        columns.append(([i for i, _ in held], [value for _, value in held]))
+    return AgentScores(layout, columns)
 
 
 def provider(rules=(), transport=None):
@@ -202,17 +207,17 @@ class TestCommonSense:
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
-        assert table.kinds_at(0, ("id", 0, 1), 0).get(CS) == 0.9
-        assert table.kinds_at(0, ("id", 0, 1), 1).get(CS) == 0.1
+        assert table[CS].get((0, ("id", 0, 1), 0)) == 0.9
+        assert table[CS].get((0, ("id", 0, 1), 1)) == 0.1
         # below the candidate floor, never queried
-        assert table.kinds_at(0, ("id", 0, 1), 2).get(CS) is None
+        assert table[CS].get((0, ("id", 0, 1), 2)) is None
 
     def test_batched_rule_table_answers_land_on_their_own_slots(self):
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=3)
-        assert table.kinds_at(0, ("id", 0, 1), 0).get(CS) == 0.9
-        assert table.kinds_at(0, ("id", 0, 1), 1).get(CS) == 0.1
+        assert table[CS].get((0, ("id", 0, 1), 0)) == 0.9
+        assert table[CS].get((0, ("id", 0, 1), 1)) == 0.1
 
     def test_distinct_texts_cost_one_call_each(self):
         video = make_video([frame(f, [make_pair(scores=(0.5, 0.5, 0.02))]) for f in range(4)])
@@ -220,7 +225,7 @@ class TestCommonSense:
         table = scored(run_common_sense, p, video, {0, 1, 2, 3}, VOCAB, FLOOR, batch_size=1)
         assert p.call_count == 2  # 2 distinct triplet texts across 4 keyframes
         for f in range(4):
-            assert table.kinds_at(f, ("id", 0, 1), 0).get(CS) == 0.9
+            assert table[CS].get((f, ("id", 0, 1), 0)) == 0.9
 
     def test_failed_batch_isolated(self):
         def transport(spec, req):
@@ -231,8 +236,8 @@ class TestCommonSense:
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_common_sense, provider(transport=transport), video, {0}, VOCAB,
                        FLOOR, batch_size=1)
-        assert table.kinds_at(0, ("id", 0, 1), 0).get(CS) == 0.9
-        assert table.kinds_at(0, ("id", 0, 1), 1).get(CS) is None
+        assert table[CS].get((0, ("id", 0, 1), 0)) == 0.9
+        assert table[CS].get((0, ("id", 0, 1), 1)) is None
 
     def test_auth_error_fatal(self):
         def transport(spec, req):
@@ -261,7 +266,7 @@ class TestBatchConcurrency:
         video = make_video([frame(0, pairs)])
         table = scored(run_common_sense, Provider(spec, transport=transport), video, {0},
                        VOCAB, FLOOR, batch_size=1)
-        assert len(compact(table)) == 2 * width
+        assert len(table[CS]) == 2 * width
         assert not barrier.broken
 
 
@@ -399,9 +404,9 @@ class TestSpatial:
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.5))])])
         table = scored(run_spatial, provider(self.rules()), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
-        assert table.kinds_at(0, ("id", 0, 1), 1).get(SPATIAL) == 0.2
-        assert table.kinds_at(0, ("id", 0, 1), 0).get(SPATIAL) is None
-        assert table.kinds_at(0, ("id", 0, 1), 2).get(SPATIAL) is None
+        assert table[SPATIAL].get((0, ("id", 0, 1), 1)) == 0.2
+        assert table[SPATIAL].get((0, ("id", 0, 1), 0)) is None
+        assert table[SPATIAL].get((0, ("id", 0, 1), 2)) is None
 
     def test_failed_batch_isolated(self):
         def transport(spec, req):
@@ -413,8 +418,8 @@ class TestSpatial:
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.02))])])
         table = scored(run_spatial, provider(transport=transport), video, {0}, VOCAB, FLOOR,
                        batch_size=1)
-        assert table.kinds_at(0, ("id", 0, 1), 0).get(SPATIAL) == 0.5
-        assert table.kinds_at(0, ("id", 0, 1), 1).get(SPATIAL) is None
+        assert table[SPATIAL].get((0, ("id", 0, 1), 0)) == 0.5
+        assert table[SPATIAL].get((0, ("id", 0, 1), 1)) is None
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_call_volume(self, fixture_predictions, fixture_vocab, batch_size):
@@ -455,10 +460,10 @@ class TestTemporal:
         ])
         transitions = detect_transitions(video, every_frame(video))
         p = provider([MockRule("contains", "frame 0:", "Output: 0.7")])
-        table = scored(run_temporal, p, VOCAB, transitions, batch_size=1, over=video)
-        assert table.kinds_at(1, ("id", 0, 1), 1).get(TEMPORAL) == 0.7
-        assert table.kinds_at(1, ("id", 0, 1), 0).get(TEMPORAL) is None
-        assert table.kinds_at(0, ("id", 0, 1), 0).get(TEMPORAL) is None
+        table = scored(run_temporal, p, VOCAB, transitions, batch_size=1)
+        assert table[TEMPORAL].get((1, ("id", 0, 1), 1)) == 0.7
+        assert table[TEMPORAL].get((1, ("id", 0, 1), 0)) is None
+        assert table[TEMPORAL].get((0, ("id", 0, 1), 0)) is None
 
     def test_same_change_on_two_pairs_is_asked_twice(self):
         # two chairs in one frame both flip hold -> ride: the triplet texts
@@ -471,11 +476,11 @@ class TestTemporal:
         ])
         transport, prompts = answer_every_test(0.7, 0.4)
         table = scored(run_temporal, provider(transport=transport), VOCAB,
-                       detect_transitions(video, every_frame(video)), batch_size=2, over=video)
+                       detect_transitions(video, every_frame(video)), batch_size=2)
         assert len(prompts) == 1
         assert prompts[0].count("frame 0: <person,hold,chair> frame 1: <person,ride,chair>") == 2
-        assert table.kinds_at(1, ("id", 0, 1), 1).get(TEMPORAL) == 0.7
-        assert table.kinds_at(1, ("id", 0, 2), 1).get(TEMPORAL) == 0.4
+        assert table[TEMPORAL].get((1, ("id", 0, 1), 1)) == 0.7
+        assert table[TEMPORAL].get((1, ("id", 0, 2), 1)) == 0.4
 
     def test_failed_batch_isolated(self):
         video = make_video([
@@ -491,9 +496,9 @@ class TestTemporal:
             return "Output: 0.7"
 
         table = scored(run_temporal, provider(transport=transport), VOCAB,
-                       detect_transitions(video, every_frame(video)), batch_size=1, over=video)
-        assert table.kinds_at(1, ("id", 0, 1), 1).get(TEMPORAL) == 0.7
-        assert table.kinds_at(1, ("id", 0, 2), 2).get(TEMPORAL) is None
+                       detect_transitions(video, every_frame(video)), batch_size=1)
+        assert table[TEMPORAL].get((1, ("id", 0, 1), 1)) == 0.7
+        assert table[TEMPORAL].get((1, ("id", 0, 2), 2)) is None
 
     @pytest.mark.parametrize("batch_size", [1, 5])
     def test_call_volume(self, batch_size):
@@ -507,18 +512,17 @@ class TestTemporal:
         assert len(transitions) == 12
         transport, prompts = answer_every_test(0.5)
         table = scored(run_temporal, provider(transport=transport), VOCAB, transitions,
-                       batch_size=batch_size, over=video)
+                       batch_size=batch_size)
         # each distinct prompt is asked once: at batch size 1 the four pairs
         # of a frame render one prompt, at 5 the three batches differ
         assert len(prompts) == len(set(prompts)) == 3
-        assert len(compact(table)) == len(transitions)
+        assert len(table[TEMPORAL]) == len(transitions)
 
     def test_no_transitions_no_calls(self):
-        video = make_video([frame(0, [make_pair()])])
         p = provider([])
-        table = scored(run_temporal, p, VOCAB, [], batch_size=1, over=video)
+        table = scored(run_temporal, p, VOCAB, [], batch_size=1)
         assert p.call_count == 0
-        assert held_entries(table) == {}
+        assert table == {CS: {}, SPATIAL: {}, TEMPORAL: {}}
 
 
 class TestPropagation:
@@ -527,35 +531,31 @@ class TestPropagation:
 
     def test_nearest_keyframe_wins(self):
         video = self.tracked_video()
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("id", 0, 1), 0, CS, 0.2)
-        table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        out = propagate_scores(compact(table), video, {0, 4})
+        scores = agent_scores(video, {((0, ("id", 0, 1), 0), CS): 0.2,
+                                      ((4, ("id", 0, 1), 0), CS): 0.8})
+        out = propagate_scores(scores, video, {0, 4})
         assert out.kinds_at(1, ("id", 0, 1), 0).get(CS) == 0.2
         assert out.kinds_at(3, ("id", 0, 1), 0).get(CS) == 0.8
 
     def test_distance_tie_prefers_earlier(self):
         video = self.tracked_video()
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("id", 0, 1), 0, CS, 0.2)
-        table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        out = propagate_scores(compact(table), video, {0, 4})
+        scores = agent_scores(video, {((0, ("id", 0, 1), 0), CS): 0.2,
+                                      ((4, ("id", 0, 1), 0), CS): 0.8})
+        out = propagate_scores(scores, video, {0, 4})
         assert out.kinds_at(2, ("id", 0, 1), 0).get(CS) == 0.2
 
     def test_skips_keyframes_missing_value(self):
         # keyframe 2 never got a score, so frame 3 reaches back to keyframe 0
         video = self.tracked_video()
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("id", 0, 1), 0, CS, 0.2)
-        out = propagate_scores(compact(table), video, {0, 2, 4})
+        scores = agent_scores(video, {((0, ("id", 0, 1), 0), CS): 0.2})
+        out = propagate_scores(scores, video, {0, 2, 4})
         assert out.kinds_at(3, ("id", 0, 1), 0).get(CS) == 0.2
 
     def test_direct_non_keyframe_entries_kept(self):
         video = self.tracked_video()
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("id", 0, 1), 0, TEMPORAL, 0.3)
-        table.set(1, ("id", 0, 1), 0, TEMPORAL, 0.9)
-        out = propagate_scores(compact(table), video, {0, 4})
+        scores = agent_scores(video, {((0, ("id", 0, 1), 0), TEMPORAL): 0.3,
+                                      ((1, ("id", 0, 1), 0), TEMPORAL): 0.9})
+        out = propagate_scores(scores, video, {0, 4})
         assert out.kinds_at(1, ("id", 0, 1), 0).get(TEMPORAL) == 0.9
 
     def test_untracked_pairs_propagate_by_text(self):
@@ -563,9 +563,8 @@ class TestPropagation:
             frame(0, [make_pair(pair_id=None)]),
             frame(1, [make_pair(pair_id=None)]),
         ])
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("idx", 0), 2, CS, 0.6)
-        out = propagate_scores(compact(table), video, {0})
+        scores = agent_scores(video, {((0, ("idx", 0), 2), CS): 0.6})
+        out = propagate_scores(scores, video, {0})
         assert out.kinds_at(1, ("idx", 0), 2).get(CS) == 0.6
 
     def test_untracked_pairs_only_cs_propagates(self):
@@ -573,23 +572,21 @@ class TestPropagation:
             frame(0, [make_pair(pair_id=None)]),
             frame(1, [make_pair(pair_id=None)]),
         ])
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("idx", 0), 2, SPATIAL, 0.6)
-        out = propagate_scores(compact(table), video, {0})
+        scores = agent_scores(video, {((0, ("idx", 0), 2), SPATIAL): 0.6})
+        out = propagate_scores(scores, video, {0})
         assert out.kinds_at(1, ("idx", 0), 2).get(SPATIAL) is None
 
     def test_returns_new_scores_and_leaves_its_input(self):
         video = self.tracked_video()
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("id", 0, 1), 0, CS, 0.2)
-        table.set(4, ("id", 0, 1), 0, CS, 0.8)
-        scores = compact(table)
+        scores = agent_scores(video, {((0, ("id", 0, 1), 0), CS): 0.2,
+                                      ((4, ("id", 0, 1), 0), CS): 0.8})
         out = propagate_scores(scores, video, {0, 4})
         assert isinstance(out, AgentScores) and out is not scores
         assert out.layout is scores.layout
         assert [out.kinds_at(f, ("id", 0, 1), 0).get(CS)
                 for f in range(5)] == [0.2, 0.2, 0.2, 0.8, 0.8]
-        assert held_entries(scores) == held_entries(table)
+        assert held_entries(scores) == {(0, ("id", 0, 1), 0): {CS: 0.2},
+                                        (4, ("id", 0, 1), 0): {CS: 0.8}}
         assert [column.tolist() for column in scores.columns[0]] == [[0, 12], [0.2, 0.8]]
 
     @pytest.mark.parametrize("other", ["another video", "the same file loaded again"])
@@ -598,7 +595,7 @@ class TestPropagation:
         # by identity, as for the writer: a set loaded again is another set
         video = self.tracked_video() if other == "another video" else load_predictions(
             fixture_path("predictions.jsonl"), fixture_vocab)
-        scores = compact(AgentScoreTable(SlotLayout(video)))
+        scores = agent_scores(video, {})
         with pytest.raises(ValueError, match="^agent scores are over another prediction set$"):
             propagate_scores(scores, fixture_predictions, {0})
         assert len(scores) == 0
@@ -641,17 +638,50 @@ def long_propagation_case(frames=520, interval=20):
         frame(f, [make_pair(pair_id=(0, f % 3)),
                   make_pair(pair_id=None, object_class=("chair", "cup")[f % 2])])
         for f in range(frames)])
-    table = AgentScoreTable(SlotLayout(video))
-    held = rng.random(table.values.shape) < 0.5
-    table.values[held] = rng.random(int(held.sum()))
-    return video, set(range(0, frames, interval)), compact(table)
+    slots = list(SlotLayout(video).slots())
+    held = rng.random((len(SCORE_KINDS), len(slots))) < 0.5
+    values = iter(rng.random(int(held.sum())).tolist())
+    return video, set(range(0, frames, interval)), agent_scores(video, {
+        (slots[i], kind): next(values)
+        for kind, mask in zip(SCORE_KINDS, held) for i in np.flatnonzero(mask).tolist()})
 
 
 class TestMemory:
-    """A guard on the bytes propagation allocates beyond the scores it
-    returns, by ``tracemalloc``, for 400 frames x 8 pairs over 10
-    relations: 6 tracked pairs and 2 untracked, about 3 candidates each, a
-    keyframe every 4th frame."""
+    """Guards on the bytes stage 1 holds and propagation allocates beyond
+    the scores it returns, by ``tracemalloc``, for 400 frames x 8 pairs over
+    10 relations: 6 tracked pairs and 2 untracked, about 3 candidates each,
+    a keyframe every 4th frame."""
+
+    def test_stage_one_holds_its_scores_not_its_slots(self):
+        # 3 candidate relations of 10 per pair, so 2,400 common-sense scores
+        # per provider over 32,000 slots; the awareness answers do not parse,
+        # so no relation is spatial-aware, and no pair changes relation
+        vocab = RelationVocabulary(tuple(f"r{i}" for i in range(10)))
+        video = VideoPredictionSet("v", vocab, tuple(
+            FramePrediction(f, 640, 480, tuple(
+                make_pair(scores=[0.5 if r % 3 == k % 3 and r < 9 else 0.01 for r in range(10)],
+                          pair_id=(0, k) if k < 6 else None,
+                          object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)))
+            for f in range(400)))
+        transport, _ = answer_every_test(0.5)
+        specs = [ProviderSpec(id=pid, kind="mock", max_retries=0) for pid in ("a", "b")]
+        config = RefinementConfig(providers=tuple(specs), judge_provider="a")
+        providers = [Provider(spec, transport=transport) for spec in specs]
+        keyframes = select_keyframes(video.frame_indices(), 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tables = run_stage_one(video, config, providers, keyframes, [], None,
+                                   lambda tables, slots: None, threading.Event())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [len(table[CS]) for table in tables.values()] == [2400, 2400]
+        assert not any(table[SPATIAL] or table[TEMPORAL] for table in tables.values())
+        # about 160 bytes a score (its dict entry, slot tuple and float, and
+        # a share of its pair key): 0.75-0.81 MB here, where a dense
+        # (4 kinds x 32,000 slots) float64 table per provider held 2.4 MB
+        assert held < 200 * 2 * 2400 + 50_000
 
     def test_propagation_peak_is_bounded(self):
         vocab = RelationVocabulary(tuple(f"r{i}" for i in range(10)))
@@ -661,12 +691,16 @@ class TestMemory:
                 make_pair(scores=(0.5,) * 10, pair_id=(0, k) if k < 6 else None,
                           object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)))
             for f in range(400)))
-        table, keyframes = AgentScoreTable(SlotLayout(video)), set(range(0, 400, 4))
-        candidates = (rng.random(table.values.shape[1]) < 0.3) & np.repeat(
-            np.isin(table.layout.frame, list(keyframes)), vocab.n)
-        for k in range(3):  # cs, spatial and temporal scores on the keyframe candidates
-            table.values[k, candidates] = rng.random(int(candidates.sum()))
-        scores = compact(table)
+        layout, keyframes = SlotLayout(video), set(range(0, 400, 4))
+        slots = list(layout.slots())
+        candidates = (rng.random(len(slots)) < 0.3) & np.repeat(
+            np.isin(layout.frame, list(keyframes)), vocab.n)
+        drawn = {}
+        for kind in STAGE_ONE_KINDS:  # cs, spatial and temporal scores on the keyframe candidates
+            values = rng.random(int(candidates.sum())).tolist()
+            drawn.update(((slots[i], kind), value)
+                         for i, value in zip(np.flatnonzero(candidates).tolist(), values))
+        scores = agent_scores(video, drawn)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -697,7 +731,7 @@ def propagation_cases(draw):
         st.sets(st.sampled_from(indices), max_size=2))
     relations = draw(st.lists(st.integers(0, VOCAB.n - 1), min_size=1, max_size=2, unique=True))
     kinds = draw(st.lists(st.sampled_from(SCORE_KINDS), min_size=1, max_size=2, unique=True))
-    frames, entries = [], []
+    frames, entries = [], {}
     for f in indices:
         ids = [(0, 1)] + [(0, 2)] * draw(st.booleans())
         pids = draw(st.permutations(ids + [None] * draw(st.integers(0, 2))))
@@ -709,12 +743,9 @@ def propagation_cases(draw):
                 for kind in kinds:
                     value = draw(st.none() | st.floats(0.0, 1.0))
                     if value is not None:
-                        entries.append((f, pair_key(pair, i), r, kind, value))
+                        entries[(f, pair_key(pair, i), r), kind] = value
     video = make_video(frames)
-    table = AgentScoreTable(SlotLayout(video))
-    for entry in entries:
-        table.set(*entry)
-    return video, keyframes, compact(table)
+    return video, keyframes, agent_scores(video, entries)
 
 
 def held_entries(table):

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from hoirefine.ingest import write_predictions
+from hoirefine.model import SlotLayout
 from hoirefine.pipeline import refine
 from hoirefine.prompt import (
     COMMON_SENSE_INSTRUCTION,
@@ -172,6 +173,25 @@ def test_billed_calls_equal_distinct_prompts(fixture_predictions, fixture_config
         assert sum(p.call_count for p in providers) == len(sent) == len(set(sent)) == 86
 
 
+def test_the_first_prompts_do_not_wait_for_the_slot_layout(fixture_predictions, fixture_config,
+                                                           monkeypatch):
+    # stage 1 keeps its scores by slot tuple; only aggregation, after both
+    # stages, needs the run's one layout
+    built, seen = [], []
+    init = SlotLayout.__init__
+
+    def counted(self, pred_set):
+        built.append(pred_set)
+        init(self, pred_set)
+
+    monkeypatch.setattr(SlotLayout, "__init__", counted)
+    providers, sent = fixture_providers(fixture_config, hold=lambda prompt: seen.append(len(built)))
+    refine(fixture_predictions, fixture_config, providers=providers)
+    assert len(seen) == len(sent) > 0
+    assert set(seen) == {0}
+    assert built == [fixture_predictions]
+
+
 def test_refined_set_is_refused_before_any_call(fixture_predictions, fixture_config):
     # a fused-scale set already holds every agent term; refining it again
     # would add them a second time
@@ -179,6 +199,31 @@ def test_refined_set_is_refused_before_any_call(fixture_predictions, fixture_con
     providers, sent = fixture_providers(fixture_config)
     with pytest.raises(ValueError, match="already refined"):
         refine(refined, fixture_config, providers=providers)
+    assert sent == []
+
+
+def repeat_last_frame(frames):
+    return frames + (frames[-1],)
+
+
+def repeat_a_pair_of_the_last_frame(frames):
+    last = frames[-1]
+    return frames[:-1] + (dataclasses.replace(last, pairs=last.pairs + last.pairs[1:2]),)
+
+
+@pytest.mark.parametrize("repeat,message", [
+    (repeat_last_frame, "frame 19 appears twice"),
+    (repeat_a_pair_of_the_last_frame, "frame 19 holds pair key ('id', 0, 11) twice"),
+], ids=["frame-twice", "pair-key-twice"])
+def test_ambiguous_set_is_refused_before_any_call(fixture_predictions, fixture_config,
+                                                  repeat, message):
+    # a set built in code, not loaded: its slots would be ambiguous, and the
+    # run's layout is built only after both stages
+    ambiguous = dataclasses.replace(fixture_predictions,
+                                    frames=repeat(fixture_predictions.frames))
+    providers, sent = fixture_providers(fixture_config)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refine(ambiguous, fixture_config, providers=providers)
     assert sent == []
 
 

@@ -336,7 +336,7 @@ class TestStageTwo:
         # prompt; then one two-debater debate: each debater opens and
         # responds once, and the judge answers once
         assert (judge.call_count, other.call_count) == (2 + 3, 2 + 2)
-        assert [tables[p.id].kinds_at(0, pair_key(pairs[0], 0), 0).get(CS) for p in providers] \
+        assert [tables[p.id][CS].get((0, pair_key(pairs[0], 0), 0)) for p in providers] \
             == [0.8, 0.5]
         # the judge's score, by slot, on both candidates that asked the question
         assert judge_scores == {(0, pair_key(pair, i), 0): 0.8 for i, pair in enumerate(pairs)}

@@ -14,8 +14,8 @@ from hoirefine.model import (
     DEBATE,
     SCORE_KINDS,
     SPATIAL,
+    STAGE_ONE_KINDS,
     TEMPORAL,
-    AgentScoreTable,
     FusedScores,
     FusionWeights,
     RelationVocabulary,
@@ -26,8 +26,8 @@ from hoirefine.model import (
 from hoirefine.pipeline import aggregate_provider_tables, fuse_table
 
 from conftest import fixture_path
-from test_agents import compact, frame, make_video, propagation_cases
-from test_model import make_pair
+from test_agents import agent_scores, frame, make_video, propagation_cases
+from test_model import FOREIGN_SLOTS, make_pair, two_frames
 
 
 def logistic(x):
@@ -168,8 +168,7 @@ class TestFuseTable:
         video = make_video([frame(0, [make_pair()])]) if other == "another video" else (
             load_predictions(fixture_path("predictions.jsonl"), fixture_vocab))
         with pytest.raises(ValueError, match="^agent scores are over another prediction set$"):
-            fuse_table(fixture_predictions, compact(AgentScoreTable(SlotLayout(video))),
-                       FusionWeights())
+            fuse_table(fixture_predictions, agent_scores(video, {}), FusionWeights())
 
     def test_sigmoid_where_np_exp_differs_in_the_last_ulp(self):
         # found by search: on x86-64 with numpy 2.4, np.exp(-0.6125) is one ulp
@@ -177,10 +176,8 @@ class TestFuseTable:
         # value; fuse_table takes each sigmoid from math.exp instead
         x, weights = 0.6125, FusionWeights()
         video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.5))])])
-        table = AgentScoreTable(SlotLayout(video))
-        for kind in SCORE_KINDS:
-            table.set(0, ("id", 0, 1), 1, kind, x)
-        fused = fuse_table(video, compact(table), weights)
+        scores = agent_scores(video, {((0, ("id", 0, 1), 1), kind): x for kind in SCORE_KINDS})
+        fused = fuse_table(video, scores, weights)
         assert fused[(0, ("id", 0, 1), 1)] == fuse_scores(0.5, x, x, x, x, weights=weights)
         assert fused[(0, ("id", 0, 1), 0)] == 0.5
 
@@ -188,10 +185,9 @@ class TestFuseTable:
         # -0.0 + 0.0 is 0.0, so a term of zero added to every slot would
         # change the written bytes of such a slot
         video = make_video([frame(0, [make_pair(scores=(-0.0, 0.5, -0.0))])])
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("id", 0, 1), 2, CS, 0.5)
+        scores = agent_scores(video, {((0, ("id", 0, 1), 2), CS): 0.5})
         for toggles in TOGGLE_SETS:
-            fused = fuse_table(video, compact(table), FusionWeights(), toggles)
+            fused = fuse_table(video, scores, FusionWeights(), toggles)
             assert fused[(0, ("id", 0, 1), 0)].hex() == (-0.0).hex()
 
     def test_holds_one_column_not_a_slot_dict(self):
@@ -201,9 +197,8 @@ class TestFuseTable:
         video = VideoPredictionSet("v", vocab, tuple(
             frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
             for f in range(400)))
-        table = AgentScoreTable(SlotLayout(video))
-        table.values[:, ::3] = 0.7
-        scores = compact(table)
+        scores = agent_scores(video, {(slot, kind): 0.7 for slot in
+                                      list(SlotLayout(video).slots())[::3] for kind in SCORE_KINDS})
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -223,35 +218,49 @@ class TestAggregate:
         providers that scored it, in provider order, and no other slot does."""
         video, _keyframes, _table = data.draw(propagation_cases())
         layout = SlotLayout(video)
-        cells = [(slot, kind) for slot in layout.slots() for kind in SCORE_KINDS]
+        cells = [(slot, kind) for slot in layout.slots() for kind in STAGE_ONE_KINDS]
         # a few cells, each scored or not by each provider
         cells = [cells[i] for i in data.draw(st.lists(st.integers(0, len(cells) - 1),
                                                        min_size=1, max_size=8, unique=True))]
         tables = {}
         for provider in range(data.draw(st.integers(1, 3))):
-            table = tables[f"p{provider}"] = AgentScoreTable(layout)
+            table = tables[f"p{provider}"] = {kind: {} for kind in STAGE_ONE_KINDS}
             for slot, kind in cells:
                 value = data.draw(st.none() | st.floats(0.0, 1.0))
                 if value is not None:
-                    table.set(*slot, kind, value)
-        got = aggregate_provider_tables(tables)
+                    table[kind][slot] = value
+        got = aggregate_provider_tables(layout, tables, {})
         assert got.layout is layout
         for slot in layout.slots():
             for kind in SCORE_KINDS:
-                values = [t.kinds_at(*slot).get(kind) for t in tables.values()]
+                values = [t.get(kind, {}).get(slot) for t in tables.values()]
                 values = [v for v in values if v is not None]
                 expected = sum(values) / len(values) if values else None
                 value = got.kinds_at(*slot).get(kind)
                 assert (value is None and expected is None) or value.hex() == expected.hex()
 
+    @pytest.mark.parametrize("slot", FOREIGN_SLOTS)
+    def test_a_foreign_slot_raises(self, slot):
+        layout = SlotLayout(two_frames())
+        for kind in SCORE_KINDS:  # a provider's score, or the judge's
+            tables = {"p": {k: {slot: 0.5} if k == kind else {} for k in STAGE_ONE_KINDS}}
+            judged = {slot: 0.5} if kind == DEBATE else {}
+            with pytest.raises(KeyError, match="is not a slot of the layout's prediction set"):
+                aggregate_provider_tables(layout, tables, judged)
 
-STAGE_ONE_KINDS = (CS, SPATIAL, TEMPORAL)
+
 drawn_scores = st.sampled_from((-0.0, 0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+def as_hex(tables: dict) -> dict:
+    """Per-provider stage-1 dicts with each score as its ``float.hex``."""
+    return {pid: {kind: {slot: v.hex() for slot, v in scores.items()}
+                  for kind, scores in table.items()} for pid, table in tables.items()}
 
 
 class TestAgentScores:
     """``aggregate_provider_tables``' ``AgentScores`` against brute force
-    over the dense per-provider tables it was built from."""
+    over the per-provider stage-1 dicts it was built from."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -262,24 +271,23 @@ class TestAgentScores:
         n_slots = len(slots)
         tables = {}
         for provider in range(data.draw(st.integers(1, 3))):
-            table = tables[f"p{provider}"] = AgentScoreTable(layout)
+            table = tables[f"p{provider}"] = {}
             # some slots scored by this provider only, some by several
-            for k in range(len(STAGE_ONE_KINDS)):
-                for i in data.draw(st.sets(st.integers(0, n_slots - 1), max_size=6)):
-                    table.values[k, i] = data.draw(drawn_scores)
+            for kind in STAGE_ONE_KINDS:
+                table[kind] = {slots[i]: data.draw(drawn_scores) for i in
+                               data.draw(st.sets(st.integers(0, n_slots - 1), max_size=6))}
         judged = {slots[i]: data.draw(drawn_scores)
                   for i in data.draw(st.sets(st.integers(0, n_slots - 1), max_size=4))}
-        inputs = {pid: table.values.copy() for pid, table in tables.items()}
+        inputs = as_hex(tables)
 
-        got = aggregate_provider_tables(tables, judged=judged)
+        got = aggregate_provider_tables(layout, tables, judged)
 
-        for pid, table in tables.items():  # the inputs are left as they were
-            assert table.values.tobytes() == inputs[pid].tobytes()
+        assert as_hex(tables) == inputs  # the inputs are left as they were
         held = 0
-        for i, slot in enumerate(slots):
+        for slot in slots:
             expected = {}
-            for k, kind in enumerate(STAGE_ONE_KINDS):
-                values = [v[k, i] for v in inputs.values() if not np.isnan(v[k, i])]
+            for kind in STAGE_ONE_KINDS:
+                values = [t[kind][slot] for t in tables.values() if slot in t[kind]]
                 if values:
                     expected[kind] = sum(values) / len(values)
             if slot in judged:
@@ -288,9 +296,9 @@ class TestAgentScores:
             assert {kind: v.hex() for kind, v in kinds.items()} == \
                 {kind: float(v).hex() for kind, v in expected.items()}
             held += len(expected)
-        assert len(got) == sum(any(not np.isnan(v[k, i]) for v in inputs.values()
-                                   for k in range(len(STAGE_ONE_KINDS))) or slot in judged
-                               for i, slot in enumerate(slots))
+        assert len(got) == sum(any(slot in t[kind] for t in tables.values()
+                                   for kind in STAGE_ONE_KINDS) or slot in judged
+                               for slot in slots)
         for index, values in got.columns:
             assert index.dtype == np.int64 and values.dtype == np.float64
             assert np.all(np.diff(index) > 0)  # sorted, each slot once
@@ -303,43 +311,51 @@ class TestAgentScores:
     def test_sums_in_provider_order(self):
         # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last ulp
         video = make_video([frame(0, [make_pair()])])
-        layout = SlotLayout(video)
-        tables = {pid: AgentScoreTable(layout) for pid in ("a", "b", "c")}
-        for table, value in zip(tables.values(), (0.1, 0.2, 0.3)):
-            table.set(0, ("id", 0, 1), 0, SPATIAL, value)
-        got = aggregate_provider_tables(tables).kinds_at(0, ("id", 0, 1), 0)[SPATIAL]
+        slot = (0, ("id", 0, 1), 0)
+        tables = {pid: {CS: {}, SPATIAL: {slot: value}, TEMPORAL: {}}
+                  for pid, value in zip(("a", "b", "c"), (0.1, 0.2, 0.3))}
+        got = aggregate_provider_tables(SlotLayout(video), tables, {}).kinds_at(*slot)[SPATIAL]
         assert got.hex() == (sum((0.1, 0.2, 0.3)) / 3).hex() != (sum((0.3, 0.2, 0.1)) / 3).hex()
 
     def test_is_read_only(self):
         video = make_video([frame(0, [make_pair()])])
-        table = AgentScoreTable(SlotLayout(video))
-        table.set(0, ("id", 0, 1), 1, CS, 0.4)
-        scores = aggregate_provider_tables({"p": table})
+        tables = {"p": {CS: {(0, ("id", 0, 1), 1): 0.4}, SPATIAL: {}, TEMPORAL: {}}}
+        scores = aggregate_provider_tables(SlotLayout(video), tables, {})
         for array in scores.columns[0]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.9
         assert scores.kinds_at(0, ("id", 0, 1), 1) == {CS: 0.4}
 
     def test_aggregation_builds_no_dense_table(self):
-        # two providers over 400 frames of 8 pairs and 10 relations, each
-        # scoring a third of the slots of three kinds: a dense aggregate of
-        # the four kinds over the 32,000 slots alone would be 1 MB, its
-        # (4, slots) int16 count 0.25 MB
+        # two providers, each scoring a third of the first 32,000 slots of
+        # three kinds (400 frames of 8 pairs and 10 relations), in a video of
+        # 400 frames and in one of 1600: what aggregation holds and allocates
+        # grows with the scores, not with the slots. A dense aggregate of the
+        # four kinds over the 32,000 slots alone would be 1 MB, and would take
+        # 3 MB more over the 96,000 more slots
         vocab = RelationVocabulary(tuple(f"r{r}" for r in range(10)))
-        video = VideoPredictionSet("v", vocab, tuple(
-            frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
-            for f in range(400)))
-        layout = SlotLayout(video)
-        tables = {pid: AgentScoreTable(layout) for pid in ("a", "b")}
-        for start, table in enumerate(tables.values()):
-            table.values[:3, start::3] = 0.25 * (start + 1)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            scores = aggregate_provider_tables(tables, judged={})
-            held, peak = (m - before for m in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        assert len(scores) == 2 * 32_000 // 3 + 1
-        assert held <= 16 * 3 * len(scores) + 10_000
-        assert peak - held < 500_000
+
+        def aggregate(frames):
+            video = VideoPredictionSet("v", vocab, tuple(
+                frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
+                for f in range(frames)))
+            layout = SlotLayout(video)
+            slots = list(layout.slots())[:32_000]
+            tables = {pid: {kind: dict.fromkeys(slots[start::3], 0.25 * (start + 1))
+                            for kind in STAGE_ONE_KINDS} for start, pid in enumerate(("a", "b"))}
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                scores = aggregate_provider_tables(layout, tables, {})
+                held, peak = (m - before for m in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            assert len(scores) == 2 * 32_000 // 3 + 1
+            return held, peak - held
+
+        held, transient = aggregate(400)
+        assert held <= 16 * 3 * (2 * 32_000 // 3 + 1) + 10_000
+        assert transient < 500_000
+        long_held, long_transient = aggregate(1600)
+        assert long_held < held + 10_000
+        assert long_transient < transient + 100_000

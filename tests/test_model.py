@@ -6,7 +6,6 @@ from hoirefine.model import (
     CS,
     SPATIAL,
     AgentScores,
-    AgentScoreTable,
     BoundingBox,
     FramePrediction,
     FusedScores,
@@ -104,15 +103,6 @@ class TestFusedScores:
         assert self.column(values) != self.column([-0.0] + values[1:])
         assert self.column(values) != dict(zip(self.column(values), [-0.0] + values[1:]))
         assert self.column(values) != dict(list(zip(self.column(values), values))[:5])
-
-
-class TestAgentScoreTable:
-    @pytest.mark.parametrize("slot", FOREIGN_SLOTS)
-    def test_setting_a_foreign_slot_raises(self, slot):
-        table = AgentScoreTable(SlotLayout(two_frames()))
-        with pytest.raises(KeyError, match="is not a slot of the table's prediction set"):
-            table.set(*slot, CS, 0.5)
-        assert np.isnan(table.values).all()
 
 
 class TestAgentScores:
