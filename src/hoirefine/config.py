@@ -41,6 +41,8 @@ class RefinementConfig:
             raise ConfigError(f"debate_mode must be one of {DEBATE_MODES}")
         if self.disagreement_delta < 0:
             raise ConfigError("disagreement_delta must be >= 0")
+        if not 0 <= self.candidate_floor <= 1:
+            raise ConfigError("candidate_floor must be in [0, 1]")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 

@@ -200,7 +200,7 @@ def render_debate_turn(role: str, question: str, history: list[tuple[str, str]])
     return "\n".join(parts)
 
 
-_NUMBER_AFTER_OUTPUT = re.compile(r"Output:\s*([-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?)", re.I)
+_NUMBER_AFTER_OUTPUT = re.compile(r"Output:\s*([-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?)?", re.I)
 
 
 def _clamp(value: float) -> Optional[float]:
@@ -215,22 +215,18 @@ def _clamp(value: float) -> Optional[float]:
 
 
 def parse_score_output(raw: str, n_tests: int) -> list[Optional[float]]:
-    """Extract the k-th number (an exponent included) after the k-th 'Output:'
-    token: one float in [0,1] per test slot, or None where it does not parse.
+    """Extract the number (an exponent included) right after the k-th
+    'Output:' token for test slot k: one float in [0,1] per slot, or None
+    where that token has no number, or there is no k-th token.
 
     Surrounding chain-of-thought prose is tolerated; missing slots become
     failure markers rather than errors.
     """
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
-    found = _NUMBER_AFTER_OUTPUT.findall(raw)
-    values: list[Optional[float]] = []
-    for k in range(n_tests):
-        if k < len(found):
-            values.append(_clamp(float(found[k])))
-        else:
-            values.append(PARSE_FAILURE)
-    return values
+    found = _NUMBER_AFTER_OUTPUT.findall(raw)[:n_tests]
+    return [_clamp(float(number)) if number else PARSE_FAILURE
+            for number in found + [""] * (n_tests - len(found))]
 
 
 _OUTPUT = re.compile(r"Output:", re.IGNORECASE)

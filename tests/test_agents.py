@@ -219,6 +219,14 @@ class TestCommonSense:
         assert table[CS].get((0, ("id", 0, 1), 0)) == 0.9
         assert table[CS].get((0, ("id", 0, 1), 1)) == 0.1
 
+    def test_unparseable_answer_leaves_the_batchs_other_slots(self):
+        video = make_video([frame(0, [make_pair(scores=(0.5, 0.5, 0.5))])])
+        table = scored(run_common_sense,
+                       provider(transport=lambda _spec, _req:
+                                "Output: 0.9\nOutput: unsure\nOutput: 0.3"),
+                       video, {0}, VOCAB, FLOOR, batch_size=3)
+        assert table[CS] == {(0, ("id", 0, 1), 0): 0.9, (0, ("id", 0, 1), 2): 0.3}
+
     def test_distinct_texts_cost_one_call_each(self):
         video = make_video([frame(f, [make_pair(scores=(0.5, 0.5, 0.02))]) for f in range(4)])
         p = provider(self.rules())

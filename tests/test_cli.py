@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -162,6 +163,47 @@ class TestRefine:
         assert code == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+
+def fixture_summary(alpha_calls, beta_calls, debates, debate_coverage):
+    return [
+        "run summary:",
+        f"  provider alpha: {alpha_calls} calls, 0 cache hits",
+        f"  provider beta: {beta_calls} calls, 0 cache hits",
+        f"  total: {alpha_calls + beta_calls} calls, cache hit rate 0.0%",
+        f"  debates run: {debates}",
+        "  cs coverage: 100.0% of candidates",
+        f"  debate coverage: {debate_coverage} of candidates",
+        "  spatial coverage: 30.6% of candidates",
+        "  temporal coverage: 2.8% of candidates",
+    ]
+
+
+def test_fixture_outputs_are_pinned(tmp_path, capsys):
+    # the bytes refine and ablate write on the fixture, and refine's summary
+    def sha256(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    inputs = ["--config", fixture_path("config.json"),
+              "--predictions", fixture_path("predictions.jsonl"),
+              "--vocab", fixture_path("vocab.txt")]
+    for argv, out, summary, digest in [
+        ([], "refined.jsonl", fixture_summary(48, 38, 10, "100.0%"),
+         "f25ae075a1eac0dc4b82992e328910f4b76c03cf9a0fb264ec89fa6ccc00ef84"),
+        (["--debate-mode", "off"], "off.jsonl", fixture_summary(18, 18, 0, "0.0%"),
+         "bb7720c2c95894790697eb7bb2188c8508dc95aec8fea1c8fbc5efbf79d9e517"),
+    ]:
+        assert main(["refine", *inputs, *argv, "--out", str(tmp_path / out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            *summary, f"refined predictions written to {tmp_path / out}"]
+        assert sha256(out) == digest
+
+    assert main(["ablate", *inputs, "--gt", fixture_path("gt.jsonl"),
+                 "--out", str(tmp_path / "ablation.jsonl")]) == 0
+    assert sha256("ablation.jsonl") \
+        == "2758abb1fe048225322b586e991b809b0ef1d1d78182769935cce704b9041aa6"
+    assert sha256("ablation.jsonl.txt") \
+        == "d967cb7cc82f2d3be4b54806e403cf1a04a9ded577799234bc61fcc8d65f6e13"
 
 
 @pytest.fixture
@@ -363,6 +405,8 @@ def set_first_provider(field, value):
     (lambda c: c.update(debate_mode="vote"), "debate_mode must be one of"),
     (lambda c: c.update(disagreement_delta=-0.1), "disagreement_delta must be >= 0"),
     (lambda c: c.update(batch_size=0), "batch_size must be >= 1"),
+    (lambda c: c.update(candidate_floor=5), "candidate_floor must be in [0, 1]"),
+    (lambda c: c.update(candidate_floor=-0.1), "candidate_floor must be in [0, 1]"),
     (lambda c: c.update(judge_provider="gamma"), "judge_provider 'gamma' is not configured"),
     (set_first_provider("kind", "grpc"), "unknown provider kind 'grpc'"),
     (set_first_provider("max_retries", -1), "max_retries must be >= 0"),
@@ -370,7 +414,8 @@ def set_first_provider(field, value):
         "float-concurrency", "bool-retries", "string-timeout", "number-id",
         "number-model-name", "number-auth-header", "number-rules-path", "number-api-key-env",
         "nan-weight", "zero-timeout", "negative-backoff", "duplicate-provider-id",
-        "unknown-debate-mode", "negative-delta", "zero-batch", "unconfigured-judge",
+        "unknown-debate-mode", "negative-delta", "zero-batch", "large-floor", "negative-floor",
+        "unconfigured-judge",
         "unknown-kind", "negative-retries"])
 def test_malformed_config_exits_one_before_any_call(tmp_path, capsys, transport_calls,
                                                     command, edit, field):

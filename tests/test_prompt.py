@@ -123,6 +123,11 @@ class TestScoreParsing:
     def test_missing_slot_marked(self):
         assert pr.parse_score_output("Output: 0.4", 2) == [0.4, None]
 
+    def test_output_without_a_number_keeps_its_slot(self):
+        # the k-th Output: token fills slot k, so a later number is not
+        # shifted onto an earlier slot
+        assert pr.parse_score_output("Output: yes\nOutput: 0.7", 2) == [None, 0.7]
+
     def test_no_number(self):
         assert pr.parse_score_output("I refuse to answer.", 1) == [None]
 
