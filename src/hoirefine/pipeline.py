@@ -11,14 +11,15 @@ answer arrives first, and one failing provider leaves the others' scores.
 The debate judge's score is shared, not per-provider.
 
 Stage 1 keeps each provider's scores as plain ``{slot: score}`` dicts, one
-per kind, holding only the slots its agents scored. After both stages,
-``refine`` builds the run's one ``SlotLayout`` of the prediction set, and
-``aggregate_provider_tables`` turns the dicts and the judge's scores into
-one ``AgentScores``, which holds each kind's scores only at the slots that
-have one. Propagation and fusion read and return those compact columns,
-and the base scores are read from the prediction set itself.
-``fuse_table`` returns a ``FusedScores`` column, which
-``ingest.write_predictions`` formats row by row and
+per kind, holding only the slots its agents scored. Stage two, the one
+home of the keyframe candidates, also reports each kind's coverage of them.
+Once some agent has scored a candidate, ``refine`` builds the run's one
+``SlotLayout`` of the prediction set, and ``aggregate_provider_tables``
+turns the dicts and the judge's scores into one ``AgentScores``, which
+holds each kind's scores only at the slots that have one. Propagation and
+fusion read and return those compact columns, and the base scores are read
+from the prediction set itself. ``fuse_table`` returns a ``FusedScores``
+column, which ``ingest.write_predictions`` formats row by row and
 ``evaluation.positives_per_frame`` selects from with one array comparison,
 so no per-slot object is built.
 """
@@ -54,6 +55,7 @@ from .debate import (
 from .fusion import fuse_scores, sigmoid
 from .ingest import triplet_to_text
 from .model import (
+    DEBATE,
     SCORE_KINDS,
     STAGE_ONE_KINDS,
     AgentScores,
@@ -199,21 +201,25 @@ def run_stage_two(
     pred_set: VideoPredictionSet,
     config: RefinementConfig,
     providers: list[Provider],
-    judge: Provider,
     keyframes: set[int],
-    transitions: list[Transition],
     cache_dir: Optional[str],
     transcript_dir: Optional[str],
-) -> tuple[dict[str, dict[str, dict]], dict[tuple, float], int]:
+) -> tuple[dict[str, dict[str, dict]], dict[tuple, float], int, dict[str, float]]:
     """Run stage one through ``run_stage_one`` and debate the selected
     keyframe candidates while it runs. Returns the per-provider stage-1
     scores, as ``run_stage_one`` does; the judge score of each debated
     candidate whose judge answered, by (frame_index, pair_key,
-    relation_index) slot; and the number of debates run.
+    relation_index) slot; the number of debates run; and the coverage.
+
+    The candidates are the ``keyframe_slots`` at ``config.candidate_floor``,
+    the judge is ``config.judge_provider``, and the temporal agent asks
+    about ``detect_transitions(pred_set, keyframes)``. The coverage maps
+    each of ``SCORE_KINDS`` to the share of candidates some provider scored
+    with it (the judge, for DEBATE), and is empty without candidates.
 
     A candidate waits for two reports per provider (common sense, and
-    spatial or its not-aware verdict), plus one per provider for each of
-    ``transitions`` that lands on it. After its last report its
+    spatial or its not-aware verdict), plus one per provider for each
+    transition that lands on it. After its last report its
     per-provider fused scores are final, and ``select_debate_candidates``
     sees that candidate alone. One debate runs, and is persisted, per
     distinct question, as soon as a selected candidate first asks it; its
@@ -226,6 +232,8 @@ def run_stage_two(
     once either raises, neither starts anything further, the running calls
     finish and the error propagates."""
     vocab = pred_set.vocabulary
+    judge = next(p for p in providers if p.id == config.judge_provider)
+    transitions = detect_transitions(pred_set, keyframes)
     pairs = dict(keyframe_slots(pred_set, keyframes, config.candidate_floor))
     waiting = dict.fromkeys(pairs, 2 * len(providers))
     for tr in transitions:
@@ -258,7 +266,7 @@ def run_stage_two(
             if waiting[slot]:
                 continue
             del waiting[slot]
-            pair, r = pairs.pop(slot), slot[2]
+            pair, r = pairs[slot], slot[2]
             fused = [fuse_scores(pair.scores[r], *(tables[p.id][kind].get(slot)
                                                    for kind in STAGE_ONE_KINDS),
                                  weights=config.weights) for p in providers]
@@ -279,8 +287,15 @@ def run_stage_two(
         tables = run_stage_one(pred_set, config, providers, keyframes, transitions,
                                cache_dir, on_scored, stop)
 
-    return tables, {slot: score for slot, question in asked.items()
-                    if (score := judged[question].result()) is not None}, len(judged)
+    judge_scores = {slot: score for slot, question in asked.items()
+                    if (score := judged[question].result()) is not None}
+    coverage = {}
+    if pairs:
+        for kind in STAGE_ONE_KINDS:
+            scored = set().union(*(table[kind] for table in tables.values()))
+            coverage[kind] = len(pairs.keys() & scored) / len(pairs)
+        coverage[DEBATE] = len(judge_scores) / len(pairs)
+    return tables, judge_scores, len(judged), coverage
 
 
 def fuse_table(
@@ -312,15 +327,6 @@ def fuse_table(
     return FusedScores(layout, fused)
 
 
-def _coverage(scores: AgentScores, keyframes, floor) -> dict[str, float]:
-    layout = scores.layout
-    candidates = (np.repeat(np.isin(layout.frame, list(keyframes)), layout.n)
-                  & (layout.base_scores() >= floor))
-    total = int(candidates.sum())
-    return {kind: int(candidates[index].sum()) / total
-            for kind, (index, _) in zip(SCORE_KINDS, scores.columns)} if total else {}
-
-
 def build_providers(config: RefinementConfig) -> list[Provider]:
     """One Provider per configured spec. Reads each mock rule table, so an
     unreadable one raises OSError and a malformed one RuleTableError."""
@@ -334,11 +340,12 @@ def refine(
     transcript_dir: Optional[str] = None,
     providers: Optional[list[Provider]] = None,
 ) -> RefinementOutcome:
-    """Full pipeline over one prediction set: keyframes and their adjacent
-    transitions, both stages through ``run_stage_two`` (for every
-    ``debate_mode``), then aggregation, propagation and fusion as array passes
-    over the set's ``SlotLayout``, built once the stages have run, so the
-    first prompts do not wait for it. The per-provider stage-1 dicts are
+    """Full pipeline over one prediction set: keyframes, both stages through
+    ``run_stage_two`` (for every ``debate_mode``), which also reports the
+    coverage, then aggregation, propagation and fusion as array passes over
+    the set's ``SlotLayout``, built once the stages have run and the
+    coverage has passed, so the first prompts do not wait for it and an
+    outage does not pay for it. The per-provider stage-1 dicts are
     dropped once aggregated; ``outcome.table`` holds the run's scores as
     compact ``AgentScores`` columns, which ablations re-fuse. Reusing
     ``providers`` across calls keeps their call counters cumulative.
@@ -347,30 +354,23 @@ def refine(
     hold every agent term already, or on a set that repeats a frame index or
     a pair key within a frame (``check_slots_distinct``), and ConfigError (a
     ValueError) on ``providers`` that repeat an id or lack
-    ``config.judge_provider``; ProviderError when keyframe candidates exist
-    but no agent scored any of them, so a total provider outage does not
-    pass for base scores."""
+    ``config.judge_provider``; ProviderError, before the layout is built,
+    when keyframe candidates exist but no agent scored any of them, so a
+    total provider outage does not pass for base scores."""
     if pred_set.score_scale == "fused":
         raise ValueError(f"video {pred_set.video_id!r} is already refined (score_scale fused)")
     check_slots_distinct(pred_set)
     if providers is None:
         providers = build_providers(config)
-    ids = [p.id for p in providers]
-    check_provider_ids(ids, config.judge_provider)
-    judge = providers[ids.index(config.judge_provider)]
+    check_provider_ids([p.id for p in providers], config.judge_provider)
 
     keyframes = select_keyframes(pred_set.frame_indices(), config.keyframe_interval)
-
-    transitions = detect_transitions(pred_set, keyframes)
-    per_provider, judge_scores, debates = run_stage_two(
-        pred_set, config, providers, judge, keyframes, transitions, cache_dir, transcript_dir)
-    scores = aggregate_provider_tables(SlotLayout(pred_set), per_provider, judge_scores)
-    del per_provider  # the stage-1 dicts are not held past aggregation
-
-    # propagation fills only non-keyframes, so keyframe coverage is final here
-    coverage = _coverage(scores, keyframes, config.candidate_floor)
+    per_provider, judge_scores, debates, coverage = run_stage_two(
+        pred_set, config, providers, keyframes, cache_dir, transcript_dir)
     if coverage and not any(coverage.values()):
         raise ProviderError("no agent score for any keyframe candidate")
+    scores = aggregate_provider_tables(SlotLayout(pred_set), per_provider, judge_scores)
+    del per_provider  # the stage-1 dicts are not held past aggregation
     scores = propagate_scores(scores, pred_set, keyframes)
     fused = fuse_table(pred_set, scores, config.weights)
 

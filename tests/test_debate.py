@@ -20,6 +20,9 @@ from hoirefine.config import RefinementConfig, load_config
 from hoirefine.ingest import load_predictions, load_vocabulary
 from hoirefine.model import (
     CS,
+    DEBATE,
+    SPATIAL,
+    TEMPORAL,
     FramePrediction,
     RelationVocabulary,
     VideoPredictionSet,
@@ -329,9 +332,12 @@ class TestStageTwo:
         providers = [judge, other]
         config = RefinementConfig(providers=tuple(p.spec for p in providers),
                                   judge_provider="a", debate_mode="always")
-        tables, judge_scores, debates = run_stage_two(
-            video, config, providers, judge, {0}, [], None, str(tmp_path / "transcripts"))
+        tables, judge_scores, debates, coverage = run_stage_two(
+            video, config, providers, {0}, None, str(tmp_path / "transcripts"))
         assert debates == 1
+        # neither answer to the awareness prompt reads as yes or no, and the
+        # pairs are untracked, so no spatial or temporal score
+        assert coverage == {CS: 1.0, SPATIAL: 0.0, TEMPORAL: 0.0, DEBATE: 1.0}
         # stage one asks each provider one common-sense and one awareness
         # prompt; then one two-debater debate: each debater opens and
         # responds once, and the judge answers once

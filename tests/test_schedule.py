@@ -23,15 +23,23 @@ import time
 from collections import Counter
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hoirefine import pipeline
 from hoirefine.cli import main
 from hoirefine.config import RefinementConfig
 from hoirefine.ingest import write_predictions
+from hoirefine.model import SCORE_KINDS, pair_key
 from hoirefine.pipeline import refine
 from hoirefine.prompt import SPATIAL_AWARENESS_INSTRUCTION, SPATIAL_SCORING_INSTRUCTION
-from hoirefine.provider import AuthError, Provider, ProviderSpec, ProviderTimeout
+from hoirefine.provider import (
+    AuthError,
+    Provider,
+    ProviderError,
+    ProviderSpec,
+    ProviderTimeout,
+)
 
 from conftest import fixture_path
 
@@ -122,7 +130,7 @@ def run_chaos(pred_set, widths, batch_size, debate_mode, keyframe_interval, late
                 with open(os.path.join(transcripts, name), "rb") as fh:
                     files[name] = fh.read()
     return {"predictions": written, "transcripts": files, "billed": billed,
-            "summary": outcome.stats.summary(),
+            "summary": outcome.stats.summary(), "coverage": outcome.stats.coverage,
             "table": {slot: kinds for slot in outcome.table.layout.slots()
                       if (kinds := outcome.table.kinds_at(*slot))}}
 
@@ -188,6 +196,50 @@ def test_chaos_exercises_every_failure_kind(fixture_predictions):
     # the auth case below rejects these
     assert any(pid == "beta" and prompt.startswith(SPATIAL_SCORING_INSTRUCTION)
                for pid, prompt in run["billed"])
+
+
+@settings(max_examples=12, deadline=None)
+@given(batch_size=schedules["batch_size"], debate_mode=schedules["debate_mode"],
+       keyframe_interval=st.integers(1, 4))
+def test_coverage_is_the_share_of_candidates_holding_each_kind(
+        fixture_predictions, batch_size, debate_mode, keyframe_interval):
+    run = oracle(fixture_predictions, batch_size, debate_mode, keyframe_interval)
+    floor = chaos_config((1, 1, 1), batch_size, debate_mode, keyframe_interval).candidate_floor
+    frames = sorted(fixture_predictions.frames, key=lambda frame: frame.frame_index)
+    candidates = []
+    for frame in frames[::keyframe_interval]:
+        for i, pair in enumerate(frame.pairs):
+            for r, score in enumerate(pair.scores):
+                if score >= floor:
+                    candidates.append((frame.frame_index, pair_key(pair, i), r))
+    expected = {}
+    if candidates:
+        for kind in SCORE_KINDS:
+            held = 0
+            for slot in candidates:
+                if kind in run["table"].get(slot, {}):
+                    held += 1
+            expected[kind] = held / len(candidates)
+    assert run["coverage"] == expected
+
+
+def test_total_outage_raises_before_the_slot_layout(fixture_predictions, monkeypatch):
+    def timing_out(_spec, _req):
+        raise ProviderTimeout("no answer")
+
+    built, layout = [], pipeline.SlotLayout
+
+    def recording_layout(pred_set):
+        built.append(pred_set.video_id)
+        return layout(pred_set)
+
+    monkeypatch.setattr(pipeline, "SlotLayout", recording_layout)
+    config = chaos_config((1, 1, 1), 16, "always", 1)
+    providers = [Provider(dataclasses.replace(spec, max_retries=0), transport=timing_out)
+                 for spec in config.providers]
+    with pytest.raises(ProviderError, match="no agent score for any keyframe candidate"):
+        refine(fixture_predictions, config, providers=providers)
+    assert built == []
 
 
 @settings(max_examples=4, deadline=None)
