@@ -45,17 +45,15 @@ def test_wrongly_typed_field_is_rejected(make):
         make()
 
 
-@pytest.mark.parametrize("floor", [5, -0.1])
-def test_candidate_floor_outside_the_unit_interval_is_rejected(floor):
-    with pytest.raises(ConfigError, match=r"candidate_floor must be in \[0, 1\]"):
-        RefinementConfig(providers=(ProviderSpec(id="p"),), judge_provider="p",
-                         candidate_floor=floor)
+def test_candidate_floor_is_in_the_unit_interval():
+    def config(floor):
+        return RefinementConfig(providers=(ProviderSpec(id="p"),), judge_provider="p",
+                                candidate_floor=floor)
 
-
-@pytest.mark.parametrize("floor", [0.0, 1.0])
-def test_candidate_floor_bounds_are_accepted(floor):
-    assert RefinementConfig(providers=(ProviderSpec(id="p"),), judge_provider="p",
-                            candidate_floor=floor).candidate_floor == floor
+    for floor in (5, -0.1):
+        with pytest.raises(ConfigError, match=r"^candidate_floor must be in \[0, 1\]$"):
+            config(floor)
+    assert [config(floor).candidate_floor for floor in (0.0, 1.0)] == [0.0, 1.0]
 
 
 def test_optional_strings_may_be_null(tmp_path):
