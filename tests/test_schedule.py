@@ -7,7 +7,9 @@ per-provider ``max_concurrency``, ``batch_size``, ``debate_mode``, the
 keyframe interval (3 or 4) and the interpreter's thread switch interval; the
 oracle is the same run with every ``max_concurrency`` at 1 and no latency. Three providers take part, so a
 mean over providers summed in another order than the configured one
-changes some agent scores in the refined table.
+changes some agent scores in the refined table. The oracle runs, at keyframe
+intervals 1 to 4, also check the reported coverage against a count in
+plain loops.
 """
 
 import contextlib
