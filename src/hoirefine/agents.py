@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ingest import triplet_to_text
+from .ingest import label_triplet, triplet_to_text
 from .model import (
     CS,
     SCORE_KINDS,
@@ -78,37 +78,40 @@ def select_keyframes(frame_indices: list[int], interval: int) -> set[int]:
 
 
 def detect_transitions(pred_set: VideoPredictionSet, keyframes: set[int]) -> list[Transition]:
-    """Argmax-relation changes (ties toward the lowest relation) of tracked
-    pairs between consecutive frames of which one is a keyframe; propagation
-    covers the others. A video without pair ids has none."""
+    """Argmax-relation changes (ties toward the lowest relation, as
+    ``scores.index(max(scores))`` has them) of tracked pairs between
+    consecutive frames of which one is a keyframe; propagation covers the
+    others. A video without pair ids has none."""
+    fis, start = pred_set.frame_indices(), pred_set.row_start.tolist()
+    codes, top = pred_set.pair_code.tolist(), pred_set.scores.argmax(axis=1).tolist()
     transitions = []
-    frames = pred_set.frames
-    for prev, cur in zip(frames, frames[1:]):
-        if cur.frame_index != prev.frame_index + 1 or not (
-                prev.frame_index in keyframes or cur.frame_index in keyframes):
+    for j in range(1, len(fis)):
+        if fis[j] != fis[j - 1] + 1 or not (fis[j - 1] in keyframes or fis[j] in keyframes):
             continue
-        prev_top = {p.pair_id: p.scores.index(max(p.scores))
-                    for p in prev.pairs if p.pair_id is not None}
-        for pair in cur.pairs:
-            if pair.pair_id is None or pair.pair_id not in prev_top:
-                continue
-            old, new = prev_top[pair.pair_id], pair.scores.index(max(pair.scores))
-            if old != new:
-                transitions.append(Transition(cur.frame_index, pair, old, new))
+        prev_top = {codes[row]: top[row] for row in range(start[j - 1], start[j])
+                    if codes[row] >= 0}
+        for row in range(start[j], start[j + 1]):
+            old = prev_top.get(codes[row])
+            if old is not None and old != top[row]:
+                transitions.append(Transition(fis[j], pred_set.pairs(row, row + 1)[0],
+                                              old, top[row]))
     return transitions
 
 
 def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: float):
     """Yield ((frame_index, pair_key, relation_index) slot, pair) for every
-    candidate relation (base score >= floor) of every keyframe pair, in frame order."""
-    for frame in pred_set.frames:
-        if frame.frame_index not in keyframes:
+    candidate relation (base score >= floor) of every keyframe pair, in
+    frame order: the candidates are read from the score column, and the
+    pairs of a keyframe only are built, once each."""
+    start = pred_set.row_start.tolist()
+    for j, fi in enumerate(pred_set.frame_indices()):
+        if fi not in keyframes:
             continue
-        for i, pair in enumerate(frame.pairs):
-            pk = pair_key(pair, i)
-            for r, s in enumerate(pair.scores):
-                if s >= floor:
-                    yield (frame.frame_index, pk, r), pair
+        pairs = pred_set.pairs(start[j], start[j + 1])
+        keys = [pair_key(pair, i) for i, pair in enumerate(pairs)]
+        rows, relations = np.nonzero(pred_set.scores[start[j]:start[j + 1]] >= floor)
+        for i, r in zip(rows.tolist(), relations.tolist()):
+            yield (fi, keys[i], r), pairs[i]
 
 
 def fan_out(fn: Callable, items: list, max_workers: int,
@@ -332,27 +335,17 @@ def propagate_scores(
     """
     scores.layout.require(pred_set, "agent scores")
     layout, vocab, n = scores.layout, pred_set.vocabulary, pred_set.vocabulary.n
-    pairs, ids, classes, class_texts, text_ids = len(layout.pair_keys), {None: -1}, {}, [], {}
-
-    def class_id(pair) -> int:
-        if pair.object_class not in classes:
-            classes[pair.object_class] = len(class_texts)
-            class_texts.append([text_ids.setdefault(triplet_to_text(pair, r, vocab), len(text_ids))
-                                for r in range(n)])
-        return classes[pair.object_class]
-
-    def every_pair():
-        return (pair for frame in pred_set.frames for pair in frame.pairs)
-    # per pair: its track (``ids`` maps an untracked pair's None to -1), class
-    # and frame rank; per class, the text id of each relation
-    track = np.fromiter((ids.setdefault(pair.pair_id, len(ids) - 1) for pair in every_pair()),
-                        np.int64, pairs)
-    cls = np.fromiter(map(class_id, every_pair()), np.int64, pairs)
-    class_text = np.array(class_texts, dtype=np.int64).reshape(-1, n)
-    rank = np.repeat(np.arange(len(pred_set.frames)), [len(f.pairs) for f in pred_set.frames])
+    pairs, text_ids = len(layout.pair_keys), {}
+    # per pair row: its track (its pair code, -1 when untracked), class and
+    # frame rank; per class, the text id of each relation
+    track, cls = pred_set.pair_code.astype(np.int64), pred_set.class_code
+    rank = pred_set.frame_rank()
+    class_text = np.array([[text_ids.setdefault(label_triplet(label, r, vocab), len(text_ids))
+                            for r in range(n)] for label in pred_set.labels],
+                          dtype=np.int64).reshape(-1, n)
     frame = layout.frame
     keyframe, tracked = np.isin(frame, list(keyframes)), track >= 0
-    tracks, texts = (len(ids) - 1) * n, len(text_ids)
+    tracks, texts = len(pred_set.pair_ids) * n, len(text_ids)
 
     def by_track(p, r):
         return track[p] * n + r

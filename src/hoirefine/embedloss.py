@@ -271,7 +271,7 @@ def load_embedding_batch(path: str) -> tuple[EmbeddingBatch, str]:
     ``d_f`` numbers, ``e_text`` of ``d_e`` numbers and the boolean ``gt``,
     false on the diagonal. A record with another key, or that breaks a
     rule, raises ParseError at its line."""
-    records = _records(path, share=False)  # features are all distinct: sharing only costs
+    records = _records(path)
     first = next(records, None)
     if first is None:
         raise ValueError(f"{path}: empty batch file")

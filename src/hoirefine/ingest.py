@@ -6,15 +6,16 @@ relation vocabularies are plain text, one relation name per line (index =
 line number). Every file is read by one reader and every value checked by
 one type rule, in the same pass, so each rejected input raises ParseError
 at ``path:line``. Labels are lower-cased at load time so prompt text is
-stable across datasets that mix cases. A loaded prediction set holds each
-distinct label and pair id of its file once, and each of the first
-``_SHARED_KEYS`` distinct number texts once; a text first seen after those
-is converted at each occurrence. A loaded ground truth shares its
-prediction set's pair-id objects and holds each distinct triplet and frame
-set once.
-Refined predictions are written from the fused-score column, one formatted
-line per pair, each the bytes ``json.dumps(record, sort_keys=True)`` gives,
-and streamed to the file a frame at a time.
+stable across datasets that mix cases. A prediction file is loaded straight
+into its set's columns: each line's numbers are appended to ``array('d')``
+buffers, which become the float64 score and box columns, and each label and
+pair id is held once, as the code its rows refer to; no per-record object
+is built. A loaded ground truth shares its prediction set's pair-id objects
+and holds each distinct triplet and frame set once.
+Refined predictions are written from the fused-score column and the set's
+own columns, one formatted line per pair, each the bytes
+``json.dumps(record, sort_keys=True)`` gives, and streamed to the file a
+frame at a time.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import json
 import os
 import sys
 import threading
+from array import array
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from .model import (
-    BoundingBox,
-    FramePrediction,
     FusedScores,
     GroundTruthSet,
     PairPrediction,
@@ -82,65 +84,52 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-# keys a ``_Shared`` holds at most: a base input's number texts repeat and
-# stay below it (7,454 distinct at 800 frames), while a refined file's fused
-# scores are nearly all distinct, so holding each would cost time and memory
-# for a value read once
-_SHARED_KEYS = 8192
-
-
-class _Shared(dict):
-    """``convert(key)`` for each key, computed on its first lookup and then
-    held, so equal keys share one value object, until ``_SHARED_KEYS`` keys
-    are held; a key first seen after that is converted on each lookup."""
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self.convert(key)
-        if len(self) < _SHARED_KEYS:
-            self[key] = value
-        return value
-
-
-def _records(path: str, data: Optional[bytes] = None,
-             share: bool = True) -> Iterator[tuple[int, dict]]:
-    """(line number, record) for each line of the JSON-lines file at ``path``
-    that holds more than JSON whitespace (space, tab, LF, CR), streamed from
-    the file or from its bytes ``data`` when given, through a decoder of the
-    file's own. Its ``_in_range`` hooks parse
-    the numbers; with ``share``, equal number texts among the first
-    ``_SHARED_KEYS`` distinct ones decode to one object (``-0.0`` and ``0.0``
-    are two texts, ``1`` and ``1.0`` too), which pays where records repeat
-    their numbers. A line that is not UTF-8 or not JSON
-    (a no-break space or form feed is no JSON whitespace), that holds ``NaN``,
-    ``Infinity``, a number beyond float range or a key given twice in one
-    object, or whose value is not a JSON object, raises ParseError there."""
-    parse_float, parse_int = _in_range(float), _in_range(int)
-    if share:
-        parse_float, parse_int = _Shared(parse_float).__getitem__, _Shared(parse_int).__getitem__
-    decode = json.JSONDecoder(parse_float=parse_float, parse_int=parse_int,
-                              parse_constant=_no_constant,
-                              object_pairs_hook=_unique_keys).raw_decode
+def _lines(path: str, data: Optional[bytes] = None) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each line of the file at ``path`` that holds
+    more than JSON whitespace (space, tab, LF, CR), stripped of it and
+    streamed from the file or from its bytes ``data`` when given. A line
+    that is not UTF-8 raises ParseError there."""
     with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip(" \t\n\r")  # JSON's whitespace only
             except UnicodeDecodeError as exc:
                 raise ParseError(path, lineno, f"not UTF-8: {exc.reason}") from None
-            if not line:
-                continue
-            try:
-                rec, end = decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"invalid JSON: {exc}") from None
-            if type(rec) is not dict:
-                raise ParseError(path, lineno, f"record must be a JSON object, not {line}")
-            yield lineno, rec
+            if line:
+                yield lineno, line
+
+
+def _decoder(parse_float=_in_range(float)):
+    """A JSON decoder of one's own whose ``_in_range`` hooks parse the
+    numbers; ``float`` as ``parse_float`` reads a float beyond float range
+    as an infinity, at the JSON scanner's own speed."""
+    return json.JSONDecoder(parse_float=parse_float, parse_int=_in_range(int),
+                            parse_constant=_no_constant, object_pairs_hook=_unique_keys).raw_decode
+
+
+def _decode(path: str, lineno: int, line: str, decode) -> dict:
+    """The record of ``line``, line ``lineno`` of ``path``, by ``decode``. A
+    line that is not JSON (a no-break space or form feed is no JSON
+    whitespace), that holds ``NaN``, ``Infinity``, a number beyond float
+    range or a key given twice in one object, or whose value is not a JSON
+    object, raises ParseError there."""
+    try:
+        rec, end = decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    except ValueError as exc:
+        raise ParseError(path, lineno, f"invalid JSON: {exc}") from None
+    if type(rec) is not dict:
+        raise ParseError(path, lineno, f"record must be a JSON object, not {line}")
+    return rec
+
+
+def _records(path: str, data: Optional[bytes] = None) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each of ``_lines(path, data)``, checked by
+    ``_decode``."""
+    decode = _decoder()
+    for lineno, line in _lines(path, data):
+        yield lineno, _decode(path, lineno, line, decode)
 
 
 # JSON types by exact Python type, so a bool is no integer and no number
@@ -148,6 +137,9 @@ INTEGER = ("an integer", frozenset({int}))
 NUMBER = ("a number", frozenset({int, float}))
 STRING = ("a string", frozenset({str}))
 BOOLEAN = ("a boolean", frozenset({bool}))
+
+
+_ABSENT = object()
 
 
 def _fields(path: str, lineno: int, rec: dict, schema: dict,
@@ -161,10 +153,11 @@ def _fields(path: str, lineno: int, rec: dict, schema: dict,
         raise ParseError(path, lineno, f"unknown field {min(rec.keys() - schema.keys())!r}")
     values = []
     for name, ((what, types), length) in schema.items():
-        value = rec.get(name)
-        if name not in rec:
+        value = rec.get(name, _ABSENT)
+        if value is _ABSENT:
             if name not in optional:
                 raise ParseError(path, lineno, f"missing field {name!r}")
+            value = None
         elif type(value) not in types if length is None else not (
                 type(value) is list and len(value) == length and types.issuperset(map(type, value))):
             what = what if length is None else f"a list of {length} values, each {what}"
@@ -185,11 +178,15 @@ def load_vocabulary(path: str) -> RelationVocabulary:
 def triplet_to_text(pair: PairPrediction, relation_index: int, vocab: RelationVocabulary) -> str:
     """Canonical triplet serialization: ``<person,RELATION,OBJECT>`` with
     lowercase labels and no whitespace after commas."""
+    return label_triplet(pair.object_class, relation_index, vocab)
+
+
+def label_triplet(object_class: str, relation_index: int, vocab: RelationVocabulary) -> str:
+    """``triplet_to_text`` of any pair whose object class is ``object_class``."""
     if not 0 <= relation_index < vocab.n:
         raise IndexError(f"relation index {relation_index} out of range")
     relation = vocab.names[relation_index].lower()
-    obj = pair.object_class.lower()
-    return f"<person,{relation},{obj}>"
+    return f"<person,{relation},{object_class.lower()}>"
 
 
 def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet:
@@ -209,66 +206,101 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
               "human_box": (NUMBER, 4), "object_box": (NUMBER, 4), "scores": (NUMBER, vocab.n),
               "pair_id": (INTEGER, 2), "video_id": (STRING, None), "score_scale": (STRING, None)}
     optional = frozenset({"pair_id", "video_id", "score_scale"})
-    frames: dict[int, tuple[tuple[float, float], list, set]] = {}
+    frames: dict[int, tuple[tuple[float, float], set]] = {}  # size and pair codes per frame
     video_id: Optional[str] = None
     score_scale: Optional[str] = None
-    classes, pair_ids = _Shared(str.lower), {}  # one object per distinct label and pair_id
-    for lineno, rec in _records(path):
-        if rec.get("pair_id", 0) is None:  # a null pair_id is an untracked pair
-            del rec["pair_id"]
-        fi, w, h, object_class, *boxes, scores, pid, vid, scale = _fields(
-            path, lineno, rec, schema, optional)
-        if vid is not None:
-            if video_id is not None and vid != video_id:
-                raise ParseError(path, lineno, f"video_id {vid!r} differs from earlier "
-                                               f"{video_id!r}; one video per file")
-            video_id = vid
-        scale = "base" if scale is None else scale
-        if scale not in ("base", "fused"):
-            raise ParseError(path, lineno, f"score_scale must be \"base\" or \"fused\", "
-                                           f"not {json.dumps(scale)}")
-        if score_scale is not None and scale != score_scale:
-            raise ParseError(path, lineno, f"score_scale {scale!r} differs from earlier "
-                                           f"{score_scale!r}; one scale per file")
-        score_scale = scale
+    # per row, in file order: its scores, boxes, frame index, pair code and class code
+    scores, boxes, row_frame = array("d"), array("d"), array("q")
+    pair_code, class_code = array("i"), array("i")
+    pair_ids: dict = {}  # each distinct pair id to its code
+    classes: dict = {}  # each label, as given or lower-cased, to the code of its lower case
+    labels: list[str] = []
+    strict, fast = _decoder(), _decoder(float)
+    for lineno, line in _lines(path):
+        try:
+            rec = _decode(path, lineno, line, fast)
+            if rec.get("pair_id", 0) is None:  # a null pair_id is an untracked pair
+                del rec["pair_id"]
+            fi, w, h, object_class, human_box, object_box, values, pid, vid, scale = _fields(
+                path, lineno, rec, schema, optional)
+            if vid is not None:
+                if video_id is not None and vid != video_id:
+                    raise ParseError(path, lineno, f"video_id {vid!r} differs from earlier "
+                                                   f"{video_id!r}; one video per file")
+                video_id = vid
+            scale = "base" if scale is None else scale
+            if scale not in ("base", "fused"):
+                raise ParseError(path, lineno, f"score_scale must be \"base\" or \"fused\", "
+                                               f"not {json.dumps(scale)}")
+            if score_scale is not None and scale != score_scale:
+                raise ParseError(path, lineno, f"score_scale {scale!r} differs from earlier "
+                                               f"{score_scale!r}; one scale per file")
+            score_scale = scale
 
-        if not 0 <= fi < 2**63:
-            raise ParseError(path, lineno, f"frame_index {fi} out of [0, 2**63)")
-        size = (float(w), float(h))
-        frame_size, pairs, frame_ids = frames.setdefault(fi, (size, [], set()))
-        if size != frame_size:
-            raise ParseError(path, lineno, f"frame size {size} differs from earlier "
-                                           f"{frame_size} of frame {fi}")
-        if pid is not None:
-            pid = pair_ids.setdefault(pid := tuple(pid), pid)
-            if pid in frame_ids:
-                raise ParseError(path, lineno, f"duplicate pair_id {pid} in frame {fi}")
-            frame_ids.add(pid)
-        if min(scores) < 0.0 or (scale == "base" and max(scores) > 1.0):
-            raise ParseError(path, lineno, f"scores {scores} out of "
-                                           f"{'[0,1]' if scale == 'base' else '[0,inf)'}")
-        pairs.append(PairPrediction(pair_id=pid, object_class=classes[object_class],
-                                    human_box=_box(path, lineno, "human_box", boxes[0], size),
-                                    object_box=_box(path, lineno, "object_box", boxes[1], size),
-                                    scores=tuple(map(float, scores))))
+            if not 0 <= fi < 2**63:
+                raise ParseError(path, lineno, f"frame_index {fi} out of [0, 2**63)")
+            size = (float(w), float(h))
+            if max(size) > _FLOAT_MAX:
+                raise ParseError(path, lineno, f"frame size {size} out of float range")
+            frame_size, frame_codes = frames.setdefault(fi, (size, set()))
+            if size != frame_size:
+                raise ParseError(path, lineno, f"frame size {size} differs from earlier "
+                                               f"{frame_size} of frame {fi}")
+            code = -1
+            if pid is not None:
+                code = pair_ids.setdefault(pid := tuple(pid), len(pair_ids))
+                if code in frame_codes:
+                    raise ParseError(path, lineno, f"duplicate pair_id {pid} in frame {fi}")
+                frame_codes.add(code)
+            if min(values) < 0.0 or max(values) > (1.0 if scale == "base" else _FLOAT_MAX):
+                raise ParseError(path, lineno, f"scores {values} out of "
+                                               f"{'[0,1]' if scale == 'base' else '[0,inf)'}")
+            boxes.extend(_box(path, lineno, "human_box", human_box, size))
+            boxes.extend(_box(path, lineno, "object_box", object_box, size))
+            scores.extend(values)
+            row_frame.append(fi)
+            pair_code.append(code)
+            label = classes.get(object_class)
+            if label is None:
+                lower = object_class.lower()
+                if lower not in classes:
+                    classes[lower] = len(labels)
+                    labels.append(lower)
+                label = classes[object_class] = classes[lower]
+            class_code.append(label)
+        except ParseError:
+            # ``fast`` reads a number beyond float range as an infinity, which
+            # breaks a rule above; the strict read refuses the number first,
+            # as it refuses the line's other JSON errors
+            _decode(path, lineno, line, strict)
+            raise
+    columns = [np.frombuffer(column, dtype) for column, dtype in (
+        (scores, np.float64), (boxes, np.float64), (pair_code, np.intc), (class_code, np.intc))]
+    row_frame = np.frombuffer(row_frame, np.int64)
+    if np.any(row_frame[1:] < row_frame[:-1]):  # frames given out of order: a stable sort
+        order = np.argsort(row_frame, kind="stable")
+        row_frame = row_frame[order]
+        columns = [column.reshape(len(order), -1)[order].ravel() for column in columns]
+    index = np.array(sorted(frames), np.int64)
     return VideoPredictionSet(
-        video_id="" if video_id is None else video_id,
-        vocabulary=vocab,
-        frames=tuple(FramePrediction(fi, *frames[fi][0], tuple(frames[fi][1]))
-                     for fi in sorted(frames)),
+        "" if video_id is None else video_id, vocab,
+        frame_index=index, frame_size=[frames[fi][0] for fi in index.tolist()],
+        row_start=np.append(np.searchsorted(row_frame, index), len(row_frame)),
+        pair_code=columns[2], pair_ids=pair_ids, class_code=columns[3], labels=labels,
+        scores=columns[0].reshape(-1, vocab.n), boxes=columns[1].reshape(-1, 8),
         score_scale=score_scale or "base",
     )
 
 
-def _box(path: str, lineno: int, name: str, values: list, size: tuple) -> BoundingBox:
-    """The box of the four numbers ``values``, converted once. Unless x1 <
+def _box(path: str, lineno: int, name: str, values: list, size: tuple) -> tuple:
+    """The four numbers ``values`` as floats, converted once. Unless x1 <
     x2 and y1 < y2, inside the frame of ``size``, it raises ParseError."""
-    x1, y1, x2, y2 = map(float, values)
+    x1, y1, x2, y2 = box = tuple(map(float, values))
     if not (x1 < x2 and y1 < y2):
         raise ParseError(path, lineno, f"degenerate {name} {[x1, y1, x2, y2]}")
     if x1 < 0 or y1 < 0 or x2 > size[0] or y2 > size[1]:
         raise ParseError(path, lineno, f"{name} {[x1, y1, x2, y2]} outside the frame {size}")
-    return BoundingBox(x1, y1, x2, y2)
+    return box
 
 
 def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruthSet:
@@ -279,11 +311,13 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
     one whose pair is not predicted in that frame DanglingReferenceError.
     Each pair id is the prediction set's own object, and equal triplets,
     and equal frame sets, are one object."""
-    n = predictions.vocabulary.n
-    known: dict[int, dict] = {}  # per frame, each pair id to itself
-    for frame, pair in predictions.iter_pairs():
-        if pair.pair_id is not None:
-            known.setdefault(frame.frame_index, {})[pair.pair_id] = pair.pair_id
+    n, pair_ids = predictions.vocabulary.n, predictions.pair_ids
+    codes = {pair_id: code for code, pair_id in enumerate(pair_ids)}
+    position = {fi: j for j, fi in enumerate(predictions.frame_indices())}
+    # the (frame position, pair code) of each tracked row, as one integer
+    tracked = predictions.pair_code >= 0
+    known = set((predictions.frame_rank()[tracked] * len(pair_ids)
+                 + predictions.pair_code[tracked]).tolist())
 
     schema = {"frame_index": (INTEGER, None), "pair_id": (INTEGER, 2),
               "relation_index": (INTEGER, None)}
@@ -294,13 +328,13 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
         if not 0 <= rel < n:
             raise ParseError(path, lineno, f"relation_index {rel} out of range "
                                            f"(vocabulary size {n})")
-        predicted = known.get(fi, {}).get(pid := tuple(pid))
-        if predicted is None:
+        code, j = codes.get(pid := tuple(pid)), position.get(fi)
+        if code is None or j is None or j * len(pair_ids) + code not in known:
             raise DanglingReferenceError(
                 f"{path}:{lineno}: pair {pid} not predicted at frame {fi}"
             )
         frames.setdefault(fi, set()).add(
-            triplets.setdefault(triplet := (predicted, rel), triplet))
+            triplets.setdefault(triplet := (pair_ids[code], rel), triplet))
     sets: dict = {}  # each distinct frame set to itself
     return GroundTruthSet({fi: sets.setdefault(fs := frozenset(s), fs)
                            for fi, s in frames.items()})
@@ -337,23 +371,25 @@ def write_predictions(pred_set: VideoPredictionSet, fused: FusedScores, path: st
 
 def _frame_lines(pred_set: VideoPredictionSet, values) -> Iterator[str]:
     """Per frame of ``pred_set``, its lines with the scores of ``values``,
-    the fused column, taken from the column frame by frame."""
-    n, start, video_id = pred_set.vocabulary.n, 0, json.dumps(pred_set.video_id)
-    for frame in pred_set.frames:
-        end = start + len(frame.pairs) * n
-        rows, start, lines = values[start:end].reshape(-1, n).tolist(), end, []
-        head = (f'{{"frame_h": {_number(frame.frame_height)}, '
-                f'"frame_index": {frame.frame_index}, "frame_w": {_number(frame.frame_width)}, ')
-        for pair, scores in zip(frame.pairs, rows):
-            h, o = pair.human_box, pair.object_box
-            pair_id = "null" if pair.pair_id is None else f"[{', '.join(map(repr, pair.pair_id))}]"
-            lines.append(
-                f'{head}"human_box": [{_numbers((h.x1, h.y1, h.x2, h.y2))}], '
-                f'"object_box": [{_numbers((o.x1, o.y1, o.x2, o.y2))}], '
-                f'"object_class": {json.dumps(pair.object_class)}, "pair_id": {pair_id}, '
-                f'"score_scale": "fused", "scores": [{_numbers(scores)}], '
-                f'"video_id": {video_id}}}\n')
-        yield "".join(lines)
+    the fused column, taken from the columns frame by frame."""
+    n, video_id = pred_set.vocabulary.n, json.dumps(pred_set.video_id)
+    # each pair code's text; -1, an untracked pair's code, is the last
+    pair_ids = [f"[{', '.join(map(repr, pid))}]" for pid in pred_set.pair_ids] + ["null"]
+    labels = [json.dumps(label) for label in pred_set.labels]
+    start = pred_set.row_start.tolist()
+    for fi, (w, h), begin, end in zip(pred_set.frame_index.tolist(), pred_set.frame_size.tolist(),
+                                      start, start[1:]):
+        head = f'{{"frame_h": {_number(h)}, "frame_index": {fi}, "frame_w": {_number(w)}, '
+        rows = zip(pred_set.pair_code[begin:end].tolist(), pred_set.class_code[begin:end].tolist(),
+                   pred_set.boxes[begin:end].tolist(),
+                   values[begin * n:end * n].reshape(-1, n).tolist())
+        yield "".join(
+            f'{head}"human_box": [{_numbers(box[:4])}], '
+            f'"object_box": [{_numbers(box[4:])}], '
+            f'"object_class": {labels[c]}, "pair_id": {pair_ids[p]}, '
+            f'"score_scale": "fused", "scores": [{_numbers(scores)}], '
+            f'"video_id": {video_id}}}\n'
+            for p, c, box, scores in rows)
 
 
 def write_atomic(path: str, chunks: Iterable[str]) -> None:

@@ -1,23 +1,24 @@
 """Core domain types for per-frame human-object interaction predictions.
 
 All types here are immutable after construction and safe to share across
-concurrent pipeline stages. The records of a prediction set (frames, pairs
-and boxes) are slotted, so they carry no per-instance ``__dict__``. The
-rules a prediction file must follow are checked where it is read, in
-``ingest.load_predictions``.
+concurrent pipeline stages. A prediction set holds its rows as columns:
+float64 arrays of scores and boxes, a pair-id code and a class code per
+row, and an index, a size and a row span per frame. Its records (frames,
+pairs and boxes) are views, built from the columns when read and held by
+no one else. The rules a prediction file must follow are checked where it
+is read, in ``ingest.load_predictions``.
 
 A run's scores over its ``SlotLayout`` are held once, and only where they
-exist: the base scores stay in the set's pairs (``SlotLayout.base_scores``
-reads them as a column), and ``AgentScores`` keeps, per score kind, the
-indices of the slots holding it and their values.
+exist: the base scores stay in the set's score column
+(``SlotLayout.base_scores`` copies it), and ``AgentScores`` keeps, per
+score kind, the indices of the slots holding it and their values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,8 +52,7 @@ class RelationVocabulary:
         return len(self.names)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     x1: float
     y1: float
     x2: float
@@ -63,41 +63,164 @@ class BoundingBox:
         return [round(self.x1), round(self.y1), round(self.x2), round(self.y2)]
 
 
-@dataclass(frozen=True, slots=True)
 class PairPrediction:
-    """One human-object pair with its per-relation confidences; its frame is
-    the ``FramePrediction`` that holds it."""
+    """One human-object pair with its per-relation confidences: a view of
+    one row of a ``VideoPredictionSet``. Its ``object_class`` and
+    ``pair_id`` (None when untracked) are the set's own objects; ``scores``
+    and the boxes are built from the set's columns on each read. Two pairs
+    are equal when these five values are."""
 
-    object_class: str
-    human_box: BoundingBox
-    object_box: BoundingBox
-    scores: tuple[float, ...]
-    pair_id: Optional[PairId] = None
+    __slots__ = ("object_class", "pair_id", "_set", "_row")
+
+    def __init__(self, pred_set: VideoPredictionSet, row: int, object_class: str,
+                 pair_id: Optional[PairId]):
+        self._set, self._row = pred_set, row
+        self.object_class, self.pair_id = object_class, pair_id
+
+    @property
+    def scores(self) -> tuple[float, ...]:
+        return tuple(self._set.scores[self._row].tolist())
+
+    @property
+    def human_box(self) -> BoundingBox:
+        return BoundingBox(*self._set.boxes[self._row, :4].tolist())
+
+    @property
+    def object_box(self) -> BoundingBox:
+        return BoundingBox(*self._set.boxes[self._row, 4:].tolist())
+
+    def _values(self) -> tuple:
+        return self.object_class, self.human_box, self.object_box, self.scores, self.pair_id
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairPrediction):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "PairPrediction({}, {}, {}, {}, pair_id={})".format(*map(repr, self._values()))
 
 
-@dataclass(frozen=True, slots=True)
 class FramePrediction:
-    frame_index: int
-    frame_width: float
-    frame_height: float
-    pairs: tuple[PairPrediction, ...] = ()
+    """One frame of a ``VideoPredictionSet``: its index and size, and
+    ``pairs``, the pairs of its rows, built on each read."""
+
+    __slots__ = ("frame_index", "frame_width", "frame_height", "_rows", "_set")
+
+    def __init__(self, pred_set: VideoPredictionSet, frame_index: int, frame_width: float,
+                 frame_height: float, rows: tuple[int, int]):
+        self._set, self._rows, self.frame_index = pred_set, rows, frame_index
+        self.frame_width, self.frame_height = frame_width, frame_height
+
+    @property
+    def pairs(self) -> tuple[PairPrediction, ...]:
+        return self._set.pairs(*self._rows)
 
 
-@dataclass(frozen=True)
+def _column(values, dtype, shape: tuple) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` and ``shape``, -1 where
+    any length passes; the caller's own array is left writable."""
+    array = np.asarray(values, dtype).view()
+    if array.size == 0:
+        array = array.reshape([0 if size == -1 else size for size in shape])
+    if array.ndim != len(shape) or any(size not in (-1, got)
+                                       for size, got in zip(shape, array.shape)):
+        raise ValueError(f"a column of shape {array.shape} where {shape} is due")
+    array.flags.writeable = False
+    return array
+
+
 class VideoPredictionSet:
-    video_id: str
-    vocabulary: RelationVocabulary
-    frames: tuple[FramePrediction, ...] = ()
-    # fused-scale sets carry refined scores which may exceed 1
-    score_scale: str = "base"
+    """One video's predictions as columns: ``scores`` (a row per pair, a
+    float64 per relation of ``vocabulary``) and ``boxes`` (per row, the
+    human box's x1, y1, x2, y2, then the object box's); per row,
+    ``pair_code``, the int32 index of its pair id in ``pair_ids`` (-1 for
+    an untracked pair), and ``class_code``, the int32 index of its object
+    class in ``labels``; per frame, its ``frame_index``, its ``frame_size``
+    (width, height) and its rows ``row_start[j]`` to ``row_start[j + 1]``,
+    in pair order. The columns are read-only; ``pair_ids`` and ``labels``
+    hold distinct values, so a tracked pair's rows share its code. A set
+    whose scores are not one per relation, whose columns disagree in length
+    or whose codes lie outside ``pair_ids`` or ``labels`` raises ValueError.
+    Only the loader checks the values themselves.
+
+    ``frames``, ``frame.pairs``, ``pairs`` and ``iter_pairs`` build record
+    views of the columns on each read, with Python numbers, and the set
+    keeps none of them. Two sets are equal when their columns, ids, labels
+    and other fields are."""
+
+    def __init__(self, video_id: str, vocabulary: RelationVocabulary, *, frame_index=(),
+                 frame_size=(), row_start=(0,), pair_code=(), pair_ids=(), class_code=(),
+                 labels=(), scores=(), boxes=(), score_scale: str = "base"):
+        n = vocabulary.n
+        self.video_id, self.vocabulary, self.score_scale = video_id, vocabulary, score_scale
+        self.pair_ids, self.labels = tuple(pair_ids), tuple(labels)
+        self.frame_index = _column(frame_index, np.int64, (-1,))
+        frames = len(self.frame_index)
+        self.frame_size = _column(frame_size, np.float64, (frames, 2))
+        self.row_start = _column(row_start, np.int64, (frames + 1,))
+        scores = np.asarray(scores, np.float64)
+        if scores.ndim == 2 and scores.shape[1] != n:
+            raise ValueError(f"scores hold {scores.shape[1]} relations per pair "
+                             f"for a vocabulary of {n}")
+        self.scores = _column(scores, np.float64, (-1, n))
+        rows = len(self.scores)
+        self.boxes = _column(boxes, np.float64, (rows, 8))
+        self.pair_code = _column(pair_code, np.int32, (rows,))
+        self.class_code = _column(class_code, np.int32, (rows,))
+        start = self.row_start
+        if start[0] != 0 or start[-1] != rows or np.any(start[1:] < start[:-1]):
+            raise ValueError(f"row starts {start.tolist()} do not span {rows} rows")
+        if any(len(set(values)) < len(values) for values in (self.pair_ids, self.labels)):
+            raise ValueError("pair_ids and labels must hold distinct values")
+        if rows and not (self.pair_code.min() >= -1 and self.pair_code.max() < len(self.pair_ids)
+                         and self.class_code.min() >= 0
+                         and self.class_code.max() < len(self.labels)):
+            raise ValueError("a pair or class code outside pair_ids or labels")
+
+    @property
+    def frames(self) -> tuple[FramePrediction, ...]:
+        start = self.row_start.tolist()
+        return tuple(FramePrediction(self, fi, w, h, rows) for fi, (w, h), rows in zip(
+            self.frame_index.tolist(), self.frame_size.tolist(), zip(start, start[1:])))
+
+    def pairs(self, start: int, stop: int) -> tuple[PairPrediction, ...]:
+        """The pairs of rows ``start`` to ``stop``."""
+        ids, labels = self.pair_ids, self.labels
+        return tuple(PairPrediction(self, row, labels[c], None if p < 0 else ids[p])
+                     for row, p, c in zip(range(start, stop), self.pair_code[start:stop].tolist(),
+                                          self.class_code[start:stop].tolist()))
 
     def frame_indices(self) -> list[int]:
-        return [f.frame_index for f in self.frames]
+        return self.frame_index.tolist()
 
     def iter_pairs(self) -> Iterator[tuple[FramePrediction, PairPrediction]]:
         for frame in self.frames:
             for pair in frame.pairs:
                 yield frame, pair
+
+    def frame_rank(self) -> np.ndarray:
+        """Per row, the position of its frame."""
+        return np.repeat(np.arange(len(self.frame_index)), np.diff(self.row_start))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VideoPredictionSet):
+            return NotImplemented
+        columns = ("frame_index", "frame_size", "row_start", "scores", "boxes")
+        return ((self.video_id, self.vocabulary, self.score_scale)
+                == (other.video_id, other.vocabulary, other.score_scale)
+                and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
+                and self._row_values() == other._row_values())
+
+    __hash__ = None
+
+    def _row_values(self) -> tuple[list, list]:
+        """Per row, its pair id (None if untracked) and its label."""
+        return ([None if p < 0 else self.pair_ids[p] for p in self.pair_code.tolist()],
+                [self.labels[c] for c in self.class_code.tolist()])
 
 
 def tracked_pair_key(pair_id: PairId) -> tuple:
@@ -116,17 +239,28 @@ def pair_key(pair: PairPrediction, position: int):
 def check_slots_distinct(pred_set: VideoPredictionSet) -> None:
     """Raise ValueError when ``pred_set`` repeats a frame index, or a pair
     key within a frame: its slots would be ambiguous. Only tracked pairs can
-    share a key, since an untracked pair's key is its position."""
-    seen = set()
-    for frame in pred_set.frames:
-        fi = frame.frame_index
-        if fi in seen:
-            raise ValueError(f"frame {fi} appears twice")
-        seen.add(fi)
-        ids = [pair.pair_id for pair in frame.pairs if pair.pair_id is not None]
-        if len(set(ids)) < len(ids):
-            twice = next(pid for i, pid in enumerate(ids) if pid in ids[:i])
-            raise ValueError(f"frame {fi} holds pair key {tracked_pair_key(twice)} twice")
+    share a key, since an untracked pair's key is its position. The first
+    frame, in frame order, that does either is named."""
+    index, code = pred_set.frame_index, pred_set.pair_code
+    frame_twice = _first_repeat(index)
+    rows = np.flatnonzero(code >= 0)
+    rank = pred_set.frame_rank()[rows]
+    row_twice = _first_repeat(rank * max(len(pred_set.pair_ids), 1) + code[rows])
+    pair_frame = len(index) if row_twice is None else int(rank[row_twice])
+    if frame_twice is not None and frame_twice <= pair_frame:
+        raise ValueError(f"frame {index[frame_twice]} appears twice")
+    if row_twice is not None:
+        pair_id = pred_set.pair_ids[code[rows[row_twice]]]
+        raise ValueError(f"frame {index[pair_frame]} holds pair key "
+                         f"{tracked_pair_key(pair_id)} twice")
+
+
+def _first_repeat(values: np.ndarray) -> Optional[int]:
+    """The position of the first item of ``values`` equal to an earlier one."""
+    _, first = np.unique(values, return_index=True)
+    repeat = np.ones(len(values), bool)
+    repeat[first] = False
+    return int(np.argmax(repeat)) if repeat.any() else None
 
 
 @dataclass(frozen=True)
@@ -150,28 +284,20 @@ class SlotLayout:
     def __init__(self, pred_set: VideoPredictionSet):
         check_slots_distinct(pred_set)
         self.pred_set, self.n = pred_set, pred_set.vocabulary.n
-        shared: dict = {}
-        self.pair_keys, self.spans, stop = [], {}, 0
-        for frame in pred_set.frames:
-            fi, start = frame.frame_index, stop
-            keys = [shared.setdefault(pk := pair_key(pair, i), pk)
-                    for i, pair in enumerate(frame.pairs)]
-            self.pair_keys += keys
-            stop = start + len(keys)
-            self.spans[fi] = (start, stop)
-        self.frame = np.repeat(np.array(list(self.spans), dtype=np.int64),
-                               [stop - start for start, stop in self.spans.values()])
+        start, counts = pred_set.row_start, np.diff(pred_set.row_start)
+        position = np.arange(len(pred_set.pair_code)) - np.repeat(start[:-1], counts)
+        tracked = [tracked_pair_key(pair_id) for pair_id in pred_set.pair_ids]
+        untracked = [("idx", i) for i in range(int(counts.max(initial=0)))]
+        self.pair_keys = [untracked[i] if c < 0 else tracked[c]
+                          for c, i in zip(pred_set.pair_code.tolist(), position.tolist())]
+        start = start.tolist()
+        self.spans = dict(zip(pred_set.frame_index.tolist(), zip(start, start[1:])))
+        self.frame = np.repeat(pred_set.frame_index, counts)
 
     def base_scores(self) -> np.ndarray:
-        """A new float64 column of every slot's base score, in slot order,
-        read from the set's own pairs: the layout holds no copy of them.
-        Pairs holding more or fewer scores than the slots raise ValueError."""
-        scores = chain.from_iterable(pair.scores for frame in self.pred_set.frames
-                                     for pair in frame.pairs)
-        column = np.fromiter(scores, float, len(self.pair_keys) * self.n)  # raises when short
-        if next(scores, None) is not None:
-            raise ValueError("the set's pairs hold more scores than its slots")
-        return column
+        """A new float64 column of every slot's base score, in slot order:
+        the set's own score column, copied."""
+        return self.pred_set.scores.ravel().copy()
 
     def slots(self) -> Iterator[tuple]:
         """Every slot, in index order."""

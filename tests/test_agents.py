@@ -29,10 +29,8 @@ from hoirefine.model import (
     STAGE_ONE_KINDS,
     TEMPORAL,
     AgentScores,
-    FramePrediction,
     RelationVocabulary,
     SlotLayout,
-    VideoPredictionSet,
     pair_key,
 )
 from hoirefine.pipeline import run_stage_one
@@ -46,19 +44,18 @@ from hoirefine.provider import (
 )
 from hoirefine.prompt import SPATIAL_AWARENESS_INSTRUCTION, SPATIAL_SCORING_INSTRUCTION
 
-from conftest import fixture_path
-from test_model import make_pair
+from conftest import fixture_path, make_pair, pack
 
 VOCAB = RelationVocabulary(("hold", "ride", "sit on"))
 FLOOR = 0.05
 
 
 def make_video(frames):
-    return VideoPredictionSet(video_id="v", vocabulary=VOCAB, frames=tuple(frames))
+    return pack(VOCAB, frames)
 
 
 def frame(idx, pairs):
-    return FramePrediction(idx, 640, 480, tuple(pairs))
+    return idx, 640, 480, tuple(pairs)
 
 
 def every_frame(video) -> set[int]:
@@ -134,7 +131,7 @@ class TestTransitions:
         ])
         [transition] = detect_transitions(video, every_frame(video))
         assert transition == Transition(1, video.frames[1].pairs[0], 0, 1)
-        assert transition.pair is video.frames[1].pairs[0]
+        assert transition.pair.pair_id is video.pair_ids[0]
         assert transition.slot == (1, ("id", 0, 1), 1)
 
     def test_stable_argmax_no_transition(self):
@@ -143,6 +140,16 @@ class TestTransitions:
             frame(1, [make_pair(scores=(0.8, 0.3, 0.0))]),
         ])
         assert detect_transitions(video, every_frame(video)) == []
+
+    def test_a_tie_of_zeros_takes_the_first_relation(self):
+        # as scores.index(max(scores)) has it: -0.0 == 0.0, so the first wins
+        video = make_video([
+            frame(0, [make_pair(scores=(-0.0, 0.0, 0.0))]),
+            frame(1, [make_pair(scores=(0.0, -0.0, 0.0))]),
+            frame(2, [make_pair(scores=(0.0, 0.0, 0.5))]),
+        ])
+        assert [(tr.frame_index, tr.old_relation, tr.new_relation)
+                for tr in detect_transitions(video, every_frame(video))] == [(2, 0, 2)]
 
     def test_gap_between_frames_skipped(self):
         video = make_video([
@@ -193,7 +200,7 @@ class TestTransitions:
         ]
         transitions = detect_transitions(video, keyframes)
         assert transitions == oracle
-        assert all(tr.pair is by_frame[tr.frame_index][tr.pair.pair_id] for tr in transitions)
+        assert all(tr.pair == by_frame[tr.frame_index][tr.pair.pair_id] for tr in transitions)
 
 
 class TestCommonSense:
@@ -665,11 +672,11 @@ class TestMemory:
         # per provider over 32,000 slots; the awareness answers do not parse,
         # so no relation is spatial-aware, and no pair changes relation
         vocab = RelationVocabulary(tuple(f"r{i}" for i in range(10)))
-        video = VideoPredictionSet("v", vocab, tuple(
-            FramePrediction(f, 640, 480, tuple(
+        video = pack(vocab, (
+            (f, 640, 480, [
                 make_pair(scores=[0.5 if r % 3 == k % 3 and r < 9 else 0.01 for r in range(10)],
                           pair_id=(0, k) if k < 6 else None,
-                          object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)))
+                          object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)])
             for f in range(400)))
         transport, _ = answer_every_test(0.5)
         specs = [ProviderSpec(id=pid, kind="mock", max_retries=0) for pid in ("a", "b")]
@@ -694,10 +701,10 @@ class TestMemory:
     def test_propagation_peak_is_bounded(self):
         vocab = RelationVocabulary(tuple(f"r{i}" for i in range(10)))
         rng = np.random.default_rng(0)
-        video = VideoPredictionSet("v", vocab, tuple(
-            FramePrediction(f, 640, 480, tuple(
+        video = pack(vocab, (
+            (f, 640, 480, [
                 make_pair(scores=(0.5,) * 10, pair_id=(0, k) if k < 6 else None,
-                          object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)))
+                          object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)])
             for f in range(400)))
         layout, keyframes = SlotLayout(video), set(range(0, 400, 4))
         slots = list(layout.slots())

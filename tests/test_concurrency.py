@@ -23,6 +23,8 @@ from hoirefine.prompt import (
 )
 from hoirefine.provider import AuthError, Provider, load_rule_table, match_rules
 
+from conftest import pack
+
 
 def fixture_providers(config, latency=0.0, reject=(), max_concurrency=None,
                       hold=lambda prompt: None):
@@ -195,7 +197,8 @@ def test_the_first_prompts_do_not_wait_for_the_slot_layout(fixture_predictions, 
 def test_refined_set_is_refused_before_any_call(fixture_predictions, fixture_config):
     # a fused-scale set already holds every agent term; refining it again
     # would add them a second time
-    refined = dataclasses.replace(fixture_predictions, score_scale="fused")
+    refined = pack(fixture_predictions.vocabulary, fixture_predictions.frames,
+                   fixture_predictions.video_id, score_scale="fused")
     providers, sent = fixture_providers(fixture_config)
     with pytest.raises(ValueError, match="already refined"):
         refine(refined, fixture_config, providers=providers)
@@ -208,7 +211,8 @@ def repeat_last_frame(frames):
 
 def repeat_a_pair_of_the_last_frame(frames):
     last = frames[-1]
-    return frames[:-1] + (dataclasses.replace(last, pairs=last.pairs + last.pairs[1:2]),)
+    return frames[:-1] + ((last.frame_index, last.frame_width, last.frame_height,
+                           last.pairs + last.pairs[1:2]),)
 
 
 @pytest.mark.parametrize("repeat,message", [
@@ -219,8 +223,8 @@ def test_ambiguous_set_is_refused_before_any_call(fixture_predictions, fixture_c
                                                   repeat, message):
     # a set built in code, not loaded: its slots would be ambiguous, and the
     # run's layout is built only after both stages
-    ambiguous = dataclasses.replace(fixture_predictions,
-                                    frames=repeat(fixture_predictions.frames))
+    ambiguous = pack(fixture_predictions.vocabulary, repeat(fixture_predictions.frames),
+                     fixture_predictions.video_id)
     providers, sent = fixture_providers(fixture_config)
     with pytest.raises(ValueError, match=re.escape(message)):
         refine(ambiguous, fixture_config, providers=providers)

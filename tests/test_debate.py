@@ -23,9 +23,7 @@ from hoirefine.model import (
     DEBATE,
     SPATIAL,
     TEMPORAL,
-    FramePrediction,
     RelationVocabulary,
-    VideoPredictionSet,
     pair_key,
 )
 from hoirefine.pipeline import refine, run_stage_two
@@ -39,8 +37,7 @@ from hoirefine.provider import (
     match_rules,
 )
 
-from conftest import fixture_path
-from test_model import make_pair
+from conftest import fixture_path, make_pair, pack
 
 
 def scripted(pid, reply=None, transport=None, max_concurrency=4):
@@ -326,8 +323,7 @@ class TestStageTwo:
         # two untracked, identical pairs: one candidate relation each, both
         # rendering the same question
         pairs = tuple(make_pair(scores=(0.9, 0.01, 0.01), pair_id=None) for _ in range(2))
-        video = VideoPredictionSet("v", RelationVocabulary(("hold", "ride", "sit on")),
-                                   (FramePrediction(0, 640, 480, pairs),))
+        video = pack(RelationVocabulary(("hold", "ride", "sit on")), ((0, 640, 480, pairs),))
         judge, other = scripted("a", reply="Output: 0.8"), scripted("b")
         providers = [judge, other]
         config = RefinementConfig(providers=tuple(p.spec for p in providers),

@@ -20,14 +20,13 @@ from hoirefine.model import (
     FusionWeights,
     RelationVocabulary,
     SlotLayout,
-    VideoPredictionSet,
     pair_key,
 )
 from hoirefine.pipeline import aggregate_provider_tables, fuse_table
 
-from conftest import fixture_path
+from conftest import fixture_path, make_pair, pack
 from test_agents import agent_scores, frame, make_video, propagation_cases
-from test_model import FOREIGN_SLOTS, make_pair, two_frames
+from test_model import FOREIGN_SLOTS, two_frames
 
 
 def logistic(x):
@@ -194,7 +193,7 @@ class TestFuseTable:
         # 400 frames of 8 pairs and 10 relations: the float64 column is
         # 256 kB, a dict of the 32,000 slot tuples would be about 4 MB
         vocab = RelationVocabulary(tuple(f"r{r}" for r in range(10)))
-        video = VideoPredictionSet("v", vocab, tuple(
+        video = pack(vocab, (
             frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
             for f in range(400)))
         scores = agent_scores(video, {(slot, kind): 0.7 for slot in
@@ -336,7 +335,7 @@ class TestAgentScores:
         vocab = RelationVocabulary(tuple(f"r{r}" for r in range(10)))
 
         def aggregate(frames):
-            video = VideoPredictionSet("v", vocab, tuple(
+            video = pack(vocab, (
                 frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
                 for f in range(frames)))
             layout = SlotLayout(video)

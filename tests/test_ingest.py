@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoirefine import ingest
 from hoirefine.ingest import (
     DanglingReferenceError,
     IngestError,
@@ -20,17 +19,9 @@ from hoirefine.ingest import (
     triplet_to_text,
     write_predictions,
 )
-from hoirefine.model import (
-    BoundingBox,
-    FramePrediction,
-    FusedScores,
-    PairPrediction,
-    RelationVocabulary,
-    SlotLayout,
-    VideoPredictionSet,
-)
+from hoirefine.model import FusedScores, RelationVocabulary, SlotLayout
 
-from test_model import make_pair  # noqa: F401  (shared builders)
+from conftest import PairRecord, make_pair, pack
 
 
 def write_lines(path, records):
@@ -391,14 +382,14 @@ def written_sets(draw):
     for fi in sorted(draw(st.sets(st.integers(0, 2**63 - 1), max_size=3))):
         ids = draw(st.lists(st.none() | st.tuples(st.integers(), st.integers()),
                             max_size=3, unique_by=lambda pid: pid or object()))
-        pairs = tuple(PairPrediction(
+        pairs = [PairRecord(
             object_class=draw(json_text), pair_id=pid,
-            human_box=BoundingBox(*draw(st.lists(json_floats, min_size=4, max_size=4))),
-            object_box=BoundingBox(*draw(st.lists(json_floats | st.integers(),
-                                                  min_size=4, max_size=4))),
-            scores=(0.0,) * vocab.n) for pid in ids)
-        frames.append(FramePrediction(fi, draw(json_floats), draw(json_floats), pairs))
-    pred_set = VideoPredictionSet(draw(json_text), vocab, tuple(frames))
+            human_box=draw(st.lists(json_floats, min_size=4, max_size=4)),
+            object_box=draw(st.lists(json_floats | st.integers(-2**53, 2**53),
+                                     min_size=4, max_size=4)),
+            scores=(0.0,) * vocab.n) for pid in ids]
+        frames.append((fi, draw(json_floats), draw(json_floats), pairs))
+    pred_set = pack(vocab, frames, draw(json_text))
     layout = SlotLayout(pred_set)
     values = draw(st.lists(json_floats, min_size=len(layout.base_scores()), max_size=len(layout.base_scores())))
     return pred_set, FusedScores(layout, np.array(values, float))
@@ -547,8 +538,9 @@ class TestMemory:
             tracemalloc.stop()
         assert sum(len(frame.pairs) for frame in pred_set.frames) == 3200
         # 2.67 MB with a float object per value and a __dict__ per record,
-        # 1.13 MB with shared values and slotted records
-        assert held < 1_400_000
+        # 1.13 MB with shared values and slotted records, 0.34 MB as columns
+        # (0.50 MB when this is the process's first load)
+        assert held < 600_000
 
     def test_writer_streams_frame_by_frame(self, tmp_path, vocab):
         detector_video(tmp_path / "p.jsonl")
@@ -582,8 +574,88 @@ def test_reloading_a_refined_file_holds_few_texts_on_the_way(tmp_path, vocab):
         tracemalloc.stop()
     assert refined.score_scale == "fused" and len(refined.frames) == 1000
     # 3.49 MB with each of the 24,000 distinct score texts held until the
-    # load returns, 1.65 MB with at most _SHARED_KEYS of them
-    assert peak - held < 2_300_000
+    # load returns, 1.65 MB with at most 8192 of them, 0.94 MB read into
+    # columns, whose buffers grow as the lines are read
+    assert peak - held < 1_100_000
+
+
+# box corners in increasing order, each pair of them a valid x1 < x2
+CORNERS = [-0.0, 5e-324, 1, 1.5, 2.0, 10, 0.1 + 0.2, 639.0, 640]
+FRAME_SIZES = [640, 640.0, 1e3, 1.7976931348623157e308]
+BASE_SCORES = [0.0, -0.0, 5e-324, 1, 1.0, 0.5, 0.1 + 0.2, 1e-300]
+LABELS = ["Cup", "cup", "CUP", "Chair", "horse", "Éclair"]
+
+
+@st.composite
+def prediction_files(draw):
+    """The lines of a prediction file and its vocabulary: untracked pairs,
+    pair ids beyond int64, frames whose lines are interleaved out of order,
+    labels in mixed case, negative zeros, subnormals and integer-valued
+    numbers, at base or fused scale."""
+    vocab = RelationVocabulary(tuple(f"r{r}" for r in range(draw(st.integers(1, 3)))))
+    fused = draw(st.booleans())
+    scores = st.sampled_from(BASE_SCORES + ([2.5, 1e300] if fused else []))
+    ids = st.none() | st.tuples(st.integers(-2**70, 2**70) | st.just(2**70), st.integers(0, 3))
+    video_id = draw(st.none() | st.just("v"))
+    records = []
+    for fi in draw(st.sets(st.integers(0, 5) | st.just(2**63 - 1), max_size=4)):
+        size = draw(st.sampled_from(FRAME_SIZES))
+        for pid in draw(st.lists(ids, max_size=3, unique_by=lambda pid: pid or object())):
+            x1, x2, y1, y2 = (v for _ in range(2)
+                              for v in sorted(draw(st.sets(st.sampled_from(CORNERS),
+                                                           min_size=2, max_size=2))))
+            records.append({
+                "frame_index": fi, "frame_w": size, "frame_h": size,
+                "object_class": draw(st.sampled_from(LABELS)),
+                "human_box": [x1, y1, x2, y2], "object_box": [y1, x1, y2, x2],
+                "scores": draw(st.lists(scores, min_size=vocab.n, max_size=vocab.n)),
+                "pair_id": None if pid is None else list(pid),
+                **({"video_id": video_id} if video_id else {}),
+                **({"score_scale": "fused"} if fused else {})})
+    return vocab, [json.dumps(rec) for rec in draw(st.permutations(records))]
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestLoadedSetAgainstJson:
+    @settings(max_examples=200, deadline=None)
+    @given(prediction_files())
+    def test_views_match_a_plain_json_reading(self, tmp_path_factory, case):
+        vocab, lines = case
+        path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        pred_set = load_predictions(path, vocab)
+        records = [json.loads(line) for line in lines]
+        frames = sorted({rec["frame_index"] for rec in records})
+        assert pred_set.frame_indices() == frames
+        for frame in pred_set.frames:
+            expected = [rec for rec in records if rec["frame_index"] == frame.frame_index]
+            assert bits((frame.frame_width, frame.frame_height)) == bits(
+                (expected[0]["frame_w"], expected[0]["frame_h"]))
+            assert len(frame.pairs) == len(expected)
+            for pair, rec in zip(frame.pairs, expected):  # in file order
+                assert pair.object_class == rec["object_class"].lower()
+                assert pair.pair_id == (None if rec["pair_id"] is None else tuple(rec["pair_id"]))
+                assert bits(pair.scores) == bits(rec["scores"])
+                assert bits(pair.human_box) == bits(rec["human_box"])
+                assert bits(pair.object_box) == bits(rec["object_box"])
+                assert all(type(v) is float for v in (*pair.scores, *pair.human_box))
+        first = records[0] if records else {}
+        assert (pred_set.video_id, pred_set.score_scale) == (
+            first.get("video_id", ""), first.get("score_scale", "base"))
+
+        # write, load, write: the same bytes
+        def write(loaded, name):
+            layout = SlotLayout(loaded)
+            write_predictions(loaded, FusedScores(layout, layout.base_scores()),
+                              str(path.with_name(name)))
+            return path.with_name(name).read_bytes()
+
+        written = write(pred_set, "first.jsonl")
+        assert write(load_predictions(path.with_name("first.jsonl"), vocab),
+                     "second.jsonl") == written
 
 
 # texts of equal numbers that differ in sign, type or spelling, and the
@@ -649,18 +721,10 @@ class TestSharedValues:
 
 
 class TestSharingBound:
-    """Past ``_SHARED_KEYS`` distinct texts a number goes through the same
-    hook but is not held: each value is still the float of its own text."""
+    """Each value is the float of its own text, and each check still holds,
+    whichever texts came before it."""
 
-    def test_holds_at_most_the_bound(self):
-        shared = ingest._Shared(float)
-        texts = [repr(x / 7) for x in range(ingest._SHARED_KEYS + 100)]
-        assert [shared[t] for t in texts] == [float(t) for t in texts]
-        assert len(shared) == ingest._SHARED_KEYS
-        assert shared[texts[-1]] is not shared[texts[-1]]
-
-    def test_each_value_and_check_holds_past_the_bound(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_SHARED_KEYS", 3)
+    def test_each_value_and_check_holds_past_the_bound(self, tmp_path):
         vocab = RelationVocabulary(("a", "b", "c"))
         lines = []
         for f, (low, high) in enumerate(zip(SIGNED_ZEROS, ONES)):

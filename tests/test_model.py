@@ -6,27 +6,15 @@ from hoirefine.model import (
     CS,
     SPATIAL,
     AgentScores,
-    BoundingBox,
-    FramePrediction,
     FusedScores,
     FusionWeights,
-    PairPrediction,
     RelationVocabulary,
     SlotLayout,
     VideoPredictionSet,
     pair_key,
 )
 
-
-def make_pair(scores=(0.5, 0.5, 0.5), pair_id=(0, 1),
-              human_box=None, object_box=None, object_class="chair"):
-    return PairPrediction(
-        pair_id=pair_id,
-        object_class=object_class,
-        human_box=human_box or BoundingBox(10, 10, 50, 100),
-        object_box=object_box or BoundingBox(20, 40, 60, 90),
-        scores=tuple(scores),
-    )
+from conftest import make_pair, pack
 
 
 class TestVocabulary:
@@ -68,9 +56,9 @@ class TestFusionWeights:
 
 def two_frames():
     """Two frames: a tracked and an untracked pair, then one tracked pair."""
-    return VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
-        FramePrediction(3, 640, 480, (make_pair(), make_pair(pair_id=None))),
-        FramePrediction(7, 640, 480, (make_pair(pair_id=(2, 5)),))))
+    return pack(RelationVocabulary(("a", "b")), (
+        (3, 640, 480, (make_pair(), make_pair(pair_id=None))),
+        (7, 640, 480, (make_pair(pair_id=(2, 5)),))))
 
 
 # a foreign pair, relation n and relation -1
@@ -129,6 +117,56 @@ class TestAgentScores:
             AgentScores(SlotLayout(two_frames()), columns)
 
 
+class TestPredictionSet:
+    @pytest.mark.parametrize("scores", [(0.5,), (0.5, 0.5, 0.5)])
+    def test_scores_of_another_width_are_refused_at_construction(self, scores):
+        with pytest.raises(ValueError, match=f"^scores hold {len(scores)} relations per pair "
+                                             "for a vocabulary of 2$"):
+            pack(RelationVocabulary(("a", "b")), (
+                (3, 640, 480, (make_pair(scores=scores), make_pair(scores=scores, pair_id=None))),))
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(boxes=np.zeros((2, 8))), "a column of shape"),
+        (dict(pair_code=[0, -1]), "a column of shape"),
+        (dict(row_start=[0, 2, 2]), "do not span 3 rows"),
+        (dict(row_start=[0, 3, 1]), "do not span 3 rows"),
+        (dict(pair_code=[0, -2, 1]), "outside pair_ids or labels"),
+        (dict(pair_code=[0, -1, 2]), "outside pair_ids or labels"),
+        (dict(class_code=[0, 0, 1]), "outside pair_ids or labels"),
+        (dict(pair_ids=((0, 1), (0, 1))), "distinct values"),
+        (dict(labels=("chair", "chair")), "distinct values"),
+    ], ids=["short-boxes", "short-codes", "short-span", "backward-span", "code-below",
+            "code-above", "unknown-class", "pair-id-twice", "label-twice"])
+    def test_columns_that_disagree_are_refused(self, change, message):
+        video = two_frames()
+        columns = {name: getattr(video, name) for name in (
+            "frame_index", "frame_size", "row_start", "pair_code", "pair_ids", "class_code",
+            "labels", "scores", "boxes")}
+        VideoPredictionSet("v", video.vocabulary, **columns)  # as they are, they agree
+        with pytest.raises(ValueError, match=message):
+            VideoPredictionSet("v", video.vocabulary, **{**columns, **change})
+
+    def test_views_hold_python_numbers_and_the_sets_own_objects(self):
+        video = two_frames()
+        frame = video.frames[0]
+        pair = frame.pairs[0]
+        assert (type(frame.frame_index), type(frame.frame_width), type(frame.frame_height)) \
+            == (int, float, float)
+        assert all(type(v) is float for v in (*pair.scores, *pair.human_box, *pair.object_box))
+        assert repr(pair.scores) == "(0.5, 0.5)"
+        assert pair.human_box.as_int_list() == [10, 10, 50, 100]
+        assert pair.pair_id is video.pair_ids[0] and pair.object_class is video.labels[0]
+        assert frame.pairs is not frame.pairs and frame.pairs == frame.pairs  # built on each read
+        assert [p.pair_id for _, p in video.iter_pairs()] == [(0, 1), None, (2, 5)]
+
+    def test_columns_are_read_only(self):
+        video = two_frames()
+        with pytest.raises(ValueError, match="read-only"):
+            video.scores[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            video.pair_code[0] = 1
+
+
 class TestSlotLayout:
     def test_one_frame_index_per_pair_row(self):
         layout = SlotLayout(two_frames())
@@ -138,27 +176,26 @@ class TestSlotLayout:
 
     def test_equal_pair_keys_are_one_object(self):
         # an untracked pair first and a pair tracked as (0, 1), in each of three frames
-        video = VideoPredictionSet("v", RelationVocabulary(("a",)), tuple(
-            FramePrediction(f, 640, 480, (make_pair(pair_id=None), make_pair(pair_id=(0, 1))))
-            for f in range(3)))
+        video = pack(RelationVocabulary(("a",)), (
+            (f, 640, 480, (make_pair(pair_id=None), make_pair(pair_id=(0, 1)))) for f in range(3)))
         keys = SlotLayout(video).pair_keys
         assert keys[0] == ("idx", 0) and keys[1] == ("id", 0, 1)
         assert keys[0] is keys[2] is keys[4] and keys[1] is keys[3] is keys[5]
 
     def test_a_pair_key_twice_in_a_frame_is_refused(self):
         # the later row would shadow the earlier, whose slots could then never be scored
-        video = VideoPredictionSet("v", RelationVocabulary(("a",)), (
-            FramePrediction(2, 640, 480, (make_pair(pair_id=(0, 1)),)),
-            FramePrediction(4, 640, 480, (make_pair(pair_id=(0, 1)), make_pair(pair_id=None),
-                                          make_pair(pair_id=(0, 1))))))
+        video = pack(RelationVocabulary(("a",)), (
+            (2, 640, 480, (make_pair(pair_id=(0, 1)),)),
+            (4, 640, 480, (make_pair(pair_id=(0, 1)), make_pair(pair_id=None),
+                           make_pair(pair_id=(0, 1))))))
         with pytest.raises(ValueError, match=r"frame 4 holds pair key \('id', 0, 1\) twice"):
             SlotLayout(video)
 
     def test_base_scores_are_read_from_the_pairs_in_slot_order(self):
-        video = VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
-            FramePrediction(3, 640, 480, (make_pair(scores=(0.25, -0.0)),
-                                          make_pair(scores=(1.0, 0.5), pair_id=None))),
-            FramePrediction(7, 640, 480, (make_pair(scores=(0.0, 0.75), pair_id=(2, 5)),))))
+        video = pack(RelationVocabulary(("a", "b")), (
+            (3, 640, 480, (make_pair(scores=(0.25, -0.0)),
+                           make_pair(scores=(1.0, 0.5), pair_id=None))),
+            (7, 640, 480, (make_pair(scores=(0.0, 0.75), pair_id=(2, 5)),))))
         layout = SlotLayout(video)
         column = layout.base_scores()
         assert column.dtype == np.float64
@@ -166,18 +203,10 @@ class TestSlotLayout:
             0.25, -0.0, 1.0, 0.5, 0.0, 0.75)))
         assert layout.base_scores() is not column
 
-    @pytest.mark.parametrize("scores", [(0.5,), (0.5, 0.5, 0.5)])
-    def test_base_scores_refuse_pairs_of_another_width(self, scores):
-        video = VideoPredictionSet("v", RelationVocabulary(("a", "b")), (
-            FramePrediction(3, 640, 480, (make_pair(scores=(0.5, 0.5)), make_pair(
-                scores=scores, pair_id=None))),))
-        with pytest.raises(ValueError):
-            SlotLayout(video).base_scores()
-
     def test_a_frame_index_twice_is_refused(self):
-        video = VideoPredictionSet("v", RelationVocabulary(("a",)), (
-            FramePrediction(4, 640, 480, (make_pair(pair_id=(0, 1)),)),
-            FramePrediction(4, 640, 480, (make_pair(pair_id=(0, 2)),))))
+        video = pack(RelationVocabulary(("a",)), (
+            (4, 640, 480, (make_pair(pair_id=(0, 1)),)),
+            (4, 640, 480, (make_pair(pair_id=(0, 2)),))))
         with pytest.raises(ValueError, match="frame 4 appears twice"):
             SlotLayout(video)
 
@@ -193,9 +222,8 @@ def layout_sets(draw):
         ids = draw(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 1))),
                             max_size=5))
         ids = [pid for i, pid in enumerate(ids) if pid is None or pid not in ids[:i]]
-        frames.append(FramePrediction(fi, 640, 480, tuple(
-            make_pair(scores=[0.5] * n, pair_id=pid) for pid in ids)))
-    return VideoPredictionSet("v", RelationVocabulary(tuple("abc"[:n])), tuple(frames))
+        frames.append((fi, 640, 480, [make_pair(pair_id=pid) for pid in ids]))
+    return pack(RelationVocabulary(tuple("abc"[:n])), frames)
 
 
 class TestFind:

@@ -3,7 +3,6 @@ functions of the package by name, where the pipeline, the agents and the
 debate look them up. These tests fail when a rename or an import-time binding
 would make that trace miss a layer."""
 
-import dataclasses
 import os
 import sys
 
@@ -11,6 +10,8 @@ import pytest
 
 from hoirefine.agents import detect_transitions, select_keyframes
 from hoirefine.pipeline import refine
+
+from conftest import pack
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 
@@ -74,9 +75,9 @@ def test_traced_transition_count_is_what_the_temporal_agent_got(installed, fixtu
     # transitions. The fixture has one flip at any interval, between frames 3
     # and 4, so frames 0 and 4 taken in turn make a flip at every frame.
     turns = (fixture_predictions.frames[0].pairs, fixture_predictions.frames[4].pairs)
-    video = dataclasses.replace(fixture_predictions, frames=tuple(
-        dataclasses.replace(frame, pairs=turns[frame.frame_index % 2])
-        for frame in fixture_predictions.frames))
+    video = pack(fixture_predictions.vocabulary, (
+        (frame.frame_index, frame.frame_width, frame.frame_height, turns[frame.frame_index % 2])
+        for frame in fixture_predictions.frames), fixture_predictions.video_id)
     keyframes = select_keyframes(video.frame_indices(), fixture_config.keyframe_interval)
     transitions = detect_transitions(video, keyframes)
     assert len(transitions) > 1
