@@ -17,10 +17,12 @@ together, up to the provider's ``max_concurrency``. Each answer is parsed
 as it arrives, and each batch is reported at once to the agent's
 ``on_scored(kind, scored)``: its score kind and a ``(slot, value)`` for
 every candidate slot the batch covers, the value None where it is unscored,
-so a caller knows when a slot's scores are final. Each slot gets each kind
-from one batch, so the scores do not depend on which answer arrives first.
-Agents return nothing; their reports are their result. Agents given one ``stop`` event start no
-further prompt once any of them has raised.
+so a caller knows when a slot's scores are final. A slot is an index of the
+set's ``SlotLayout`` (``PairPrediction.slot``); its relation is ``slot % n``.
+Each slot gets each kind from one batch, so the scores do not depend on
+which answer arrives first. Agents return nothing; their reports are their
+result. Agents given one ``stop`` event start no further prompt once any of
+them has raised.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .model import (
     PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
-    pair_key,
-    tracked_pair_key,
 )
 from .prompt import (
     parse_binary_output,
@@ -64,9 +64,9 @@ class Transition:
     new_relation: int
 
     @property
-    def slot(self) -> tuple:
-        """The (frame_index, pair_key, relation_index) slot its score lands on."""
-        return self.frame_index, tracked_pair_key(self.pair.pair_id), self.new_relation
+    def slot(self) -> int:
+        """The slot its score lands on: an index of the set's ``SlotLayout``."""
+        return self.pair.slot(self.new_relation)
 
 
 def select_keyframes(frame_indices: list[int], interval: int) -> set[int]:
@@ -99,19 +99,18 @@ def detect_transitions(pred_set: VideoPredictionSet, keyframes: set[int]) -> lis
 
 
 def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: float):
-    """Yield ((frame_index, pair_key, relation_index) slot, pair) for every
-    candidate relation (base score >= floor) of every keyframe pair, in
-    frame order: the candidates are read from the score column, and the
+    """Yield (slot, pair) for every candidate relation (base score >= floor)
+    of every keyframe pair, in slot order, the slot an index of the set's
+    ``SlotLayout``: the candidates are read from the score column, and the
     pairs of a keyframe only are built, once each."""
     start = pred_set.row_start.tolist()
     for j, fi in enumerate(pred_set.frame_indices()):
         if fi not in keyframes:
             continue
         pairs = pred_set.pairs(start[j], start[j + 1])
-        keys = [pair_key(pair, i) for i, pair in enumerate(pairs)]
         rows, relations = np.nonzero(pred_set.scores[start[j]:start[j + 1]] >= floor)
         for i, r in zip(rows.tolist(), relations.tolist()):
-            yield (fi, keys[i], r), pairs[i]
+            yield pairs[i].slot(r), pairs[i]
 
 
 def fan_out(fn: Callable, items: list, max_workers: int,
@@ -194,8 +193,7 @@ def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
 
 def _reporter(slots_of: Callable, kind: str, on_scored: Callable) -> Callable:
     """An ``on_batch`` that reports each item's value, or None, on every
-    (frame, pair_key, relation) slot of ``slots_of(item)``, as
-    ``on_scored(kind, [(slot, value), ...])``."""
+    slot of ``slots_of(item)``, as ``on_scored(kind, [(slot, value), ...])``."""
     def on_batch(batch: list, values: list) -> None:
         on_scored(kind, [(slot, value) for item, value in zip(batch, values)
                          for slot in slots_of(item)])
@@ -220,9 +218,9 @@ def run_common_sense(
     reported as ``on_scored(CS, scored)`` when its answer arrives, every
     candidate slot once.
     """
-    wanted: dict[str, list[tuple]] = {}
+    wanted: dict[str, list[int]] = {}
     for slot, pair in keyframe_slots(pred_set, keyframes, floor):
-        wanted.setdefault(triplet_to_text(pair, slot[2], vocab), []).append(slot)
+        wanted.setdefault(triplet_to_text(pair, slot % vocab.n, vocab), []).append(slot)
     _score_batches(provider, "common-sense", sorted(wanted), batch_size,
                    render_common_sense, parse_score_output, cache_dir,
                    _reporter(wanted.__getitem__, CS, on_scored), stop)
@@ -266,16 +264,17 @@ def run_spatial(
     is known."""
     slots = list(keyframe_slots(pred_set, keyframes, floor))
     aware = classify_spatial_awareness(
-        provider, sorted({vocab.names[slot[2]] for slot, _ in slots}), cache_dir, stop)
+        provider, sorted({vocab.names[slot % vocab.n] for slot, _ in slots}), cache_dir, stop)
 
     # (text, boxes) -> slots; identical geometry costs one test slot
-    wanted: dict[tuple, list[tuple]] = {}
+    wanted: dict[tuple, list[int]] = {}
     unaware = []
     for slot, pair in slots:
-        if not aware[vocab.names[slot[2]]]:
+        r = slot % vocab.n
+        if not aware[vocab.names[r]]:
             unaware.append((slot, None))
             continue
-        item = (triplet_to_text(pair, slot[2], vocab), tuple(pair.human_box.as_int_list()),
+        item = (triplet_to_text(pair, r, vocab), tuple(pair.human_box.as_int_list()),
                 tuple(pair.object_box.as_int_list()))
         wanted.setdefault(item, []).append(slot)
     on_scored(SPATIAL, unaware)

@@ -89,6 +89,10 @@ class PairPrediction:
     def object_box(self) -> BoundingBox:
         return BoundingBox(*self._set.boxes[self._row, 4:].tolist())
 
+    def slot(self, relation: int) -> int:
+        """The index of its ``relation`` in its set's ``SlotLayout``."""
+        return self._row * self._set.vocabulary.n + relation
+
     def _values(self) -> tuple:
         return self.object_class, self.human_box, self.object_box, self.scores, self.pair_id
 
@@ -272,14 +276,14 @@ class GroundTruthSet:
 
 class SlotLayout:
     """The (frame_index, pair_key, relation_index) slots of ``pred_set``, in
-    frame, pair and relation order: slot ``i`` (see ``find`` and ``slots``) is
-    relation ``i % n`` of pair row ``i // n``, whose pair key is
-    ``pair_keys[i // n]`` and frame index ``frame[i // n]``; ``base_scores``
-    reads the slots' base scores. The rows of frame ``f`` are
-    ``range(*spans[f])``. The layout holds each distinct pair key once:
-    equal keys, a tracked pair's in every frame, are one object. A set that
-    repeats a frame index, or a pair key within a frame, raises ValueError
-    (``check_slots_distinct``)."""
+    frame, pair and relation order: slot ``i`` (see ``find``, ``slots`` and
+    ``PairPrediction.slot``) is relation ``i % n`` of pair row ``i // n``,
+    whose pair key is ``pair_keys[i // n]`` and frame index
+    ``frame[i // n]``; ``base_scores`` reads the slots' base scores. The
+    rows of frame ``f`` are ``range(*spans[f])``. The layout holds each
+    distinct pair key once: equal keys, a tracked pair's in every frame, are
+    one object. A set that repeats a frame index, or a pair key within a
+    frame, raises ValueError (``check_slots_distinct``)."""
 
     def __init__(self, pred_set: VideoPredictionSet):
         check_slots_distinct(pred_set)
@@ -377,20 +381,12 @@ class AgentScores:
                              for index, values in columns)
         if len(self.columns) != len(SCORE_KINDS) or any(len(i) != len(v) for i, v in self.columns):
             raise ValueError("need one (index, values) pair of equal lengths per score kind")
+        slots = len(layout.pair_keys) * layout.n
+        if any(len(index) and (index[0] < 0 or index[-1] >= slots) for index, _ in self.columns):
+            raise ValueError(f"a slot index outside the layout's {slots} slots")
         for column in self.columns:
             for array in column:
                 array.flags.writeable = False
-
-    def kinds_at(self, frame_index: int, pkey, relation_index: int) -> dict[str, float]:
-        i = self.layout.find((frame_index, pkey, relation_index))
-        if i is None:
-            return {}
-        kinds = {}
-        for kind, (index, values) in zip(SCORE_KINDS, self.columns):
-            j = int(np.searchsorted(index, i))
-            if j < len(index) and index[j] == i:
-                kinds[kind] = values.item(j)
-        return kinds
 
     def __len__(self) -> int:
         return len(np.unique(np.concatenate([index for index, _ in self.columns])))

@@ -10,16 +10,18 @@ returned a value, summed in provider order, so they do not depend on which
 answer arrives first, and one failing provider leaves the others' scores.
 The debate judge's score is shared, not per-provider.
 
-Stage 1 keeps each provider's scores as plain ``{slot: score}`` dicts, one
-per kind, holding only the slots its agents scored. Stage two, the one
-home of the keyframe candidates, also reports each kind's coverage of them.
-Once some agent has scored a candidate, ``refine`` builds the run's one
-``SlotLayout`` of the prediction set, and ``aggregate_provider_tables``
-turns the dicts and the judge's scores into one ``AgentScores``, which
-holds each kind's scores only at the slots that have one. Propagation and
-fusion read and return those compact columns, and the base scores are read
-from the prediction set itself. ``fuse_table`` returns a ``FusedScores``
-column, which ``ingest.write_predictions`` formats row by row and
+From keyframe selection to aggregation a slot is an index of the set's
+``SlotLayout`` (``PairPrediction.slot``). Stage 1 keeps each provider's
+scores as plain ``{slot: score}`` dicts, one per kind, holding only the
+slots its agents scored. Stage two, the one home of the keyframe
+candidates, also reports each kind's coverage of them. Once some agent has
+scored a candidate, ``refine`` builds the run's one ``SlotLayout`` of the
+prediction set, and ``aggregate_provider_tables`` turns the dicts and the
+judge's scores into one ``AgentScores``, which holds each kind's scores
+only at the slots that have one. Propagation and fusion read and return
+those compact columns, and the base scores are read from the prediction set
+itself. ``fuse_table`` returns a ``FusedScores`` column, which
+``ingest.write_predictions`` formats row by row and
 ``evaluation.positives_per_frame`` selects from with one array comparison,
 so no per-slot object is built.
 """
@@ -101,26 +103,20 @@ class RefinementOutcome:
 
 
 def aggregate_provider_tables(layout: SlotLayout, tables: dict[str, dict[str, dict]],
-                              judged: dict[tuple, float]) -> AgentScores:
+                              judged: dict[int, float]) -> AgentScores:
     """The run's agent scores over ``layout`` as one ``AgentScores``.
 
     ``tables`` maps each provider id, in provider order, to its stage-1
     scores as ``run_stage_one`` returns them: per kind of
-    ``STAGE_ONE_KINDS``, a dict from (frame_index, pair_key,
-    relation_index) slot to score. A stage-1 kind's score at a slot is the
-    mean over the providers that scored it, summed from 0.0 in provider
-    order. ``judged``, the debate judge's score by slot, is the DEBATE
-    kind's. A slot outside ``layout`` raises KeyError."""
-    def index_of(slot) -> int:
-        i = layout.find(slot)
-        if i is None:
-            raise KeyError(f"{slot} is not a slot of the layout's prediction set")
-        return i
-
+    ``STAGE_ONE_KINDS``, a dict from slot, an index of ``layout``, to score.
+    A stage-1 kind's score at a slot is the mean over the providers that
+    scored it, summed from 0.0 in provider order. ``judged``, the debate
+    judge's score by slot, is the DEBATE kind's. A slot index outside
+    ``layout`` raises ValueError (``AgentScores``), a tuple key TypeError."""
     def column(scores: list[dict], start: float) -> tuple:
         # the sorted union of the dicts' slots, then each dict's values added
         # at its slots from ``start`` in order; no per-slot object is built
-        at = [np.fromiter(map(index_of, d), np.int64, len(d)) for d in scores]
+        at = [np.fromiter(d, np.int64, len(d)) for d in scores]
         index = np.concatenate(at)
         index.sort()
         distinct = np.empty(len(index), bool)
@@ -153,8 +149,8 @@ def run_stage_one(
     stop: threading.Event,
 ) -> dict[str, dict[str, dict]]:
     """Raw per-provider keyframe scores of the stage-1 agents: per provider
-    id, per kind of ``STAGE_ONE_KINDS``, a dict from each (frame_index,
-    pair_key, relation_index) slot the agent scored to its score.
+    id, per kind of ``STAGE_ONE_KINDS``, a dict from each slot the agent
+    scored, an index of the set's ``SlotLayout``, to its score.
 
     Every agent runs for every provider at once, in one ``fan_out``, with
     the temporal agent on ``transitions``; each provider's
@@ -204,12 +200,12 @@ def run_stage_two(
     keyframes: set[int],
     cache_dir: Optional[str],
     transcript_dir: Optional[str],
-) -> tuple[dict[str, dict[str, dict]], dict[tuple, float], int, dict[str, float]]:
+) -> tuple[dict[str, dict[str, dict]], dict[int, float], int, dict[str, float]]:
     """Run stage one through ``run_stage_one`` and debate the selected
     keyframe candidates while it runs. Returns the per-provider stage-1
     scores, as ``run_stage_one`` does; the judge score of each debated
-    candidate whose judge answered, by (frame_index, pair_key,
-    relation_index) slot; the number of debates run; and the coverage.
+    candidate whose judge answered, by slot, an index of the set's
+    ``SlotLayout``; the number of debates run; and the coverage.
 
     The candidates are the ``keyframe_slots`` at ``config.candidate_floor``,
     the judge is ``config.judge_provider``, and the temporal agent asks
@@ -254,7 +250,7 @@ def run_stage_two(
             raise
         return transcript.judge_score
 
-    asked: dict[tuple, str] = {}
+    asked: dict[int, str] = {}
     judged: dict[str, Future] = {}
     pool = ThreadPoolExecutor(sum(p.spec.max_concurrency for p in providers))
 
@@ -266,7 +262,7 @@ def run_stage_two(
             if waiting[slot]:
                 continue
             del waiting[slot]
-            pair, r = pairs[slot], slot[2]
+            pair, r = pairs[slot], slot % vocab.n
             fused = [fuse_scores(pair.scores[r], *(tables[p.id][kind].get(slot)
                                                    for kind in STAGE_ONE_KINDS),
                                  weights=config.weights) for p in providers]

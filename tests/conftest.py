@@ -6,7 +6,7 @@ import pytest
 
 from hoirefine.config import load_config
 from hoirefine.ingest import load_ground_truth, load_predictions, load_vocabulary
-from hoirefine.model import FramePrediction, VideoPredictionSet
+from hoirefine.model import SCORE_KINDS, FramePrediction, SlotLayout, VideoPredictionSet
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
@@ -58,6 +58,23 @@ def pack(vocabulary, frames, video_id="v", score_scale="base") -> VideoPredictio
         labels=labels, scores=np.array(scores, float).reshape(-1, len(scores[0]) if scores
                                                              else vocabulary.n),
         boxes=np.array(boxes, float).reshape(-1, 8), score_scale=score_scale)
+
+
+def kinds_at(scores, *slot) -> dict[str, float]:
+    """The kinds ``AgentScores`` ``scores`` holds at one slot, each with its
+    score, read from its columns. The slot is an index of its layout or a
+    (frame_index, pair_key, relation_index) tuple; one that is no slot holds none."""
+    i = slot[0] if len(slot) == 1 else scores.layout.find(slot)
+    if i is None:
+        return {}
+    return {kind: values.item(j) for kind, (index, values) in zip(SCORE_KINDS, scores.columns)
+            for j in [int(np.searchsorted(index, i))] if j < len(index) and index[j] == i}
+
+
+def slot_tuples(video: VideoPredictionSet, scores: dict) -> dict:
+    """``scores``, keyed by ``video``'s slot tuples in place of their indices."""
+    slots = list(SlotLayout(video).slots())
+    return {slots[i]: value for i, value in scores.items()}
 
 
 @pytest.fixture(scope="session")

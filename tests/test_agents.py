@@ -44,7 +44,7 @@ from hoirefine.provider import (
 )
 from hoirefine.prompt import SPATIAL_AWARENESS_INSTRUCTION, SPATIAL_SCORING_INSTRUCTION
 
-from conftest import fixture_path, make_pair, pack
+from conftest import fixture_path, kinds_at, make_pair, pack, slot_tuples
 
 VOCAB = RelationVocabulary(("hold", "ride", "sit on"))
 FLOOR = 0.05
@@ -75,10 +75,10 @@ def answer_every_test(*scores):
     return transport, prompts
 
 
-def scored(agent, provider, *args, **kwargs) -> dict[str, dict]:
+def scored(agent, provider, *args, video=None, **kwargs) -> dict[str, dict]:
     """Every score ``agent(provider, *args, **kwargs)`` reports, per kind of
     ``STAGE_ONE_KINDS`` a dict from slot to score, as ``run_stage_one``
-    keeps them."""
+    keeps them, each slot as its tuple of ``video`` (default ``args[0]``)."""
     tables, lock = {kind: {} for kind in STAGE_ONE_KINDS}, threading.Lock()
 
     def collect(kind, scored):
@@ -86,19 +86,16 @@ def scored(agent, provider, *args, **kwargs) -> dict[str, dict]:
             tables[kind].update((slot, value) for slot, value in scored if value is not None)
 
     agent(provider, *args, on_scored=collect, **kwargs)
-    return tables
+    return {kind: slot_tuples(video or args[0], scores) for kind, scores in tables.items()}
 
 
 def agent_scores(video, entries: dict) -> AgentScores:
     """``AgentScores`` over a layout of ``video`` holding ``entries``, each
     ``(slot, kind): value``, value for value (a ``-0.0`` too)."""
     layout = SlotLayout(video)
-    columns = []
-    for kind in SCORE_KINDS:
-        held = sorted((layout.find(slot), value) for (slot, k), value in entries.items()
-                      if k == kind)
-        columns.append(([i for i, _ in held], [value for _, value in held]))
-    return AgentScores(layout, columns)
+    held = [sorted((layout.find(slot), value) for (slot, k), value in entries.items()
+                   if k == kind) for kind in SCORE_KINDS]
+    return AgentScores(layout, [([i for i, _ in h], [value for _, value in h]) for h in held])
 
 
 def provider(rules=(), transport=None):
@@ -132,7 +129,7 @@ class TestTransitions:
         [transition] = detect_transitions(video, every_frame(video))
         assert transition == Transition(1, video.frames[1].pairs[0], 0, 1)
         assert transition.pair.pair_id is video.pair_ids[0]
-        assert transition.slot == (1, ("id", 0, 1), 1)
+        assert transition.slot == SlotLayout(video).find((1, ("id", 0, 1), 1))
 
     def test_stable_argmax_no_transition(self):
         video = make_video([
@@ -475,7 +472,7 @@ class TestTemporal:
         ])
         transitions = detect_transitions(video, every_frame(video))
         p = provider([MockRule("contains", "frame 0:", "Output: 0.7")])
-        table = scored(run_temporal, p, VOCAB, transitions, batch_size=1)
+        table = scored(run_temporal, p, VOCAB, transitions, batch_size=1, video=video)
         assert table[TEMPORAL].get((1, ("id", 0, 1), 1)) == 0.7
         assert table[TEMPORAL].get((1, ("id", 0, 1), 0)) is None
         assert table[TEMPORAL].get((0, ("id", 0, 1), 0)) is None
@@ -491,7 +488,7 @@ class TestTemporal:
         ])
         transport, prompts = answer_every_test(0.7, 0.4)
         table = scored(run_temporal, provider(transport=transport), VOCAB,
-                       detect_transitions(video, every_frame(video)), batch_size=2)
+                       detect_transitions(video, every_frame(video)), batch_size=2, video=video)
         assert len(prompts) == 1
         assert prompts[0].count("frame 0: <person,hold,chair> frame 1: <person,ride,chair>") == 2
         assert table[TEMPORAL].get((1, ("id", 0, 1), 1)) == 0.7
@@ -511,7 +508,7 @@ class TestTemporal:
             return "Output: 0.7"
 
         table = scored(run_temporal, provider(transport=transport), VOCAB,
-                       detect_transitions(video, every_frame(video)), batch_size=1)
+                       detect_transitions(video, every_frame(video)), batch_size=1, video=video)
         assert table[TEMPORAL].get((1, ("id", 0, 1), 1)) == 0.7
         assert table[TEMPORAL].get((1, ("id", 0, 2), 2)) is None
 
@@ -527,7 +524,7 @@ class TestTemporal:
         assert len(transitions) == 12
         transport, prompts = answer_every_test(0.5)
         table = scored(run_temporal, provider(transport=transport), VOCAB, transitions,
-                       batch_size=batch_size)
+                       batch_size=batch_size, video=video)
         # each distinct prompt is asked once: at batch size 1 the four pairs
         # of a frame render one prompt, at 5 the three batches differ
         assert len(prompts) == len(set(prompts)) == 3
@@ -535,7 +532,7 @@ class TestTemporal:
 
     def test_no_transitions_no_calls(self):
         p = provider([])
-        table = scored(run_temporal, p, VOCAB, [], batch_size=1)
+        table = scored(run_temporal, p, VOCAB, [], batch_size=1, video=make_video([]))
         assert p.call_count == 0
         assert table == {CS: {}, SPATIAL: {}, TEMPORAL: {}}
 
@@ -549,29 +546,29 @@ class TestPropagation:
         scores = agent_scores(video, {((0, ("id", 0, 1), 0), CS): 0.2,
                                       ((4, ("id", 0, 1), 0), CS): 0.8})
         out = propagate_scores(scores, video, {0, 4})
-        assert out.kinds_at(1, ("id", 0, 1), 0).get(CS) == 0.2
-        assert out.kinds_at(3, ("id", 0, 1), 0).get(CS) == 0.8
+        assert kinds_at(out, 1, ("id", 0, 1), 0).get(CS) == 0.2
+        assert kinds_at(out, 3, ("id", 0, 1), 0).get(CS) == 0.8
 
     def test_distance_tie_prefers_earlier(self):
         video = self.tracked_video()
         scores = agent_scores(video, {((0, ("id", 0, 1), 0), CS): 0.2,
                                       ((4, ("id", 0, 1), 0), CS): 0.8})
         out = propagate_scores(scores, video, {0, 4})
-        assert out.kinds_at(2, ("id", 0, 1), 0).get(CS) == 0.2
+        assert kinds_at(out, 2, ("id", 0, 1), 0).get(CS) == 0.2
 
     def test_skips_keyframes_missing_value(self):
         # keyframe 2 never got a score, so frame 3 reaches back to keyframe 0
         video = self.tracked_video()
         scores = agent_scores(video, {((0, ("id", 0, 1), 0), CS): 0.2})
         out = propagate_scores(scores, video, {0, 2, 4})
-        assert out.kinds_at(3, ("id", 0, 1), 0).get(CS) == 0.2
+        assert kinds_at(out, 3, ("id", 0, 1), 0).get(CS) == 0.2
 
     def test_direct_non_keyframe_entries_kept(self):
         video = self.tracked_video()
         scores = agent_scores(video, {((0, ("id", 0, 1), 0), TEMPORAL): 0.3,
                                       ((1, ("id", 0, 1), 0), TEMPORAL): 0.9})
         out = propagate_scores(scores, video, {0, 4})
-        assert out.kinds_at(1, ("id", 0, 1), 0).get(TEMPORAL) == 0.9
+        assert kinds_at(out, 1, ("id", 0, 1), 0).get(TEMPORAL) == 0.9
 
     def test_untracked_pairs_propagate_by_text(self):
         video = make_video([
@@ -580,7 +577,7 @@ class TestPropagation:
         ])
         scores = agent_scores(video, {((0, ("idx", 0), 2), CS): 0.6})
         out = propagate_scores(scores, video, {0})
-        assert out.kinds_at(1, ("idx", 0), 2).get(CS) == 0.6
+        assert kinds_at(out, 1, ("idx", 0), 2).get(CS) == 0.6
 
     def test_untracked_pairs_only_cs_propagates(self):
         video = make_video([
@@ -589,7 +586,7 @@ class TestPropagation:
         ])
         scores = agent_scores(video, {((0, ("idx", 0), 2), SPATIAL): 0.6})
         out = propagate_scores(scores, video, {0})
-        assert out.kinds_at(1, ("idx", 0), 2).get(SPATIAL) is None
+        assert kinds_at(out, 1, ("idx", 0), 2).get(SPATIAL) is None
 
     def test_returns_new_scores_and_leaves_its_input(self):
         video = self.tracked_video()
@@ -598,7 +595,7 @@ class TestPropagation:
         out = propagate_scores(scores, video, {0, 4})
         assert isinstance(out, AgentScores) and out is not scores
         assert out.layout is scores.layout
-        assert [out.kinds_at(f, ("id", 0, 1), 0).get(CS)
+        assert [kinds_at(out, f, ("id", 0, 1), 0).get(CS)
                 for f in range(5)] == [0.2, 0.2, 0.2, 0.8, 0.8]
         assert held_entries(scores) == {(0, ("id", 0, 1), 0): {CS: 0.2},
                                         (4, ("id", 0, 1), 0): {CS: 0.8}}
@@ -693,10 +690,10 @@ class TestMemory:
             tracemalloc.stop()
         assert [len(table[CS]) for table in tables.values()] == [2400, 2400]
         assert not any(table[SPATIAL] or table[TEMPORAL] for table in tables.values())
-        # about 160 bytes a score (its dict entry, slot tuple and float, and
-        # a share of its pair key): 0.75-0.81 MB here, where a dense
+        # about 90 bytes a score (its dict entry, int slot and float):
+        # 0.35-0.43 MB here, 0.62-0.81 MB with tuple slots, where a dense
         # (4 kinds x 32,000 slots) float64 table per provider held 2.4 MB
-        assert held < 200 * 2 * 2400 + 50_000
+        assert held < 120 * 2 * 2400 + 50_000
 
     def test_propagation_peak_is_bounded(self):
         vocab = RelationVocabulary(tuple(f"r{i}" for i in range(10)))
@@ -765,7 +762,7 @@ def propagation_cases(draw):
 
 def held_entries(table):
     """Per slot holding any kind, its scores by kind, in slot order."""
-    return {slot: kinds for slot in table.layout.slots() if (kinds := table.kinds_at(*slot))}
+    return {slot: kinds for slot in table.layout.slots() if (kinds := kinds_at(table, *slot))}
 
 
 def propagation_oracle(table, video, keyframes):
@@ -790,13 +787,13 @@ def propagation_oracle(table, video, keyframes):
                     for kf_frame in key_frames:
                         kf = kf_frame.frame_index
                         if pair.pair_id is not None:
-                            if table.kinds_at(kf, pk, r).get(kind) is not None:
-                                held[kf] = table.kinds_at(kf, pk, r).get(kind)
+                            if kinds_at(table, kf, pk, r).get(kind) is not None:
+                                held[kf] = kinds_at(table, kf, pk, r).get(kind)
                         elif kind == CS:
                             text = triplet_to_text(pair, r, VOCAB)
                             for j, other in enumerate(kf_frame.pairs):
                                 for r2 in range(VOCAB.n):
-                                    value = table.kinds_at(kf, pair_key(other, j), r2).get(CS)
+                                    value = kinds_at(table, kf, pair_key(other, j), r2).get(CS)
                                     same = triplet_to_text(other, r2, VOCAB) == text
                                     if value is not None and same:
                                         held[kf] = value

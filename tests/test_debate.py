@@ -37,7 +37,7 @@ from hoirefine.provider import (
     match_rules,
 )
 
-from conftest import fixture_path, make_pair, pack
+from conftest import fixture_path, make_pair, pack, slot_tuples
 
 
 def scripted(pid, reply=None, transport=None, max_concurrency=4):
@@ -338,8 +338,9 @@ class TestStageTwo:
         # prompt; then one two-debater debate: each debater opens and
         # responds once, and the judge answers once
         assert (judge.call_count, other.call_count) == (2 + 3, 2 + 2)
-        assert [tables[p.id][CS].get((0, pair_key(pairs[0], 0), 0)) for p in providers] \
-            == [0.8, 0.5]
+        assert [slot_tuples(video, tables[p.id][CS]).get((0, pair_key(pairs[0], 0), 0))
+                for p in providers] == [0.8, 0.5]
         # the judge's score, by slot, on both candidates that asked the question
-        assert judge_scores == {(0, pair_key(pair, i), 0): 0.8 for i, pair in enumerate(pairs)}
+        assert slot_tuples(video, judge_scores) == {
+            (0, pair_key(pair, i), 0): 0.8 for i, pair in enumerate(pairs)}
         assert len(list((tmp_path / "transcripts").iterdir())) == 1

@@ -24,9 +24,9 @@ from hoirefine.model import (
 )
 from hoirefine.pipeline import aggregate_provider_tables, fuse_table
 
-from conftest import fixture_path, make_pair, pack
+from conftest import fixture_path, kinds_at, make_pair, pack
 from test_agents import agent_scores, frame, make_video, propagation_cases
-from test_model import FOREIGN_SLOTS, two_frames
+from test_model import two_frames
 
 
 def logistic(x):
@@ -131,7 +131,7 @@ def fuse_table_oracle(video, table, weights, toggles):
     for frame in video.frames:
         for i, pair in enumerate(frame.pairs):
             for r, base in enumerate(pair.scores):
-                kinds = table.kinds_at(frame.frame_index, pair_key(pair, i), r)
+                kinds = kinds_at(table, frame.frame_index, pair_key(pair, i), r)
                 fused[(frame.frame_index, pair_key(pair, i), r)] = fuse_scores(
                     base,
                     s_cs=enabled(kinds, CS),
@@ -210,41 +210,16 @@ class TestFuseTable:
 
 
 class TestAggregate:
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_mean_in_provider_order_bit_for_bit(self, data):
-        """Every slot and kind holds ``sum(values) / len(values)`` over the
-        providers that scored it, in provider order, and no other slot does."""
-        video, _keyframes, _table = data.draw(propagation_cases())
-        layout = SlotLayout(video)
-        cells = [(slot, kind) for slot in layout.slots() for kind in STAGE_ONE_KINDS]
-        # a few cells, each scored or not by each provider
-        cells = [cells[i] for i in data.draw(st.lists(st.integers(0, len(cells) - 1),
-                                                       min_size=1, max_size=8, unique=True))]
-        tables = {}
-        for provider in range(data.draw(st.integers(1, 3))):
-            table = tables[f"p{provider}"] = {kind: {} for kind in STAGE_ONE_KINDS}
-            for slot, kind in cells:
-                value = data.draw(st.none() | st.floats(0.0, 1.0))
-                if value is not None:
-                    table[kind][slot] = value
-        got = aggregate_provider_tables(layout, tables, {})
-        assert got.layout is layout
-        for slot in layout.slots():
-            for kind in SCORE_KINDS:
-                values = [t.get(kind, {}).get(slot) for t in tables.values()]
-                values = [v for v in values if v is not None]
-                expected = sum(values) / len(values) if values else None
-                value = got.kinds_at(*slot).get(kind)
-                assert (value is None and expected is None) or value.hex() == expected.hex()
-
-    @pytest.mark.parametrize("slot", FOREIGN_SLOTS)
+    # one below the first of two_frames' six slots, one past the last, and
+    # a slot left as a tuple
+    @pytest.mark.parametrize("slot", [-1, 6, (3, ("idx", 1), 0)])
     def test_a_foreign_slot_raises(self, slot):
         layout = SlotLayout(two_frames())
         for kind in SCORE_KINDS:  # a provider's score, or the judge's
             tables = {"p": {k: {slot: 0.5} if k == kind else {} for k in STAGE_ONE_KINDS}}
             judged = {slot: 0.5} if kind == DEBATE else {}
-            with pytest.raises(KeyError, match="is not a slot of the layout's prediction set"):
+            with pytest.raises((ValueError, TypeError),
+                               match="outside the layout's 6 slots|not 'tuple'"):
                 aggregate_provider_tables(layout, tables, judged)
 
 
@@ -266,21 +241,21 @@ class TestAgentScores:
     def test_matches_the_per_provider_mean_and_holds_only_its_entries(self, data):
         video, _keyframes, _scores = data.draw(propagation_cases())
         layout = SlotLayout(video)
-        slots = list(layout.slots())
-        n_slots = len(slots)
+        slots = range(len(layout.pair_keys) * layout.n)
         tables = {}
         for provider in range(data.draw(st.integers(1, 3))):
             table = tables[f"p{provider}"] = {}
             # some slots scored by this provider only, some by several
             for kind in STAGE_ONE_KINDS:
-                table[kind] = {slots[i]: data.draw(drawn_scores) for i in
-                               data.draw(st.sets(st.integers(0, n_slots - 1), max_size=6))}
-        judged = {slots[i]: data.draw(drawn_scores)
-                  for i in data.draw(st.sets(st.integers(0, n_slots - 1), max_size=4))}
+                table[kind] = {slot: data.draw(drawn_scores) for slot in
+                               data.draw(st.sets(st.sampled_from(slots), max_size=6))}
+        judged = {slot: data.draw(drawn_scores)
+                  for slot in data.draw(st.sets(st.sampled_from(slots), max_size=4))}
         inputs = as_hex(tables)
 
         got = aggregate_provider_tables(layout, tables, judged)
 
+        assert got.layout is layout
         assert as_hex(tables) == inputs  # the inputs are left as they were
         held = 0
         for slot in slots:
@@ -291,7 +266,7 @@ class TestAgentScores:
                     expected[kind] = sum(values) / len(values)
             if slot in judged:
                 expected[DEBATE] = judged[slot]
-            kinds = got.kinds_at(*slot)
+            kinds = kinds_at(got, slot)
             assert {kind: v.hex() for kind, v in kinds.items()} == \
                 {kind: float(v).hex() for kind, v in expected.items()}
             held += len(expected)
@@ -303,27 +278,27 @@ class TestAgentScores:
             assert np.all(np.diff(index) > 0)  # sorted, each slot once
         index, values = got.columns[SCORE_KINDS.index(DEBATE)]
         assert list(zip(index.tolist(), map(float.hex, values.tolist()))) == sorted(
-            (layout.find(slot), score.hex()) for slot, score in judged.items())
+            (slot, score.hex()) for slot, score in judged.items())
         # only the entries: an int64 index and a float64 value each
         assert sum(a.nbytes for column in got.columns for a in column) <= 16 * held + 64
 
     def test_sums_in_provider_order(self):
         # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last ulp
         video = make_video([frame(0, [make_pair()])])
-        slot = (0, ("id", 0, 1), 0)
+        slot = 0
         tables = {pid: {CS: {}, SPATIAL: {slot: value}, TEMPORAL: {}}
                   for pid, value in zip(("a", "b", "c"), (0.1, 0.2, 0.3))}
-        got = aggregate_provider_tables(SlotLayout(video), tables, {}).kinds_at(*slot)[SPATIAL]
+        got = kinds_at(aggregate_provider_tables(SlotLayout(video), tables, {}), slot)[SPATIAL]
         assert got.hex() == (sum((0.1, 0.2, 0.3)) / 3).hex() != (sum((0.3, 0.2, 0.1)) / 3).hex()
 
     def test_is_read_only(self):
         video = make_video([frame(0, [make_pair()])])
-        tables = {"p": {CS: {(0, ("id", 0, 1), 1): 0.4}, SPATIAL: {}, TEMPORAL: {}}}
+        tables = {"p": {CS: {1: 0.4}, SPATIAL: {}, TEMPORAL: {}}}
         scores = aggregate_provider_tables(SlotLayout(video), tables, {})
         for array in scores.columns[0]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.9
-        assert scores.kinds_at(0, ("id", 0, 1), 1) == {CS: 0.4}
+        assert kinds_at(scores, 1) == {CS: 0.4}
 
     def test_aggregation_builds_no_dense_table(self):
         # two providers, each scoring a third of the first 32,000 slots of
@@ -339,7 +314,7 @@ class TestAgentScores:
                 frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
                 for f in range(frames)))
             layout = SlotLayout(video)
-            slots = list(layout.slots())[:32_000]
+            slots = range(32_000)
             tables = {pid: {kind: dict.fromkeys(slots[start::3], 0.25 * (start + 1))
                             for kind in STAGE_ONE_KINDS} for start, pid in enumerate(("a", "b"))}
             tracemalloc.start()

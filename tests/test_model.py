@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hoirefine.agents import detect_transitions, keyframe_slots
 from hoirefine.model import (
     CS,
     SPATIAL,
@@ -12,9 +13,10 @@ from hoirefine.model import (
     SlotLayout,
     VideoPredictionSet,
     pair_key,
+    tracked_pair_key,
 )
 
-from conftest import make_pair, pack
+from conftest import kinds_at, make_pair, pack
 
 
 class TestVocabulary:
@@ -101,14 +103,14 @@ class TestAgentScores:
 
     def test_kinds_at_each_slot(self):
         scores = self.scores()
-        kinds = [scores.kinds_at(*slot) for slot in scores.layout.slots()]
+        kinds = [kinds_at(scores, *slot) for slot in scores.layout.slots()]
         assert kinds == [{}, {CS: 0.25}, {}, {}, {CS: -0.0, SPATIAL: 0.5}, {}]
         assert str(kinds[4][CS]) == "-0.0"
         assert len(scores) == 2
 
     @pytest.mark.parametrize("slot", FOREIGN_SLOTS)
     def test_a_foreign_slot_holds_no_kind(self, slot):
-        assert self.scores().kinds_at(*slot) == {}
+        assert kinds_at(self.scores(), *slot) == {}
 
     @pytest.mark.parametrize("columns", [[([1], [0.5])] * 3, [([1], [0.5])] * 5,
                                          [([1, 2], [0.5])] + [([], [])] * 3])
@@ -214,15 +216,19 @@ class TestSlotLayout:
 @st.composite
 def layout_sets(draw):
     """Sets with gaps in their frame indices, frames without pairs, tracked
-    and untracked pairs, and pair ids that recur in many frames."""
+    and untracked pairs, pair ids that recur in many frames, and scores on
+    either side of 0.3 whose argmax may change from frame to frame."""
     n = draw(st.integers(1, 3))
-    indices = sorted(draw(st.sets(st.integers(0, 30), max_size=6)))
+    indices = sorted(draw(st.sets(st.integers(0, 12), max_size=6)))
     frames = []
     for fi in indices:
         ids = draw(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 1))),
                             max_size=5))
         ids = [pid for i, pid in enumerate(ids) if pid is None or pid not in ids[:i]]
-        frames.append((fi, 640, 480, [make_pair(pair_id=pid) for pid in ids]))
+        frames.append((fi, 640, 480, [
+            make_pair(scores=draw(st.lists(st.sampled_from((0.0, 0.2, 0.5, 0.9)),
+                                           min_size=n, max_size=n)), pair_id=pid)
+            for pid in ids]))
     return pack(RelationVocabulary(tuple("abc"[:n])), frames)
 
 
@@ -241,6 +247,19 @@ class TestFind:
             assert layout.find(slot) == i
             assert layout.find((fi, tuple(pk), r)) == i  # an equal key, not the layout's own
             assert layout.find((np.int64(fi), pk, np.int64(r))) == i
+        # the slot indices of the pair views, the keyframe candidates and the
+        # transitions are those of their (frame_index, pair_key, relation) tuples
+        pairs = [pair for frame in video.frames for pair in frame.pairs]
+        assert [p.slot(r) for p in pairs for r in range(layout.n)] == list(map(layout.find, expected))
+        keyframes = set(video.frame_indices()[::2])
+        assert list(keyframe_slots(video, keyframes, 0.3)) == [
+            (layout.find((frame.frame_index, pair_key(pair, i), r)), pair)
+            for frame in video.frames if frame.frame_index in keyframes
+            for i, pair in enumerate(frame.pairs) for r, score in enumerate(pair.scores)
+            if score >= 0.3]
+        for tr in detect_transitions(video, keyframes):
+            assert tr.slot == layout.find(
+                (tr.frame_index, tracked_pair_key(tr.pair.pair_id), tr.new_relation))
 
     @settings(max_examples=200, deadline=None)
     @given(layout_sets())

@@ -43,7 +43,7 @@ from hoirefine.provider import (
     ProviderTimeout,
 )
 
-from conftest import fixture_path
+from conftest import fixture_path, kinds_at
 
 SEED = 11
 PROVIDER_IDS = ("alpha", "beta", "gamma")
@@ -134,7 +134,7 @@ def run_chaos(pred_set, widths, batch_size, debate_mode, keyframe_interval, late
     return {"predictions": written, "transcripts": files, "billed": billed,
             "summary": outcome.stats.summary(), "coverage": outcome.stats.coverage,
             "table": {slot: kinds for slot in outcome.table.layout.slots()
-                      if (kinds := outcome.table.kinds_at(*slot))}}
+                      if (kinds := kinds_at(outcome.table, *slot))}}
 
 
 _ORACLES: dict = {}
