@@ -210,6 +210,35 @@ class TestFuseTable:
 
 
 class TestAggregate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mean_in_provider_order_bit_for_bit(self, data):
+        """Every slot and kind holds ``sum(values) / len(values)`` over the
+        providers that scored it, in provider order, and no other slot does."""
+        video, _keyframes, _table = data.draw(propagation_cases())
+        layout = SlotLayout(video)
+        n_slots = len(layout.pair_keys) * layout.n
+        cells = [(slot, kind) for slot in range(n_slots) for kind in STAGE_ONE_KINDS]
+        # a few cells, each scored or not by each provider
+        cells = [cells[i] for i in data.draw(st.lists(st.integers(0, len(cells) - 1),
+                                                       min_size=1, max_size=8, unique=True))]
+        tables = {}
+        for provider in range(data.draw(st.integers(1, 3))):
+            table = tables[f"p{provider}"] = {kind: {} for kind in STAGE_ONE_KINDS}
+            for slot, kind in cells:
+                value = data.draw(st.none() | st.floats(0.0, 1.0))
+                if value is not None:
+                    table[kind][slot] = value
+        got = aggregate_provider_tables(layout, tables, {})
+        assert got.layout is layout
+        for slot in range(n_slots):
+            for kind in SCORE_KINDS:
+                values = [t.get(kind, {}).get(slot) for t in tables.values()]
+                values = [v for v in values if v is not None]
+                expected = sum(values) / len(values) if values else None
+                value = kinds_at(got, slot).get(kind)
+                assert (value is None and expected is None) or value.hex() == expected.hex()
+
     # one below the first of two_frames' six slots, one past the last, and
     # a slot left as a tuple
     @pytest.mark.parametrize("slot", [-1, 6, (3, ("idx", 1), 0)])
