@@ -18,7 +18,8 @@ as it arrives, and each batch is reported at once to the agent's
 ``on_scored(kind, scored)``: its score kind and a ``(slot, value)`` for
 every candidate slot the batch covers, the value None where it is unscored,
 so a caller knows when a slot's scores are final. A slot is an index of the
-set's ``SlotLayout`` (``PairPrediction.slot``); its relation is ``slot % n``.
+set's raveled score column (``PairPrediction.slot``); its relation is
+``slot % n``.
 Each slot gets each kind from one batch, so the scores do not depend on
 which answer arrives first. Agents return nothing; their reports are their
 result. Agents given one ``stop`` event start no further prompt once any of
@@ -43,6 +44,7 @@ from .model import (
     PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
+    check_over,
 )
 from .prompt import (
     parse_binary_output,
@@ -65,7 +67,7 @@ class Transition:
 
     @property
     def slot(self) -> int:
-        """The slot its score lands on: an index of the set's ``SlotLayout``."""
+        """The slot its score lands on: an index of the set's score column."""
         return self.pair.slot(self.new_relation)
 
 
@@ -100,9 +102,9 @@ def detect_transitions(pred_set: VideoPredictionSet, keyframes: set[int]) -> lis
 
 def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: float):
     """Yield (slot, pair) for every candidate relation (base score >= floor)
-    of every keyframe pair, in slot order, the slot an index of the set's
-    ``SlotLayout``: the candidates are read from the score column, and the
-    pairs of a keyframe only are built, once each."""
+    of every keyframe pair, in slot order: the candidates are read from the
+    set's score column, whose indices the slots are, and the pairs of a
+    keyframe only are built, once each."""
     start = pred_set.row_start.tolist()
     for j, fi in enumerate(pred_set.frame_indices()):
         if fi not in keyframes:
@@ -318,7 +320,7 @@ def propagate_scores(
     pred_set: VideoPredictionSet,
     keyframes: set[int],
 ) -> AgentScores:
-    """``scores``, which must be over ``pred_set``'s own layout (else
+    """``scores``, which must be over ``pred_set`` itself (else
     ValueError), with keyframe scores copied to non-keyframes, as new
     ``AgentScores``; ``scores`` itself is left as it is. Each kind is spread
     in turn over a dense grid of one value per slot, then compacted again.
@@ -332,9 +334,9 @@ def propagate_scores(
     pair's common-sense score is indexed that way, and when two pairs share
     a text in one keyframe the later pair's score is the source.
     """
-    scores.layout.require(pred_set, "agent scores")
-    layout, vocab, n = scores.layout, pred_set.vocabulary, pred_set.vocabulary.n
-    pairs, text_ids = len(layout.pair_keys), {}
+    check_over(scores, pred_set, "agent scores")
+    vocab, n = pred_set.vocabulary, pred_set.vocabulary.n
+    pairs, text_ids = len(pred_set.scores), {}
     # per pair row: its track (its pair code, -1 when untracked), class and
     # frame rank; per class, the text id of each relation
     track, cls = pred_set.pair_code.astype(np.int64), pred_set.class_code
@@ -342,7 +344,7 @@ def propagate_scores(
     class_text = np.array([[text_ids.setdefault(label_triplet(label, r, vocab), len(text_ids))
                             for r in range(n)] for label in pred_set.labels],
                           dtype=np.int64).reshape(-1, n)
-    frame = layout.frame
+    frame = pred_set.frame_index[rank]
     keyframe, tracked = np.isin(frame, list(keyframes)), track >= 0
     tracks, texts = len(pred_set.pair_ids) * n, len(text_ids)
 
@@ -363,7 +365,7 @@ def propagate_scores(
             _fill(grid, by_text, texts, keyframe, ~keyframe & ~tracked, frame, rank)
         held = np.flatnonzero(~np.isnan(dense))
         columns.append((held, dense[held]))
-    return AgentScores(layout, columns)
+    return AgentScores(pred_set, columns)
 
 
 def _fill(grid: np.ndarray, group: Callable, groups: int, sources: np.ndarray,

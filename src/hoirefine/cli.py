@@ -42,7 +42,7 @@ from .ingest import (
     write_atomic,
     write_predictions,
 )
-from .model import SCORE_KINDS, FusedScores, FusionWeights, SlotLayout, tracked_pair_key
+from .model import SCORE_KINDS, FusedScores, FusionWeights, tracked_pair_key
 from .pipeline import build_providers, fuse_table, refine
 from .provider import ProviderError, RuleTableError
 from . import embedloss
@@ -105,8 +105,7 @@ def cmd_eval(args) -> int:
     _check_out_path(args.report)
     pred_set = load_predictions(args.refined, load_vocabulary(args.vocab))
     gt = load_ground_truth(args.gt, pred_set)
-    layout = SlotLayout(pred_set)
-    positives = positives_per_frame(FusedScores(layout, layout.base_scores()), args.threshold)
+    positives = positives_per_frame(FusedScores(pred_set, pred_set.scores.ravel()), args.threshold)
     recalls = recall_at_k_dataset(positives, _gt_per_frame(gt), ks)
     width = max(len(f"R@{k}") for k in ks)
     for k in ks:

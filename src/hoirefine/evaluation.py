@@ -3,10 +3,11 @@ component-ablation report.
 
 Only positive predictions (fused score strictly above the threshold) compete
 for the top-K slots; K truncates within that pool. Positives are selected
-from a ``model.FusedScores`` column: ``pipeline.fuse_table``'s output, or a
-loaded set's own scores wrapped over its ``SlotLayout``. Frames without ground
-truth are skipped by the dataset mean, which is the per-frame average used
-by the metric lineage this follows.
+from a ``model.FusedScores`` column, whose slots are the indices of its
+set's score column: ``pipeline.fuse_table``'s output, or a loaded set's own
+score column wrapped as one. Frames without ground truth are skipped by the
+dataset mean, which is the per-frame average used by the metric lineage
+this follows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import write_atomic
-from .model import SCORE_KINDS, FusedScores
+from .model import SCORE_KINDS, FusedScores, row_keys
 
 DEFAULT_KS = (10, 20, 50)
 
@@ -32,16 +33,16 @@ def positives_per_frame(fused: FusedScores, threshold: float) -> dict[int, list[
     for the top-K slots, in slot order; frames without positives are absent.
     The positives are the semi-constraint selection: every slot whose score
     is strictly above ``threshold``, several relations per pair allowed,
-    taken with one array comparison over ``fused``'s column."""
+    taken with one array comparison over ``fused``'s column; only the
+    selected rows' pair keys are built."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0,1)")
     selected = np.flatnonzero(fused.values > threshold)
-    layout = fused.layout
-    rows, relations = np.divmod(selected, layout.n)
+    rows, relations = np.divmod(selected, fused.pred_set.vocabulary.n)
     frames: dict[int, list[tuple]] = {}
-    for frame_index, row, r, score in zip(layout.frame[rows].tolist(), rows.tolist(),
-                                          relations.tolist(), fused.values[selected].tolist()):
-        frames.setdefault(frame_index, []).append((layout.pair_keys[row], r, score))
+    for (frame_index, key), r, score in zip(row_keys(fused.pred_set, rows), relations.tolist(),
+                                            fused.values[selected].tolist()):
+        frames.setdefault(frame_index, []).append((key, r, score))
     return frames
 
 

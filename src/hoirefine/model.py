@@ -8,10 +8,12 @@ pairs and boxes) are views, built from the columns when read and held by
 no one else. The rules a prediction file must follow are checked where it
 is read, in ``ingest.load_predictions``.
 
-A run's scores over its ``SlotLayout`` are held once, and only where they
-exist: the base scores stay in the set's score column
-(``SlotLayout.base_scores`` copies it), and ``AgentScores`` keeps, per
-score kind, the indices of the slots holding it and their values.
+A slot, one (frame, pair, relation) triplet, is an index of the set's
+raveled score column, relation ``i % n`` of row ``i // n``
+(``PairPrediction.slot``): the set is its own layout. The base scores stay
+in that column, ``AgentScores`` keeps per score kind the indices of the
+slots holding it and their values, and ``FusedScores`` one value per slot.
+Outside code names a slot by its row's ``row_keys`` and its relation.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class PairPrediction:
         return BoundingBox(*self._set.boxes[self._row, 4:].tolist())
 
     def slot(self, relation: int) -> int:
-        """The index of its ``relation`` in its set's ``SlotLayout``."""
+        """The slot of its ``relation``: an index of its set's raveled score column."""
         return self._row * self._set.vocabulary.n + relation
 
     def _values(self) -> tuple:
@@ -240,6 +242,20 @@ def pair_key(pair: PairPrediction, position: int):
     return ("idx", position)
 
 
+def row_keys(pred_set: VideoPredictionSet, rows: np.ndarray) -> list[tuple]:
+    """The (frame_index, pair_key) of each of ``rows``, an int array of row
+    numbers of ``pred_set``: the key ``pair_key`` gives the row's pair at
+    its position in its frame. Only these rows' keys are built, and equal
+    keys are one object."""
+    start = pred_set.row_start
+    rank = np.searchsorted(start, rows, "right") - 1
+    position = rows - start[rank]
+    tracked = [tracked_pair_key(pair_id) for pair_id in pred_set.pair_ids]
+    untracked = [("idx", i) for i in range(int(position.max(initial=-1)) + 1)]
+    return [(fi, untracked[i] if c < 0 else tracked[c]) for fi, c, i in zip(
+        pred_set.frame_index[rank].tolist(), pred_set.pair_code[rows].tolist(), position.tolist())]
+
+
 def check_slots_distinct(pred_set: VideoPredictionSet) -> None:
     """Raise ValueError when ``pred_set`` repeats a frame index, or a pair
     key within a frame: its slots would be ambiguous. Only tracked pairs can
@@ -274,94 +290,59 @@ class GroundTruthSet:
     frames: dict[int, frozenset[tuple[PairId, int]]]
 
 
-class SlotLayout:
-    """The (frame_index, pair_key, relation_index) slots of ``pred_set``, in
-    frame, pair and relation order: slot ``i`` (see ``find``, ``slots`` and
-    ``PairPrediction.slot``) is relation ``i % n`` of pair row ``i // n``,
-    whose pair key is ``pair_keys[i // n]`` and frame index
-    ``frame[i // n]``; ``base_scores`` reads the slots' base scores. The
-    rows of frame ``f`` are ``range(*spans[f])``. The layout holds each
-    distinct pair key once: equal keys, a tracked pair's in every frame, are
-    one object. A set that repeats a frame index, or a pair key within a
-    frame, raises ValueError (``check_slots_distinct``)."""
-
-    def __init__(self, pred_set: VideoPredictionSet):
-        check_slots_distinct(pred_set)
-        self.pred_set, self.n = pred_set, pred_set.vocabulary.n
-        start, counts = pred_set.row_start, np.diff(pred_set.row_start)
-        position = np.arange(len(pred_set.pair_code)) - np.repeat(start[:-1], counts)
-        tracked = [tracked_pair_key(pair_id) for pair_id in pred_set.pair_ids]
-        untracked = [("idx", i) for i in range(int(counts.max(initial=0)))]
-        self.pair_keys = [untracked[i] if c < 0 else tracked[c]
-                          for c, i in zip(pred_set.pair_code.tolist(), position.tolist())]
-        start = start.tolist()
-        self.spans = dict(zip(pred_set.frame_index.tolist(), zip(start, start[1:])))
-        self.frame = np.repeat(pred_set.frame_index, counts)
-
-    def base_scores(self) -> np.ndarray:
-        """A new float64 column of every slot's base score, in slot order:
-        the set's own score column, copied."""
-        return self.pred_set.scores.ravel().copy()
-
-    def slots(self) -> Iterator[tuple]:
-        """Every slot, in index order."""
-        relations = range(self.n)
-        return ((fi, pk, r) for fi, (start, stop) in self.spans.items()
-                for pk in self.pair_keys[start:stop] for r in relations)
-
-    def find(self, slot) -> Optional[int]:
-        """The index of ``slot``; None for any key that is not a slot of the
-        set. The pair key is looked for among its frame's rows only."""
-        if not isinstance(slot, tuple) or len(slot) != 3 or slot[2] not in range(self.n):
-            return None
-        span = self.spans.get(slot[0])
-        if span is None:
-            return None
-        start, stop = span
-        try:
-            row = self.pair_keys.index(slot[1], start, stop)
-        except ValueError:
-            return None
-        return row * self.n + int(slot[2])
-
-    def require(self, pred_set: VideoPredictionSet, what: str) -> None:
-        """Raise ValueError unless this is the layout of ``pred_set`` itself,
-        by identity: a set loaded again from the same file is another set."""
-        if self.pred_set is not pred_set:
-            raise ValueError(f"{what} are over another prediction set")
+_INTEGER = (int, np.integer)  # the types of a frame or relation index, bool aside
 
 
 class FusedScores(Mapping):
-    """Fused scores of ``layout``'s slots as one float64 column: ``values[i]``
-    is the score of slot ``i``. A read-only mapping from (frame_index,
-    pair_key, relation_index) to score, iterated in slot order; two are
-    equal when they hold the same slots in the same order and the same
-    values bit for bit."""
+    """Fused scores of ``pred_set``'s slots as one float64 column:
+    ``values[i]`` is the score of slot ``i``. A read-only mapping from
+    (frame_index, pair_key, relation_index) to score, iterated in slot
+    order; two are equal when they hold the same slots in the same order and
+    the same values bit for bit. The rows' keys are indexed on the first
+    look-up by tuple, which raises ValueError for a set whose slots are
+    ambiguous (``check_slots_distinct``). A frame or relation index that is
+    a bool or a float is no slot."""
 
-    def __init__(self, layout: SlotLayout, values: np.ndarray):
-        slots = len(layout.pair_keys) * layout.n
+    def __init__(self, pred_set: VideoPredictionSet, values: np.ndarray):
+        slots = pred_set.scores.size
         if len(values) != slots:
             raise ValueError(f"fused column holds {len(values)} scores for {slots} slots")
-        self.layout, self.values = layout, values
+        self.pred_set, self.values = pred_set, values
+        self._rows: Optional[dict] = None
 
     def __getitem__(self, slot: tuple) -> float:
-        i = self.layout.find(slot)
-        if i is None:
+        if not isinstance(slot, tuple) or len(slot) != 3:
             raise KeyError(slot)
-        return self.values.item(i)
+        frame_index, key, relation = slot
+        n = self.pred_set.vocabulary.n
+        if (type(frame_index) is bool or type(relation) is bool
+                or not (isinstance(frame_index, _INTEGER) and isinstance(relation, _INTEGER)
+                        and 0 <= relation < n)):
+            raise KeyError(slot)
+        if self._rows is None:
+            check_slots_distinct(self.pred_set)
+            self._rows = {row_key: row for row, row_key in enumerate(self._row_keys())}
+        try:
+            row = self._rows.get((frame_index, key))
+        except TypeError:  # an unhashable pair key
+            row = None
+        if row is None:
+            raise KeyError(slot)
+        return self.values.item(row * n + relation)
 
     def __iter__(self) -> Iterator[tuple]:
-        return self.layout.slots()
+        relations = range(self.pred_set.vocabulary.n)
+        return ((fi, pk, r) for fi, pk in self._row_keys() for r in relations)
+
+    def _row_keys(self) -> list[tuple]:
+        return row_keys(self.pred_set, np.arange(len(self.pred_set.scores)))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FusedScores):
-            mine, theirs = self.layout, other.layout
-            return (mine.n == theirs.n and np.array_equal(mine.frame, theirs.frame)
-                    and mine.pair_keys == theirs.pair_keys
-                    and self.values.tobytes() == other.values.tobytes())
+            return list(self) == list(other) and self.values.tobytes() == other.values.tobytes()
         if isinstance(other, Mapping):
             return (len(self) == len(other) and all(slot in other for slot in self) and
                     self.values.tobytes() == np.array([other[s] for s in self], float).tobytes())
@@ -369,27 +350,35 @@ class FusedScores(Mapping):
 
 
 class AgentScores:
-    """A run's agent scores of ``layout``'s slots, held only where they
+    """A run's agent scores of ``pred_set``'s slots, held only where they
     exist: ``columns[k]`` is an ``(index, values)`` pair for ``SCORE_KINDS[k]``,
     the sorted, distinct int64 indices of the slots holding that kind and
     their float64 scores. Read-only; ``len`` counts the slots holding any
     kind."""
 
-    def __init__(self, layout: SlotLayout, columns):
-        self.layout = layout
+    def __init__(self, pred_set: VideoPredictionSet, columns):
+        self.pred_set = pred_set
         self.columns = tuple((np.asarray(index, np.int64), np.asarray(values, float))
                              for index, values in columns)
         if len(self.columns) != len(SCORE_KINDS) or any(len(i) != len(v) for i, v in self.columns):
             raise ValueError("need one (index, values) pair of equal lengths per score kind")
-        slots = len(layout.pair_keys) * layout.n
+        slots = pred_set.scores.size
         if any(len(index) and (index[0] < 0 or index[-1] >= slots) for index, _ in self.columns):
-            raise ValueError(f"a slot index outside the layout's {slots} slots")
+            raise ValueError(f"a slot index outside the set's {slots} slots")
         for column in self.columns:
             for array in column:
                 array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(np.unique(np.concatenate([index for index, _ in self.columns])))
+
+
+def check_over(scores, pred_set: VideoPredictionSet, what: str) -> None:
+    """Raise ValueError unless ``scores``, ``AgentScores`` or ``FusedScores``,
+    are over ``pred_set`` itself, by identity: a set loaded again from the
+    same file is another set."""
+    if scores.pred_set is not pred_set:
+        raise ValueError(f"{what} are over another prediction set")
 
 
 # keyed by annotation text: every dataclass module has ``from __future__ import annotations``

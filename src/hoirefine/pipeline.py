@@ -10,20 +10,19 @@ returned a value, summed in provider order, so they do not depend on which
 answer arrives first, and one failing provider leaves the others' scores.
 The debate judge's score is shared, not per-provider.
 
-From keyframe selection to aggregation a slot is an index of the set's
-``SlotLayout`` (``PairPrediction.slot``). Stage 1 keeps each provider's
-scores as plain ``{slot: score}`` dicts, one per kind, holding only the
-slots its agents scored. Stage two, the one home of the keyframe
+A slot is an index of the set's raveled score column
+(``PairPrediction.slot``): the set is its own layout. Stage 1 keeps each
+provider's scores as plain ``{slot: score}`` dicts, one per kind, holding
+only the slots its agents scored. Stage two, the one home of the keyframe
 candidates, also reports each kind's coverage of them. Once some agent has
-scored a candidate, ``refine`` builds the run's one ``SlotLayout`` of the
-prediction set, and ``aggregate_provider_tables`` turns the dicts and the
-judge's scores into one ``AgentScores``, which holds each kind's scores
-only at the slots that have one. Propagation and fusion read and return
-those compact columns, and the base scores are read from the prediction set
-itself. ``fuse_table`` returns a ``FusedScores`` column, which
-``ingest.write_predictions`` formats row by row and
-``evaluation.positives_per_frame`` selects from with one array comparison,
-so no per-slot object is built.
+scored a candidate, ``aggregate_provider_tables`` turns the dicts and the
+judge's scores into one ``AgentScores`` over the set, which holds each
+kind's scores only at the slots that have one. Propagation and fusion read
+and return those compact columns, and read the per-row frame and the base
+scores from the set's own columns. ``fuse_table`` returns a
+``FusedScores`` column, which ``ingest.write_predictions`` formats row by
+row and ``evaluation.positives_per_frame`` selects from with one array
+comparison, so no per-slot object is built.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ from .model import (
     AgentScores,
     FusedScores,
     FusionWeights,
-    SlotLayout,
     VideoPredictionSet,
+    check_over,
     check_slots_distinct,
 )
 from .provider import Provider, ProviderError
@@ -102,20 +101,24 @@ class RefinementOutcome:
     stats: RunStats
 
 
-def aggregate_provider_tables(layout: SlotLayout, tables: dict[str, dict[str, dict]],
+def aggregate_provider_tables(pred_set: VideoPredictionSet, tables: dict[str, dict[str, dict]],
                               judged: dict[int, float]) -> AgentScores:
-    """The run's agent scores over ``layout`` as one ``AgentScores``.
+    """The run's agent scores over ``pred_set`` as one ``AgentScores``.
 
     ``tables`` maps each provider id, in provider order, to its stage-1
     scores as ``run_stage_one`` returns them: per kind of
-    ``STAGE_ONE_KINDS``, a dict from slot, an index of ``layout``, to score.
-    A stage-1 kind's score at a slot is the mean over the providers that
-    scored it, summed from 0.0 in provider order. ``judged``, the debate
-    judge's score by slot, is the DEBATE kind's. A slot index outside
-    ``layout`` raises ValueError (``AgentScores``), a tuple key TypeError."""
+    ``STAGE_ONE_KINDS``, a dict from slot, an index of the set's score
+    column, to score. A stage-1 kind's score at a slot is the mean over the
+    providers that scored it, summed from 0.0 in provider order. ``judged``,
+    the debate judge's score by slot, is the DEBATE kind's. A slot index
+    outside the set raises ValueError (``AgentScores``); a key that is not a
+    Python or numpy integer (a bool, a float or a tuple) raises TypeError."""
     def column(scores: list[dict], start: float) -> tuple:
         # the sorted union of the dicts' slots, then each dict's values added
         # at its slots from ``start`` in order; no per-slot object is built
+        for key_type in set().union(*(map(type, d) for d in scores)):
+            if issubclass(key_type, bool) or not issubclass(key_type, (int, np.integer)):
+                raise TypeError(f"a slot index must be an integer, not {key_type.__name__!r}")
         at = [np.fromiter(d, np.int64, len(d)) for d in scores]
         index = np.concatenate(at)
         index.sort()
@@ -135,7 +138,7 @@ def aggregate_provider_tables(layout: SlotLayout, tables: dict[str, dict[str, di
     # too, so the judge's scores pass unchanged
     columns = [column([table[kind] for table in tables.values()], 0.0)
                for kind in STAGE_ONE_KINDS]
-    return AgentScores(layout, columns + [column([judged], -0.0)])  # DEBATE is the last kind
+    return AgentScores(pred_set, columns + [column([judged], -0.0)])  # DEBATE is the last kind
 
 
 def run_stage_one(
@@ -150,7 +153,7 @@ def run_stage_one(
 ) -> dict[str, dict[str, dict]]:
     """Raw per-provider keyframe scores of the stage-1 agents: per provider
     id, per kind of ``STAGE_ONE_KINDS``, a dict from each slot the agent
-    scored, an index of the set's ``SlotLayout``, to its score.
+    scored, an index of the set's score column, to its score.
 
     Every agent runs for every provider at once, in one ``fan_out``, with
     the temporal agent on ``transitions``; each provider's
@@ -204,8 +207,8 @@ def run_stage_two(
     """Run stage one through ``run_stage_one`` and debate the selected
     keyframe candidates while it runs. Returns the per-provider stage-1
     scores, as ``run_stage_one`` does; the judge score of each debated
-    candidate whose judge answered, by slot, an index of the set's
-    ``SlotLayout``; the number of debates run; and the coverage.
+    candidate whose judge answered, by slot; the number of debates run; and
+    the coverage.
 
     The candidates are the ``keyframe_slots`` at ``config.candidate_floor``,
     the judge is ``config.judge_provider``, and the temporal agent asks
@@ -302,17 +305,16 @@ def fuse_table(
 ) -> FusedScores:
     """Fused score for every (frame, pair, relation) slot, in frame, pair
     and relation order: ``fuse_scores``' value, bit for bit, in one array pass,
-    kept as one column over the scores' layout, which must be ``pred_set``'s
-    own (else ValueError).
+    kept as one column over ``pred_set``, which must be the scores' own set
+    (else ValueError).
 
     The column starts as the set's own base scores; each kind that
     ``toggles`` enables then adds its terms at the slots holding it, so a
     slot without agent scores keeps its base score bit for bit (a ``-0.0``
     too). ``toggles`` maps each of ``SCORE_KINDS`` to on or off (None
     enables all), and a disabled kind's term is dropped entirely."""
-    layout = scores.layout
-    layout.require(pred_set, "agent scores")
-    fused = layout.base_scores()
+    check_over(scores, pred_set, "agent scores")
+    fused = pred_set.scores.ravel().copy()
     lambdas = (weights.lambda_cs, weights.lambda_s, weights.lambda_t, weights.lambda_debate)
     # in fuse_scores' order of terms
     for kind, (index, values), lam in zip(SCORE_KINDS, scores.columns, lambdas):
@@ -320,7 +322,7 @@ def fuse_table(
             distinct, inverse = np.unique(values, return_inverse=True)
             # sigmoid (math.exp) per distinct score: np.exp may differ in the last ulp
             fused[index] += lam * np.array([sigmoid(x) for x in distinct.tolist()])[inverse]
-    return FusedScores(layout, fused)
+    return FusedScores(pred_set, fused)
 
 
 def build_providers(config: RefinementConfig) -> list[Provider]:
@@ -339,20 +341,19 @@ def refine(
     """Full pipeline over one prediction set: keyframes, both stages through
     ``run_stage_two`` (for every ``debate_mode``), which also reports the
     coverage, then aggregation, propagation and fusion as array passes over
-    the set's ``SlotLayout``, built once the stages have run and the
-    coverage has passed, so the first prompts do not wait for it and an
-    outage does not pay for it. The per-provider stage-1 dicts are
-    dropped once aggregated; ``outcome.table`` holds the run's scores as
-    compact ``AgentScores`` columns, which ablations re-fuse. Reusing
-    ``providers`` across calls keeps their call counters cumulative.
+    the set's columns, once the stages have run and the coverage has
+    passed, so an outage does not pay for them. The per-provider stage-1
+    dicts are dropped once aggregated; ``outcome.table`` holds the run's
+    scores as compact ``AgentScores`` columns, which ablations re-fuse.
+    Reusing ``providers`` across calls keeps their call counters cumulative.
 
     Raises ValueError, before any call, on a fused-scale set, whose scores
     hold every agent term already, or on a set that repeats a frame index or
     a pair key within a frame (``check_slots_distinct``), and ConfigError (a
     ValueError) on ``providers`` that repeat an id or lack
-    ``config.judge_provider``; ProviderError, before the layout is built,
-    when keyframe candidates exist but no agent scored any of them, so a
-    total provider outage does not pass for base scores."""
+    ``config.judge_provider``; ProviderError, before aggregation, when
+    keyframe candidates exist but no agent scored any of them, so a total
+    provider outage does not pass for base scores."""
     if pred_set.score_scale == "fused":
         raise ValueError(f"video {pred_set.video_id!r} is already refined (score_scale fused)")
     check_slots_distinct(pred_set)
@@ -365,7 +366,7 @@ def refine(
         pred_set, config, providers, keyframes, cache_dir, transcript_dir)
     if coverage and not any(coverage.values()):
         raise ProviderError("no agent score for any keyframe candidate")
-    scores = aggregate_provider_tables(SlotLayout(pred_set), per_provider, judge_scores)
+    scores = aggregate_provider_tables(pred_set, per_provider, judge_scores)
     del per_provider  # the stage-1 dicts are not held past aggregation
     scores = propagate_scores(scores, pred_set, keyframes)
     fused = fuse_table(pred_set, scores, config.weights)

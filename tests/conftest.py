@@ -6,7 +6,7 @@ import pytest
 
 from hoirefine.config import load_config
 from hoirefine.ingest import load_ground_truth, load_predictions, load_vocabulary
-from hoirefine.model import SCORE_KINDS, FramePrediction, SlotLayout, VideoPredictionSet
+from hoirefine.model import SCORE_KINDS, FramePrediction, VideoPredictionSet, pair_key
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
@@ -60,20 +60,36 @@ def pack(vocabulary, frames, video_id="v", score_scale="base") -> VideoPredictio
         boxes=np.array(boxes, float).reshape(-1, 8), score_scale=score_scale)
 
 
+def slots_of(video: VideoPredictionSet) -> list[tuple]:
+    """Every (frame_index, pair_key, relation_index) slot tuple of ``video``,
+    by brute force over its frames and pairs: slot ``i`` is item ``i``."""
+    return [(frame.frame_index, pair_key(pair, i), r) for frame in video.frames
+            for i, pair in enumerate(frame.pairs) for r in range(video.vocabulary.n)]
+
+
 def kinds_at(scores, *slot) -> dict[str, float]:
     """The kinds ``AgentScores`` ``scores`` holds at one slot, each with its
-    score, read from its columns. The slot is an index of its layout or a
-    (frame_index, pair_key, relation_index) tuple; one that is no slot holds none."""
-    i = slot[0] if len(slot) == 1 else scores.layout.find(slot)
+    score, read from its columns. The slot is an index of its set's score
+    column or a (frame_index, pair_key, relation_index) tuple; one that is
+    no slot holds none."""
+    i = slot[0] if len(slot) == 1 else {s: i for i, s in enumerate(
+        slots_of(scores.pred_set))}.get(slot)
     if i is None:
         return {}
     return {kind: values.item(j) for kind, (index, values) in zip(SCORE_KINDS, scores.columns)
             for j in [int(np.searchsorted(index, i))] if j < len(index) and index[j] == i}
 
 
+def held_entries(scores) -> dict:
+    """Per slot tuple holding any kind, the kinds ``AgentScores`` ``scores``
+    holds there with their scores, in slot order."""
+    return {slot: kinds for i, slot in enumerate(slots_of(scores.pred_set))
+            if (kinds := kinds_at(scores, i))}
+
+
 def slot_tuples(video: VideoPredictionSet, scores: dict) -> dict:
     """``scores``, keyed by ``video``'s slot tuples in place of their indices."""
-    slots = list(SlotLayout(video).slots())
+    slots = slots_of(video)
     return {slots[i]: value for i, value in scores.items()}
 
 

@@ -30,7 +30,6 @@ from hoirefine.model import (
     TEMPORAL,
     AgentScores,
     RelationVocabulary,
-    SlotLayout,
     pair_key,
 )
 from hoirefine.pipeline import run_stage_one
@@ -44,7 +43,7 @@ from hoirefine.provider import (
 )
 from hoirefine.prompt import SPATIAL_AWARENESS_INSTRUCTION, SPATIAL_SCORING_INSTRUCTION
 
-from conftest import fixture_path, kinds_at, make_pair, pack, slot_tuples
+from conftest import fixture_path, held_entries, kinds_at, make_pair, pack, slot_tuples, slots_of
 
 VOCAB = RelationVocabulary(("hold", "ride", "sit on"))
 FLOOR = 0.05
@@ -90,12 +89,12 @@ def scored(agent, provider, *args, video=None, **kwargs) -> dict[str, dict]:
 
 
 def agent_scores(video, entries: dict) -> AgentScores:
-    """``AgentScores`` over a layout of ``video`` holding ``entries``, each
+    """``AgentScores`` over ``video`` holding ``entries``, each
     ``(slot, kind): value``, value for value (a ``-0.0`` too)."""
-    layout = SlotLayout(video)
-    held = [sorted((layout.find(slot), value) for (slot, k), value in entries.items()
+    index = {slot: i for i, slot in enumerate(slots_of(video))}
+    held = [sorted((index[slot], value) for (slot, k), value in entries.items()
                    if k == kind) for kind in SCORE_KINDS]
-    return AgentScores(layout, [([i for i, _ in h], [value for _, value in h]) for h in held])
+    return AgentScores(video, [([i for i, _ in h], [value for _, value in h]) for h in held])
 
 
 def provider(rules=(), transport=None):
@@ -129,7 +128,7 @@ class TestTransitions:
         [transition] = detect_transitions(video, every_frame(video))
         assert transition == Transition(1, video.frames[1].pairs[0], 0, 1)
         assert transition.pair.pair_id is video.pair_ids[0]
-        assert transition.slot == SlotLayout(video).find((1, ("id", 0, 1), 1))
+        assert transition.slot == slots_of(video).index((1, ("id", 0, 1), 1))
 
     def test_stable_argmax_no_transition(self):
         video = make_video([
@@ -594,7 +593,7 @@ class TestPropagation:
                                       ((4, ("id", 0, 1), 0), CS): 0.8})
         out = propagate_scores(scores, video, {0, 4})
         assert isinstance(out, AgentScores) and out is not scores
-        assert out.layout is scores.layout
+        assert out.pred_set is scores.pred_set
         assert [kinds_at(out, f, ("id", 0, 1), 0).get(CS)
                 for f in range(5)] == [0.2, 0.2, 0.2, 0.8, 0.8]
         assert held_entries(scores) == {(0, ("id", 0, 1), 0): {CS: 0.2},
@@ -650,7 +649,7 @@ def long_propagation_case(frames=520, interval=20):
         frame(f, [make_pair(pair_id=(0, f % 3)),
                   make_pair(pair_id=None, object_class=("chair", "cup")[f % 2])])
         for f in range(frames)])
-    slots = list(SlotLayout(video).slots())
+    slots = slots_of(video)
     held = rng.random((len(SCORE_KINDS), len(slots))) < 0.5
     values = iter(rng.random(int(held.sum())).tolist())
     return video, set(range(0, frames, interval)), agent_scores(video, {
@@ -703,10 +702,9 @@ class TestMemory:
                 make_pair(scores=(0.5,) * 10, pair_id=(0, k) if k < 6 else None,
                           object_class=("chair", "cup", "horse")[k % 3]) for k in range(8)])
             for f in range(400)))
-        layout, keyframes = SlotLayout(video), set(range(0, 400, 4))
-        slots = list(layout.slots())
-        candidates = (rng.random(len(slots)) < 0.3) & np.repeat(
-            np.isin(layout.frame, list(keyframes)), vocab.n)
+        keyframes, slots = set(range(0, 400, 4)), slots_of(video)
+        candidates = (rng.random(len(slots)) < 0.3) & np.isin(
+            [fi for fi, _, _ in slots], list(keyframes))
         drawn = {}
         for kind in STAGE_ONE_KINDS:  # cs, spatial and temporal scores on the keyframe candidates
             values = rng.random(int(candidates.sum())).tolist()
@@ -760,18 +758,14 @@ def propagation_cases(draw):
     return video, keyframes, agent_scores(video, entries)
 
 
-def held_entries(table):
-    """Per slot holding any kind, its scores by kind, in slot order."""
-    return {slot: kinds for slot in table.layout.slots() if (kinds := kinds_at(table, *slot))}
-
-
 def propagation_oracle(table, video, keyframes):
     """Brute force from the propagate_scores docstring: every table entry is
     kept; an empty non-keyframe slot takes the value of the keyframe holding
     its (pair_key, relation, kind) with the smallest (distance, keyframe);
     an untracked pair does the same for common-sense scores only, matched by
     triplet text, where the last matching pair of a keyframe wins."""
-    expected = held_entries(table)
+    entries = held_entries(table)
+    expected = {slot: dict(kinds) for slot, kinds in entries.items()}
     key_frames = [fr for fr in video.frames if fr.frame_index in keyframes]
     for fr in video.frames:
         f = fr.frame_index
@@ -787,13 +781,13 @@ def propagation_oracle(table, video, keyframes):
                     for kf_frame in key_frames:
                         kf = kf_frame.frame_index
                         if pair.pair_id is not None:
-                            if kinds_at(table, kf, pk, r).get(kind) is not None:
-                                held[kf] = kinds_at(table, kf, pk, r).get(kind)
+                            if entries.get((kf, pk, r), {}).get(kind) is not None:
+                                held[kf] = entries[(kf, pk, r)][kind]
                         elif kind == CS:
                             text = triplet_to_text(pair, r, VOCAB)
                             for j, other in enumerate(kf_frame.pairs):
                                 for r2 in range(VOCAB.n):
-                                    value = kinds_at(table, kf, pair_key(other, j), r2).get(CS)
+                                    value = entries.get((kf, pair_key(other, j), r2), {}).get(CS)
                                     same = triplet_to_text(other, r2, VOCAB) == text
                                     if value is not None and same:
                                         held[kf] = value

@@ -13,8 +13,8 @@ from collections import Counter
 
 import pytest
 
+from hoirefine import pipeline
 from hoirefine.ingest import write_predictions
-from hoirefine.model import SlotLayout
 from hoirefine.pipeline import refine
 from hoirefine.prompt import (
     COMMON_SENSE_INSTRUCTION,
@@ -177,16 +177,16 @@ def test_billed_calls_equal_distinct_prompts(fixture_predictions, fixture_config
 
 def test_the_first_prompts_do_not_wait_for_the_slot_layout(fixture_predictions, fixture_config,
                                                            monkeypatch):
-    # stage 1 keeps its scores by slot tuple; only aggregation, after both
-    # stages, needs the run's one layout
+    # stage 1 keeps its scores by slot index; only aggregation, after both
+    # stages, builds the run's arrays over every slot
     built, seen = [], []
-    init = SlotLayout.__init__
+    aggregate = pipeline.aggregate_provider_tables
 
-    def counted(self, pred_set):
+    def counted(pred_set, *args):
         built.append(pred_set)
-        init(self, pred_set)
+        return aggregate(pred_set, *args)
 
-    monkeypatch.setattr(SlotLayout, "__init__", counted)
+    monkeypatch.setattr(pipeline, "aggregate_provider_tables", counted)
     providers, sent = fixture_providers(fixture_config, hold=lambda prompt: seen.append(len(built)))
     refine(fixture_predictions, fixture_config, providers=providers)
     assert len(seen) == len(sent) > 0
@@ -222,7 +222,7 @@ def repeat_a_pair_of_the_last_frame(frames):
 def test_ambiguous_set_is_refused_before_any_call(fixture_predictions, fixture_config,
                                                   repeat, message):
     # a set built in code, not loaded: its slots would be ambiguous, and the
-    # run's layout is built only after both stages
+    # run's scores are aggregated only after both stages
     ambiguous = pack(fixture_predictions.vocabulary, repeat(fixture_predictions.frames),
                      fixture_predictions.video_id)
     providers, sent = fixture_providers(fixture_config)

@@ -13,7 +13,9 @@ from hoirefine.evaluation import (
     recall_at_k_frame,
     write_ablation_report,
 )
-from hoirefine.model import FusedScores, SlotLayout, pair_key
+from hoirefine.model import FusedScores, pair_key
+
+from test_model import prediction_sets
 
 
 def oracle_recall(positives, gt, k):
@@ -119,25 +121,39 @@ class TestDatasetRecall:
             recall_at_k_dataset({}, {0: frozenset()}, ks=(10,))
 
 
+def positives_oracle(pred_set, threshold) -> dict:
+    """Per frame, the (pair_key, relation, score) of every base score above
+    ``threshold``, by a loop over the set's pairs."""
+    oracle = {}
+    for frame in pred_set.frames:
+        for i, pair in enumerate(frame.pairs):
+            pk = pair_key(pair, i)
+            for r, s in enumerate(pair.scores):
+                if s > threshold:
+                    oracle.setdefault(frame.frame_index, []).append((pk, r, s))
+    return oracle
+
+
 class TestPositives:
     @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.85])
     def test_matches_loop_oracle(self, fixture_predictions, threshold):
-        oracle = {}
-        for frame in fixture_predictions.frames:
-            for i, pair in enumerate(frame.pairs):
-                pk = pair_key(pair, i)
-                for r, s in enumerate(pair.scores):
-                    if s > threshold:
-                        oracle.setdefault(frame.frame_index, []).append((pk, r, s))
-        layout = SlotLayout(fixture_predictions)
-        got = positives_per_frame(FusedScores(layout, layout.base_scores()), threshold)
+        got = positives_per_frame(
+            FusedScores(fixture_predictions, fixture_predictions.scores.ravel()), threshold)
         assert {fi: sorted(v) for fi, v in got.items()} == \
-            {fi: sorted(v) for fi, v in oracle.items()}
+            {fi: sorted(v) for fi, v in positives_oracle(fixture_predictions, threshold).items()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(prediction_sets(), st.sampled_from((0.1, 0.3, 0.6)))
+    def test_matches_loop_oracle_on_untracked_pairs_and_gaps(self, video, threshold):
+        # untracked pairs, whose keys are their positions, gaps in the frame
+        # indices and frames without pairs; in slot order, as the oracle's loop
+        got = positives_per_frame(FusedScores(video, video.scores.ravel()), threshold)
+        assert got == positives_oracle(video, threshold)
 
     def test_threshold_domain(self, fixture_predictions):
-        layout = SlotLayout(fixture_predictions)
         with pytest.raises(ValueError):
-            positives_per_frame(FusedScores(layout, layout.base_scores()), 1.5)
+            positives_per_frame(
+                FusedScores(fixture_predictions, fixture_predictions.scores.ravel()), 1.5)
 
 
 class TestAblationReport:

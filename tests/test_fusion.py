@@ -19,12 +19,11 @@ from hoirefine.model import (
     FusedScores,
     FusionWeights,
     RelationVocabulary,
-    SlotLayout,
     pair_key,
 )
 from hoirefine.pipeline import aggregate_provider_tables, fuse_table
 
-from conftest import fixture_path, kinds_at, make_pair, pack
+from conftest import fixture_path, held_entries, kinds_at, make_pair, pack, slots_of
 from test_agents import agent_scores, frame, make_video, propagation_cases
 from test_model import two_frames
 
@@ -100,8 +99,8 @@ class TestProperties:
 
 def one_pair_column(scores):
     """The scores of pair (0, 1), the one pair of frame 0, as a fused column."""
-    layout = SlotLayout(make_video([frame(0, [make_pair(scores=scores)])]))
-    return FusedScores(layout, layout.base_scores())
+    video = make_video([frame(0, [make_pair(scores=scores)])])
+    return FusedScores(video, video.scores.ravel())
 
 
 class TestThresholdSelect:
@@ -127,11 +126,11 @@ def fuse_table_oracle(video, table, weights, toggles):
     def enabled(kinds, kind):
         return kinds.get(kind) if toggles is None or toggles.get(kind) else None
 
-    fused = {}
+    fused, held = {}, held_entries(table)
     for frame in video.frames:
         for i, pair in enumerate(frame.pairs):
             for r, base in enumerate(pair.scores):
-                kinds = kinds_at(table, frame.frame_index, pair_key(pair, i), r)
+                kinds = held.get((frame.frame_index, pair_key(pair, i), r), {})
                 fused[(frame.frame_index, pair_key(pair, i), r)] = fuse_scores(
                     base,
                     s_cs=enabled(kinds, CS),
@@ -197,7 +196,7 @@ class TestFuseTable:
             frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
             for f in range(400)))
         scores = agent_scores(video, {(slot, kind): 0.7 for slot in
-                                      list(SlotLayout(video).slots())[::3] for kind in SCORE_KINDS})
+                                      slots_of(video)[::3] for kind in SCORE_KINDS})
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -216,8 +215,7 @@ class TestAggregate:
         """Every slot and kind holds ``sum(values) / len(values)`` over the
         providers that scored it, in provider order, and no other slot does."""
         video, _keyframes, _table = data.draw(propagation_cases())
-        layout = SlotLayout(video)
-        n_slots = len(layout.pair_keys) * layout.n
+        n_slots = video.scores.size
         cells = [(slot, kind) for slot in range(n_slots) for kind in STAGE_ONE_KINDS]
         # a few cells, each scored or not by each provider
         cells = [cells[i] for i in data.draw(st.lists(st.integers(0, len(cells) - 1),
@@ -229,8 +227,8 @@ class TestAggregate:
                 value = data.draw(st.none() | st.floats(0.0, 1.0))
                 if value is not None:
                     table[kind][slot] = value
-        got = aggregate_provider_tables(layout, tables, {})
-        assert got.layout is layout
+        got = aggregate_provider_tables(video, tables, {})
+        assert got.pred_set is video
         for slot in range(n_slots):
             for kind in SCORE_KINDS:
                 values = [t.get(kind, {}).get(slot) for t in tables.values()]
@@ -239,17 +237,27 @@ class TestAggregate:
                 value = kinds_at(got, slot).get(kind)
                 assert (value is None and expected is None) or value.hex() == expected.hex()
 
-    # one below the first of two_frames' six slots, one past the last, and
-    # a slot left as a tuple
-    @pytest.mark.parametrize("slot", [-1, 6, (3, ("idx", 1), 0)])
+    # one below the first of two_frames' six slots, one past the last, a
+    # slot left as a tuple; then keys that are no integer, which a float
+    # would land on the slot it truncates to, a bool on slot 0 or 1, even
+    # next to an integer key
+    @pytest.mark.parametrize("slot", [-1, 6, (3, ("idx", 1), 0), 1.5, 1.0, True,
+                                      np.float64(1.0), np.bool_(True)])
     def test_a_foreign_slot_raises(self, slot):
-        layout = SlotLayout(two_frames())
+        video = two_frames()
+        error, message = (ValueError, "^a slot index outside the set's 6 slots$") if type(
+            slot) is int else (TypeError, "^a slot index must be an integer, not '")
         for kind in SCORE_KINDS:  # a provider's score, or the judge's
-            tables = {"p": {k: {slot: 0.5} if k == kind else {} for k in STAGE_ONE_KINDS}}
-            judged = {slot: 0.5} if kind == DEBATE else {}
-            with pytest.raises((ValueError, TypeError),
-                               match="outside the layout's 6 slots|not 'tuple'"):
-                aggregate_provider_tables(layout, tables, judged)
+            tables = {"p": {k: {0: 0.5, slot: 0.5} if k == kind else {} for k in STAGE_ONE_KINDS}}
+            judged = {0: 0.5, slot: 0.5} if kind == DEBATE else {}
+            with pytest.raises(error, match=message):
+                aggregate_provider_tables(video, tables, judged)
+
+    @pytest.mark.parametrize("key", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_python_and_numpy_integer_keys_are_taken(self, key):
+        tables = {"p": {CS: {key: 0.5}, SPATIAL: {}, TEMPORAL: {}}}
+        got = aggregate_provider_tables(two_frames(), tables, {key: 0.25})
+        assert kinds_at(got, 1) == {CS: 0.5, DEBATE: 0.25}
 
 
 drawn_scores = st.sampled_from((-0.0, 0.0, 1.0)) | st.floats(0.0, 1.0)
@@ -269,8 +277,7 @@ class TestAgentScores:
     @given(st.data())
     def test_matches_the_per_provider_mean_and_holds_only_its_entries(self, data):
         video, _keyframes, _scores = data.draw(propagation_cases())
-        layout = SlotLayout(video)
-        slots = range(len(layout.pair_keys) * layout.n)
+        slots = range(video.scores.size)
         tables = {}
         for provider in range(data.draw(st.integers(1, 3))):
             table = tables[f"p{provider}"] = {}
@@ -282,9 +289,9 @@ class TestAgentScores:
                   for slot in data.draw(st.sets(st.sampled_from(slots), max_size=4))}
         inputs = as_hex(tables)
 
-        got = aggregate_provider_tables(layout, tables, judged)
+        got = aggregate_provider_tables(video, tables, judged)
 
-        assert got.layout is layout
+        assert got.pred_set is video
         assert as_hex(tables) == inputs  # the inputs are left as they were
         held = 0
         for slot in slots:
@@ -317,13 +324,13 @@ class TestAgentScores:
         slot = 0
         tables = {pid: {CS: {}, SPATIAL: {slot: value}, TEMPORAL: {}}
                   for pid, value in zip(("a", "b", "c"), (0.1, 0.2, 0.3))}
-        got = kinds_at(aggregate_provider_tables(SlotLayout(video), tables, {}), slot)[SPATIAL]
+        got = kinds_at(aggregate_provider_tables(video, tables, {}), slot)[SPATIAL]
         assert got.hex() == (sum((0.1, 0.2, 0.3)) / 3).hex() != (sum((0.3, 0.2, 0.1)) / 3).hex()
 
     def test_is_read_only(self):
         video = make_video([frame(0, [make_pair()])])
         tables = {"p": {CS: {1: 0.4}, SPATIAL: {}, TEMPORAL: {}}}
-        scores = aggregate_provider_tables(SlotLayout(video), tables, {})
+        scores = aggregate_provider_tables(video, tables, {})
         for array in scores.columns[0]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.9
@@ -342,14 +349,13 @@ class TestAgentScores:
             video = pack(vocab, (
                 frame(f, [make_pair(scores=[0.5] * vocab.n, pair_id=(0, p)) for p in range(8)])
                 for f in range(frames)))
-            layout = SlotLayout(video)
             slots = range(32_000)
             tables = {pid: {kind: dict.fromkeys(slots[start::3], 0.25 * (start + 1))
                             for kind in STAGE_ONE_KINDS} for start, pid in enumerate(("a", "b"))}
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                scores = aggregate_provider_tables(layout, tables, {})
+                scores = aggregate_provider_tables(video, tables, {})
                 held, peak = (m - before for m in tracemalloc.get_traced_memory())
             finally:
                 tracemalloc.stop()

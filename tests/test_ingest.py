@@ -19,9 +19,9 @@ from hoirefine.ingest import (
     triplet_to_text,
     write_predictions,
 )
-from hoirefine.model import FusedScores, RelationVocabulary, SlotLayout
+from hoirefine.model import FusedScores, RelationVocabulary
 
-from conftest import PairRecord, make_pair, pack
+from conftest import PairRecord, make_pair, pack, slots_of
 
 
 def write_lines(path, records):
@@ -362,9 +362,8 @@ class TestLoadGroundTruth:
 
 def fused_column(pred_set, score):
     """Fused scores over ``pred_set`` holding ``score(slot, base)`` per slot."""
-    layout = SlotLayout(pred_set)
-    return FusedScores(layout, np.array([score(slot, base) for slot, base
-                                         in zip(layout.slots(), layout.base_scores().tolist())], float))
+    return FusedScores(pred_set, np.array([score(slot, base) for slot, base in zip(
+        slots_of(pred_set), pred_set.scores.ravel().tolist())], float))
 
 
 # any float JSONEncoder writes, integer-valued, subnormal and huge ones included
@@ -390,9 +389,9 @@ def written_sets(draw):
             scores=(0.0,) * vocab.n) for pid in ids]
         frames.append((fi, draw(json_floats), draw(json_floats), pairs))
     pred_set = pack(vocab, frames, draw(json_text))
-    layout = SlotLayout(pred_set)
-    values = draw(st.lists(json_floats, min_size=len(layout.base_scores()), max_size=len(layout.base_scores())))
-    return pred_set, FusedScores(layout, np.array(values, float))
+    slots = pred_set.scores.size
+    values = draw(st.lists(json_floats, min_size=slots, max_size=slots))
+    return pred_set, FusedScores(pred_set, np.array(values, float))
 
 
 class TestWritePredictions:
@@ -494,10 +493,10 @@ class TestWritePredictions:
 
     def test_column_must_cover_every_slot(self, tmp_path, vocab):
         write_lines(tmp_path / "p.jsonl", [record(frame=f) for f in range(2)])
-        layout = SlotLayout(load_predictions(tmp_path / "p.jsonl", vocab))
+        pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
         message = f"fused column holds {vocab.n} scores for {2 * vocab.n} slots"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            FusedScores(layout, np.zeros(vocab.n))
+            FusedScores(pred_set, np.zeros(vocab.n))
 
     def test_scores_over_another_set_rejected(self, tmp_path, vocab):
         write_lines(tmp_path / "p.jsonl", [record()])
@@ -648,8 +647,7 @@ class TestLoadedSetAgainstJson:
 
         # write, load, write: the same bytes
         def write(loaded, name):
-            layout = SlotLayout(loaded)
-            write_predictions(loaded, FusedScores(layout, layout.base_scores()),
+            write_predictions(loaded, FusedScores(loaded, loaded.scores.ravel()),
                               str(path.with_name(name)))
             return path.with_name(name).read_bytes()
 
@@ -711,12 +709,11 @@ class TestSharedValues:
         assert [math.copysign(1.0, v) for v in values] == \
             [math.copysign(1.0, float(v)) for v in expected]
 
-        layout = SlotLayout(pred_set)
-        write_predictions(pred_set, FusedScores(layout, layout.base_scores()), str(base / "a.jsonl"))
+        write_predictions(pred_set, FusedScores(pred_set, pred_set.scores.ravel()),
+                          str(base / "a.jsonl"))
         again = load_predictions(base / "a.jsonl", vocab)
         assert [v.hex() for v in loaded_values(again)] == [v.hex() for v in values]
-        layout = SlotLayout(again)
-        write_predictions(again, FusedScores(layout, layout.base_scores()), str(base / "b.jsonl"))
+        write_predictions(again, FusedScores(again, again.scores.ravel()), str(base / "b.jsonl"))
         assert (base / "b.jsonl").read_bytes() == (base / "a.jsonl").read_bytes()
 
 

@@ -10,11 +10,13 @@ from hoirefine.model import (
     FusedScores,
     FusionWeights,
     RelationVocabulary,
-    SlotLayout,
     VideoPredictionSet,
+    check_slots_distinct,
     pair_key,
+    row_keys,
     tracked_pair_key,
 )
+from hoirefine.pipeline import fuse_table
 
 from conftest import kinds_at, make_pair, pack
 
@@ -69,7 +71,7 @@ FOREIGN_SLOTS = [(7, ("id", 0, 1), 0), (3, ("idx", 1), 2), (3, ("idx", 1), -1)]
 
 class TestFusedScores:
     def column(self, values):
-        return FusedScores(SlotLayout(two_frames()), np.array(values, float))
+        return FusedScores(two_frames(), np.array(values, float))
 
     def test_slots_in_order_and_indexed(self):
         fused = self.column([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
@@ -98,12 +100,12 @@ class TestFusedScores:
 class TestAgentScores:
     # two_frames' six slots: CS held at slots 1 and 4, SPATIAL at 4
     def scores(self):
-        return AgentScores(SlotLayout(two_frames()), [([1, 4], [0.25, -0.0]), ([4], [0.5]),
-                                                      ([], []), ([], [])])
+        return AgentScores(two_frames(), [([1, 4], [0.25, -0.0]), ([4], [0.5]),
+                                          ([], []), ([], [])])
 
     def test_kinds_at_each_slot(self):
         scores = self.scores()
-        kinds = [kinds_at(scores, *slot) for slot in scores.layout.slots()]
+        kinds = [kinds_at(scores, i) for i in range(6)]
         assert kinds == [{}, {CS: 0.25}, {}, {}, {CS: -0.0, SPATIAL: 0.5}, {}]
         assert str(kinds[4][CS]) == "-0.0"
         assert len(scores) == 2
@@ -116,7 +118,7 @@ class TestAgentScores:
                                          [([1, 2], [0.5])] + [([], [])] * 3])
     def test_one_column_of_equal_lengths_per_kind(self, columns):
         with pytest.raises(ValueError, match="one .index, values. pair of equal lengths"):
-            AgentScores(SlotLayout(two_frames()), columns)
+            AgentScores(two_frames(), columns)
 
 
 class TestPredictionSet:
@@ -169,18 +171,24 @@ class TestPredictionSet:
             video.pair_code[0] = 1
 
 
-class TestSlotLayout:
+class TestSlots:
+    """A slot is an index of the set's score column; ``row_keys`` names a
+    row by its (frame_index, pair_key)."""
+
     def test_one_frame_index_per_pair_row(self):
-        layout = SlotLayout(two_frames())
-        assert layout.frame.tolist() == [3, 3, 7]
-        assert layout.pair_keys == [("id", 0, 1), ("idx", 1), ("id", 2, 5)]
-        assert layout.spans == {3: (0, 2), 7: (2, 3)}
+        video = two_frames()
+        assert row_keys(video, np.arange(3)) == [(3, ("id", 0, 1)), (3, ("idx", 1)),
+                                                 (7, ("id", 2, 5))]
+        # the rows asked for only, in the order asked; a frame without pairs holds no row
+        gap = pack(video.vocabulary, (video.frames[0], (5, 640, 480, ()), video.frames[1]))
+        assert row_keys(gap, np.array([2, 1])) == [(7, ("id", 2, 5)), (3, ("idx", 1))]
+        assert row_keys(gap, np.arange(0)) == []
 
     def test_equal_pair_keys_are_one_object(self):
         # an untracked pair first and a pair tracked as (0, 1), in each of three frames
         video = pack(RelationVocabulary(("a",)), (
             (f, 640, 480, (make_pair(pair_id=None), make_pair(pair_id=(0, 1)))) for f in range(3)))
-        keys = SlotLayout(video).pair_keys
+        keys = [key for _, key in row_keys(video, np.arange(6))]
         assert keys[0] == ("idx", 0) and keys[1] == ("id", 0, 1)
         assert keys[0] is keys[2] is keys[4] and keys[1] is keys[3] is keys[5]
 
@@ -190,31 +198,36 @@ class TestSlotLayout:
             (2, 640, 480, (make_pair(pair_id=(0, 1)),)),
             (4, 640, 480, (make_pair(pair_id=(0, 1)), make_pair(pair_id=None),
                            make_pair(pair_id=(0, 1))))))
-        with pytest.raises(ValueError, match=r"frame 4 holds pair key \('id', 0, 1\) twice"):
-            SlotLayout(video)
+        message = r"frame 4 holds pair key \('id', 0, 1\) twice"
+        with pytest.raises(ValueError, match=message):
+            check_slots_distinct(video)
+        with pytest.raises(ValueError, match=message):  # on the first look-up by tuple
+            FusedScores(video, np.zeros(4))[(2, ("id", 0, 1), 0)]
 
     def test_base_scores_are_read_from_the_pairs_in_slot_order(self):
         video = pack(RelationVocabulary(("a", "b")), (
             (3, 640, 480, (make_pair(scores=(0.25, -0.0)),
                            make_pair(scores=(1.0, 0.5), pair_id=None))),
             (7, 640, 480, (make_pair(scores=(0.0, 0.75), pair_id=(2, 5)),))))
-        layout = SlotLayout(video)
-        column = layout.base_scores()
+        # with no agent score, the fused column is the base scores, copied
+        column = fuse_table(video, AgentScores(video, [([], [])] * 4), FusionWeights()).values
         assert column.dtype == np.float64
         assert list(map(float.hex, column.tolist())) == list(map(float.hex, (
             0.25, -0.0, 1.0, 0.5, 0.0, 0.75)))
-        assert layout.base_scores() is not column
+        assert column.flags.writeable and not np.shares_memory(column, video.scores)
 
     def test_a_frame_index_twice_is_refused(self):
         video = pack(RelationVocabulary(("a",)), (
             (4, 640, 480, (make_pair(pair_id=(0, 1)),)),
             (4, 640, 480, (make_pair(pair_id=(0, 2)),))))
         with pytest.raises(ValueError, match="frame 4 appears twice"):
-            SlotLayout(video)
+            check_slots_distinct(video)
+        with pytest.raises(ValueError, match="frame 4 appears twice"):
+            FusedScores(video, np.zeros(2))[(4, ("id", 0, 1), 0)]
 
 
 @st.composite
-def layout_sets(draw):
+def prediction_sets(draw):
     """Sets with gaps in their frame indices, frames without pairs, tracked
     and untracked pairs, pair ids that recur in many frames, and scores on
     either side of 0.3 whose argmax may change from frame to frame."""
@@ -233,49 +246,63 @@ def layout_sets(draw):
 
 
 class TestFind:
+    """``FusedScores`` by slot tuple, against a brute-force index of the
+    slots built from the set's pairs."""
+
     @settings(max_examples=200, deadline=None)
-    @given(layout_sets())
+    @given(prediction_sets())
     def test_matches_a_brute_force_index(self, video):
-        layout = SlotLayout(video)
+        n = video.vocabulary.n
         expected = [(frame.frame_index, pair_key(pair, i), r) for frame in video.frames
-                    for i, pair in enumerate(frame.pairs) for r in range(layout.n)]
-        assert list(layout.slots()) == expected
-        index = {slot: i for i, slot in enumerate(layout.slots())}
-        assert len(index) == len(expected) == len(layout.base_scores())
+                    for i, pair in enumerate(frame.pairs) for r in range(n)]
+        fused = FusedScores(video, np.arange(len(expected), dtype=float))  # each slot's index
+        assert list(fused) == expected
+        index = {slot: i for i, slot in enumerate(expected)}
+        assert len(index) == len(expected) == len(fused) == video.scores.size
         for slot, i in index.items():
             fi, pk, r = slot
-            assert layout.find(slot) == i
-            assert layout.find((fi, tuple(pk), r)) == i  # an equal key, not the layout's own
-            assert layout.find((np.int64(fi), pk, np.int64(r))) == i
+            assert slot in fused and fused[slot] == i
+            assert fused[(fi, tuple(pk), r)] == i  # an equal key, not the set's own
+            assert fused[(np.int64(fi), pk, np.int64(r))] == i
+        rows = np.arange(len(video.scores))[::-2]  # some rows, out of order
+        assert row_keys(video, rows) == [expected[row * n][:2] for row in rows.tolist()]
         # the slot indices of the pair views, the keyframe candidates and the
         # transitions are those of their (frame_index, pair_key, relation) tuples
         pairs = [pair for frame in video.frames for pair in frame.pairs]
-        assert [p.slot(r) for p in pairs for r in range(layout.n)] == list(map(layout.find, expected))
+        assert [p.slot(r) for p in pairs for r in range(n)] == [index[s] for s in expected]
         keyframes = set(video.frame_indices()[::2])
         assert list(keyframe_slots(video, keyframes, 0.3)) == [
-            (layout.find((frame.frame_index, pair_key(pair, i), r)), pair)
+            (index[(frame.frame_index, pair_key(pair, i), r)], pair)
             for frame in video.frames if frame.frame_index in keyframes
             for i, pair in enumerate(frame.pairs) for r, score in enumerate(pair.scores)
             if score >= 0.3]
         for tr in detect_transitions(video, keyframes):
-            assert tr.slot == layout.find(
-                (tr.frame_index, tracked_pair_key(tr.pair.pair_id), tr.new_relation))
+            assert tr.slot == index[
+                (tr.frame_index, tracked_pair_key(tr.pair.pair_id), tr.new_relation)]
 
     @settings(max_examples=200, deadline=None)
-    @given(layout_sets())
+    @given(prediction_sets())
     def test_none_for_every_key_that_is_no_slot(self, video):
-        layout = SlotLayout(video)
+        n = video.vocabulary.n
+        fused = FusedScores(video, np.zeros(video.scores.size))
         keys = {(frame.frame_index, pair_key(pair, i))
                 for frame in video.frames for i, pair in enumerate(frame.pairs)}
-        unknown = max(layout.spans, default=-1) + 1
+        frames = video.frame_indices()
+        unknown = max(frames, default=-1) + 1
         for frame in video.frames:
             for i, pair in enumerate(frame.pairs):
                 fi, pk = frame.frame_index, pair_key(pair, i)
-                assert layout.find((unknown, pk, 0)) is None
-                for other in layout.spans:
+                bad = [(unknown, pk, 0)]
+                for other in frames:
                     if (other, pk) not in keys:  # the key of another frame
-                        assert layout.find((other, pk, 0)) is None
-                        assert layout.find((np.int64(other), pk, np.int64(0))) is None
-                for bad in ((fi, pk, -1), (fi, pk, layout.n), (fi, pk, np.int64(layout.n)),
-                            (fi, pk), (fi, pk, 0, 0), [fi, pk, 0], (fi, list(pk), 0), "slot"):
-                    assert layout.find(bad) is None
+                        bad += [(other, pk, 0), (np.int64(other), pk, np.int64(0))]
+                # a bool or a float equal to a frame or relation index is none
+                bad += [(fi, pk, -1), (fi, pk, n), (fi, pk, np.int64(n)), (fi, pk),
+                        (fi, pk, 0, 0), [fi, pk, 0], (fi, list(pk), 0), "slot",
+                        (fi, pk, True), (fi, pk, False), (fi, pk, 0.0), (fi, pk, np.float64(0)),
+                        (float(fi), pk, 0), (np.float64(fi), pk, 0), (True, pk, 0),
+                        (False, pk, 0)]
+                for key in bad:
+                    assert key not in fused
+                    with pytest.raises(KeyError):
+                        fused[key]

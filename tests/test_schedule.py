@@ -43,7 +43,7 @@ from hoirefine.provider import (
     ProviderTimeout,
 )
 
-from conftest import fixture_path, kinds_at
+from conftest import fixture_path, held_entries
 
 SEED = 11
 PROVIDER_IDS = ("alpha", "beta", "gamma")
@@ -133,8 +133,7 @@ def run_chaos(pred_set, widths, batch_size, debate_mode, keyframe_interval, late
                     files[name] = fh.read()
     return {"predictions": written, "transcripts": files, "billed": billed,
             "summary": outcome.stats.summary(), "coverage": outcome.stats.coverage,
-            "table": {slot: kinds for slot in outcome.table.layout.slots()
-                      if (kinds := kinds_at(outcome.table, *slot))}}
+            "table": held_entries(outcome.table)}
 
 
 _ORACLES: dict = {}
@@ -229,13 +228,13 @@ def test_total_outage_raises_before_the_slot_layout(fixture_predictions, monkeyp
     def timing_out(_spec, _req):
         raise ProviderTimeout("no answer")
 
-    built, layout = [], pipeline.SlotLayout
+    built, aggregate = [], pipeline.aggregate_provider_tables
 
-    def recording_layout(pred_set):
+    def recording_aggregate(pred_set, *args):
         built.append(pred_set.video_id)
-        return layout(pred_set)
+        return aggregate(pred_set, *args)
 
-    monkeypatch.setattr(pipeline, "SlotLayout", recording_layout)
+    monkeypatch.setattr(pipeline, "aggregate_provider_tables", recording_aggregate)
     config = chaos_config((1, 1, 1), 16, "always", 1)
     providers = [Provider(dataclasses.replace(spec, max_retries=0), transport=timing_out)
                  for spec in config.providers]
