@@ -18,8 +18,8 @@ as it arrives, and each batch is reported at once to the agent's
 ``on_scored(kind, scored)``: its score kind and a ``(slot, value)`` for
 every candidate slot the batch covers, the value None where it is unscored,
 so a caller knows when a slot's scores are final. A slot is an index of the
-set's raveled score column (``PairPrediction.slot``); its relation is
-``slot % n``.
+set's raveled score column, relation ``slot % n`` of row ``slot // n``, whose
+class and boxes the agents read from the set's columns.
 Each slot gets each kind from one batch, so the scores do not depend on
 which answer arrives first. Agents return nothing; their reports are their
 result. Agents given one ``stop`` event start no further prompt once any of
@@ -34,14 +34,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ingest import label_triplet, triplet_to_text
+from .ingest import label_triplet
 from .model import (
     CS,
     SCORE_KINDS,
     SPATIAL,
     TEMPORAL,
     AgentScores,
-    PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
     check_over,
@@ -61,14 +60,10 @@ class Transition:
     """A tracked pair whose argmax relation changed between consecutive frames."""
 
     frame_index: int  # the later frame (t+1)
-    pair: PairPrediction  # the pair in the later frame
+    object_class: str  # of the pair in the later frame
     old_relation: int
     new_relation: int
-
-    @property
-    def slot(self) -> int:
-        """The slot its score lands on: an index of the set's score column."""
-        return self.pair.slot(self.new_relation)
+    slot: int  # where its score lands: the new relation of the pair's row in the later frame
 
 
 def select_keyframes(frame_indices: list[int], interval: int) -> set[int]:
@@ -84,7 +79,7 @@ def detect_transitions(pred_set: VideoPredictionSet, keyframes: set[int]) -> lis
     ``scores.index(max(scores))`` has them) of tracked pairs between
     consecutive frames of which one is a keyframe; propagation covers the
     others. A video without pair ids has none."""
-    fis, start = pred_set.frame_indices(), pred_set.row_start.tolist()
+    fis, start, n = pred_set.frame_indices(), pred_set.row_start.tolist(), pred_set.vocabulary.n
     codes, top = pred_set.pair_code.tolist(), pred_set.scores.argmax(axis=1).tolist()
     transitions = []
     for j in range(1, len(fis)):
@@ -95,24 +90,25 @@ def detect_transitions(pred_set: VideoPredictionSet, keyframes: set[int]) -> lis
         for row in range(start[j], start[j + 1]):
             old = prev_top.get(codes[row])
             if old is not None and old != top[row]:
-                transitions.append(Transition(fis[j], pred_set.pairs(row, row + 1)[0],
-                                              old, top[row]))
+                transitions.append(Transition(fis[j], pred_set.labels[pred_set.class_code[row]],
+                                              old, top[row], row * n + top[row]))
     return transitions
 
 
-def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: float):
-    """Yield (slot, pair) for every candidate relation (base score >= floor)
-    of every keyframe pair, in slot order: the candidates are read from the
-    set's score column, whose indices the slots are, and the pairs of a
-    keyframe only are built, once each."""
-    start = pred_set.row_start.tolist()
-    for j, fi in enumerate(pred_set.frame_indices()):
-        if fi not in keyframes:
-            continue
-        pairs = pred_set.pairs(start[j], start[j + 1])
-        rows, relations = np.nonzero(pred_set.scores[start[j]:start[j + 1]] >= floor)
-        for i, r in zip(rows.tolist(), relations.tolist()):
-            yield pairs[i].slot(r), pairs[i]
+def keyframe_slots(pred_set: VideoPredictionSet, keyframes: set[int], floor: float) -> list[int]:
+    """The slots of every candidate relation (base score >= floor) of every
+    keyframe pair, in slot order, read from the set's columns."""
+    keyframe = np.isin(pred_set.frame_index[pred_set.frame_rank()], list(keyframes))
+    return np.flatnonzero((pred_set.scores >= floor) & keyframe[:, None]).tolist()
+
+
+def spatial_item(pred_set: VideoPredictionSet, slot: int) -> tuple[str, tuple, tuple]:
+    """A candidate slot as the spatial agent and the debate question show it:
+    its triplet text, then its human and object boxes in whole pixels."""
+    row, relation = divmod(slot, pred_set.vocabulary.n)
+    box = [round(x) for x in pred_set.boxes[row].tolist()]
+    return (label_triplet(pred_set.labels[pred_set.class_code[row]], relation,
+                          pred_set.vocabulary), tuple(box[:4]), tuple(box[4:]))
 
 
 def fan_out(fn: Callable, items: list, max_workers: int,
@@ -221,8 +217,10 @@ def run_common_sense(
     candidate slot once.
     """
     wanted: dict[str, list[int]] = {}
-    for slot, pair in keyframe_slots(pred_set, keyframes, floor):
-        wanted.setdefault(triplet_to_text(pair, slot % vocab.n, vocab), []).append(slot)
+    n, labels, classes = vocab.n, pred_set.labels, pred_set.class_code.tolist()
+    for slot in keyframe_slots(pred_set, keyframes, floor):
+        text = label_triplet(labels[classes[slot // n]], slot % n, vocab)
+        wanted.setdefault(text, []).append(slot)
     _score_batches(provider, "common-sense", sorted(wanted), batch_size,
                    render_common_sense, parse_score_output, cache_dir,
                    _reporter(wanted.__getitem__, CS, on_scored), stop)
@@ -264,21 +262,18 @@ def run_spatial(
     Reports like ``run_common_sense``; the candidates of relations that are
     not spatial-aware are reported with the value None as soon as awareness
     is known."""
-    slots = list(keyframe_slots(pred_set, keyframes, floor))
+    slots = keyframe_slots(pred_set, keyframes, floor)
     aware = classify_spatial_awareness(
-        provider, sorted({vocab.names[slot % vocab.n] for slot, _ in slots}), cache_dir, stop)
+        provider, sorted({vocab.names[slot % vocab.n] for slot in slots}), cache_dir, stop)
 
     # (text, boxes) -> slots; identical geometry costs one test slot
     wanted: dict[tuple, list[int]] = {}
     unaware = []
-    for slot, pair in slots:
-        r = slot % vocab.n
-        if not aware[vocab.names[r]]:
+    for slot in slots:
+        if not aware[vocab.names[slot % vocab.n]]:
             unaware.append((slot, None))
             continue
-        item = (triplet_to_text(pair, r, vocab), tuple(pair.human_box.as_int_list()),
-                tuple(pair.object_box.as_int_list()))
-        wanted.setdefault(item, []).append(slot)
+        wanted.setdefault(spatial_item(pred_set, slot), []).append(slot)
     on_scored(SPATIAL, unaware)
     _score_batches(provider, "spatial", sorted(wanted), batch_size,
                    lambda batch: render_spatial("scoring", batch),
@@ -303,8 +298,8 @@ def run_temporal(
     _score_batches(
         provider, "temporal", transitions, batch_size,
         lambda batch: render_temporal(
-            [(triplet_to_text(tr.pair, tr.old_relation, vocab),
-              triplet_to_text(tr.pair, tr.new_relation, vocab)) for tr in batch],
+            [(label_triplet(tr.object_class, tr.old_relation, vocab),
+              label_triplet(tr.object_class, tr.new_relation, vocab)) for tr in batch],
             [(tr.frame_index - 1, tr.frame_index) for tr in batch]),
         parse_score_output, cache_dir, _reporter(lambda tr: (tr.slot,), TEMPORAL, on_scored),
         stop)

@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .agents import fan_out
 from .ingest import write_atomic
@@ -45,12 +45,12 @@ def select_debate_candidates(
     mode: str,
     delta: float,
 ) -> list:
-    """Which (frame, pair, relation) slots get debated.
+    """Which (frame, pair, relation) slots get debated, as a sorted list.
 
-    ``per_provider_fused`` maps (frame_index, pair_key, relation_index) to the
-    list of per-provider stage-1 fused scores. 'always' debates every slot,
-    'disagreement' only those where the providers' fused scores spread by more
-    than delta, 'off' none.
+    ``per_provider_fused`` maps each slot, an index of the set's score
+    column, to the list of per-provider stage-1 fused scores. 'always'
+    debates every slot, 'disagreement' only those where the providers' fused
+    scores spread by more than delta, 'off' none.
     """
     if mode == "off":
         return []
@@ -70,8 +70,8 @@ def select_debate_candidates(
 
 def render_debate_question(
     triplet_text: str,
-    human_box: list[int],
-    object_box: list[int],
+    human_box: Sequence[int],
+    object_box: Sequence[int],
     provider_scores: dict[str, float],
 ) -> str:
     """The debated question: the triplet, its geometry, and each provider's

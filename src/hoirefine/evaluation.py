@@ -37,11 +37,11 @@ def positives_per_frame(fused: FusedScores, threshold: float) -> dict[int, list[
     selected rows' pair keys are built."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0,1)")
-    selected = np.flatnonzero(fused.values > threshold)
+    selected = np.flatnonzero(fused.column > threshold)
     rows, relations = np.divmod(selected, fused.pred_set.vocabulary.n)
     frames: dict[int, list[tuple]] = {}
     for (frame_index, key), r, score in zip(row_keys(fused.pred_set, rows), relations.tolist(),
-                                            fused.values[selected].tolist()):
+                                            fused.column[selected].tolist()):
         frames.setdefault(frame_index, []).append((key, r, score))
     return frames
 

@@ -369,11 +369,11 @@ def write_predictions(pred_set: VideoPredictionSet, fused: FusedScores, path: st
     every row is held at once.
     """
     check_over(fused, pred_set, "fused scores")
-    write_atomic(path, _frame_lines(pred_set, fused.values))
+    write_atomic(path, _frame_lines(pred_set, fused.column))
 
 
-def _frame_lines(pred_set: VideoPredictionSet, values) -> Iterator[str]:
-    """Per frame of ``pred_set``, its lines with the scores of ``values``,
+def _frame_lines(pred_set: VideoPredictionSet, column) -> Iterator[str]:
+    """Per frame of ``pred_set``, its lines with the scores of ``column``,
     the fused column, taken from the columns frame by frame."""
     n, video_id = pred_set.vocabulary.n, json.dumps(pred_set.video_id)
     # each pair code's text; -1, an untracked pair's code, is the last
@@ -385,7 +385,7 @@ def _frame_lines(pred_set: VideoPredictionSet, values) -> Iterator[str]:
         head = f'{{"frame_h": {_number(h)}, "frame_index": {fi}, "frame_w": {_number(w)}, '
         rows = zip(pred_set.pair_code[begin:end].tolist(), pred_set.class_code[begin:end].tolist(),
                    pred_set.boxes[begin:end].tolist(),
-                   values[begin * n:end * n].reshape(-1, n).tolist())
+                   column[begin * n:end * n].reshape(-1, n).tolist())
         yield "".join(
             f'{head}"human_box": [{_numbers(box[:4])}], '
             f'"object_box": [{_numbers(box[4:])}], '

@@ -9,10 +9,11 @@ no one else. The rules a prediction file must follow are checked where it
 is read, in ``ingest.load_predictions``.
 
 A slot, one (frame, pair, relation) triplet, is an index of the set's
-raveled score column, relation ``i % n`` of row ``i // n``
-(``PairPrediction.slot``): the set is its own layout. The base scores stay
-in that column, ``AgentScores`` keeps per score kind the indices of the
-slots holding it and their values, and ``FusedScores`` one value per slot.
+raveled score column, relation ``i % n`` of row ``i // n``: the set is its
+own layout, and a run reads a slot's row from the columns, building no
+record. The base scores stay in that column, ``AgentScores`` keeps per score
+kind the indices of the slots holding it and their values, and
+``FusedScores`` one value per slot.
 Outside code names a slot by its row's ``row_keys`` and its relation.
 """
 
@@ -60,10 +61,6 @@ class BoundingBox(NamedTuple):
     x2: float
     y2: float
 
-    def as_int_list(self) -> list[int]:
-        """Integer pixel serialization used in prompt text."""
-        return [round(self.x1), round(self.y1), round(self.x2), round(self.y2)]
-
 
 class PairPrediction:
     """One human-object pair with its per-relation confidences: a view of
@@ -90,10 +87,6 @@ class PairPrediction:
     @property
     def object_box(self) -> BoundingBox:
         return BoundingBox(*self._set.boxes[self._row, 4:].tolist())
-
-    def slot(self, relation: int) -> int:
-        """The slot of its ``relation``: an index of its set's raveled score column."""
-        return self._row * self._set.vocabulary.n + relation
 
     def _values(self) -> tuple:
         return self.object_class, self.human_box, self.object_box, self.scores, self.pair_id
@@ -290,24 +283,34 @@ class GroundTruthSet:
     frames: dict[int, frozenset[tuple[PairId, int]]]
 
 
-_INTEGER = (int, np.integer)  # the types of a frame or relation index, bool aside
+def _integer_type(t: type) -> bool:
+    """Whether ``t`` is a Python or numpy integer type, bool aside."""
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
+def check_slot_types(types) -> None:
+    """Raise TypeError unless each of ``types`` is a Python or numpy integer
+    type, bool aside: as an int64, a float slot would land on another."""
+    for t in types:
+        if not _integer_type(t):
+            raise TypeError(f"a slot index must be an integer, not {t.__name__!r}")
 
 
 class FusedScores(Mapping):
     """Fused scores of ``pred_set``'s slots as one float64 column:
-    ``values[i]`` is the score of slot ``i``. A read-only mapping from
+    ``column[i]`` is the score of slot ``i``. A read-only mapping from
     (frame_index, pair_key, relation_index) to score, iterated in slot
     order; two are equal when they hold the same slots in the same order and
     the same values bit for bit. The rows' keys are indexed on the first
     look-up by tuple, which raises ValueError for a set whose slots are
-    ambiguous (``check_slots_distinct``). A frame or relation index that is
-    a bool or a float is no slot."""
+    ambiguous (``check_slots_distinct``). A frame or relation index, or a
+    pair key item after its tag, that is no integer (a bool, a float) is no slot."""
 
-    def __init__(self, pred_set: VideoPredictionSet, values: np.ndarray):
+    def __init__(self, pred_set: VideoPredictionSet, column: np.ndarray):
         slots = pred_set.scores.size
-        if len(values) != slots:
-            raise ValueError(f"fused column holds {len(values)} scores for {slots} slots")
-        self.pred_set, self.values = pred_set, values
+        if len(column) != slots:
+            raise ValueError(f"fused column holds {len(column)} scores for {slots} slots")
+        self.pred_set, self.column = pred_set, column
         self._rows: Optional[dict] = None
 
     def __getitem__(self, slot: tuple) -> float:
@@ -315,9 +318,9 @@ class FusedScores(Mapping):
             raise KeyError(slot)
         frame_index, key, relation = slot
         n = self.pred_set.vocabulary.n
-        if (type(frame_index) is bool or type(relation) is bool
-                or not (isinstance(frame_index, _INTEGER) and isinstance(relation, _INTEGER)
-                        and 0 <= relation < n)):
+        if not (_integer_type(type(frame_index)) and _integer_type(type(relation))
+                and 0 <= relation < n and isinstance(key, tuple)
+                and all(_integer_type(type(item)) for item in key[1:])):
             raise KeyError(slot)
         if self._rows is None:
             check_slots_distinct(self.pred_set)
@@ -328,7 +331,7 @@ class FusedScores(Mapping):
             row = None
         if row is None:
             raise KeyError(slot)
-        return self.values.item(row * n + relation)
+        return self.column.item(row * n + relation)
 
     def __iter__(self) -> Iterator[tuple]:
         relations = range(self.pred_set.vocabulary.n)
@@ -338,14 +341,14 @@ class FusedScores(Mapping):
         return row_keys(self.pred_set, np.arange(len(self.pred_set.scores)))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.column)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FusedScores):
-            return list(self) == list(other) and self.values.tobytes() == other.values.tobytes()
+            return list(self) == list(other) and self.column.tobytes() == other.column.tobytes()
         if isinstance(other, Mapping):
             return (len(self) == len(other) and all(slot in other for slot in self) and
-                    self.values.tobytes() == np.array([other[s] for s in self], float).tobytes())
+                    self.column.tobytes() == np.array([other[s] for s in self], float).tobytes())
         return NotImplemented
 
 
@@ -354,10 +357,15 @@ class AgentScores:
     exist: ``columns[k]`` is an ``(index, values)`` pair for ``SCORE_KINDS[k]``,
     the sorted, distinct int64 indices of the slots holding that kind and
     their float64 scores. Read-only; ``len`` counts the slots holding any
-    kind."""
+    kind. A float or bool index raises TypeError (``check_slot_types``)."""
 
     def __init__(self, pred_set: VideoPredictionSet, columns):
         self.pred_set = pred_set
+        columns = list(columns)
+        for index, _ in columns:
+            # an array's dtype, else each index's own type; [] is a float64 array
+            check_slot_types([index.dtype.type] if isinstance(index, np.ndarray) and len(index)
+                             else map(type, index))
         self.columns = tuple((np.asarray(index, np.int64), np.asarray(values, float))
                              for index, values in columns)
         if len(self.columns) != len(SCORE_KINDS) or any(len(i) != len(v) for i, v in self.columns):

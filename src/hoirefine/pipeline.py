@@ -10,8 +10,8 @@ returned a value, summed in provider order, so they do not depend on which
 answer arrives first, and one failing provider leaves the others' scores.
 The debate judge's score is shared, not per-provider.
 
-A slot is an index of the set's raveled score column
-(``PairPrediction.slot``): the set is its own layout. Stage 1 keeps each
+A slot is an index of the set's raveled score column, relation ``slot % n``
+of row ``slot // n``: the set is its own layout. Stage 1 keeps each
 provider's scores as plain ``{slot: score}`` dicts, one per kind, holding
 only the slots its agents scored. Stage two, the one home of the keyframe
 candidates, also reports each kind's coverage of them. Once some agent has
@@ -45,6 +45,7 @@ from .agents import (
     run_spatial,
     run_temporal,
     select_keyframes,
+    spatial_item,
 )
 from .config import RefinementConfig, check_provider_ids
 from .debate import (
@@ -54,7 +55,6 @@ from .debate import (
     select_debate_candidates,
 )
 from .fusion import fuse_scores, sigmoid
-from .ingest import triplet_to_text
 from .model import (
     DEBATE,
     SCORE_KINDS,
@@ -64,6 +64,7 @@ from .model import (
     FusionWeights,
     VideoPredictionSet,
     check_over,
+    check_slot_types,
     check_slots_distinct,
 )
 from .provider import Provider, ProviderError
@@ -116,9 +117,7 @@ def aggregate_provider_tables(pred_set: VideoPredictionSet, tables: dict[str, di
     def column(scores: list[dict], start: float) -> tuple:
         # the sorted union of the dicts' slots, then each dict's values added
         # at its slots from ``start`` in order; no per-slot object is built
-        for key_type in set().union(*(map(type, d) for d in scores)):
-            if issubclass(key_type, bool) or not issubclass(key_type, (int, np.integer)):
-                raise TypeError(f"a slot index must be an integer, not {key_type.__name__!r}")
+        check_slot_types(set().union(*(map(type, d) for d in scores)))
         at = [np.fromiter(d, np.int64, len(d)) for d in scores]
         index = np.concatenate(at)
         index.sort()
@@ -230,11 +229,10 @@ def run_stage_two(
     the pool starts no thread. Stage one and the debates share one stop:
     once either raises, neither starts anything further, the running calls
     finish and the error propagates."""
-    vocab = pred_set.vocabulary
     judge = next(p for p in providers if p.id == config.judge_provider)
     transitions = detect_transitions(pred_set, keyframes)
-    pairs = dict(keyframe_slots(pred_set, keyframes, config.candidate_floor))
-    waiting = dict.fromkeys(pairs, 2 * len(providers))
+    candidates = keyframe_slots(pred_set, keyframes, config.candidate_floor)
+    waiting = dict.fromkeys(candidates, 2 * len(providers))
     for tr in transitions:
         if tr.slot in waiting:
             waiting[tr.slot] += len(providers)
@@ -265,17 +263,14 @@ def run_stage_two(
             if waiting[slot]:
                 continue
             del waiting[slot]
-            pair, r = pairs[slot], slot % vocab.n
-            fused = [fuse_scores(pair.scores[r], *(tables[p.id][kind].get(slot)
-                                                   for kind in STAGE_ONE_KINDS),
+            fused = [fuse_scores(pred_set.scores.item(slot),
+                                 *(tables[p.id][kind].get(slot) for kind in STAGE_ONE_KINDS),
                                  weights=config.weights) for p in providers]
             if not select_debate_candidates({slot: fused}, config.debate_mode,
                                             config.disagreement_delta):
                 continue
             question = render_debate_question(
-                triplet_to_text(pair, r, vocab),
-                pair.human_box.as_int_list(),
-                pair.object_box.as_int_list(),
+                *spatial_item(pred_set, slot),
                 {p.id: score for p, score in zip(providers, fused)},
             )
             asked[slot] = question
@@ -289,11 +284,11 @@ def run_stage_two(
     judge_scores = {slot: score for slot, question in asked.items()
                     if (score := judged[question].result()) is not None}
     coverage = {}
-    if pairs:
+    if candidates:
         for kind in STAGE_ONE_KINDS:
             scored = set().union(*(table[kind] for table in tables.values()))
-            coverage[kind] = len(pairs.keys() & scored) / len(pairs)
-        coverage[DEBATE] = len(judge_scores) / len(pairs)
+            coverage[kind] = len(scored.intersection(candidates)) / len(candidates)
+        coverage[DEBATE] = len(judge_scores) / len(candidates)
     return tables, judge_scores, len(judged), coverage
 
 

@@ -19,6 +19,7 @@ from hoirefine.agents import (
     run_spatial,
     run_temporal,
     select_keyframes,
+    spatial_item,
 )
 from hoirefine.config import RefinementConfig
 from hoirefine.ingest import load_predictions, triplet_to_text
@@ -126,9 +127,9 @@ class TestTransitions:
             frame(1, [make_pair(scores=(0.1, 0.9, 0.0))]),
         ])
         [transition] = detect_transitions(video, every_frame(video))
-        assert transition == Transition(1, video.frames[1].pairs[0], 0, 1)
-        assert transition.pair.pair_id is video.pair_ids[0]
-        assert transition.slot == slots_of(video).index((1, ("id", 0, 1), 1))
+        slot = slots_of(video).index((1, ("id", 0, 1), 1))
+        assert transition == Transition(1, "chair", 0, 1, slot)
+        assert transition.object_class is video.labels[0]
 
     def test_stable_argmax_no_transition(self):
         video = make_video([
@@ -178,7 +179,8 @@ class TestTransitions:
         for f in indices:
             ids = rng.choice(5, size=int(rng.integers(0, 5)), replace=False)
             pairs = [make_pair(scores=tuple(rng.choice(levels, size=3).tolist()),
-                               pair_id=None if k == 4 else (0, int(k))) for k in ids]
+                               pair_id=None if k == 4 else (0, int(k)),
+                               object_class="cup" if k % 2 else "chair") for k in ids]
             frames.append(frame(f, pairs))
         video = make_video(frames)
         keyframes = select_keyframes(video.frame_indices(), interval)
@@ -188,15 +190,15 @@ class TestTransitions:
 
         by_frame = {fr.frame_index: {p.pair_id: p for p in fr.pairs if p.pair_id is not None}
                     for fr in video.frames}
+        slots = {slot: i for i, slot in enumerate(slots_of(video))}
         oracle = [
-            Transition(t, pair, top(by_frame[t - 1][pid].scores), top(pair.scores))
+            Transition(t, pair.object_class, top(by_frame[t - 1][pid].scores), top(pair.scores),
+                       slots[(t, ("id", *pid), top(pair.scores))])
             for t in indices if t - 1 in by_frame and (t in keyframes or t - 1 in keyframes)
             for pid, pair in by_frame[t].items()
             if pid in by_frame[t - 1] and top(by_frame[t - 1][pid].scores) != top(pair.scores)
         ]
-        transitions = detect_transitions(video, keyframes)
-        assert transitions == oracle
-        assert all(tr.pair == by_frame[tr.frame_index][tr.pair.pair_id] for tr in transitions)
+        assert detect_transitions(video, keyframes) == oracle
 
 
 class TestCommonSense:
@@ -432,6 +434,12 @@ class TestSpatial:
         assert table[SPATIAL].get((0, ("id", 0, 1), 0)) == 0.5
         assert table[SPATIAL].get((0, ("id", 0, 1), 1)) is None
 
+    def test_an_item_shows_its_boxes_in_whole_pixels(self):
+        # rounded half to even, as round() has it, not truncated
+        video = make_video([frame(0, [make_pair(human_box=(10.5, 11.5, 49.6, 100.4),
+                                                object_box=(0.4, 1.5, 2.5, 3.7))])])
+        assert spatial_item(video, 2) == ("<person,sit on,chair>", (10, 12, 50, 100), (0, 2, 2, 4))
+
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_call_volume(self, fixture_predictions, fixture_vocab, batch_size):
         # one awareness call per relation name in play, then the distinct
@@ -450,8 +458,8 @@ class TestSpatial:
                       for pair in frame.pairs
                       for r, s in enumerate(pair.scores) if s >= FLOOR]
         names = {vocab.names[r] for _, r in candidates}
-        items = {(triplet_to_text(pair, r, vocab), tuple(pair.human_box.as_int_list()),
-                  tuple(pair.object_box.as_int_list()))
+        items = {(triplet_to_text(pair, r, vocab), tuple(round(x) for x in pair.human_box),
+                  tuple(round(x) for x in pair.object_box))
                  for pair, r in candidates if vocab.names[r] in aware_names}
         assert len(items) > batch_size
 

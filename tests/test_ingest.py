@@ -401,7 +401,7 @@ class TestWritePredictions:
         pred_set, fused = case
         out = tmp_path_factory.getbasetemp() / "written.jsonl"
         write_predictions(pred_set, fused, str(out))
-        scores = iter(fused.values.reshape(-1, pred_set.vocabulary.n).tolist())
+        scores = iter(fused.column.reshape(-1, pred_set.vocabulary.n).tolist())
         expected = [json.dumps({
             "video_id": pred_set.video_id,
             "frame_index": frame.frame_index,

@@ -1,14 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoirefine.agents import detect_transitions, keyframe_slots
+from hoirefine.agents import detect_transitions, keyframe_slots, spatial_item
+from hoirefine.evaluation import positives_per_frame
+from hoirefine.ingest import triplet_to_text, write_predictions
 from hoirefine.model import (
     CS,
     SPATIAL,
     AgentScores,
+    BoundingBox,
+    FramePrediction,
     FusedScores,
     FusionWeights,
+    PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
     check_slots_distinct,
@@ -16,7 +23,7 @@ from hoirefine.model import (
     row_keys,
     tracked_pair_key,
 )
-from hoirefine.pipeline import fuse_table
+from hoirefine.pipeline import fuse_table, refine
 
 from conftest import kinds_at, make_pair, pack
 
@@ -81,7 +88,8 @@ class TestFusedScores:
         assert type(fused[(7, ("id", 2, 5), 1)]) is float
         assert len(fused) == 6
 
-    @pytest.mark.parametrize("slot", FOREIGN_SLOTS + [(3, ("idx", 1)), (3, ("idx", 1), 0, 0)])
+    @pytest.mark.parametrize("slot", FOREIGN_SLOTS + [
+        (3, ("idx", 1)), (3, ("idx", 1), 0, 0), (3, ("id", False, 1), 1), (3, ("idx", 1.0), 0)])
     def test_foreign_slot_is_missing(self, slot):
         fused = self.column([0.5] * 6)
         assert slot not in fused
@@ -95,6 +103,11 @@ class TestFusedScores:
         assert self.column(values) != self.column([-0.0] + values[1:])
         assert self.column(values) != dict(zip(self.column(values), [-0.0] + values[1:]))
         assert self.column(values) != dict(list(zip(self.column(values), values))[:5])
+
+    def test_values_are_the_scores_in_slot_order(self):
+        fused = self.column([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        assert list(fused.values()) == [fused[slot] for slot in fused]
+        assert list(fused.items()) == list(zip(fused, fused.values()))
 
 
 class TestAgentScores:
@@ -119,6 +132,22 @@ class TestAgentScores:
     def test_one_column_of_equal_lengths_per_kind(self, columns):
         with pytest.raises(ValueError, match="one .index, values. pair of equal lengths"):
             AgentScores(two_frames(), columns)
+
+    @pytest.mark.parametrize("index, name", [
+        ([1.5], "float"), ([True], "bool"), ([1, True], "bool"), ([1, 2.0], "float"),
+        (np.array([1.5]), "float64"), (np.array([True]), np.bool_.__name__),
+        ([np.float64(1)], "float64")])
+    def test_a_float_or_bool_index_is_refused(self, index, name):
+        # np.asarray would truncate 1.5 onto slot 1, and take True as 1
+        empty = ([], [])
+        with pytest.raises(TypeError, match=f"^a slot index must be an integer, not '{name}'$"):
+            AgentScores(two_frames(), [(index, [0.5] * len(index)), empty, empty, empty])
+
+    def test_integer_indices_are_taken(self):
+        empty = ([], [])
+        for index in ([1], [np.int64(1)], np.array([1], np.int32), np.array([], float)):
+            scores = AgentScores(two_frames(), [(index, [0.5] * len(index)), empty, empty, empty])
+            assert scores.columns[0][0].tolist() == list(map(int, index))
 
 
 class TestPredictionSet:
@@ -158,10 +187,29 @@ class TestPredictionSet:
             == (int, float, float)
         assert all(type(v) is float for v in (*pair.scores, *pair.human_box, *pair.object_box))
         assert repr(pair.scores) == "(0.5, 0.5)"
-        assert pair.human_box.as_int_list() == [10, 10, 50, 100]
+        assert pair.human_box == BoundingBox(10.0, 10.0, 50.0, 100.0)
         assert pair.pair_id is video.pair_ids[0] and pair.object_class is video.labels[0]
         assert frame.pairs is not frame.pairs and frame.pairs == frame.pairs  # built on each read
         assert [p.pair_id for _, p in video.iter_pairs()] == [(0, 1), None, (2, 5)]
+
+    def test_the_run_path_builds_no_record_view(self, fixture_predictions, fixture_config,
+                                                monkeypatch, tmp_path):
+        # refine, the writer and Recall@K's selection read the columns alone
+        built = []
+        for view in (PairPrediction, FramePrediction):
+            def init(self, *args, _init=view.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(view, "__init__", init)
+        outcome = refine(fixture_predictions, fixture_config, cache_dir=str(tmp_path / "cache"),
+                         transcript_dir=str(tmp_path / "transcripts"))
+        write_predictions(fixture_predictions, outcome.fused, str(tmp_path / "refined.jsonl"))
+        assert positives_per_frame(outcome.fused, fixture_config.weights.threshold)
+        assert outcome.stats.debates and os.listdir(tmp_path / "transcripts")
+        assert built == []
+        fixture_predictions.frames[0].pairs  # the count sees a view that is built
+        assert built == ["FramePrediction"] * len(fixture_predictions.frame_index) + [
+            "PairPrediction"] * int(fixture_predictions.row_start[1])
 
     def test_columns_are_read_only(self):
         video = two_frames()
@@ -210,7 +258,7 @@ class TestSlots:
                            make_pair(scores=(1.0, 0.5), pair_id=None))),
             (7, 640, 480, (make_pair(scores=(0.0, 0.75), pair_id=(2, 5)),))))
         # with no agent score, the fused column is the base scores, copied
-        column = fuse_table(video, AgentScores(video, [([], [])] * 4), FusionWeights()).values
+        column = fuse_table(video, AgentScores(video, [([], [])] * 4), FusionWeights()).column
         assert column.dtype == np.float64
         assert list(map(float.hex, column.tolist())) == list(map(float.hex, (
             0.25, -0.0, 1.0, 0.5, 0.0, 0.75)))
@@ -264,21 +312,27 @@ class TestFind:
             assert slot in fused and fused[slot] == i
             assert fused[(fi, tuple(pk), r)] == i  # an equal key, not the set's own
             assert fused[(np.int64(fi), pk, np.int64(r))] == i
+            assert fused[(fi, pk[:1] + tuple(map(np.int64, pk[1:])), r)] == i
         rows = np.arange(len(video.scores))[::-2]  # some rows, out of order
         assert row_keys(video, rows) == [expected[row * n][:2] for row in rows.tolist()]
-        # the slot indices of the pair views, the keyframe candidates and the
-        # transitions are those of their (frame_index, pair_key, relation) tuples
+        # a slot shows its pair view's text and boxes, and the keyframe
+        # candidates and the transitions land on the slots of their
+        # (frame_index, pair_key, relation) tuples
         pairs = [pair for frame in video.frames for pair in frame.pairs]
-        assert [p.slot(r) for p in pairs for r in range(n)] == [index[s] for s in expected]
+        assert [spatial_item(video, index[s]) for s in expected] == [
+            (triplet_to_text(p, r, video.vocabulary), tuple(round(x) for x in p.human_box),
+             tuple(round(x) for x in p.object_box)) for p in pairs for r in range(n)]
         keyframes = set(video.frame_indices()[::2])
-        assert list(keyframe_slots(video, keyframes, 0.3)) == [
-            (index[(frame.frame_index, pair_key(pair, i), r)], pair)
+        assert keyframe_slots(video, keyframes, 0.3) == [
+            index[(frame.frame_index, pair_key(pair, i), r)]
             for frame in video.frames if frame.frame_index in keyframes
             for i, pair in enumerate(frame.pairs) for r, score in enumerate(pair.scores)
             if score >= 0.3]
         for tr in detect_transitions(video, keyframes):
+            pair = pairs[tr.slot // n]
             assert tr.slot == index[
-                (tr.frame_index, tracked_pair_key(tr.pair.pair_id), tr.new_relation)]
+                (tr.frame_index, tracked_pair_key(pair.pair_id), tr.new_relation)]
+            assert tr.object_class == pair.object_class
 
     @settings(max_examples=200, deadline=None)
     @given(prediction_sets())
@@ -302,6 +356,12 @@ class TestFind:
                         (fi, pk, True), (fi, pk, False), (fi, pk, 0.0), (fi, pk, np.float64(0)),
                         (float(fi), pk, 0), (np.float64(fi), pk, 0), (True, pk, 0),
                         (False, pk, 0)]
+                # so is one inside the pair key, as ("id", False, 1) or ("idx", 1.0)
+                for j in range(1, len(pk)):
+                    bad += [(fi, pk[:j] + (float(pk[j]),) + pk[j + 1:], 0),
+                            (fi, pk[:j] + (np.float64(pk[j]),) + pk[j + 1:], 0)]
+                    if pk[j] in (0, 1):
+                        bad.append((fi, pk[:j] + (bool(pk[j]),) + pk[j + 1:], 0))
                 for key in bad:
                     assert key not in fused
                     with pytest.raises(KeyError):
