@@ -6,18 +6,21 @@ Agents only score candidate relations whose base confidence reaches a small
 floor; scoring every relation of every pair is exactly the call-volume
 explosion keyframe sampling exists to avoid.
 
-Every agent asks its provider through one loop, ``_score_batches``, which
-asks each distinct prompt once, under ``provider.text_or_none``, the one
-failure policy of both stages: a failed batch leaves only its slots
-unscored, and an AuthError propagates to the caller.
+Every agent asks its provider through one loop, ``_score_batches``, the
+one place that puts an answer's values on slots: an agent hands it an
+ordered map from each item it asks about (a triplet text, a text with its
+boxes, a transition or a relation name) to the item's slots. It asks each
+distinct prompt once, under ``provider.text_or_none``, the one failure
+policy of both stages: a failed batch leaves only its slots unscored, and
+an AuthError propagates to the caller.
 
 Each agent function asks one provider; ``pipeline.run_stage_one`` runs
 every agent for every provider at once. One agent's batches are in flight
 together, up to the provider's ``max_concurrency``. Each answer is parsed
 as it arrives, and each batch is reported at once to the agent's
 ``on_scored(kind, scored)``: its score kind and a ``(slot, value)`` for
-every candidate slot the batch covers, the value None where it is unscored,
-so a caller knows when a slot's scores are final. A slot is an index of the
+every slot of the batch's items, the value None where it is unscored, so a
+caller knows when a slot's scores are final. A slot is an index of the
 set's raveled score column, relation ``slot % n`` of row ``slot // n``, whose
 class and boxes the agents read from the set's columns.
 Each slot gets each kind from one batch, so the scores do not depend on
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,21 +163,24 @@ def fan_out(fn: Callable, items: list, max_workers: int,
     return results
 
 
-def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
-                   render, parse, cache_dir: Optional[str], on_batch: Callable,
+def _score_batches(provider: Provider, what: str, wanted: dict, batch_size: int,
+                   render, parse, cache_dir: Optional[str], report: Callable,
                    stop: Optional[threading.Event]) -> None:
-    """Ask ``provider`` about ``items``, ``batch_size`` per prompt, with up to
-    ``provider.spec.max_concurrency`` prompts in flight.
+    """Ask ``provider`` about the items of ``wanted``, an ordered map from
+    each item to its slots, ``batch_size`` items per prompt in that order,
+    with up to ``provider.spec.max_concurrency`` prompts in flight.
 
     ``render(batch)`` builds the prompt bundle on the calling thread. Each
     distinct prompt is asked once; as its answer arrives, ``parse(raw, n)``
     turns it into one value or None per item for every batch that rendered
-    it, and ``on_batch(batch, values)`` gets them, on the thread that asked.
-    A batch whose prompt failed gets all None. Under ``text_or_none``, an
-    AuthError propagates, sets ``stop`` and starts no queued prompt of any
-    fan-out sharing ``stop``; its batches are not reported. Any other
-    ProviderError drops only the values of its own prompt.
+    it, and ``report([(slot, value), ...])`` gets each item's value on every
+    slot of the item, on the thread that asked. A batch whose prompt failed
+    gets all None. Under ``text_or_none``, an AuthError propagates, sets
+    ``stop`` and starts no queued prompt of any fan-out sharing ``stop``;
+    its batches are not reported. Any other ProviderError drops only the
+    values of its own prompt.
     """
+    items = list(wanted)
     batches: dict[str, list] = {}
     for start in range(0, len(items), batch_size):
         batch = items[start:start + batch_size]
@@ -184,18 +191,11 @@ def _score_batches(provider: Provider, what: str, items: list, batch_size: int,
             lambda: cached_complete(provider, CompletionRequest(prompt), cache_dir).text,
             f"{provider.id}: {what} batch")
         for batch in batches[prompt]:
-            on_batch(batch, [None] * len(batch) if raw is None else parse(raw, len(batch)))
+            values = [None] * len(batch) if raw is None else parse(raw, len(batch))
+            report([(slot, value) for item, value in zip(batch, values)
+                    for slot in wanted[item]])
 
     fan_out(ask, list(batches), provider.spec.max_concurrency, stop)
-
-
-def _reporter(slots_of: Callable, kind: str, on_scored: Callable) -> Callable:
-    """An ``on_batch`` that reports each item's value, or None, on every
-    slot of ``slots_of(item)``, as ``on_scored(kind, [(slot, value), ...])``."""
-    def on_batch(batch: list, values: list) -> None:
-        on_scored(kind, [(slot, value) for item, value in zip(batch, values)
-                         for slot in slots_of(item)])
-    return on_batch
 
 
 def run_common_sense(
@@ -221,9 +221,9 @@ def run_common_sense(
     for slot in keyframe_slots(pred_set, keyframes, floor):
         text = label_triplet(labels[classes[slot // n]], slot % n, vocab)
         wanted.setdefault(text, []).append(slot)
-    _score_batches(provider, "common-sense", sorted(wanted), batch_size,
+    _score_batches(provider, "common-sense", dict(sorted(wanted.items())), batch_size,
                    render_common_sense, parse_score_output, cache_dir,
-                   _reporter(wanted.__getitem__, CS, on_scored), stop)
+                   partial(on_scored, CS), stop)
 
 
 def classify_spatial_awareness(
@@ -235,14 +235,10 @@ def classify_spatial_awareness(
     """Stage-1 spatial query: one yes/no per relation name, memoized by the
     response cache. A failed or unparseable answer means not spatial-aware."""
     verdicts = {}
-
-    def on_batch(batch: list, values: list) -> None:
-        verdicts[batch[0]] = values[0] is True
-
-    _score_batches(provider, "awareness", relation_names, 1,
+    _score_batches(provider, "awareness", {name: (name,) for name in relation_names}, 1,
                    lambda batch: render_spatial("awareness", batch),
-                   lambda raw, _n: [parse_binary_output(raw)], cache_dir, on_batch, stop)
-    return {name: verdicts.get(name, False) for name in relation_names}
+                   lambda raw, _n: [parse_binary_output(raw)], cache_dir, verdicts.update, stop)
+    return {name: verdicts.get(name) is True for name in relation_names}
 
 
 def run_spatial(
@@ -275,10 +271,9 @@ def run_spatial(
             continue
         wanted.setdefault(spatial_item(pred_set, slot), []).append(slot)
     on_scored(SPATIAL, unaware)
-    _score_batches(provider, "spatial", sorted(wanted), batch_size,
+    _score_batches(provider, "spatial", dict(sorted(wanted.items())), batch_size,
                    lambda batch: render_spatial("scoring", batch),
-                   parse_score_output, cache_dir,
-                   _reporter(wanted.__getitem__, SPATIAL, on_scored), stop)
+                   parse_score_output, cache_dir, partial(on_scored, SPATIAL), stop)
 
 
 def run_temporal(
@@ -296,13 +291,12 @@ def run_temporal(
     prompt that such slots repeat is asked once. Reports like
     ``run_common_sense``, each transition's ``slot`` once."""
     _score_batches(
-        provider, "temporal", transitions, batch_size,
+        provider, "temporal", {tr: (tr.slot,) for tr in transitions}, batch_size,
         lambda batch: render_temporal(
             [(label_triplet(tr.object_class, tr.old_relation, vocab),
               label_triplet(tr.object_class, tr.new_relation, vocab)) for tr in batch],
             [(tr.frame_index - 1, tr.frame_index) for tr in batch]),
-        parse_score_output, cache_dir, _reporter(lambda tr: (tr.slot,), TEMPORAL, on_scored),
-        stop)
+        parse_score_output, cache_dir, partial(on_scored, TEMPORAL), stop)
 
 
 # pairs whose targets one pass of ``_fill`` fills, so that its temporaries

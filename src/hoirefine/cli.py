@@ -55,16 +55,19 @@ def _ks(args) -> list[int]:
     return ks
 
 
-def _check_out_path(path: Optional[str]) -> None:
-    """Reject an output path that is a directory or whose directory does not
-    exist, so the command fails before doing any work for it. No path
-    passes."""
-    if path:
-        directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            raise FileNotFoundError(f"{path}: directory {directory} does not exist")
-        if os.path.isdir(path):
-            raise IsADirectoryError(f"{path}: is a directory")
+def _check_out_path(path: Optional[str], flag: str) -> None:
+    """Reject an output path given to ``flag`` that is empty, is a directory
+    or whose directory does not exist, so the command fails before doing any
+    work for it. No path (None) passes."""
+    if path is None:
+        return
+    if not path:
+        raise ValueError(f"{flag} is an empty path")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path}: is a directory")
 
 
 def _gt_per_frame(gt_set) -> dict[int, frozenset]:
@@ -85,7 +88,7 @@ def _load_run(args):
     if args.debate_mode is not None:
         config = replace(config, debate_mode=args.debate_mode)
     pred_set = load_predictions(args.predictions, load_vocabulary(args.vocab))
-    _check_out_path(args.out)
+    _check_out_path(args.out, "--out")
     return config, pred_set, build_providers(config)
 
 
@@ -102,7 +105,7 @@ def cmd_refine(args) -> int:
 
 def cmd_eval(args) -> int:
     ks = _ks(args)
-    _check_out_path(args.report)
+    _check_out_path(args.report, "--report")
     pred_set = load_predictions(args.refined, load_vocabulary(args.vocab))
     gt = load_ground_truth(args.gt, pred_set)
     positives = positives_per_frame(FusedScores(pred_set, pred_set.scores.ravel()), args.threshold)

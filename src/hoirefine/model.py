@@ -116,7 +116,12 @@ class FramePrediction:
 
     @property
     def pairs(self) -> tuple[PairPrediction, ...]:
-        return self._set.pairs(*self._rows)
+        start, stop = self._rows
+        ids, labels = self._set.pair_ids, self._set.labels
+        return tuple(PairPrediction(self._set, row, labels[c], None if p < 0 else ids[p])
+                     for row, p, c in zip(range(start, stop),
+                                          self._set.pair_code[start:stop].tolist(),
+                                          self._set.class_code[start:stop].tolist()))
 
 
 def _column(values, dtype, shape: tuple) -> np.ndarray:
@@ -146,7 +151,7 @@ class VideoPredictionSet:
     or whose codes lie outside ``pair_ids`` or ``labels`` raises ValueError.
     Only the loader checks the values themselves.
 
-    ``frames``, ``frame.pairs``, ``pairs`` and ``iter_pairs`` build record
+    ``frames``, ``frame.pairs`` and ``iter_pairs`` build record
     views of the columns on each read, with Python numbers, and the set
     keeps none of them. Two sets are equal when their columns, ids, labels
     and other fields are."""
@@ -185,13 +190,6 @@ class VideoPredictionSet:
         start = self.row_start.tolist()
         return tuple(FramePrediction(self, fi, w, h, rows) for fi, (w, h), rows in zip(
             self.frame_index.tolist(), self.frame_size.tolist(), zip(start, start[1:])))
-
-    def pairs(self, start: int, stop: int) -> tuple[PairPrediction, ...]:
-        """The pairs of rows ``start`` to ``stop``."""
-        ids, labels = self.pair_ids, self.labels
-        return tuple(PairPrediction(self, row, labels[c], None if p < 0 else ids[p])
-                     for row, p, c in zip(range(start, stop), self.pair_code[start:stop].tolist(),
-                                          self.class_code[start:stop].tolist()))
 
     def frame_indices(self) -> list[int]:
         return self.frame_index.tolist()

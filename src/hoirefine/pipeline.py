@@ -3,7 +3,9 @@ debate, cross-provider aggregation, propagation and fusion.
 
 The two stages form one dataflow. Stage 1 runs every agent for every
 provider at once; each keyframe candidate is debated as soon as its stage-1
-scores are final, while the rest of stage 1 is still in flight.
+scores are final, while the rest of stage 1 is still in flight. Stage two
+picks the candidates to debate once per stage-1 report, among those the
+report finishes.
 
 Stage-1 scores used by fusion are arithmetic means over the providers that
 returned a value, summed in provider order, so they do not depend on which
@@ -217,18 +219,20 @@ def run_stage_two(
 
     A candidate waits for two reports per provider (common sense, and
     spatial or its not-aware verdict), plus one per provider for each
-    transition that lands on it. After its last report its
-    per-provider fused scores are final, and ``select_debate_candidates``
-    sees that candidate alone. One debate runs, and is persisted, per
-    distinct question, as soon as a selected candidate first asks it; its
-    judge score goes on every candidate that asked it. The debates run on
-    up to as many threads as the providers allow requests in flight
-    together (the sum of their ``max_concurrency``), started as debates are
-    queued; each provider's own semaphore still bounds its requests. With
-    ``debate_mode`` "off" no candidate is selected, so no debate runs and
-    the pool starts no thread. Stage one and the debates share one stop:
-    once either raises, neither starts anything further, the running calls
-    finish and the error propagates."""
+    transition that lands on it. After its last report its per-provider
+    fused scores are final. Each report makes one
+    ``select_debate_candidates`` call over every candidate it finishes, and
+    the selected ones ask their questions in slot order. One debate runs,
+    and is persisted, per distinct question, as soon as a selected
+    candidate first asks it; its judge score goes on every candidate that
+    asked it. The debates run on up to as many threads as the providers
+    allow requests in flight together (the sum of their
+    ``max_concurrency``), started as debates are queued; each provider's
+    own semaphore still bounds its requests. With ``debate_mode`` "off" no
+    candidate is selected, so no debate runs and the pool starts no thread.
+    Stage one and the debates share one stop: once either raises, neither
+    starts anything further, the running calls finish and the error
+    propagates."""
     judge = next(p for p in providers if p.id == config.judge_provider)
     transitions = detect_transitions(pred_set, keyframes)
     candidates = keyframe_slots(pred_set, keyframes, config.candidate_floor)
@@ -256,6 +260,7 @@ def run_stage_two(
     pool = ThreadPoolExecutor(sum(p.spec.max_concurrency for p in providers))
 
     def on_scored(tables: dict[str, dict[str, dict]], slots: list) -> None:
+        final = {}  # the candidates this report finishes, with their fused scores
         for slot in slots:
             if slot not in waiting:
                 continue
@@ -263,15 +268,14 @@ def run_stage_two(
             if waiting[slot]:
                 continue
             del waiting[slot]
-            fused = [fuse_scores(pred_set.scores.item(slot),
-                                 *(tables[p.id][kind].get(slot) for kind in STAGE_ONE_KINDS),
-                                 weights=config.weights) for p in providers]
-            if not select_debate_candidates({slot: fused}, config.debate_mode,
-                                            config.disagreement_delta):
-                continue
+            final[slot] = [fuse_scores(pred_set.scores.item(slot),
+                                       *(tables[p.id][kind].get(slot) for kind in STAGE_ONE_KINDS),
+                                       weights=config.weights) for p in providers]
+        for slot in select_debate_candidates(final, config.debate_mode,
+                                             config.disagreement_delta):
             question = render_debate_question(
                 *spatial_item(pred_set, slot),
-                {p.id: score for p, score in zip(providers, fused)},
+                {p.id: score for p, score in zip(providers, final[slot])},
             )
             asked[slot] = question
             if question not in judged:

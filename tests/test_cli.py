@@ -284,21 +284,24 @@ def test_bad_rule_table_exits_one_before_any_call(tmp_path, capsys, command, rul
 
 @pytest.mark.parametrize("command,flag", [("refine", "--out"), ("ablate", "--out"),
                                           ("eval", "--report")])
-@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir", "empty"])
 def test_unwritable_output_path_exits_one_before_any_call(tmp_path, capsys, transport_calls,
                                                           command, flag, where):
     if where == "missing-dir":
         out = tmp_path / "missing" / "out.jsonl"
-    else:
+    elif where == "is-dir":
         out = tmp_path / "out"
         out.mkdir()
+    else:
+        out = ""
     argv = [command, *INPUT_FILES[command], "--vocab", fixture_path("vocab.txt"), flag, str(out)]
     if command != "eval":
         argv += ["--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
-    assert str(out) in captured.err
+    # every message holds the empty path, so that one must name the flag
+    assert (f"{flag} is an empty path" if out == "" else str(out)) in captured.err
     assert "R@" not in captured.out
     assert transport_calls == []
     assert not (tmp_path / "cache").exists()

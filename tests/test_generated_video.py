@@ -1,9 +1,9 @@
-"""One seeded video of the benchmark's generator (``perfbench/gen.py``),
-refined offline by the benchmark's own harness (``perfbench/run.py``), must
-give the refined bytes and Recall@K that ``perfbench/expected.json`` records
-for it. The fixture's pairs are all tracked; a generated video also has
-untracked pairs, spatial-aware boxes and debated transitions, so this pins
-their output bit for bit too."""
+"""Seeded videos of the benchmark's generator (``perfbench/gen.py``), one
+of 200 frames and one of 800, refined offline by the benchmark's own
+harness (``perfbench/run.py``), must give the refined bytes and Recall@K
+that ``perfbench/expected.json`` records for them. The fixture's pairs are
+all tracked; a generated video also has untracked pairs, spatial-aware
+boxes and debated transitions, so this pins their output bit for bit too."""
 
 import os
 
@@ -19,10 +19,13 @@ def run(monkeypatch):
     return run
 
 
-def test_an_rt_cold_video_gives_its_recorded_output(run, tmp_path):
-    bench = run.Bench("rt_cold", str(tmp_path), [0], run.load_expected(), latency=False)
+# rt_long's 800 frames give a stage-one report that finishes thousands of
+# candidates at once, which the 200 frames of rt_cold do not reach
+@pytest.mark.parametrize("workload,variant", [("rt_cold", 0), ("rt_long", 0)])
+def test_a_generated_video_gives_its_recorded_output(run, tmp_path, workload, variant):
+    bench = run.Bench(workload, str(tmp_path), [variant], run.load_expected(), latency=False)
     bench.prepare()
-    sample = bench.rep(0)
+    sample = bench.rep(variant)
     assert sample["problems"] == []
     assert sample["failed"] == 0 and sample["provider_calls"] > 0
     assert 0 < sample["ctx"]["tracked_share"] < 1

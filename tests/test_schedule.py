@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hoirefine import pipeline
+from hoirefine.agents import detect_transitions, keyframe_slots, select_keyframes
 from hoirefine.cli import main
 from hoirefine.config import RefinementConfig
 from hoirefine.ingest import write_predictions
@@ -222,6 +223,69 @@ def test_coverage_is_the_share_of_candidates_holding_each_kind(
                     held += 1
             expected[kind] = held / len(candidates)
     assert run["coverage"] == expected
+
+
+@pytest.mark.parametrize("keyframe_interval", [3, 4])
+@pytest.mark.parametrize("batch_size", [1, 16])
+@pytest.mark.parametrize("answers", ["rules", "chaos"])
+def test_stage_one_reports_each_slot_as_often_as_stage_two_waits_for_it(
+        fixture_predictions, fixture_config, answers, batch_size, keyframe_interval):
+    # run_stage_two takes a candidate's scores as final after 2P reports
+    # (common sense, and spatial or its not-aware verdict, per provider),
+    # plus P for each transition landing on it; a transition's slot that is
+    # no candidate gets P. A failed batch reports its slots too.
+    if answers == "rules":
+        config = dataclasses.replace(fixture_config, batch_size=batch_size,
+                                     keyframe_interval=keyframe_interval)
+        providers = pipeline.build_providers(config)
+    else:
+        config = chaos_config((2, 2, 2), batch_size, "off", keyframe_interval)
+        transport = ChaosTransport(latency=False)
+        # with no retry, every prompt that fails its first attempt is dropped
+        providers = [Provider(dataclasses.replace(spec, max_retries=0), transport=transport)
+                     for spec in config.providers]
+    keyframes = select_keyframes(fixture_predictions.frame_indices(), keyframe_interval)
+    transitions = detect_transitions(fixture_predictions, keyframes)
+    candidates = keyframe_slots(fixture_predictions, keyframes, config.candidate_floor)
+    reported = Counter()
+    pipeline.run_stage_one(fixture_predictions, config, providers, keyframes, transitions, None,
+                           lambda _tables, slots: reported.update(slots), threading.Event())
+    expected = Counter(dict.fromkeys(candidates, 2 * len(providers)))
+    expected.update(tr.slot for tr in transitions for _ in providers)
+    assert reported == expected
+    # the fixture's one flip lands on a candidate at interval 4, on none at 3
+    assert [tr.slot in candidates for tr in transitions] == [keyframe_interval == 4]
+    if answers == "chaos":
+        assert any(_hash(SEED, pid, prompt) % 100 < 15 for pid, prompt in transport.attempts)
+
+
+def test_stage_two_selects_once_per_report(fixture_predictions, fixture_config, monkeypatch):
+    # the selector is wrapped by name, as the benchmark's trace wraps it
+    select, stage_one = pipeline.select_debate_candidates, pipeline.run_stage_one
+    inputs, reports = [], []
+
+    def recording_select(fused, *args):
+        inputs.append(list(fused))
+        return select(fused, *args)
+
+    def counting_stage_one(*args):
+        on_scored = args[6]
+
+        def counted(tables, slots):
+            reports.append(slots)
+            on_scored(tables, slots)
+        return stage_one(*args[:6], counted, *args[7:])
+
+    monkeypatch.setattr(pipeline, "select_debate_candidates", recording_select)
+    monkeypatch.setattr(pipeline, "run_stage_one", counting_stage_one)
+    outcome = refine(fixture_predictions, fixture_config)
+    keyframes = select_keyframes(fixture_predictions.frame_indices(),
+                                 fixture_config.keyframe_interval)
+    candidates = keyframe_slots(fixture_predictions, keyframes, fixture_config.candidate_floor)
+    assert 0 < len(inputs) <= len(reports)
+    # each candidate goes to the selector exactly once
+    assert sorted(slot for fused in inputs for slot in fused) == candidates
+    assert outcome.stats.debates > 0
 
 
 def test_total_outage_raises_before_the_slot_layout(fixture_predictions, monkeypatch):

@@ -67,6 +67,9 @@ def test_traced_refine_reaches_every_agent_and_the_debate(installed, fixture_pre
     assert len(asks) == sum(s[1] == "provider.complete" for s in spans)
     assert installed.counts["agents.batches"] > 0
     assert installed.counts["prompt.asked"] > 0
+    # the fixture debates every one of its 36 candidates; the count adds up
+    # each selector call's result, however the calls split the candidates
+    assert installed.counts["debate.selected"] == 36
 
 
 def test_traced_transition_count_is_what_the_temporal_agent_got(installed, fixture_predictions,
