@@ -14,10 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .ingest import BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _fields, _records, write_atomic
+from .ingest import (_FLOAT_MAX, BOOLEAN, INTEGER, NUMBER, STRING, ParseError, _blocks, _fields,
+                     _keys_once, _records, write_atomic)
 
 METRICS = ("l1", "neg_cosine")
 _VECTORS = ("f_human", "f_inter", "f_obj", "e_text")  # per-cell vectors of an EmbeddingBatch
@@ -269,9 +271,33 @@ def load_embedding_batch(path: str) -> tuple[EmbeddingBatch, str]:
     ``metric``, one of METRICS. Each of the K*K cells follows once: integers
     ``i`` and ``j`` in [0, K), ``f_human``, ``f_inter`` and ``f_obj`` of
     ``d_f`` numbers, ``e_text`` of ``d_e`` numbers and the boolean ``gt``,
-    false on the diagonal. A record with another key, or that breaks a
-    rule, raises ParseError at its line."""
-    records = _records(path)
+    false on the diagonal. The file is decoded in blocks with no number
+    hook (``ingest._blocks``); a refused value, a key given twice, or a
+    vector value that is not finite or may be an integer beyond float
+    range sends it to a strict re-read, in which a record with another key,
+    or that breaks a rule, raises ParseError at its line."""
+    try:
+        batch, metric = _read_batch(path, _plain_records(path))
+        if all((np.abs(getattr(batch, name)) < _FLOAT_MAX).all() for name in _VECTORS):
+            return batch, metric
+    except (ValueError, TypeError, OverflowError):  # ParseError is a ValueError
+        pass
+    return _read_batch(path, _records(path))
+
+
+def _plain_records(path: str) -> Iterator[tuple[int, dict]]:
+    """(line number, record) of each line of ``path``, decoded by
+    ``ingest._blocks``; a key given twice raises ValueError."""
+    for block, records, quotes in _blocks(path, bools=True):
+        strings = sum(type(value) is str for rec in records for value in rec.values())
+        if not _keys_once(records, quotes, strings):
+            raise ValueError("a key given twice")
+        yield from zip((lineno for lineno, _ in block), records)
+
+
+def _read_batch(path: str, records: Iterator[tuple[int, dict]]) -> tuple[EmbeddingBatch, str]:
+    """``load_embedding_batch`` of the (line number, record) pairs
+    ``records`` of ``path``."""
     first = next(records, None)
     if first is None:
         raise ValueError(f"{path}: empty batch file")

@@ -3,15 +3,19 @@ triplet-to-text serialization shared by every prompt.
 
 Predictions and ground truth are line-delimited JSON, one object per line;
 relation vocabularies are plain text, one relation name per line (index =
-line number). Every file is read by one reader and every value checked by
-one type rule, in the same pass, so each rejected input raises ParseError
-at ``path:line``. Labels are lower-cased at load time so prompt text is
-stable across datasets that mix cases. A prediction file is loaded straight
-into its set's columns: each line's numbers are appended to ``array('d')``
-buffers, which become the float64 score and box columns, and each label and
-pair id is held once, as the code its rows refer to; no per-record object
-is built. A loaded ground truth shares its prediction set's pair-id objects
-and holds each distinct triplet and frame set once.
+line number). Labels are lower-cased at load time so prompt text is stable
+across datasets that mix cases. Prediction and ground-truth files are read
+a block of lines at a time: a block is decoded as one JSON array with no
+number or object hook, and its records are checked together, their numbers
+as small arrays, before they are appended to the set's buffers. A file that
+breaks a rule is then checked line by line (``linecheck``), by one type
+rule and a strict decode, which raises ParseError at ``path:line`` for its
+first bad line; no set is built that way. A prediction file is loaded straight into its set's
+columns: each block's numbers are appended to ``array('d')`` buffers, which
+become the float64 score and box columns, and each label and pair id is
+held once, as the code its rows refer to; no per-record object is built. A
+loaded ground truth shares its prediction set's pair-id objects and holds
+each distinct triplet and frame set once.
 Refined predictions are written from the fused-score column and the set's
 own columns, one formatted line per pair, each the bytes
 ``json.dumps(record, sort_keys=True)`` gives, and streamed to the file a
@@ -27,7 +31,10 @@ import os
 import sys
 import threading
 from array import array
-from typing import Iterable, Iterator, Optional
+from collections import Counter
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -100,11 +107,10 @@ def _lines(path: str, data: Optional[bytes] = None) -> Iterator[tuple[int, str]]
                 yield lineno, line
 
 
-def _decoder(parse_float=_in_range(float)):
-    """A JSON decoder of one's own whose ``_in_range`` hooks parse the
-    numbers; ``float`` as ``parse_float`` reads a float beyond float range
-    as an infinity, at the JSON scanner's own speed."""
-    return json.JSONDecoder(parse_float=parse_float, parse_int=_in_range(int),
+def _decoder():
+    """A JSON decoder of one's own whose hooks refuse ``NaN``, the
+    infinities, a number beyond float range and a key given twice."""
+    return json.JSONDecoder(parse_float=_in_range(float), parse_int=_in_range(int),
                             parse_constant=_no_constant, object_pairs_hook=_unique_keys).raw_decode
 
 
@@ -131,6 +137,94 @@ def _records(path: str, data: Optional[bytes] = None) -> Iterator[tuple[int, dic
     decode = _decoder()
     for lineno, line in _lines(path, data):
         yield lineno, _decode(path, lineno, line, decode)
+
+
+_PLAIN = json.JSONDecoder().raw_decode  # no hook: the JSON scanner at its own speed
+_BLOCK = 64  # lines decoded as one JSON array
+
+
+def _blocks(path: str, bools: bool = False) -> Iterator[tuple[list, list, Optional[int]]]:
+    """``_lines(path)`` a block of ``_BLOCK`` at a time, with the block's
+    records and the count of double quotes in its lines. A block is decoded
+    as one JSON array with no hook, so a record may hold ``NaN``, an
+    infinity (for ``1e400``), an integer beyond float range or the last
+    value of a key given twice; the caller refuses each, the last by
+    ``_keys_once``. Where that decode is unsound, each line is decoded by
+    ``_decode`` and the count is None: where a quote follows a backslash,
+    so it may be no delimiter, where ``true`` or ``false`` appears and not
+    ``bools`` (numpy reads a bool among numbers as a number), where a line
+    does not end in ``}``, or where the array holds other than one object
+    per line. As no string holds the line break that joins two lines, each
+    line then holds one record, unless a record holds an object, which the
+    caller refuses."""
+    lines, strict = _lines(path), _decoder()
+    while block := list(islice(lines, _BLOCK)):
+        texts = [line for _, line in block]
+        text, records = ",\n".join(texts), None
+        if ({line[-1] for line in texts} == {"}"} and '\\"' not in text
+                and (bools or "true" not in text and "false" not in text)):
+            with contextlib.suppress(ValueError):
+                records, end = _PLAIN(f"[{text}]")
+                if (end, len(records), set(map(type, records))) != (len(text) + 2, len(block), {dict}):
+                    records = None
+        if records is None:
+            yield block, [_decode(path, lineno, line, strict) for lineno, line in block], None
+        else:
+            yield block, records, text.count('"')
+
+
+def _keys_once(records: list, quotes: Optional[int], strings: int) -> bool:
+    """Whether no record of a block of ``_blocks`` holding ``quotes`` double
+    quotes was given a key twice: with no escaped quote, each key and each
+    of the ``strings`` string values is two of them, and a key given twice,
+    or a string held elsewhere, adds more. A block decoded line by line
+    refused a key given twice as it was read."""
+    return quotes is None or quotes == 2 * (sum(map(len, records)) + strings)
+
+
+def _in_float_range(flat: list, types: set) -> bool:
+    """Whether each of ``flat`` is of one of ``types`` and none lies beyond
+    float range."""
+    return types.issuperset(map(type, flat)) and (
+        not flat or -_FLOAT_MAX <= min(flat) and max(flat) <= _FLOAT_MAX)
+
+
+def _floats(values: Iterable, shape: tuple, exact: bool) -> np.ndarray:
+    """The JSON numbers ``values`` (or lists of them) as a float64 array of
+    ``shape``, or ValueError: for a string, list or object among them, an
+    integer beyond float range or, where ``exact``, a bool. ``NaN`` and an
+    infinity may pass."""
+    numbers = np.array(values)
+    if exact or numbers.dtype.kind not in "fiu":  # a bool, or an integer beyond int64
+        if not _in_float_range(list(chain.from_iterable(values) if len(shape) > 1 else values),
+                               {int, float}):
+            raise ValueError("not numbers within float range")
+        numbers = np.array(values, float)
+    if numbers.shape != shape:
+        raise ValueError(f"shape {numbers.shape}, not {shape}")
+    return numbers.astype(float, copy=False)
+
+
+def _check_pair_ids(ids: Iterable) -> None:
+    """Unless each of ``ids`` is a list of two integers within float range,
+    raise ValueError."""
+    if (set(map(type, ids)) - {list} or set(map(len, ids)) - {2}
+            or not _in_float_range(list(chain.from_iterable(ids)), {int})):
+        raise ValueError("a pair id not of two integers within float range")
+
+
+def _in_blocks(load: Callable, check: str, path: str, *args):
+    """``load(path, *args)``, which reads the file in blocks. Where it
+    refuses the file, ``linecheck``'s ``check`` reads it line by line and
+    raises the error of its first bad line; that module is compiled only
+    then."""
+    try:
+        return load(path, *args)
+    except (ValueError, TypeError, OverflowError) as exc:  # ParseError is a ValueError
+        from . import linecheck
+
+        getattr(linecheck, check)(path, *args)
+        raise RuntimeError(f"{path}: refused in blocks but not line by line") from exc
 
 
 # JSON types by exact Python type, so a bool is no integer and no number
@@ -191,23 +285,34 @@ def label_triplet(object_class: str, relation_index: int, vocab: RelationVocabul
 
 
 def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet:
-    """Load a line-delimited prediction file, checking each record in the
-    pass that reads it. A record holds ``frame_index`` (an integer in
-    [0, 2**63)), the numbers ``frame_w`` and ``frame_h``, the string
-    ``object_class``, ``human_box`` and ``object_box`` (four numbers x1 <
-    x2, y1 < y2 inside the frame) and ``scores`` (a number in [0,1] per
-    relation). Optional are ``pair_id`` (two integers, unique in the frame),
-    ``video_id`` (a string) and ``score_scale`` ("base" or "fused"; a fused
-    score may exceed 1); these two and each frame's size must agree with
-    earlier records. The first record with another key, or that breaks a
-    rule, raises ParseError at its line. Frames come out sorted by index,
-    each frame's pairs in file order."""
-    schema = {"frame_index": (INTEGER, None), "frame_w": (NUMBER, None),
-              "frame_h": (NUMBER, None), "object_class": (STRING, None),
-              "human_box": (NUMBER, 4), "object_box": (NUMBER, 4), "scores": (NUMBER, vocab.n),
-              "pair_id": (INTEGER, 2), "video_id": (STRING, None), "score_scale": (STRING, None)}
-    optional = frozenset({"pair_id", "video_id", "score_scale"})
-    frames: dict[int, tuple[tuple[float, float], set]] = {}  # size and pair codes per frame
+    """Load a line-delimited prediction file. A record holds
+    ``frame_index`` (an integer in [0, 2**63)), the numbers ``frame_w`` and
+    ``frame_h``, the string ``object_class``, ``human_box`` and
+    ``object_box`` (four numbers x1 < x2, y1 < y2 inside the frame) and
+    ``scores`` (a number in [0,1] per relation). Optional are ``pair_id``
+    (two integers, unique in the frame), ``video_id`` (a string) and
+    ``score_scale`` ("base" or "fused"; a fused score may exceed 1); these
+    two and each frame's size must agree with earlier records. The records
+    are checked a block at a time (``_blocks``) and the frame rules once
+    over the columns. A file that breaks a rule is checked line by line,
+    which raises ParseError at the first record with another key or that
+    breaks a rule. Frames come out sorted by index, each frame's pairs in
+    file order."""
+    return _in_blocks(_prediction_blocks, "check_predictions", path, vocab)
+
+
+_PREDICTION_FIELDS = ("frame_index", "frame_w", "frame_h", "object_class",
+                      "human_box", "object_box", "scores")
+_REQUIRED = frozenset(_PREDICTION_FIELDS)
+_TEXTS = frozenset({"video_id", "score_scale"})  # optional string fields, besides pair_id
+_prediction_row = itemgetter(*_PREDICTION_FIELDS)
+
+
+def _prediction_blocks(path: str, vocab: RelationVocabulary) -> VideoPredictionSet:
+    """``load_predictions`` a block of records at a time; ValueError,
+    TypeError or OverflowError for a file that breaks a rule."""
+    n = vocab.n
+    sizes: dict = {}  # each frame index to its (width, height)
     video_id: Optional[str] = None
     score_scale: Optional[str] = None
     # per row, in file order: its scores, boxes, frame index, pair code and class code
@@ -216,65 +321,60 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
     pair_ids: dict = {}  # each distinct pair id to its code
     classes: dict = {}  # each label, as given or lower-cased, to the code of its lower case
     labels: list[str] = []
-    strict, fast = _decoder(), _decoder(float)
-    for lineno, line in _lines(path):
-        try:
-            rec = _decode(path, lineno, line, fast)
-            if rec.get("pair_id", 0) is None:  # a null pair_id is an untracked pair
-                del rec["pair_id"]
-            fi, w, h, object_class, human_box, object_box, values, pid, vid, scale = _fields(
-                path, lineno, rec, schema, optional)
-            if vid is not None:
-                if video_id is not None and vid != video_id:
-                    raise ParseError(path, lineno, f"video_id {vid!r} differs from earlier "
-                                                   f"{video_id!r}; one video per file")
-                video_id = vid
-            scale = "base" if scale is None else scale
-            if scale not in ("base", "fused"):
-                raise ParseError(path, lineno, f"score_scale must be \"base\" or \"fused\", "
-                                               f"not {json.dumps(scale)}")
-            if score_scale is not None and scale != score_scale:
-                raise ParseError(path, lineno, f"score_scale {scale!r} differs from earlier "
-                                               f"{score_scale!r}; one scale per file")
-            score_scale = scale
+    for _, records, quotes in _blocks(path):
+        m = strings = len(records)  # one object_class per record
+        for names, count in Counter(map(tuple, records)).items():
+            if not _REQUIRED <= frozenset(names) <= _REQUIRED | _TEXTS | {"pair_id"}:
+                raise ValueError(f"fields {names}")
+            strings += count * len(_TEXTS.intersection(names))
+        if not _keys_once(records, quotes, strings):
+            raise ValueError("a key given twice")
+        fi, w, h, object_class, human, obj, values = zip(*map(_prediction_row, records))
+        pid = [rec.get("pair_id") for rec in records]
+        (scale,) = {rec.get("score_scale", "base") for rec in records}
+        vid = {rec.get("video_id", _ABSENT) for rec in records} - {_ABSENT}
+        if vid:
+            (vid,) = vid
+            if type(vid) is not str or video_id not in (None, vid):
+                raise ValueError("video_id")
+            video_id = vid
+        if scale not in ("base", "fused") or score_scale not in (None, scale):
+            raise ValueError("score_scale")
+        score_scale = scale
+        if (set(map(type, fi)) != {int} or not 0 <= min(fi) <= max(fi) < 2**63
+                or set(map(type, object_class)) != {str}):
+            raise ValueError("frame_index or object_class")
+        _check_pair_ids([p for p in pid if p is not None])
 
-            if not 0 <= fi < 2**63:
-                raise ParseError(path, lineno, f"frame_index {fi} out of [0, 2**63)")
-            size = (float(w), float(h))
-            if max(size) > _FLOAT_MAX:
-                raise ParseError(path, lineno, f"frame size {size} out of float range")
-            frame_size, frame_codes = frames.setdefault(fi, (size, set()))
-            if size != frame_size:
-                raise ParseError(path, lineno, f"frame size {size} differs from earlier "
-                                               f"{frame_size} of frame {fi}")
-            code = -1
-            if pid is not None:
-                code = pair_ids.setdefault(pid := tuple(pid), len(pair_ids))
-                if code in frame_codes:
-                    raise ParseError(path, lineno, f"duplicate pair_id {pid} in frame {fi}")
-                frame_codes.add(code)
-            if min(values) < 0.0 or max(values) > (1.0 if scale == "base" else _FLOAT_MAX):
-                raise ParseError(path, lineno, f"scores {values} out of "
-                                               f"{'[0,1]' if scale == 'base' else '[0,inf)'}")
-            boxes.extend(_box(path, lineno, "human_box", human_box, size))
-            boxes.extend(_box(path, lineno, "object_box", object_box, size))
-            scores.extend(values)
-            row_frame.append(fi)
-            pair_code.append(code)
-            label = classes.get(object_class)
-            if label is None:
-                lower = object_class.lower()
+        exact = quotes is None
+        size = _floats(w + h, (2 * m,), exact)
+        box = np.concatenate((_floats(human, (m, 4), exact), _floats(obj, (m, 4), exact)), 1)
+        values = _floats(values, (m, n), exact)
+        corners = box.reshape(m, 2, 2, 2)  # per pair and box, its (x1, y1) and (x2, y2)
+        low, high = corners[:, :, 0], corners[:, :, 1]
+        if not (np.isfinite(size).all() and (low < high).all() and (low >= 0).all()
+                and (high <= size.reshape(2, m).T[:, None]).all()
+                and values.min() >= 0 and values.max() <= (1.0 if scale == "base" else _FLOAT_MAX)):
+            raise ValueError("a frame size, box or score")
+        width, height = size.reshape(2, m).tolist()
+        frame_sizes = dict(zip(fi, zip(width, height)))
+        if len(frame_sizes) != len(set(zip(fi, width, height))) or any(
+                sizes.setdefault(f, s) != s for f, s in frame_sizes.items()):
+            raise ValueError("a frame of two sizes")
+
+        for label in dict.fromkeys(object_class):
+            if label not in classes:
+                lower = label.lower()
                 if lower not in classes:
                     classes[lower] = len(labels)
                     labels.append(lower)
-                label = classes[object_class] = classes[lower]
-            class_code.append(label)
-        except ParseError:
-            # ``fast`` reads a number beyond float range as an infinity, which
-            # breaks a rule above; the strict read refuses the number first,
-            # as it refuses the line's other JSON errors
-            _decode(path, lineno, line, strict)
-            raise
+                classes[label] = classes[lower]
+        class_code.extend(map(classes.__getitem__, object_class))
+        pair_code.extend([-1 if p is None else pair_ids.setdefault(tuple(p), len(pair_ids))
+                          for p in pid])
+        row_frame.extend(fi)
+        scores.frombytes(values.tobytes())
+        boxes.frombytes(box.tobytes())
     columns = [np.frombuffer(column, dtype) for column, dtype in (
         (scores, np.float64), (boxes, np.float64), (pair_code, np.intc), (class_code, np.intc))]
     row_frame = np.frombuffer(row_frame, np.int64)
@@ -282,10 +382,16 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
         order = np.argsort(row_frame, kind="stable")
         row_frame = row_frame[order]
         columns = [column.reshape(len(order), -1)[order].ravel() for column in columns]
-    index = np.array(sorted(frames), np.int64)
+    tracked = columns[2] >= 0
+    frame, code = row_frame[tracked], columns[2][tracked]
+    order = np.lexsort((code, frame))
+    frame, code = frame[order], code[order]
+    if np.any((frame[1:] == frame[:-1]) & (code[1:] == code[:-1])):
+        raise ValueError("a pair id twice in a frame")
+    index = np.array(sorted(sizes), np.int64)
     return VideoPredictionSet(
         "" if video_id is None else video_id, vocab,
-        frame_index=index, frame_size=[frames[fi][0] for fi in index.tolist()],
+        frame_index=index, frame_size=[sizes[fi] for fi in index.tolist()],
         row_start=np.append(np.searchsorted(row_frame, index), len(row_frame)),
         pair_code=columns[2], pair_ids=pair_ids, class_code=columns[3], labels=labels,
         scores=columns[0].reshape(-1, vocab.n), boxes=columns[1].reshape(-1, 8),
@@ -293,52 +399,73 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
     )
 
 
-def _box(path: str, lineno: int, name: str, values: list, size: tuple) -> tuple:
-    """The four numbers ``values`` as floats, converted once. Unless x1 <
-    x2 and y1 < y2, inside the frame of ``size``, it raises ParseError."""
-    x1, y1, x2, y2 = box = tuple(map(float, values))
-    if not (x1 < x2 and y1 < y2):
-        raise ParseError(path, lineno, f"degenerate {name} {[x1, y1, x2, y2]}")
-    if x1 < 0 or y1 < 0 or x2 > size[0] or y2 > size[1]:
-        raise ParseError(path, lineno, f"{name} {[x1, y1, x2, y2]} outside the frame {size}")
-    return box
-
-
 def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruthSet:
     """Load ground truth and cross-check every triplet against the prediction
     set. A record holds the integers ``frame_index`` and ``relation_index``
-    (< the vocabulary size) and ``pair_id``, two integers. A record with
-    another key, or that breaks a rule, raises ParseError at its line, and
-    one whose pair is not predicted in that frame DanglingReferenceError.
-    Each pair id is the prediction set's own object, and equal triplets,
-    and equal frame sets, are one object."""
-    n, pair_ids = predictions.vocabulary.n, predictions.pair_ids
-    codes = {pair_id: code for code, pair_id in enumerate(pair_ids)}
-    position = {fi: j for j, fi in enumerate(predictions.frame_indices())}
-    # the (frame position, pair code) of each tracked row, as one integer
-    tracked = predictions.pair_code >= 0
-    known = set((predictions.frame_rank()[tracked] * len(pair_ids)
-                 + predictions.pair_code[tracked]).tolist())
+    (< the vocabulary size) and ``pair_id``, two integers. The records are
+    checked a block at a time (``_blocks``). A file that breaks a rule is
+    checked line by line: a record with another key, or that breaks a
+    rule, raises ParseError at its line, and one whose pair is not
+    predicted in that frame DanglingReferenceError. Each pair id is the
+    prediction set's own object, and equal triplets, and equal frame sets,
+    are one object."""
+    return _in_blocks(_ground_truth_blocks, "check_ground_truth", path, predictions)
 
-    schema = {"frame_index": (INTEGER, None), "pair_id": (INTEGER, 2),
-              "relation_index": (INTEGER, None)}
-    frames: dict[int, set] = {}
-    triplets: dict = {}
-    for lineno, rec in _records(path):
-        fi, pid, rel = _fields(path, lineno, rec, schema)
-        if not 0 <= rel < n:
-            raise ParseError(path, lineno, f"relation_index {rel} out of range "
-                                           f"(vocabulary size {n})")
-        code, j = codes.get(pid := tuple(pid)), position.get(fi)
-        if code is None or j is None or j * len(pair_ids) + code not in known:
-            raise DanglingReferenceError(
-                f"{path}:{lineno}: pair {pid} not predicted at frame {fi}"
-            )
-        frames.setdefault(fi, set()).add(
-            triplets.setdefault(triplet := (pair_ids[code], rel), triplet))
-    sets: dict = {}  # each distinct frame set to itself
-    return GroundTruthSet({fi: sets.setdefault(fs := frozenset(s), fs)
-                           for fi, s in frames.items()})
+
+_GROUND_TRUTH_FIELDS = ("frame_index", "pair_id", "relation_index")
+_GROUND_TRUTH_KEYS = frozenset(_GROUND_TRUTH_FIELDS)
+_ground_truth_row = itemgetter(*_GROUND_TRUTH_FIELDS)
+
+
+def _tracked(predictions: VideoPredictionSet) -> tuple[dict, dict, np.ndarray]:
+    """The code of each pair id of ``predictions``, the position of each of
+    its frame indices and, for each of its tracked rows, its (frame
+    position, pair code) as one integer: ``position * len(pair_ids) +
+    code``."""
+    tracked = predictions.pair_code >= 0
+    return ({pair_id: code for code, pair_id in enumerate(predictions.pair_ids)},
+            {fi: j for j, fi in enumerate(predictions.frame_indices())},
+            predictions.frame_rank()[tracked] * len(predictions.pair_ids)
+            + predictions.pair_code[tracked])
+
+
+def _ground_truth_blocks(path: str, predictions: VideoPredictionSet) -> GroundTruthSet:
+    """``load_ground_truth`` a block of records at a time; ValueError or
+    TypeError for a file that breaks a rule."""
+    n, pair_ids = predictions.vocabulary.n, predictions.pair_ids
+    codes, position, tracked = _tracked(predictions)
+    # per row: the position of its frame in the set, its pair code and its relation
+    columns = array("q"), array("q"), array("q")
+    for _, records, quotes in _blocks(path):
+        if ({frozenset(names) for names in set(map(tuple, records))} != {_GROUND_TRUTH_KEYS}
+                or not _keys_once(records, quotes, 0)):
+            raise ValueError("fields, or a key given twice")
+        fi, pid, rel = zip(*map(_ground_truth_row, records))
+        _check_pair_ids(pid)
+        if set(map(type, fi + rel)) != {int} or not 0 <= min(rel) <= max(rel) < n:
+            raise ValueError("frame_index or relation_index")
+        frame, code = list(map(position.get, fi)), list(map(codes.get, map(tuple, pid)))
+        if None in frame or None in code:
+            raise ValueError("a frame or pair not predicted")
+        for column, values in zip(columns, (frame, code, rel)):
+            column.extend(values)
+    frame, code, rel = (np.frombuffer(column, np.int64) for column in columns)
+    pair = frame * len(pair_ids) + code
+    if not np.isin(pair, tracked).all():
+        raise ValueError("a pair not predicted in its frame")
+    if not len(pair):
+        return GroundTruthSet({})
+    # each frame's distinct (pair, relation), sorted by frame, as one integer
+    key, first = np.unique(pair * n + rel, return_index=True)
+    start = np.flatnonzero(np.diff(key // (len(pair_ids) * n), prepend=-1))
+    bounds, key = [*start.tolist(), len(key)], (key % (len(pair_ids) * n)).tolist()
+    triplets = {t: (pair_ids[t // n], t % n) for t in set(key)}
+    index = predictions.frame_index[frame[first[start]]].tolist()
+    frames, sets = {}, {}  # each distinct frame set to itself
+    for g in np.argsort(np.minimum.reduceat(first, start)).tolist():  # in file order
+        fs = frozenset(set(map(triplets.__getitem__, key[bounds[g]:bounds[g + 1]])))
+        frames[index[g]] = sets.setdefault(fs, fs)
+    return GroundTruthSet(frames)
 
 
 def _number(x) -> str:

@@ -2,13 +2,16 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hoirefine import ingest, linecheck
 from hoirefine.ingest import (
     DanglingReferenceError,
     IngestError,
@@ -578,6 +581,27 @@ def test_reloading_a_refined_file_holds_few_texts_on_the_way(tmp_path, vocab):
     assert peak - held < 1_100_000
 
 
+def test_loading_ground_truth_holds_little_on_the_way(tmp_path, vocab):
+    """A guard on what loading ground truth allocates beyond what it keeps,
+    by ``tracemalloc``, for about 6000 triplets over 1000 frames x 8 pairs."""
+    detector_video(tmp_path / "p.jsonl", frames=1000)
+    pred_set = load_predictions(tmp_path / "p.jsonl", vocab)
+    rng = np.random.default_rng(2)
+    write_lines(tmp_path / "gt.jsonl", [
+        {"frame_index": f, "pair_id": [k, 100 + k], "relation_index": int(rng.integers(3))}
+        for f in range(1000) for k in range(8) if rng.random() < 0.75])
+    tracemalloc.start()
+    try:
+        gt = load_ground_truth(tmp_path / "gt.jsonl", pred_set)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gt.frames) == 1000
+    # 1.60 MB with a set of the set's tracked (frame, pair) integers and a
+    # set per frame before its frozenset, 0.58 MB read into columns
+    assert peak - held < 800_000
+
+
 # box corners in increasing order, each pair of them a valid x1 < x2
 CORNERS = [-0.0, 5e-324, 1, 1.5, 2.0, 10, 0.1 + 0.2, 639.0, 640]
 FRAME_SIZES = [640, 640.0, 1e3, 1.7976931348623157e308]
@@ -745,3 +769,239 @@ class TestSharingBound:
                 "\n".join(lines) + "\n" + lines[0].replace('"frame_w": 640', f'"frame_w": {bad}'))
             with pytest.raises(ParseError, match=f":{len(lines) + 1}: .*{message}"):
                 load_predictions(tmp_path / "bad.jsonl", vocab)
+
+
+# -- the block loaders against the line-by-line check ------------------------
+
+FLOAT_MAX_INT = int(sys.float_info.max)
+
+
+def with_text(rec, field, text, index=None):
+    """``rec``'s line with ``text`` as the value of ``field``, or of its
+    item ``index``."""
+    value = "\0" if index is None else [*rec[field][:index], "\0", *rec[field][index + 1:]]
+    return json.dumps({**rec, field: value}).replace('"\\u0000"', text)
+
+
+def replaced(rec, **fields):
+    return json.dumps({**rec, **fields})
+
+
+def without(rec, name):
+    return json.dumps({key: value for key, value in rec.items() if key != name})
+
+
+def twice(line, name, value):
+    """``line`` with ``name`` given again, as ``value``, at its end."""
+    return line[:-1] + f", {json.dumps(name)}: {value}}}"
+
+
+# each a function of a record and its line to the lines that replace it
+PREDICTION_HAZARDS = {
+    # the same eight numbers, split three and five
+    "short-human-long-object-box": lambda rec, line: [replaced(
+        rec, human_box=rec["human_box"][:3], object_box=rec["human_box"][3:] + rec["object_box"])],
+    "scale-absent": lambda rec, line: [without(rec, "score_scale")],
+    "scale-fused": lambda rec, line: [replaced(rec, score_scale="fused")],
+    "scale-empty": lambda rec, line: [replaced(rec, score_scale="")],
+    "true-score": lambda rec, line: [with_text(rec, "scores", "true", 0)],
+    "false-box": lambda rec, line: [with_text(rec, "human_box", "false", 0)],
+    "label-holds-true": lambda rec, line: [replaced(rec, object_class="true, false")],
+    "nan-score": lambda rec, line: [with_text(rec, "scores", "NaN", 0)],
+    "infinite-box": lambda rec, line: [with_text(rec, "object_box", "Infinity", 2)],
+    "minus-infinite-box": lambda rec, line: [with_text(rec, "object_box", "-Infinity", 0)],
+    "1e400-score": lambda rec, line: [with_text(rec, "scores", "1e400", 0)],
+    "1e400-frame-size": lambda rec, line: [with_text(rec, "frame_w", "1e400")],
+    "float-max-plus-one-score": lambda rec, line: [with_text(
+        rec, "scores", str(FLOAT_MAX_INT + 1), 0)],
+    "string-score": lambda rec, line: [with_text(rec, "scores", '"0.5"', 0)],
+    "frame-index-2**63": lambda rec, line: [replaced(rec, frame_index=2**63)],
+    "frame-index-2**64": lambda rec, line: [replaced(rec, frame_index=2**64)],
+    "float-frame-index": lambda rec, line: [with_text(rec, "frame_index", "1.0")],
+    "pair-id-beyond-float": lambda rec, line: [replaced(rec, pair_id=[10**400, 1])],
+    "pair-id-float-max-plus-one": lambda rec, line: [replaced(rec, pair_id=[FLOAT_MAX_INT + 1, 1])],
+    "pair-id-float": lambda rec, line: [with_text(rec, "pair_id", "[0, 1.0]")],
+    "pair-id-bool": lambda rec, line: [with_text(rec, "pair_id", "[true, 1]")],
+    "pair-id-object": lambda rec, line: [with_text(rec, "pair_id", '{"a": 0, "b": 1}')],
+    "pair-id-null": lambda rec, line: [replaced(rec, pair_id=None)],
+    "pair-id-twice": lambda rec, line: [line, line],
+    "box-beyond-int64": lambda rec, line: [replaced(rec, object_box=[0, 0, 2**64 + 1, 2**70])],
+    "key-twice-equal": lambda rec, line: [twice(line, "frame_w", json.dumps(rec["frame_w"]))],
+    "key-twice-different": lambda rec, line: [twice(line, "scores", json.dumps(
+        [0.0] * len(rec["scores"])))],
+    "label-twice": lambda rec, line: [twice(line, "object_class", '"cup"')],
+    "escaped-quote-label": lambda rec, line: [replaced(rec, object_class='a"b')],
+    "escaped-backslash-label": lambda rec, line: [replaced(rec, object_class='a\\')],
+    "escaped-unicode-key": lambda rec, line: [line.replace('"scores"', '"\\u0073cores"')],
+    "key-twice-escaped": lambda rec, line: [
+        f'{line[:-1]}, "\\u0073cores": {json.dumps(rec["scores"])}}}'],
+    "two-objects-on-a-line": lambda rec, line: [f"{line}, {line}"],
+    "two-objects-no-comma": lambda rec, line: [f"{line} {line}"],
+    "object-label": lambda rec, line: [with_text(rec, "object_class", '{"a": 1}')],
+    "object-in-scores": lambda rec, line: [with_text(rec, "scores", '{"x": 0.5}', 0)],
+    "line-split": lambda rec, line: [line[:len(line) // 2], f"{line[len(line) // 2:]}, {line}"],
+    "line-in-a-list": lambda rec, line: [f"[{line}]"],
+    "negative-zero-score": lambda rec, line: [with_text(rec, "scores", "-0.0", 0)],
+    "subnormal-score": lambda rec, line: [with_text(rec, "scores", "5e-324", 0)],
+    "other-video": lambda rec, line: [replaced(rec, video_id="w")],
+    "other-frame-size": lambda rec, line: [replaced(rec, frame_h=2.0 * rec["frame_h"])],
+    "unknown-key": lambda rec, line: [replaced(rec, extra=1)],
+    "missing-key": lambda rec, line: [without(rec, "scores")],
+    "blank-line": lambda rec, line: [" \t", line],
+    "form-feed-line": lambda rec, line: ["\x0c", line],
+    "empty-object": lambda rec, line: ["{}"],
+}
+
+
+def line_by_line(path, vocab):
+    """What loading ``path`` must give where the line check accepts it, as
+    ``set_columns`` lists it, read with ``json.loads`` line by line: rows
+    stably sorted by frame, pair ids and labels coded in order of first
+    appearance."""
+    rows, pair_ids, labels, sizes = [], {}, {}, {}
+    video_id, scale = "", "base"
+    for raw in path.read_bytes().split(b"\n"):
+        line = raw.decode("utf-8").strip(" \t\n\r")
+        if not line:
+            continue
+        rec = json.loads(line)
+        pid = rec.get("pair_id")
+        rows.append((rec["frame_index"],
+                     -1 if pid is None else pair_ids.setdefault(tuple(pid), len(pair_ids)),
+                     labels.setdefault(rec["object_class"].lower(), len(labels)),
+                     [float(v) for v in rec["human_box"] + rec["object_box"]],
+                     [float(v) for v in rec["scores"]]))
+        sizes.setdefault(rec["frame_index"], (float(rec["frame_w"]), float(rec["frame_h"])))
+        video_id, scale = rec.get("video_id", video_id), rec.get("score_scale", scale)
+    rows.sort(key=lambda row: row[0])
+    frames = sorted(sizes)
+    return (frames, np.array([sizes[f] for f in frames], float).reshape(-1, 2).tobytes(),
+            [row[0] for row in rows], np.array([row[1] for row in rows], np.intc).tobytes(),
+            np.array([row[2] for row in rows], np.intc).tobytes(),
+            np.array([row[3] for row in rows], float).reshape(-1, 8).tobytes(),
+            np.array([row[4] for row in rows], float).reshape(-1, vocab.n).tobytes(),
+            tuple(pair_ids), tuple(labels), video_id, scale)
+
+
+def set_columns(pred_set):
+    rows = np.repeat(pred_set.frame_index, np.diff(pred_set.row_start))
+    return (pred_set.frame_indices(), np.asarray(pred_set.frame_size, float).tobytes(),
+            rows.tolist(), pred_set.pair_code.tobytes(), pred_set.class_code.tobytes(),
+            pred_set.boxes.tobytes(), pred_set.scores.tobytes(), tuple(pred_set.pair_ids),
+            tuple(pred_set.labels), pred_set.video_id, pred_set.score_scale)
+
+
+def outcome(load, *args):
+    """``load(*args)``, or the type and message of what it raised."""
+    try:
+        return load(*args), None
+    except Exception as exc:  # compared by the caller
+        return None, (type(exc), str(exc))
+
+
+GROUND_TRUTH_HAZARDS = {
+    "key-twice-equal": lambda rec, line: [twice(line, "frame_index", rec["frame_index"])],
+    "key-twice-different": lambda rec, line: [twice(line, "relation_index", 0)],
+    "float-relation": lambda rec, line: [with_text(rec, "relation_index", "0.0")],
+    "bool-relation": lambda rec, line: [with_text(rec, "relation_index", "false")],
+    "relation-out-of-range": lambda rec, line: [replaced(rec, relation_index=3)],
+    "dangling-pair": lambda rec, line: [replaced(rec, pair_id=[2**70 + 1, 9])],
+    "dangling-frame": lambda rec, line: [replaced(rec, frame_index=rec["frame_index"] + 7)],
+    "pair-id-float": lambda rec, line: [with_text(rec, "pair_id", f"[{rec['pair_id'][0]}.0, "
+                                                                   f"{rec['pair_id'][1]}]")],
+    "pair-id-bool": lambda rec, line: [with_text(rec, "pair_id", "[true, 1]")],
+    "pair-id-beyond-float": lambda rec, line: [replaced(rec, pair_id=[10**400, 1])],
+    "string-frame": lambda rec, line: [replaced(rec, frame_index=str(rec["frame_index"]))],
+    "unknown-key": lambda rec, line: [replaced(rec, relation="hold")],
+    "two-objects-on-a-line": lambda rec, line: [f"{line}, {line}"],
+    "object-value": lambda rec, line: [with_text(rec, "relation_index", '{"a": 1}')],
+    "nan-frame": lambda rec, line: [with_text(rec, "frame_index", "NaN")],
+    "line-split": lambda rec, line: [line[:len(line) // 2], f"{line[len(line) // 2:]}, {line}"],
+    "triplet-twice": lambda rec, line: [line, line],
+    "blank-line": lambda rec, line: [" ", line],
+}
+
+
+@st.composite
+def mutated_files(draw, hazard):
+    """A valid prediction file (``prediction_files``) with one line replaced
+    by the lines ``hazard`` gives for it, and a block size to read it with."""
+    vocab, lines = draw(prediction_files())
+    assume(lines)
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at:at + 1] = hazard(json.loads(lines[at]), lines[at])
+    return vocab, lines, draw(st.sampled_from([1, 2, 3, 64]))
+
+
+def test_a_record_across_lines_is_decoded_line_by_line(tmp_path):
+    """Three lines that hold three records as one array, the first spread
+    over two lines and two on the third, are decoded one line at a time,
+    which refuses the first."""
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"a": [1\n2]}\n{"b": 1}, {"c": 2}\n')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: invalid JSON"):
+        list(ingest._blocks(path))
+
+
+def test_escapes_other_than_a_quote_are_decoded_as_a_block(tmp_path):
+    """A label ``json.dumps`` escapes (a non-ASCII or control character)
+    keeps a block whole; an escaped quote sends it line by line."""
+    path = tmp_path / "r.jsonl"
+    records = [{"object_class": "Éclair\t"}, {"object_class": "cup"}]
+    write_lines(path, records)
+    assert [(decoded, quotes) for _, decoded, quotes in ingest._blocks(path)] == [(records, 8)]
+    write_lines(path, records + [{"object_class": 'a"b'}])
+    assert [quotes for _, _, quotes in ingest._blocks(path)] == [None]
+
+
+class TestBlocksAgainstLines:
+    """Each load gives what a line-by-line reading gives, or raises what the
+    line check raises: ``linecheck.check_predictions`` and
+    ``check_ground_truth`` are the oracle for a refused file, and a
+    plain ``json.loads`` of each line for an accepted one."""
+
+    @pytest.mark.parametrize("hazard", sorted(PREDICTION_HAZARDS))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_predictions(self, tmp_path_factory, hazard, data):
+        vocab, lines, block = data.draw(mutated_files(PREDICTION_HAZARDS[hazard]))
+        path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with mock.patch.object(ingest, "_BLOCK", block):
+            loaded, error = outcome(load_predictions, path, vocab)
+        _, expected = outcome(linecheck.check_predictions, path, vocab)
+        assert error == expected
+        if error is None:
+            assert set_columns(loaded) == line_by_line(path, vocab)
+
+    @pytest.mark.parametrize("hazard", sorted(GROUND_TRUTH_HAZARDS))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_ground_truth(self, tmp_path_factory, hazard, data):
+        vocab, lines = data.draw(prediction_files())
+        base = tmp_path_factory.getbasetemp()
+        (base / "p.jsonl").write_text("".join(line + "\n" for line in lines))
+        pred_set = load_predictions(base / "p.jsonl", vocab)
+        tracked = [(frame.frame_index, list(pair.pair_id)) for frame, pair in pred_set.iter_pairs()
+                   if pair.pair_id is not None]
+        assume(tracked)
+        records = [{"frame_index": fi, "pair_id": pid, "relation_index": data.draw(
+            st.integers(0, vocab.n - 1))} for fi, pid in data.draw(st.permutations(tracked))]
+        gt_lines = [json.dumps(rec) for rec in records]
+        at = data.draw(st.integers(0, len(gt_lines) - 1))
+        gt_lines[at:at + 1] = GROUND_TRUTH_HAZARDS[hazard](records[at], gt_lines[at])
+        path = base / "gt.jsonl"
+        path.write_text("".join(line + "\n" for line in gt_lines))
+        with mock.patch.object(ingest, "_BLOCK", data.draw(st.sampled_from([1, 2, 3, 64]))):
+            loaded, error = outcome(load_ground_truth, path, pred_set)
+        _, expected = outcome(linecheck.check_ground_truth, path, pred_set)
+        assert error == expected
+        if error is None:
+            frames: dict = {}
+            for line in gt_lines:
+                if line.strip(" \t\r"):
+                    rec = json.loads(line)
+                    frames.setdefault(rec["frame_index"], set()).add(
+                        (tuple(rec["pair_id"]), rec["relation_index"]))
+            assert loaded.frames == {fi: frozenset(s) for fi, s in frames.items()}
+            assert list(loaded.frames) == list(frames)
