@@ -31,8 +31,7 @@ from .evaluation import (
     DEFAULT_KS,
     NoGroundTruthError,
     format_ablation_table,
-    positives_per_frame,
-    recall_at_k_dataset,
+    recall_at_k,
     write_ablation_report,
 )
 from .ingest import (
@@ -42,7 +41,7 @@ from .ingest import (
     write_atomic,
     write_predictions,
 )
-from .model import SCORE_KINDS, FusedScores, FusionWeights, tracked_pair_key
+from .model import SCORE_KINDS, FusedScores, FusionWeights
 from .pipeline import build_providers, fuse_table, refine
 from .provider import ProviderError, RuleTableError
 from . import embedloss
@@ -68,13 +67,6 @@ def _check_out_path(path: Optional[str], flag: str) -> None:
         raise FileNotFoundError(f"{path}: directory {directory} does not exist")
     if os.path.isdir(path):
         raise IsADirectoryError(f"{path}: is a directory")
-
-
-def _gt_per_frame(gt_set) -> dict[int, frozenset]:
-    return {
-        fi: frozenset({(tracked_pair_key(pid), r) for pid, r in triplets})
-        for fi, triplets in gt_set.frames.items()
-    }
 
 
 def _load_run(args):
@@ -108,8 +100,7 @@ def cmd_eval(args) -> int:
     _check_out_path(args.report, "--report")
     pred_set = load_predictions(args.refined, load_vocabulary(args.vocab))
     gt = load_ground_truth(args.gt, pred_set)
-    positives = positives_per_frame(FusedScores(pred_set, pred_set.scores.ravel()), args.threshold)
-    recalls = recall_at_k_dataset(positives, _gt_per_frame(gt), ks)
+    recalls = recall_at_k(FusedScores(pred_set, pred_set.scores.ravel()), gt, args.threshold, ks)
     width = max(len(f"R@{k}") for k in ks)
     for k in ks:
         print(f"{f'R@{k}':<{width}}  {recalls[k]:.2f}")
@@ -127,9 +118,8 @@ def cmd_ablate(args) -> int:
     if args.threshold is not None:
         config = replace(config, weights=replace(config.weights, threshold=args.threshold))
     gt = load_ground_truth(args.gt, pred_set)
-    if not gt.frames:
+    if not len(gt.slots):
         raise NoGroundTruthError(f"{args.gt}: no ground-truth records")
-    gt_frames = _gt_per_frame(gt)
     threshold = config.weights.threshold
 
     # one full run computes every agent/debate score; each row just re-fuses
@@ -138,8 +128,8 @@ def cmd_ablate(args) -> int:
 
     def row_for(label: str, toggles: dict) -> AblationRow:
         fused = fuse_table(pred_set, outcome.table, config.weights, toggles)
-        recalls = recall_at_k_dataset(positives_per_frame(fused, threshold), gt_frames, ks)
-        return AblationRow(label=label, toggles=toggles, recalls=recalls)
+        return AblationRow(label=label, toggles=toggles,
+                           recalls=recall_at_k(fused, gt, threshold, ks))
 
     rows = [row_for("baseline", {c: False for c in SCORE_KINDS})]
     for bits in itertools.product((False, True), repeat=len(SCORE_KINDS)):

@@ -2,12 +2,12 @@
 component-ablation report.
 
 Only positive predictions (fused score strictly above the threshold) compete
-for the top-K slots; K truncates within that pool. Positives are selected
-from a ``model.FusedScores`` column, whose slots are the indices of its
-set's score column: ``pipeline.fuse_table``'s output, or a loaded set's own
-score column wrapped as one. Frames without ground truth are skipped by the
-dataset mean, which is the per-frame average used by the metric lineage
-this follows.
+for the top-K slots; K truncates within that pool. ``recall_at_k`` ranks the
+positives of a ``model.FusedScores`` column against a ``model.GroundTruthSet``,
+both slots of one prediction set; ``recall_at_k_frame`` and
+``recall_at_k_dataset`` define the metric over (pair_key, relation, score)
+tuples. Frames without ground truth are skipped by the dataset mean, which
+is the per-frame average used by the metric lineage this follows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import write_atomic
-from .model import SCORE_KINDS, FusedScores, row_keys
+from .model import SCORE_KINDS, FusedScores, GroundTruthSet, check_over
 
 DEFAULT_KS = (10, 20, 50)
 
@@ -28,22 +28,41 @@ class NoGroundTruthError(ValueError):
     pass
 
 
-def positives_per_frame(fused: FusedScores, threshold: float) -> dict[int, list[tuple]]:
-    """Per frame, the (pair_key, relation_index, score) positives competing
-    for the top-K slots, in slot order; frames without positives are absent.
-    The positives are the semi-constraint selection: every slot whose score
-    is strictly above ``threshold``, several relations per pair allowed,
-    taken with one array comparison over ``fused``'s column; only the
-    selected rows' pair keys are built."""
+def recall_at_k(fused: FusedScores, gt: GroundTruthSet, threshold: float,
+                ks: Sequence[int] = DEFAULT_KS) -> dict[int, float]:
+    """``recall_at_k_dataset`` of the positives of ``fused`` against ``gt``,
+    both over one prediction set (else ValueError), in one ranking pass:
+    the slots strictly above ``threshold`` are sorted once by frame, then by
+    ``recall_at_k_frame``'s tie rule, a tracked pair's key by its pair id
+    ahead of every untracked pair's (``"id" < "idx"``), by its position. A
+    ground-truth slot counts at K when its rank in its frame is below K."""
+    check_over(gt, fused.pred_set, "ground-truth slots")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0,1)")
+    if not len(gt.slots):
+        raise NoGroundTruthError("no frame has ground truth")
+    pred_set, n = fused.pred_set, fused.pred_set.vocabulary.n
+    ids, start = pred_set.pair_ids, pred_set.row_start
+    id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # each id's sorted rank
     selected = np.flatnonzero(fused.column > threshold)
-    rows, relations = np.divmod(selected, fused.pred_set.vocabulary.n)
-    frames: dict[int, list[tuple]] = {}
-    for (frame_index, key), r, score in zip(row_keys(fused.pred_set, rows), relations.tolist(),
-                                            fused.column[selected].tolist()):
-        frames.setdefault(frame_index, []).append((key, r, score))
-    return frames
+    rows = selected // n
+    frame = np.searchsorted(start, rows, "right") - 1
+    code = pred_set.pair_code[rows]
+    key_rank = np.where(code >= 0, id_rank[code], len(ids) + rows - start[frame])
+    # stable: a pair's relations keep their slot order, the tie rule's last key
+    order = np.lexsort((key_rank, -fused.column[selected], frame))
+    frame = frame[order]
+    rank = np.arange(len(order)) - np.searchsorted(frame, frame)
+    hit = np.isin(selected[order], gt.slots, assume_unique=True)
+    frames = len(pred_set.frame_index)
+    counts = np.bincount(np.searchsorted(start, gt.slots // n, "right") - 1, minlength=frames)
+    with_gt = np.flatnonzero(counts)
+    result = {}
+    for k in ks:
+        hits = np.bincount(frame[hit & (rank < k)], minlength=frames)
+        recalls = (hits[with_gt] / counts[with_gt]).tolist()
+        result[k] = round(100.0 * sum(recalls) / len(recalls), 2)
+    return result
 
 
 def recall_at_k_frame(

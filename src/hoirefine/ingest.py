@@ -14,8 +14,8 @@ first bad line; no set is built that way. A prediction file is loaded straight i
 columns: each block's numbers are appended to ``array('d')`` buffers, which
 become the float64 score and box columns, and each label and pair id is
 held once, as the code its rows refer to; no per-record object is built. A
-loaded ground truth shares its prediction set's pair-id objects and holds
-each distinct triplet and frame set once.
+loaded ground truth is held as the slots of its prediction set that it
+names, one int64 array.
 Refined predictions are written from the fused-score column and the set's
 own columns, one formatted line per pair, each the bytes
 ``json.dumps(record, sort_keys=True)`` gives, and streamed to the file a
@@ -143,7 +143,7 @@ _PLAIN = json.JSONDecoder().raw_decode  # no hook: the JSON scanner at its own s
 _BLOCK = 64  # lines decoded as one JSON array
 
 
-def _blocks(path: str, bools: bool = False) -> Iterator[tuple[list, list, Optional[int]]]:
+def _blocks(path: str) -> Iterator[tuple[list, list, Optional[int]]]:
     """``_lines(path)`` a block of ``_BLOCK`` at a time, with the block's
     records and the count of double quotes in its lines. A block is decoded
     as one JSON array with no hook, so a record may hold ``NaN``, an
@@ -151,18 +151,17 @@ def _blocks(path: str, bools: bool = False) -> Iterator[tuple[list, list, Option
     value of a key given twice; the caller refuses each, the last by
     ``_keys_once``. Where that decode is unsound, each line is decoded by
     ``_decode`` and the count is None: where a quote follows a backslash,
-    so it may be no delimiter, where ``true`` or ``false`` appears and not
-    ``bools`` (numpy reads a bool among numbers as a number), where a line
-    does not end in ``}``, or where the array holds other than one object
-    per line. As no string holds the line break that joins two lines, each
-    line then holds one record, unless a record holds an object, which the
-    caller refuses."""
+    so it may be no delimiter, where ``true`` or ``false`` appears (numpy
+    reads a bool among numbers as a number), where a line does not end in
+    ``}``, or where the array holds other than one object per line. As no
+    string holds the line break that joins two lines, each line then holds
+    one record, unless a record holds an object, which the caller refuses."""
     lines, strict = _lines(path), _decoder()
     while block := list(islice(lines, _BLOCK)):
         texts = [line for _, line in block]
         text, records = ",\n".join(texts), None
         if ({line[-1] for line in texts} == {"}"} and '\\"' not in text
-                and (bools or "true" not in text and "false" not in text)):
+                and "true" not in text and "false" not in text):
             with contextlib.suppress(ValueError):
                 records, end = _PLAIN(f"[{text}]")
                 if (end, len(records), set(map(type, records))) != (len(text) + 2, len(block), {dict}):
@@ -406,9 +405,9 @@ def load_ground_truth(path: str, predictions: VideoPredictionSet) -> GroundTruth
     checked a block at a time (``_blocks``). A file that breaks a rule is
     checked line by line: a record with another key, or that breaks a
     rule, raises ParseError at its line, and one whose pair is not
-    predicted in that frame DanglingReferenceError. Each pair id is the
-    prediction set's own object, and equal triplets, and equal frame sets,
-    are one object."""
+    predicted in that frame DanglingReferenceError. Each triplet is held as
+    its slot of ``predictions`` (``GroundTruthSet``), a triplet given twice
+    once."""
     return _in_blocks(_ground_truth_blocks, "check_ground_truth", path, predictions)
 
 
@@ -417,23 +416,23 @@ _GROUND_TRUTH_KEYS = frozenset(_GROUND_TRUTH_FIELDS)
 _ground_truth_row = itemgetter(*_GROUND_TRUTH_FIELDS)
 
 
-def _tracked(predictions: VideoPredictionSet) -> tuple[dict, dict, np.ndarray]:
+def _tracked(predictions: VideoPredictionSet) -> tuple[dict, dict, np.ndarray, np.ndarray]:
     """The code of each pair id of ``predictions``, the position of each of
-    its frame indices and, for each of its tracked rows, its (frame
-    position, pair code) as one integer: ``position * len(pair_ids) +
-    code``."""
-    tracked = predictions.pair_code >= 0
+    its frame indices and, for its tracked rows, their (frame position,
+    pair code) as one integer, ``position * len(pair_ids) + code``, sorted,
+    with the row of each."""
+    rows = np.flatnonzero(predictions.pair_code >= 0)
+    keys = predictions.frame_rank()[rows] * len(predictions.pair_ids) + predictions.pair_code[rows]
+    order = np.argsort(keys, kind="stable")
     return ({pair_id: code for code, pair_id in enumerate(predictions.pair_ids)},
-            {fi: j for j, fi in enumerate(predictions.frame_indices())},
-            predictions.frame_rank()[tracked] * len(predictions.pair_ids)
-            + predictions.pair_code[tracked])
+            {fi: j for j, fi in enumerate(predictions.frame_indices())}, keys[order], rows[order])
 
 
 def _ground_truth_blocks(path: str, predictions: VideoPredictionSet) -> GroundTruthSet:
     """``load_ground_truth`` a block of records at a time; ValueError or
     TypeError for a file that breaks a rule."""
-    n, pair_ids = predictions.vocabulary.n, predictions.pair_ids
-    codes, position, tracked = _tracked(predictions)
+    n = predictions.vocabulary.n
+    codes, position, keys, rows = _tracked(predictions)
     # per row: the position of its frame in the set, its pair code and its relation
     columns = array("q"), array("q"), array("q")
     for _, records, quotes in _blocks(path):
@@ -450,22 +449,12 @@ def _ground_truth_blocks(path: str, predictions: VideoPredictionSet) -> GroundTr
         for column, values in zip(columns, (frame, code, rel)):
             column.extend(values)
     frame, code, rel = (np.frombuffer(column, np.int64) for column in columns)
-    pair = frame * len(pair_ids) + code
-    if not np.isin(pair, tracked).all():
+    pair = frame * len(predictions.pair_ids) + code
+    at = np.searchsorted(keys, pair)
+    if np.any(at == len(keys)) or np.any(keys[at] != pair):
         raise ValueError("a pair not predicted in its frame")
-    if not len(pair):
-        return GroundTruthSet({})
-    # each frame's distinct (pair, relation), sorted by frame, as one integer
-    key, first = np.unique(pair * n + rel, return_index=True)
-    start = np.flatnonzero(np.diff(key // (len(pair_ids) * n), prepend=-1))
-    bounds, key = [*start.tolist(), len(key)], (key % (len(pair_ids) * n)).tolist()
-    triplets = {t: (pair_ids[t // n], t % n) for t in set(key)}
-    index = predictions.frame_index[frame[first[start]]].tolist()
-    frames, sets = {}, {}  # each distinct frame set to itself
-    for g in np.argsort(np.minimum.reduceat(first, start)).tolist():  # in file order
-        fs = frozenset(set(map(triplets.__getitem__, key[bounds[g]:bounds[g + 1]])))
-        frames[index[g]] = sets.setdefault(fs, fs)
-    return GroundTruthSet(frames)
+    slots = np.sort(rows[at] * n + rel)  # a bare np.unique would import numpy.ma, 0.5 MB
+    return GroundTruthSet(predictions, slots[np.diff(slots, prepend=-1) > 0])
 
 
 def _number(x) -> str:

@@ -88,8 +88,8 @@ def check_ground_truth(path: str, predictions: VideoPredictionSet) -> None:
     """Raise the error of the first record of the ground-truth file ``path``
     that breaks a rule of ``ingest.load_ground_truth``; return if none does."""
     n, pair_ids = predictions.vocabulary.n, predictions.pair_ids
-    codes, position, tracked = _tracked(predictions)
-    known = set(tracked.tolist())
+    codes, position, keys, _ = _tracked(predictions)
+    known = set(keys.tolist())
     schema = {"frame_index": (INTEGER, None), "pair_id": (INTEGER, 2),
               "relation_index": (INTEGER, None)}
     for lineno, rec in _records(path):

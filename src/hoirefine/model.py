@@ -12,9 +12,9 @@ A slot, one (frame, pair, relation) triplet, is an index of the set's
 raveled score column, relation ``i % n`` of row ``i // n``: the set is its
 own layout, and a run reads a slot's row from the columns, building no
 record. The base scores stay in that column, ``AgentScores`` keeps per score
-kind the indices of the slots holding it and their values, and
-``FusedScores`` one value per slot.
-Outside code names a slot by its row's ``row_keys`` and its relation.
+kind the indices of the slots holding it and their values, ``FusedScores``
+one value per slot, and ``GroundTruthSet`` the indices of the positive
+slots. Outside code names a slot by its row's ``row_keys`` and relation.
 """
 
 from __future__ import annotations
@@ -274,11 +274,35 @@ def _first_repeat(values: np.ndarray) -> Optional[int]:
     return int(np.argmax(repeat)) if repeat.any() else None
 
 
-@dataclass(frozen=True)
 class GroundTruthSet:
-    """Per frame, the set of (pair_id, relation_index) positive triplets."""
+    """A video's positive (frame, pair, relation) triplets as ``slots`` of
+    ``pred_set``: sorted, distinct, read-only int64 indices of its score
+    column on tracked rows, else ValueError. ``frames`` is a view built on
+    each read: per frame with ground truth, in the set's frame order, the
+    frozenset of its (pair_id, relation_index) triplets, each pair id the
+    set's own object, and equal triplets and equal frame sets one object."""
 
-    frames: dict[int, frozenset[tuple[PairId, int]]]
+    def __init__(self, pred_set: VideoPredictionSet, slots=()):
+        self.pred_set, self.slots = pred_set, _column(slots, np.int64, (-1,))
+        rows = self.slots // pred_set.vocabulary.n
+        if len(rows) and not (np.all(self.slots[1:] > self.slots[:-1]) and self.slots[0] >= 0
+                              and rows[-1] < len(pred_set.scores)
+                              and np.all(pred_set.pair_code[rows] >= 0)):
+            raise ValueError("ground-truth slots must be sorted, distinct and on tracked rows")
+
+    @property
+    def frames(self) -> dict[int, frozenset[tuple[PairId, int]]]:
+        pred_set, n = self.pred_set, self.pred_set.vocabulary.n
+        rows = self.slots // n
+        index = pred_set.frame_index[np.searchsorted(pred_set.row_start, rows, "right") - 1]
+        start = np.flatnonzero(np.diff(index, prepend=-1)).tolist()  # each frame's first slot
+        key = (pred_set.pair_code[rows] * n + self.slots % n).tolist()  # pair code and relation
+        triplets = {t: (pred_set.pair_ids[t // n], t % n) for t in set(key)}
+        frames, sets = {}, {}  # each distinct frame set to itself
+        for fi, a, b in zip(index[start].tolist(), start, start[1:] + [len(key)]):
+            triplet_set = frozenset(map(triplets.__getitem__, key[a:b]))
+            frames[fi] = sets.setdefault(triplet_set, triplet_set)
+        return frames
 
 
 def _integer_type(t: type) -> bool:

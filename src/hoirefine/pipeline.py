@@ -23,8 +23,8 @@ kind's scores only at the slots that have one. Propagation and fusion read
 and return those compact columns, and read the per-row frame and the base
 scores from the set's own columns. ``fuse_table`` returns a
 ``FusedScores`` column, which ``ingest.write_predictions`` formats row by
-row and ``evaluation.positives_per_frame`` selects from with one array
-comparison, so no per-slot object is built.
+row and ``evaluation.recall_at_k`` ranks in one array pass, so no
+per-slot object is built.
 """
 
 from __future__ import annotations

@@ -206,6 +206,23 @@ def test_fixture_outputs_are_pinned(tmp_path, capsys):
         == "d967cb7cc82f2d3be4b54806e403cf1a04a9ded577799234bc61fcc8d65f6e13"
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ([], "a2e6b368d791f904ffc54fb8ed7863c63147dacc3a3396d8de36ae0ae2f012cc"),
+    (["--threshold", "0.05", "--k", "1", "2", "3", "10", "20", "50"],
+     "7554a29dd353f239067b3ab023592e989f31408e5f09675ece56375144cc33de"),
+    (["--threshold", "0.2", "--k", "50", "1", "2"],
+     "0f04820dc3be26d64c9d77750b5511cd7f7589d21d264b8b9512ef5cb87656b5"),
+])
+def test_fixture_eval_report_is_pinned(tmp_path, capsys, argv, digest):
+    # the bytes eval writes on the fixture's base scores
+    report = tmp_path / "report.json"
+    assert main(["eval", "--refined", fixture_path("predictions.jsonl"),
+                 "--gt", fixture_path("gt.jsonl"), "--vocab", fixture_path("vocab.txt"),
+                 *argv, "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 @pytest.fixture
 def transport_calls(monkeypatch):
     """Prompts sent by the providers that ``refine`` and ``ablate`` build,

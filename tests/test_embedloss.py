@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,22 @@ class TestCaptionsAndSerialization:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
             el.load_embedding_batch(str(path))
+
+    def test_a_large_k_is_refused_by_its_cell_count_before_any_allocation(self, tmp_path):
+        # the header's k alone would size four k x k x 2 arrays at 149 GiB
+        path = tmp_path / "batch.jsonl"
+        path.write_text(json.dumps({"k": 100000, "d_f": 2, "d_e": 2, "metric": "l1"}) + "\n"
+                        + json.dumps({"i": 0, "j": 1, "gt": True, "f_human": [0.5, 0.5],
+                                      "f_inter": [0.5, 0.5], "f_obj": [0.5, 0.5],
+                                      "e_text": [0.5, 0.5]}) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expected 10000000000 cell records, got 1$"):
+                el.load_embedding_batch(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400],
                              ids=["1e400", "-1e400", "401-digits"])

@@ -1,6 +1,7 @@
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,12 +9,15 @@ from hoirefine.evaluation import (
     AblationRow,
     NoGroundTruthError,
     format_ablation_table,
-    positives_per_frame,
+    recall_at_k,
     recall_at_k_dataset,
     recall_at_k_frame,
     write_ablation_report,
 )
-from hoirefine.model import FusedScores, pair_key
+from hoirefine.ingest import load_ground_truth, load_predictions
+from hoirefine.model import FusedScores, GroundTruthSet, pair_key, tracked_pair_key
+
+from conftest import fixture_path, slots_of
 
 from test_model import prediction_sets
 
@@ -121,39 +125,85 @@ class TestDatasetRecall:
             recall_at_k_dataset({}, {0: frozenset()}, ks=(10,))
 
 
-def positives_oracle(pred_set, threshold) -> dict:
-    """Per frame, the (pair_key, relation, score) of every base score above
-    ``threshold``, by a loop over the set's pairs."""
-    oracle = {}
+def positives_oracle(pred_set, threshold, column=None) -> dict:
+    """Per frame, the (pair_key, relation, score) of every score above
+    ``threshold``, by a loop over the set's pairs: its base scores, or the
+    fused ``column``'s, slot by slot in the same order."""
+    oracle, slot = {}, 0
     for frame in pred_set.frames:
         for i, pair in enumerate(frame.pairs):
             pk = pair_key(pair, i)
             for r, s in enumerate(pair.scores):
+                s = s if column is None else column[slot]
+                slot += 1
                 if s > threshold:
                     oracle.setdefault(frame.frame_index, []).append((pk, r, s))
     return oracle
 
 
+def gt_oracle(gt: GroundTruthSet) -> dict:
+    """Per frame, the (pair_key, relation) entries ``recall_at_k_dataset``
+    reads, from the ground truth's ``frames`` view."""
+    return {fi: frozenset((tracked_pair_key(pid), r) for pid, r in triplets)
+            for fi, triplets in gt.frames.items()}
+
+
+# ties, -0.0, a score equal to a threshold and fused scores above 1
+FUSED_SCORES = (-0.0, 0.0, 0.2, 0.3, 0.5, 0.9, 1.7)
+
+
 class TestPositives:
+    """``recall_at_k``'s one ranking pass over the positives, against
+    ``recall_at_k_dataset`` of the loop oracle's positives."""
+
     @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.85])
-    def test_matches_loop_oracle(self, fixture_predictions, threshold):
-        got = positives_per_frame(
-            FusedScores(fixture_predictions, fixture_predictions.scores.ravel()), threshold)
-        assert {fi: sorted(v) for fi, v in got.items()} == \
-            {fi: sorted(v) for fi, v in positives_oracle(fixture_predictions, threshold).items()}
+    def test_matches_loop_oracle(self, fixture_predictions, fixture_gt, threshold):
+        ks = (1, 2, 3, 10, 20, 50)
+        got = recall_at_k(FusedScores(fixture_predictions, fixture_predictions.scores.ravel()),
+                          fixture_gt, threshold, ks)
+        assert got == recall_at_k_dataset(positives_oracle(fixture_predictions, threshold),
+                                          gt_oracle(fixture_gt), ks)
 
-    @settings(max_examples=200, deadline=None)
-    @given(prediction_sets(), st.sampled_from((0.1, 0.3, 0.6)))
-    def test_matches_loop_oracle_on_untracked_pairs_and_gaps(self, video, threshold):
+    @settings(max_examples=300, deadline=None)
+    @given(prediction_sets(), st.data())
+    def test_matches_loop_oracle_on_untracked_pairs_and_gaps(self, video, data):
         # untracked pairs, whose keys are their positions, gaps in the frame
-        # indices and frames without pairs; in slot order, as the oracle's loop
-        got = positives_per_frame(FusedScores(video, video.scores.ravel()), threshold)
-        assert got == positives_oracle(video, threshold)
+        # indices, frames without pairs, positives or ground truth, ground
+        # truth below the threshold, and K beyond the positives
+        n, size = video.vocabulary.n, video.scores.size
+        column = np.array(data.draw(st.lists(st.sampled_from(FUSED_SCORES), min_size=size,
+                                             max_size=size)), float)
+        slots, frame_gt = [], {}
+        for slot, (fi, pk, r) in enumerate(slots_of(video)):
+            if pk[0] == "id" and data.draw(st.booleans()):
+                slots.append(slot)
+                frame_gt.setdefault(fi, set()).add((pk, r))
+        gt = GroundTruthSet(video, slots)
+        assert gt_oracle(gt) == {fi: frozenset(entries) for fi, entries in frame_gt.items()}
+        threshold = data.draw(st.sampled_from((0.05, 0.3, 0.6)))
+        ks = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+        fused = FusedScores(video, column)
+        if not slots:
+            with pytest.raises(NoGroundTruthError, match="^no frame has ground truth$"):
+                recall_at_k(fused, gt, threshold, ks)
+            return
+        assert recall_at_k(fused, gt, threshold, ks) == recall_at_k_dataset(
+            positives_oracle(video, threshold, column), gt_oracle(gt), ks)
 
-    def test_threshold_domain(self, fixture_predictions):
-        with pytest.raises(ValueError):
-            positives_per_frame(
-                FusedScores(fixture_predictions, fixture_predictions.scores.ravel()), 1.5)
+    def test_threshold_domain(self, fixture_predictions, fixture_gt):
+        for threshold in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"threshold must be in \(0,1\)"):
+                recall_at_k(FusedScores(fixture_predictions, fixture_predictions.scores.ravel()),
+                            fixture_gt, threshold)
+
+    def test_ground_truth_over_another_set_is_refused(self, fixture_vocab, fixture_gt):
+        again = load_predictions(fixture_path("predictions.jsonl"), fixture_vocab)
+        with pytest.raises(ValueError, match="over another prediction set"):
+            recall_at_k(FusedScores(again, again.scores.ravel()), fixture_gt, 0.3)
+        gt = load_ground_truth(fixture_path("gt.jsonl"), again)
+        assert gt.frames == fixture_gt.frames
+        assert recall_at_k(FusedScores(again, again.scores.ravel()), gt, 0.3) == {
+            10: 5.0, 20: 5.0, 50: 5.0}
 
 
 class TestAblationReport:

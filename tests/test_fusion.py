@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoirefine.evaluation import positives_per_frame
+from hoirefine.evaluation import recall_at_k
 from hoirefine.fusion import fuse_scores, sigmoid
 from hoirefine.ingest import load_predictions
 from hoirefine.model import (
@@ -18,6 +18,7 @@ from hoirefine.model import (
     TEMPORAL,
     FusedScores,
     FusionWeights,
+    GroundTruthSet,
     RelationVocabulary,
     pair_key,
 )
@@ -104,20 +105,25 @@ def one_pair_column(scores):
 
 
 class TestThresholdSelect:
-    """Fused scores are selected by ``evaluation.positives_per_frame``."""
+    """Fused scores are selected by ``evaluation.recall_at_k``: only those
+    strictly above the threshold compete for the top K."""
+
+    def recall(self, scores, relations, threshold=0.3, ks=(1, 2)):
+        fused = one_pair_column(scores)
+        return recall_at_k(fused, GroundTruthSet(fused.pred_set, relations), threshold, ks)
 
     def test_strictly_greater(self):
-        positives = positives_per_frame(one_pair_column((0.3, 0.3000001, 0.1)), 0.3)
-        assert positives == {0: [(("id", 0, 1), 1, 0.3000001)]}
+        assert self.recall((0.3, 0.3000001, 0.1), [0]) == {1: 0.0, 2: 0.0}
+        assert self.recall((0.3, 0.3000001, 0.1), [1]) == {1: 100.0, 2: 100.0}
 
     def test_multiple_relations_per_pair(self):
-        positives = positives_per_frame(one_pair_column((0.9, 0.8, 0.2)), 0.3)
-        assert positives == {0: [(("id", 0, 1), 0, 0.9), (("id", 0, 1), 1, 0.8)]}
+        assert self.recall((0.9, 0.8, 0.2), [0, 1]) == {1: 50.0, 2: 100.0}
+        assert self.recall((0.9, 0.8, 0.2), [1, 2]) == {1: 0.0, 2: 50.0}
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -1.0])
     def test_threshold_domain(self, threshold):
         with pytest.raises(ValueError):
-            positives_per_frame(one_pair_column((0.9, 0.8, 0.2)), threshold)
+            self.recall((0.9, 0.8, 0.2), [0], threshold)
 
 
 def fuse_table_oracle(video, table, weights, toggles):

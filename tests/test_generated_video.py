@@ -9,7 +9,10 @@ import os
 
 import pytest
 
-from hoirefine import linecheck
+from hoirefine import ingest, linecheck
+from hoirefine.config import load_config
+from hoirefine.evaluation import recall_at_k
+from hoirefine.model import FusedScores
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 
@@ -39,3 +42,27 @@ def test_a_generated_video_gives_its_recorded_output(run, tmp_path, monkeypatch,
     assert sample["problems"] == []
     assert sample["failed"] == 0 and sample["provider_calls"] > 0
     assert 0 < sample["ctx"]["tracked_share"] < 1
+
+
+@pytest.mark.parametrize("workload,variant", [("rt_cold", 0), ("rt_long", 0)])
+def test_recall_at_k_of_the_refined_output_is_the_recorded_recall(run, tmp_path, monkeypatch,
+                                                                  workload, variant):
+    # the harness scores the refined output by its own tuple-key path; the
+    # one ranking pass over the same refined set and ground truth agrees
+    loaded = []
+
+    def load_ground_truth(path, predictions, _load=ingest.load_ground_truth):
+        loaded.append(_load(path, predictions))
+        return loaded[-1]
+
+    monkeypatch.setattr(ingest, "load_ground_truth", load_ground_truth)
+    bench = run.Bench(workload, str(tmp_path), [variant], run.load_expected(), latency=False)
+    bench.prepare()
+    assert bench.rep(variant)["problems"] == []
+    refined_gt = loaded[-1]  # loaded over the refined output, read back
+    refined = refined_gt.pred_set
+    assert refined.score_scale == "fused"
+    threshold = load_config(os.path.join(bench.dir(variant), "config.json")).weights.threshold
+    recalls = recall_at_k(FusedScores(refined, refined.scores.ravel()), refined_gt, threshold,
+                          run.KS)
+    assert [recalls[k] for k in run.KS] == run.load_expected()[workload][str(variant)]["recall"]

@@ -301,8 +301,14 @@ class TestLoadGroundTruth:
         gt = load_ground_truth(tmp_path / "gt.jsonl", preds)
         pair_id = preds.frames[0].pairs[0].pair_id
         assert all(pid is pair_id for triplets in gt.frames.values() for pid, _ in triplets)
-        (first,) = gt.frames[0]
-        assert first is next(t for t in gt.frames[1] if t[1] == 1)
+        # each triplet is its slot, row * n + relation, sorted and distinct
+        n = vocab.n
+        assert gt.slots.dtype == np.int64 and not gt.slots.flags.writeable
+        assert gt.slots.tolist() == [0 * n + 1, 1 * n + 1, 1 * n + 2]
+        assert set(vars(gt)) == {"pred_set", "slots"} and gt.pred_set is preds
+        view = gt.frames  # equal triplets are one object in a view
+        (first,) = view[0]
+        assert first is next(t for t in view[1] if t[1] == 1)
 
     def test_holds_each_distinct_frame_set_once(self, tmp_path, vocab):
         write_lines(tmp_path / "p.jsonl", [record(frame=f, pair_id=pid)
@@ -319,9 +325,14 @@ class TestLoadGroundTruth:
             frames.setdefault(rec["frame_index"], set()).add(
                 (tuple(rec["pair_id"]), rec["relation_index"]))
         assert gt.frames == {fi: frozenset(s) for fi, s in frames.items()}
-        assert gt.frames[0] is gt.frames[1]  # one frame set
-        assert gt.frames[3] is gt.frames[4]  # the same set, given in another order
-        assert len({id(s) for s in gt.frames.values()}) == 3
+        # frame f's pair (0, 1) is row 2 * f and its pair (0, 2) row 2 * f + 1
+        slots = {(2 * rec["frame_index"] + rec["pair_id"][1] - 1) * vocab.n
+                 + rec["relation_index"] for rec in records}
+        assert gt.slots.tolist() == sorted(slots)
+        assert gt.frames is not gt.frames  # a view, built on each read
+        view = gt.frames  # equal frame sets are one object in a view
+        assert view[0] is view[1] and view[3] is view[4]
+        assert len({id(s) for s in view.values()}) == 3
 
     def test_dangling_pair(self, tmp_path, vocab):
         preds = self.make_predictions(tmp_path, vocab)
@@ -330,6 +341,19 @@ class TestLoadGroundTruth:
         with pytest.raises(DanglingReferenceError) as exc:
             load_ground_truth(tmp_path / "gt.jsonl", preds)
         assert "(5, 5)" in str(exc.value)
+
+    @pytest.mark.parametrize("frame", [0, 2])
+    def test_pair_predicted_only_in_another_frame(self, tmp_path, vocab, frame):
+        # frame 1 alone holds pair (0, 2); frame 2, the last, holds (0, 1) alone
+        write_lines(tmp_path / "p.jsonl", [record(frame=0), record(frame=1),
+                                           record(frame=1, pair_id=(0, 2)), record(frame=2)])
+        preds = load_predictions(tmp_path / "p.jsonl", vocab)
+        write_lines(tmp_path / "gt.jsonl", [
+            {"frame_index": 1, "pair_id": [0, 2], "relation_index": 0},
+            {"frame_index": frame, "pair_id": [0, 2], "relation_index": 1}])
+        with pytest.raises(DanglingReferenceError,
+                           match=f":2: pair \\(0, 2\\) not predicted at frame {frame}$"):
+            load_ground_truth(tmp_path / "gt.jsonl", preds)
 
     def test_relation_out_of_range(self, tmp_path, vocab):
         preds = self.make_predictions(tmp_path, vocab)
@@ -1004,4 +1028,4 @@ class TestBlocksAgainstLines:
                     frames.setdefault(rec["frame_index"], set()).add(
                         (tuple(rec["pair_id"]), rec["relation_index"]))
             assert loaded.frames == {fi: frozenset(s) for fi, s in frames.items()}
-            assert list(loaded.frames) == list(frames)
+            assert list(loaded.frames) == sorted(frames)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hoirefine.agents import detect_transitions, keyframe_slots, spatial_item
-from hoirefine.evaluation import positives_per_frame
+from hoirefine.evaluation import recall_at_k
 from hoirefine.ingest import triplet_to_text, write_predictions
 from hoirefine.model import (
     CS,
@@ -15,6 +15,7 @@ from hoirefine.model import (
     FramePrediction,
     FusedScores,
     FusionWeights,
+    GroundTruthSet,
     PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
@@ -150,6 +151,19 @@ class TestAgentScores:
             assert scores.columns[0][0].tolist() == list(map(int, index))
 
 
+class TestGroundTruthSet:
+    def test_holds_sorted_distinct_slots_on_tracked_rows(self):
+        video = two_frames()  # slots 2 and 3 are the untracked pair's
+        gt = GroundTruthSet(video, [0, 1, 5])
+        assert gt.frames == {3: frozenset({((0, 1), 0), ((0, 1), 1)}),
+                             7: frozenset({((2, 5), 1)})}
+        assert all(pid is video.pair_ids[0] for pid, _ in gt.frames[3])
+        assert GroundTruthSet(video).frames == {}
+        for slots in ([1, 0], [0, 0], [2], [-1], [6]):
+            with pytest.raises(ValueError, match="sorted, distinct and on tracked rows"):
+                GroundTruthSet(video, slots)
+
+
 class TestPredictionSet:
     @pytest.mark.parametrize("scores", [(0.5,), (0.5, 0.5, 0.5)])
     def test_scores_of_another_width_are_refused_at_construction(self, scores):
@@ -192,9 +206,9 @@ class TestPredictionSet:
         assert frame.pairs is not frame.pairs and frame.pairs == frame.pairs  # built on each read
         assert [p.pair_id for _, p in video.iter_pairs()] == [(0, 1), None, (2, 5)]
 
-    def test_the_run_path_builds_no_record_view(self, fixture_predictions, fixture_config,
-                                                monkeypatch, tmp_path):
-        # refine, the writer and Recall@K's selection read the columns alone
+    def test_the_run_path_builds_no_record_view(self, fixture_predictions, fixture_gt,
+                                                fixture_config, monkeypatch, tmp_path):
+        # refine, the writer and Recall@K read the columns alone
         built = []
         for view in (PairPrediction, FramePrediction):
             def init(self, *args, _init=view.__init__, **kwargs):
@@ -204,7 +218,7 @@ class TestPredictionSet:
         outcome = refine(fixture_predictions, fixture_config, cache_dir=str(tmp_path / "cache"),
                          transcript_dir=str(tmp_path / "transcripts"))
         write_predictions(fixture_predictions, outcome.fused, str(tmp_path / "refined.jsonl"))
-        assert positives_per_frame(outcome.fused, fixture_config.weights.threshold)
+        assert recall_at_k(outcome.fused, fixture_gt, fixture_config.weights.threshold)
         assert outcome.stats.debates and os.listdir(tmp_path / "transcripts")
         assert built == []
         fixture_predictions.frames[0].pairs  # the count sees a view that is built

@@ -27,7 +27,7 @@ def test_library_example_runs(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "hoirefine-cache")
     written = load_predictions(tmp_path / "refined.jsonl", load_vocabulary("fixtures/vocab.txt"))
     assert written.scores.ravel().tobytes() == outcome.fused.column.tobytes()
-    assert namespace["positives"]
+    assert set(namespace["recalls"]) == {10, 20, 50}
     assert isinstance(namespace["no_debate"], FusedScores)
     assert namespace["no_debate"].pred_set is pred_set
     assert namespace["no_debate"] != outcome.fused
