@@ -45,6 +45,7 @@ from .model import (
     RelationVocabulary,
     VideoPredictionSet,
     check_over,
+    sorted_distinct,
 )
 
 
@@ -292,11 +293,11 @@ def load_predictions(path: str, vocab: RelationVocabulary) -> VideoPredictionSet
     (two integers, unique in the frame), ``video_id`` (a string) and
     ``score_scale`` ("base" or "fused"; a fused score may exceed 1); these
     two and each frame's size must agree with earlier records. The records
-    are checked a block at a time (``_blocks``) and the frame rules once
-    over the columns. A file that breaks a rule is checked line by line,
-    which raises ParseError at the first record with another key or that
-    breaks a rule. Frames come out sorted by index, each frame's pairs in
-    file order."""
+    are checked a block at a time (``_blocks``), and a pair id twice in a
+    frame by the set itself. A file that breaks a rule is checked line by
+    line, which raises ParseError at the first record with another key or
+    that breaks a rule. Frames come out sorted by index, each frame's pairs
+    in file order."""
     return _in_blocks(_prediction_blocks, "check_predictions", path, vocab)
 
 
@@ -381,12 +382,6 @@ def _prediction_blocks(path: str, vocab: RelationVocabulary) -> VideoPredictionS
         order = np.argsort(row_frame, kind="stable")
         row_frame = row_frame[order]
         columns = [column.reshape(len(order), -1)[order].ravel() for column in columns]
-    tracked = columns[2] >= 0
-    frame, code = row_frame[tracked], columns[2][tracked]
-    order = np.lexsort((code, frame))
-    frame, code = frame[order], code[order]
-    if np.any((frame[1:] == frame[:-1]) & (code[1:] == code[:-1])):
-        raise ValueError("a pair id twice in a frame")
     index = np.array(sorted(sizes), np.int64)
     return VideoPredictionSet(
         "" if video_id is None else video_id, vocab,
@@ -453,8 +448,7 @@ def _ground_truth_blocks(path: str, predictions: VideoPredictionSet) -> GroundTr
     at = np.searchsorted(keys, pair)
     if np.any(at == len(keys)) or np.any(keys[at] != pair):
         raise ValueError("a pair not predicted in its frame")
-    slots = np.sort(rows[at] * n + rel)  # a bare np.unique would import numpy.ma, 0.5 MB
-    return GroundTruthSet(predictions, slots[np.diff(slots, prepend=-1) > 0])
+    return GroundTruthSet(predictions, sorted_distinct(rows[at] * n + rel))
 
 
 def _number(x) -> str:

@@ -5,8 +5,11 @@ concurrent pipeline stages. A prediction set holds its rows as columns:
 float64 arrays of scores and boxes, a pair-id code and a class code per
 row, and an index, a size and a row span per frame. Its records (frames,
 pairs and boxes) are views, built from the columns when read and held by
-no one else. The rules a prediction file must follow are checked where it
-is read, in ``ingest.load_predictions``.
+no one else. A set's invariants are checked when it is built: its columns
+agree, its frames are in strictly increasing index order and a tracked
+pair is held once per frame, so each slot is unambiguous. The values a
+prediction file must hold are checked where it is read, in
+``ingest.load_predictions``.
 
 A slot, one (frame, pair, relation) triplet, is an index of the set's
 raveled score column, relation ``i % n`` of row ``i // n``: the set is its
@@ -149,7 +152,11 @@ class VideoPredictionSet:
     hold distinct values, so a tracked pair's rows share its code. A set
     whose scores are not one per relation, whose columns disagree in length
     or whose codes lie outside ``pair_ids`` or ``labels`` raises ValueError.
-    Only the loader checks the values themselves.
+    So does a set whose slots would be ambiguous: a frame index not greater
+    than the one before it, or a tracked pair twice in one frame (an
+    untracked pair's key is its position); the first frame, in frame
+    order, that does either is named. Only the loader checks the values
+    themselves.
 
     ``frames``, ``frame.pairs`` and ``iter_pairs`` build record
     views of the columns on each read, with Python numbers, and the set
@@ -184,6 +191,20 @@ class VideoPredictionSet:
                          and self.class_code.min() >= 0
                          and self.class_code.max() < len(self.labels)):
             raise ValueError("a pair or class code outside pair_ids or labels")
+        index, ids = self.frame_index, max(len(self.pair_ids), 1)
+        late = np.flatnonzero(index[1:] <= index[:-1])
+        first = int(late[0]) + 1 if len(late) else frames  # the first frame out of order
+        tracked = np.flatnonzero(self.pair_code >= 0)
+        keys = np.sort(self.frame_rank()[tracked] * ids + self.pair_code[tracked])
+        twice = keys[1:][keys[1:] == keys[:-1]]  # (frame position, pair code) of each repeat
+        if len(twice) and twice[0] // ids < first:
+            position, code = divmod(int(twice[0]), ids)
+            raise ValueError(f"frame {index[position]} holds pair key "
+                             f"{tracked_pair_key(self.pair_ids[code])} twice")
+        if first < frames:
+            frame, before = index[first], index[first - 1]
+            raise ValueError(f"frame {frame} appears twice" if frame == before
+                             else f"frame {frame} follows frame {before}")
 
     @property
     def frames(self) -> tuple[FramePrediction, ...]:
@@ -247,33 +268,6 @@ def row_keys(pred_set: VideoPredictionSet, rows: np.ndarray) -> list[tuple]:
         pred_set.frame_index[rank].tolist(), pred_set.pair_code[rows].tolist(), position.tolist())]
 
 
-def check_slots_distinct(pred_set: VideoPredictionSet) -> None:
-    """Raise ValueError when ``pred_set`` repeats a frame index, or a pair
-    key within a frame: its slots would be ambiguous. Only tracked pairs can
-    share a key, since an untracked pair's key is its position. The first
-    frame, in frame order, that does either is named."""
-    index, code = pred_set.frame_index, pred_set.pair_code
-    frame_twice = _first_repeat(index)
-    rows = np.flatnonzero(code >= 0)
-    rank = pred_set.frame_rank()[rows]
-    row_twice = _first_repeat(rank * max(len(pred_set.pair_ids), 1) + code[rows])
-    pair_frame = len(index) if row_twice is None else int(rank[row_twice])
-    if frame_twice is not None and frame_twice <= pair_frame:
-        raise ValueError(f"frame {index[frame_twice]} appears twice")
-    if row_twice is not None:
-        pair_id = pred_set.pair_ids[code[rows[row_twice]]]
-        raise ValueError(f"frame {index[pair_frame]} holds pair key "
-                         f"{tracked_pair_key(pair_id)} twice")
-
-
-def _first_repeat(values: np.ndarray) -> Optional[int]:
-    """The position of the first item of ``values`` equal to an earlier one."""
-    _, first = np.unique(values, return_index=True)
-    repeat = np.ones(len(values), bool)
-    repeat[first] = False
-    return int(np.argmax(repeat)) if repeat.any() else None
-
-
 class GroundTruthSet:
     """A video's positive (frame, pair, relation) triplets as ``slots`` of
     ``pred_set``: sorted, distinct, read-only int64 indices of its score
@@ -324,9 +318,8 @@ class FusedScores(Mapping):
     (frame_index, pair_key, relation_index) to score, iterated in slot
     order; two are equal when they hold the same slots in the same order and
     the same values bit for bit. The rows' keys are indexed on the first
-    look-up by tuple, which raises ValueError for a set whose slots are
-    ambiguous (``check_slots_distinct``). A frame or relation index, or a
-    pair key item after its tag, that is no integer (a bool, a float) is no slot."""
+    look-up by tuple. A frame or relation index, or a pair key item after
+    its tag, that is no integer (a bool, a float) is no slot."""
 
     def __init__(self, pred_set: VideoPredictionSet, column: np.ndarray):
         slots = pred_set.scores.size
@@ -345,7 +338,6 @@ class FusedScores(Mapping):
                 and all(_integer_type(type(item)) for item in key[1:])):
             raise KeyError(slot)
         if self._rows is None:
-            check_slots_distinct(self.pred_set)
             self._rows = {row_key: row for row, row_key in enumerate(self._row_keys())}
         try:
             row = self._rows.get((frame_index, key))
@@ -379,7 +371,9 @@ class AgentScores:
     exist: ``columns[k]`` is an ``(index, values)`` pair for ``SCORE_KINDS[k]``,
     the sorted, distinct int64 indices of the slots holding that kind and
     their float64 scores. Read-only; ``len`` counts the slots holding any
-    kind. A float or bool index raises TypeError (``check_slot_types``)."""
+    kind. A float or bool index raises TypeError (``check_slot_types``), and
+    an index column that is not strictly increasing or that leaves the set's
+    slots ValueError."""
 
     def __init__(self, pred_set: VideoPredictionSet, columns):
         self.pred_set = pred_set
@@ -392,6 +386,8 @@ class AgentScores:
                              for index, values in columns)
         if len(self.columns) != len(SCORE_KINDS) or any(len(i) != len(v) for i, v in self.columns):
             raise ValueError("need one (index, values) pair of equal lengths per score kind")
+        if any(np.any(index[1:] <= index[:-1]) for index, _ in self.columns):
+            raise ValueError("slot indices must be sorted and distinct")
         slots = pred_set.scores.size
         if any(len(index) and (index[0] < 0 or index[-1] >= slots) for index, _ in self.columns):
             raise ValueError(f"a slot index outside the set's {slots} slots")
@@ -400,7 +396,18 @@ class AgentScores:
                 array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(np.unique(np.concatenate([index for index, _ in self.columns])))
+        return len(sorted_distinct(np.concatenate([index for index, _ in self.columns])))
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct items of ``values``, in order, after sorting ``values``
+    itself in place: pass a fresh array. A bare ``np.unique`` would import
+    ``numpy.ma`` on its first call, about 0.5 MB of RSS."""
+    values.sort()
+    distinct = np.empty(len(values), bool)
+    distinct[:1] = True
+    np.not_equal(values[1:], values[:-1], out=distinct[1:])
+    return values[distinct]
 
 
 def check_over(scores, pred_set: VideoPredictionSet, what: str) -> None:

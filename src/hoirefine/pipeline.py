@@ -67,7 +67,7 @@ from .model import (
     VideoPredictionSet,
     check_over,
     check_slot_types,
-    check_slots_distinct,
+    sorted_distinct,
 )
 from .provider import Provider, ProviderError
 
@@ -121,12 +121,7 @@ def aggregate_provider_tables(pred_set: VideoPredictionSet, tables: dict[str, di
         # at its slots from ``start`` in order; no per-slot object is built
         check_slot_types(set().union(*(map(type, d) for d in scores)))
         at = [np.fromiter(d, np.int64, len(d)) for d in scores]
-        index = np.concatenate(at)
-        index.sort()
-        distinct = np.empty(len(index), bool)
-        distinct[:1] = True
-        np.not_equal(index[1:], index[:-1], out=distinct[1:])
-        index = index[distinct]
+        index = sorted_distinct(np.concatenate(at))
         totals = np.full(len(index), start)
         counts = np.zeros(len(index), np.min_scalar_type(len(scores)))
         for d, rows in zip(scores, at):
@@ -347,15 +342,13 @@ def refine(
     Reusing ``providers`` across calls keeps their call counters cumulative.
 
     Raises ValueError, before any call, on a fused-scale set, whose scores
-    hold every agent term already, or on a set that repeats a frame index or
-    a pair key within a frame (``check_slots_distinct``), and ConfigError (a
-    ValueError) on ``providers`` that repeat an id or lack
-    ``config.judge_provider``; ProviderError, before aggregation, when
-    keyframe candidates exist but no agent scored any of them, so a total
-    provider outage does not pass for base scores."""
+    hold every agent term already, and ConfigError (a ValueError) on
+    ``providers`` that repeat an id or lack ``config.judge_provider``;
+    ProviderError, before aggregation, when keyframe candidates exist but
+    no agent scored any of them, so a total provider outage does not pass
+    for base scores."""
     if pred_set.score_scale == "fused":
         raise ValueError(f"video {pred_set.video_id!r} is already refined (score_scale fused)")
-    check_slots_distinct(pred_set)
     if providers is None:
         providers = build_providers(config)
     check_provider_ids([p.id for p in providers], config.judge_provider)

@@ -1,9 +1,13 @@
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hoirefine
 from hoirefine.agents import detect_transitions, keyframe_slots, spatial_item
 from hoirefine.evaluation import recall_at_k
 from hoirefine.ingest import triplet_to_text, write_predictions
@@ -19,14 +23,13 @@ from hoirefine.model import (
     PairPrediction,
     RelationVocabulary,
     VideoPredictionSet,
-    check_slots_distinct,
     pair_key,
     row_keys,
     tracked_pair_key,
 )
 from hoirefine.pipeline import fuse_table, refine
 
-from conftest import kinds_at, make_pair, pack
+from conftest import FIXTURES, kinds_at, make_pair, pack
 
 
 class TestVocabulary:
@@ -144,6 +147,14 @@ class TestAgentScores:
         with pytest.raises(TypeError, match=f"^a slot index must be an integer, not '{name}'$"):
             AgentScores(two_frames(), [(index, [0.5] * len(index)), empty, empty, empty])
 
+    @pytest.mark.parametrize("index", [[0, -1, 1], [0, 9, 1], [1, 1], [3, 2]])
+    def test_an_index_column_that_does_not_increase_is_refused(self, index):
+        # [0, -1, 1] would add a CS term to the set's last slot, and [0, 9, 1]
+        # leave fuse_table an IndexError
+        empty = ([], [])
+        with pytest.raises(ValueError, match="^slot indices must be sorted and distinct$"):
+            AgentScores(two_frames(), [empty, (index, [0.5] * len(index)), empty, empty])
+
     def test_integer_indices_are_taken(self):
         empty = ([], [])
         for index in ([1], [np.int64(1)], np.array([1], np.int32), np.array([], float)):
@@ -162,6 +173,30 @@ class TestGroundTruthSet:
         for slots in ([1, 0], [0, 0], [2], [-1], [6]):
             with pytest.raises(ValueError, match="sorted, distinct and on tracked rows"):
                 GroundTruthSet(video, slots)
+
+
+# the fixture's refine, its output written and read back, the ground
+# truth, Recall@K and the table's length, in a fresh interpreter
+RUN_PATH = """
+import os, sys
+from hoirefine.config import load_config
+from hoirefine.evaluation import recall_at_k
+from hoirefine.ingest import load_ground_truth, load_predictions, load_vocabulary, write_predictions
+from hoirefine.pipeline import refine
+
+fixtures, out = sys.argv[1], os.path.join(sys.argv[2], "refined.jsonl")
+config = load_config(os.path.join(fixtures, "config.json"))
+vocab = load_vocabulary(os.path.join(fixtures, "vocab.txt"))
+video = load_predictions(os.path.join(fixtures, "predictions.jsonl"), vocab)
+outcome = refine(video, config)
+write_predictions(video, outcome.fused, out)
+refined = load_predictions(out, vocab)
+load_ground_truth(os.path.join(fixtures, "gt.jsonl"), refined)
+gt = load_ground_truth(os.path.join(fixtures, "gt.jsonl"), video)
+assert recall_at_k(outcome.fused, gt, config.weights.threshold)
+assert len(outcome.table)
+print("numpy.ma", "imported" if "numpy.ma" in sys.modules else "not imported")
+"""
 
 
 class TestPredictionSet:
@@ -192,6 +227,23 @@ class TestPredictionSet:
         VideoPredictionSet("v", video.vocabulary, **columns)  # as they are, they agree
         with pytest.raises(ValueError, match=message):
             VideoPredictionSet("v", video.vocabulary, **{**columns, **change})
+
+    @pytest.mark.parametrize("frames,message", [
+        ([(4, (0, 1)), (4, (0, 2))], "frame 4 appears twice"),
+        ([(2, (0, 1)), (4, (0, 1), None, (0, 1))], "frame 4 holds pair key ('id', 0, 1) twice"),
+        ([(0, (0, 1)), (10, (0, 1)), (4, (0, 1))], "frame 4 follows frame 10"),
+        # the first frame, in frame order, that breaks either rule is named
+        ([(2, (0, 1), (0, 1)), (5,), (3,)], "frame 2 holds pair key ('id', 0, 1) twice"),
+        ([(2,), (1,), (5, (0, 1), (0, 1))], "frame 1 follows frame 2"),
+        ([(2,), (2, (0, 1), (0, 1))], "frame 2 appears twice"),
+    ], ids=["frame-twice", "pair-key-twice", "frame-out-of-order", "pair-key-first",
+            "out-of-order-first", "both-in-one-frame"])
+    def test_an_ambiguous_set_is_refused_at_construction(self, frames, message):
+        # its slots would be ambiguous, or, out of order, every pass that
+        # takes a frame's position for its time (the nearest keyframe) wrong
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pack(RelationVocabulary(("a",)), [
+                (fi, 640, 480, [make_pair(pair_id=pid) for pid in ids]) for fi, *ids in frames])
 
     def test_views_hold_python_numbers_and_the_sets_own_objects(self):
         video = two_frames()
@@ -225,6 +277,16 @@ class TestPredictionSet:
         assert built == ["FramePrediction"] * len(fixture_predictions.frame_index) + [
             "PairPrediction"] * int(fixture_predictions.row_start[1])
 
+    def test_the_run_path_imports_no_numpy_ma(self, tmp_path):
+        # a bare np.unique imports numpy.ma on its first call, about 0.5 MB
+        # of RSS, which only a fresh interpreter shows
+        run = subprocess.run([sys.executable, "-c", RUN_PATH, FIXTURES, str(tmp_path)],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.path.dirname(
+                                 os.path.dirname(os.path.abspath(hoirefine.__file__)))})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["numpy.ma", "not", "imported"]
+
     def test_columns_are_read_only(self):
         video = two_frames()
         with pytest.raises(ValueError, match="read-only"):
@@ -254,18 +316,6 @@ class TestSlots:
         assert keys[0] == ("idx", 0) and keys[1] == ("id", 0, 1)
         assert keys[0] is keys[2] is keys[4] and keys[1] is keys[3] is keys[5]
 
-    def test_a_pair_key_twice_in_a_frame_is_refused(self):
-        # the later row would shadow the earlier, whose slots could then never be scored
-        video = pack(RelationVocabulary(("a",)), (
-            (2, 640, 480, (make_pair(pair_id=(0, 1)),)),
-            (4, 640, 480, (make_pair(pair_id=(0, 1)), make_pair(pair_id=None),
-                           make_pair(pair_id=(0, 1))))))
-        message = r"frame 4 holds pair key \('id', 0, 1\) twice"
-        with pytest.raises(ValueError, match=message):
-            check_slots_distinct(video)
-        with pytest.raises(ValueError, match=message):  # on the first look-up by tuple
-            FusedScores(video, np.zeros(4))[(2, ("id", 0, 1), 0)]
-
     def test_base_scores_are_read_from_the_pairs_in_slot_order(self):
         video = pack(RelationVocabulary(("a", "b")), (
             (3, 640, 480, (make_pair(scores=(0.25, -0.0)),
@@ -277,15 +327,6 @@ class TestSlots:
         assert list(map(float.hex, column.tolist())) == list(map(float.hex, (
             0.25, -0.0, 1.0, 0.5, 0.0, 0.75)))
         assert column.flags.writeable and not np.shares_memory(column, video.scores)
-
-    def test_a_frame_index_twice_is_refused(self):
-        video = pack(RelationVocabulary(("a",)), (
-            (4, 640, 480, (make_pair(pair_id=(0, 1)),)),
-            (4, 640, 480, (make_pair(pair_id=(0, 2)),))))
-        with pytest.raises(ValueError, match="frame 4 appears twice"):
-            check_slots_distinct(video)
-        with pytest.raises(ValueError, match="frame 4 appears twice"):
-            FusedScores(video, np.zeros(2))[(4, ("id", 0, 1), 0)]
 
 
 @st.composite
@@ -305,6 +346,27 @@ def prediction_sets(draw):
                                            min_size=n, max_size=n)), pair_id=pid)
             for pid in ids]))
     return pack(RelationVocabulary(tuple("abc"[:n])), frames)
+
+
+class TestFrameOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(prediction_sets(), st.data())
+    def test_a_set_is_built_exactly_when_its_frame_indices_increase(self, video, data):
+        frames = video.frames
+        positions = range(len(frames))
+        picked = data.draw(st.one_of(st.permutations(positions),
+                                     st.lists(st.sampled_from(positions), max_size=8))
+                           if frames else st.just([]))
+        indices = [frames[j].frame_index for j in picked]
+        late = [(a, b) for a, b in zip(indices, indices[1:]) if b <= a]
+        if not late:
+            built = pack(video.vocabulary, [frames[j] for j in picked])
+            assert built.frame_indices() == indices
+            return
+        a, b = late[0]
+        message = f"frame {b} appears twice" if a == b else f"frame {b} follows frame {a}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pack(video.vocabulary, [frames[j] for j in picked])
 
 
 class TestFind:
