@@ -205,6 +205,31 @@ def test_refined_set_is_refused_before_any_call(fixture_predictions, fixture_con
     assert sent == []
 
 
+def repeat_last_frame(frames):
+    return frames + (frames[-1],)
+
+
+def repeat_a_pair_of_the_last_frame(frames):
+    last = frames[-1]
+    return frames[:-1] + ((last.frame_index, last.frame_width, last.frame_height,
+                           last.pairs + last.pairs[1:2]),)
+
+
+@pytest.mark.parametrize("repeat,message", [
+    (repeat_last_frame, "frame 19 appears twice"),
+    (repeat_a_pair_of_the_last_frame, "frame 19 holds pair key ('id', 0, 11) twice"),
+], ids=["frame-twice", "pair-key-twice"])
+def test_ambiguous_set_is_refused_before_any_call(fixture_predictions, fixture_config,
+                                                  repeat, message):
+    # a set built in code, not loaded: its slots would be ambiguous, so it is
+    # refused when it is built, before refine could send a call
+    providers, sent = fixture_providers(fixture_config)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refine(pack(fixture_predictions.vocabulary, repeat(fixture_predictions.frames),
+                    fixture_predictions.video_id), fixture_config, providers=providers)
+    assert sent == []
+
+
 @pytest.mark.parametrize("pick,message", [
     (lambda alpha, beta: [alpha, alpha], "provider ids must be unique, not ['alpha', 'alpha']"),
     (lambda alpha, beta: [alpha, beta, beta],

@@ -229,18 +229,16 @@ class TestPredictionSet:
             VideoPredictionSet("v", video.vocabulary, **{**columns, **change})
 
     @pytest.mark.parametrize("frames,message", [
-        ([(4, (0, 1)), (4, (0, 2))], "frame 4 appears twice"),
-        ([(2, (0, 1)), (4, (0, 1), None, (0, 1))], "frame 4 holds pair key ('id', 0, 1) twice"),
         ([(0, (0, 1)), (10, (0, 1)), (4, (0, 1))], "frame 4 follows frame 10"),
         # the first frame, in frame order, that breaks either rule is named
         ([(2, (0, 1), (0, 1)), (5,), (3,)], "frame 2 holds pair key ('id', 0, 1) twice"),
         ([(2,), (1,), (5, (0, 1), (0, 1))], "frame 1 follows frame 2"),
         ([(2,), (2, (0, 1), (0, 1))], "frame 2 appears twice"),
-    ], ids=["frame-twice", "pair-key-twice", "frame-out-of-order", "pair-key-first",
-            "out-of-order-first", "both-in-one-frame"])
+    ], ids=["frame-out-of-order", "pair-key-first", "out-of-order-first", "both-in-one-frame"])
     def test_an_ambiguous_set_is_refused_at_construction(self, frames, message):
-        # its slots would be ambiguous, or, out of order, every pass that
-        # takes a frame's position for its time (the nearest keyframe) wrong
+        # out of order, every pass that takes a frame's position for its time
+        # (the nearest keyframe) would be wrong; TestSlots checks a frame or a
+        # pair key twice alone
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pack(RelationVocabulary(("a",)), [
                 (fi, 640, 480, [make_pair(pair_id=pid) for pid in ids]) for fi, *ids in frames])
@@ -316,6 +314,15 @@ class TestSlots:
         assert keys[0] == ("idx", 0) and keys[1] == ("id", 0, 1)
         assert keys[0] is keys[2] is keys[4] and keys[1] is keys[3] is keys[5]
 
+    def test_a_pair_key_twice_in_a_frame_is_refused(self):
+        # the later row would shadow the earlier, whose slots could then never
+        # be scored, so the set is refused when it is built
+        with pytest.raises(ValueError, match=r"^frame 4 holds pair key \('id', 0, 1\) twice$"):
+            pack(RelationVocabulary(("a",)), (
+                (2, 640, 480, (make_pair(pair_id=(0, 1)),)),
+                (4, 640, 480, (make_pair(pair_id=(0, 1)), make_pair(pair_id=None),
+                               make_pair(pair_id=(0, 1))))))
+
     def test_base_scores_are_read_from_the_pairs_in_slot_order(self):
         video = pack(RelationVocabulary(("a", "b")), (
             (3, 640, 480, (make_pair(scores=(0.25, -0.0)),
@@ -327,6 +334,12 @@ class TestSlots:
         assert list(map(float.hex, column.tolist())) == list(map(float.hex, (
             0.25, -0.0, 1.0, 0.5, 0.0, 0.75)))
         assert column.flags.writeable and not np.shares_memory(column, video.scores)
+
+    def test_a_frame_index_twice_is_refused(self):
+        with pytest.raises(ValueError, match="^frame 4 appears twice$"):
+            pack(RelationVocabulary(("a",)), (
+                (4, 640, 480, (make_pair(pair_id=(0, 1)),)),
+                (4, 640, 480, (make_pair(pair_id=(0, 2)),))))
 
 
 @st.composite
