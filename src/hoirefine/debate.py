@@ -10,10 +10,12 @@ openings had been asked in turn, so the critical path is N^2 - N + 2 calls.
 Debates are independent, and a debate depends on its question alone:
 ``pipeline.run_stage_two`` starts one per distinct question as soon as a
 candidate whose stage-1 scores are final first asks it, while stage 1 still
-runs, on up to as many threads as the providers' summed
-``max_concurrency``, and starts no further debate once one of them or
-stage 1 raises. Candidates that render the same question share its debate
-and its judge score, whichever candidate asked first.
+runs, on up to ``pipeline.DEBATES_PER_SLOT`` (4) times as many threads as
+the providers' summed ``max_concurrency``, so that debates waiting on one
+provider leave no other provider's slot idle. It starts no further debate
+once one of them or stage 1 raises. Candidates that render the same
+question share its debate and its judge score, whichever candidate asked
+first.
 """
 
 from __future__ import annotations

@@ -71,6 +71,12 @@ from .model import (
 )
 from .provider import Provider, ProviderError
 
+# debate threads per request slot (the providers' summed ``max_concurrency``):
+# a debate keeps its thread while it waits on one provider at a time, so this
+# many debates in flight keep every provider's slots filled; each provider's
+# own semaphore still bounds its requests
+DEBATES_PER_SLOT = 4
+
 
 @dataclass
 class RunStats:
@@ -220,11 +226,12 @@ def run_stage_two(
     the selected ones ask their questions in slot order. One debate runs,
     and is persisted, per distinct question, as soon as a selected
     candidate first asks it; its judge score goes on every candidate that
-    asked it. The debates run on up to as many threads as the providers
-    allow requests in flight together (the sum of their
-    ``max_concurrency``), started as debates are queued; each provider's
-    own semaphore still bounds its requests. With ``debate_mode`` "off" no
-    candidate is selected, so no debate runs and the pool starts no thread.
+    asked it. The debates run on up to ``DEBATES_PER_SLOT`` times as many
+    threads as the providers allow requests in flight together (the sum of
+    their ``max_concurrency``), started as debates are queued; each
+    provider's own semaphore still bounds its requests. With
+    ``debate_mode`` "off" no candidate is selected, so no debate runs and
+    the pool starts no thread.
     Stage one and the debates share one stop: once either raises, neither
     starts anything further, the running calls finish and the error
     propagates."""
@@ -252,7 +259,7 @@ def run_stage_two(
 
     asked: dict[int, str] = {}
     judged: dict[str, Future] = {}
-    pool = ThreadPoolExecutor(sum(p.spec.max_concurrency for p in providers))
+    pool = ThreadPoolExecutor(DEBATES_PER_SLOT * sum(p.spec.max_concurrency for p in providers))
 
     def on_scored(tables: dict[str, dict[str, dict]], slots: list) -> None:
         final = {}  # the candidates this report finishes, with their fused scores

@@ -163,6 +163,42 @@ def test_refine_leaves_no_thread_running(fixture_predictions, fixture_config):
     assert threading.active_count() == before
 
 
+def test_debate_pool_keeps_every_providers_slots_filled(fixture_predictions, fixture_config,
+                                                        monkeypatch):
+    # a debate holds its thread while it waits on one provider at a time, so
+    # the pool runs 4 debates per request slot. The fixture debates 10
+    # distinct questions: at the default 4 slots per provider (32 threads)
+    # all 10 are in flight at once, or the barrier breaks; at 1 slot per
+    # provider the 8 threads bound them. A debate waits before it asks
+    # anything, so it holds no provider slot while it waits
+    before = threading.active_count()
+    run_debate = pipeline.run_debate
+    for max_concurrency, waiting in ((None, 10), (1, 8)):
+        lock, barrier = threading.Lock(), threading.Barrier(waiting, timeout=5)
+        count = Counter()
+
+        def counted(*args, **kwargs):
+            with lock:
+                started = count["started"]
+                count["started"] += 1
+                count["now"] += 1
+                count["peak"] = max(count["peak"], count["now"])
+            try:
+                if started < waiting:
+                    barrier.wait()
+                return run_debate(*args, **kwargs)
+            finally:
+                with lock:
+                    count["now"] -= 1
+
+        monkeypatch.setattr(pipeline, "run_debate", counted)
+        providers, _ = fixture_providers(fixture_config, max_concurrency=max_concurrency)
+        refine(fixture_predictions, fixture_config, providers=providers)
+        assert count["started"] == 10
+        assert count["peak"] == waiting
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("cached", [False, True], ids=["no_cache_dir", "cache_dir"])
 def test_billed_calls_equal_distinct_prompts(fixture_predictions, fixture_config, tmp_path,
                                              cached):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -203,9 +204,10 @@ class TestFailureHandling:
         with pytest.raises(AuthError):
             run_debate("q", [scripted("a")], scripted("judge", transport=rejected))
 
-    def refine_with_debaters_rejected(self):
+    def refine_with_debaters_rejected(self, max_concurrency=4):
         """Refine the fixture with stage 1 answered and every debater turn
-        rejected; returns the debater prompts that were sent."""
+        rejected, each provider allowing ``max_concurrency`` requests in
+        flight; returns the debater prompts that were sent."""
         config = load_config(fixture_path("config.json"))
         pred_set = load_predictions(fixture_path("predictions.jsonl"),
                                     load_vocabulary(fixture_path("vocab.txt")))
@@ -221,7 +223,8 @@ class TestFailureHandling:
                 return match_rules(rules, req.prompt)
             return transport
 
-        providers = [Provider(spec, transport=transport_for(spec))
+        providers = [Provider(dataclasses.replace(spec, max_concurrency=max_concurrency),
+                              transport=transport_for(spec))
                      for spec in config.providers]
         with pytest.raises(AuthError):
             refine(pred_set, config, providers=providers)
@@ -231,12 +234,13 @@ class TestFailureHandling:
         assert self.refine_with_debaters_rejected()
 
     def test_debate_auth_error_starts_no_queued_debate(self):
-        # the fixture debates 36 candidates on a pool of 8 workers, and each
+        # at 1 request slot per provider the debate pool has 4 × 2 = 8
+        # workers, fewer than the fixture's 10 distinct questions, and each
         # debate asks its 2 debaters' openings at once; once one debate hits
         # the AuthError, no queued debate may start, so at most 8 × 2
         # openings are sent
         for _ in range(5):
-            assert len(self.refine_with_debaters_rejected()) <= 16
+            assert len(self.refine_with_debaters_rejected(max_concurrency=1)) <= 16
 
     def test_unparseable_judge_answer(self):
         transcript = run_debate("q", [scripted("a")], scripted("judge", reply="it depends"))
